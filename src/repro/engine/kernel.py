@@ -24,14 +24,23 @@ subclass provides:
   metrics collector.  The kernel only requires that ``observe`` return a
   sample exposing ``hull_diameter`` (for a full-dimensional point set the
   hull diameter *is* the set diameter, so the name is dimension-honest).
-* :meth:`ContinuousKernel._make_record` — per-activation records (the
-  planar engine emits Point-typed :class:`ActivationRecord` objects; the
-  3D round adapter skips records entirely).
+* :meth:`ContinuousKernel._make_record_log` — per-activation records (the
+  planar engine keeps a columnar :class:`~repro.engine.logs.RecordLog`
+  of Point-typed :class:`ActivationRecord` views; the 3D engines skip
+  records entirely).
 
 Because the pipeline itself lives here once, the full scheduler family
 (fsync, ssync, k-NestA, k-Async, scripted) drives runs in any dimension;
 schedulers only ever see :class:`Activation` batches and the read-only
 engine view, both dimension-free.
+
+A round-structured scheduler issues each round as a
+:class:`~repro.model.types.RoundBatch` — robot ids and progress fractions
+as arrays, one shared look instant and phase durations.  On the batched
+round path the kernel holds that batch whole instead of heaping its
+activations: the round's decisions come back as row arrays, one
+index-array transition on the kinematic store begins every move, and the
+round's records and metrics samples are appended as columns.
 
 The required configuration attributes (duck-typed; satisfied by
 ``SimulationConfig`` and the 3D config types) are: ``visibility_range``,
@@ -42,7 +51,6 @@ The required configuration attributes (duck-typed; satisfied by
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 import time as _time
@@ -53,35 +61,16 @@ import numpy as np
 
 from ..geometry.tolerances import EPS
 from ..model.robot import PHASE_MOVING
-from ..model.types import Activation, ActivationRecord
+from ..model.types import Activation, RoundBatch
 from ..schedulers.base import Scheduler
+from .logs import RecordLog
 from .spatial_index import ShardedGridIndex, UniformGridIndex, grid_auto_threshold
 from .state import EngineState
 
-
-class MoveDecision:
-    """What one Look/Compute/Move decision produced, as coordinate rows.
-
-    ``target`` is where the algorithm wanted to go (global coordinates),
-    ``realized`` where the motion model actually lands the robot;
-    ``payload`` carries whatever the subclass wants to hand from
-    :meth:`ContinuousKernel._decide_move` to
-    :meth:`ContinuousKernel._make_record` without re-conversion.
-    """
-
-    __slots__ = ("target", "realized", "neighbours_seen", "payload")
-
-    def __init__(
-        self,
-        target: np.ndarray,
-        realized: np.ndarray,
-        neighbours_seen: int,
-        payload: object = None,
-    ) -> None:
-        self.target = target
-        self.realized = realized
-        self.neighbours_seen = neighbours_seen
-        self.payload = payload
+#: What one Look/Compute/Move decision produced: the target the algorithm
+#: chose and the endpoint the motion model realises (global coordinate
+#: rows), and how many neighbours the Look saw.
+Decision = Tuple[object, object, int]
 
 
 @dataclass
@@ -91,12 +80,64 @@ class KernelOutcome:
     metrics: object
     processed: int
     activation_end_times: Dict[int, List[float]]
-    records: List[ActivationRecord]
+    records: Optional[RecordLog]
     converged_time: Optional[float]
     final_time: float
     final_positions: np.ndarray
     wall_time_seconds: float
     recorder: Optional[object] = None
+
+
+def replay_round(
+    batch: RoundBatch,
+    crashed: np.ndarray,
+    processed: int,
+    popped: int,
+    max_activations: int,
+    record_every: int,
+):
+    """Replay the per-activation loop's counters over one round, touching no state.
+
+    A crashed robot's activation is popped but skipped, and the activation
+    and pop caps cut the round short, exactly as the per-activation loop
+    would.  Returns ``(executed, first, boundaries, processed, popped)``:
+    the sub-round that executes, the first record boundary inside it as
+    ``(executed so far, processed, popped)`` (None when there is none),
+    and how many boundaries fall inside it.  The boundaries are
+    consecutive multiples of ``record_every`` in ``processed``.
+    """
+    count = len(batch)
+    pop_cap = 100 * max_activations
+    if (
+        processed + count <= max_activations
+        and popped + count < pop_cap
+        and not crashed.any()
+    ):
+        # No skip and no cap can trigger inside this round: every entry
+        # executes and the record boundaries fall arithmetically.
+        boundaries = (processed + count) // record_every - processed // record_every
+        first = None
+        if boundaries:
+            k = (processed // record_every + 1) * record_every - processed
+            first = (k, processed + k, popped + k)
+        return batch, first, boundaries, processed + count, popped + count
+    rows: List[int] = []
+    first = None
+    boundaries = 0
+    for row, robot_id in enumerate(batch.robot_ids.tolist()):
+        if processed >= max_activations or popped >= pop_cap:
+            break
+        popped += 1
+        if crashed[robot_id]:
+            continue
+        rows.append(row)
+        processed += 1
+        if processed % record_every == 0:
+            if first is None:
+                first = (len(rows), processed, popped)
+            boundaries += 1
+    executed = batch.take(np.asarray(rows, dtype=np.intp))
+    return executed, first, boundaries, processed, popped
 
 
 class ContinuousKernel:
@@ -120,6 +161,9 @@ class ContinuousKernel:
             self._state.arrays.crash_at(crashed_id)
         self._time = 0.0
         self._pending: List[tuple] = []
+        #: The scheduler's latest round, held whole for the batched round
+        #: path (only ever set while the heap is empty).
+        self._round: Optional[RoundBatch] = None
         self._sequence = 0
         self._round_batching = self._round_batching_enabled()
         # The batched round path rebuilds a sharded grid per round from the
@@ -158,8 +202,13 @@ class ContinuousKernel:
         look_time: float,
         other_positions,
         activation: Activation,
-    ) -> MoveDecision:
-        """Look/Compute/realise for one activation (subclasses implement)."""
+    ) -> Decision:
+        """Look/Compute/realise for one activation (subclasses implement).
+
+        Returns ``(target, realized, neighbours_seen)``: the algorithm's
+        target and the realised endpoint as global coordinate rows, and
+        the number of neighbours the Look saw.
+        """
         raise NotImplementedError
 
     def _make_metrics(self):
@@ -176,10 +225,8 @@ class ContinuousKernel:
         """The trajectory recorder, or None (base: no recording)."""
         return None
 
-    def _make_record(
-        self, activation: Activation, origin_row: np.ndarray, decision: MoveDecision
-    ) -> Optional[ActivationRecord]:
-        """The per-activation record to append, or None to skip records."""
+    def _make_record_log(self) -> Optional[RecordLog]:
+        """The per-activation record log, or None to skip records (base: none)."""
         return None
 
     def _frame_for_look(self):
@@ -233,16 +280,16 @@ class ContinuousKernel:
 
     # -- batched round fast path ---------------------------------------------------------
     def _round_batching_enabled(self) -> bool:
-        """Whether whole scheduler batches may be advanced as single rounds.
+        """Whether the scheduler's :class:`RoundBatch` es run as whole rounds.
 
         ``config.round_batching`` (duck-typed, default None) forces the
         answer either way; on auto, the fast path engages exactly when the
         array engine runs under a scheduler that declares itself
         round-structured (``round_structured = True`` — fsync, ssync and
-        the 3D round adapter).  Every batch is still *validated* before
-        being consumed as a round (:meth:`_validated_round`), so a forced
-        or misdeclared scheduler degrades to the per-activation reference
-        path rather than corrupting the run.
+        the 3D round adapter).  Only a batch the scheduler issues as a
+        :class:`RoundBatch` is ever advanced as a round; any other batch
+        goes through the per-activation heap, so forcing the path on under
+        a non-round scheduler changes nothing but the Look index.
         """
         setting = getattr(self.config, "round_batching", None)
         if setting is False:
@@ -273,18 +320,18 @@ class ContinuousKernel:
         return ShardedGridIndex(committed, effective + 2.0 * EPS)
 
     def _round_decider(self, look_time: float, committed: np.ndarray, shard):
-        """Per-robot decide callable for one validated round (overridable).
+        """Per-robot decide callable for one round (overridable).
 
         The base form routes through :meth:`_decide_move` unchanged — the
         candidate rows are the committed positions themselves (every robot
-        of a validated round is idle at its committed position at the
-        round's look instant), gathered through the shard's block-local
-        candidate arrays when one is active.  The shard's candidate set
-        includes the observer, which every Look filter drops at distance
-        zero exactly as the dense path drops coincident robots.
+        is idle at its committed position at the round's look instant),
+        gathered through the shard's block-local candidate arrays when one
+        is active.  The shard's candidate set includes the observer, which
+        every Look filter drops at distance zero exactly as the dense path
+        drops coincident robots.
         """
 
-        def decide(robot_id: int, activation: Activation) -> MoveDecision:
+        def decide(robot_id: int, activation: Activation) -> Decision:
             if shard is not None:
                 other = committed[shard.candidates(robot_id)]
             else:
@@ -293,248 +340,134 @@ class ContinuousKernel:
 
         return decide
 
-    def _validated_round(self) -> Optional[List[tuple]]:
-        """The pending heap as one consumable round, or None to fall back.
+    def _round_decide_rows(
+        self, look_time: float, committed: np.ndarray, shard, executed: RoundBatch
+    ):
+        """One round's decides, robot by robot, gathered into row arrays."""
+        decide = self._round_decider(look_time, committed, shard)
+        acts = len(executed)
+        target = np.empty((acts, self.dim), dtype=np.float64)
+        realized = np.empty((acts, self.dim), dtype=np.float64)
+        seen = np.empty(acts, dtype=np.int64)
+        for k, activation in enumerate(executed):
+            target[k], realized[k], seen[k] = decide(activation.robot_id, activation)
+        return target, realized, seen
 
-        A batch qualifies when every entry shares one look time within the
-        horizon, ends strictly after it (a zero-duration move would make
-        the shared committed snapshot stale mid-round), and activates a
-        distinct robot.  Qualifying batches are removed from the heap;
-        anything else is left untouched for the per-activation path.
-        """
-        pending = self._pending
-        if not pending:
-            return None
-        entries = sorted(pending)
-        look_time = entries[0][0]
-        if entries[-1][0] != look_time or look_time > self.config.max_time:
-            return None
-        seen = set()
-        for _, _, activation in entries:
-            if activation.end_time <= look_time:
-                return None
-            robot_id = activation.robot_id
-            if robot_id in seen:
-                return None
-            seen.add(robot_id)
-        self._time = look_time
-        self._finalize_completed_moves(look_time)
-        arrays = self._state.arrays
-        if bool(np.any(arrays.phase == PHASE_MOVING)):
-            # Some robot is still mid-move at the shared look time, so the
-            # committed array is not what this round's Looks would see.  A
-            # mid-move *batch* robot means a scheduler bug — the heap is
-            # left intact so the per-activation path raises its RuntimeError
-            # with full context; a mid-move bystander (possible only under a
-            # forced ``round_batching=True`` on a non-round scheduler) is
-            # handled by the per-activation path's interpolated Look.
-            return None
-        pending.clear()
-        return entries
-
-    def _round_batch_ready(self, committed: np.ndarray, shard, entries) -> bool:
+    def _round_batch_ready(self, committed: np.ndarray, shard, count: int) -> bool:
         """Whether this round's decides may run as one whole-round batch call.
 
         The base kernel has no batched decide; dimension front ends that
         implement :meth:`_round_decide_batch` override this with their
         eligibility rule (algorithm core, draw-free perception and motion,
         coincidence-collapse guard).  Returning False keeps the round on
-        the per-robot :meth:`_round_decider` path unchanged.
+        the per-robot :meth:`_round_decide_rows` path.
         """
         return False
 
     def _round_decide_batch(
-        self, look_time: float, committed: np.ndarray, shard, executed
-    ) -> List[MoveDecision]:
+        self, look_time: float, committed: np.ndarray, shard, executed: RoundBatch
+    ):
         """All of one round's decides in a single call (subclasses implement).
 
         Only invoked after :meth:`_round_batch_ready` answered True for the
-        round; must return one :class:`MoveDecision` per executed
-        activation, in order, bit-identical to calling the round decider
-        per activation (including RNG draw order).
+        round; must return ``(target, realized, neighbours_seen)`` as
+        ``(m, d)``, ``(m, d)`` and ``(m,)`` arrays over the executed
+        activations, bit-identical to :meth:`_round_decide_rows`
+        (including RNG draw order).
         """
         raise NotImplementedError
 
+    def _commit_round(
+        self,
+        executed: RoundBatch,
+        target: np.ndarray,
+        realized: np.ndarray,
+        neighbours_seen: np.ndarray,
+        records: Optional[RecordLog],
+        activation_end_times: Dict[int, List[float]],
+    ) -> None:
+        """Begin every executed move with one index-array transition, then log the round."""
+        arrays = self._state.arrays
+        ids = executed.robot_ids
+        arrays.begin_moves(ids, realized, executed.move_start_time, executed.end_time)
+        end = executed.end_time
+        for robot_id in ids.tolist():
+            activation_end_times[robot_id].append(end)
+        if records is not None:
+            records.extend_round(
+                executed, arrays.position[ids], target, realized, neighbours_seen
+            )
+
     def _process_round(
         self,
-        entries: List[tuple],
+        batch: RoundBatch,
         metrics,
         recorder,
-        records: List[ActivationRecord],
+        records: Optional[RecordLog],
         activation_end_times: Dict[int, List[float]],
         processed: int,
         popped: int,
         converged_time: Optional[float],
     ):
-        """Advance one validated round; returns updated loop state.
+        """Advance one round against the committed rows; returns updated loop state.
 
-        Per-activation work shrinks to the decide itself: moves are
-        finalized once per round (already done by validation), Looks read
-        the shared committed rows, and every record boundary inside the
-        round sees identical geometry — so the first boundary's sample is
-        computed once and replicated (``activations_processed`` aside) for
-        the rest when the collector declares that safe.
+        The per-activation loop's counters are replayed first without
+        touching any state (:func:`replay_round`): which activations
+        execute and where the record boundaries fall.  Every boundary of a
+        round observes the same committed geometry — positions committed
+        before the round stay committed throughout it (beginning a move
+        never writes ``position``) — and ``observe`` draws no RNG, so the
+        first boundary's sample and the convergence decision are taken
+        *before* the decides.  A convergence stop then truncates the round
+        exactly where the per-activation loop would have broken: the
+        skipped activations never decide, so their draws never happen and
+        the RNG stream matches byte for byte.  The surviving activations
+        are decided as one batch when the front end allows it (else robot
+        by robot, in order), committed by :meth:`_commit_round`, and the
+        remaining boundaries are replicated from the first sample when the
+        collector declares that safe (``supports_replicated_samples``),
+        else re-observed with the same arguments.
         """
         cfg = self.config
         arrays = self._state.arrays
-        look_time = entries[0][0]
+        look_time = batch.look_time
         committed = arrays.position
         shard = self._round_shard(committed)
-        if self._round_batch_ready(committed, shard, entries):
-            return self._process_round_batched(
-                entries, metrics, recorder, records, activation_end_times,
-                processed, popped, converged_time, shard,
-            )
-        decide = self._round_decider(look_time, committed, shard)
-        replicate = getattr(metrics, "supports_replicated_samples", False)
-        round_sample = None
+        executed, first, boundaries, processed, popped = replay_round(
+            batch, arrays.crashed, processed, popped,
+            cfg.max_activations, cfg.record_every,
+        )
         stop = False
-        for _, _, activation in entries:
-            if processed >= cfg.max_activations or popped >= 100 * cfg.max_activations:
-                break
-            popped += 1
-            robot_id = activation.robot_id
-            if arrays.crashed[robot_id]:
-                continue
-            arrays.begin_activation_at(robot_id, look_time)
-            decision = decide(robot_id, activation)
-            origin_row = arrays.position[robot_id].copy()
-            arrays.begin_move_at(
-                robot_id, origin_row, decision.realized,
-                activation.move_start_time, activation.end_time,
-            )
-            activation_end_times[robot_id].append(activation.end_time)
-            record = self._make_record(activation, origin_row, decision)
-            if record is not None:
-                records.append(record)
-            processed += 1
-            if processed % cfg.record_every == 0:
-                if round_sample is not None:
-                    sample = dataclasses.replace(
-                        round_sample, activations_processed=processed
-                    )
-                    metrics.samples.append(sample)
-                else:
-                    sample = metrics.observe(look_time, committed, processed)
-                    if replicate:
-                        round_sample = sample
-                if recorder is not None:
-                    recorder.record_all(look_time, committed)
-                if converged_time is None and sample.hull_diameter <= cfg.convergence_epsilon:
-                    converged_time = look_time
-                    if cfg.stop_at_convergence:
-                        stop = True
-                        break
-        return processed, popped, converged_time, stop
-
-    def _process_round_batched(
-        self,
-        entries: List[tuple],
-        metrics,
-        recorder,
-        records: List[ActivationRecord],
-        activation_end_times: Dict[int, List[float]],
-        processed: int,
-        popped: int,
-        converged_time: Optional[float],
-        shard,
-    ):
-        """Advance one validated round with a single whole-round decide call.
-
-        The serial loop's counters are replayed first without touching any
-        state: which activations execute (crash skips, activation caps)
-        and where the record boundaries fall.  Every boundary of a round
-        observes the same committed geometry — positions committed before
-        the round stay committed throughout it (``begin_move_at`` never
-        writes ``position``) — and ``observe`` draws no RNG, so the first
-        boundary's sample and the convergence decision are taken *before*
-        the decides.  A convergence stop then truncates the round exactly
-        where the serial loop would have broken: the skipped activations
-        never decide, so their frame draws never happen and the RNG stream
-        matches the serial path byte for byte.  The surviving activations
-        are decided in one :meth:`_round_decide_batch` call and committed
-        in the serial loop's order; the remaining boundaries replay after
-        the commits (same observe arguments in the same order — the
-        committed geometry is round-invariant, so interleaving is
-        unobservable).
-        """
-        cfg = self.config
-        arrays = self._state.arrays
-        look_time = entries[0][0]
-        committed = arrays.position
-        max_activations = cfg.max_activations
-        pop_cap = 100 * max_activations
-        record_every = cfg.record_every
-        count = len(entries)
-        boundaries: List[Tuple[int, int, int]] = []
-        if (
-            processed + count <= max_activations
-            and popped + count < pop_cap
-            and not arrays.crashed.any()
-        ):
-            # No skip and no cap can trigger inside this round: every entry
-            # executes and the record boundaries fall arithmetically.
-            executed = [entry[2] for entry in entries]
-            boundary = (processed // record_every + 1) * record_every
-            while boundary <= processed + count:
-                k = boundary - processed
-                boundaries.append((k, boundary, popped + k))
-                boundary += record_every
-            processed += count
-            popped += count
-        else:
-            executed = []
-            for _, _, activation in entries:
-                if processed >= max_activations or popped >= pop_cap:
-                    break
-                popped += 1
-                if arrays.crashed[activation.robot_id]:
-                    continue
-                executed.append(activation)
-                processed += 1
-                if processed % record_every == 0:
-                    boundaries.append((len(executed), processed, popped))
-        replicate = getattr(metrics, "supports_replicated_samples", False)
-        stop = False
-        round_sample = None
-        if boundaries:
-            round_sample = metrics.observe(look_time, committed, boundaries[0][1])
+        if first is not None:
+            sample = metrics.observe(look_time, committed, first[1])
             if recorder is not None:
                 recorder.record_all(look_time, committed)
-            if (
-                converged_time is None
-                and round_sample.hull_diameter <= cfg.convergence_epsilon
-            ):
+            if converged_time is None and sample.hull_diameter <= cfg.convergence_epsilon:
                 converged_time = look_time
                 if cfg.stop_at_convergence:
                     stop = True
-                    n_executed, processed, popped = boundaries[0]
-                    executed = executed[:n_executed]
-                    boundaries = boundaries[:1]
-        decisions = self._round_decide_batch(look_time, committed, shard, executed)
-        for activation, decision in zip(executed, decisions):
-            robot_id = activation.robot_id
-            arrays.begin_activation_at(robot_id, look_time)
-            origin_row = arrays.position[robot_id].copy()
-            arrays.begin_move_at(
-                robot_id, origin_row, decision.realized,
-                activation.move_start_time, activation.end_time,
-            )
-            activation_end_times[robot_id].append(activation.end_time)
-            record = self._make_record(activation, origin_row, decision)
-            if record is not None:
-                records.append(record)
-        for _, boundary_processed, _ in boundaries[1:]:
-            if replicate:
-                metrics.samples.append(
-                    dataclasses.replace(
-                        round_sample, activations_processed=boundary_processed
-                    )
-                )
+                    n_executed, processed, popped = first
+                    executed = executed.take(slice(0, n_executed))
+                    boundaries = 1
+        if len(executed):
+            if self._round_batch_ready(committed, shard, len(batch)):
+                decide = self._round_decide_batch
             else:
-                metrics.observe(look_time, committed, boundary_processed)
+                decide = self._round_decide_rows
+            target, realized, seen = decide(look_time, committed, shard, executed)
+            self._commit_round(
+                executed, target, realized, seen, records, activation_end_times
+            )
+        if boundaries > 1:
+            repeats = boundaries - 1
+            if getattr(metrics, "supports_replicated_samples", False):
+                metrics.samples.repeat_last(repeats, cfg.record_every)
+            else:
+                for k in range(1, boundaries):
+                    metrics.observe(look_time, committed, first[1] + k * cfg.record_every)
             if recorder is not None:
-                recorder.record_all(look_time, committed)
+                for _ in range(repeats):
+                    recorder.record_all(look_time, committed)
         return processed, popped, converged_time, stop
 
     def _push(self, activation: Activation) -> None:
@@ -542,27 +475,52 @@ class ContinuousKernel:
         self._sequence += 1
 
     def _refill(self) -> bool:
+        """Fetch the scheduler's next batch: held whole if it is a round, else heaped."""
         batch = self.scheduler.next_batch(self)
         if not batch:
             return False
-        for activation in batch:
-            self._push(activation)
+        if self._round_batching and isinstance(batch, RoundBatch):
+            self._round = batch
+        else:
+            for activation in batch:
+                self._push(activation)
         return True
+
+    def _open_round(self, batch: RoundBatch) -> bool:
+        """Advance the clock to a round's look instant; True when its Looks may share rows.
+
+        Moves that ended by the look instant are finalised first.  A robot
+        still mid-move there (impossible under the built-in round
+        schedulers, whose cycles end inside the round) means the committed
+        rows are not what the round's Looks would see.
+        """
+        self._time = batch.look_time
+        self._finalize_completed_moves(batch.look_time)
+        return not self._state.any_moving()
 
     def _finalize_completed_moves(self, now: float) -> None:
         completed = self._state.completed_movers(now)
         if len(completed) == 0:
             return
-        grid = self._grid
         arrays = self._state.arrays
-        committed = arrays.position
-        for i in completed:
-            arrays.finish_move_at(int(i))
-            if grid is not None:
-                grid.settle(int(i), *committed[i])
+        arrays.finish_moves(completed)
+        grid = self._grid
+        if grid is not None:
+            committed = arrays.position
+            for i in completed.tolist():
+                grid.settle(i, *committed[i])
+
+    def _settle_moves(self) -> float:
+        """Let every in-flight move finish; returns the final time."""
+        arrays = self._state.arrays
+        moving = np.flatnonzero(arrays.phase == PHASE_MOVING)
+        if len(moving):
+            self._time = max(self._time, float(arrays.move_end[moving].max()))
+            arrays.finish_moves(moving)
+        return self._time
 
     def _begin_move(
-        self, robot_id: int, origin: np.ndarray, destination: np.ndarray,
+        self, robot_id: int, origin: np.ndarray, destination,
         start: float, end: float,
     ) -> None:
         self._state.arrays.begin_move_at(robot_id, origin, destination, start, end)
@@ -601,7 +559,7 @@ class ContinuousKernel:
             recorder.record_all(0.0, self._sampled_positions(0.0, None))
 
         self.scheduler.reset(self.n_robots, self.rng)
-        records: List[ActivationRecord] = []
+        records = self._make_record_log()
         activation_end_times: Dict[int, List[float]] = {
             i: [] for i in range(self.n_robots)
         }
@@ -612,18 +570,25 @@ class ContinuousKernel:
         metrics.observe(0.0, self._sampled_positions(0.0, None), 0)
 
         while processed < cfg.max_activations and popped < 100 * cfg.max_activations:
-            if not self._pending and not self._refill():
+            if self._round is None and not self._pending and not self._refill():
                 break
-            if self._round_batching:
-                entries = self._validated_round()
-                if entries is not None:
+            batch = self._round
+            if batch is not None:
+                self._round = None
+                if batch.look_time > cfg.max_time:
+                    break
+                if self._open_round(batch):
                     processed, popped, converged_time, stop = self._process_round(
-                        entries, metrics, recorder, records, activation_end_times,
+                        batch, metrics, recorder, records, activation_end_times,
                         processed, popped, converged_time,
                     )
                     if stop:
                         break
                     continue
+                # Someone is mid-move at the round's look instant: the
+                # per-activation path interpolates their Looks instead.
+                for activation in batch:
+                    self._push(activation)
             look_time, _, activation = heapq.heappop(self._pending)
             popped += 1
             if look_time > cfg.max_time:
@@ -643,12 +608,14 @@ class ContinuousKernel:
 
             arrays.begin_activation_at(robot_id, look_time)
             other_positions, look_all_positions = self._look_positions(robot_id, look_time)
-            decision = self._decide_move(robot_id, look_time, other_positions, activation)
+            target, realized, seen = self._decide_move(
+                robot_id, look_time, other_positions, activation
+            )
 
             move_start = activation.move_start_time
             move_end = activation.end_time
             origin_row = arrays.position[robot_id].copy()
-            self._begin_move(robot_id, origin_row, decision.realized, move_start, move_end)
+            self._begin_move(robot_id, origin_row, realized, move_start, move_end)
             activation_end_times[robot_id].append(move_end)
             if move_end <= look_time:
                 # A zero-duration move completes at the look instant itself:
@@ -656,9 +623,8 @@ class ContinuousKernel:
                 # interpolation (taken before the move began) is stale.
                 look_all_positions = None
 
-            record = self._make_record(activation, origin_row, decision)
-            if record is not None:
-                records.append(record)
+            if records is not None:
+                records.append(activation, origin_row, target, realized, seen)
             processed += 1
 
             if processed % cfg.record_every == 0:
@@ -674,13 +640,8 @@ class ContinuousKernel:
                         break
 
         # Let every in-flight move finish, then take the final measurement.
-        moving = np.flatnonzero(arrays.phase == PHASE_MOVING)
-        final_time = max([self._time] + [float(arrays.move_end[i]) for i in moving])
-        self._time = final_time
-        self._finalize_completed_moves(final_time + 1e-12)
-        for i in np.flatnonzero(arrays.phase == PHASE_MOVING):
-            arrays.finish_move_at(int(i))
-        final_positions = self._final_observed_positions()
+        final_time = self._settle_moves()
+        final_positions = self._state.committed_positions()
         final_sample = metrics.observe(final_time, final_positions, processed)
         if recorder is not None:
             recorder.record_all(final_time, final_positions)
@@ -699,11 +660,6 @@ class ContinuousKernel:
             recorder=recorder,
         )
 
-    def _final_observed_positions(self):
-        """Positions handed to the final metrics sample (base: the rows)."""
-        return self._state.committed_positions()
-
     def activation_counts(self) -> Dict[int, int]:
         """Activations begun per robot (read after :meth:`run_kernel`)."""
-        counts = self._state.arrays.activation_count
-        return {i: int(counts[i]) for i in range(self.n_robots)}
+        return dict(enumerate(self._state.arrays.activation_count.tolist()))

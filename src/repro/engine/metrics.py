@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from ..geometry.point import PointLike, points_to_array
 from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
 from ..model.visibility import Edge, visibility_edges
+from .logs import SampleLog
 from .spatial_index import ShardedGridIndex
 
 #: Above this many robots the collector switches from the dense
@@ -87,16 +88,21 @@ class MetricsCollector:
 
     visibility_range: float
     initial_edges: Set[Edge] = field(default_factory=set)
-    samples: List[MetricsSample] = field(default_factory=list)
+    samples: SampleLog = field(default_factory=SampleLog)
     cohesion_ever_violated: bool = False
 
     #: Samples taken at distinct record boundaries of one synchronous
     #: round see identical geometry; the kernel's batched round path may
     #: therefore compute one sample and replicate it (adjusting only
-    #: ``activations_processed``) instead of re-observing.  A subclass
-    #: whose ``observe`` carries extra per-call state should set this
-    #: False to force one observe per boundary.
+    #: ``activations_processed``, see :meth:`SampleLog.repeat_last`)
+    #: instead of re-observing.  A subclass whose ``observe`` carries
+    #: extra per-call state should set this False to force one observe
+    #: per boundary.
     supports_replicated_samples = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.samples, SampleLog):
+            self.samples = SampleLog(self.samples)
 
     def bind_initial(self, positions: Sequence[PointLike]) -> None:
         """Record the initial visibility edges the cohesion predicate refers to.
@@ -238,35 +244,37 @@ class MetricsCollector:
         return int(np.count_nonzero(lengths > self.visibility_range + EPS))
 
     # -- history queries ------------------------------------------------------
+    # Replicas repeat their run's head in every geometric field and in
+    # ``time``, so the queries below scan one sample per run.
     def latest(self) -> Optional[MetricsSample]:
         """Most recent sample, if any."""
-        return self.samples[-1] if self.samples else None
+        return self.samples[-1] if len(self.samples) else None
 
     def diameters(self) -> List[float]:
         """Hull diameters over time."""
-        return [s.hull_diameter for s in self.samples]
+        return self.samples.column("hull_diameter")
 
     def perimeters(self) -> List[float]:
         """Hull perimeters over time."""
-        return [s.hull_perimeter for s in self.samples]
+        return self.samples.column("hull_perimeter")
 
     def first_time_below(self, epsilon: float) -> Optional[float]:
         """Earliest sampled time the hull diameter was at most ``epsilon``."""
-        for sample in self.samples:
+        for sample in self.samples.heads():
             if sample.hull_diameter <= epsilon:
                 return sample.time
         return None
 
     def monotone_hull_diameter(self, *, tolerance: float = 1e-9) -> bool:
         """True when the sampled hull diameter never increases beyond ``tolerance``."""
-        diameters = self.diameters()
+        diameters = [s.hull_diameter for s in self.samples.heads()]
         return all(
             later <= earlier + tolerance for earlier, later in zip(diameters, diameters[1:])
         )
 
     def monotone_hull_perimeter(self, *, tolerance: float = 1e-9) -> bool:
         """True when the sampled hull perimeter never increases beyond ``tolerance``."""
-        perimeters = self.perimeters()
+        perimeters = [s.hull_perimeter for s in self.samples.heads()]
         return all(
             later <= earlier + tolerance for earlier, later in zip(perimeters, perimeters[1:])
         )

@@ -22,8 +22,8 @@ and aggregator cannot tell the difference.  Anything the vector tier
 cannot replicate exactly (other algorithms, random distance error,
 deviating motion, trajectory recording, a coincidence-collapse hazard)
 drops per-round to the lane's own serial ``_process_round``; a lane whose
-scheduler cannot produce validated rounds at all is re-run serially from
-scratch.
+scheduler does not issue :class:`~repro.model.types.RoundBatch` rounds
+(or whose round finds a robot mid-move) is re-run serially from scratch.
 
 Per-replicate convergence masking falls out of the lane structure: a lane
 that converges (or exhausts its activation budget) is finalized and drops
@@ -40,12 +40,10 @@ import numpy as np
 
 from ..algorithms.kknps import KKNPSAlgorithm
 from ..geometry.hull import ConvexHull
-from ..geometry.point import Point, points_to_array
+from ..geometry.point import points_to_array
 from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
-from ..model.configuration import Configuration
-from ..model.robot import PHASE_IDLE, PHASE_MOVING
-from ..model.types import Activation, ActivationRecord
+from ..model.types import RoundBatch
 from .decide_batch import (
     COLLAPSE_GUARD_DIST as _COLLAPSE_GUARD_DIST,
     GUARD_CELL as _GUARD_CELL,
@@ -57,6 +55,8 @@ from .fanout import (
     FanoutPool,
     kknps_destinations_all,
 )
+from .kernel import replay_round
+from .logs import RecordLog
 from .metrics import MetricsCollector, MetricsSample, min_pairwise_distance_grid
 from .simulator import SimulationConfig, SimulationResult, Simulator
 from .spatial_index import ShardedGridIndex
@@ -103,7 +103,7 @@ class _Lane:
     def __init__(self, index: int, sim: Simulator) -> None:
         self.index = index
         self.sim = sim
-        self.records: List[ActivationRecord] = []
+        self.records = RecordLog()
         self.aet: Dict[int, List[float]] = {i: [] for i in range(sim.n_robots)}
         self.processed = 0
         self.popped = 0
@@ -381,47 +381,6 @@ def _observe_fast(
     return sample
 
 
-def _settle_moves(lane: _Lane) -> float:
-    """Drain every in-flight move and return the lane's final time.
-
-    Idempotent: a second call sees no movers and the same ``sim._time``,
-    so the batched finish path may settle a lane early (to read its final
-    positions for the group minimum pass) and ``_finish`` repeats the call
-    harmlessly.
-    """
-    sim = lane.sim
-    arrays = sim._state.arrays
-    moving = np.flatnonzero(arrays.phase == PHASE_MOVING)
-    if not len(moving):
-        return sim._time
-    final_time = max(sim._time, float(arrays.move_end[moving].max()))
-    sim._time = final_time
-    if arrays.dim == 2 and sim._grid is None:
-        # ``finish_move_at`` row by row, batched: the same per-row
-        # ``math.hypot`` feeds ``total_distance`` and the endpoint copy is
-        # one fancy-index store (every mover ends at or before
-        # ``final_time``, so both serial finalisation passes reduce to
-        # this).
-        origins = arrays.move_origin[moving]
-        endpoints = arrays.move_destination[moving]
-        arrays.total_distance[moving] += np.fromiter(
-            map(
-                math.hypot,
-                (endpoints[:, 0] - origins[:, 0]).tolist(),
-                (endpoints[:, 1] - origins[:, 1]).tolist(),
-            ),
-            dtype=np.float64,
-            count=len(moving),
-        )
-        arrays.position[moving] = endpoints
-        arrays.phase[moving] = PHASE_IDLE
-    else:
-        sim._finalize_completed_moves(final_time + 1e-12)
-        for i in np.flatnonzero(arrays.phase == PHASE_MOVING):
-            arrays.finish_move_at(int(i))
-    return final_time
-
-
 def _observe_cell(lane: _Lane) -> float:
     """The grid cell the lane's next fast observe would start from."""
     cell = lane.pair_hint
@@ -446,7 +405,8 @@ def _finish_group(lanes: List[_Lane]) -> None:
         if len(group) < 2:
             continue
         for lane in group:
-            _settle_moves(lane)
+            # Idempotent: ``_finish`` settles again and finds no movers.
+            lane.sim._settle_moves()
         found = _min_pairwise_group(
             [lane.sim._state.arrays.position for lane in group],
             [_observe_cell(lane) for lane in group],
@@ -466,25 +426,18 @@ def _finish(
     """Lane epilogue: mirror of ``run_kernel``'s tail plus ``Simulator.run``."""
     sim = lane.sim
     cfg = sim.config
-    arrays = sim._state.arrays
-    final_time = _settle_moves(lane)
+    final_time = sim._settle_moves()
+    final_positions = sim._state.committed_positions()
     if lane.fast_observe:
-        # Array engine: the Robot ``position`` property reads these exact
-        # rows, so building the Points straight from the array is
-        # value-identical and skips 2n property round trips.
-        final_positions = [
-            Point(px, py) for px, py in arrays.position.tolist()
-        ]
         final_sample = _observe_fast(
             lane,
             final_time,
-            arrays.position,
+            final_positions,
             lane.processed,
             min_pairwise,
             observe_cache,
         )
     else:
-        final_positions = sim._final_observed_positions()
         final_sample = lane.metrics.observe(
             final_time, final_positions, lane.processed
         )
@@ -495,10 +448,10 @@ def _finish(
         and final_sample.hull_diameter <= cfg.convergence_epsilon
     ):
         lane.converged_time = final_time
-    final_configuration = Configuration.of(final_positions, cfg.visibility_range)
     lane.result = SimulationResult(
-        initial_configuration=sim.initial_configuration,
-        final_configuration=final_configuration,
+        initial_positions=sim._initial_position_rows,
+        final_positions=final_positions.copy(),
+        visibility_range=cfg.visibility_range,
         metrics=lane.metrics,
         activations_processed=lane.processed,
         activation_counts=sim.activation_counts(),
@@ -514,11 +467,11 @@ def _finish(
     lane.status = "done"
 
 
-def _advance_scalar_round(lane: _Lane, entries: List[tuple]) -> None:
-    """Advance one lane's validated round through its own serial code."""
+def _advance_scalar_round(lane: _Lane, batch: RoundBatch) -> None:
+    """Advance one lane's round through its own serial code."""
     sim = lane.sim
     processed, popped, converged_time, stop = sim._process_round(
-        entries,
+        batch,
         lane.metrics,
         lane.recorder,
         lane.records,
@@ -536,10 +489,10 @@ def _advance_scalar_round(lane: _Lane, entries: List[tuple]) -> None:
 
 def _walk_round(
     lane: _Lane,
-    entries: List[tuple],
+    batch: RoundBatch,
     min_pairwise: Optional[float] = None,
     observe_cache: Optional[dict] = None,
-) -> Tuple[List[Activation], bool]:
+) -> Tuple[RoundBatch, bool]:
     """Replay the round's counters without deciding anything yet.
 
     Determines which activations execute (crash skips, activation caps),
@@ -552,56 +505,19 @@ def _walk_round(
     sim = lane.sim
     cfg = sim.config
     arrays = sim._state.arrays
-    look_time = entries[0][0]
-    max_activations = cfg.max_activations
-    pop_cap = 100 * max_activations
-    record_every = cfg.record_every
-    processed = lane.processed
-    popped = lane.popped
-    boundaries: List[Tuple[int, int, int]] = []
-    count = len(entries)
-    if (
-        processed + count <= max_activations
-        and popped + count < pop_cap
-        and not arrays.crashed.any()
-    ):
-        # No skip and no cap can trigger inside this round: every entry
-        # executes and the record boundaries fall arithmetically.
-        executed = [entry[2] for entry in entries]
-        boundary = (processed // record_every + 1) * record_every
-        while boundary <= processed + count:
-            k = boundary - processed
-            boundaries.append((k, boundary, popped + k))
-            boundary += record_every
-        processed += count
-        popped += count
-    else:
-        executed = []
-        for _, _, activation in entries:
-            if processed >= max_activations or popped >= pop_cap:
-                break
-            popped += 1
-            if arrays.crashed[activation.robot_id]:
-                continue
-            executed.append(activation)
-            processed += 1
-            if processed % record_every == 0:
-                boundaries.append((len(executed), processed, popped))
+    executed, first, boundaries, processed, popped = replay_round(
+        batch, arrays.crashed, lane.processed, lane.popped,
+        cfg.max_activations, cfg.record_every,
+    )
     stop = False
-    if boundaries:
+    if first is not None:
+        look_time = batch.look_time
         if lane.fast_observe:
             sample = _observe_fast(
-                lane,
-                look_time,
-                arrays.position,
-                boundaries[0][1],
-                min_pairwise,
-                observe_cache,
+                lane, look_time, arrays.position, first[1], min_pairwise, observe_cache
             )
         else:
-            sample = lane.metrics.observe(
-                look_time, arrays.position, boundaries[0][1]
-            )
+            sample = lane.metrics.observe(look_time, arrays.position, first[1])
         if (
             lane.converged_time is None
             and sample.hull_diameter <= cfg.convergence_epsilon
@@ -609,26 +525,10 @@ def _walk_round(
             lane.converged_time = look_time
             if cfg.stop_at_convergence:
                 stop = True
-                n_executed, processed, popped = boundaries[0]
-                executed = executed[:n_executed]
-                boundaries = boundaries[:1]
-        if not stop and len(boundaries) > 1:
-            # dataclasses.replace, unrolled: record_every=1 makes this a
-            # per-activation path.
-            samples = lane.metrics.samples
-            for _, boundary_processed, _ in boundaries[1:]:
-                samples.append(
-                    MetricsSample(
-                        time=sample.time,
-                        hull_diameter=sample.hull_diameter,
-                        hull_perimeter=sample.hull_perimeter,
-                        hull_radius=sample.hull_radius,
-                        min_pairwise_distance=sample.min_pairwise_distance,
-                        initial_edges_preserved=sample.initial_edges_preserved,
-                        broken_edge_count=sample.broken_edge_count,
-                        activations_processed=boundary_processed,
-                    )
-                )
+                n_executed, processed, popped = first
+                executed = executed.take(slice(0, n_executed))
+                boundaries = 1
+        lane.metrics.samples.repeat_last(boundaries - 1, cfg.record_every)
     lane.processed = processed
     lane.popped = popped
     return executed, stop
@@ -646,7 +546,7 @@ def _perception_key(model) -> tuple:
 
 
 def _advance_vector_group(
-    members: List[Tuple[_Lane, List[tuple], int]],
+    members: List[Tuple[_Lane, RoundBatch, int]],
     grid: ShardedGridIndex,
     flat_xy: np.ndarray,
     n: int,
@@ -662,7 +562,7 @@ def _advance_vector_group(
     group_mins: Dict[int, float] = {}
     if n >= 2:
         observing: List[int] = []
-        for member_index, (lane, entries, _) in enumerate(members):
+        for member_index, (lane, batch, _) in enumerate(members):
             if not lane.fast_observe:
                 continue
             cfg = lane.sim.config
@@ -674,7 +574,7 @@ def _advance_vector_group(
             # (cap truncation included), so the first record boundary is
             # predictable: the lane observes iff one falls inside.
             executing = min(
-                len(entries),
+                len(batch),
                 cfg.max_activations - lane.processed,
                 100 * cfg.max_activations - lane.popped,
             )
@@ -692,14 +592,14 @@ def _advance_vector_group(
                 [_observe_cell(members[k][0]) for k in observing],
             )
             group_mins = dict(zip(observing, found))
-    walked: List[Tuple[_Lane, List[Activation], bool, int]] = []
+    walked: List[Tuple[_Lane, RoundBatch, bool, int]] = []
     # Sibling lanes with byte-identical committed positions (common until
     # round-1 RNG frames diverge seed-varied replicates) share one round of
     # observe geometry through this per-round cache.
     observe_cache: dict = {}
-    for member_index, (lane, entries, slot) in enumerate(members):
+    for member_index, (lane, batch, slot) in enumerate(members):
         executed, stop = _walk_round(
-            lane, entries, group_mins.get(member_index), observe_cache
+            lane, batch, group_mins.get(member_index), observe_cache
         )
         walked.append((lane, executed, stop, slot))
     total_activations = sum(len(w[1]) for w in walked)
@@ -718,11 +618,8 @@ def _advance_vector_group(
         count = len(executed)
         if not count:
             continue
-        base = slot * n
         lane_of[write : write + count] = lane_index
-        fids[write : write + count] = np.fromiter(
-            (base + a.robot_id for a in executed), dtype=np.intp, count=count
-        )
+        fids[write : write + count] = executed.robot_ids + slot * n
         write += count
     grid.warm_candidates()
     slot_list = grid._slot_of_robot[fids].tolist()
@@ -777,7 +674,7 @@ def _advance_vector_group(
             continue
         rng = lane.sim.rng
         allow_reflection = cfg.allow_reflection
-        for _ in executed:
+        for _ in range(len(executed)):
             rotation = float(rng.uniform(0.0, 2.0 * math.pi))
             reflected = bool(rng.integers(0, 2)) if allow_reflection else False
             rotations[write] = rotation
@@ -854,8 +751,8 @@ def _advance_vector_group(
     # -- frame-back, motion, commit (per lane) ----------------------------------
     # The whole frame-back rotation and motion model runs elementwise over
     # the flat activation axis (same operation order as the scalar loop,
-    # so the same IEEE results); the per-activation loop below only builds
-    # the record objects from the precomputed values.
+    # so the same IEEE results); each lane then commits its slice of rows
+    # through the kernel's one round commit.
     ldx = np.ascontiguousarray(destinations[:, 0])
     ldy = np.where(framed & reflections, -destinations[:, 1], destinations[:, 1])
     # LocalFrame.to_global at unit scale / zero origin, kept term-for-term
@@ -878,11 +775,7 @@ def _advance_vector_group(
         count=acts,
     )
     # MotionModel.realize with zero deviation, term-for-term.
-    progress = np.fromiter(
-        (a.progress_fraction for _, executed, _, _ in walked for a in executed),
-        dtype=np.float64,
-        count=acts,
-    )
+    progress = np.concatenate([executed.progress for _, executed, _, _ in walked])
     xi_of_lane = np.fromiter(
         (lane.sim.config.motion.xi for lane, _, _, _ in walked),
         dtype=np.float64,
@@ -892,56 +785,18 @@ def _advance_vector_group(
     short = planned <= EPS
     realized_x = np.where(short, origin_x, origin_x + (target_x - origin_x) * fraction)
     realized_y = np.where(short, origin_y, origin_y + (target_y - origin_y) * fraction)
-    # Point.distance_to, inlined: same hypot on the same floats.
-    moved = np.fromiter(
-        map(
-            math.hypot,
-            (origin_x - realized_x).tolist(),
-            (origin_y - realized_y).tolist(),
-        ),
-        dtype=np.float64,
-        count=acts,
-    )
-    vis_l = vis_counts.tolist()
-    ox_l = origin_x.tolist()
-    oy_l = origin_y.tolist()
-    tx_l = target_x.tolist()
-    ty_l = target_y.tolist()
-    rx_l = realized_x.tolist()
-    ry_l = realized_y.tolist()
-    moved_l = moved.tolist()
+    target = np.column_stack((target_x, target_y))
+    realized = np.column_stack((realized_x, realized_y))
     offset = 0
     stopping: List[_Lane] = []
     for lane, executed, stop, _ in walked:
         count = len(executed)
         if count:
-            arrays = lane.sim._state.arrays
-            robot_id_list = [a.robot_id for a in executed]
-            start_l = [a.move_start_time for a in executed]
-            end_l = [a.end_time for a in executed]
-            records_append = lane.records.append
-            aet = lane.aet
-            for j, activation in enumerate(executed):
-                a = offset + j
-                records_append(
-                    ActivationRecord(
-                        activation=activation,
-                        origin=Point(ox_l[a], oy_l[a]),
-                        target=Point(tx_l[a], ty_l[a]),
-                        destination=Point(rx_l[a], ry_l[a]),
-                        neighbours_seen=vis_l[a],
-                        moved_distance=moved_l[a],
-                    )
-                )
-                aet[robot_id_list[j]].append(end_l[j])
-            robot_ids = np.asarray(robot_id_list, dtype=np.intp)
-            arrays.activation_count[robot_ids] += 1
-            arrays.move_origin[robot_ids] = arrays.position[robot_ids]
-            arrays.move_destination[robot_ids, 0] = rx_l[offset : offset + count]
-            arrays.move_destination[robot_ids, 1] = ry_l[offset : offset + count]
-            arrays.move_start[robot_ids] = start_l
-            arrays.move_end[robot_ids] = end_l
-            arrays.phase[robot_ids] = PHASE_MOVING
+            rows = slice(offset, offset + count)
+            lane.sim._commit_round(
+                executed, target[rows], realized[rows], vis_counts[rows],
+                lane.records, lane.aet,
+            )
         offset += count
         if stop:
             stopping.append(lane)
@@ -950,9 +805,9 @@ def _advance_vector_group(
 
 
 def _drive(lanes: List[_Lane], pool: Optional[FanoutPool], fanout_min: int) -> None:
-    """The global iteration loop: one validated round per active lane."""
+    """The global iteration loop: one round per active lane."""
     while True:
-        rounds: List[Tuple[_Lane, List[tuple]]] = []
+        rounds: List[Tuple[_Lane, RoundBatch]] = []
         finishing: List[_Lane] = []
         for lane in lanes:
             if lane.status != "active":
@@ -965,35 +820,32 @@ def _drive(lanes: List[_Lane], pool: Optional[FanoutPool], fanout_min: int) -> N
             ):
                 finishing.append(lane)
                 continue
-            if not sim._pending and not sim._refill():
+            if not sim._refill():
                 finishing.append(lane)
                 continue
-            entries = sim._validated_round()
-            if entries is None:
-                if sim._pending and min(sim._pending)[0] > cfg.max_time:
-                    # Serial pops the earliest entry past the horizon and
-                    # stops; the pop changes no observable state.
-                    lane.popped += 1
-                    finishing.append(lane)
-                else:
-                    # The scheduler produced a batch the round fast path
-                    # cannot consume — bail out to a from-scratch serial
-                    # re-run, which is always bit-safe.
-                    lane.status = "fallback"
-                continue
-            rounds.append((lane, entries))
+            batch, sim._round = sim._round, None
+            if batch is not None and batch.look_time > cfg.max_time:
+                # The serial loop stops at the first look past the horizon.
+                finishing.append(lane)
+            elif batch is not None and sim._open_round(batch):
+                rounds.append((lane, batch))
+            else:
+                # The scheduler issued something other than a round, or a
+                # robot is mid-move at the round's look instant: bail out
+                # to a from-scratch serial re-run, which is always bit-safe.
+                lane.status = "fallback"
         if finishing:
             _finish_group(finishing)
         if not rounds:
             break
-        scalar_rounds: List[Tuple[_Lane, List[tuple]]] = []
-        groups: Dict[tuple, List[Tuple[_Lane, List[tuple]]]] = {}
-        for lane, entries in rounds:
+        scalar_rounds: List[Tuple[_Lane, RoundBatch]] = []
+        groups: Dict[tuple, List[Tuple[_Lane, RoundBatch]]] = {}
+        for lane, batch in rounds:
             if lane.vector_ok:
                 key = (lane.sim.n_robots, lane.effective)
-                groups.setdefault(key, []).append((lane, entries))
+                groups.setdefault(key, []).append((lane, batch))
             else:
-                scalar_rounds.append((lane, entries))
+                scalar_rounds.append((lane, batch))
         vector_groups = []
         for (n, effective), group_members in groups.items():
             tensor = np.stack(
@@ -1003,17 +855,17 @@ def _drive(lanes: List[_Lane], pool: Optional[FanoutPool], fanout_min: int) -> N
             flat_xy = tensor.reshape(-1, 2)
             hazard = _collapse_hazard_lanes(flat_xy, len(group_members), n)
             vector_members = []
-            for member_index, (lane, entries) in enumerate(group_members):
+            for member_index, (lane, batch) in enumerate(group_members):
                 if hazard[member_index]:
                     # A (near-)coincident pair: the coincidence collapse
                     # may engage, so take the exact serial path this round.
-                    scalar_rounds.append((lane, entries))
+                    scalar_rounds.append((lane, batch))
                 else:
-                    vector_members.append((lane, entries, member_index))
+                    vector_members.append((lane, batch, member_index))
             if vector_members:
                 vector_groups.append((vector_members, grid, flat_xy, n))
-        for lane, entries in scalar_rounds:
-            _advance_scalar_round(lane, entries)
+        for lane, batch in scalar_rounds:
+            _advance_scalar_round(lane, batch)
         for vector_members, grid, flat_xy, n in vector_groups:
             _advance_vector_group(vector_members, grid, flat_xy, n, pool, fanout_min)
 
@@ -1041,22 +893,9 @@ def run_replicated_simulations(
     lanes: List[_Lane] = []
     fallback_indices: List[int] = []
     setup_cache: dict = {}
-    config_cache: dict = {}
     for index, factory in enumerate(factories):
         positions, algorithm, scheduler, config = factory()
         sim = Simulator(positions, algorithm, scheduler, config)
-        # Lanes started from byte-identical positions share one (frozen,
-        # value-equal) initial Configuration instead of validating n
-        # identical points per lane.
-        config_key = (
-            sim.config.visibility_range,
-            sim._initial_position_rows.tobytes(),
-        )
-        shared = config_cache.get(config_key)
-        if shared is None:
-            config_cache[config_key] = sim.initial_configuration
-        else:
-            sim.initial_configuration = shared
         if not sim._round_batching:
             fallback_indices.append(index)
             continue

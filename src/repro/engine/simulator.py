@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -37,13 +38,14 @@ from ..model.configuration import Configuration
 from ..model.errors import MotionModel, PerceptionModel
 from ..model.robot import Robot
 from ..model.snapshot import _collapse_coincident_array, build_snapshot
-from ..model.types import Activation, ActivationRecord
+from ..model.types import Activation, RoundBatch
 from ..algorithms.base import ConvergenceAlgorithm
 from ..algorithms.kknps import KKNPSAlgorithm
 from ..schedulers.base import Scheduler
 from .convergence import ConvergenceSummary, summarize
 from .decide_batch import collapse_hazard_lanes, perceive_flat
-from .kernel import ContinuousKernel, MoveDecision
+from .kernel import ContinuousKernel, Decision
+from .logs import RecordLog
 from .metrics import MetricsCollector
 from .recorder import TrajectoryRecorder
 from .state import EngineState
@@ -94,23 +96,46 @@ class SimulationConfig:
             raise ValueError(f"unknown engine mode {self.engine_mode!r}")
 
 
-@dataclass
-class SimulationResult:
-    """Outcome of one simulation run."""
+def _configuration(rows: np.ndarray, visibility_range: float) -> Configuration:
+    """The Point-based configuration of ``(n, 2)`` position rows."""
+    return Configuration.of(
+        [Point(px, py) for px, py in rows.tolist()], visibility_range
+    )
 
-    initial_configuration: Configuration
-    final_configuration: Configuration
+
+@dataclass(eq=False)
+class SimulationResult:
+    """Outcome of one simulation run.
+
+    The initial and final positions are kept as the engine's ``(n, 2)``
+    rows; the Point-based :class:`Configuration` views are built on first
+    access.
+    """
+
+    initial_positions: np.ndarray
+    final_positions: np.ndarray
+    visibility_range: float
     metrics: MetricsCollector
     activations_processed: int
     activation_counts: Dict[int, int]
     activation_end_times: Dict[int, List[float]]
-    records: List[ActivationRecord]
+    records: RecordLog
     converged: bool
     convergence_time: Optional[float]
     cohesion_maintained: bool
     final_time: float
     wall_time_seconds: float
     trajectories: Optional[TrajectoryRecorder] = None
+
+    @cached_property
+    def initial_configuration(self) -> Configuration:
+        """The configuration the run started from."""
+        return _configuration(self.initial_positions, self.visibility_range)
+
+    @cached_property
+    def final_configuration(self) -> Configuration:
+        """The configuration once every move has finished."""
+        return _configuration(self.final_positions, self.visibility_range)
 
     def summary(self, epsilon: float = 1e-3) -> ConvergenceSummary:
         """Convergence summary of the metric history against ``epsilon``."""
@@ -146,26 +171,8 @@ class Simulator(ContinuousKernel):
         state = EngineState(initial_positions)
         super().__init__(state, algorithm, scheduler, config or SimulationConfig())
         self.robots: List[Robot] = state.robots
-        # Snapshot the initial rows now; the Configuration itself is built
-        # on first access.  Replicate bundles of a seed-independent
-        # workload share one instance across lanes instead of validating
-        # n identical points per lane.
         self._initial_position_rows = state.arrays.position.copy()
-        self._initial_configuration: Optional[Configuration] = None
         self._batch_decide_ok: Optional[bool] = None
-
-    @property
-    def initial_configuration(self) -> Configuration:
-        if self._initial_configuration is None:
-            self._initial_configuration = Configuration.of(
-                [Point(px, py) for px, py in self._initial_position_rows.tolist()],
-                self.config.visibility_range,
-            )
-        return self._initial_configuration
-
-    @initial_configuration.setter
-    def initial_configuration(self, value: Configuration) -> None:
-        self._initial_configuration = value
 
     def positions(self, at_time: Optional[float] = None) -> List[Point]:
         """Positions of all robots at ``at_time`` (default: the current time)."""
@@ -196,11 +203,11 @@ class Simulator(ContinuousKernel):
         """The metrics collector for this run (a seam for benchmark baselines)."""
         return MetricsCollector(visibility_range=self.config.visibility_range)
 
-    def _bind_metrics(self, metrics) -> None:
-        metrics.bind_initial([r.position for r in self.robots])
-
     def _make_recorder(self) -> Optional[TrajectoryRecorder]:
         return TrajectoryRecorder() if self.config.record_trajectories else None
+
+    def _make_record_log(self) -> RecordLog:
+        return RecordLog()
 
     def _sampled_positions(self, look_time: float, look_all_positions):
         if look_all_positions is not None:
@@ -209,16 +216,13 @@ class Simulator(ContinuousKernel):
             return self.positions_array(look_time)
         return self.positions(look_time)
 
-    def _final_observed_positions(self):
-        return [r.position for r in self.robots]
-
     def _decide_move(
         self,
         robot_id: int,
         look_time: float,
         other_positions,
         activation: Activation,
-    ) -> MoveDecision:
+    ) -> Decision:
         cfg = self.config
         robot = self.robots[robot_id]
         frame = self._frame_for_look()
@@ -244,15 +248,14 @@ class Simulator(ContinuousKernel):
         realized = cfg.motion.realize(
             robot.position, target_global, activation.progress_fraction, self.rng
         )
-        return MoveDecision(
-            target=np.array((target_global.x, target_global.y), dtype=float),
-            realized=np.array((realized.x, realized.y), dtype=float),
-            neighbours_seen=snapshot.neighbour_count(),
-            payload=(target_global, realized),
+        return (
+            (target_global.x, target_global.y),
+            (realized.x, realized.y),
+            snapshot.neighbour_count(),
         )
 
     def _round_decider(self, look_time: float, committed: np.ndarray, shard):
-        """Snapshot-free decide for one validated round (the 2D fast tier).
+        """Snapshot-free decide for one round (the 2D per-robot fast tier).
 
         Replicates the :func:`build_snapshot` array pipeline inline on the
         round's committed rows — same subtraction, same ``np.hypot``
@@ -279,7 +282,7 @@ class Simulator(ContinuousKernel):
         reveal = self._effective_range() if self._reveal_range() else None
         empty = np.zeros((0, 2), dtype=float)
 
-        def decide(robot_id: int, activation: Activation) -> MoveDecision:
+        def decide(robot_id: int, activation: Activation) -> Decision:
             if shard is not None:
                 arr = committed[shard.candidates(robot_id)]
             else:
@@ -310,11 +313,10 @@ class Simulator(ContinuousKernel):
             realized = motion.realize(
                 position, target_global, activation.progress_fraction, rng
             )
-            return MoveDecision(
-                target=np.array((target_global.x, target_global.y), dtype=float),
-                realized=np.array((realized.x, realized.y), dtype=float),
-                neighbours_seen=len(collapsed),
-                payload=(target_global, realized),
+            return (
+                (target_global.x, target_global.y),
+                (realized.x, realized.y),
+                len(collapsed),
             )
 
         return decide
@@ -341,14 +343,14 @@ class Simulator(ContinuousKernel):
             return False
         return True
 
-    def _round_batch_ready(self, committed: np.ndarray, shard, entries) -> bool:
+    def _round_batch_ready(self, committed: np.ndarray, shard, count: int) -> bool:
         ok = self._batch_decide_ok
         if ok is None:
             ok = self._batch_decide_ok = self._batch_decide_eligible()
         if not ok:
             return False
         n = self.n_robots
-        if shard is None and len(entries) * max(0, n - 1) > _DENSE_BATCH_CAP:
+        if shard is None and count * max(0, n - 1) > _DENSE_BATCH_CAP:
             return False
         # A committed pair inside the collapse guard could make the serial
         # tier's coincidence collapse a non-identity; such (vanishingly
@@ -356,8 +358,8 @@ class Simulator(ContinuousKernel):
         return not bool(collapse_hazard_lanes(committed, 1, n)[0])
 
     def _round_decide_batch(
-        self, look_time: float, committed: np.ndarray, shard, executed
-    ) -> List[MoveDecision]:
+        self, look_time: float, committed: np.ndarray, shard, executed: RoundBatch
+    ):
         """One round's decides as a single flat pipeline (the 2D batch tier).
 
         A single-lane transcription of the replicate engine's vectorized
@@ -370,15 +372,12 @@ class Simulator(ContinuousKernel):
         elementwise frame-back/motion arithmetic — every stage in the
         serial fast tier's operation order, so each decision is
         bit-identical to :meth:`_round_decider`'s per-robot result.
+        Returns the ``(target, realized, neighbours_seen)`` row arrays.
         """
         acts = len(executed)
-        if acts == 0:
-            return []
         cfg = self.config
         n = self.n_robots
-        fids = np.fromiter(
-            (a.robot_id for a in executed), dtype=np.intp, count=acts
-        )
+        fids = executed.robot_ids
         if shard is not None:
             shard.warm_candidates()
             slot_list = shard._slot_of_robot[fids].tolist()
@@ -475,10 +474,7 @@ class Simulator(ContinuousKernel):
             count=acts,
         )
         # MotionModel.realize with zero deviation, term-for-term.
-        progress = np.fromiter(
-            (a.progress_fraction for a in executed), dtype=np.float64, count=acts
-        )
-        fraction = np.minimum(1.0, np.maximum(cfg.motion.xi, progress))
+        fraction = np.minimum(1.0, np.maximum(cfg.motion.xi, executed.progress))
         short = planned <= EPS
         realized_x = np.where(
             short, origin_x, origin_x + (target_x - origin_x) * fraction
@@ -486,46 +482,20 @@ class Simulator(ContinuousKernel):
         realized_y = np.where(
             short, origin_y, origin_y + (target_y - origin_y) * fraction
         )
-        vis_l = vis_counts.tolist()
-        tx_l = target_x.tolist()
-        ty_l = target_y.tolist()
-        rx_l = realized_x.tolist()
-        ry_l = realized_y.tolist()
-        return [
-            MoveDecision(
-                target=np.array((tx_l[a], ty_l[a]), dtype=float),
-                realized=np.array((rx_l[a], ry_l[a]), dtype=float),
-                neighbours_seen=vis_l[a],
-                payload=(Point(tx_l[a], ty_l[a]), Point(rx_l[a], ry_l[a])),
-            )
-            for a in range(acts)
-        ]
-
-    def _make_record(
-        self, activation: Activation, origin_row: np.ndarray, decision: MoveDecision
-    ) -> Optional[ActivationRecord]:
-        origin = Point(float(origin_row[0]), float(origin_row[1]))
-        target_global, realized = decision.payload
-        return ActivationRecord(
-            activation=activation,
-            origin=origin,
-            target=target_global,
-            destination=realized,
-            neighbours_seen=decision.neighbours_seen,
-            moved_distance=origin.distance_to(realized),
+        return (
+            np.column_stack((target_x, target_y)),
+            np.column_stack((realized_x, realized_y)),
+            vis_counts,
         )
 
     # -- main loop -----------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Execute the simulation and return its result."""
         outcome = self.run_kernel()
-        cfg = self.config
-        final_configuration = Configuration.of(
-            [r.position for r in self.robots], cfg.visibility_range
-        )
         return SimulationResult(
-            initial_configuration=self.initial_configuration,
-            final_configuration=final_configuration,
+            initial_positions=self._initial_position_rows,
+            final_positions=outcome.final_positions,
+            visibility_range=self.config.visibility_range,
             metrics=outcome.metrics,
             activations_processed=outcome.processed,
             activation_counts=self.activation_counts(),

@@ -4,7 +4,7 @@ from .configuration import Configuration
 from .errors import MotionModel, PerceptionModel
 from .robot import KinematicArrays, Robot
 from .snapshot import Snapshot, build_snapshot
-from .types import Activation, ActivationRecord, Phase, SchedulerClass
+from .types import Activation, ActivationRecord, Phase, RoundBatch, SchedulerClass
 from .visibility import (
     Edge,
     broken_edges,
@@ -28,6 +28,7 @@ __all__ = [
     "PerceptionModel",
     "Phase",
     "Robot",
+    "RoundBatch",
     "SchedulerClass",
     "Snapshot",
     "broken_edges",

@@ -164,24 +164,6 @@ class KinematicArrays:
     # dimension.  ``label`` only affects error messages (a standalone
     # Robot's ``robot_id`` may differ from its row index).
 
-    def travel_distance(self, origin: np.ndarray, destination: np.ndarray) -> float:
-        """Length of one realised trajectory, matching the scalar conventions.
-
-        ``math.hypot`` in the plane (exactly what :meth:`Robot.finish_move`
-        always computed) and a left-to-right sum of squares under one
-        square root in higher dimensions (the :class:`Vector3` convention).
-        """
-        if self.dim == 2:
-            return math.hypot(
-                float(destination[0]) - float(origin[0]),
-                float(destination[1]) - float(origin[1]),
-            )
-        total = 0.0
-        for axis in range(self.dim):
-            delta = float(destination[axis]) - float(origin[axis])
-            total += delta * delta
-        return math.sqrt(total)
-
     def begin_activation_at(self, index: int, time: float, *, label: Optional[int] = None) -> None:
         """Enter the Compute phase on row ``index`` (the Look is instantaneous)."""
         if self.phase[index] != PHASE_IDLE:
@@ -219,11 +201,72 @@ class KinematicArrays:
         if self.phase[index] != PHASE_MOVING:
             who = index if label is None else label
             raise RuntimeError(f"robot {who} is not moving")
-        self.total_distance[index] += self.travel_distance(
-            self.move_origin[index], self.move_destination[index]
-        )
-        self.position[index] = self.move_destination[index]
-        self.phase[index] = PHASE_IDLE
+        self.finish_moves(np.array([index], dtype=np.intp))
+
+    # -- index-array transitions ---------------------------------------------------
+    # One call per round on the batched round paths: the same state changes
+    # as the row-level transitions above, applied to many distinct rows.
+
+    def begin_moves(
+        self,
+        indices: np.ndarray,
+        destinations: np.ndarray,
+        start_time: float,
+        end_time: float,
+    ) -> None:
+        """Activate every row of ``indices`` and start its move from its committed position.
+
+        The batched form of :meth:`begin_activation_at` followed by
+        :meth:`begin_move_at`: every row must be idle (a RuntimeError names
+        the first that is not) and the moves may not end before they start.
+        ``indices`` must be distinct.
+        """
+        phase = self.phase[indices]
+        busy = np.flatnonzero(phase != PHASE_IDLE)
+        if len(busy):
+            who = int(indices[busy[0]])
+            state = _CODE_TO_PHASE[phase[busy[0]]].value
+            raise RuntimeError(f"robot {who} activated at t={start_time} while still {state}")
+        if end_time < start_time:
+            raise ValueError("move must end at or after it starts")
+        self.activation_count[indices] += 1
+        self.move_origin[indices] = self.position[indices]
+        self.move_destination[indices] = destinations
+        self.move_start[indices] = start_time
+        self.move_end[indices] = end_time
+        self.phase[indices] = PHASE_MOVING
+
+    def finish_moves(self, indices: np.ndarray) -> None:
+        """End the in-flight move of every row of ``indices`` (distinct rows).
+
+        Each row's ``total_distance`` grows by the length of its realised
+        trajectory — ``math.hypot`` in the plane (what :meth:`Robot.finish_move`
+        always computed) and a left-to-right sum of squares under one
+        square root in higher dimensions (the :class:`Vector3` convention) —
+        and the row idles at its realised endpoint.
+        """
+        if not len(indices):
+            return
+        idle = np.flatnonzero(self.phase[indices] != PHASE_MOVING)
+        if len(idle):
+            raise RuntimeError(f"robot {int(indices[idle[0]])} is not moving")
+        origins = self.move_origin[indices]
+        endpoints = self.move_destination[indices]
+        delta = endpoints - origins
+        if self.dim == 2:
+            travelled = np.fromiter(
+                map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()),
+                dtype=np.float64,
+                count=len(delta),
+            )
+        else:
+            squared = delta[:, 0] * delta[:, 0]
+            for axis in range(1, self.dim):
+                squared = squared + delta[:, axis] * delta[:, axis]
+            travelled = np.sqrt(squared)
+        self.total_distance[indices] += travelled
+        self.position[indices] = endpoints
+        self.phase[indices] = PHASE_IDLE
 
     def crash_at(self, index: int) -> None:
         """Fail-stop row ``index``: any pending move is discarded."""

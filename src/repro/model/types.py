@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 
 class Phase(enum.Enum):
@@ -92,6 +95,103 @@ class Activation:
         within it.
         """
         return other.look_time <= self.look_time < other.end_time
+
+
+class RoundBatch(Sequence):
+    """One simultaneous round of activations, held as columns.
+
+    Every activation of a round Looks at ``look_time`` and shares the
+    round's phase durations; only the robot id and the progress fraction
+    vary per row.  The batch is validated once at construction with the
+    checks :class:`Activation` runs per object, plus the two that make it a
+    round: the robot ids are distinct (strictly ascending) and the cycle
+    ends strictly after the Look.  It is still a ``Sequence[Activation]``
+    whose items are built on access, so code that iterates a scheduler's
+    batch keeps working; the kernel reads the columns directly.
+    """
+
+    __slots__ = ("robot_ids", "look_time", "compute_duration", "move_duration", "progress")
+
+    def __init__(
+        self,
+        robot_ids,
+        look_time: float,
+        *,
+        compute_duration: float = 0.0,
+        move_duration: float = 1.0,
+        progress: Optional[np.ndarray] = None,
+    ) -> None:
+        ids = np.ascontiguousarray(robot_ids, dtype=np.intp)
+        if ids.ndim != 1:
+            raise ValueError("robot_ids must be one-dimensional")
+        if len(ids) > 1 and not bool((ids[1:] > ids[:-1]).all()):
+            raise ValueError("a round activates distinct robots in ascending order")
+        if look_time < 0.0:
+            raise ValueError("activation look_time must be non-negative")
+        if compute_duration < 0.0 or move_duration < 0.0:
+            raise ValueError("activation phase durations must be non-negative")
+        if progress is None:
+            progress = np.ones(len(ids), dtype=np.float64)
+        else:
+            progress = np.ascontiguousarray(progress, dtype=np.float64)
+            if progress.shape != ids.shape:
+                raise ValueError("progress must hold one fraction per robot")
+            if not bool(((progress > 0.0) & (progress <= 1.0)).all()):
+                raise ValueError("progress_fraction must lie in (0, 1]")
+        self.robot_ids = ids
+        self.look_time = float(look_time)
+        self.compute_duration = float(compute_duration)
+        self.move_duration = float(move_duration)
+        self.progress = progress
+        if self.end_time <= self.look_time:
+            raise ValueError("a round's activity cycle must end after its Look")
+
+    @property
+    def move_start_time(self) -> float:
+        """Instant every Move phase of the round begins."""
+        return self.look_time + self.compute_duration
+
+    @property
+    def end_time(self) -> float:
+        """Instant every activity interval of the round ends."""
+        return self.move_start_time + self.move_duration
+
+    def take(self, rows: np.ndarray) -> "RoundBatch":
+        """The sub-round of the given ascending row indices (no re-validation)."""
+        batch = object.__new__(RoundBatch)
+        batch.robot_ids = self.robot_ids[rows]
+        batch.look_time = self.look_time
+        batch.compute_duration = self.compute_duration
+        batch.move_duration = self.move_duration
+        batch.progress = self.progress[rows]
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.robot_ids)
+
+    def __iter__(self):
+        for robot_id, progress in zip(self.robot_ids.tolist(), self.progress.tolist()):
+            yield Activation(
+                robot_id=robot_id,
+                look_time=self.look_time,
+                compute_duration=self.compute_duration,
+                move_duration=self.move_duration,
+                progress_fraction=progress,
+            )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        return Activation(
+            robot_id=int(self.robot_ids[index]),
+            look_time=self.look_time,
+            compute_duration=self.compute_duration,
+            move_duration=self.move_duration,
+            progress_fraction=float(self.progress[index]),
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RoundBatch({len(self)} robots, look_time={self.look_time})"
 
 
 @dataclass

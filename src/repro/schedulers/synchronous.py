@@ -3,16 +3,18 @@
 In the synchronous models time is divided into rounds; every robot
 activated in a round performs its whole Look-Compute-Move cycle inside the
 round, and nobody observes anybody mid-move.  FSync activates every robot
-in every round; SSync activates an arbitrary (fair) subset.
+in every round; SSync activates an arbitrary (fair) subset.  Each round is
+issued as one :class:`~repro.model.types.RoundBatch`, which the kernel's
+batched round path consumes whole.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..model.types import Activation, SchedulerClass
+from ..model.types import RoundBatch, SchedulerClass
 from .base import EngineView, Scheduler
 
 
@@ -34,17 +36,13 @@ class FSyncScheduler(Scheduler):
     def _after_reset(self) -> None:
         self._round = 0
 
-    def next_batch(self, view: Optional[EngineView] = None) -> List[Activation]:
+    def next_batch(self, view: Optional[EngineView] = None) -> RoundBatch:
         """All robots, activated simultaneously at the start of the next round."""
-        batch = [
-            Activation(
-                robot_id=i,
-                look_time=float(self._round),
-                compute_duration=0.0,
-                move_duration=self.move_duration,
-            )
-            for i in range(self.n_robots)
-        ]
+        batch = RoundBatch(
+            np.arange(self.n_robots, dtype=np.intp),
+            float(self._round),
+            move_duration=self.move_duration,
+        )
         self._round += 1
         return batch
 
@@ -84,37 +82,28 @@ class SSyncScheduler(Scheduler):
         self.max_lag = max_lag
         self.move_duration = move_duration
         self._round = 0
-        self._lag: List[int] = []
+        self._lag = np.zeros(0, dtype=np.int64)
 
     def _after_reset(self) -> None:
         self._round = 0
-        self._lag = [0] * self.n_robots
+        self._lag = np.zeros(self.n_robots, dtype=np.int64)
 
-    def next_batch(self, view: Optional[EngineView] = None) -> List[Activation]:
+    def next_batch(self, view: Optional[EngineView] = None) -> RoundBatch:
         """The activated subset for the next round (never empty)."""
         # One vectorized draw per round; the Generator's double stream is
         # identical whether consumed as n scalars or one size-n request,
         # so this is bit-for-bit the per-robot formulation.
         draws = self._rng.random(self.n_robots)
-        chosen = [
-            i
-            for i in range(self.n_robots)
-            if draws[i] < self.activation_probability or self._lag[i] >= self.max_lag
-        ]
-        if not chosen:
-            chosen = [int(self._rng.integers(0, self.n_robots))]
-        chosen_set = set(chosen)
-        for i in range(self.n_robots):
-            self._lag[i] = 0 if i in chosen_set else self._lag[i] + 1
-        batch = [
-            Activation(
-                robot_id=i,
-                look_time=float(self._round),
-                compute_duration=0.0,
-                move_duration=self.move_duration,
-            )
-            for i in sorted(chosen_set)
-        ]
+        chosen = (draws < self.activation_probability) | (self._lag >= self.max_lag)
+        if not chosen.any():
+            chosen[int(self._rng.integers(0, self.n_robots))] = True
+        self._lag += 1
+        self._lag[chosen] = 0
+        batch = RoundBatch(
+            np.flatnonzero(chosen),
+            float(self._round),
+            move_duration=self.move_duration,
+        )
         self._round += 1
         return batch
 

@@ -45,13 +45,13 @@ historical loop.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..engine.kernel import ContinuousKernel, MoveDecision
+from ..engine.kernel import ContinuousKernel, Decision
 from ..engine.state import EngineState
-from ..model.types import Activation, SchedulerClass
+from ..model.types import Activation, RoundBatch, SchedulerClass
 from ..schedulers.base import Scheduler
 from .kknps3 import KKNPS3Algorithm
 from .model3 import (
@@ -268,7 +268,7 @@ class Round3Scheduler(Scheduler):
         self.cohesion = True
         self.converged_round = None
 
-    def next_batch(self, view=None) -> List[Activation]:
+    def next_batch(self, view=None) -> Sequence[Activation]:
         n = self.n_robots
         if self.rounds_issued > 0:
             # End-of-round measurement: every move of the previous round has
@@ -284,22 +284,12 @@ class Round3Scheduler(Scheduler):
                 return []
         if self.rounds_issued >= self.max_rounds:
             return []
-        activated = np.flatnonzero(
-            self._rng.random(n) < self.activation_probability
-        ).tolist()
-        if not activated:
-            activated = [int(self._rng.integers(0, n))]
+        activated = np.flatnonzero(self._rng.random(n) < self.activation_probability)
+        if not len(activated):
+            activated = np.array([int(self._rng.integers(0, n))], dtype=np.intp)
         look_time = float(self.rounds_issued)
         self.rounds_issued += 1
-        return [
-            Activation(
-                robot_id=index,
-                look_time=look_time,
-                compute_duration=0.0,
-                move_duration=self.move_duration,
-            )
-            for index in activated
-        ]
+        return RoundBatch(activated, look_time, move_duration=self.move_duration)
 
     def describe(self) -> str:
         return f"round3(p={self.activation_probability})"
@@ -328,7 +318,7 @@ class _RoundKernel3(ContinuousKernel):
         look_time: float,
         other_positions,
         activation: Activation,
-    ) -> MoveDecision:
+    ) -> Decision:
         cfg = self.config
         observer = self._state.committed_positions()[robot_id]
         rotation = random_rotation3(self.rng) if cfg.rotate_frames else None
@@ -342,9 +332,7 @@ class _RoundKernel3(ContinuousKernel):
             displacement = destination_local
         fraction = float(self.rng.uniform(cfg.xi, 1.0))
         realized = observer + displacement * fraction
-        return MoveDecision(
-            target=realized, realized=realized, neighbours_seen=len(relative)
-        )
+        return realized, realized, len(relative)
 
 
 def run_rounds_array(
@@ -366,7 +354,7 @@ def run_rounds_array(
     The round semantics live in :class:`Round3Scheduler` (simultaneous
     round batches, per-round measurement and stopping) and
     :class:`_RoundKernel3` (the historical Look filter and RNG draws);
-    the activation pipeline itself — heap consumption, interpolation,
+    the activation pipeline itself — round consumption, interpolation,
     phase transitions, grid maintenance — is the shared
     :class:`~repro.engine.kernel.ContinuousKernel`.  The outcome is
     bit-identical to the historical vectorized loop (pinned against the

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..engine.kernel import ContinuousKernel, MoveDecision
+from ..engine.kernel import ContinuousKernel, Decision
+from ..engine.logs import SampleLog
 from ..engine.metrics import METRICS_DENSE_MAX, min_pairwise_distance_grid
 from ..engine.spatial_index import ShardedGridIndex
 from ..engine.state import EngineState
@@ -116,13 +117,17 @@ class Metrics3Collector:
     """Diameter / cohesion samples over ``(n, 3)`` position arrays."""
 
     visibility_range: float
-    samples: List[Metrics3Sample] = field(default_factory=list)
+    samples: SampleLog = field(default_factory=SampleLog)
     cohesion_ever_violated: bool = False
 
     #: Record boundaries inside one synchronous round see identical
     #: geometry, so the kernel's batched round path may replicate one
     #: sample per round (see the planar collector for the contract).
     supports_replicated_samples = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.samples, SampleLog):
+            self.samples = SampleLog(self.samples)
 
     def bind_initial(self, positions) -> None:
         """Record the initial visibility edges the cohesion predicate refers to.
@@ -176,11 +181,11 @@ class Metrics3Collector:
 
     def diameters(self) -> List[float]:
         """Diameters over time."""
-        return [s.hull_diameter for s in self.samples]
+        return self.samples.column("hull_diameter")
 
     def first_time_below(self, epsilon: float) -> Optional[float]:
         """Earliest sampled time the diameter was at most ``epsilon``."""
-        for sample in self.samples:
+        for sample in self.samples.heads():
             if sample.hull_diameter <= epsilon:
                 return sample.time
         return None
@@ -277,7 +282,7 @@ class Kernel3(ContinuousKernel):
         look_time: float,
         other_positions,
         activation: Activation,
-    ) -> MoveDecision:
+    ) -> Decision:
         cfg = self.config
         observer = self._state.committed_positions()[robot_id]
         rotation = self._frame_for_look()
@@ -297,9 +302,7 @@ class Kernel3(ContinuousKernel):
         realized = cfg.motion.realize_array(
             observer, target, activation.progress_fraction, self.rng
         )
-        return MoveDecision(
-            target=target, realized=realized, neighbours_seen=neighbours_seen
-        )
+        return target, realized, neighbours_seen
 
 
 def run_simulation3_async(

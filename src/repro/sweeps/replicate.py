@@ -16,7 +16,8 @@ Bundling is declined (the spec stays a singleton work item) when:
 * the specs are not seed-replicates of each other — any non-seed field
   differs;
 * the scheduler is not round-structured (``fsync``/``ssync``): the
-  batched path advances lanes one *validated round* at a time, which
+  batched path advances lanes one round (a
+  :class:`~repro.model.types.RoundBatch`) at a time, which
   continuous-time schedulers do not produce;
 * the spec resolves to the 3D registries (the 3D engines have no
   replicate tier yet);
@@ -38,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .factories import run_dimension
 from .spec import RunSpec
 
-#: Planar schedulers whose activation streams arrive as validated rounds —
+#: Planar schedulers whose activation streams arrive as whole rounds —
 #: the structure the batched executor advances lanes by.
 ROUND_SCHEDULERS = ("fsync", "ssync")
 

@@ -5,42 +5,54 @@ Simulator's vectorized 2D decider are *performance* paths only — every
 float they produce must equal the per-activation reference exactly, RNG
 draws included.  These pins run the same simulation with
 ``round_batching`` on and off and compare full fingerprints: final
-positions, every metrics sample, every activation record, convergence
-and final times.
+positions, every metrics sample, every activation record, activation end
+times and counts, per-robot travelled distance, convergence and final
+times.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
 from repro.engine import SimulationConfig, Simulator, run_simulation
+from repro.engine.metrics import METRICS_DENSE_MAX
 from repro.model.errors import MotionModel, PerceptionModel
 from repro.schedulers import FSyncScheduler, KAsyncScheduler, SSyncScheduler
-from repro.workloads import random_connected_configuration
+from repro.workloads import random_connected_configuration, truncated_grid_configuration
+
+
+def _run(positions, algorithm, scheduler, config):
+    """One run, plus the per-robot travelled distances the result leaves out."""
+    simulator = Simulator(positions, algorithm, scheduler, config)
+    result = simulator.run()
+    return result, simulator._state.arrays.total_distance.copy()
 
 
 def _pair(algorithm_factory, scheduler_factory, n=40, seed=11, **config_kw):
     """Run fast-path and reference simulations of the same scenario."""
     configuration = random_connected_configuration(n, seed=seed)
-    results = []
+    runs = []
     for round_batching in (None, False):
         config_kw["round_batching"] = round_batching
         config_kw.setdefault("seed", seed)
         config_kw.setdefault("max_activations", 160)
         config_kw.setdefault("stop_at_convergence", False)
-        results.append(
-            run_simulation(
+        runs.append(
+            _run(
                 configuration.positions,
                 algorithm_factory(),
                 scheduler_factory(),
                 SimulationConfig(**config_kw),
             )
         )
-    return results
+    return runs
 
 
-def _assert_identical(fast, reference):
+def _assert_identical(fast_run, reference_run):
+    fast, fast_distance = fast_run
+    reference, reference_distance = reference_run
     assert tuple(fast.final_configuration.positions) == tuple(
         reference.final_configuration.positions
     )
@@ -49,10 +61,10 @@ def _assert_identical(fast, reference):
     assert fast.convergence_time == reference.convergence_time
     assert fast.final_time == reference.final_time
     assert fast.cohesion_maintained == reference.cohesion_maintained
-    assert len(fast.records) == len(reference.records)
-    for a, b in zip(fast.records, reference.records):
-        assert a.destination == b.destination
-        assert a.neighbours_seen == b.neighbours_seen
+    assert fast.records == reference.records
+    assert fast.activation_end_times == reference.activation_end_times
+    assert fast.activation_counts == reference.activation_counts
+    assert np.array_equal(fast_distance, reference_distance)
 
 
 SCHEDULERS = (
@@ -119,7 +131,7 @@ class TestRoundBatchingPins:
         results = []
         for round_batching in (True, False):
             results.append(
-                run_simulation(
+                _run(
                     configuration.positions,
                     KKNPSAlgorithm(k=2),
                     KAsyncScheduler(k=2),
@@ -133,6 +145,26 @@ class TestRoundBatchingPins:
                 )
             )
         _assert_identical(*results)
+
+    def test_overlapping_rounds_take_the_per_activation_path(self):
+        """A round issued while robots are still mid-move is not batched: its
+        activations go through the per-activation path, which reports the
+        scheduler bug with the same error either way."""
+        configuration = random_connected_configuration(8, seed=2)
+        messages = []
+        for round_batching in (None, False):
+            scheduler = FSyncScheduler()
+            scheduler.move_duration = 1.5  # cycles now overlap the next round
+            with pytest.raises(RuntimeError) as error:
+                run_simulation(
+                    configuration.positions,
+                    KKNPSAlgorithm(k=1),
+                    scheduler,
+                    SimulationConfig(round_batching=round_batching, max_activations=40),
+                )
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert "before its move ended" in messages[0]
 
     def test_object_engine_never_batches(self):
         configuration = random_connected_configuration(10, seed=0)
@@ -163,7 +195,7 @@ class TestWorkloadMatrix:
         results = []
         for round_batching in (None, False):
             results.append(
-                run_simulation(
+                _run(
                     configuration.positions,
                     KKNPSAlgorithm(k=1),
                     scheduler(),
@@ -189,7 +221,7 @@ class TestWorkloadMatrix:
         results = []
         for round_batching in (None, False):
             results.append(
-                run_simulation(
+                _run(
                     configuration.positions,
                     KKNPSAlgorithm(k=1),
                     SSyncScheduler(),
@@ -197,3 +229,26 @@ class TestWorkloadMatrix:
                 )
             )
         _assert_identical(*results)
+
+    def test_large_swarm_cap_cuts_a_round(self):
+        """Above the dense-metrics threshold, with the activation cap ending
+        the run mid-round and several record boundaries per round."""
+        configuration = truncated_grid_configuration(2500, spacing=0.7)
+        assert len(configuration) > METRICS_DENSE_MAX
+        config_kw = dict(
+            seed=3, max_activations=3000, record_every=250, stop_at_convergence=False
+        )
+        results = []
+        for round_batching in (None, False):
+            results.append(
+                _run(
+                    configuration.positions,
+                    KKNPSAlgorithm(k=1),
+                    SSyncScheduler(),
+                    SimulationConfig(round_batching=round_batching, **config_kw),
+                )
+            )
+        _assert_identical(*results)
+        fast = results[0][0]
+        assert fast.activations_processed == 3000
+        assert len(fast.metrics.samples) == 3000 // 250 + 2

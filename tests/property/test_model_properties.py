@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, SymmetricDistortion
@@ -55,10 +55,17 @@ class TestConfigurationProperties:
                 assert p.distance_to(q) <= diameter + 1e-9
 
     @given(point_lists, st.floats(min_value=0.5, max_value=3.0))
+    @example(
+        [Point(6.0, 0.5), Point(-4.0, -1e-05), Point(0.0, 0.0), Point(0.0, 0.0), Point(-4.0, 0.0)],
+        1.0,
+    )
     @settings(max_examples=80)
     def test_hull_radius_at_least_half_diameter(self, pts, v):
         configuration = Configuration.of(pts, v)
-        assert configuration.hull_radius() >= configuration.hull_diameter() / 2.0 - 1e-9
+        half_diameter = configuration.hull_diameter() / 2.0
+        # The SEC accepts points within r + 1e-7 * max(1, r) of its circle,
+        # so its radius may undershoot half the diameter by that much.
+        assert configuration.hull_radius() >= half_diameter - 1e-7 * max(1.0, half_diameter)
 
     @given(point_lists, st.floats(min_value=0.1, max_value=0.9))
     @settings(max_examples=80)

@@ -5,7 +5,9 @@ draw, perception draw, motion draw, in robot order — so the round fast
 path replays the same sequential decides against one committed array and
 one sharded grid per round.  These pins compare ``round_batching`` on
 vs off under round-structured schedulers across error models, crashes
-and grid/dense spatial indexing.
+and grid/dense spatial indexing: final positions, the run-length metrics
+samples, activation end times and counts, and per-robot travelled
+distance.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.state import EngineState
 from repro.model.errors import MotionModel, PerceptionModel
 from repro.schedulers import FSyncScheduler, SSyncScheduler
 from repro.spatial3d import (
@@ -22,6 +25,7 @@ from repro.spatial3d import (
     random_connected_configuration3,
     run_simulation3_async,
 )
+from repro.spatial3d.kernel3 import Kernel3
 
 
 def _pair(scheduler_factory, n=30, seed=2, **config_kw):
@@ -53,6 +57,8 @@ def _assert_identical(fast, reference):
     assert fast.convergence_time == reference.convergence_time
     assert fast.final_time == reference.final_time
     assert fast.cohesion_maintained == reference.cohesion_maintained
+    assert fast.activation_end_times == reference.activation_end_times
+    assert fast.activation_counts == reference.activation_counts
 
 
 class TestRoundBatching3Pins:
@@ -80,3 +86,28 @@ class TestRoundBatching3Pins:
             SSyncScheduler, crashed_robots=(1, 4), record_every=7
         )
         _assert_identical(fast, reference)
+
+    @pytest.mark.parametrize("record_every", [1, 4])
+    def test_travelled_distance_and_replicated_samples(self, record_every):
+        """The index-array finish adds the same per-robot distances, and the
+        replicated samples of a round equal the per-boundary observations."""
+        positions = positions_as_array3(random_connected_configuration3(30, seed=6).positions)
+        outcomes = []
+        for round_batching in (None, False):
+            kernel = Kernel3(
+                EngineState.from_array(positions),
+                KKNPS3Algorithm(k=1),
+                SSyncScheduler(),
+                AsyncSimulation3Config(
+                    seed=6,
+                    max_activations=150,
+                    record_every=record_every,
+                    stop_at_convergence=False,
+                    round_batching=round_batching,
+                ),
+            )
+            outcomes.append((kernel.run_kernel(), kernel._state.arrays.total_distance.copy()))
+        (fast, fast_distance), (reference, reference_distance) = outcomes
+        assert np.array_equal(fast_distance, reference_distance)
+        assert fast.metrics.samples == reference.metrics.samples
+        assert len(fast.metrics.samples.heads()) < len(reference.metrics.samples.heads())
