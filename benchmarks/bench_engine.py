@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
 from repro.engine import MetricsCollector, SimulationConfig, Simulator
-from repro.engine.fanout import REPLICATE_FANOUT_MIN_ROBOTS
 from repro.engine.metrics import MetricsSample
 from repro.geometry.point import Point, points_to_array
 from repro.geometry.sec import _is_in, _trivial, _circle_from_two
@@ -514,9 +513,7 @@ def run_replicates(*, smoke: bool, verbose: bool = True) -> dict:
         started = time.perf_counter()
         serial = [Simulator(*factory_for(s)()).run() for s in range(seeds)]
         mid = time.perf_counter()
-        batched = run_replicated_simulations(
-            [factory_for(s) for s in range(seeds)], fanout_workers=0
-        )
+        batched = run_replicated_simulations([factory_for(s) for s in range(seeds)])
         serial_times.append(mid - started)
         batched_times.append(time.perf_counter() - mid)
         for a, b in zip(serial, batched):
@@ -556,11 +553,6 @@ def run_replicates(*, smoke: bool, verbose: bool = True) -> dict:
         "perf_floor_replicate_runs_per_second": round(
             PERF_FLOOR_FRACTION * runs_per_second, 3
         ),
-        # The process fan-out crossover in effect for this run (env-
-        # overridable via REPRO_REPLICATE_FANOUT_MIN_ROBOTS); recorded so
-        # recalibrations leave an audit trail next to the timings that
-        # justify them.
-        "fanout_min_robots": REPLICATE_FANOUT_MIN_ROBOTS,
     }
 
 

@@ -27,13 +27,24 @@ Error tolerance (Section 6.1): a bounded relative distance error
 a bounded-skew compass distortion is handled by shrinking the safe-region
 radius so that it is contained in the intersection of the safe regions of
 all possible true neighbour directions.
+
+Besides the per-snapshot :meth:`KKNPSAlgorithm.compute` and its float
+core :meth:`~KKNPSAlgorithm.compute_relative`, the rule has a batched
+form over many activations' perceived rows stacked end to end:
+:func:`kknps_destinations_all` (numpy over the flat rows) and its scalar
+transcription :func:`kknps_destination_segment`, both bit-identical to
+``compute_relative`` per activation.  The engine's flat round decide
+(:mod:`repro.engine.decide_batch`) reaches them through
+:meth:`~KKNPSAlgorithm.compute_array_rounds` for a single run, and the
+replicate engine calls :func:`kknps_destinations_all` with the constants
+a group of lanes shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Tuple
 
 import numpy as np
 
@@ -43,6 +54,10 @@ from ..geometry.tolerances import EPS
 from ..model.snapshot import Snapshot
 from .base import ConvergenceAlgorithm
 from .safe_regions import kknps_safe_region_local
+
+#: :meth:`KKNPSAlgorithm.decide_consts` — ``(close_fraction,
+#: distance_error_tolerance, alpha, radius_divisor, shrink)``.
+DecideConsts = Tuple[float, float, float, float, float]
 
 
 @dataclass
@@ -209,12 +224,11 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
         center_j = directions[j] * radius
         return center_i.midpoint(center_j)
 
-    def decide_consts(self):
+    def decide_consts(self) -> DecideConsts:
         """The scalar constants the batched decide cores consume.
 
-        The tuple order matches :data:`repro.engine.fanout.LaneConsts`:
-        ``(close_fraction, distance_error_tolerance, alpha,
-        radius_divisor, shrink)``.
+        In core order: ``(close_fraction, distance_error_tolerance,
+        alpha, radius_divisor, shrink)``.
         """
         return (
             self.close_fraction,
@@ -230,7 +244,6 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
         py: np.ndarray,
         starts: np.ndarray,
         ends: np.ndarray,
-        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Whole-round batch form of :meth:`compute_relative`.
 
@@ -238,24 +251,10 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
         activations stacked end to end; activation ``a`` owns the rows
         ``starts[a]:ends[a]``.  Returns an ``(acts, 2)`` array whose row
         ``a`` is bit-identical to
-        ``compute_relative(rows[starts[a]:ends[a]])`` — the batch core
-        keeps the per-row ``math.hypot`` norms and evaluates everything
-        built on them in the scalar core's operation order (see
-        :func:`repro.engine.fanout.kknps_destinations_all`).
+        ``compute_relative(rows[starts[a]:ends[a]])`` (see
+        :func:`kknps_destinations_all`).
         """
-        # Imported lazily: ``repro.engine`` imports the algorithms package
-        # at its own import time, so a module-level import here would cycle.
-        from ..engine.fanout import kknps_destinations_all
-
-        acts = len(starts)
-        if out is None:
-            out = np.zeros((acts, 2), dtype=np.float64)
-        if acts:
-            kknps_destinations_all(
-                px, py, starts, ends,
-                np.zeros(acts, dtype=np.int64), [self.decide_consts()], out,
-            )
-        return out
+        return kknps_destinations_all(px, py, starts, ends, self.decide_consts())
 
     def describe(self) -> str:
         """One-line description including the error tolerances."""
@@ -292,3 +291,239 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
             eps=eps,
         )
         return bool(verdict[0])
+
+
+def kknps_destination_segment(
+    px: np.ndarray,
+    py: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    consts: DecideConsts,
+    lo: int,
+    hi: int,
+    out: np.ndarray,
+) -> None:
+    """Local-frame KKNPS destinations for activations ``lo..hi`` (exclusive).
+
+    ``px``/``py`` are the flat perceived neighbour coordinates of *all*
+    activations; activation ``a`` owns rows ``starts[a]:ends[a]``, and
+    ``consts`` is :meth:`KKNPSAlgorithm.decide_consts`.  The body is a
+    faithful scalar transcription of :meth:`KKNPSAlgorithm.compute_relative`
+    (same ``math.hypot`` norms, same distant classification, same
+    half-plane/extreme-direction helpers), so each output row is
+    bit-identical to what the per-robot round decider computes for the
+    same perceived rows.
+    """
+    if hi <= lo:
+        return
+    close_fraction, tol, alpha, divisor, shrink = consts
+    starts_l = starts.tolist()
+    ends_l = ends.tolist()
+    # All rows this slice touches, hoisted into plain lists once; the norms
+    # come from the same ``math.hypot`` the per-robot tier applies per row
+    # (``np.hypot`` is not bit-identical to it on every platform).
+    row_lo = starts_l[lo]
+    row_hi = ends_l[hi - 1]
+    pxl = px[row_lo:row_hi].tolist()
+    pyl = py[row_lo:row_hi].tolist()
+    norms_all = list(map(math.hypot, pxl, pyl))
+    atan2 = math.atan2
+    pi_gate = math.pi + EPS
+    two_pi = 2.0 * math.pi
+    # Accumulate into plain lists and write the slice once at the end —
+    # per-activation numpy scalar stores cost more than the arithmetic.
+    out_x = [0.0] * (hi - lo)
+    out_y = [0.0] * (hi - lo)
+    for a in range(lo, hi):
+        s = starts_l[a] - row_lo
+        e = ends_l[a] - row_lo
+        if s == e:
+            continue
+        norms = norms_all[s:e]
+        v_raw = max(norms)
+        v_y = v_raw
+        if tol > 0.0:
+            v_y = v_raw / (1.0 + tol)
+        if v_y <= EPS:
+            continue
+        # ``norms[k] > threshold + EPS`` with the sum hoisted (same float
+        # every iteration).
+        threshold_eps = close_fraction * v_raw + EPS
+        distant = [k for k, nk in enumerate(norms) if nk > threshold_eps]
+        if not distant:
+            distant = [max(range(len(norms)), key=norms.__getitem__)]
+        directions: List[Tuple[float, float]] = []
+        for k in distant:
+            nk = norms[k]
+            if nk > EPS:
+                directions.append((pxl[s + k] / nk, pyl[s + k] / nk))
+        if not directions:
+            continue
+        if len(directions) == 1:
+            # A single direction's maximum gap is the full circle, which
+            # always clears the half-plane gate.
+            radius = alpha * v_y / divisor * shrink
+            if radius <= EPS:
+                continue
+            out_x[a - lo] = directions[0][0] * radius
+            out_y[a - lo] = directions[0][1] * radius
+            continue
+        # Inline ``max_angular_gap`` over the atan2 angles: atan2 lands in
+        # [-pi, pi], where ``normalize_angle_positive`` reduces to a bare
+        # ``+ 2*pi`` for negatives (``math.fmod`` is exact below one
+        # period), so the listcomp below is bit-identical to it.
+        angles = [atan2(dy, dx) for dx, dy in directions]
+        normalized = [t + two_pi if t < 0.0 else t for t in angles]
+        order = sorted(range(len(normalized)), key=normalized.__getitem__)
+        best_gap = -1.0
+        gap_i = gap_j = order[0]
+        last = len(order) - 1
+        for idx in range(last + 1):
+            i2 = order[idx]
+            if idx == last:
+                j2 = order[0]
+                gap = normalized[j2] - normalized[i2] + two_pi
+            else:
+                j2 = order[idx + 1]
+                gap = normalized[j2] - normalized[i2]
+            if gap > best_gap:
+                best_gap = gap
+                gap_i = i2
+                gap_j = j2
+        if not best_gap > pi_gate:
+            # The distant directions do not fit in an open half-plane:
+            # the robot stays put (compute_relative returns the origin).
+            continue
+        radius = alpha * v_y / divisor * shrink
+        if radius <= EPS:
+            continue
+        # extreme_directions(directions) == (j, i) of the max gap's (i, j).
+        ix, iy = directions[gap_j]
+        jx, jy = directions[gap_i]
+        cix, ciy = ix * radius, iy * radius
+        cjx, cjy = jx * radius, jy * radius
+        out_x[a - lo] = (cix + cjx) / 2.0
+        out_y[a - lo] = (ciy + cjy) / 2.0
+    out[lo:hi, 0] = out_x
+    out[lo:hi, 1] = out_y
+
+
+def kknps_destinations_all(
+    px: np.ndarray,
+    py: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    consts: DecideConsts,
+) -> np.ndarray:
+    """All activations' local KKNPS destinations, batched over the flat rows.
+
+    Value-identical to :func:`kknps_destination_segment` over ``0..acts``:
+    the per-row norms still come from ``math.hypot`` (``np.hypot`` is not
+    bit-identical to it everywhere), while everything built on them —
+    per-activation maxima (picks, no arithmetic), the distant threshold,
+    the unit directions, the radius — uses elementwise ufuncs in the same
+    operation order as the scalar core, which numpy evaluates with the
+    same IEEE arithmetic.  Only the angular-gap scan (a sort over each
+    activation's few distant directions) stays scalar, and activations
+    whose distant set is empty take the scalar core verbatim for its
+    argmax fallback.  Returns the ``(acts, 2)`` destinations.
+    """
+    acts = len(starts)
+    rows = len(px)
+    out = np.zeros((acts, 2), dtype=np.float64)
+    if acts == 0 or rows == 0:
+        return out
+    close_fraction, tol, alpha, divisor, shrink = consts
+    counts = ends - starts
+    norms_all = np.fromiter(
+        map(math.hypot, px.tolist(), py.tolist()), dtype=np.float64, count=rows
+    )
+    nonempty = counts > 0
+    safe_starts = np.minimum(starts, rows - 1)
+    v_raw = np.maximum.reduceat(norms_all, safe_starts)
+    # x / 1.0 is exactly x, so the unconditional division matches the
+    # scalar core's ``if tol > 0.0`` guard bit for bit.
+    v_y = v_raw / (1.0 + tol)
+    active = nonempty & (v_y > EPS)
+    threshold_eps = close_fraction * v_raw + EPS
+    row_act = np.repeat(np.arange(acts, dtype=np.int64), counts)
+    distant_mask = norms_all > threshold_eps[row_act]
+    distant_count = np.bincount(row_act[distant_mask], minlength=acts)
+    valid_mask = distant_mask & (norms_all > EPS)
+    valid_rows = np.flatnonzero(valid_mask)
+    vcount = np.bincount(row_act[valid_rows], minlength=acts)
+    # Same operation order as the scalar ``alpha * v_y / divisor * shrink``.
+    radius = alpha * v_y / divisor * shrink
+    # Unit directions of the valid distant rows, in the scalar core's
+    # enumeration order (ascending row index within each activation).
+    ux = px[valid_rows] / norms_all[valid_rows]
+    uy = py[valid_rows] / norms_all[valid_rows]
+    vstarts = np.zeros(acts + 1, dtype=np.int64)
+    np.cumsum(vcount, out=vstarts[1:])
+    single = active & (distant_count > 0) & (vcount == 1) & (radius > EPS)
+    if single.any():
+        first = vstarts[:-1][single]
+        out[single, 0] = ux[first] * radius[single]
+        out[single, 1] = uy[first] * radius[single]
+    fallback = np.flatnonzero(active & (distant_count == 0))
+    for a in fallback.tolist():
+        # Every distant candidate filtered out: the scalar core promotes
+        # the overall-farthest neighbour; reuse it verbatim.
+        kknps_destination_segment(px, py, starts, ends, consts, a, a + 1, out)
+    multi_mask = active & (vcount >= 2)
+    multi = np.flatnonzero(multi_mask)
+    if not len(multi):
+        return out
+    pi_gate = math.pi + EPS
+    two_pi = 2.0 * math.pi
+    # The angular-gap scan, batched.  Per activation the scalar core sorts
+    # its directions by normalised angle (a stable sort — lexsort likewise),
+    # walks consecutive gaps plus the wrap-around gap last, and keeps the
+    # FIRST gap strictly exceeding the running best, i.e. the first
+    # occurrence of the maximum in that scan order.  Every step below is a
+    # pick or the same left-to-right subtraction, so the selected
+    # directions — and the midpoint arithmetic on them — are identical.
+    vact = np.repeat(np.arange(acts, dtype=np.int64), vcount)
+    m_rows = np.flatnonzero(multi_mask[vact])
+    m_act = vact[m_rows]
+    angles = np.fromiter(
+        map(math.atan2, uy[m_rows].tolist(), ux[m_rows].tolist()),
+        dtype=np.float64,
+        count=len(m_rows),
+    )
+    # atan2 lands in [-pi, pi], where ``normalize_angle_positive`` reduces
+    # to a bare ``+ 2*pi`` for negatives (``math.fmod`` is exact below one
+    # period).
+    normalized = np.where(angles < 0.0, angles + two_pi, angles)
+    order = np.lexsort((normalized, m_act))
+    sn = normalized[order]
+    seg_counts = vcount[multi]
+    bounds = np.zeros(len(multi) + 1, dtype=np.int64)
+    np.cumsum(seg_counts, out=bounds[1:])
+    seg_lo = bounds[:-1]
+    seg_hi = bounds[1:]
+    gaps = np.empty(len(m_rows), dtype=np.float64)
+    gaps[:-1] = sn[1:] - sn[:-1]
+    gaps[seg_hi - 1] = (sn[seg_lo] - sn[seg_hi - 1]) + two_pi
+    seg_of = np.repeat(np.arange(len(multi)), seg_counts)
+    best_gap = np.maximum.reduceat(gaps, seg_lo)
+    position = np.arange(len(m_rows), dtype=np.int64)
+    first_best = np.minimum.reduceat(
+        np.where(gaps == best_gap[seg_of], position, len(m_rows)), seg_lo
+    )
+    chosen = np.flatnonzero((best_gap > pi_gate) & (radius[multi] > EPS))
+    if not len(chosen):
+        return out
+    p_i = first_best[chosen]
+    p_j = np.where(p_i == seg_hi[chosen] - 1, seg_lo[chosen], p_i + 1)
+    rows_sorted = m_rows[order]
+    row_i = rows_sorted[p_i]
+    row_j = rows_sorted[p_j]
+    r = radius[multi[chosen]]
+    cix = ux[row_j] * r
+    ciy = uy[row_j] * r
+    cjx = ux[row_i] * r
+    cjy = uy[row_i] * r
+    out[multi[chosen], 0] = (cix + cjx) / 2.0
+    out[multi[chosen], 1] = (ciy + cjy) / 2.0
+    return out

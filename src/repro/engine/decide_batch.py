@@ -1,25 +1,33 @@
-"""Shared flat-pipeline helpers for the whole-round batched decide paths.
+"""The planar whole-round decide as one flat pipeline, for 1…k lanes.
 
-Two engines batch the decide phase over a flat activation axis: the
-replicate bundle driver (:mod:`repro.engine.replicate`) stacks many
-lanes' activations, and the single-run round fast path
-(:meth:`repro.engine.simulator.Simulator._round_decide_batch`) stacks one
-round's activations.  Both need the same two ingredients, which live here
-so that :mod:`simulator` (imported *by* :mod:`replicate`) can use them
-without an import cycle:
+A planar round is decided either robot by robot (the kernel's
+per-robot deciders) or here, in one pass over a flat activation axis:
+:func:`decide_round_flat` gathers every activation's candidate rows,
+filters them by distance, pre-draws the private frames per lane in
+activation order, perceives, runs one KKNPS batch core and maps the
+destinations back through the frames and the zero-deviation motion
+model.  It has exactly two callers: a single run's round
+(:meth:`repro.engine.simulator.Simulator._round_decide_batch`, one lane)
+and a replicate bundle's group of lanes
+(:func:`repro.engine.replicate._advance_vector_group`), whose committed
+rows stack into one ``(lanes * n, 2)`` array.  Every lane of a group
+shares each configuration value the pipeline reads, so one ``config``
+describes them all; only the RNG streams stay per lane.
 
-* :func:`perceive_flat` — the elementwise transcription of
-  ``PerceptionModel.perceive_array`` over concatenated neighbour rows
-  (draw-free perception only; eligibility gates exclude the random-bias
-  error model);
-* :func:`collapse_hazard_lanes` — the quantized duplicate test proving
-  that ``_collapse_coincident_array(visible, 1e-12)`` is the identity for
-  every activation of a round, so the batched pipeline may skip it.
+Each stage is an elementwise transcription of the per-robot decider's
+arithmetic, so every decision — and every RNG draw — is bit-identical
+to deciding the round robot by robot.  That holds only for KKNPS under
+draw-free perception and motion, which callers check with
+``Simulator._batch_decide_eligible``, and for rounds without a
+near-coincident pair, which they check with :func:`collapse_hazard_lanes`.
 
-Everything here is pure numpy/math over the inputs; nothing draws RNG.
+Everything except the frame pre-draw is pure numpy/math over the inputs.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -104,3 +112,148 @@ def collapse_hazard_lanes(flat_xy: np.ndarray, lanes: int, n: int) -> np.ndarray
                 hazard, (keys[:, 1:] == keys[:, :-1]).any(axis=1), out=hazard
             )
     return hazard
+
+
+#: ``core(px, py, starts, ends)``: the ``(acts, 2)`` local destinations of
+#: flat perceived rows, activation ``a`` owning ``starts[a]:ends[a]``.
+DecideCore = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def decide_round_flat(
+    config,
+    effective_range: float,
+    core: DecideCore,
+    committed: np.ndarray,
+    shard,
+    observers: np.ndarray,
+    progress: np.ndarray,
+    lane_draws: Sequence[Tuple[np.random.Generator, int]],
+):
+    """One round's decides for 1…k lanes in a single flat pipeline.
+
+    ``committed`` holds every lane's committed rows stacked, and
+    ``shard`` is the :class:`~repro.engine.spatial_index.ShardedGridIndex`
+    over it (None gathers densely; one lane only).  ``observers`` are the
+    executing robots' rows in ``committed``, lane by lane and in
+    activation order within a lane, with their ``progress`` fractions;
+    ``lane_draws`` pairs each lane's RNG with its activation count.
+    ``config`` supplies the values every lane shares (frames, reflection,
+    perception, motion xi), ``effective_range`` the Look filter and
+    ``core`` the KKNPS batch core.  Returns the ``(target, realized,
+    neighbours_seen)`` row arrays.
+    """
+    acts = len(observers)
+    if shard is not None:
+        shard.warm_candidates()
+        cache = shard._candidate_cache
+        slots = shard._slot_of_robot[observers].tolist()
+        candidate_arrays = [cache[slot] for slot in slots]
+    else:
+        base = np.arange(len(committed), dtype=np.intp)
+        candidate_arrays = [np.delete(base, row) for row in observers.tolist()]
+    counts = np.fromiter(
+        (c.size for c in candidate_arrays), dtype=np.int64, count=acts
+    )
+    segment = np.zeros(acts + 1, dtype=np.int64)
+    np.cumsum(counts, out=segment[1:])
+    candidate_ids = (
+        np.concatenate(candidate_arrays)
+        if candidate_arrays
+        else np.empty(0, dtype=np.intp)
+    )
+    flat_x = np.ascontiguousarray(committed[:, 0])
+    flat_y = np.ascontiguousarray(committed[:, 1])
+    # Column-wise mirror of the per-robot ``arr - observer`` — elementwise
+    # identical, half the gather traffic.
+    rel_x = flat_x[candidate_ids] - np.repeat(flat_x[observers], counts)
+    rel_y = flat_y[candidate_ids] - np.repeat(flat_y[observers], counts)
+    distance = np.hypot(rel_x, rel_y)
+    keep = (distance > 1e-12) & (distance <= effective_range + EPS)
+    keep_cumulative = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=keep_cumulative[1:])
+    vis_counts = keep_cumulative[segment[1:]] - keep_cumulative[segment[:-1]]
+    vis_segment = np.zeros(acts + 1, dtype=np.int64)
+    np.cumsum(vis_counts, out=vis_segment[1:])
+    local_x = rel_x[keep]
+    local_y = rel_y[keep]
+
+    # Private frames, pre-drawn per lane in activation order (the per-robot
+    # decider draws the frame before its empty-candidate check, so every
+    # executed activation draws, visible neighbours or not).
+    framed = config.use_random_frames
+    if framed:
+        cos_neg, sin_neg, cos_pos, sin_pos, reflections = _draw_frames(
+            lane_draws, config.allow_reflection
+        )
+        row_cos = np.repeat(cos_neg, vis_counts)
+        row_sin = np.repeat(sin_neg, vis_counts)
+        local_x, local_y = (
+            row_cos * local_x - row_sin * local_y,
+            row_sin * local_x + row_cos * local_y,
+        )
+        local_y = np.where(np.repeat(reflections, vis_counts), -local_y, local_y)
+
+    perceived_x, perceived_y = perceive_flat(config.perception, local_x, local_y)
+    destinations = core(perceived_x, perceived_y, vis_segment[:-1], vis_segment[1:])
+
+    # Frame-back and motion, elementwise in the scalar operation order.
+    ldx = np.ascontiguousarray(destinations[:, 0])
+    ldy = np.ascontiguousarray(destinations[:, 1])
+    if framed:
+        ldy = np.where(reflections, -ldy, ldy)
+        # LocalFrame.to_global at unit scale / zero origin, term-for-term
+        # (the 0.0 additions normalise -0.0 exactly as Point.rotated does).
+        global_dx = (0.0 + cos_pos * ldx - sin_pos * ldy) + 0.0
+        global_dy = (0.0 + sin_pos * ldx + cos_pos * ldy) + 0.0
+    else:
+        global_dx, global_dy = ldx, ldy
+    origin_x = flat_x[observers]
+    origin_y = flat_y[observers]
+    target_x = origin_x + global_dx
+    target_y = origin_y + global_dy
+    planned = np.fromiter(
+        map(
+            math.hypot,
+            (origin_x - target_x).tolist(),
+            (origin_y - target_y).tolist(),
+        ),
+        dtype=np.float64,
+        count=acts,
+    )
+    # MotionModel.realize with zero deviation, term-for-term.
+    fraction = np.minimum(1.0, np.maximum(config.motion.xi, progress))
+    short = planned <= EPS
+    realized_x = np.where(short, origin_x, origin_x + (target_x - origin_x) * fraction)
+    realized_y = np.where(short, origin_y, origin_y + (target_y - origin_y) * fraction)
+    return (
+        np.column_stack((target_x, target_y)),
+        np.column_stack((realized_x, realized_y)),
+        vis_counts,
+    )
+
+
+def _draw_frames(
+    lane_draws: Sequence[Tuple[np.random.Generator, int]], allow_reflection: bool
+):
+    """Every activation's private frame, drawn as ``random_frame`` would.
+
+    Returns the rotation's ``cos``/``sin`` at ``-rotation`` (to local) and
+    ``+rotation`` (back to global), via ``math`` exactly as the per-robot
+    frame computes them, and the reflection flags.
+    """
+    rotations = []
+    reflections = []
+    two_pi = 2.0 * math.pi
+    for rng, count in lane_draws:
+        for _ in range(count):
+            rotations.append(float(rng.uniform(0.0, two_pi)))
+            reflections.append(bool(rng.integers(0, 2)) if allow_reflection else False)
+    acts = len(rotations)
+    negated = [-rotation for rotation in rotations]
+    return (
+        np.fromiter(map(math.cos, negated), dtype=np.float64, count=acts),
+        np.fromiter(map(math.sin, negated), dtype=np.float64, count=acts),
+        np.fromiter(map(math.cos, rotations), dtype=np.float64, count=acts),
+        np.fromiter(map(math.sin, rotations), dtype=np.float64, count=acts),
+        np.asarray(reflections, dtype=bool),
+    )

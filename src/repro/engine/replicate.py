@@ -3,27 +3,28 @@
 A sweep grid whose points differ only by seed re-pays the full per-round
 Python overhead once per seed.  This module advances a whole bundle of
 such runs ("lanes") together: every global iteration validates one round
-per lane, stacks the committed positions into one ``(runs, n, 2)``
-tensor, bins it with :meth:`ShardedGridIndex.from_replicates`, and pushes
-*all* lanes' activations through one vectorized Look pipeline (candidate
-gather, relative offsets, distance filter, private frames, perception)
-followed by one scalar KKNPS core pass
-(:func:`repro.engine.fanout.kknps_destination_segment`) — optionally
-fanned across a shared-memory process pool at mega scale.
+per lane and groups the lanes by every configuration value the flat
+round decide reads (swarm size, visibility range, perception, frames,
+reflection, motion xi and the KKNPS constants).  Each group's committed
+positions stack into one ``(lanes, n, 2)`` tensor, one
+:meth:`ShardedGridIndex.from_replicates` grid bins it, and all of the
+group's activations go through one
+:func:`~repro.engine.decide_batch.decide_round_flat` pass — the same
+pipeline a single run's round takes — with
+:func:`~repro.algorithms.kknps.kknps_destinations_all` as its core.
 
 Bit-identity contract: every lane owns its own RNG, scheduler, metrics
 collector and kinematic arrays, and consumes its RNG stream in exactly
 the serial order (frames are pre-drawn per lane in activation order; the
-vectorized tiers are restricted to draw-free perception and deviation-free
-motion).  Each numpy stage is an elementwise transcription of the serial
-fast tier (:meth:`Simulator._round_decider`), so every row a lane
-produces is bit-identical to running that lane alone — the sweep store
-and aggregator cannot tell the difference.  Anything the vector tier
-cannot replicate exactly (other algorithms, random distance error,
-deviating motion, trajectory recording, a coincidence-collapse hazard)
-drops per-round to the lane's own serial ``_process_round``; a lane whose
-scheduler does not issue :class:`~repro.model.types.RoundBatch` rounds
-(or whose round finds a robot mid-move) is re-run serially from scratch.
+flat decide is restricted to draw-free perception and deviation-free
+motion), so every row a lane produces is bit-identical to running that
+lane alone — the sweep store and aggregator cannot tell the difference.
+Anything the flat decide cannot replicate exactly (other algorithms,
+random distance error, deviating motion, trajectory recording, a
+coincidence-collapse hazard) drops per-round to the lane's own serial
+``_process_round``; a lane whose scheduler does not produce
+:class:`~repro.model.types.RoundBatch` rounds (or whose round finds a
+robot mid-move) is re-run serially from its initial state.
 
 Per-replicate convergence masking falls out of the lane structure: a lane
 that converges (or exhausts its activation budget) is finalized and drops
@@ -38,23 +39,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algorithms.kknps import KKNPSAlgorithm
+from ..algorithms.kknps import kknps_destinations_all
 from ..geometry.hull import ConvexHull
 from ..geometry.point import points_to_array
 from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
 from ..model.types import RoundBatch
-from .decide_batch import (
-    COLLAPSE_GUARD_DIST as _COLLAPSE_GUARD_DIST,
-    GUARD_CELL as _GUARD_CELL,
-    collapse_hazard_lanes as _collapse_hazard_lanes,
-    perceive_flat as _perceive_flat,
-)
-from .fanout import (
-    REPLICATE_FANOUT_MIN_ROBOTS,
-    FanoutPool,
-    kknps_destinations_all,
-)
+from .decide_batch import collapse_hazard_lanes, decide_round_flat
 from .kernel import replay_round
 from .logs import RecordLog
 from .metrics import MetricsCollector, MetricsSample, min_pairwise_distance_grid
@@ -91,11 +82,9 @@ class _Lane:
         "popped",
         "converged_time",
         "status",
-        "vector_ok",
+        "group",
         "fast_observe",
         "pair_hint",
-        "effective",
-        "limit",
         "started",
         "result",
     )
@@ -111,32 +100,6 @@ class _Lane:
         self.status = "active"
         self.pair_hint: Optional[float] = None
         self.result: Optional[SimulationResult] = None
-
-
-def replicate_vector_eligible(sim: Simulator) -> bool:
-    """Whether this run's *configuration* admits the vectorized round tier.
-
-    The vector tier mirrors the serial fast tier float-for-float, which
-    is only possible when the round draws no RNG outside the private
-    frames and the algorithm core is the KKNPS scalar transcription.
-    Ineligible lanes still batch at the round level — they advance through
-    their own serial ``_process_round`` — so this gates the inner tier,
-    not bundling itself.
-    """
-    cfg = sim.config
-    if cfg.engine_mode != "array" or cfg.multiplicity_detection:
-        return False
-    if type(sim.algorithm) is not KKNPSAlgorithm:
-        return False
-    effective = sim._effective_range()
-    if not (math.isfinite(effective) and effective > 0.0):
-        return False
-    perception = cfg.perception
-    if perception.distance_error > 0.0 and perception.bias == "random":
-        return False
-    if cfg.motion.max_deviation(1.0) > 0.0:
-        return False
-    return True
 
 
 def _prepare_lane(
@@ -200,15 +163,38 @@ def _prepare_lane(
         # first fast observe scans a tight grid instead of a
         # visibility-sized one.
         lane.pair_hint = _HINT_MARGIN * sample.min_pairwise_distance
-    lane.effective = sim._effective_range()
-    lane.limit = lane.effective + EPS
-    lane.vector_ok = (
-        replicate_vector_eligible(sim)
+    effective = sim._effective_range()
+    vector_ok = (
+        sim._batch_decide_eligible()
+        and math.isfinite(effective)
+        and effective > 0.0
         and lane.recorder is None
         and getattr(lane.metrics, "supports_replicated_samples", False)
     )
-    lane.fast_observe = lane.vector_ok and type(lane.metrics) is MetricsCollector
+    lane.group = _group_key(sim) if vector_ok else None
+    lane.fast_observe = vector_ok and type(lane.metrics) is MetricsCollector
     return lane
+
+
+def _group_key(sim: Simulator) -> tuple:
+    """Every value of a lane's run the flat round decide reads.
+
+    Lanes with equal keys advance as one group: one grid (swarm size and
+    visibility range first, so ``_drive`` can unpack them), one
+    perception model (a frozen dataclass, equal field by field), one
+    frame rule, one motion xi and one set of KKNPS constants.  Only the
+    RNG streams differ between them.
+    """
+    cfg = sim.config
+    return (
+        sim.n_robots,
+        sim._effective_range(),
+        cfg.perception,
+        cfg.use_random_frames,
+        cfg.allow_reflection,
+        cfg.motion.xi,
+        sim.algorithm.decide_consts(),
+    )
 
 
 def _min_pairwise_group(
@@ -534,26 +520,13 @@ def _walk_round(
     return executed, stop
 
 
-def _perception_key(model) -> tuple:
-    distortion = model.distortion
-    return (
-        model.distance_error,
-        model.bias,
-        None
-        if distortion is None
-        else (distortion.amplitude, distortion.frequency, distortion.phase),
-    )
-
-
 def _advance_vector_group(
     members: List[Tuple[_Lane, RoundBatch, int]],
     grid: ShardedGridIndex,
     flat_xy: np.ndarray,
-    n: int,
-    pool: Optional[FanoutPool],
-    fanout_min: int,
 ) -> None:
-    """One vectorized round over every lane of one ``(n, range)`` group."""
+    """One flat round decide over every lane of one homogeneous group."""
+    n, effective = members[0][0].group[:2]
     # Group observe pre-pass: lanes whose walk will certainly hit a record
     # boundary this round (the fast-walk arithmetic, re-derived here) share
     # one grid over the committed tensor for their min-pairwise distances.
@@ -602,209 +575,41 @@ def _advance_vector_group(
             lane, batch, group_mins.get(member_index), observe_cache
         )
         walked.append((lane, executed, stop, slot))
-    total_activations = sum(len(w[1]) for w in walked)
-    if total_activations == 0:
-        finishing = [lane for lane, _, stop, _ in walked if stop]
-        if finishing:
-            _finish_group(finishing)
-        return
-
-    # -- flat Look pipeline (mirrors the serial fast tier, batched) -------------
-    acts = total_activations
-    lane_of = np.empty(acts, dtype=np.int64)
-    fids = np.empty(acts, dtype=np.intp)
-    write = 0
-    for lane_index, (lane, executed, _, slot) in enumerate(walked):
-        count = len(executed)
-        if not count:
-            continue
-        lane_of[write : write + count] = lane_index
-        fids[write : write + count] = executed.robot_ids + slot * n
-        write += count
-    grid.warm_candidates()
-    slot_list = grid._slot_of_robot[fids].tolist()
-    cache = grid._candidate_cache
-    candidate_arrays = [cache[slot] for slot in slot_list]
-    counts = np.fromiter(
-        (c.size for c in candidate_arrays), dtype=np.int64, count=acts
-    )
-    segment = np.zeros(acts + 1, dtype=np.int64)
-    np.cumsum(counts, out=segment[1:])
-    candidate_ids = (
-        np.concatenate(candidate_arrays)
-        if candidate_arrays
-        else np.empty(0, dtype=np.intp)
-    )
-    flat_x = np.ascontiguousarray(flat_xy[:, 0])
-    flat_y = np.ascontiguousarray(flat_xy[:, 1])
-    # Column-wise mirror of ``rows - np.repeat(observers, counts, axis=0)``
-    # on the serial tier — elementwise identical, half the gather traffic.
-    rel_x = flat_x[candidate_ids] - np.repeat(flat_x[fids], counts)
-    rel_y = flat_y[candidate_ids] - np.repeat(flat_y[fids], counts)
-    distance = np.hypot(rel_x, rel_y)
-    lane_limits = np.fromiter(
-        (lane.limit for lane, _, _, _ in walked),
-        dtype=np.float64,
-        count=len(walked),
-    )
-    keep = (distance > 1e-12) & (
-        distance <= np.repeat(lane_limits[lane_of], counts)
-    )
-    keep_cumulative = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(keep, out=keep_cumulative[1:])
-    vis_counts = keep_cumulative[segment[1:]] - keep_cumulative[segment[:-1]]
-    vis_segment = np.zeros(acts + 1, dtype=np.int64)
-    np.cumsum(vis_counts, out=vis_segment[1:])
-    vx = rel_x[keep]
-    vy = rel_y[keep]
-
-    # -- private frames: pre-draw per lane in activation order ------------------
-    rotations = np.zeros(acts, dtype=np.float64)
-    reflections = np.zeros(acts, dtype=bool)
-    framed = np.zeros(acts, dtype=bool)
-    cos_neg = np.ones(acts, dtype=np.float64)
-    sin_neg = np.zeros(acts, dtype=np.float64)
-    cos_pos = np.ones(acts, dtype=np.float64)
-    sin_pos = np.zeros(acts, dtype=np.float64)
-    write = 0
-    for lane, executed, _, _ in walked:
-        cfg = lane.sim.config
-        if not cfg.use_random_frames:
-            write += len(executed)
-            continue
-        rng = lane.sim.rng
-        allow_reflection = cfg.allow_reflection
-        for _ in range(len(executed)):
-            rotation = float(rng.uniform(0.0, 2.0 * math.pi))
-            reflected = bool(rng.integers(0, 2)) if allow_reflection else False
-            rotations[write] = rotation
-            reflections[write] = reflected
-            framed[write] = True
-            cos_neg[write] = math.cos(-rotation)
-            sin_neg[write] = math.sin(-rotation)
-            cos_pos[write] = math.cos(rotation)
-            sin_pos[write] = math.sin(rotation)
-            write += 1
-    if framed.any():
-        row_cos = np.repeat(cos_neg, vis_counts)
-        row_sin = np.repeat(sin_neg, vis_counts)
-        local_x = row_cos * vx - row_sin * vy
-        local_y = row_sin * vx + row_cos * vy
-        row_reflected = np.repeat(reflections, vis_counts)
-        local_y = np.where(row_reflected, -local_y, local_y)
-        if not framed.all():
-            row_framed = np.repeat(framed, vis_counts)
-            local_x = np.where(row_framed, local_x, vx)
-            local_y = np.where(row_framed, local_y, vy)
-    else:
-        local_x, local_y = vx, vy
-
-    # -- perception (draw-free by eligibility) ----------------------------------
-    programs: Dict[tuple, Tuple[List[int], object]] = {}
-    for lane_index, (lane, _, _, _) in enumerate(walked):
-        model = lane.sim.config.perception
-        key = _perception_key(model)
-        programs.setdefault(key, ([], model))[0].append(lane_index)
-    if len(programs) == 1:
-        ((_, model),) = programs.values()
-        perceived_x, perceived_y = _perceive_flat(model, local_x, local_y)
-    else:
-        perceived_x = np.array(local_x, dtype=np.float64, copy=True)
-        perceived_y = np.array(local_y, dtype=np.float64, copy=True)
-        row_lane = np.repeat(lane_of, vis_counts)
-        for lane_indices, model in programs.values():
-            mask = np.isin(row_lane, np.asarray(lane_indices, dtype=np.int64))
-            px, py = _perceive_flat(model, local_x[mask], local_y[mask])
-            perceived_x[mask] = px
-            perceived_y[mask] = py
-
-    # -- the KKNPS scalar core (inline or fanned across the pool) ---------------
-    lane_consts = [lane.sim.algorithm.decide_consts() for lane, _, _, _ in walked]
-    if pool is not None and len(walked) * n >= fanout_min and acts > 1:
-        destinations = pool.compute(
-            perceived_x,
-            perceived_y,
-            vis_segment[:-1],
-            vis_segment[1:],
-            lane_of,
-            lane_consts,
+    if sum(len(executed) for _, executed, _, _ in walked):
+        lead = walked[0][0].sim
+        consts = lead.algorithm.decide_consts()
+        target, realized, seen = decide_round_flat(
+            lead.config,
+            effective,
+            lambda px, py, starts, ends: kknps_destinations_all(
+                px, py, starts, ends, consts
+            ),
+            flat_xy,
+            grid,
+            np.concatenate(
+                [executed.robot_ids + slot * n for _, executed, _, slot in walked]
+            ),
+            np.concatenate([executed.progress for _, executed, _, _ in walked]),
+            [(lane.sim.rng, len(executed)) for lane, executed, _, _ in walked],
         )
-    elif len(walked) == 1:
-        # One lane: the whole round is one algorithm's batch — route
-        # through its own entry point (identical arithmetic; lane_of is
-        # all zeros here, so the lane-consts gather is a constant).
-        destinations = walked[0][0].sim.algorithm.compute_array_rounds(
-            perceived_x, perceived_y, vis_segment[:-1], vis_segment[1:]
-        )
-    else:
-        destinations = np.zeros((acts, 2), dtype=np.float64)
-        kknps_destinations_all(
-            perceived_x,
-            perceived_y,
-            vis_segment[:-1],
-            vis_segment[1:],
-            lane_of,
-            lane_consts,
-            destinations,
-        )
-
-    # -- frame-back, motion, commit (per lane) ----------------------------------
-    # The whole frame-back rotation and motion model runs elementwise over
-    # the flat activation axis (same operation order as the scalar loop,
-    # so the same IEEE results); each lane then commits its slice of rows
-    # through the kernel's one round commit.
-    ldx = np.ascontiguousarray(destinations[:, 0])
-    ldy = np.where(framed & reflections, -destinations[:, 1], destinations[:, 1])
-    # LocalFrame.to_global at unit scale / zero origin, kept term-for-term
-    # (the 0.0 additions normalise -0.0 exactly as Point.rotated does).
-    rot_x = (0.0 + cos_pos * ldx - sin_pos * ldy) + 0.0
-    rot_y = (0.0 + sin_pos * ldx + cos_pos * ldy) + 0.0
-    global_dx = np.where(framed, rot_x, ldx)
-    global_dy = np.where(framed, rot_y, ldy)
-    origin_x = flat_x[fids]
-    origin_y = flat_y[fids]
-    target_x = origin_x + global_dx
-    target_y = origin_y + global_dy
-    planned = np.fromiter(
-        map(
-            math.hypot,
-            (origin_x - target_x).tolist(),
-            (origin_y - target_y).tolist(),
-        ),
-        dtype=np.float64,
-        count=acts,
-    )
-    # MotionModel.realize with zero deviation, term-for-term.
-    progress = np.concatenate([executed.progress for _, executed, _, _ in walked])
-    xi_of_lane = np.fromiter(
-        (lane.sim.config.motion.xi for lane, _, _, _ in walked),
-        dtype=np.float64,
-        count=len(walked),
-    )
-    fraction = np.minimum(1.0, np.maximum(xi_of_lane[lane_of], progress))
-    short = planned <= EPS
-    realized_x = np.where(short, origin_x, origin_x + (target_x - origin_x) * fraction)
-    realized_y = np.where(short, origin_y, origin_y + (target_y - origin_y) * fraction)
-    target = np.column_stack((target_x, target_y))
-    realized = np.column_stack((realized_x, realized_y))
-    offset = 0
-    stopping: List[_Lane] = []
-    for lane, executed, stop, _ in walked:
-        count = len(executed)
-        if count:
-            rows = slice(offset, offset + count)
-            lane.sim._commit_round(
-                executed, target[rows], realized[rows], vis_counts[rows],
-                lane.records, lane.aet,
-            )
-        offset += count
-        if stop:
-            stopping.append(lane)
+        # Each lane commits its slice of the rows through the kernel's one
+        # round commit.
+        offset = 0
+        for lane, executed, _, _ in walked:
+            count = len(executed)
+            if count:
+                rows = slice(offset, offset + count)
+                lane.sim._commit_round(
+                    executed, target[rows], realized[rows], seen[rows],
+                    lane.records, lane.aet,
+                )
+            offset += count
+    stopping = [lane for lane, _, stop, _ in walked if stop]
     if stopping:
         _finish_group(stopping)
 
 
-def _drive(lanes: List[_Lane], pool: Optional[FanoutPool], fanout_min: int) -> None:
+def _drive(lanes: List[_Lane]) -> None:
     """The global iteration loop: one round per active lane."""
     while True:
         rounds: List[Tuple[_Lane, RoundBatch]] = []
@@ -841,19 +646,18 @@ def _drive(lanes: List[_Lane], pool: Optional[FanoutPool], fanout_min: int) -> N
         scalar_rounds: List[Tuple[_Lane, RoundBatch]] = []
         groups: Dict[tuple, List[Tuple[_Lane, RoundBatch]]] = {}
         for lane, batch in rounds:
-            if lane.vector_ok:
-                key = (lane.sim.n_robots, lane.effective)
-                groups.setdefault(key, []).append((lane, batch))
+            if lane.group is not None:
+                groups.setdefault(lane.group, []).append((lane, batch))
             else:
                 scalar_rounds.append((lane, batch))
         vector_groups = []
-        for (n, effective), group_members in groups.items():
+        for (n, effective, *_), group_members in groups.items():
             tensor = np.stack(
                 [lane.sim._state.arrays.position for lane, _ in group_members]
             )
             grid = ShardedGridIndex.from_replicates(tensor, effective + 2.0 * EPS)
             flat_xy = tensor.reshape(-1, 2)
-            hazard = _collapse_hazard_lanes(flat_xy, len(group_members), n)
+            hazard = collapse_hazard_lanes(flat_xy, len(group_members), n)
             vector_members = []
             for member_index, (lane, batch) in enumerate(group_members):
                 if hazard[member_index]:
@@ -863,33 +667,21 @@ def _drive(lanes: List[_Lane], pool: Optional[FanoutPool], fanout_min: int) -> N
                 else:
                     vector_members.append((lane, batch, member_index))
             if vector_members:
-                vector_groups.append((vector_members, grid, flat_xy, n))
+                vector_groups.append((vector_members, grid, flat_xy))
         for lane, batch in scalar_rounds:
             _advance_scalar_round(lane, batch)
-        for vector_members, grid, flat_xy, n in vector_groups:
-            _advance_vector_group(vector_members, grid, flat_xy, n, pool, fanout_min)
+        for vector_members, grid, flat_xy in vector_groups:
+            _advance_vector_group(vector_members, grid, flat_xy)
 
 
 def run_replicated_simulations(
     factories: Sequence[LaneFactory],
-    *,
-    fanout_workers: Optional[int] = None,
-    fanout_min_robots: Optional[int] = None,
 ) -> List[SimulationResult]:
     """Run every member of a replicate bundle, batched round-by-round.
 
     Returns one :class:`SimulationResult` per factory, in order, each
     bit-identical (timing aside) to ``Simulator(*factory()).run()``.
-    ``fanout_workers=0`` disables the shared-memory process fan-out;
-    ``None`` auto-sizes it (workers only ever start once a round crosses
-    ``fanout_min_robots`` total robots, default
-    :data:`~repro.engine.fanout.REPLICATE_FANOUT_MIN_ROBOTS`).
     """
-    fanout_min = (
-        REPLICATE_FANOUT_MIN_ROBOTS
-        if fanout_min_robots is None
-        else int(fanout_min_robots)
-    )
     lanes: List[_Lane] = []
     fallback_indices: List[int] = []
     setup_cache: dict = {}
@@ -900,13 +692,8 @@ def run_replicated_simulations(
             fallback_indices.append(index)
             continue
         lanes.append(_prepare_lane(index, sim, setup_cache))
-    pool = None if fanout_workers == 0 else FanoutPool(fanout_workers)
-    try:
-        if lanes:
-            _drive(lanes, pool, fanout_min)
-    finally:
-        if pool is not None:
-            pool.close()
+    if lanes:
+        _drive(lanes)
     results: List[Optional[SimulationResult]] = [None] * len(factories)
     for lane in lanes:
         if lane.status == "fallback" or lane.result is None:

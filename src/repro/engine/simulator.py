@@ -43,7 +43,7 @@ from ..algorithms.base import ConvergenceAlgorithm
 from ..algorithms.kknps import KKNPSAlgorithm
 from ..schedulers.base import Scheduler
 from .convergence import ConvergenceSummary, summarize
-from .decide_batch import collapse_hazard_lanes, perceive_flat
+from .decide_batch import collapse_hazard_lanes, decide_round_flat
 from .kernel import ContinuousKernel, Decision
 from .logs import RecordLog
 from .metrics import MetricsCollector
@@ -323,13 +323,14 @@ class Simulator(ContinuousKernel):
 
     # -- whole-round batched decide ---------------------------------------------------
     def _batch_decide_eligible(self) -> bool:
-        """Whether this run's *configuration* admits the whole-round decide.
+        """Whether this run's *configuration* admits the flat round decide.
 
-        Mirrors :func:`repro.engine.replicate.replicate_vector_eligible`
-        minus the finite-range requirement (the dense gather handles an
-        unlimited range, size-capped per round): the batch is bit-identical
-        only when the round draws no RNG outside the private frames and
-        the algorithm core is the KKNPS scalar transcription.
+        The one predicate for both callers of
+        :func:`~repro.engine.decide_batch.decide_round_flat` (the replicate
+        engine adds a finite-range check, since its lanes always gather
+        through a grid): the batch is bit-identical only when the round
+        draws no RNG outside the private frames and the algorithm core is
+        the KKNPS batch core.
         """
         cfg = self.config
         if cfg.engine_mode != "array" or cfg.multiplicity_detection:
@@ -360,132 +361,20 @@ class Simulator(ContinuousKernel):
     def _round_decide_batch(
         self, look_time: float, committed: np.ndarray, shard, executed: RoundBatch
     ):
-        """One round's decides as a single flat pipeline (the 2D batch tier).
+        """One round's decides as one lane of :func:`decide_round_flat`.
 
-        A single-lane transcription of the replicate engine's vectorized
-        Look pipeline (:func:`repro.engine.replicate._advance_vector_group`)
-        over this round's executed activations: candidate gather through
-        the shard's block-local arrays (or a dense ``np.delete`` gather),
-        one relative-offset/distance-filter pass, frames pre-drawn per
-        activation in the serial order, draw-free flat perception, one
-        :meth:`KKNPSAlgorithm.compute_array_rounds` call, and the
-        elementwise frame-back/motion arithmetic — every stage in the
-        serial fast tier's operation order, so each decision is
-        bit-identical to :meth:`_round_decider`'s per-robot result.
-        Returns the ``(target, realized, neighbours_seen)`` row arrays.
+        Bit-identical to :meth:`_round_decider`'s per-robot results;
+        returns the ``(target, realized, neighbours_seen)`` row arrays.
         """
-        acts = len(executed)
-        cfg = self.config
-        n = self.n_robots
-        fids = executed.robot_ids
-        if shard is not None:
-            shard.warm_candidates()
-            slot_list = shard._slot_of_robot[fids].tolist()
-            cache = shard._candidate_cache
-            candidate_arrays = [cache[slot] for slot in slot_list]
-        else:
-            base = np.arange(n, dtype=np.intp)
-            candidate_arrays = [np.delete(base, rid) for rid in fids.tolist()]
-        counts = np.fromiter(
-            (c.size for c in candidate_arrays), dtype=np.int64, count=acts
-        )
-        segment = np.zeros(acts + 1, dtype=np.int64)
-        np.cumsum(counts, out=segment[1:])
-        candidate_ids = (
-            np.concatenate(candidate_arrays)
-            if candidate_arrays
-            else np.empty(0, dtype=np.intp)
-        )
-        flat_x = np.ascontiguousarray(committed[:, 0])
-        flat_y = np.ascontiguousarray(committed[:, 1])
-        # Column-wise mirror of ``arr - observer`` on the serial tier —
-        # elementwise identical, half the gather traffic.
-        rel_x = flat_x[candidate_ids] - np.repeat(flat_x[fids], counts)
-        rel_y = flat_y[candidate_ids] - np.repeat(flat_y[fids], counts)
-        distance = np.hypot(rel_x, rel_y)
-        limit = self._effective_range() + EPS
-        keep = (distance > 1e-12) & (distance <= limit)
-        keep_cumulative = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=keep_cumulative[1:])
-        vis_counts = keep_cumulative[segment[1:]] - keep_cumulative[segment[:-1]]
-        vis_segment = np.zeros(acts + 1, dtype=np.int64)
-        np.cumsum(vis_counts, out=vis_segment[1:])
-        vx = rel_x[keep]
-        vy = rel_y[keep]
-
-        # Private frames: pre-drawn in activation order (the serial tier
-        # draws the frame before its empty-candidate check, so every
-        # executed activation draws, visible neighbours or not).
-        use_frames = cfg.use_random_frames
-        if use_frames:
-            rng = self.rng
-            allow_reflection = cfg.allow_reflection
-            rotations = [0.0] * acts
-            reflect_l = [False] * acts
-            cos_neg = np.empty(acts, dtype=np.float64)
-            sin_neg = np.empty(acts, dtype=np.float64)
-            cos_pos = np.empty(acts, dtype=np.float64)
-            sin_pos = np.empty(acts, dtype=np.float64)
-            for a in range(acts):
-                rotation = float(rng.uniform(0.0, 2.0 * math.pi))
-                reflected = bool(rng.integers(0, 2)) if allow_reflection else False
-                rotations[a] = rotation
-                reflect_l[a] = reflected
-                cos_neg[a] = math.cos(-rotation)
-                sin_neg[a] = math.sin(-rotation)
-                cos_pos[a] = math.cos(rotation)
-                sin_pos[a] = math.sin(rotation)
-            reflections = np.asarray(reflect_l, dtype=bool)
-            row_cos = np.repeat(cos_neg, vis_counts)
-            row_sin = np.repeat(sin_neg, vis_counts)
-            local_x = row_cos * vx - row_sin * vy
-            local_y = row_sin * vx + row_cos * vy
-            local_y = np.where(np.repeat(reflections, vis_counts), -local_y, local_y)
-        else:
-            local_x, local_y = vx, vy
-
-        perceived_x, perceived_y = perceive_flat(cfg.perception, local_x, local_y)
-        destinations = self.algorithm.compute_array_rounds(
-            perceived_x, perceived_y, vis_segment[:-1], vis_segment[1:]
-        )
-
-        # Frame-back and motion, elementwise in the scalar operation order.
-        ldx = np.ascontiguousarray(destinations[:, 0])
-        if use_frames:
-            ldy = np.where(reflections, -destinations[:, 1], destinations[:, 1])
-            # LocalFrame.to_global at unit scale / zero origin, term-for-term
-            # (the 0.0 additions normalise -0.0 exactly as Point.rotated does).
-            global_dx = (0.0 + cos_pos * ldx - sin_pos * ldy) + 0.0
-            global_dy = (0.0 + sin_pos * ldx + cos_pos * ldy) + 0.0
-        else:
-            global_dx = ldx
-            global_dy = np.ascontiguousarray(destinations[:, 1])
-        origin_x = flat_x[fids]
-        origin_y = flat_y[fids]
-        target_x = origin_x + global_dx
-        target_y = origin_y + global_dy
-        planned = np.fromiter(
-            map(
-                math.hypot,
-                (origin_x - target_x).tolist(),
-                (origin_y - target_y).tolist(),
-            ),
-            dtype=np.float64,
-            count=acts,
-        )
-        # MotionModel.realize with zero deviation, term-for-term.
-        fraction = np.minimum(1.0, np.maximum(cfg.motion.xi, executed.progress))
-        short = planned <= EPS
-        realized_x = np.where(
-            short, origin_x, origin_x + (target_x - origin_x) * fraction
-        )
-        realized_y = np.where(
-            short, origin_y, origin_y + (target_y - origin_y) * fraction
-        )
-        return (
-            np.column_stack((target_x, target_y)),
-            np.column_stack((realized_x, realized_y)),
-            vis_counts,
+        return decide_round_flat(
+            self.config,
+            self._effective_range(),
+            self.algorithm.compute_array_rounds,
+            committed,
+            shard,
+            executed.robot_ids,
+            executed.progress,
+            [(self.rng, len(executed))],
         )
 
     # -- main loop -----------------------------------------------------------------------

@@ -265,21 +265,6 @@ def sec_center_array(arr: np.ndarray, *, seed: Optional[int] = 0):
     return cx, cy
 
 
-def sec_centers(batches: Sequence[np.ndarray], *, seed: Optional[int] = 0) -> np.ndarray:
-    """SEC centres for a round's visibility sets, as a ``(k, 2)`` array.
-
-    One call per round from the batched Ando path: each entry of
-    ``batches`` is one robot's ``(m_i, 2)`` local point set (self plus
-    perceived neighbours).  Per-set solves go through the memo, so robots
-    whose neighbourhood bytes did not change since the previous round are
-    O(1) re-checks.
-    """
-    out = np.empty((len(batches), 2), dtype=float)
-    for row, batch in enumerate(batches):
-        out[row] = sec_center_array(batch, seed=seed)
-    return out
-
-
 def sec_radius(points: Sequence[PointLike], *, seed: Optional[int] = 0) -> float:
     """Radius of the smallest enclosing circle of ``points``."""
     return smallest_enclosing_circle(points, seed=seed).radius

@@ -74,12 +74,28 @@ def _affine_minimizer(points: np.ndarray) -> Optional[np.ndarray]:
     return solution[:k]
 
 
-def _decide_normalized(
-    d: np.ndarray,
+def fits_in_open_halfspace_array(
+    directions: np.ndarray,
+    *,
+    eps: float = EPS,
     decision_margin: float = DECISION_MARGIN,
     max_iterations: int = MAX_ITERATIONS,
 ) -> bool:
-    """Wolfe decision over already-normalised direction rows (``m >= 1``)."""
+    """True when all rows of ``directions`` fit in some open half-space.
+
+    ``directions`` is an ``(m, 3)`` array; near-zero rows are ignored,
+    everything else is normalised.  Returns False for an empty input
+    (matching the LP-based predicate this replaces).
+    """
+    d = np.asarray(directions, dtype=float).reshape(-1, 3)
+    if d.size == 0:
+        return False
+    norms = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    keep = norms > eps
+    if not keep.any():
+        return False
+    d = d[keep] / norms[keep, None]
+
     # Wolfe's minimum-norm-point iteration.  Start from the direction the
     # centroid separates worst (a likely member of the optimal corral).
     centroid = d.mean(axis=0)
@@ -127,65 +143,3 @@ def _decide_normalized(
     if nx <= decision_margin:
         return False
     return bool(float((d @ x).min()) > decision_margin * nx)
-
-
-def fits_in_open_halfspace_array(
-    directions: np.ndarray,
-    *,
-    eps: float = EPS,
-    decision_margin: float = DECISION_MARGIN,
-    max_iterations: int = MAX_ITERATIONS,
-) -> bool:
-    """True when all rows of ``directions`` fit in some open half-space.
-
-    ``directions`` is an ``(m, 3)`` array; near-zero rows are ignored,
-    everything else is normalised.  Returns False for an empty input
-    (matching the LP-based predicate this replaces).
-    """
-    d = np.asarray(directions, dtype=float).reshape(-1, 3)
-    if d.size == 0:
-        return False
-    norms = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-    keep = norms > eps
-    if not keep.any():
-        return False
-    d = d[keep] / norms[keep, None]
-    return _decide_normalized(d, decision_margin, max_iterations)
-
-
-def fits_in_open_halfspace_segments(
-    directions: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    *,
-    eps: float = EPS,
-    decision_margin: float = DECISION_MARGIN,
-    max_iterations: int = MAX_ITERATIONS,
-) -> np.ndarray:
-    """Batched :func:`fits_in_open_halfspace_array` over stacked segments.
-
-    ``directions`` holds many activations' direction rows end to end;
-    segment ``a`` owns the rows ``starts[a]:ends[a]``.  The normalisation
-    runs once over the whole flat axis — componentwise, so each kept row
-    is bit-identical to the per-call division — and each segment's Wolfe
-    decision then runs on the same contiguous unit rows the per-call form
-    builds.  Entry ``a`` of the returned boolean array therefore equals
-    ``fits_in_open_halfspace_array(directions[starts[a]:ends[a]])``.
-    """
-    d = np.asarray(directions, dtype=float).reshape(-1, 3)
-    out = np.zeros(len(starts), dtype=bool)
-    if not len(d):
-        return out
-    norms = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-    keep = norms > eps
-    unit = d / np.where(keep, norms, 1.0)[:, None]
-    for a in range(len(starts)):
-        s = int(starts[a])
-        e = int(ends[a])
-        if e <= s:
-            continue
-        kept = keep[s:e]
-        if not kept.any():
-            continue
-        out[a] = _decide_normalized(unit[s:e][kept], decision_margin, max_iterations)
-    return out

@@ -21,12 +21,11 @@ visibility with a stationary neighbour, mirroring the planar analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from ..geometry.tolerances import EPS
-from .halfspace import fits_in_open_halfspace_array, fits_in_open_halfspace_segments
+from .halfspace import fits_in_open_halfspace_array
 from .model3 import Snapshot3
 from .vector3 import Vector3
 
@@ -115,90 +114,6 @@ class KKNPS3Algorithm:
         if step <= EPS:
             return zero
         return direction * step
-
-    def compute_array_rounds(
-        self,
-        flat: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        out: np.ndarray = None,
-    ) -> np.ndarray:
-        """Whole-round batch form of :meth:`compute_array`.
-
-        ``flat`` stacks many activations' relative neighbour rows end to
-        end; activation ``a`` owns ``flat[starts[a]:ends[a]]``.  The norms
-        run once over the flat axis and every half-space decision runs
-        through one :func:`fits_in_open_halfspace_segments` call over the
-        concatenated distant directions, so row ``a`` of the result is
-        bit-identical to ``compute_array(flat[starts[a]:ends[a]])`` —
-        each per-activation direction batch is the same fresh contiguous
-        array the per-call form builds (keeping ``sum``'s pairwise
-        reduction order intact).
-        """
-        pts_all = np.asarray(flat, dtype=float).reshape(-1, 3)
-        acts = len(starts)
-        if out is None:
-            out = np.zeros((acts, 3), dtype=float)
-        if not acts:
-            return out
-        x, y, z = pts_all[:, 0], pts_all[:, 1], pts_all[:, 2]
-        norms_all = np.sqrt(x * x + y * y + z * z)
-
-        # Pass 1: gather each activation's distant unit directions exactly
-        # as compute_array does, deferring only the half-space decision.
-        chunks = []
-        seg_starts = []
-        seg_ends = []
-        pending = []  # (activation, directions, v_y)
-        pos = 0
-        for a in range(acts):
-            s = int(starts[a])
-            e = int(ends[a])
-            if e <= s:
-                continue
-            norms = norms_all[s:e]
-            v_y = float(norms.max())
-            if v_y <= EPS:
-                continue
-            distant = np.flatnonzero(norms > self.close_fraction * v_y + EPS)
-            if distant.size == 0:
-                distant = np.array([int(norms.argmax())])
-            lengths = norms[distant]
-            nonzero = lengths > EPS
-            if not nonzero.any():
-                continue
-            directions = pts_all[s:e][distant[nonzero]] / lengths[nonzero, None]
-            chunks.append(directions)
-            seg_starts.append(pos)
-            pos += len(directions)
-            seg_ends.append(pos)
-            pending.append((a, directions, v_y))
-
-        if not pending:
-            return out
-        verdicts = fits_in_open_halfspace_segments(
-            np.concatenate(chunks), np.array(seg_starts), np.array(seg_ends)
-        )
-
-        # Pass 2: finish the accepted activations with compute_array's tail.
-        for (a, directions, v_y), fits in zip(pending, verdicts):
-            if not fits:
-                continue
-            mean = directions.sum(axis=0)
-            mean_norm = float(
-                np.sqrt(mean[0] * mean[0] + mean[1] * mean[1] + mean[2] * mean[2])
-            )
-            if mean_norm <= EPS:
-                continue
-            direction = mean / mean_norm
-            radius = self.safe_radius(v_y)
-            step = min(
-                radius, max(0.0, 2.0 * radius * float((directions @ direction).min()))
-            )
-            if step <= EPS:
-                continue
-            out[a] = direction * step
-        return out
 
     def destination_respects_safe_balls(self, snapshot: Snapshot3, *, eps: float = 1e-9) -> bool:
         """Verification helper: the destination lies in every distant safe ball."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .factories import run_dimension
 from .spec import RunSpec
@@ -154,12 +154,7 @@ def _one_shot_factory(spec: RunSpec, initial):
     return factory
 
 
-def execute_bundle(
-    bundle: ReplicateBundle,
-    *,
-    fanout_workers: Optional[int] = None,
-    fanout_min_robots: Optional[int] = None,
-) -> List[Dict[str, object]]:
+def execute_bundle(bundle: ReplicateBundle) -> List[Dict[str, object]]:
     """Execute every member of a bundle batched; return per-member rows.
 
     Row ``i`` is the row ``execute_run(bundle.members[i])`` would produce,
@@ -174,11 +169,7 @@ def execute_bundle(
         initial = planar_setup(spec)
         configurations.append(initial[0])
         factories.append(_one_shot_factory(spec, initial))
-    results = run_replicated_simulations(
-        factories,
-        fanout_workers=fanout_workers,
-        fanout_min_robots=fanout_min_robots,
-    )
+    results = run_replicated_simulations(factories)
     rows = [
         planar_row(spec, configuration, result, result.wall_time_seconds)
         for spec, configuration, result in zip(

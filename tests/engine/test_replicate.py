@@ -14,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import KKNPSAlgorithm
+from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
+from repro.algorithms.kknps import kknps_destination_segment, kknps_destinations_all
 from repro.engine import SimulationConfig, Simulator
-from repro.engine.fanout import kknps_destination_segment, kknps_destinations_all
-from repro.engine.replicate import run_replicated_simulations
+from repro.engine.replicate import _group_key, _prepare_lane, run_replicated_simulations
+from repro.geometry.transforms import SymmetricDistortion
 from repro.model.errors import MotionModel, PerceptionModel
 from repro.schedulers import FSyncScheduler, KAsyncScheduler, SSyncScheduler
 from repro.workloads import random_connected_configuration
@@ -62,10 +63,9 @@ def _assert_identical(serial, batched):
     assert batched.final_time == serial.final_time
 
 
-def _run_both(factories, **replicate_kw):
+def _run_both(factories):
     serial = [Simulator(*factory()).run() for factory in factories]
-    replicate_kw.setdefault("fanout_workers", 0)
-    batched = run_replicated_simulations(factories, **replicate_kw)
+    batched = run_replicated_simulations(factories)
     assert len(batched) == len(serial)
     for a, b in zip(serial, batched):
         _assert_identical(a, b)
@@ -156,41 +156,101 @@ class TestBundleShapes:
         ]
         _run_both(factories)
 
-    def test_forced_fanout_pool_is_exact(self):
-        """The shared-memory fan-out merges worker slices bit-identically."""
-        factories = [
-            _factory(10, seed, max_activations=60, stop_at_convergence=False)
-            for seed in range(3)
-        ]
-        _run_both(factories, fanout_workers=2, fanout_min_robots=0)
+
+
+class TestGroupKey:
+    """Lanes group by every value the flat round decide reads, and only those."""
+
+    @staticmethod
+    def _sim(n=10, seed=0, algorithm=None, **config_kw):
+        configuration = random_connected_configuration(n, seed=seed)
+        config_kw.setdefault("visibility_range", configuration.visibility_range)
+        config = SimulationConfig(seed=seed, **config_kw)
+        return Simulator(
+            configuration.positions,
+            algorithm if algorithm is not None else KKNPSAlgorithm(),
+            SSyncScheduler(),
+            config,
+        )
+
+    def test_seed_replicates_share_a_key(self):
+        assert _group_key(self._sim(seed=0)) == _group_key(self._sim(seed=1))
+
+    def test_equal_models_built_apart_share_a_key(self):
+        """Frozen dataclasses compare field by field, not by identity."""
+
+        def perception():
+            return PerceptionModel(
+                distance_error=0.05,
+                bias="over",
+                distortion=SymmetricDistortion(amplitude=0.1, frequency=2),
+            )
+
+        first = self._sim(seed=0, perception=perception(), motion=MotionModel(xi=0.5))
+        second = self._sim(seed=1, perception=perception(), motion=MotionModel(xi=0.5))
+        assert first.config.perception is not second.config.perception
+        assert _group_key(first) == _group_key(second)
+
+    @pytest.mark.parametrize("variant", [
+        pytest.param({"n": 11}, id="n"),
+        pytest.param({"visibility_range": 1.25}, id="visibility-range"),
+        pytest.param({"perception": PerceptionModel(distance_error=0.05, bias="under")},
+                     id="perception"),
+        pytest.param({"use_random_frames": False}, id="frames"),
+        pytest.param({"allow_reflection": False}, id="reflection"),
+        pytest.param({"motion": MotionModel(xi=0.5)}, id="xi"),
+        pytest.param({"algorithm": KKNPSAlgorithm(k=2)}, id="kknps-constants"),
+    ])
+    def test_each_read_value_splits_the_group(self, variant):
+        base = {"visibility_range": 1.0, "use_random_frames": True,
+                "allow_reflection": True}
+        assert _group_key(self._sim(seed=1, **{**base, **variant})) != _group_key(
+            self._sim(seed=0, **base)
+        )
+
+    def test_eligible_lane_joins_its_group(self):
+        sim = self._sim(seed=3)
+        assert _prepare_lane(0, sim).group == _group_key(sim)
+
+    @pytest.mark.parametrize("variant", [
+        pytest.param({"algorithm": AndoAlgorithm()}, id="ando"),
+        pytest.param({"perception": PerceptionModel(distance_error=0.05)},
+                     id="random-distance-error"),
+        pytest.param({"motion": MotionModel(deviation="linear", coefficient=0.05)},
+                     id="deviating-motion"),
+        pytest.param({"record_trajectories": True}, id="trajectory-recorder"),
+        pytest.param({"multiplicity_detection": True}, id="multiplicity-detection"),
+    ])
+    def test_ineligible_lane_has_no_group(self, variant):
+        """Lanes the flat decide cannot reproduce take the per-lane round path."""
+        assert _prepare_lane(0, self._sim(seed=3, **variant)).group is None
+
+
+#: Decide constants without and with a distance-error tolerance.
+CONSTS = [(0.5, 0.0, 1.0, 8.0, 1.0), (0.5, 0.05, 1.0, 8.0, 1.0)]
 
 
 class TestDestinationsAllEquivalence:
-    """The vectorized decide pre-pass equals the scalar core bitwise."""
+    """The vectorized decide core equals the scalar core bitwise."""
 
-    def _random_case(self, rng, acts, lanes):
+    def _random_case(self, rng, acts):
         counts = rng.integers(0, 7, size=acts)
         rows = int(counts.sum())
         px = rng.uniform(-1.0, 1.0, size=rows)
         py = rng.uniform(-1.0, 1.0, size=rows)
         ends = np.cumsum(counts).astype(np.int64)
         starts = ends - counts
-        lane_of = rng.integers(0, lanes, size=acts).astype(np.int64)
-        lane_consts = []
-        for lane in range(lanes):
-            tol = 0.05 if lane % 2 else 0.0
-            lane_consts.append((0.5, tol, 1.0, 8.0, 1.0))
-        return px, py, starts, ends, lane_of, lane_consts
+        return px, py, starts, ends
 
     @pytest.mark.parametrize("trial", range(5))
     def test_random_rows(self, trial):
         rng = np.random.default_rng(100 + trial)
-        px, py, starts, ends, lane_of, lane_consts = self._random_case(rng, 64, 3)
-        scalar = np.zeros((64, 2), dtype=np.float64)
-        vector = np.zeros((64, 2), dtype=np.float64)
-        kknps_destination_segment(px, py, starts, ends, lane_of, lane_consts, 0, 64, scalar)
-        kknps_destinations_all(px, py, starts, ends, lane_of, lane_consts, vector)
-        assert scalar.tobytes() == vector.tobytes()
+        px, py, starts, ends = self._random_case(rng, 64)
+        for consts in CONSTS:
+            scalar = np.zeros((64, 2), dtype=np.float64)
+            kknps_destination_segment(px, py, starts, ends, consts, 0, 64, scalar)
+            vector = kknps_destinations_all(px, py, starts, ends, consts)
+            assert scalar.tobytes() == vector.tobytes()
 
     def test_edge_rows(self):
         """Empty activations, collapsed norms, surrounded robots, clusters."""
@@ -219,12 +279,9 @@ class TestDestinationsAllEquivalence:
         py = np.asarray(py_rows, dtype=np.float64)
         ends = np.cumsum(counts)
         starts = ends - counts
-        lane_of = np.zeros(acts, dtype=np.int64)
-        lane_consts = [(0.5, 0.0, 1.0, 8.0, 1.0)]
         scalar = np.zeros((acts, 2), dtype=np.float64)
-        vector = np.zeros((acts, 2), dtype=np.float64)
-        kknps_destination_segment(px, py, starts, ends, lane_of, lane_consts, 0, acts, scalar)
-        kknps_destinations_all(px, py, starts, ends, lane_of, lane_consts, vector)
+        kknps_destination_segment(px, py, starts, ends, CONSTS[0], 0, acts, scalar)
+        vector = kknps_destinations_all(px, py, starts, ends, CONSTS[0])
         assert scalar.tobytes() == vector.tobytes()
         # The surrounded and collapsed activations stay put, the others move.
         assert scalar[1].tolist() == [0.0, 0.0]

@@ -117,18 +117,6 @@ class TestFloatCorePins:
             cx, cy = sec_center_array(arr)
             assert (cx, cy) == (reference.x, reference.y)
 
-    def test_sec_centers_batch_matches_per_call(self):
-        from repro.geometry.sec import sec_center_array, sec_centers
-
-        rng = np.random.default_rng(3)
-        batches = [
-            rng.uniform(-1.0, 1.0, size=(int(m), 2))
-            for m in rng.integers(1, 20, size=12)
-        ]
-        out = sec_centers(batches)
-        for row, batch in enumerate(batches):
-            assert tuple(out[row]) == sec_center_array(batch)
-
     def test_cache_returns_identical_floats(self):
         from repro.geometry.sec import sec_center_array
 

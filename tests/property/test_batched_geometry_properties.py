@@ -4,10 +4,10 @@ Two families of properties:
 
 * the batched locators answer exactly what the scalar predicates answer,
   on arbitrary disk families and query clouds; and
-* the destinations the (batched) motion rules plan stay inside every
-  distant safe region — the paper's per-activation safety invariant —
-  in the plane and in 3-space, with the 3D whole-round batch checked
-  row-by-row against its per-activation core.
+* the destinations the motion rules plan stay inside every distant safe
+  region — the paper's per-activation safety invariant — in the plane
+  and in 3-space, where every activation of a drawn round goes through
+  the 3D ``compute_array`` core.
 """
 
 import math
@@ -111,20 +111,11 @@ class TestBatchedDestinations2D:
 class TestBatchedDestinations3D:
     @given(rounds_3d, k_values)
     @settings(max_examples=60, deadline=None)
-    def test_round_batch_matches_per_activation_and_safe_balls(self, rows, k):
+    def test_round_destinations_lie_in_all_distant_safe_balls(self, rows, k):
         algorithm = KKNPS3Algorithm(k=k)
-        flat = np.array(
-            [p for segment in rows for p in segment], dtype=float
-        ).reshape(-1, 3)
-        counts = [len(segment) for segment in rows]
-        ends = np.cumsum(counts)
-        starts = ends - np.array(counts)
-        batched = algorithm.compute_array_rounds(flat, starts, ends)
-
-        for a, segment in enumerate(rows):
+        for segment in rows:
             relative = np.array(segment, dtype=float).reshape(-1, 3)
-            reference = algorithm.compute_array(relative)
-            assert (batched[a] == reference).all()
+            destination = algorithm.compute_array(relative)
 
             # The paper's invariant: the move stays in every distant safe ball.
             if len(relative) == 0:
@@ -144,5 +135,5 @@ class TestBatchedDestinations3D:
                 if length <= EPS:
                     continue
                 center = relative[index] / length * radius
-                gap = batched[a] - center
+                gap = destination - center
                 assert float(np.sqrt((gap * gap).sum())) <= radius + 1e-9

@@ -82,39 +82,16 @@ class TestAgainstLinprogOracle:
         assert not fits_in_open_halfspace_array(directions)
 
 
-class TestSegments:
-    """The batched per-segment decider equals the per-call decider exactly."""
+class TestNearZeroRows:
+    """Near-zero rows are dropped before normalising, wherever they sit."""
 
-    @pytest.mark.parametrize("seed", range(15))
-    def test_segment_verdicts_match_per_call(self, seed):
-        from repro.spatial3d.halfspace import fits_in_open_halfspace_segments
-
+    @pytest.mark.parametrize("seed", range(10))
+    def test_inserted_near_zero_rows_never_change_the_verdict(self, seed):
         rng = np.random.default_rng(300 + seed)
-        segments = []
-        for _ in range(int(rng.integers(1, 7))):
-            m = int(rng.integers(0, 8))
-            rows = rng.normal(size=(m, 3))
-            # Mix in a few degenerate (near-zero) rows the decider must skip.
-            if m and rng.random() < 0.3:
-                rows[int(rng.integers(0, m))] *= 1e-15
-            segments.append(rows)
-        flat = (
-            np.concatenate(segments)
-            if any(len(s) for s in segments)
-            else np.empty((0, 3))
-        )
-        counts = np.array([len(s) for s in segments])
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        verdicts = fits_in_open_halfspace_segments(flat, starts, ends)
-        for a, rows in enumerate(segments):
-            assert verdicts[a] == fits_in_open_halfspace_array(rows)
-
-    def test_empty_flat_input(self):
-        from repro.spatial3d.halfspace import fits_in_open_halfspace_segments
-
-        verdicts = fits_in_open_halfspace_segments(
-            np.empty((0, 3)), np.array([0, 0]), np.array([0, 0])
-        )
-        assert verdicts.shape == (2,)
-        assert not verdicts.any()
+        rows = rng.normal(size=(int(rng.integers(1, 8)), 3))
+        padded = rows
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(0, len(padded) + 1))
+            tiny = rng.normal(size=3) * 1e-15
+            padded = np.insert(padded, at, tiny, axis=0)
+        assert fits_in_open_halfspace_array(padded) == fits_in_open_halfspace_array(rows)

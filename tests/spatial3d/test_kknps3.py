@@ -33,6 +33,12 @@ class TestKKNPS3Rule:
     def test_no_neighbours_stays(self):
         assert KKNPS3Algorithm().compute(snap()) == Vector3.zero()
 
+    def test_array_core_stays_on_empty_or_degenerate_rows(self):
+        algorithm = KKNPS3Algorithm(k=2)
+        assert (algorithm.compute_array(np.empty((0, 3))) == 0.0).all()
+        degenerate = np.array([[1e-15, 0.0, 0.0], [0.0, -1e-15, 1e-16]])
+        assert (algorithm.compute_array(degenerate) == 0.0).all()
+
     def test_single_neighbour_moves_toward_it(self):
         destination = KKNPS3Algorithm(k=1).compute(snap((0.8, 0, 0)))
         assert destination.x == pytest.approx(0.1)
@@ -164,47 +170,3 @@ class TestSimulator3:
         )
         history = result.diameter_history
         assert all(later <= earlier + 1e-9 for earlier, later in zip(history, history[1:]))
-
-
-class TestComputeArrayRounds:
-    """The whole-round batch core equals per-activation compute_array bitwise."""
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_rounds_bitwise_equal(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        algorithm = KKNPS3Algorithm(k=int(rng.integers(1, 4)))
-        segments = [
-            rng.normal(size=(int(rng.integers(0, 7)), 3)) * 0.6
-            for _ in range(int(rng.integers(1, 8)))
-        ]
-        flat = (
-            np.concatenate(segments)
-            if any(len(s) for s in segments)
-            else np.empty((0, 3))
-        )
-        counts = np.array([len(s) for s in segments])
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        batched = algorithm.compute_array_rounds(flat, starts, ends)
-        assert batched.shape == (len(segments), 3)
-        for a, rows in enumerate(segments):
-            assert (batched[a] == algorithm.compute_array(rows)).all()
-
-    def test_out_buffer_is_reused(self):
-        algorithm = KKNPS3Algorithm(k=1)
-        flat = np.array([[0.9, 0.0, 0.0], [0.0, 0.8, 0.0]])
-        out = np.zeros((2, 3))
-        returned = algorithm.compute_array_rounds(
-            flat, np.array([0, 1]), np.array([1, 2]), out=out
-        )
-        assert returned is out
-        assert (out[0] == algorithm.compute_array(flat[:1])).all()
-        assert (out[1] == algorithm.compute_array(flat[1:])).all()
-
-    def test_empty_and_degenerate_segments_stay_put(self):
-        algorithm = KKNPS3Algorithm(k=2)
-        flat = np.array([[1e-15, 0.0, 0.0]])
-        batched = algorithm.compute_array_rounds(
-            flat, np.array([0, 1]), np.array([1, 1])
-        )
-        assert (batched == 0.0).all()

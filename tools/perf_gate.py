@@ -115,8 +115,7 @@ def measure_replicate_throughput() -> float:
     for _ in range(2):
         started = time.perf_counter()
         run_replicated_simulations(
-            [factory_for(seed) for seed in range(REPLICATE_SEEDS)],
-            fanout_workers=0,
+            [factory_for(seed) for seed in range(REPLICATE_SEEDS)]
         )
         elapsed = time.perf_counter() - started
         if elapsed > 0:
