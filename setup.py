@@ -1,4 +1,4 @@
-"""Legacy setup shim so editable installs work offline without the wheel package."""
+"""Setup shim for tools that still call ``setup.py``; the metadata lives in pyproject.toml."""
 from setuptools import setup
 
 setup()

@@ -226,12 +226,17 @@ class MetricsCollector:
         np.add(dx, dy, out=dx)
         return dx
 
-    def _broken_edge_count(self, arr: np.ndarray) -> int:
-        """How many initial visibility edges currently exceed the range."""
+    def initial_edge_lengths(self, arr: np.ndarray) -> np.ndarray:
+        """Lengths of the initial visibility edges at the ``(n, 2)`` rows ``arr``.
+
+        O(|E|): reads the endpoint index arrays :meth:`bind_initial` caches
+        at every swarm size, with the dense matrix's per-pair arithmetic.
+        Empty when there are no initial edges.
+        """
         i = getattr(self, "_edge_i", None)
         if i is None:
             if not self.initial_edges:
-                return 0
+                return np.empty(0)
             # initial_edges was assigned directly (without bind_initial).
             self._build_edge_index()
             i = self._edge_i
@@ -240,7 +245,11 @@ class MetricsCollector:
         y = np.ascontiguousarray(arr[:, 1])
         dx = x[i] - x[j]
         dy = y[i] - y[j]
-        lengths = np.sqrt(dx * dx + dy * dy)
+        return np.sqrt(dx * dx + dy * dy)
+
+    def _broken_edge_count(self, arr: np.ndarray) -> int:
+        """How many initial visibility edges currently exceed the range."""
+        lengths = self.initial_edge_lengths(arr)
         return int(np.count_nonzero(lengths > self.visibility_range + EPS))
 
     # -- history queries ------------------------------------------------------

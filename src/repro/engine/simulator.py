@@ -42,7 +42,7 @@ from ..model.types import Activation, RoundBatch
 from ..algorithms.base import ConvergenceAlgorithm
 from ..algorithms.kknps import KKNPSAlgorithm
 from ..schedulers.base import Scheduler
-from .convergence import ConvergenceSummary, summarize
+from .convergence import ConvergenceSummary, epochs_to_converge, summarize
 from .decide_batch import collapse_hazard_lanes, decide_round_flat
 from .kernel import ContinuousKernel, Decision
 from .logs import RecordLog
@@ -110,6 +110,13 @@ class SimulationResult:
     The initial and final positions are kept as the engine's ``(n, 2)``
     rows; the Point-based :class:`Configuration` views are built on first
     access.
+
+    The reported measures read what the run already measured: the t=0
+    sample of the initial positions (``metrics.samples[0]``), the sample
+    of the settled final positions (``metrics.latest()``) and the
+    collector's initial-edge index arrays.  They equal the
+    :class:`Configuration` measures bit for bit without building a Point
+    or an ``(n, n)`` matrix.
     """
 
     initial_positions: np.ndarray
@@ -143,13 +150,30 @@ class SimulationResult:
 
     @property
     def final_hull_diameter(self) -> float:
-        """Hull diameter of the final configuration."""
-        return self.final_configuration.hull_diameter()
+        """Hull diameter of the final configuration (the final sample's)."""
+        return self.metrics.latest().hull_diameter
 
     @property
     def initial_hull_diameter(self) -> float:
-        """Hull diameter of the initial configuration."""
-        return self.initial_configuration.hull_diameter()
+        """Hull diameter of the initial configuration (the t=0 sample's)."""
+        return self.metrics.samples[0].hull_diameter
+
+    @property
+    def final_min_pairwise_distance(self) -> float:
+        """Smallest separation in the final configuration (the final sample's)."""
+        return self.metrics.latest().min_pairwise_distance
+
+    @property
+    def max_edge_stretch(self) -> float:
+        """Longest initial visibility edge at the final positions (0 with no edges)."""
+        lengths = self.metrics.initial_edge_lengths(self.final_positions)
+        return float(lengths.max()) if len(lengths) else 0.0
+
+    def epochs_to_converge(self, epsilon: float) -> Optional[int]:
+        """Epochs completed before the hull diameter dropped to ``epsilon``."""
+        return epochs_to_converge(
+            self.activation_end_times, self.metrics.samples.heads(), epsilon
+        )
 
 
 class Simulator(ContinuousKernel):

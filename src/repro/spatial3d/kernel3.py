@@ -95,7 +95,7 @@ def _diameter3_large(arr: np.ndarray) -> float:
             vertices = arr[_SpatialHull(arr).vertices]
         except QhullError:
             vertices = None
-    except ImportError:  # pragma: no cover - scipy is available in CI
+    except ImportError:  # pragma: no cover - scipy is a declared dependency
         vertices = None
     if vertices is not None:
         return max_pairwise_distance3_array(vertices)

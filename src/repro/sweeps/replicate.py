@@ -163,18 +163,13 @@ def execute_bundle(bundle: ReplicateBundle) -> List[Dict[str, object]]:
     from ..engine.replicate import run_replicated_simulations
     from .runner import planar_row, planar_setup
 
-    configurations = []
-    factories = []
-    for spec in bundle.members:
-        initial = planar_setup(spec)
-        configurations.append(initial[0])
-        factories.append(_one_shot_factory(spec, initial))
+    factories = [
+        _one_shot_factory(spec, planar_setup(spec)) for spec in bundle.members
+    ]
     results = run_replicated_simulations(factories)
     rows = [
-        planar_row(spec, configuration, result, result.wall_time_seconds)
-        for spec, configuration, result in zip(
-            bundle.members, configurations, results
-        )
+        planar_row(spec, result, result.wall_time_seconds)
+        for spec, result in zip(bundle.members, results)
     ]
     # Provenance marker (a TIMING_FIELDS member, so row comparisons still
     # match serial rows): lanes run interleaved, so each row's wall time

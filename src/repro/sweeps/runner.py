@@ -49,7 +49,6 @@ from ..analysis.streaming import StreamingAggregator
 from ..analysis.tables import TextTable
 from ..engine.convergence import epochs_to_converge
 from ..engine.simulator import SimulationConfig, run_simulation
-from ..model.visibility import max_edge_stretch
 from .backends import (
     BackendStats,
     ExecutionBackend,
@@ -107,43 +106,40 @@ def planar_setup(spec: RunSpec):
     return configuration, algorithm, scheduler, config
 
 
-def planar_row(spec: RunSpec, configuration, result, wall_time_s: float) -> Dict[str, object]:
+def planar_row(spec: RunSpec, result, wall_time_s: float) -> Dict[str, object]:
     """Assemble the flat result row for one completed planar run.
 
     Shared verbatim between :func:`execute_run` and the bundle executor so
     a replicate-batched row matches the serial row field-for-field (only
-    :data:`TIMING_FIELDS` may differ).
+    :data:`TIMING_FIELDS` may differ).  Every measured field is read from
+    the :class:`~repro.engine.simulator.SimulationResult` — its t=0 and
+    final metrics samples and its initial-edge index arrays — so building
+    a row costs O(|E|) for the initial visibility edges E, not O(n^2).
     """
-    epochs = epochs_to_converge(
-        result.activation_end_times, result.metrics.samples, spec.epsilon
-    )
-    stretch = max_edge_stretch(
-        result.initial_configuration.edges(), list(result.final_configuration.positions)
-    )
     return {
         "run_key": spec.run_key,
         "dimension": 2,
         "algorithm": spec.algorithm,
         "scheduler": spec.scheduler,
         "workload": spec.workload,
-        "n_robots": len(configuration),
+        "n_robots": len(result.initial_positions),
         "seed": spec.seed,
         "error_model": spec.error_model,
         "scheduler_k": spec.scheduler_k,
         "k_bound": spec.k_bound,
         "epsilon": spec.epsilon,
         "max_activations": spec.max_activations,
-        "visibility_range": configuration.visibility_range,
+        "visibility_range": result.visibility_range,
         "converged": result.converged,
         "convergence_time": result.convergence_time,
         "cohesion": result.cohesion_maintained,
         "activations": result.activations_processed,
-        "epochs": epochs,
+        "epochs": result.epochs_to_converge(spec.epsilon),
         "samples": len(result.metrics.samples),
         "initial_diameter": result.initial_hull_diameter,
         "final_diameter": result.final_hull_diameter,
-        "final_min_pairwise": result.final_configuration.min_pairwise_distance(),
-        "max_edge_stretch": stretch,
+        "final_min_pairwise": result.final_min_pairwise_distance,
+        "max_edge_stretch": result.max_edge_stretch,
         "simulated_time": result.final_time,
         "wall_time_s": wall_time_s,
     }
@@ -163,7 +159,7 @@ def execute_run(spec: RunSpec) -> Dict[str, object]:
     started = time.perf_counter()
     configuration, algorithm, scheduler, config = planar_setup(spec)
     result = run_simulation(configuration.positions, algorithm, scheduler, config)
-    return planar_row(spec, configuration, result, time.perf_counter() - started)
+    return planar_row(spec, result, time.perf_counter() - started)
 
 
 def _execute_run3(spec: RunSpec) -> Dict[str, object]:
