@@ -21,7 +21,7 @@ from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
 from ..model.visibility import Edge, visibility_edges
 from .logs import SampleLog
-from .spatial_index import ShardedGridIndex
+from .spatial_index import ShardedGridIndex, covering_cell
 
 #: Above this many robots the collector switches from the dense
 #: ``(n, n)`` squared-distance matrix to grid-local pair enumeration (the
@@ -29,28 +29,37 @@ from .spatial_index import ShardedGridIndex
 #: reports are bit-identical either way.
 METRICS_DENSE_MAX = 2048
 
+#: A collector's next sparse min-separation search starts at this multiple
+#: of its last observed minimum (see :class:`SeparationHint`): a little
+#: room for the minimum to grow between observes before a doubling.
+SEPARATION_HINT_MARGIN = 1.25
 
-def min_pairwise_distance_grid(arr: np.ndarray, initial_cell: float) -> float:
+
+def min_pairwise_distance_grid(arr: np.ndarray, radius: float) -> float:
     """Minimum pairwise distance via grid-local pairs, exact at any scale.
 
-    :meth:`ShardedGridIndex.neighbour_pairs` covers every pair at
-    distance at most the cell size, so a found minimum no larger than the
-    cell size is the true global minimum (any uncovered pair is farther
-    than the cell size); otherwise the cell size doubles and the search
-    reruns.  The per-pair arithmetic (``dx*dx + dy*dy``, one square root
-    after the reduction) matches the dense matrix path, so the returned
-    float is bit-identical to ``sqrt(squared_distance_matrix(arr).min())``.
+    The search grid's :meth:`ShardedGridIndex.neighbour_pairs` covers
+    every pair at distance at most ``radius`` (its cell is
+    :func:`covering_cell` of the radius), so a found minimum no larger
+    than the radius is the true global minimum (any pair left out is
+    farther); otherwise the radius doubles and the search reruns.  Any
+    positive start is exact: a start near the true minimum (see
+    :class:`SeparationHint`) keeps the pair count linear, a start far
+    above it costs pairs, one far below it costs doublings.  The start is
+    floored at 1e-6 of the largest per-axis extent, which also bounds
+    the grid's integer cell keys.  The per-pair arithmetic (``dx*dx +
+    dy*dy``, one square root after the reduction) matches the dense
+    matrix path, so the returned float is bit-identical to
+    ``sqrt(squared_distance_matrix(arr).min())``.
     """
     if len(arr) < 2:
         return 0.0
     # Components squared and summed left to right, exactly like the dense
     # matrix builders in any dimension.
     columns = [np.ascontiguousarray(arr[:, axis]) for axis in range(arr.shape[1])]
-    cell = initial_cell
-    if not math.isfinite(cell) or cell <= 0.0:
-        cell = 1.0
+    radius = search_radius_floor(arr, radius)
     while True:
-        shard = ShardedGridIndex(arr, cell)
+        shard = ShardedGridIndex(arr, covering_cell(arr, radius))
         i, j = shard.neighbour_pairs()
         if len(i):
             squared = None
@@ -59,9 +68,52 @@ def min_pairwise_distance_grid(arr: np.ndarray, initial_cell: float) -> float:
                 term = delta * delta
                 squared = term if squared is None else squared + term
             best = float(math.sqrt(squared.min()))
-            if best <= cell:
+            if best <= radius:
                 return best
-        cell *= 2.0
+        radius *= 2.0
+
+
+def search_radius_floor(arr: np.ndarray, radius: float) -> float:
+    """``radius`` as a min-separation search start: positive, finite, not tiny.
+
+    A non-positive or infinite radius (no hint, unlimited visibility)
+    starts at 1.  The floor of 1e-6 times the largest per-axis extent of
+    ``arr`` keeps a search grid within ``10^6 + 2`` cells per axis, so
+    its integer cell keys stay far from overflow even in 3-space, however
+    small a past minimum was.
+    """
+    if not math.isfinite(radius) or radius <= 0.0:
+        radius = 1.0
+    extent = float((arr.max(axis=0) - arr.min(axis=0)).max())
+    return max(radius, 1e-6 * extent)
+
+
+class SeparationHint:
+    """Where a collector's next sparse min-separation search starts.
+
+    A search grid with visibility-sized cells degenerates as the swarm
+    contracts: every cell fills and the pair count grows as the inverse
+    square of the swarm's scale (at 10^4 robots, a ``MemoryError`` right
+    when a run converges).  The minimum separation moves little between
+    observes, so each observe — dense or sparse — records
+    ``SEPARATION_HINT_MARGIN`` times its minimum, and the next sparse
+    search starts there; the first starts at the visibility range.  The
+    search is exact from any start (:func:`min_pairwise_distance_grid`),
+    so the hint only trades pair count against the odds of a doubling.
+    """
+
+    _separation_hint: Optional[float] = None
+
+    def separation_radius(self) -> float:
+        """The radius the next sparse min-separation search starts from."""
+        hint = self._separation_hint
+        return self.visibility_range if hint is None else hint
+
+    def note_separation(self, min_pairwise: float) -> None:
+        """Record an observed minimum separation as the next search's start."""
+        self._separation_hint = (
+            SEPARATION_HINT_MARGIN * min_pairwise if min_pairwise > 0.0 else None
+        )
 
 
 @dataclass(frozen=True)
@@ -83,7 +135,7 @@ class MetricsSample:
 
 
 @dataclass
-class MetricsCollector:
+class MetricsCollector(SeparationHint):
     """Builds :class:`MetricsSample` objects against a fixed initial edge set."""
 
     visibility_range: float
@@ -110,23 +162,24 @@ class MetricsCollector:
         The edge set is also cached as a ``(|E|, 2)`` index array so every
         subsequent observation checks cohesion with one fancy-indexed
         gather instead of rebuilding an edge list.  Past
-        ``METRICS_DENSE_MAX`` robots the edges are enumerated grid-locally
-        (same ``<= V + EPS`` predicate on the same per-pair floats) and
-        only the index arrays are materialised: ``initial_edges`` stays
+        ``METRICS_DENSE_MAX`` robots the edges are enumerated from the
+        neighbour pairs of a grid whose cell covers ``V + EPS`` (same
+        ``<= V + EPS`` predicate on the same per-pair floats) and only
+        the index arrays are materialised: ``initial_edges`` stays
         empty at that scale, as an ``initial_edges`` set with tens of
         millions of tuples would dwarf the simulation state itself.
         """
         arr = points_to_array(positions)
         if len(arr) > METRICS_DENSE_MAX:
-            effective = self.visibility_range
-            if math.isfinite(effective) and effective > 0.0:
-                shard = ShardedGridIndex(arr, effective + 2.0 * EPS)
+            reach = self.visibility_range + EPS
+            if math.isfinite(reach) and self.visibility_range > 0.0:
+                shard = ShardedGridIndex(arr, covering_cell(arr, reach))
                 i, j = shard.neighbour_pairs()
                 x = np.ascontiguousarray(arr[:, 0])
                 y = np.ascontiguousarray(arr[:, 1])
                 dx = x[i] - x[j]
                 dy = y[i] - y[j]
-                keep = np.sqrt(dx * dx + dy * dy) <= effective + EPS
+                keep = np.sqrt(dx * dx + dy * dy) <= reach
                 i, j = i[keep], j[keep]
                 order = np.lexsort((j, i))
                 self.initial_edges = set()
@@ -170,14 +223,15 @@ class MetricsCollector:
         if n > METRICS_DENSE_MAX:
             # The diameter of a point set is attained between two hull
             # vertices, so the quadratic scan only needs the (tiny) hull;
-            # the minimum separation comes from grid-local pairs.  Both
-            # reductions apply the dense path's per-pair arithmetic to the
-            # extreme pair, so the reported floats are bit-identical.
+            # the minimum separation comes from grid-local pairs, searched
+            # from the separation hint.  Both reductions apply the dense
+            # path's per-pair arithmetic to the extreme pair, so the
+            # reported floats are bit-identical.
             hull_arr = points_to_array(hull.vertices)
             hx = hull_arr[:, 0, None] - hull_arr[None, :, 0]
             hy = hull_arr[:, 1, None] - hull_arr[None, :, 1]
             diameter = float(math.sqrt((hx * hx + hy * hy).max()))
-            min_pairwise = min_pairwise_distance_grid(arr, self.visibility_range)
+            min_pairwise = min_pairwise_distance_grid(arr, self.separation_radius())
             broken_count = self._broken_edge_count(arr)
         elif n >= 2:
             sq = self._squared_matrix(arr)
@@ -189,19 +243,30 @@ class MetricsCollector:
             diameter = 0.0
             min_pairwise = 0.0
             broken_count = 0
-        if broken_count:
-            self.cohesion_ever_violated = True
-        sample = MetricsSample(
-            time=time,
-            hull_diameter=diameter,
-            hull_perimeter=hull.perimeter(),
-            hull_radius=smallest_enclosing_circle(hull.vertices).radius if n else 0.0,
-            min_pairwise_distance=min_pairwise,
-            initial_edges_preserved=not broken_count,
-            broken_edge_count=broken_count,
-            activations_processed=activations_processed,
+        return self.record(
+            MetricsSample(
+                time=time,
+                hull_diameter=diameter,
+                hull_perimeter=hull.perimeter(),
+                hull_radius=smallest_enclosing_circle(hull.vertices).radius if n else 0.0,
+                min_pairwise_distance=min_pairwise,
+                initial_edges_preserved=not broken_count,
+                broken_edge_count=broken_count,
+                activations_processed=activations_processed,
+            )
         )
+
+    def record(self, sample: MetricsSample) -> MetricsSample:
+        """Append ``sample`` and let the cohesion flag and separation hint follow it.
+
+        :meth:`observe` ends here; the replicate engine calls it directly
+        for a sample whose geometry it computed or shared itself, so the
+        collector's state is exactly what observing would have left.
+        """
         self.samples.append(sample)
+        if sample.broken_edge_count:
+            self.cohesion_ever_violated = True
+        self.note_separation(sample.min_pairwise_distance)
         return sample
 
     def _squared_matrix(self, arr: np.ndarray) -> np.ndarray:

@@ -48,16 +48,14 @@ from ..model.types import RoundBatch
 from .decide_batch import collapse_hazard_lanes, decide_round_flat
 from .kernel import replay_round
 from .logs import RecordLog
-from .metrics import MetricsCollector, MetricsSample, min_pairwise_distance_grid
+from .metrics import (
+    MetricsCollector,
+    MetricsSample,
+    min_pairwise_distance_grid,
+    search_radius_floor,
+)
 from .simulator import SimulationConfig, SimulationResult, Simulator
-from .spatial_index import ShardedGridIndex
-
-#: Grid-cell hint for the next min-pairwise search, as a multiple of the
-#: last observed minimum.  The search is exact at any positive cell and
-#: doubles until it verifies, so this only trades pair count (quadratic in
-#: the cell) against the odds of a retry when the minimum grows between
-#: observes.
-_HINT_MARGIN = 1.25
+from .spatial_index import ShardedGridIndex, covering_cell
 
 #: One bundle member: a zero-argument factory producing the pristine
 #: ``(initial_positions, algorithm, scheduler, config)`` of that run.  A
@@ -84,7 +82,6 @@ class _Lane:
         "status",
         "group",
         "fast_observe",
-        "pair_hint",
         "started",
         "result",
     )
@@ -98,7 +95,6 @@ class _Lane:
         self.popped = 0
         self.converged_time: Optional[float] = None
         self.status = "active"
-        self.pair_hint: Optional[float] = None
         self.result: Optional[SimulationResult] = None
 
 
@@ -154,15 +150,7 @@ def _prepare_lane(
                 sample,
             )
     else:
-        sample = template[3]
-        lane.metrics.samples.append(sample)
-        if sample.broken_edge_count:
-            lane.metrics.cohesion_ever_violated = True
-    if sample.min_pairwise_distance > 0.0:
-        # Seed the observe cell hint from the initial sample so even the
-        # first fast observe scans a tight grid instead of a
-        # visibility-sized one.
-        lane.pair_hint = _HINT_MARGIN * sample.min_pairwise_distance
+        lane.metrics.record(template[3])
     effective = sim._effective_range()
     vector_ok = (
         sim._batch_decide_eligible()
@@ -198,19 +186,19 @@ def _group_key(sim: Simulator) -> tuple:
 
 
 def _min_pairwise_group(
-    arrs: List[np.ndarray], cells: List[float]
+    arrs: List[np.ndarray], radii: List[float]
 ) -> List[float]:
     """Exact per-lane minimum separations from one shared replicate grid.
 
-    Any positive cell yields the exact minimum (the grid covers every pair
-    at distance at most the cell, the true argmin pair is therefore always
-    emitted once the per-lane verification ``best <= cell`` passes, and
-    extra emitted pairs can only be farther), so all lanes can share one
-    ``from_replicates`` binning at the largest requested cell instead of
-    building one grid each.  Per-pair arithmetic matches
-    :func:`min_pairwise_distance_grid` term for term; lanes whose
-    verification fails at the shared cell fall back to the per-lane
-    doubling search, which returns the same exact value.
+    Any positive search radius yields the exact minimum (the grid covers
+    every pair at distance at most the radius, the true argmin pair is
+    therefore always emitted once the per-lane verification ``best <=
+    radius`` passes, and extra emitted pairs can only be farther), so all
+    lanes can share one ``from_replicates`` binning at the largest
+    requested radius instead of building one grid each.  Per-pair
+    arithmetic matches :func:`min_pairwise_distance_grid` term for term;
+    lanes whose verification fails at the shared radius fall back to the
+    per-lane doubling search, which returns the same exact value.
 
     Byte-identical position arrays (seed-independent workloads before the
     lanes' RNG streams diverge) are deduplicated first: the result is a
@@ -229,22 +217,14 @@ def _min_pairwise_group(
             rep_arrs.append(arr)
         member_of.append(rep)
     if len(rep_arrs) < len(arrs):
-        minima = _min_pairwise_group(rep_arrs, [max(cells)] * len(rep_arrs))
+        minima = _min_pairwise_group(rep_arrs, [max(radii)] * len(rep_arrs))
         return [minima[rep] for rep in member_of]
     lanes = len(arrs)
     n = len(arrs[0])
     tensor = np.stack(arrs)
-    cell = max(cells)
     flat = tensor.reshape(lanes * n, 2)
-    extent = float(np.max(flat.max(axis=0) - flat.min(axis=0)))
-    floor_cell = extent * 1e-6
-    if floor_cell > 0.0 and cell < floor_cell:
-        # Keep the grid's integer cell keys far from overflow even if a
-        # past round reported a pathologically small separation.
-        cell = floor_cell
-    if not math.isfinite(cell) or cell <= 0.0:
-        cell = 1.0
-    shard = ShardedGridIndex.from_replicates(tensor, cell)
+    radius = search_radius_floor(flat, max(radii))
+    shard = ShardedGridIndex.from_replicates(tensor, covering_cell(flat, radius))
     i, j = shard.neighbour_pairs()
     out: List[Optional[float]] = [None] * lanes
     if len(i):
@@ -263,11 +243,11 @@ def _min_pairwise_group(
         minima = np.minimum.reduceat(squared[order], starts)
         for lane_index, least in zip(lane_sorted[starts].tolist(), minima.tolist()):
             best = math.sqrt(least)
-            if best <= cell:
+            if best <= radius:
                 out[lane_index] = best
     for k in range(lanes):
         if out[k] is None:
-            out[k] = min_pairwise_distance_grid(arrs[k], cell * 2.0)
+            out[k] = min_pairwise_distance_grid(arrs[k], radius * 2.0)
     return out
 
 
@@ -285,12 +265,10 @@ def _observe_fast(
     the dense path) below the ``METRICS_DENSE_MAX`` switchover: the hull
     diameter is attained between hull vertices and uses the dense path's
     per-pair arithmetic on them, and the minimum separation comes from
-    :func:`min_pairwise_distance_grid` — exact at any positive initial
-    cell, so the previous round's minimum (doubled) serves as a hint that
-    keeps the grid-local pair count linear even in contracted swarms
-    (where a visibility-sized cell would degenerate to all ~n^2/2 pairs).
-    A caller that already holds the lane's exact minimum (the batched
-    per-round group pass) hands it in via ``min_pairwise``.
+    :func:`min_pairwise_distance_grid`, started at the collector's
+    separation hint.  A caller that already holds the lane's exact
+    minimum (the batched per-round group pass) hands it in via
+    ``min_pairwise``.
 
     Every geometric field of the sample is a pure function of the
     position bytes and the collector's initial edge arrays; when sibling
@@ -300,79 +278,42 @@ def _observe_fast(
     and ``activations_processed`` stay per-lane.
     """
     metrics = lane.metrics
-    n = len(arr)
-    if n < 2:
+    if len(arr) < 2:
         return metrics.observe(time, arr, processed)
     key = None
+    geometry = None
     if geometry_cache is not None:
         key = (arr.tobytes(), id(metrics._edge_i))
-        cached = geometry_cache.get(key)
-        if cached is not None:
-            diameter, perimeter, radius, cached_min, broken_count = cached
-            if min_pairwise is None:
-                min_pairwise = cached_min
-            lane.pair_hint = (
-                _HINT_MARGIN * min_pairwise if min_pairwise > 0.0 else None
-            )
-            if broken_count:
-                metrics.cohesion_ever_violated = True
-            sample = MetricsSample(
-                time=time,
-                hull_diameter=diameter,
-                hull_perimeter=perimeter,
-                hull_radius=radius,
-                min_pairwise_distance=min_pairwise,
-                initial_edges_preserved=not broken_count,
-                broken_edge_count=broken_count,
-                activations_processed=processed,
-            )
-            metrics.samples.append(sample)
-            return sample
-    hull = ConvexHull.of_array(arr)
-    hull_arr = points_to_array(hull.vertices)
-    hx = hull_arr[:, 0, None] - hull_arr[None, :, 0]
-    hy = hull_arr[:, 1, None] - hull_arr[None, :, 1]
-    diameter = float(math.sqrt((hx * hx + hy * hy).max()))
-    if min_pairwise is None:
-        cell = lane.pair_hint
-        if cell is None or not math.isfinite(cell) or cell <= 0.0:
-            cell = metrics.visibility_range
-        floor_cell = diameter * 1e-6
-        if floor_cell > 0.0 and cell < floor_cell:
-            # Keep the grid's integer cell keys far from overflow even if
-            # a past round reported a pathologically small separation.
-            cell = floor_cell
-        min_pairwise = min_pairwise_distance_grid(arr, cell)
-    lane.pair_hint = _HINT_MARGIN * min_pairwise if min_pairwise > 0.0 else None
-    broken_count = metrics._broken_edge_count(arr)
-    if broken_count:
-        metrics.cohesion_ever_violated = True
-    perimeter = hull.perimeter()
-    radius = smallest_enclosing_circle(hull.vertices).radius
-    if key is not None:
-        geometry_cache[key] = (
-            diameter, perimeter, radius, min_pairwise, broken_count
+        geometry = geometry_cache.get(key)
+    if geometry is None:
+        hull = ConvexHull.of_array(arr)
+        hull_arr = points_to_array(hull.vertices)
+        hx = hull_arr[:, 0, None] - hull_arr[None, :, 0]
+        hy = hull_arr[:, 1, None] - hull_arr[None, :, 1]
+        if min_pairwise is None:
+            min_pairwise = min_pairwise_distance_grid(arr, metrics.separation_radius())
+        geometry = (
+            float(math.sqrt((hx * hx + hy * hy).max())),
+            hull.perimeter(),
+            smallest_enclosing_circle(hull.vertices).radius,
+            min_pairwise,
+            metrics._broken_edge_count(arr),
         )
-    sample = MetricsSample(
-        time=time,
-        hull_diameter=diameter,
-        hull_perimeter=perimeter,
-        hull_radius=radius,
-        min_pairwise_distance=min_pairwise,
-        initial_edges_preserved=not broken_count,
-        broken_edge_count=broken_count,
-        activations_processed=processed,
+        if key is not None:
+            geometry_cache[key] = geometry
+    diameter, perimeter, radius, shared_min, broken_count = geometry
+    return metrics.record(
+        MetricsSample(
+            time=time,
+            hull_diameter=diameter,
+            hull_perimeter=perimeter,
+            hull_radius=radius,
+            min_pairwise_distance=shared_min if min_pairwise is None else min_pairwise,
+            initial_edges_preserved=not broken_count,
+            broken_edge_count=broken_count,
+            activations_processed=processed,
+        )
     )
-    metrics.samples.append(sample)
-    return sample
-
-
-def _observe_cell(lane: _Lane) -> float:
-    """The grid cell the lane's next fast observe would start from."""
-    cell = lane.pair_hint
-    if cell is None or not math.isfinite(cell) or cell <= 0.0:
-        cell = lane.metrics.visibility_range
-    return cell
 
 
 def _finish_group(lanes: List[_Lane]) -> None:
@@ -395,7 +336,7 @@ def _finish_group(lanes: List[_Lane]) -> None:
             lane.sim._settle_moves()
         found = _min_pairwise_group(
             [lane.sim._state.arrays.position for lane in group],
-            [_observe_cell(lane) for lane in group],
+            [lane.metrics.separation_radius() for lane in group],
         )
         for lane, least in zip(group, found):
             minima[id(lane)] = least
@@ -562,7 +503,7 @@ def _advance_vector_group(
         if len(observing) >= 2:
             found = _min_pairwise_group(
                 [members[k][0].sim._state.arrays.position for k in observing],
-                [_observe_cell(members[k][0]) for k in observing],
+                [members[k][0].metrics.separation_radius() for k in observing],
             )
             group_mins = dict(zip(observing, found))
     walked: List[Tuple[_Lane, RoundBatch, bool, int]] = []

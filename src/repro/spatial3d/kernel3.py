@@ -28,8 +28,12 @@ import numpy as np
 
 from ..engine.kernel import ContinuousKernel, Decision
 from ..engine.logs import SampleLog
-from ..engine.metrics import METRICS_DENSE_MAX, min_pairwise_distance_grid
-from ..engine.spatial_index import ShardedGridIndex
+from ..engine.metrics import (
+    METRICS_DENSE_MAX,
+    SeparationHint,
+    min_pairwise_distance_grid,
+)
+from ..engine.spatial_index import ShardedGridIndex, covering_cell
 from ..engine.state import EngineState
 from ..geometry.tolerances import EPS
 from ..model.errors import MotionModel, PerceptionModel
@@ -113,7 +117,7 @@ def _diameter3_large(arr: np.ndarray) -> float:
 
 
 @dataclass
-class Metrics3Collector:
+class Metrics3Collector(SeparationHint):
     """Diameter / cohesion samples over ``(n, 3)`` position arrays."""
 
     visibility_range: float
@@ -132,18 +136,20 @@ class Metrics3Collector:
     def bind_initial(self, positions) -> None:
         """Record the initial visibility edges the cohesion predicate refers to.
 
-        Past ``METRICS_DENSE_MAX`` robots the edges come from grid-local
-        pair enumeration (same ``<= V + EPS`` predicate) and only the
+        Past ``METRICS_DENSE_MAX`` robots the edges come from the
+        neighbour pairs of a grid whose cell covers ``V + EPS`` (same
+        ``<= V + EPS`` predicate) and only the
         ``(E, 2)`` index array is materialised; ``initial_edges`` stays
         empty at that scale.
         """
         arr = np.asarray(positions, dtype=float)
         if len(arr) > METRICS_DENSE_MAX:
-            shard = ShardedGridIndex(arr, self.visibility_range + 2.0 * EPS)
+            reach = self.visibility_range + EPS
+            shard = ShardedGridIndex(arr, covering_cell(arr, reach))
             i, j = shard.neighbour_pairs()
             index = np.stack((i, j), axis=1)
             lengths = edge_lengths3_array(index, arr)
-            index = index[lengths <= self.visibility_range + EPS]
+            index = index[lengths <= reach]
             order = np.lexsort((index[:, 1], index[:, 0]))
             self.initial_edges = set()
             self._edge_index = np.ascontiguousarray(index[order])
@@ -152,7 +158,12 @@ class Metrics3Collector:
         self._edge_index = edge_index_array(self.initial_edges)
 
     def observe(self, time: float, positions, activations_processed: int) -> Metrics3Sample:
-        """Sample the configuration at ``time`` and append it to the history."""
+        """Sample the configuration at ``time`` and append it to the history.
+
+        Past ``METRICS_DENSE_MAX`` robots the minimum separation is a grid
+        search started from the separation hint (see the planar
+        collector); every observe records the hint for the next.
+        """
         arr = np.asarray(positions, dtype=float)
         edge_index = getattr(self, "_edge_index", None)
         if edge_index is not None and len(edge_index):
@@ -164,10 +175,11 @@ class Metrics3Collector:
             self.cohesion_ever_violated = True
         if len(arr) > METRICS_DENSE_MAX:
             diameter = _diameter3_large(arr)
-            min_pairwise = min_pairwise_distance_grid(arr, self.visibility_range)
+            min_pairwise = min_pairwise_distance_grid(arr, self.separation_radius())
         else:
             diameter = max_pairwise_distance3_array(arr)
             min_pairwise = min_pairwise_distance3_array(arr)
+        self.note_separation(min_pairwise)
         sample = Metrics3Sample(
             time=time,
             hull_diameter=diameter,

@@ -129,3 +129,54 @@ class TestLargeNMode:
         assert sorted(map(tuple, large._edge_index.tolist())) == sorted(
             dense.initial_edges
         )
+
+
+class TestContractingSwarm:
+    """A swarm shrinking about its centroid keeps the large-n observe linear.
+
+    With every min-separation search started at the visibility range, each
+    cell fills as the swarm contracts and the pair count grows as the
+    inverse square of its scale.  The collector starts each search at 1.25x
+    its last observed minimum instead; each sample must stay exact against
+    the dense oracle and each observe's allocation peak small.
+    """
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_shrinking_lattice_is_exact_and_small(self, dim):
+        import math
+        import tracemalloc
+
+        import numpy as np
+        import scipy.spatial  # noqa: F401  (the 3D hull's first-use import, kept out of the trace)
+
+        from repro.engine.metrics import METRICS_DENSE_MAX
+        from repro.spatial3d.kernel3 import Metrics3Collector
+
+        if dim == 2:
+            axes = (np.arange(60), np.arange(50))
+            collector = MetricsCollector(visibility_range=1.0)
+        else:
+            axes = (np.arange(13),) * 3
+            collector = Metrics3Collector(visibility_range=1.0)
+        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        lattice = lattice * 0.7
+        assert len(lattice) > METRICS_DENSE_MAX
+        collector.bind_initial(lattice)
+        centroid = lattice.mean(axis=0)
+        for k in range(9):
+            arr = centroid + (lattice - centroid) * 0.6**k
+            tracemalloc.start()
+            try:
+                sample = collector.observe(float(k), arr, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, f"observe {k} peaked at {peak / 2**20:.1f} MiB"
+            squared = None
+            for axis in range(dim):
+                delta = arr[:, axis, None] - arr[None, :, axis]
+                term = delta * delta
+                squared = term if squared is None else squared + term
+            assert sample.hull_diameter == math.sqrt(squared.max())
+            np.fill_diagonal(squared, math.inf)
+            assert sample.min_pairwise_distance == math.sqrt(squared.min())

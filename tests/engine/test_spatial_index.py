@@ -336,6 +336,25 @@ class TestShardedGridIndex:
                 # escalation path is exercised too.
                 for initial_cell in (1.0, 1e-3):
                     assert min_pairwise_distance_grid(arr, initial_cell) == dense
+        # Exact ties: a lattice of binary fractions puts many pairs at
+        # exactly the minimum, including searches started right at it.
+        for dim in (2, 3):
+            axes = (np.arange(-3, 4) * 0.5,) * dim
+            lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            lattice = lattice.reshape(-1, dim)
+            for initial_cell in (0.5, 0.625, 1.0, 1e-3, 40.0):
+                assert min_pairwise_distance_grid(lattice, initial_cell) == 0.5
+
+    def test_cell_keys_that_would_overflow_are_refused(self):
+        from repro.engine.metrics import min_pairwise_distance_grid
+        from repro.engine.spatial_index import ShardedGridIndex
+
+        far = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+        with pytest.raises(OverflowError):
+            ShardedGridIndex(far, 0.1)
+        # The min-separation search floors its start at 1e-6 of the
+        # extent, so however small the hint it never reaches the guard.
+        assert min_pairwise_distance_grid(far, 1e-12) == math.sqrt(3 * 1e7 * 1e7)
 
     def test_min_pairwise_grid_small_sets(self):
         from repro.engine.metrics import min_pairwise_distance_grid
