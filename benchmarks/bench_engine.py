@@ -8,8 +8,9 @@ candidates for large swarms, and an array-native metrics observation.
 
 This bench measures the end-to-end effect: it runs identical simulations
 through the new engine and through a faithful replica of the **pre-PR
-seed engine** — the retained object snapshot path (per-Point loops and
-the quadratic coincidence collapse) combined with a frozen copy of the
+seed engine** — the object engine oracle of
+``tests/reference/object_engine.py`` (per-Point Looks and snapshots, the
+quadratic coincidence collapse) combined with a frozen copy of the
 seed's ``MetricsCollector.observe`` internals (per-observe hull with a
 numpy-scalar chain walk, the ``(n, n, 2)`` pairwise temporary, per-call
 edge-list rebuilds, the object-path Welzl SEC).  Both sides simulate the
@@ -42,11 +43,13 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "tests", _ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
+from reference.object_engine import ObjectSimulator
 
 from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
 from repro.engine import MetricsCollector, SimulationConfig, Simulator
@@ -213,8 +216,8 @@ class LegacyMetricsCollector(MetricsCollector):
         return sample
 
 
-class SeedEngineSimulator(Simulator):
-    """The pre-PR engine: object look path + seed metrics internals."""
+class SeedEngineSimulator(ObjectSimulator):
+    """The pre-PR engine: the object engine oracle + seed metrics internals."""
 
     def _make_metrics(self) -> MetricsCollector:
         return LegacyMetricsCollector(visibility_range=self.config.visibility_range)
@@ -240,7 +243,6 @@ def _schedulers():
 
 def _config(
     max_activations: int,
-    engine_mode: str,
     k: int,
     round_batching: Optional[bool] = None,
 ) -> SimulationConfig:
@@ -250,7 +252,6 @@ def _config(
         stop_at_convergence=False,
         use_random_frames=False,
         k_bound=k,
-        engine_mode=engine_mode,
         round_batching=round_batching,
     )
 
@@ -333,11 +334,11 @@ def run_grid(sizes, max_activations: int, *, verbose: bool = True) -> dict:
                 positions = list(configuration.positions)
                 new_seconds = _run_once(
                     Simulator, positions, algo_factory(k), sched_factory(),
-                    _config(max_activations, "array", k),
+                    _config(max_activations, k),
                 )
                 seed_seconds = _run_once(
                     SeedEngineSimulator, positions, algo_factory(k), sched_factory(),
-                    _config(max_activations, "object", k),
+                    _config(max_activations, k),
                 )
                 speedup = seed_seconds / new_seconds if new_seconds > 0 else math.inf
                 results.append(
@@ -399,11 +400,11 @@ def run_mega(sizes, *, smoke: bool, verbose: bool = True) -> dict:
         positions = list(truncated_grid_configuration(n, spacing=0.7).positions)
         fast_seconds = _run_once(
             Simulator, positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            _config(activations, "array", 1),
+            _config(activations, 1),
         )
         phases = _run_phased(
             positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            _config(activations, "array", 1),
+            _config(activations, 1),
         )
         row = {
             "algorithm": "kknps",
@@ -418,7 +419,7 @@ def run_mega(sizes, *, smoke: bool, verbose: bool = True) -> dict:
         if n <= MEGA_REFERENCE_MAX:
             reference_seconds = _run_once(
                 Simulator, positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-                _config(activations, "array", 1, round_batching=False),
+                _config(activations, 1, round_batching=False),
             )
             row["seconds_per_activation"] = round(reference_seconds, 6)
             row["speedup_round_batching"] = round(

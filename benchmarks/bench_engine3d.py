@@ -7,9 +7,10 @@ whole neighbour batches, the vectorized destination rule
 (``KKNPS3Algorithm.compute_array``), vectorized per-round diameter and
 cohesion reductions, and (for large swarms) 3x3x3-block candidate
 queries against the shared uniform hash grid.  The object path — the
-pre-array reference loop — is retained as ``engine_mode="object"`` and
-property-tested bit-identical, which makes this benchmark an equal-work
-comparison: both sides simulate the exact same rounds.
+pre-array reference loop — is kept as the oracle
+``tests/reference/object_engine3.py`` and property-tested bit-identical,
+which makes this benchmark an equal-work comparison: both sides simulate
+the exact same rounds.
 
 Run it directly::
 
@@ -39,11 +40,13 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "tests", _ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
+from reference.object_engine3 import run_simulation3_object
 
 from repro.schedulers import SSyncScheduler
 from repro.spatial3d import (
@@ -87,27 +90,30 @@ def _mega_activations(n: int, smoke: bool) -> int:
     return 5 * n if n <= 11_000 else n
 
 
-def _config(engine_mode: str, max_rounds: int) -> Simulation3Config:
+#: The two sides of the grid: the array engine and the object oracle.
+ENGINES = {"array": run_simulation3, "object": run_simulation3_object}
+
+
+def _config(max_rounds: int) -> Simulation3Config:
     return Simulation3Config(
         max_rounds=max_rounds,
-        # Unreachable threshold: both modes execute the full budget.
+        # Unreachable threshold: both sides execute the full budget.
         convergence_epsilon=1e-12,
         activation_probability=0.6,
         xi=0.5,
         seed=SEED,
         rotate_frames=True,
-        engine_mode=engine_mode,
     )
 
 
-def _run_once(positions, k: int, engine_mode: str, max_rounds: int) -> float:
+def _run_once(positions, k: int, engine: str, max_rounds: int) -> float:
     started = time.perf_counter()
-    run_simulation3(positions, KKNPS3Algorithm(k=k), _config(engine_mode, max_rounds))
+    ENGINES[engine](positions, KKNPS3Algorithm(k=k), _config(max_rounds))
     return time.perf_counter() - started
 
 
-def _best_of(repeats: int, positions, k: int, engine_mode: str, max_rounds: int) -> float:
-    return min(_run_once(positions, k, engine_mode, max_rounds) for _ in range(repeats))
+def _best_of(repeats: int, positions, k: int, engine: str, max_rounds: int) -> float:
+    return min(_run_once(positions, k, engine, max_rounds) for _ in range(repeats))
 
 
 def run_grid(sizes, max_rounds: int, repeats: int, *, verbose: bool = True) -> dict:

@@ -68,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--algorithm", choices=ALGORITHMS, default="kknps")
     parser.add_argument("--scheduler", choices=SCHEDULERS, default="k-async")
     parser.add_argument("--workload", choices=WORKLOADS, default="random")
-    parser.add_argument("--robots", type=int, default=15, help="number of robots")
+    parser.add_argument(
+        "--robots", dest="n_robots", type=int, default=15, help="number of robots"
+    )
     parser.add_argument("--k", type=int, default=2, help="asynchrony bound for k-Async/k-NestA")
     parser.add_argument("--epsilon", type=float, default=0.05, help="convergence threshold")
     parser.add_argument("--max-activations", type=int, default=30000)
@@ -117,15 +119,15 @@ def make_scheduler(args: argparse.Namespace):
 def make_workload(args: argparse.Namespace):
     """Instantiate the requested initial configuration."""
     if args.workload == "random":
-        return random_connected_configuration(args.robots, seed=args.seed)
+        return random_connected_configuration(args.n_robots, seed=args.seed)
     if args.workload == "line":
-        return line_configuration(args.robots)
+        return line_configuration(args.n_robots)
     if args.workload == "grid":
-        side = max(2, int(round(args.robots ** 0.5)))
+        side = max(2, int(round(args.n_robots ** 0.5)))
         return grid_configuration(side, side)
     if args.workload == "ring":
-        return ring_configuration(max(3, args.robots))
-    robots_per_cluster = max(2, args.robots // 3)
+        return ring_configuration(max(3, args.n_robots))
+    robots_per_cluster = max(2, args.n_robots // 3)
     return clustered_configuration(3, robots_per_cluster, seed=args.seed)
 
 

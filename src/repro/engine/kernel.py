@@ -45,8 +45,8 @@ round's records and metrics samples are appended as columns.
 The required configuration attributes (duck-typed; satisfied by
 ``SimulationConfig`` and the 3D config types) are: ``visibility_range``,
 ``seed``, ``max_activations``, ``max_time``, ``convergence_epsilon``,
-``stop_at_convergence``, ``record_every``, ``crashed_robots``,
-``engine_mode`` and ``spatial_index``.
+``stop_at_convergence``, ``record_every``, ``crashed_robots`` and
+``spatial_index``.
 """
 
 from __future__ import annotations
@@ -251,26 +251,28 @@ class ContinuousKernel:
         return self.positions_array(look_time)
 
     # -- internals ---------------------------------------------------------------------
-    def _build_grid(self) -> Optional[UniformGridIndex]:
-        """The spatial hash index for this run, or None for the dense path.
+    def _grid_range(self) -> Optional[float]:
+        """The range a Look grid bins by, or None when Looks stay dense.
 
-        Auto-enabled (``config.spatial_index is None``) only when the
-        array engine runs a finite visibility range over a swarm big
-        enough for the bookkeeping to pay off; ``spatial_index=False``
-        always forces the dense path and ``True`` forces the grid
-        whenever the range is finite.  The object reference path never
-        queries the grid, so it is never built there.
+        The one enablement rule of both grids (the incremental
+        :meth:`_build_grid` and the per-round :meth:`_round_shard`): a
+        grid needs a finite, positive visibility range;
+        ``spatial_index=False`` always forces the dense path, ``True``
+        forces the grid, and the default (None) enables it only for a
+        swarm big enough for the bookkeeping to pay off.
         """
-        cfg = self.config
-        if getattr(cfg, "engine_mode", "array") != "array":
-            return None
         effective = self._effective_range()
-        feasible = math.isfinite(effective) and effective > 0.0
-        if cfg.spatial_index is not None:
-            enabled = cfg.spatial_index and feasible
-        else:
-            enabled = feasible and self.n_robots >= grid_auto_threshold(self.dim)
-        if not enabled:
+        if not (math.isfinite(effective) and effective > 0.0):
+            return None
+        enabled = self.config.spatial_index
+        if enabled is None:
+            enabled = self.n_robots >= grid_auto_threshold(self.dim)
+        return effective if enabled else None
+
+    def _build_grid(self) -> Optional[UniformGridIndex]:
+        """The incrementally maintained spatial hash index, or None for dense Looks."""
+        effective = self._grid_range()
+        if effective is None:
             return None
         grid = UniformGridIndex(effective, dim=self.dim)
         committed = self._state.committed_positions()
@@ -284,17 +286,15 @@ class ContinuousKernel:
 
         ``config.round_batching`` (duck-typed, default None) forces the
         answer either way; on auto, the fast path engages exactly when the
-        array engine runs under a scheduler that declares itself
-        round-structured (``round_structured = True`` — fsync, ssync and
-        the 3D round adapter).  Only a batch the scheduler issues as a
-        :class:`RoundBatch` is ever advanced as a round; any other batch
-        goes through the per-activation heap, so forcing the path on under
-        a non-round scheduler changes nothing but the Look index.
+        scheduler declares itself round-structured (``round_structured =
+        True`` — fsync, ssync and the 3D round adapter).  Only a batch the
+        scheduler issues as a :class:`RoundBatch` is ever advanced as a
+        round; any other batch goes through the per-activation heap, so
+        forcing the path on under a non-round scheduler changes nothing
+        but the Look index.
         """
         setting = getattr(self.config, "round_batching", None)
         if setting is False:
-            return False
-        if getattr(self.config, "engine_mode", "array") != "array":
             return False
         if setting is None:
             return bool(getattr(self.scheduler, "round_structured", False))
@@ -303,19 +303,12 @@ class ContinuousKernel:
     def _round_shard(self, committed: np.ndarray) -> Optional[ShardedGridIndex]:
         """The per-round sharded candidate index, or None for dense Looks.
 
-        Mirrors :meth:`_build_grid`'s enablement rule (same thresholds,
-        same ``spatial_index`` override, same cell size) but bins the
-        round's committed positions in one vectorized pass instead of
-        maintaining buckets per activation.
+        Enabled by :meth:`_grid_range`'s rule, like :meth:`_build_grid`, but
+        bins the round's committed positions in one vectorized pass
+        instead of maintaining buckets per activation.
         """
-        cfg = self.config
-        effective = self._effective_range()
-        feasible = math.isfinite(effective) and effective > 0.0
-        if cfg.spatial_index is not None:
-            enabled = cfg.spatial_index and feasible
-        else:
-            enabled = feasible and self.n_robots >= grid_auto_threshold(self.dim)
-        if not enabled:
+        effective = self._grid_range()
+        if effective is None:
             return None
         return ShardedGridIndex(committed, effective + 2.0 * EPS)
 

@@ -118,11 +118,7 @@ def _prepare_lane(
     lane.metrics = sim._make_metrics()
     template = None
     key = None
-    if (
-        setup_cache is not None
-        and type(lane.metrics) is MetricsCollector
-        and sim.config.engine_mode == "array"
-    ):
+    if setup_cache is not None and type(lane.metrics) is MetricsCollector:
         key = (
             sim.n_robots,
             sim.config.visibility_range,

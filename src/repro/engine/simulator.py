@@ -36,7 +36,6 @@ from ..geometry.tolerances import EPS
 from ..geometry.transforms import LocalFrame, random_frame
 from ..model.configuration import Configuration
 from ..model.errors import MotionModel, PerceptionModel
-from ..model.robot import Robot
 from ..model.snapshot import _collapse_coincident_array, build_snapshot
 from ..model.types import Activation, RoundBatch
 from ..algorithms.base import ConvergenceAlgorithm
@@ -76,11 +75,10 @@ class SimulationConfig:
     record_every: int = 1
     record_trajectories: bool = False
     crashed_robots: tuple = ()
-    engine_mode: str = "array"
     spatial_index: Optional[bool] = None
     #: Batched round fast path: None auto-enables it for round-structured
-    #: schedulers on the array engine, True forces the attempt (each batch
-    #: is still validated), False always uses the per-activation path.
+    #: schedulers, True forces the attempt (each batch is still
+    #: validated), False always uses the per-activation path.
     round_batching: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -92,8 +90,6 @@ class SimulationConfig:
             raise ValueError("convergence_epsilon must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.engine_mode not in ("array", "object"):
-            raise ValueError(f"unknown engine mode {self.engine_mode!r}")
 
 
 def _configuration(rows: np.ndarray, visibility_range: float) -> Configuration:
@@ -194,7 +190,6 @@ class Simulator(ContinuousKernel):
     ) -> None:
         state = EngineState(initial_positions)
         super().__init__(state, algorithm, scheduler, config or SimulationConfig())
-        self.robots: List[Robot] = state.robots
         self._initial_position_rows = state.arrays.position.copy()
         self._batch_decide_ok: Optional[bool] = None
 
@@ -204,15 +199,6 @@ class Simulator(ContinuousKernel):
         return self._state.positions_at_points(t)
 
     # -- kernel hooks, planar implementations --------------------------------------
-    def _look_positions(self, robot_id: int, look_time: float):
-        """Candidate Look positions; adds the retained per-Point object path."""
-        if self.config.engine_mode == "object":
-            return (
-                [r.position_at(look_time) for r in self.robots if r.robot_id != robot_id],
-                None,
-            )
-        return super()._look_positions(robot_id, look_time)
-
     def _reveal_range(self) -> bool:
         if self.config.reveal_visibility_range is not None:
             return self.config.reveal_visibility_range
@@ -233,13 +219,6 @@ class Simulator(ContinuousKernel):
     def _make_record_log(self) -> RecordLog:
         return RecordLog()
 
-    def _sampled_positions(self, look_time: float, look_all_positions):
-        if look_all_positions is not None:
-            return look_all_positions
-        if self.config.engine_mode == "array":
-            return self.positions_array(look_time)
-        return self.positions(look_time)
-
     def _decide_move(
         self,
         robot_id: int,
@@ -248,10 +227,11 @@ class Simulator(ContinuousKernel):
         activation: Activation,
     ) -> Decision:
         cfg = self.config
-        robot = self.robots[robot_id]
+        row = self._state.arrays.position[robot_id]
+        position = Point(float(row[0]), float(row[1]))
         frame = self._frame_for_look()
         snapshot = build_snapshot(
-            robot.position,
+            position,
             other_positions,
             self._effective_range(),
             frame=frame,
@@ -261,16 +241,15 @@ class Simulator(ContinuousKernel):
             k_bound=cfg.k_bound,
             multiplicity_detection=cfg.multiplicity_detection,
             time=look_time,
-            robot_id=robot.robot_id,
-            method=cfg.engine_mode,
+            robot_id=robot_id,
         )
         destination_local = self.algorithm.compute(snapshot)
         displacement = (
             frame.to_global(destination_local) if frame is not None else Point.of(destination_local)
         )
-        target_global = robot.position + displacement
+        target_global = position + displacement
         realized = cfg.motion.realize(
-            robot.position, target_global, activation.progress_fraction, self.rng
+            position, target_global, activation.progress_fraction, self.rng
         )
         return (
             (target_global.x, target_global.y),
@@ -287,17 +266,13 @@ class Simulator(ContinuousKernel):
         calls in the same RNG order — but skips the Snapshot object and
         hands the perceived array straight to the algorithm's
         ``compute_relative`` float core.  Anything the fast tier cannot
-        replicate exactly (object mode, multiplicity detection, an
-        algorithm without ``compute_relative``) falls back to the Tier A
-        decider, which routes through :meth:`_decide_move` unchanged.
+        replicate exactly (multiplicity detection, an algorithm without
+        ``compute_relative``) falls back to the Tier A decider, which
+        routes through :meth:`_decide_move` unchanged.
         """
         cfg = self.config
         algorithm = self.algorithm
-        if (
-            cfg.engine_mode != "array"
-            or cfg.multiplicity_detection
-            or not hasattr(algorithm, "compute_relative")
-        ):
+        if cfg.multiplicity_detection or not hasattr(algorithm, "compute_relative"):
             return super()._round_decider(look_time, committed, shard)
         perception = cfg.perception
         motion = cfg.motion
@@ -357,7 +332,7 @@ class Simulator(ContinuousKernel):
         the KKNPS batch core.
         """
         cfg = self.config
-        if cfg.engine_mode != "array" or cfg.multiplicity_detection:
+        if cfg.multiplicity_detection:
             return False
         if type(self.algorithm) is not KKNPSAlgorithm:
             return False

@@ -1,12 +1,10 @@
 """Array-native engine state: the simulator's structure-of-arrays core.
 
 :class:`EngineState` owns one :class:`~repro.model.robot.KinematicArrays`
-store for the whole swarm plus the per-robot :class:`Robot` views the
-rest of the engine (and user code) interacts with.  Every hot query of
-the main loop — interpolating all robots' positions at a Look instant,
-finding the moves that completed before the current event — is a single
-numpy expression over the contiguous arrays instead of a Python loop
-over robot objects.
+store for the whole swarm.  Every hot query of the main loop —
+interpolating all robots' positions at a Look instant, finding the moves
+that completed before the current event — is a single numpy expression
+over the contiguous arrays.
 """
 
 from __future__ import annotations
@@ -16,38 +14,26 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..geometry.point import Point, PointLike
-from ..model.robot import KinematicArrays, Robot
+from ..model.robot import KinematicArrays
 
 
 class EngineState:
-    """The simulator's kinematic state: arrays first, robot views on top.
+    """The simulator's kinematic state over a dimension-generic ``(n, d)`` store.
 
-    The store itself is dimension-generic (any ``(n, d)``
-    :class:`~repro.model.robot.KinematicArrays`); the per-robot
-    :class:`Robot` views exist only in the planar case, where the
-    object-style engine API needs them.  Build a planar state from points
-    with the constructor, or a state of any dimension from an ``(n, d)``
-    array with :meth:`from_array`.
+    Build a planar state from points with the constructor, or a state of
+    any dimension from an ``(n, d)`` array with :meth:`from_array`.
     """
 
-    __slots__ = ("arrays", "robots")
+    __slots__ = ("arrays",)
 
     def __init__(self, initial_positions: Sequence[PointLike]) -> None:
         self.arrays = KinematicArrays.from_positions(initial_positions)
-        self.robots: List[Robot] = [
-            Robot.view(self.arrays, i) for i in range(self.arrays.n)
-        ]
 
     @classmethod
     def from_array(cls, positions: np.ndarray) -> "EngineState":
         """A state of any dimension from an ``(n, d)`` position array."""
         state = object.__new__(cls)
         state.arrays = KinematicArrays.from_array(positions)
-        state.robots = (
-            [Robot.view(state.arrays, i) for i in range(state.arrays.n)]
-            if state.arrays.dim == 2
-            else []
-        )
         return state
 
     @property

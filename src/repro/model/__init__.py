@@ -1,8 +1,8 @@
-"""Robot, configuration and error models for the OBLOT reproduction."""
+"""Kinematic state, configuration and error models for the OBLOT reproduction."""
 
 from .configuration import Configuration
 from .errors import MotionModel, PerceptionModel
-from .robot import KinematicArrays, Robot
+from .robot import KinematicArrays
 from .snapshot import Snapshot, build_snapshot
 from .types import Activation, ActivationRecord, Phase, RoundBatch, SchedulerClass
 from .visibility import (
@@ -27,7 +27,6 @@ __all__ = [
     "MotionModel",
     "PerceptionModel",
     "Phase",
-    "Robot",
     "RoundBatch",
     "SchedulerClass",
     "Snapshot",

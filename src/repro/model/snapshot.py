@@ -157,7 +157,7 @@ def _collapse_coincident_array(
     most ``eps``), so nothing collapses and the quadratic scan is skipped
     entirely.  Only when the sort finds candidate near-duplicates does
     the exact first-representative scan run — over what is then a tiny
-    cluster-bearing set — preserving the object path's semantics
+    cluster-bearing set — preserving the per-Point reference semantics
     (each point joins the first earlier representative within ``eps``).
     """
     m = len(visible)
@@ -202,7 +202,7 @@ def _collapse_coincident_array(
 def _collapse_coincident_scan(
     visible: np.ndarray, eps: float
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """The first-representative collapse scan (exact object-path semantics)."""
+    """The first-representative collapse scan (exact per-Point semantics)."""
     kept: List[int] = []
     counts: List[int] = []
     for i in range(len(visible)):
@@ -232,7 +232,6 @@ def build_snapshot(
     time: float = 0.0,
     robot_id: Optional[int] = None,
     coincidence_eps: float = 1e-12,
-    method: str = "array",
 ) -> Snapshot:
     """Construct the snapshot an observer would take of ``others``.
 
@@ -244,30 +243,10 @@ def build_snapshot(
     detection); co-located other robots collapse into a single entry
     unless ``multiplicity_detection`` is set.
 
-    ``method`` selects the implementation: ``"array"`` (default) runs the
-    whole pipeline — visibility mask, coincidence collapse, frame and
-    perception transforms — as batched numpy expressions; ``"object"`` is
-    the retained per-Point reference path.  Both produce identical
-    snapshots (see the equivalence property tests); ``others`` may be an
-    ``(m, 2)`` array on either path.
+    The whole pipeline — visibility mask, coincidence collapse, frame and
+    perception transforms — runs as batched numpy expressions over
+    ``others`` (an ``(m, 2)`` array or a sequence of points).
     """
-    if method == "object":
-        return _build_snapshot_objects(
-            observer_position,
-            others,
-            visibility_range,
-            frame=frame,
-            perception=perception,
-            rng=rng,
-            reveal_range=reveal_range,
-            k_bound=k_bound,
-            multiplicity_detection=multiplicity_detection,
-            time=time,
-            robot_id=robot_id,
-            coincidence_eps=coincidence_eps,
-        )
-    if method != "array":
-        raise ValueError(f"unknown snapshot method {method!r}")
     observer = Point.of(observer_position)
     perception = perception or PerceptionModel.exact()
 
@@ -293,64 +272,3 @@ def build_snapshot(
         robot_id=robot_id,
     )
 
-
-def _build_snapshot_objects(
-    observer_position: PointLike,
-    others: Sequence[PointLike],
-    visibility_range: float,
-    *,
-    frame: Optional[LocalFrame] = None,
-    perception: Optional[PerceptionModel] = None,
-    rng: Optional[np.random.Generator] = None,
-    reveal_range: bool = False,
-    k_bound: Optional[int] = None,
-    multiplicity_detection: bool = False,
-    time: float = 0.0,
-    robot_id: Optional[int] = None,
-    coincidence_eps: float = 1e-12,
-) -> Snapshot:
-    """The per-Point reference implementation of :func:`build_snapshot`.
-
-    Retained as the object path: an O(m) Point loop for visibility, the
-    quadratic first-representative collapse, and per-vector frame and
-    perception transforms.  The equivalence property suite pins the array
-    path to this one; it also serves as the pre-vectorization baseline in
-    ``benchmarks/bench_engine.py``.
-    """
-    observer = Point.of(observer_position)
-    perception = perception or PerceptionModel.exact()
-
-    visible: List[Point] = []
-    for p in others:
-        p = Point.of(p)
-        d = observer.distance_to(p)
-        if d <= coincidence_eps:
-            continue
-        if d <= visibility_range + EPS:
-            visible.append(p - observer)
-
-    # Collapse coincident perceived robots (no multiplicity detection by default).
-    collapsed: List[Point] = []
-    counts: List[int] = []
-    for v in visible:
-        for i, u in enumerate(collapsed):
-            if u.distance_to(v) <= coincidence_eps:
-                counts[i] += 1
-                break
-        else:
-            collapsed.append(v)
-            counts.append(1)
-
-    perceived: List[Point] = []
-    for v in collapsed:
-        local = frame.to_local(v) if frame is not None else v
-        perceived.append(perception.perceive_vector(local, rng))
-
-    return Snapshot(
-        neighbours=tuple(perceived),
-        visibility_range=visibility_range if reveal_range else None,
-        k_bound=k_bound,
-        multiplicities=tuple(counts) if multiplicity_detection else None,
-        time=time,
-        robot_id=robot_id,
-    )

@@ -1,34 +1,30 @@
 """The round engine behind :func:`repro.spatial3d.run_simulation3`.
 
-This module holds both execution modes of the 3D round simulator:
+The round simulator is a **thin adapter over the dimension-generic
+continuous-time kernel** (:class:`~repro.engine.kernel.ContinuousKernel`):
+the round semantics live in :class:`Round3Scheduler` (one simultaneous
+batch per round, per-round measurement and stopping at round boundaries)
+and :class:`_RoundKernel3` (the historical Look filter, frame rotation
+and ``uniform(xi, 1)`` fraction draws, in the historical RNG order),
+while the activation pipeline itself — heap consumption, ``(n, 3)``
+interpolation, phase transitions, grid maintenance — is the same kernel
+that runs planar and continuous-time 3D simulations.
 
-* ``engine_mode="array"`` (the default) is a **thin adapter over the
-  dimension-generic continuous-time kernel**
-  (:class:`~repro.engine.kernel.ContinuousKernel`): the round semantics
-  live in :class:`Round3Scheduler` (one simultaneous batch per round,
-  per-round measurement and stopping at round boundaries) and
-  :class:`_RoundKernel3` (the historical Look filter, frame rotation and
-  ``uniform(xi, 1)`` fraction draws, in the historical RNG order), while
-  the activation pipeline itself — heap consumption, ``(n, 3)``
-  interpolation, phase transitions, grid maintenance — is the same
-  kernel that runs planar and continuous-time 3D simulations.
-* ``engine_mode="object"`` is the retained reference loop: per-robot
-  :class:`~repro.spatial3d.vector3.Vector3` arithmetic and per-neighbour
-  Python filtering, exactly the shape of the pre-array implementation.
+Its outcomes are **bit-identical** to the historical per-robot
+:class:`~repro.spatial3d.vector3.Vector3` loop, which
+``tests/reference/object_engine3.py`` keeps as the oracle that
+``tests/spatial3d/test_engine3.py`` pins this engine against.  Three
+things make that hold by construction rather than by luck:
 
-The two modes are **bit-identical** (pinned by
-``tests/spatial3d/test_engine3.py``).  Three things make that hold by
-construction rather than by luck:
-
-* both modes consume the RNG in the same order (one ``random(n)`` draw
-  per round for the activation subset, then per activated robot a
-  rotation and a progress fraction) — numpy's ``Generator`` fills
-  vectorized draws from the same bitstream as repeated scalar draws;
+* the RNG is consumed in the historical order (one ``random(n)`` draw per
+  round for the activation subset, then per activated robot a rotation
+  and a progress fraction) — numpy's ``Generator`` fills vectorized draws
+  from the same bitstream as repeated scalar draws;
 * rotations are applied through explicit component expressions (no BLAS
   matmul, whose summation order is build-dependent), evaluated in the
   same order scalar Python would;
 * the destination rule itself is one shared numeric core
-  (``compute_array``), which the object mode reaches through
+  (``compute_array``), which the per-robot loop reaches through
   ``compute``'s delegation.
 
 Round semantics through the kernel, spelled out: every activated robot
@@ -56,13 +52,10 @@ from ..schedulers.base import Scheduler
 from .kknps3 import KKNPS3Algorithm
 from .model3 import (
     Edge,
-    Snapshot3,
     edge_index_array,
-    edges_preserved3,
     edges_preserved3_array,
     max_pairwise_distance3_array,
 )
-from .vector3 import Vector3, max_pairwise_distance3
 
 #: The visibility filter tolerance of the round engine (the historical
 #: constant of the 3D simulator; distinct from the geometric EPS used by
@@ -129,7 +122,7 @@ def rotate_back3(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 class RoundOutcome:
-    """What one engine-mode run of the round loop produced."""
+    """What one run of the round loop produced."""
 
     __slots__ = (
         "final_positions",
@@ -152,19 +145,6 @@ class RoundOutcome:
         self.converged_round = converged_round
         self.cohesion_maintained = cohesion_maintained
         self.activations_executed = activations_executed
-
-
-def _activated_indices(
-    rng: np.random.Generator, n: int, probability: float, mode: str
-) -> List[int]:
-    """The robots activated this round (both modes: same RNG consumption)."""
-    if mode == "array":
-        activated = np.flatnonzero(rng.random(n) < probability).tolist()
-    else:
-        activated = [i for i in range(n) if rng.random() < probability]
-    if not activated:
-        activated = [int(rng.integers(0, n))]
-    return activated
 
 
 class _NullSample:
@@ -197,7 +177,7 @@ class _RoundKernelConfig:
     __slots__ = (
         "visibility_range", "xi", "rotate_frames", "spatial_index", "seed",
         "max_activations", "max_time", "convergence_epsilon",
-        "stop_at_convergence", "record_every", "crashed_robots", "engine_mode",
+        "stop_at_convergence", "record_every", "crashed_robots",
     )
 
     def __init__(self, *, visibility_range, xi, rotate_frames, spatial_index, max_rounds, n):
@@ -217,7 +197,6 @@ class _RoundKernelConfig:
         self.stop_at_convergence = False
         self.record_every = self.max_activations + 1  # skip per-activation sampling
         self.crashed_robots = ()
-        self.engine_mode = "array"
 
 
 class Round3Scheduler(Scheduler):
@@ -357,8 +336,8 @@ def run_rounds_array(
     the activation pipeline itself — round consumption, interpolation,
     phase transitions, grid maintenance — is the shared
     :class:`~repro.engine.kernel.ContinuousKernel`.  The outcome is
-    bit-identical to the historical vectorized loop (pinned against the
-    retained object path by ``tests/spatial3d/test_engine3.py``).
+    bit-identical to the historical per-robot loop (pinned against its
+    oracle by ``tests/spatial3d/test_engine3.py``).
     """
     positions = np.array(positions, dtype=float)
     n = len(positions)
@@ -393,80 +372,3 @@ def run_rounds_array(
         outcome.processed,
     )
 
-
-def run_rounds_object(
-    positions: np.ndarray,
-    algorithm: KKNPS3Algorithm,
-    initial_edges: Set[Edge],
-    *,
-    visibility_range: float,
-    max_rounds: int,
-    convergence_epsilon: float,
-    activation_probability: float,
-    xi: float,
-    rng: np.random.Generator,
-    rotate_frames: bool,
-    spatial_index: Optional[bool] = None,
-) -> RoundOutcome:
-    """The retained per-robot reference loop (``engine_mode="object"``).
-
-    ``spatial_index`` is accepted for signature parity but never used:
-    the reference path always scans densely.
-    """
-    points: List[Vector3] = [
-        Vector3(float(x), float(y), float(z)) for x, y, z in np.asarray(positions, float)
-    ]
-    n = len(points)
-    v = visibility_range
-
-    diameter_history = [max_pairwise_distance3(points)]
-    cohesion = True
-    converged_round: Optional[int] = None
-    activations = 0
-
-    for round_index in range(max_rounds):
-        activated = _activated_indices(rng, n, activation_probability, "object")
-        activations += len(activated)
-
-        new_points = list(points)
-        for index in activated:
-            observer = points[index]
-            rotation = random_rotation3(rng) if rotate_frames else None
-            relative: List[Vector3] = []
-            for j, p in enumerate(points):
-                if j == index:
-                    continue
-                distance = observer.distance_to(p)
-                if distance <= v + VIS_EPS and distance > VIS_EPS:
-                    rel = p - observer
-                    if rotation is not None:
-                        rel = Vector3(
-                            rotation[0, 0] * rel.x + rotation[0, 1] * rel.y + rotation[0, 2] * rel.z,
-                            rotation[1, 0] * rel.x + rotation[1, 1] * rel.y + rotation[1, 2] * rel.z,
-                            rotation[2, 0] * rel.x + rotation[2, 1] * rel.y + rotation[2, 2] * rel.z,
-                        )
-                    relative.append(rel)
-            snapshot = Snapshot3(neighbours=tuple(relative))
-            local = algorithm.compute(snapshot)
-            if rotation is not None:
-                displacement = Vector3(
-                    rotation[0, 0] * local.x + rotation[1, 0] * local.y + rotation[2, 0] * local.z,
-                    rotation[0, 1] * local.x + rotation[1, 1] * local.y + rotation[2, 1] * local.z,
-                    rotation[0, 2] * local.x + rotation[1, 2] * local.y + rotation[2, 2] * local.z,
-                )
-            else:
-                displacement = local
-            fraction = float(rng.uniform(xi, 1.0))
-            new_points[index] = observer + displacement * fraction
-        points = new_points
-
-        diameter = max_pairwise_distance3(points)
-        diameter_history.append(diameter)
-        if not edges_preserved3(initial_edges, points, v):
-            cohesion = False
-        if diameter <= convergence_epsilon and converged_round is None:
-            converged_round = round_index + 1
-            break
-
-    final = np.array([(p.x, p.y, p.z) for p in points], dtype=float)
-    return RoundOutcome(final, diameter_history, converged_round, cohesion, activations)

@@ -23,8 +23,9 @@ direction improves.  The iteration terminates finitely; at the optimum
   degeneracy, iteration-cap exhaustion — answers False, which makes the
   robot stay put: always safe under the paper's safe-ball analysis.
 
-The computation is deterministic pure numpy, so the array and object
-engine modes (which share this function) stay bit-identical.  The
+The computation is deterministic pure numpy, so the engines and the
+per-robot reference loop (which share this function) stay
+bit-identical.  The
 LP-based :func:`repro.spatial3d.vector3.fits_in_open_halfspace` is kept
 as the reference oracle; ``tests/spatial3d/test_halfspace.py``
 cross-checks the two.

@@ -88,8 +88,8 @@ def _diameter3_large(arr: np.ndarray) -> float:
     quadratic reduction only runs over the hull (a few hundred points at
     mega-swarm scale) — the per-pair arithmetic is the dense path's, so
     the result matches it bit for bit.  Degenerate inputs the hull
-    construction rejects (coplanar mega-swarms) fall back to a
-    row-chunked exact scan that never materialises an ``(n, n)`` block.
+    construction rejects (coplanar mega-swarms) fall back to the
+    row-blocked exact scan over every point.
     """
     try:
         from scipy.spatial import ConvexHull as _SpatialHull
@@ -101,19 +101,7 @@ def _diameter3_large(arr: np.ndarray) -> float:
             vertices = None
     except ImportError:  # pragma: no cover - scipy is a declared dependency
         vertices = None
-    if vertices is not None:
-        return max_pairwise_distance3_array(vertices)
-    best = 0.0
-    for start in range(0, len(arr), 512):
-        block = arr[start:start + 512]
-        diff = block[:, None, :] - arr[None, :, :]
-        squared = (
-            diff[..., 0] * diff[..., 0]
-            + diff[..., 1] * diff[..., 1]
-            + diff[..., 2] * diff[..., 2]
-        )
-        best = max(best, float(squared.max()))
-    return float(math.sqrt(best))
+    return max_pairwise_distance3_array(arr if vertices is None else vertices)
 
 
 @dataclass
@@ -209,9 +197,7 @@ class AsyncSimulation3Config:
 
     Mirrors the planar :class:`~repro.engine.simulator.SimulationConfig`
     where the notion transfers; ``rotate_frames`` replaces the planar
-    frame knobs (3D disorientation is a uniformly random rotation), and
-    the engine is array-native only — the 3D extension's retained object
-    loop belongs to the round engine.
+    frame knobs (3D disorientation is a uniformly random rotation).
     """
 
     visibility_range: float = 1.0
@@ -225,7 +211,6 @@ class AsyncSimulation3Config:
     rotate_frames: bool = True
     record_every: int = 1
     crashed_robots: tuple = ()
-    engine_mode: str = "array"
     spatial_index: Optional[bool] = None
     #: Batched round fast path: None auto-enables it for round-structured
     #: schedulers, True forces the attempt (still validated per batch),
@@ -241,8 +226,6 @@ class AsyncSimulation3Config:
             raise ValueError("convergence_epsilon must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.engine_mode != "array":
-            raise ValueError("the continuous-time 3D engine is array-native only")
         if self.perception.distortion is not None and self.perception.distortion.amplitude != 0.0:
             raise ValueError(
                 "angular distortion is a planar error model; 3D runs support "

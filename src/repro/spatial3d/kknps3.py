@@ -68,9 +68,9 @@ class KKNPS3Algorithm:
         """:meth:`compute` on an ``(m, 3)`` array of relative positions.
 
         This is the rule's single numeric core — the scalar
-        :meth:`compute` delegates here, and the array engine mode calls
-        it directly on whole neighbour batches, so the two stay
-        bit-identical by construction.
+        :meth:`compute` delegates here, and the engines call it directly
+        on whole neighbour batches, so the two stay bit-identical by
+        construction.
         """
         pts = np.asarray(relative, dtype=float).reshape(-1, 3)
         zero = np.zeros(3, dtype=float)

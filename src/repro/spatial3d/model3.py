@@ -15,7 +15,7 @@ import numpy as np
 
 from ..geometry.tolerances import EPS
 from ..model.visibility import connected_components
-from .vector3 import Vector3, Vector3Like, centroid3, max_pairwise_distance3
+from .vector3 import Vector3, Vector3Like, centroid3
 
 Edge = Tuple[int, int]
 
@@ -31,24 +31,32 @@ def positions_as_array3(positions: Sequence[Vector3Like]) -> np.ndarray:
     return out
 
 
-def _pairwise_squared3(arr: np.ndarray) -> np.ndarray:
-    """The ``(n, n)`` squared-distance matrix of an ``(n, 3)`` array.
+def _pairwise_squared3(rows: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """The ``(m, n)`` squared distances from ``(m, 3)`` rows to ``(n, 3)`` points.
 
     Component arithmetic mirrors :meth:`Vector3.distance_to` (squares
     summed left to right), so with one correctly-rounded square root per
     consumer the derived distances are bit-identical to the scalar path.
     """
-    diff = arr[:, None, :] - arr[None, :, :]
-    return (
-        diff[..., 0] * diff[..., 0]
-        + diff[..., 1] * diff[..., 1]
-        + diff[..., 2] * diff[..., 2]
-    )
+    delta = rows[:, None, 0] - arr[None, :, 0]
+    squared = delta * delta
+    for axis in (1, 2):
+        delta = rows[:, None, axis] - arr[None, :, axis]
+        squared += delta * delta
+    return squared
 
 
 def pairwise_distances3_array(positions: np.ndarray) -> np.ndarray:
     """The full ``(n, n)`` distance matrix of an ``(n, 3)`` position array."""
-    return np.sqrt(_pairwise_squared3(np.asarray(positions, dtype=float)))
+    arr = np.asarray(positions, dtype=float)
+    return np.sqrt(_pairwise_squared3(arr, arr))
+
+
+#: Row cap and pair budget of one block of the exact diameter scan: a
+#: block holds ``min(512, budget // n)`` rows (at least one), so each of
+#: its float64 temporaries stays within 32 MiB for any n up to 2**22.
+_DIAMETER_BLOCK_ROWS = 512
+_DIAMETER_BLOCK_PAIRS = 1 << 22
 
 
 def max_pairwise_distance3_array(positions: np.ndarray) -> float:
@@ -56,14 +64,22 @@ def max_pairwise_distance3_array(positions: np.ndarray) -> float:
 
     Bit-identical to :func:`~repro.spatial3d.vector3.max_pairwise_distance3`
     on the same points: ``sqrt`` is monotone and correctly rounded, so
-    reducing the squared matrix first and rooting once preserves the
-    scalar path's floats while keeping the per-round hot loop to a
-    single square root.
+    reducing the squared distances first and rooting once preserves the
+    scalar path's floats.  The scan runs in row blocks, each against the
+    points from its own first row on, so memory stays bounded and every
+    pair is reduced once or twice (a pair's squared distance is the same
+    float in either order).
     """
     arr = np.asarray(positions, dtype=float)
-    if len(arr) < 2:
+    n = len(arr)
+    if n < 2:
         return 0.0
-    return float(math.sqrt(_pairwise_squared3(arr).max()))
+    step = max(1, min(_DIAMETER_BLOCK_ROWS, _DIAMETER_BLOCK_PAIRS // n))
+    best = 0.0
+    for start in range(0, n, step):
+        squared = _pairwise_squared3(arr[start:start + step], arr[start:])
+        best = max(best, float(squared.max()))
+    return math.sqrt(best)
 
 
 def min_pairwise_distance3_array(positions: np.ndarray) -> float:
@@ -72,7 +88,7 @@ def min_pairwise_distance3_array(positions: np.ndarray) -> float:
     n = len(arr)
     if n < 2:
         return 0.0
-    squared = _pairwise_squared3(arr)
+    squared = _pairwise_squared3(arr, arr)
     return float(math.sqrt(squared[~np.eye(n, dtype=bool)].min()))
 
 
@@ -192,7 +208,7 @@ class Configuration3:
 
     def diameter(self) -> float:
         """Largest pairwise separation."""
-        return max_pairwise_distance3(list(self.positions))
+        return max_pairwise_distance3_array(positions_as_array3(self.positions))
 
     def centroid(self) -> Vector3:
         """Centre of gravity of the configuration."""

@@ -6,11 +6,9 @@ regions and destination rule still congregate cohesively) a semi-
 synchronous round simulator with optional activation subsets and
 ``xi``-rigid truncation is sufficient and keeps the extension compact.
 
-As of the array-native 3D engine, the round loop itself lives in
-:mod:`repro.spatial3d.engine3` in two modes: the vectorized ``"array"``
-default and the retained per-robot ``"object"`` reference path, pinned
-bit-identical to each other.  This module owns the public entry point,
-the configuration and the result type.
+The round loop itself lives in :mod:`repro.spatial3d.engine3`; this
+module owns the public entry point, the configuration and the result
+type.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .engine3 import run_rounds_array, run_rounds_object
+from .engine3 import run_rounds_array
 from .kknps3 import KKNPS3Algorithm
 from .model3 import Configuration3, positions_as_array3
 from .vector3 import Vector3Like
@@ -37,7 +35,6 @@ class Simulation3Config:
     xi: float = 1.0
     seed: int = 0
     rotate_frames: bool = True
-    engine_mode: str = "array"
     spatial_index: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -49,8 +46,6 @@ class Simulation3Config:
             raise ValueError("xi must lie in (0, 1]")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-        if self.engine_mode not in ("array", "object"):
-            raise ValueError(f"unknown engine mode {self.engine_mode!r}")
 
 
 @dataclass
@@ -85,8 +80,7 @@ def run_simulation3(
     initial = Configuration3.of(positions, config.visibility_range)
     initial_edges = initial.edges()
 
-    run_rounds = run_rounds_array if config.engine_mode == "array" else run_rounds_object
-    outcome = run_rounds(
+    outcome = run_rounds_array(
         positions,
         algorithm,
         initial_edges,

@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-# Allow running the tests without installing the package first.
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# Allow running the tests without installing the package first, and
+# importing the reference oracles as ``reference.*``.
+_TESTS = Path(__file__).resolve().parent
+for _path in (_TESTS, _TESTS.parent / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.geometry import Point  # noqa: E402
 from repro.model import Snapshot  # noqa: E402

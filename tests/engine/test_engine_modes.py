@@ -1,23 +1,28 @@
-"""The array engine and the retained object engine are interchangeable.
+"""The array engine and the object engine oracle are interchangeable.
 
 The array path must not merely approximate the seed semantics — every
 per-activation quantity (snapshot, destination, realised move, metrics
-sample, RNG consumption) must be *bit-identical* between the two modes,
-including under random frames, random perception error and non-rigid
-motion, where the equality proves both paths consume the seeded RNG
-stream in exactly the same order.
+sample, RNG consumption) must be *bit-identical* to the object engine
+(:class:`reference.object_engine.ObjectSimulator`), including under
+random frames, random perception error and non-rigid motion, where the
+equality proves both paths consume the seeded RNG stream in exactly the
+same order.
 """
 
 from __future__ import annotations
 
 import pytest
+from reference.object_engine import ObjectSimulator
 
 from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
-from repro.engine import SimulationConfig, run_simulation
+from repro.engine import SimulationConfig, Simulator
 from repro.geometry.transforms import SymmetricDistortion
 from repro.model import MotionModel, PerceptionModel
 from repro.schedulers import FSyncScheduler, KAsyncScheduler, SSyncScheduler
 from repro.workloads import random_connected_configuration
+
+
+ENGINES = {"array": Simulator, "object": ObjectSimulator}
 
 
 def _run(mode, algorithm, scheduler, *, n=24, seed=3, **config_kwargs):
@@ -26,10 +31,9 @@ def _run(mode, algorithm, scheduler, *, n=24, seed=3, **config_kwargs):
         seed=seed,
         max_activations=300,
         stop_at_convergence=False,
-        engine_mode=mode,
         **config_kwargs,
     )
-    return run_simulation(configuration.positions, algorithm, scheduler, config)
+    return ENGINES[mode](configuration.positions, algorithm, scheduler, config).run()
 
 
 def _assert_identical(first, second) -> None:
@@ -53,10 +57,6 @@ def _assert_identical(first, second) -> None:
 
 
 class TestEngineModeEquivalence:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(engine_mode="hybrid")
-
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_kknps_ssync_exact(self, seed):
         _assert_identical(
@@ -133,11 +133,10 @@ class TestEngineModeEquivalence:
                 max_activations=3,
                 stop_at_convergence=False,
                 use_random_frames=False,
-                engine_mode=mode,
             )
             results.append(
-                run_simulation(
+                ENGINES[mode](
                     positions, KKNPSAlgorithm(k=1), ScriptedScheduler(list(script)), config
-                )
+                ).run()
             )
         _assert_identical(results[0], results[1])

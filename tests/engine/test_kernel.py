@@ -50,7 +50,6 @@ class TestOneKernelTwoEngines:
         assert planar.dim == 2
         spatial = EngineState.from_array(np.zeros((4, 3)))
         assert spatial.arrays.dim == 3
-        assert spatial.robots == []  # Robot views are planar-only
 
 
 class TestKernel3Semantics:

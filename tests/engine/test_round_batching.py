@@ -166,16 +166,6 @@ class TestRoundBatchingPins:
         assert messages[0] == messages[1]
         assert "before its move ended" in messages[0]
 
-    def test_object_engine_never_batches(self):
-        configuration = random_connected_configuration(10, seed=0)
-        simulator = Simulator(
-            configuration.positions,
-            KKNPSAlgorithm(k=1),
-            SSyncScheduler(),
-            SimulationConfig(engine_mode="object", round_batching=True),
-        )
-        assert not simulator._round_batching
-
 
 class TestWorkloadMatrix:
     """Grid vs dense workloads through the same bit-identity harness."""

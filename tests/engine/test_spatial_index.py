@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from reference.object_engine import Robot
 
 from repro.algorithms import KKNPSAlgorithm
 from repro.engine import SimulationConfig, Simulator, UniformGridIndex, run_simulation
@@ -83,7 +84,7 @@ class TestGridExactness:
         # Start some moves and finish others to mix phases.
         movers = rng.choice(n, size=n // 3, replace=False)
         for j, i in enumerate(movers):
-            robot = state.robots[i]
+            robot = Robot.view(state.arrays, int(i))
             robot.begin_activation(float(j))
             target = positions[i] + rng.uniform(-v / 8, v / 8, size=2)
             robot.begin_move(positions[i], target, float(j), float(j) + 1.0)
@@ -91,7 +92,7 @@ class TestGridExactness:
         look_time = float(rng.uniform(0.0, n // 3 + 1.0))
         interpolated = state.positions_at(look_time)
         for observer in range(0, n, 7):
-            if state.robots[observer].is_motile():
+            if Robot.view(state.arrays, observer).is_motile():
                 continue
             ox, oy = positions[observer]
             candidates = set(grid.candidates(ox, oy, exclude=observer).tolist())

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference.object_engine import Robot
 
 from repro.engine.state import EngineState
 from repro.geometry import Point
-from repro.model import KinematicArrays, Phase, Robot
+from repro.model import KinematicArrays, Phase
+
+
+def _views(state):
+    """One oracle :class:`Robot` view per row of the state's store."""
+    return [Robot.view(state.arrays, i) for i in range(state.n)]
 
 
 class TestKinematicArrays:
@@ -23,13 +29,14 @@ class TestKinematicArrays:
 
     def test_vectorized_positions_match_scalar(self):
         state = EngineState([(0.0, 0.0), (2.0, 0.0), (0.0, 3.0), (5.0, 5.0)])
-        r1, r2 = state.robots[1], state.robots[2]
+        robots = _views(state)
+        r1, r2 = robots[1], robots[2]
         for robot, dest, t0, t1 in ((r1, (3.0, 1.0), 1.0, 3.0), (r2, (0.0, 2.0), 2.0, 2.0)):
             robot.begin_activation(t0)
             robot.begin_move(robot.position, dest, t0, t1)
         for t in (0.0, 0.5, 1.0, 1.7, 2.0, 2.5, 3.0, 10.0):
             batch = state.positions_at(t)
-            for i, robot in enumerate(state.robots):
+            for i, robot in enumerate(robots):
                 scalar = robot.position_at(t)
                 assert batch[i, 0] == scalar.x and batch[i, 1] == scalar.y
 
@@ -40,7 +47,7 @@ class TestKinematicArrays:
 
     def test_completed_movers(self):
         state = EngineState([(0.0, 0.0), (1.0, 0.0)])
-        robot = state.robots[0]
+        robot = _views(state)[0]
         robot.begin_activation(0.0)
         robot.begin_move((0, 0), (1, 1), 0.0, 2.0)
         assert state.completed_movers(1.0).tolist() == []
@@ -50,7 +57,7 @@ class TestKinematicArrays:
 class TestRobotViews:
     def test_views_share_the_store(self):
         state = EngineState([(0.0, 0.0), (1.0, 1.0)])
-        robot = state.robots[0]
+        robot = _views(state)[0]
         robot.begin_activation(0.0)
         robot.begin_move((0, 0), (4, 0), 0.0, 1.0)
         assert state.any_moving()

@@ -1,9 +1,10 @@
-"""Tests for robot kinematic state and phase transitions."""
+"""Tests for the object engine's robot views: kinematic state and phase transitions."""
 
 import pytest
+from reference.object_engine import Robot
 
 from repro.geometry import Point
-from repro.model import Phase, Robot
+from repro.model import Phase
 
 
 class TestTransitions:

@@ -1,21 +1,24 @@
-"""Differential pin: both callers of the flat round decide agree with per-robot runs.
+"""Differential pin: every planar entry point agrees with the object engine.
 
 A planar round is decided either per robot or by
 :func:`repro.engine.decide_batch.decide_round_flat`, whose callers are a
 single run (``Simulator.run`` with round batching on, one lane) and the
 replicate engine (``run_replicated_simulations``, a group of lanes).
 Hypothesis draws a bundle of one to three lanes, each with its own seed,
-size, scheduler, algorithm, error models, frames, crashes, recording
-cadence and grid setting.  A later lane may copy the first lane's
-configuration (one multi-lane group), differ from it in one value (a
-neighbouring group) or draw its own, so one bundle can mix lane groups.
-Every lane's result must be the same from all three entry points:
+size, scheduler (round-structured or k-async), algorithm, error models,
+frames, crashes, recording cadence and grid setting.  A later lane may
+copy the first lane's configuration (one multi-lane group), differ from
+it in one value (a neighbouring group) or draw its own, so one bundle can
+mix lane groups.  Every lane's result must be the same from all four
+entry points:
 
 * ``run_replicated_simulations`` over the whole bundle;
 * ``Simulator.run`` with ``round_batching=None`` (the flat decide where
   eligible);
 * ``Simulator.run`` with ``round_batching=False`` (the per-activation
-  reference path).
+  path);
+* :class:`reference.object_engine.ObjectSimulator` (the object engine
+  oracle: per-Point Looks and snapshots).
 """
 
 from __future__ import annotations
@@ -24,16 +27,21 @@ from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference.object_engine import ObjectSimulator
 
 from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
 from repro.engine import SimulationConfig, Simulator
 from repro.engine.replicate import run_replicated_simulations
 from repro.geometry.transforms import SymmetricDistortion
 from repro.model.errors import MotionModel, PerceptionModel
-from repro.schedulers import FSyncScheduler, SSyncScheduler
+from repro.schedulers import FSyncScheduler, KAsyncScheduler, SSyncScheduler
 from repro.workloads import random_connected_configuration
 
-SCHEDULERS = {"fsync": FSyncScheduler, "ssync": SSyncScheduler}
+SCHEDULERS = {
+    "fsync": FSyncScheduler,
+    "ssync": SSyncScheduler,
+    "kasync2": lambda: KAsyncScheduler(k=2),
+}
 ALGORITHMS = {
     "kknps1": lambda: KKNPSAlgorithm(k=1),
     "kknps2": lambda: KKNPSAlgorithm(k=2),
@@ -136,6 +144,10 @@ def _run(factory, round_batching):
     return Simulator(positions, algorithm, scheduler, config).run()
 
 
+def _run_object(factory):
+    return ObjectSimulator(*factory()).run()
+
+
 def _fingerprint(result):
     return (
         result.final_positions.tobytes(),
@@ -176,8 +188,7 @@ class TestFlatDecideCallersAgree:
         factories = [_factory(spec, seed) for spec, seed in bundle]
         replicated = run_replicated_simulations(factories)
         for factory, lane in zip(factories, replicated):
-            batched = _run(factory, None)
-            reference = _run(factory, False)
-            expected = _fingerprint(reference)
-            assert _fingerprint(batched) == expected
+            expected = _fingerprint(_run_object(factory))
+            assert _fingerprint(_run(factory, False)) == expected
+            assert _fingerprint(_run(factory, None)) == expected
             assert _fingerprint(lane) == expected

@@ -1,8 +1,9 @@
 """Property tests: the array snapshot path is equivalent to the object path.
 
-``build_snapshot`` has two implementations — the batched numpy fast path
-(default) and the retained per-Point reference path.  These tests pin
-their equivalence, bit for bit, over random configurations crossed with
+``build_snapshot`` runs a batched numpy pipeline;
+:func:`reference.object_engine.build_snapshot_objects` keeps the
+per-Point reference pipeline.  These tests pin their equivalence, bit
+for bit, over random configurations crossed with
 every feature that changes the pipeline: private frames (rotation,
 reflection, scale), perception error models (including random draws,
 where both paths must consume the RNG stream identically), coincident
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference.object_engine import build_snapshot_objects
 
 from repro.geometry import Point
 from repro.geometry.transforms import LocalFrame, SymmetricDistortion
@@ -36,15 +38,13 @@ def _assert_equivalent(observer, others, visibility_range, *, rng_seed=0, **kwar
         others,
         visibility_range,
         rng=np.random.default_rng(rng_seed),
-        method="array",
         **kwargs,
     )
-    second = build_snapshot(
+    second = build_snapshot_objects(
         observer,
         [Point.of(p) for p in others],
         visibility_range,
         rng=np.random.default_rng(rng_seed),
-        method="object",
         **kwargs,
     )
     assert first.neighbours == second.neighbours
@@ -152,7 +152,3 @@ class TestSnapshotPathEquivalence:
         _assert_equivalent((1.0, 1.0), [], 1.0)
         _assert_equivalent((1.0, 1.0), [(1.5, 1.0)], 1.0)
         _assert_equivalent((1.0, 1.0), [(1.0, 1.0)], 1.0)  # observer-coincident only
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            build_snapshot((0.0, 0.0), [(0.5, 0.0)], 1.0, method="turbo")

@@ -1,17 +1,18 @@
 """Property tests pinning the 3D array engine bit-identical to the object path.
 
 Mirrors the planar engine's methodology (`tests/engine/test_engine_modes.py`):
-the retained per-robot reference loop (``engine_mode="object"``) defines
-the semantics, and the vectorized array mode must reproduce its floats
-exactly — positions, diameter histories, convergence/cohesion flags —
-across frames on/off, activation subsets, non-rigid motion, asynchrony
-bounds and both neighbour-query paths (grid and dense).
+the per-robot reference loop (:mod:`reference.object_engine3`) defines
+the semantics, and the array engine must reproduce its floats exactly —
+positions, diameter histories, convergence/cohesion flags — across
+frames on/off, activation subsets, non-rigid motion, asynchrony bounds
+and both neighbour-query paths (grid and dense).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference.object_engine3 import run_simulation3_object
 
 from repro.spatial3d import (
     KKNPS3Algorithm,
@@ -30,6 +31,10 @@ def _final_positions(result) -> np.ndarray:
 
 def _run(positions, algorithm, **config):
     return run_simulation3(positions, algorithm, Simulation3Config(**config))
+
+
+def _run_object(positions, algorithm, **config):
+    return run_simulation3_object(positions, algorithm, Simulation3Config(**config))
 
 
 def assert_runs_identical(result_a, result_b):
@@ -56,10 +61,8 @@ class TestArrayObjectParity:
             seed=seed,
             rotate_frames=rotate_frames,
         )
-        array = _run(configuration.positions, KKNPS3Algorithm(k=2),
-                     engine_mode="array", **base)
-        obj = _run(configuration.positions, KKNPS3Algorithm(k=2),
-                   engine_mode="object", **base)
+        array = _run(configuration.positions, KKNPS3Algorithm(k=2), **base)
+        obj = _run_object(configuration.positions, KKNPS3Algorithm(k=2), **base)
         assert_runs_identical(array, obj)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -73,10 +76,8 @@ class TestArrayObjectParity:
             xi=0.5,
             seed=11 + k,
         )
-        array = _run(configuration.positions, KKNPS3Algorithm(k=k),
-                     engine_mode="array", **base)
-        obj = _run(configuration.positions, KKNPS3Algorithm(k=k),
-                   engine_mode="object", **base)
+        array = _run(configuration.positions, KKNPS3Algorithm(k=k), **base)
+        obj = _run_object(configuration.positions, KKNPS3Algorithm(k=k), **base)
         assert_runs_identical(array, obj)
 
     def test_full_activation_rigid_bit_identical(self):
@@ -89,10 +90,8 @@ class TestArrayObjectParity:
             xi=1.0,
             seed=5,
         )
-        array = _run(configuration.positions, KKNPS3Algorithm(k=1),
-                     engine_mode="array", **base)
-        obj = _run(configuration.positions, KKNPS3Algorithm(k=1),
-                   engine_mode="object", **base)
+        array = _run(configuration.positions, KKNPS3Algorithm(k=1), **base)
+        obj = _run_object(configuration.positions, KKNPS3Algorithm(k=1), **base)
         assert_runs_identical(array, obj)
 
     def test_coincident_robots_bit_identical(self):
@@ -111,8 +110,8 @@ class TestArrayObjectParity:
             xi=0.5,
             seed=9,
         )
-        array = _run(positions, KKNPS3Algorithm(k=2), engine_mode="array", **config)
-        obj = _run(positions, KKNPS3Algorithm(k=2), engine_mode="object", **config)
+        array = _run(positions, KKNPS3Algorithm(k=2), **config)
+        obj = _run_object(positions, KKNPS3Algorithm(k=2), **config)
         assert_runs_identical(array, obj)
 
 
@@ -145,17 +144,12 @@ class TestGridDenseEquivalence3D:
             seed=17,
         )
         grid = _run(configuration.positions, KKNPS3Algorithm(k=2),
-                    engine_mode="array", spatial_index=True, **base)
-        obj = _run(configuration.positions, KKNPS3Algorithm(k=2),
-                   engine_mode="object", **base)
+                    spatial_index=True, **base)
+        obj = _run_object(configuration.positions, KKNPS3Algorithm(k=2), **base)
         assert_runs_identical(grid, obj)
 
 
 class TestEngine3Config:
-    def test_engine_mode_validated(self):
-        with pytest.raises(ValueError):
-            Simulation3Config(engine_mode="vectorised")
-
     def test_result_counts_activations(self):
         configuration = line_configuration3(4, spacing=0.7)
         result = _run(
@@ -170,6 +164,3 @@ class TestEngine3Config:
         )
         # Full activation: every robot activates every round.
         assert result.activations_executed == 4 * result.rounds_executed
-
-    def test_default_mode_is_array(self):
-        assert Simulation3Config().engine_mode == "array"

@@ -10,11 +10,36 @@ from repro.spatial3d import (
     build_snapshot3,
     edges_preserved3,
     is_connected3,
+    max_pairwise_distance3,
+    max_pairwise_distance3_array,
     visibility_edges3,
 )
+from repro.spatial3d import model3
+from repro.spatial3d.kernel3 import _diameter3_large
 
 
 LINE3 = [Vector3(0, 0, 0), Vector3(0.8, 0, 0), Vector3(1.6, 0, 0)]
+
+
+def _random3(n, seed):
+    return np.random.default_rng(seed).normal(scale=2.0, size=(n, 3))
+
+
+def _tied_lattice3(side):
+    """A cubic lattice: many pairs tie at every distance, the diameter included."""
+    axis = np.arange(side) * 0.7
+    return np.array([(x, y, z) for x in axis for y in axis for z in axis])
+
+
+def _coplanar3(n, seed):
+    """Points on one horizontal plane (a flat hull, which Qhull rejects)."""
+    points = np.full((n, 3), 1.25)
+    points[:, :2] = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n, 2))
+    return points
+
+
+def _scalar_diameter(arr):
+    return max_pairwise_distance3([tuple(row) for row in arr])
 
 
 class TestVisibility3:
@@ -48,6 +73,36 @@ class TestConfiguration3:
         config = Configuration3.of(LINE3, 1.0)
         contracted = Configuration3.of([p * 0.5 for p in LINE3], 1.0)
         assert contracted.preserves_edges_of(config)
+
+
+class TestDiameter3:
+    """The array diameter scans return the scalar pairwise reduction's float."""
+
+    CASES = {
+        "empty": np.zeros((0, 3)),
+        "single": np.array([[0.3, -1.0, 2.0]]),
+        "pair": np.array([[0.0, 0.0, 0.0], [0.1, 0.2, -0.3]]),
+        "random": _random3(40, 0),
+        "tied-lattice": _tied_lattice3(4),
+        "coplanar": _coplanar3(30, 1),
+        "past-one-block": _random3(530, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_diameter_equals_scalar_scan(self, name):
+        arr = self.CASES[name]
+        expected = _scalar_diameter(arr)
+        assert Configuration3.of(arr, 1.0).diameter() == expected
+        assert max_pairwise_distance3_array(arr) == expected
+
+    def test_one_row_blocks_cover_every_pair(self, monkeypatch):
+        monkeypatch.setattr(model3, "_DIAMETER_BLOCK_PAIRS", 64)
+        arr = _random3(50, 3)
+        assert max_pairwise_distance3_array(arr) == _scalar_diameter(arr)
+
+    def test_large_diameter_scans_every_point_of_a_flat_swarm(self):
+        arr = _coplanar3(600, 4)
+        assert _diameter3_large(arr) == _scalar_diameter(arr)
 
 
 class TestSnapshot3:

@@ -78,11 +78,11 @@ def measure_speedup() -> float:
     for _ in range(2):
         new_seconds = _run_once(
             Simulator, positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            _config(FULL_ACTIVATIONS, "array", 1),
+            _config(FULL_ACTIVATIONS, 1),
         )
         seed_seconds = _run_once(
             SeedEngineSimulator, positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            _config(FULL_ACTIVATIONS, "object", 1),
+            _config(FULL_ACTIVATIONS, 1),
         )
         if new_seconds > 0:
             best = max(best, seed_seconds / new_seconds)
@@ -134,7 +134,7 @@ def measure_decide_throughput(n: int) -> float:
     positions = list(truncated_grid_configuration(n, spacing=0.7).positions)
     phases = _run_phased(
         positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-        _config(activations, "array", 1),
+        _config(activations, 1),
     )
     decide_seconds = phases["decide"]
     return activations / decide_seconds if decide_seconds > 0 else float("inf")
