@@ -2,13 +2,14 @@
 
 ``MetricsCollector.observe`` runs after every processed activation, so its
 cost multiplies into every experiment and sweep.  The vectorized path
-stacks the positions into one ``(n, 2)`` array, computes the pairwise
-distance matrix once, and derives the hull diameter, minimum separation
-and broken-edge check from that single matrix; the seed implementation
-rebuilt ``Point`` lists and recomputed pairwise distances separately for
-each quantity.  This bench keeps a faithful copy of the seed
-implementation and asserts the vectorized path beats it at n=100 robots
-while producing the same numbers.
+stacks the positions into one ``(n, 2)`` array and builds no ``(n, n)``
+matrix: the hull diameter is the dense per-pair maximum over the hull's
+candidate rows, the minimum separation an x-sorted sweep (grid-local
+pairs when it gives up), and the broken-edge check a gather of the cached
+initial-edge endpoints; the seed implementation rebuilt ``Point`` lists
+and recomputed pairwise distances separately for each quantity.  This
+bench keeps a faithful copy of the seed implementation and asserts the
+vectorized path beats it at n=100 robots while producing the same numbers.
 """
 
 from __future__ import annotations

@@ -23,11 +23,15 @@ from ..model.visibility import Edge, visibility_edges
 from .logs import SampleLog
 from .spatial_index import ShardedGridIndex, covering_cell
 
-#: Above this many robots the collector switches from the dense
-#: ``(n, n)`` squared-distance matrix to grid-local pair enumeration (the
-#: dense matrix at 10^5 robots would be 80 GB); the extreme distances it
-#: reports are bit-identical either way.
+#: Up to this many robots the collector's minimum separation comes from
+#: an x-sorted sweep over at most ``SWEEP_OFFSETS`` neighbours in x order,
+#: above it from grid-local pair enumeration started at the separation
+#: hint; the extreme distances it reports are bit-identical either way.
 METRICS_DENSE_MAX = 2048
+
+#: Neighbours in x order the min-separation sweep compares each row with
+#: before it gives up and searches grid-local pairs instead.
+SWEEP_OFFSETS = 8
 
 #: A collector's next sparse min-separation search starts at this multiple
 #: of its last observed minimum (see :class:`SeparationHint`): a little
@@ -71,6 +75,32 @@ def min_pairwise_distance_grid(arr: np.ndarray, radius: float) -> float:
             if best <= radius:
                 return best
         radius *= 2.0
+
+
+def min_pairwise_distance_sweep(arr: np.ndarray) -> Optional[float]:
+    """Minimum pairwise distance of ``(n, 2)`` rows by an x-sorted sweep, or None.
+
+    Compares each row with its next ``1..SWEEP_OFFSETS`` neighbours in x
+    order, with the dense matrix's per-pair arithmetic.  Rows ``k`` or
+    more apart in that order differ in x by at least the least ``k``-apart
+    gap, and rounding is monotone, so once that gap squared reaches the
+    running minimum no farther pair can beat it and the minimum is exact.
+    None when the offsets run out first (many rows sharing an x, as in a
+    lattice).
+    """
+    order = np.argsort(arr[:, 0])
+    x, y = arr[order, 0], arr[order, 1]
+    best = math.inf
+    for k in range(1, len(x)):
+        dx = x[k:] - x[:-k]
+        dxx = dx * dx
+        if dxx.min() >= best:
+            break
+        if k > SWEEP_OFFSETS:
+            return None
+        dy = y[k:] - y[:-k]
+        best = min(best, float((dxx + dy * dy).min()))
+    return math.sqrt(best)
 
 
 def search_radius_floor(arr: np.ndarray, radius: float) -> float:
@@ -208,41 +238,26 @@ class MetricsCollector(SeparationHint):
     ) -> MetricsSample:
         """Sample the configuration at ``time`` and append it to the history.
 
-        The hot path is array-native: the positions are stacked into one
-        ``(n, 2)`` array and a single *squared*-distance matrix feeds the
-        diameter and the minimum separation (one square root after the
-        reduction — ``sqrt`` is monotone, so the extremes are bit-identical
-        to reducing over rooted distances).  The cohesion check gathers
-        only the cached initial-edge entries, and the bounding circle runs
-        on the hull vertices only (the SEC of a point set equals the SEC
-        of its convex hull).
+        One array pass, no ``(n, n)`` matrix: the hull's candidate rows give
+        the diameter (:meth:`ConvexHull.point_set_diameter`), the minimum
+        separation comes from the x-sorted sweep (grid-local pairs from the
+        separation hint past ``METRICS_DENSE_MAX`` robots, or when the
+        sweep gives up), the cohesion check gathers only the cached
+        initial-edge entries, and the bounding circle runs on the hull
+        vertices only (the SEC of a point set equals the SEC of its convex
+        hull).  Every reported float is bit-identical to the dense matrix's.
         """
         arr = points_to_array(positions)
         n = len(arr)
         hull = ConvexHull.of_array(arr)
-        if n > METRICS_DENSE_MAX:
-            # The diameter of a point set is attained between two hull
-            # vertices, so the quadratic scan only needs the (tiny) hull;
-            # the minimum separation comes from grid-local pairs, searched
-            # from the separation hint.  Both reductions apply the dense
-            # path's per-pair arithmetic to the extreme pair, so the
-            # reported floats are bit-identical.
-            hull_arr = points_to_array(hull.vertices)
-            hx = hull_arr[:, 0, None] - hull_arr[None, :, 0]
-            hy = hull_arr[:, 1, None] - hull_arr[None, :, 1]
-            diameter = float(math.sqrt((hx * hx + hy * hy).max()))
-            min_pairwise = min_pairwise_distance_grid(arr, self.separation_radius())
+        diameter = min_pairwise = 0.0
+        broken_count = 0
+        if n >= 2:
+            diameter = hull.point_set_diameter()
+            min_pairwise = min_pairwise_distance_sweep(arr) if n <= METRICS_DENSE_MAX else None
+            if min_pairwise is None:
+                min_pairwise = min_pairwise_distance_grid(arr, self.separation_radius())
             broken_count = self._broken_edge_count(arr)
-        elif n >= 2:
-            sq = self._squared_matrix(arr)
-            diameter = float(math.sqrt(sq.max()))
-            np.fill_diagonal(sq, math.inf)
-            min_pairwise = float(math.sqrt(sq.min()))
-            broken_count = self._broken_edge_count(arr)
-        else:
-            diameter = 0.0
-            min_pairwise = 0.0
-            broken_count = 0
         return self.record(
             MetricsSample(
                 time=time,
@@ -268,28 +283,6 @@ class MetricsCollector(SeparationHint):
             self.cohesion_ever_violated = True
         self.note_separation(sample.min_pairwise_distance)
         return sample
-
-    def _squared_matrix(self, arr: np.ndarray) -> np.ndarray:
-        """The squared-distance matrix, built into per-collector scratch buffers.
-
-        ``observe`` runs once per processed activation, so the three
-        ``(n, n)`` temporaries are allocated once and reused — the values
-        are exactly :func:`squared_distance_matrix` of ``arr``.
-        """
-        n = len(arr)
-        buffers = getattr(self, "_matrix_buffers", None)
-        if buffers is None or buffers[0].shape[0] != n:
-            buffers = (np.empty((n, n)), np.empty((n, n)))
-            self._matrix_buffers = buffers
-        dx, dy = buffers
-        x = np.ascontiguousarray(arr[:, 0])
-        y = np.ascontiguousarray(arr[:, 1])
-        np.subtract(x[:, None], x[None, :], out=dx)
-        np.subtract(y[:, None], y[None, :], out=dy)
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        return dx
 
     def initial_edge_lengths(self, arr: np.ndarray) -> np.ndarray:
         """Lengths of the initial visibility edges at the ``(n, 2)`` rows ``arr``.

@@ -41,7 +41,6 @@ import numpy as np
 
 from ..algorithms.kknps import kknps_destinations_all
 from ..geometry.hull import ConvexHull
-from ..geometry.point import points_to_array
 from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
 from ..model.types import RoundBatch
@@ -257,14 +256,13 @@ def _observe_fast(
 ):
     """``MetricsCollector.observe``, bit-identically, without the dense matrix.
 
-    Applies the collector's own sparse recipe (documented bit-identical to
-    the dense path) below the ``METRICS_DENSE_MAX`` switchover: the hull
-    diameter is attained between hull vertices and uses the dense path's
-    per-pair arithmetic on them, and the minimum separation comes from
-    :func:`min_pairwise_distance_grid`, started at the collector's
-    separation hint.  A caller that already holds the lane's exact
-    minimum (the batched per-round group pass) hands it in via
-    ``min_pairwise``.
+    Applies the collector's own recipe (documented bit-identical to the
+    dense path) at every swarm size: the diameter is the hull's
+    :meth:`~repro.geometry.hull.ConvexHull.point_set_diameter`, and the
+    minimum separation comes from :func:`min_pairwise_distance_grid`,
+    started at the collector's separation hint.  A caller that already
+    holds the lane's exact minimum (the batched per-round group pass)
+    hands it in via ``min_pairwise``.
 
     Every geometric field of the sample is a pure function of the
     position bytes and the collector's initial edge arrays; when sibling
@@ -283,13 +281,10 @@ def _observe_fast(
         geometry = geometry_cache.get(key)
     if geometry is None:
         hull = ConvexHull.of_array(arr)
-        hull_arr = points_to_array(hull.vertices)
-        hx = hull_arr[:, 0, None] - hull_arr[None, :, 0]
-        hy = hull_arr[:, 1, None] - hull_arr[None, :, 1]
         if min_pairwise is None:
             min_pairwise = min_pairwise_distance_grid(arr, metrics.separation_radius())
         geometry = (
-            float(math.sqrt((hx * hx + hy * hy).max())),
+            hull.point_set_diameter(),
             hull.perimeter(),
             smallest_enclosing_circle(hull.vertices).radius,
             min_pairwise,

@@ -11,13 +11,12 @@ operations the experiments assert on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .point import Point, PointLike, points_to_array
-from .segment import distance_point_to_line, orientation
 from .tolerances import EPS
 
 
@@ -28,85 +27,80 @@ from .tolerances import EPS
 # the toleranced boundary.
 _PREFILTER_MARGIN = 1e-6
 _PREFILTER_MIN_POINTS = 16
+#: Past this many candidate rows, the hull also prunes them against its own
+#: polygon and its point-set diameter drops rows before pairing them.
+_DENSE_CANDIDATES = 64
 
 
-def _prune_interior(unique: np.ndarray) -> np.ndarray:
+def _interior(x, y, cx, cy, margin) -> np.ndarray:
+    """Mask of the points farther than ``margin`` left of every edge of a CCW polygon."""
+    following = list(range(1, len(cx))) + [0]
+    ex = cx[following] - cx
+    ey = cy[following] - cy
+    lengths = np.hypot(ex, ey)
+    valid = lengths > 0.0
+    if not valid.all():
+        ex, ey, cx, cy, lengths = ex[valid], ey[valid], cx[valid], cy[valid], lengths[valid]
+    offsets = ex[:, None] * (y - cy[:, None]) - ey[:, None] * (x - cx[:, None])
+    return (offsets / lengths[:, None] > margin).all(axis=0)
+
+
+def _prune_interior(arr: np.ndarray):
     """Drop points safely interior to the hull (Akl-Toussaint prefilter).
 
     Takes the eight coordinate extremes (support points of the axis and
     diagonal directions, a convex CCW octagon), and removes every point
-    farther than a safety margin inside *all* of its edges.  The
-    survivors keep their lexicographic order, so the chain walk sees the
-    same sequence it would have seen minus provably-interior points.
+    farther than a safety margin inside *all* of its edges.  Returns the
+    survivors, in input order, and the margin (None when the extremes
+    span no polygon and nothing was pruned).
     """
-    x, y = unique[:, 0], unique[:, 1]
+    x, y = arr[:, 0], arr[:, 1]
     s, d = x + y, x - y
-    stacked = np.stack((x, s, y, d))
-    low = np.argmin(stacked, axis=1)
-    high = np.argmax(stacked, axis=1)
-    # Support points of the eight axis/diagonal directions, in CCW order.
-    support = [
-        int(low[0]),
-        int(low[1]),
-        int(low[2]),
-        int(high[3]),
-        int(high[0]),
-        int(high[1]),
-        int(high[2]),
-        int(low[3]),
-    ]
     corners: List[int] = []
-    for i in support:
+    # Support points of the eight axis/diagonal directions, in CCW order.
+    for i in (x.argmin(), s.argmin(), y.argmin(), d.argmax(),
+              x.argmax(), s.argmax(), y.argmax(), d.argmin()):
+        i = int(i)
         if not corners or (i != corners[-1] and i != corners[0]):
             corners.append(i)
     if len(corners) < 3:
-        return unique
+        return arr, None
     cx, cy = x[corners], y[corners]
     extent = max(float(cx.max() - cx.min()), float(cy.max() - cy.min()))
     if extent <= 0.0:
-        return unique
+        return arr, None
     margin = _PREFILTER_MARGIN * extent
-    # One broadcast evaluates every point against every octagon edge: the
-    # signed distance left of edge a->b (CCW interior) must clear the
-    # margin for all edges for a point to be pruned.
-    ex = np.roll(cx, -1) - cx
-    ey = np.roll(cy, -1) - cy
-    lengths = np.hypot(ex, ey)
-    valid = lengths > 0.0
-    if not valid.any():
-        return unique
-    ex, ey, cx, cy, lengths = ex[valid], ey[valid], cx[valid], cy[valid], lengths[valid]
-    offsets = (
-        ex[:, None] * (y[None, :] - cy[:, None]) - ey[:, None] * (x[None, :] - cx[:, None])
-    ) / lengths[:, None]
-    interior = (offsets > margin).all(axis=0)
-    if not interior.any():
-        return unique
-    return unique[~interior]
+    return arr[~_interior(x, y, cx, cy, margin)], margin
 
 
-def convex_hull_array(array: np.ndarray) -> List[Point]:
-    """Convex hull of an ``(n, 2)`` array, counter-clockwise (monotone chain).
+def _hull_rows(array: np.ndarray):
+    """``(vertices, candidates)`` of an ``(n, 2)`` array, both as float rows.
 
-    The input preparation is vectorized: deduplication and lexicographic
-    sorting via ``np.unique`` over rows, then an interior-point prefilter
-    that discards everything safely inside the octagon of coordinate
-    extremes, so the Python chain walk only visits near-boundary points.
-    Collinear points on the boundary are dropped.  Degenerate inputs (one
-    point, or all-collinear points) return the one or two extreme points.
+    The vertices run counter-clockwise (monotone chain); the candidates
+    are every distinct row not interior to the hull by the prune margin.
+    The input preparation is vectorized: the octagon prefilter, then
+    deduplication and lexicographic sorting via one ``lexsort``, so the
+    Python chain walk only visits near-boundary points.  Collinear points
+    on the boundary are dropped.  Degenerate inputs (one point, or
+    all-collinear points) give the one or two extreme points.
     """
     arr = np.asarray(array, dtype=float).reshape(-1, 2)
+    margin = None
     # Prune before deduplicating: the filter needs only the coordinate
-    # extremes, and it cuts the points the O(n log n) unique-sort touches.
+    # extremes, and it cuts the rows the lexsort touches.
     if len(arr) >= _PREFILTER_MIN_POINTS:
-        arr = _prune_interior(arr)
-    unique = np.unique(arr, axis=0) if len(arr) else arr
-    m = len(unique)
+        arr, margin = _prune_interior(arr)
+    if len(arr) > 1:
+        arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+        distinct = np.ones(len(arr), dtype=bool)
+        np.any(arr[1:] != arr[:-1], axis=1, out=distinct[1:])
+        arr = arr[distinct]
+    m = len(arr)
     if m <= 2:
-        return [Point(float(x), float(y)) for x, y in unique]
+        return arr, arr
 
-    xs: List[float] = unique[:, 0].tolist()
-    ys: List[float] = unique[:, 1].tolist()
+    xs: List[float] = arr[:, 0].tolist()
+    ys: List[float] = arr[:, 1].tolist()
 
     def build(order: range) -> List[int]:
         chain: List[int] = []
@@ -133,7 +127,26 @@ def convex_hull_array(array: np.ndarray) -> List[Point]:
     if not hull:
         # Fully collinear input: return the two extreme points.
         hull = [0, m - 1]
-    return [Point(xs[i], ys[i]) for i in hull]
+    vertices = arr[hull]
+    if margin is not None and m > _DENSE_CANDIDATES and len(hull) >= 3:
+        arr = arr[~_interior(arr[:, 0], arr[:, 1], vertices[:, 0], vertices[:, 1], margin)]
+    return vertices, arr
+
+
+def convex_hull_array(array: np.ndarray) -> List[Point]:
+    """Convex hull of an ``(n, 2)`` array, counter-clockwise (see :func:`_hull_rows`)."""
+    return [Point(x, y) for x, y in _hull_rows(array)[0].tolist()]
+
+
+def _max_squared_distance(rows: np.ndarray) -> float:
+    """Largest ``dx*dx + dy*dy`` over pairs of ``rows``, the dense matrix's arithmetic."""
+    x, y = rows[:, 0], rows[:, 1]
+    best = 0.0
+    for start in range(0, len(rows), 512):
+        dx = x[start:start + 512, None] - x
+        dy = y[start:start + 512, None] - y
+        best = max(best, float((dx * dx + dy * dy).max()))
+    return best
 
 
 def convex_hull(points: Sequence[PointLike]) -> List[Point]:
@@ -150,16 +163,20 @@ class ConvexHull:
     """Convex hull of a point set, with the measures used by the paper."""
 
     vertices: tuple
+    #: The ``(m, 2)`` rows of the point set not interior to the hull by
+    #: the prune margin (None for a hull built from its vertices alone).
+    candidates: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def of(points: Sequence[PointLike]) -> "ConvexHull":
         """Compute the hull of ``points``."""
-        return ConvexHull(tuple(convex_hull(points)))
+        return ConvexHull.of_array(points_to_array(points))
 
     @staticmethod
     def of_array(array: np.ndarray) -> "ConvexHull":
         """Compute the hull of an ``(n, 2)`` coordinate array."""
-        return ConvexHull(tuple(convex_hull_array(array)))
+        vertices, candidates = _hull_rows(array)
+        return ConvexHull(tuple(Point(x, y) for x, y in vertices.tolist()), candidates)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -170,9 +187,30 @@ class ConvexHull:
         if len(verts) < 2:
             return 0.0
         total = 0.0
-        for i, v in enumerate(verts):
-            total += v.distance_to(verts[(i + 1) % len(verts)])
+        for v, w in zip(verts, verts[1:] + verts[:1]):
+            total += math.hypot(v.x - w.x, v.y - w.y)
         return total
+
+    def point_set_diameter(self) -> float:
+        """Largest distance between two rows of the point set, as the dense matrix gives it.
+
+        For every other row, a row interior by the margin (``1e-6`` of the
+        extent) has a candidate the margin farther away, a gap no rounding
+        of ``dx*dx + dy*dy`` closes, so candidate pairs suffice.  A row whose
+        farthest bounding-box corner is nearer than the farthest vertex pair
+        ends no farthest pair (rounding is monotone).  Unlike the vertex
+        diameter, rows within the chain's collinearity tolerance count.
+        """
+        rows = self.candidates
+        if rows is None:
+            rows = points_to_array(self.vertices)
+        if len(rows) > _DENSE_CANDIDATES:
+            least = _max_squared_distance(points_to_array(self.vertices))
+            x, y = rows[:, 0], rows[:, 1]
+            fx = np.maximum(x - x.min(), x.max() - x)
+            fy = np.maximum(y - y.min(), y.max() - y)
+            rows = rows[fx * fx + fy * fy >= least]
+        return math.sqrt(_max_squared_distance(rows)) if len(rows) > 1 else 0.0
 
     def area(self) -> float:
         """Area of the hull (shoelace formula)."""

@@ -17,8 +17,6 @@ round at once).
 from __future__ import annotations
 
 import abc
-import heapq
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
@@ -46,46 +44,58 @@ class EngineView(Protocol):
         ...
 
 
-@dataclass
 class ActivationLog:
-    """Bookkeeping of issued activations, shared by the asynchronous schedulers."""
+    """Bookkeeping of issued activations, shared by the asynchronous schedulers.
 
-    n_robots: int
-    start_times: Dict[int, List[float]] = field(default_factory=dict)
-    last_interval: Dict[int, Activation] = field(default_factory=dict)
-    total_issued: int = 0
+    Kept in arrays, so the k-Async bound is one mask and two binary
+    searches per check: each robot's last interval (``look``, ``end``;
+    ``look`` is infinite before its first activation), the rank of its
+    first activation among all robots (``rank``, -1 before), and its
+    start times in issue order, which are sorted because activations are
+    issued in nondecreasing look time.
+    """
 
-    def __post_init__(self) -> None:
-        self.start_times = {i: [] for i in range(self.n_robots)}
+    def __init__(self, n_robots: int) -> None:
+        self.n_robots = n_robots
+        self.look = np.full(n_robots, np.inf)
+        self.end = np.zeros(n_robots)
+        self.rank = np.full(n_robots, -1)
+        self.total_issued = 0
+        self._ranked = 0
+        self._starts = [np.empty(8) for _ in range(n_robots)]
+        self._counts = [0] * n_robots
 
     def record(self, activation: Activation) -> None:
         """Record an issued activation."""
-        self.start_times[activation.robot_id].append(activation.look_time)
-        self.last_interval[activation.robot_id] = activation
+        robot_id = activation.robot_id
+        count = self._counts[robot_id]
+        buffer = self._starts[robot_id]
+        if count == len(buffer):
+            buffer = self._starts[robot_id] = np.resize(buffer, 2 * count)
+        buffer[count] = activation.look_time
+        self._counts[robot_id] = count + 1
+        if self.rank[robot_id] < 0:
+            self.rank[robot_id] = self._ranked
+            self._ranked += 1
+        self.replace_last(activation)
         self.total_issued += 1
+
+    def replace_last(self, activation: Activation) -> None:
+        """Make ``activation`` its robot's last interval (a stretched copy of the issued one)."""
+        self.look[activation.robot_id] = activation.look_time
+        self.end[activation.robot_id] = activation.end_time
 
     def last_end_time(self, robot_id: int) -> float:
         """End time of the robot's most recently issued activation (0 if none)."""
-        last = self.last_interval.get(robot_id)
-        return last.end_time if last is not None else 0.0
+        return float(self.end[robot_id])
 
-    def starts_within(self, robot_id: int, start: float, end: float) -> int:
-        """Number of issued activations of ``robot_id`` starting in ``[start, end)``."""
-        return sum(1 for t in self.start_times[robot_id] if start <= t < end)
-
-    def active_intervals_containing(self, time: float, *, exclude: Optional[int] = None):
-        """Issued activations whose interval contains ``time`` (optionally excluding a robot)."""
-        result = []
-        for robot_id, activation in self.last_interval.items():
-            if exclude is not None and robot_id == exclude:
-                continue
-            if activation.look_time <= time < activation.end_time:
-                result.append(activation)
-        return result
+    def start_times(self, robot_id: int) -> np.ndarray:
+        """The robot's issued start times, ascending."""
+        return self._starts[robot_id][: self._counts[robot_id]]
 
     def activation_counts(self) -> Dict[int, int]:
         """Number of issued activations per robot (fairness accounting)."""
-        return {i: len(starts) for i, starts in self.start_times.items()}
+        return dict(enumerate(self._counts))
 
 
 class Scheduler(abc.ABC):

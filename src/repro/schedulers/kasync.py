@@ -68,18 +68,26 @@ class KAsyncScheduler(Scheduler):
         self._sequence += 1
 
     def _respect_k_bound(self, robot_id: int, start: float) -> float:
-        """Delay ``start`` until the k-bound is respected for every active interval."""
-        if self.k is None:
+        """Delay ``start`` until the k-bound is respected for every active interval.
+
+        Each pass masks the other robots' last intervals that contain
+        ``start`` and counts the robot's starts inside each with two binary
+        searches; ``start`` then moves past the end of the violator with the
+        highest first-activation rank, where a per-interval overwrite in
+        first-activation order would leave it.
+        """
+        log = self._log
+        starts = log.start_times(robot_id)
+        if self.k is None or len(starts) < self.k:
             return start
-        changed = True
-        while changed:
-            changed = False
-            for other in self._log.active_intervals_containing(start, exclude=robot_id):
-                already = self._log.starts_within(robot_id, other.look_time, other.end_time)
-                if already >= self.k:
-                    start = other.end_time + 1e-9
-                    changed = True
-        return start
+        while True:
+            active = (log.look <= start) & (start < log.end)
+            active[robot_id] = False
+            already = np.searchsorted(starts, log.end) - np.searchsorted(starts, log.look)
+            violators = np.flatnonzero(active & (already >= self.k))
+            if not len(violators):
+                return start
+            start = float(log.end[violators[np.argmax(log.rank[violators])]]) + 1e-9
 
     def next_batch(self, view: Optional[EngineView] = None) -> List[Activation]:
         """The globally earliest pending activation, adjusted for the k-bound.
@@ -164,7 +172,7 @@ class StalledAsyncScheduler(KAsyncScheduler):
                     move_duration=self.stall_duration / 2.0,
                     progress_fraction=activation.progress_fraction,
                 )
-                self._log.last_interval[activation.robot_id] = activation
+                self._log.replace_last(activation)
             adjusted.append(activation)
         return adjusted
 

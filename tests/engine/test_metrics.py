@@ -69,9 +69,10 @@ class TestMetricsCollector:
 
 
 class TestLargeNMode:
-    """Past METRICS_DENSE_MAX the collector switches to hull-pair diameter
-    and grid-local pairs; the threshold is monkeypatched low so the suite
-    can pin the two modes bit-identical on the same configurations."""
+    """Past METRICS_DENSE_MAX the collector's minimum separation switches
+    from the x-sorted sweep to grid-local pairs; the threshold is
+    monkeypatched low so the suite can pin the two modes bit-identical on
+    the same configurations."""
 
     def _positions(self, seed, n=60):
         import numpy as np
@@ -180,3 +181,51 @@ class TestContractingSwarm:
             assert sample.hull_diameter == math.sqrt(squared.max())
             np.fill_diagonal(squared, math.inf)
             assert sample.min_pairwise_distance == math.sqrt(squared.min())
+
+
+class TestToleranceDroppedRobot:
+    """A robot the chain drops within its collinearity tolerance still counts.
+
+    On an edge shorter than ~3e-5 the chain's tolerance is loose: here
+    ``(1e-8, -4e-11)`` lies just outside the segment from ``(0, 0)`` to
+    ``(2e-8, 0)`` and is dropped, yet it is 1.00000000004 from the apex,
+    farther than any two hull vertices.  The sample diameter must be the
+    dense maximum at every swarm size and in the replicate lanes.
+    """
+
+    def _positions(self):
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        interior = np.stack(
+            (1e-8 + rng.uniform(-1e-10, 1e-10, 3000), rng.uniform(0.3, 0.4, 3000)), axis=1
+        )
+        corners = np.array([[0.0, 0.0], [1e-8, -4e-11], [2e-8, 0.0], [1e-8, 1.0]])
+        return np.concatenate((corners, interior))
+
+    def _dense_diameter(self, arr):
+        import math
+
+        best = 0.0
+        for start in range(0, len(arr), 256):
+            dx = arr[start:start + 256, 0, None] - arr[None, :, 0]
+            dy = arr[start:start + 256, 1, None] - arr[None, :, 1]
+            best = max(best, float((dx * dx + dy * dy).max()))
+        return math.sqrt(best)
+
+    def test_sample_diameter_counts_the_dropped_robot(self):
+        from types import SimpleNamespace
+
+        from repro.engine.metrics import METRICS_DENSE_MAX
+        from repro.engine.replicate import _observe_fast
+        from repro.geometry.hull import ConvexHull
+
+        arr = self._positions()
+        assert len(arr) > METRICS_DENSE_MAX
+        dense = self._dense_diameter(arr)
+        assert dense == pytest.approx(1.00000000004, abs=1e-15)
+        assert ConvexHull.of_array(arr).diameter() == 1.0
+        sample = MetricsCollector(visibility_range=1e-3).observe(0.0, arr, 0)
+        assert sample.hull_diameter == dense
+        lane = SimpleNamespace(metrics=MetricsCollector(visibility_range=1e-3))
+        assert _observe_fast(lane, 0.0, arr, 0).hull_diameter == dense

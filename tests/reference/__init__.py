@@ -8,9 +8,13 @@ two and benchmarks can time the array engine against it:
   views over the kinematic store, per-``Point`` Looks and the per-``Point``
   snapshot pipeline (:class:`~reference.object_engine.ObjectSimulator`);
 * :mod:`reference.object_engine3` — the per-robot ``Vector3`` round loop
-  of the 3D extension (:func:`~reference.object_engine3.run_simulation3_object`).
+  of the 3D extension (:func:`~reference.object_engine3.run_simulation3_object`);
+* :mod:`reference.hull` — the ``np.unique`` hull and a dense-matrix
+  metrics sample (:func:`~reference.hull.dense_sample`);
+* :mod:`reference.kbound` — the k-async scheduler with the scanning
+  k-bound (:class:`~reference.kbound.ScanKAsyncScheduler`).
 
 ``tests/conftest.py`` puts ``tests/`` on ``sys.path``, so tests import
-these as ``reference.object_engine`` and ``reference.object_engine3``;
-scripts outside the suite add ``tests/`` themselves.
+these as ``reference.<module>``; scripts outside the suite add
+``tests/`` themselves.
 """
