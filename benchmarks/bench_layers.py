@@ -1,0 +1,196 @@
+"""Bench — the mega ladder: planar kknps x ssync rounds at n = 10^3 … 10^6.
+
+Each row is one swarm size of the ``grid`` (truncated grid) workload, run
+the way ``perfbench``'s ``round_mega`` runs it: ``planar_setup`` builds the
+configuration, algorithm, scheduler and config of a one-run
+``SweepSpec``, a :class:`~repro.engine.simulator.Simulator` is
+constructed (together: the row's *setup*), and ``Simulator.run``
+executes ``n`` activations (the *run*).  Every size runs in a fresh
+subprocess, so the ``ru_maxrss`` it reports is that row's own peak.
+
+A row records the median and interquartile range of setup and run
+seconds over its repeats, the activations executed, the peak RSS, and an
+output digest (the final positions and the diameter history) that must
+not move while the program's outputs stay bit-identical.  The host
+fingerprint (cores, CPU model, python, numpy, scipy) sits beside the
+rows.  This is the first ladder of ``BENCH_layers.json``; other layers
+add their rows next to it.
+
+Run it from the repository root::
+
+    python benchmarks/bench_layers.py            # n = 10^3 … 10^6, writes BENCH_layers.json
+    python benchmarks/bench_layers.py --smoke    # n = 10^3 and 10^4 once (CI)
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_PATH = ROOT / "BENCH_layers.json"
+
+#: ``(n, repeats)`` per ladder row; the n = 10^6 row runs once (~20 s).
+FULL_ROWS = ((1_000, 7), (10_000, 5), (100_000, 5), (1_000_000, 1))
+SMOKE_ROWS = ((1_000, 1), (10_000, 1))
+#: Seed of every row's run (the sweep seed of its one-run spec).
+SEED = 7
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def host() -> dict:
+    """The fingerprint of the machine and toolchain the rows were measured on."""
+    import numpy as np
+    import scipy
+
+    return {
+        "nproc": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)),
+        "cpu_model": _cpu_model(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def _spread(values) -> dict:
+    """Median and interquartile range (0 for fewer than two values)."""
+    ordered = sorted(values)
+    iqr = 0.0
+    if len(ordered) >= 2:
+        low, _, high = statistics.quantiles(ordered, n=4, method="inclusive")
+        iqr = high - low
+    return {"median": statistics.median(ordered), "iqr": iqr}
+
+
+def measure_row(n: int, repeats: int) -> dict:
+    """One ladder row, measured in this process (the parent spawns one per size)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
+    from repro.engine.simulator import Simulator
+    from repro.sweeps.runner import planar_setup
+    from repro.sweeps.spec import SweepSpec
+
+    spec = SweepSpec(
+        algorithms=("kknps",),
+        schedulers=("ssync",),
+        workloads=("grid",),
+        n_robots=(n,),
+        seeds=(SEED,),
+        max_activations=n,
+    ).expand()[0]
+    setup_s, run_s, digests = [], [], set()
+    activations = 0
+    for _ in range(repeats):
+        started = time.perf_counter()
+        configuration, algorithm, scheduler, config = planar_setup(spec)
+        sim = Simulator(configuration.positions, algorithm, scheduler, config)
+        ready = time.perf_counter()
+        result = sim.run()
+        done = time.perf_counter()
+        setup_s.append(ready - started)
+        run_s.append(done - ready)
+        activations = result.activations_processed
+        diameters = np.array(result.metrics.diameters(), dtype=float)
+        payload = sim.positions_array().tobytes() + diameters.tobytes()
+        digests.add(hashlib.sha256(payload).hexdigest())
+        del configuration, sim, result
+    if len(digests) != 1:
+        raise RuntimeError(f"n={n}: repeats disagree on the output digest")
+    return {
+        "layer": "round_mega_ladder",
+        "workload": "grid",
+        "algorithm": "kknps",
+        "scheduler": "ssync",
+        "n": n,
+        "seed": SEED,
+        "repeats": repeats,
+        "activations": activations,
+        "setup_s": _spread(setup_s),
+        "run_s": _spread(run_s),
+        "activations_per_s": activations / statistics.median(run_s),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "output_digest": digests.pop(),
+    }
+
+
+def run_ladder(rows) -> list:
+    """Every row in a fresh interpreter, printed as it lands."""
+    out = []
+    for n, repeats in rows:
+        child = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--row", str(n), str(repeats)],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        row = json.loads(child.stdout.strip().splitlines()[-1])
+        out.append(row)
+        print(
+            f"n={n:<8} setup {row['setup_s']['median']:7.3f}s  "
+            f"run {row['run_s']['median']:8.3f}s (IQR {row['run_s']['iqr']:.3f}, "
+            f"k={repeats})  {row['activations_per_s']:9.0f} act/s  "
+            f"peak {row['peak_rss_mb']:7.1f} MB"
+        )
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="n = 10^3 and 10^4 once: checks the bench runs and emits valid JSON",
+    )
+    parser.add_argument(
+        "--output",
+        type=Path,
+        default=BENCH_PATH,
+        help=f"where to write the JSON results (default: {BENCH_PATH})",
+    )
+    # Internal: measure one row in this process and print it as JSON.
+    parser.add_argument("--row", nargs=2, type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.row:
+        print(json.dumps(measure_row(*args.row)))
+        return 0
+
+    payload = {
+        "host": host(),
+        "smoke": bool(args.smoke),
+        "rows": run_ladder(SMOKE_ROWS if args.smoke else FULL_ROWS),
+    }
+    args.output.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {args.output}")
+
+    # The JSON contract the CI smoke step relies on.
+    parsed = json.loads(args.output.read_text())
+    assert parsed["rows"], "bench produced no rows"
+    for row in parsed["rows"]:
+        assert 0 < row["activations"] <= row["n"] and row["run_s"]["median"] > 0
+        assert row["peak_rss_mb"] > 0 and len(row["output_digest"]) == 64
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

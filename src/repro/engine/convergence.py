@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from .logs import EndTimeLog
 from .metrics import MetricsSample
+
+#: Each robot's cycle end times: a ``{robot: [end, ...]}`` dict or the log.
+EndTimes = Union[Dict[int, List[float]], EndTimeLog]
 
 
 @dataclass(frozen=True)
@@ -83,33 +89,44 @@ def rounds_to_halve(samples: Sequence[MetricsSample], round_length: float = 1.0)
     return t / round_length
 
 
-def epochs(activation_times: Dict[int, List[float]]) -> List[Tuple[float, float]]:
+def epochs(activation_times: EndTimes) -> List[Tuple[float, float]]:
     """Partition of time into epochs: periods where every robot completed a cycle.
 
-    ``activation_times`` maps each robot id to the sorted end times of its
-    activity cycles.  Epoch boundaries are greedily chosen: each epoch ends
-    at the earliest time by which every robot has completed at least one
-    cycle that started after the epoch began.
+    ``activation_times`` maps each robot id to the end times of its
+    activity cycles (or is the run's :class:`EndTimeLog`).  Epoch
+    boundaries are greedily chosen: each epoch ends at the earliest time
+    by which every robot has completed at least one cycle that ended at
+    or after the epoch began: one ``searchsorted`` over the cycles' sorted
+    ``(robot, rank of end time)`` keys per epoch.
     """
-    if not activation_times or any(not times for times in activation_times.values()):
-        return []
-    per_robot = {rid: sorted(times) for rid, times in activation_times.items()}
+    log = activation_times
+    if not isinstance(log, EndTimeLog):
+        log = EndTimeLog(len(activation_times))
+        for index, times in enumerate(activation_times.values()):
+            for end in times:
+                log.append(index, end)
+    ids, ends = log.columns()
+    by_time = np.argsort(ends, kind="stable")
+    ordered = ends[by_time]
+    base = np.arange(log.n, dtype=np.int64) * len(ends)
+    # Ascending, as the columns are ordered by robot, then end time.
+    keys = ids * len(ends) + np.argsort(by_time)
+    # Where each robot's keys end: a search landing there found no cycle.
+    limits = np.cumsum(np.bincount(ids, minlength=log.n))
     epoch_list: List[Tuple[float, float]] = []
     start = 0.0
-    while True:
-        ends = []
-        for times in per_robot.values():
-            future = [t for t in times if t >= start]
-            if not future:
-                return epoch_list
-            ends.append(future[0])
-        end = max(ends)
+    while log.n:
+        first = np.searchsorted(keys, base + int(np.searchsorted(ordered, start)))
+        if (first == limits).any():
+            break
+        end = float(ordered[(keys[first] - base).max()])
         epoch_list.append((start, end))
         start = math.nextafter(end, math.inf)
+    return epoch_list
 
 
 def epochs_to_converge(
-    activation_times: Dict[int, List[float]],
+    activation_times: EndTimes,
     samples: Sequence[MetricsSample],
     epsilon: float,
 ) -> Optional[int]:

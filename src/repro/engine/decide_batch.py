@@ -118,6 +118,14 @@ def collapse_hazard_lanes(flat_xy: np.ndarray, lanes: int, n: int) -> np.ndarray
 #: flat perceived rows, activation ``a`` owning ``starts[a]:ends[a]``.
 DecideCore = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
+#: Most candidate rows one chunk of a round's decide gathers (a chunk holds
+#: at least one activation).  Every row array of the pipeline spans one
+#: chunk, so a round's peak memory is O(chunk), not O(round).
+ROW_BUDGET = 1 << 17
+
+_TWO_PI = 2.0 * math.pi
+_UNIT_DOUBLE = 1.0 / 9007199254740992.0  # 2^-53: next_double's scale
+
 
 def decide_round_flat(
     config,
@@ -136,48 +144,30 @@ def decide_round_flat(
     over it (None gathers densely; one lane only).  ``observers`` are the
     executing robots' rows in ``committed``, lane by lane and in
     activation order within a lane, with their ``progress`` fractions;
-    ``lane_draws`` pairs each lane's RNG with its activation count.
-    ``config`` supplies the values every lane shares (frames, reflection,
-    perception, motion xi), ``effective_range`` the Look filter and
-    ``core`` the KKNPS batch core.  Returns the ``(target, realized,
-    neighbours_seen)`` row arrays.
+    ``lane_draws`` pairs each lane's RNG (a PCG64 generator) with its
+    activation count.  ``config`` supplies the values every lane shares
+    (frames, reflection, perception, motion xi), ``effective_range`` the
+    Look filter and ``core`` the KKNPS batch core.  Returns the
+    ``(target, realized, neighbours_seen)`` row arrays.  The frames are
+    drawn first; the row stages then run over consecutive chunks of at
+    most :data:`ROW_BUDGET` candidate rows, which changes no output.
     """
     acts = len(observers)
-    if shard is not None:
-        shard.warm_candidates()
-        cache = shard._candidate_cache
-        slots = shard._slot_of_robot[observers].tolist()
-        candidate_arrays = [cache[slot] for slot in slots]
-    else:
-        base = np.arange(len(committed), dtype=np.intp)
-        candidate_arrays = [np.delete(base, row) for row in observers.tolist()]
-    counts = np.fromiter(
-        (c.size for c in candidate_arrays), dtype=np.int64, count=acts
-    )
-    segment = np.zeros(acts + 1, dtype=np.int64)
-    np.cumsum(counts, out=segment[1:])
-    candidate_ids = (
-        np.concatenate(candidate_arrays)
-        if candidate_arrays
-        else np.empty(0, dtype=np.intp)
-    )
     flat_x = np.ascontiguousarray(committed[:, 0])
     flat_y = np.ascontiguousarray(committed[:, 1])
-    # Column-wise mirror of the per-robot ``arr - observer`` — elementwise
-    # identical, half the gather traffic.
-    rel_x = flat_x[candidate_ids] - np.repeat(flat_x[observers], counts)
-    rel_y = flat_y[candidate_ids] - np.repeat(flat_y[observers], counts)
-    distance = np.hypot(rel_x, rel_y)
-    keep = (distance > 1e-12) & (distance <= effective_range + EPS)
-    keep_cumulative = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(keep, out=keep_cumulative[1:])
-    vis_counts = keep_cumulative[segment[1:]] - keep_cumulative[segment[:-1]]
-    vis_segment = np.zeros(acts + 1, dtype=np.int64)
-    np.cumsum(vis_counts, out=vis_segment[1:])
-    local_x = rel_x[keep]
-    local_y = rel_y[keep]
+    if shard is not None:
+        ids, bounds = shard.warm_candidates()
+        slots = shard._slot_of_robot[observers]
+        first = bounds[slots]
+        counts = bounds[slots + 1] - first
+    else:
+        # Every row, the observer's too: as with a shard's candidate lists,
+        # the distance filter drops it at distance zero.
+        ids = np.arange(len(committed))
+        first, counts = np.zeros(acts, np.int64), np.full(acts, len(committed), np.int64)
+    segment = np.concatenate(([0], np.cumsum(counts)))
 
-    # Private frames, pre-drawn per lane in activation order (the per-robot
+    # Private frames, drawn per lane in activation order (the per-robot
     # decider draws the frame before its empty-candidate check, so every
     # executed activation draws, visible neighbours or not).
     framed = config.use_random_frames
@@ -185,16 +175,42 @@ def decide_round_flat(
         cos_neg, sin_neg, cos_pos, sin_pos, reflections = _draw_frames(
             lane_draws, config.allow_reflection
         )
-        row_cos = np.repeat(cos_neg, vis_counts)
-        row_sin = np.repeat(sin_neg, vis_counts)
-        local_x, local_y = (
-            row_cos * local_x - row_sin * local_y,
-            row_sin * local_x + row_cos * local_y,
+    destinations = np.empty((acts, 2), dtype=np.float64)
+    vis_counts = np.empty(acts, dtype=np.int64)
+    limit = effective_range + EPS
+    lo = 0
+    while lo < acts:
+        hi = int(np.searchsorted(segment, segment[lo] + ROW_BUDGET, side="right")) - 1
+        hi = min(acts, max(lo + 1, hi))
+        owners = observers[lo:hi]
+        chunk_counts = counts[lo:hi]
+        starts = segment[lo : hi + 1] - segment[lo]
+        rows = np.arange(starts[-1], dtype=np.int64)
+        candidates = ids[rows + np.repeat(first[lo:hi] - starts[:-1], chunk_counts)]
+        # Column-wise mirror of the per-robot ``arr - observer`` — elementwise
+        # identical, half the gather traffic.
+        rel_x = flat_x[candidates] - np.repeat(flat_x[owners], chunk_counts)
+        rel_y = flat_y[candidates] - np.repeat(flat_y[owners], chunk_counts)
+        distance = np.hypot(rel_x, rel_y)
+        keep = (distance > 1e-12) & (distance <= limit)
+        vis_segment = np.concatenate(([0], np.cumsum(keep)))[starts]
+        seen = np.diff(vis_segment)
+        local_x = rel_x[keep]
+        local_y = rel_y[keep]
+        if framed:
+            row_cos = np.repeat(cos_neg[lo:hi], seen)
+            row_sin = np.repeat(sin_neg[lo:hi], seen)
+            local_x, local_y = (
+                row_cos * local_x - row_sin * local_y,
+                row_sin * local_x + row_cos * local_y,
+            )
+            local_y = np.where(np.repeat(reflections[lo:hi], seen), -local_y, local_y)
+        perceived_x, perceived_y = perceive_flat(config.perception, local_x, local_y)
+        destinations[lo:hi] = core(
+            perceived_x, perceived_y, vis_segment[:-1], vis_segment[1:]
         )
-        local_y = np.where(np.repeat(reflections, vis_counts), -local_y, local_y)
-
-    perceived_x, perceived_y = perceive_flat(config.perception, local_x, local_y)
-    destinations = core(perceived_x, perceived_y, vis_segment[:-1], vis_segment[1:])
+        vis_counts[lo:hi] = seen
+        lo = hi
 
     # Frame-back and motion, elementwise in the scalar operation order.
     ldx = np.ascontiguousarray(destinations[:, 0])
@@ -239,21 +255,52 @@ def _draw_frames(
 
     Returns the rotation's ``cos``/``sin`` at ``-rotation`` (to local) and
     ``+rotation`` (back to global), via ``math`` exactly as the per-robot
-    frame computes them, and the reflection flags.
+    frame computes them, and the reflection flags (:func:`_replay_lane`).
     """
-    rotations = []
-    reflections = []
-    two_pi = 2.0 * math.pi
-    for rng, count in lane_draws:
-        for _ in range(count):
-            rotations.append(float(rng.uniform(0.0, two_pi)))
-            reflections.append(bool(rng.integers(0, 2)) if allow_reflection else False)
-    acts = len(rotations)
-    negated = [-rotation for rotation in rotations]
+    drawn = [_replay_lane(rng.bit_generator, count, allow_reflection) for rng, count in lane_draws]
+    rotation = np.concatenate([angles for angles, _ in drawn]).tolist()
+    negated = [-angle for angle in rotation]
+    acts = len(rotation)
     return (
         np.fromiter(map(math.cos, negated), dtype=np.float64, count=acts),
         np.fromiter(map(math.sin, negated), dtype=np.float64, count=acts),
-        np.fromiter(map(math.cos, rotations), dtype=np.float64, count=acts),
-        np.fromiter(map(math.sin, rotations), dtype=np.float64, count=acts),
-        np.asarray(reflections, dtype=bool),
+        np.fromiter(map(math.cos, rotation), dtype=np.float64, count=acts),
+        np.fromiter(map(math.sin, rotation), dtype=np.float64, count=acts),
+        np.concatenate([flags for _, flags in drawn]),
     )
+
+
+def _replay_lane(bit_generator, count: int, allow_reflection: bool):
+    """``count`` frames' rotations and reflections, read from the raw stream.
+
+    Per activation ``random_frame`` draws ``uniform(0, 2π)`` — one raw
+    word ``w``: ``0.0 + 2π · ((w >> 11) · 2^-53)`` — and, with reflection,
+    ``integers(0, 2)``: bit 31 of a 32-bit half.  A fresh word serves its
+    low half and buffers its high half (``has_uint32``/``uinteger``) for
+    the next 32-bit draw, across any doubles, even from a previous round;
+    the final buffer is written back, leaving the scalar loop's state.
+    """
+    if not allow_reflection or count == 0:
+        raw = bit_generator.random_raw(count)
+        return _TWO_PI * ((raw >> np.uint64(11)) * _UNIT_DOUBLE), np.zeros(count, bool)
+    state = bit_generator.state
+    buffered = int(state["has_uint32"])
+    paired = count - buffered  # reflections not served by the buffered half
+    fresh = (paired + 1) // 2  # a fresh word serves two of them
+    raw = bit_generator.random_raw(count + fresh)
+    k = np.arange(count, dtype=np.int64) - buffered
+    # A double follows the earlier doubles and the fresh words drawn for
+    # earlier reflections; an even k draws a fresh word right after it.
+    position = k + buffered + (np.maximum(k, 0) + 1) // 2
+    words = raw[position[(k >= 0) & (k % 2 == 0)] + 1]
+    reflected = np.empty(count, dtype=bool)
+    reflected[:buffered] = state["uinteger"] >> 31
+    # Bit 31 of each word's low half, then of its high half.
+    halves = np.column_stack(((words >> np.uint64(31)) & np.uint64(1), words >> np.uint64(63)))
+    reflected[buffered:] = halves.ravel()[:paired]
+    state = bit_generator.state  # re-read: random_raw advanced the generator
+    state["has_uint32"] = paired % 2
+    if fresh:
+        state["uinteger"] = int(words[-1] >> np.uint64(32))
+    bit_generator.state = state
+    return _TWO_PI * ((raw[position] >> np.uint64(11)) * _UNIT_DOUBLE), reflected

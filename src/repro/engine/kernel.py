@@ -63,7 +63,7 @@ from ..geometry.tolerances import EPS
 from ..model.robot import PHASE_MOVING
 from ..model.types import Activation, RoundBatch
 from ..schedulers.base import Scheduler
-from .logs import RecordLog
+from .logs import EndTimeLog, RecordLog
 from .spatial_index import ShardedGridIndex, UniformGridIndex, grid_auto_threshold
 from .state import EngineState
 
@@ -79,7 +79,7 @@ class KernelOutcome:
 
     metrics: object
     processed: int
-    activation_end_times: Dict[int, List[float]]
+    end_times: EndTimeLog
     records: Optional[RecordLog]
     converged_time: Optional[float]
     final_time: float
@@ -346,7 +346,7 @@ class ContinuousKernel:
             target[k], realized[k], seen[k] = decide(activation.robot_id, activation)
         return target, realized, seen
 
-    def _round_batch_ready(self, committed: np.ndarray, shard, count: int) -> bool:
+    def _round_batch_ready(self, committed: np.ndarray) -> bool:
         """Whether this round's decides may run as one whole-round batch call.
 
         The base kernel has no batched decide; dimension front ends that
@@ -377,15 +377,13 @@ class ContinuousKernel:
         realized: np.ndarray,
         neighbours_seen: np.ndarray,
         records: Optional[RecordLog],
-        activation_end_times: Dict[int, List[float]],
+        end_times: EndTimeLog,
     ) -> None:
         """Begin every executed move with one index-array transition, then log the round."""
         arrays = self._state.arrays
         ids = executed.robot_ids
         arrays.begin_moves(ids, realized, executed.move_start_time, executed.end_time)
-        end = executed.end_time
-        for robot_id in ids.tolist():
-            activation_end_times[robot_id].append(end)
+        end_times.extend_round(ids, executed.end_time)
         if records is not None:
             records.extend_round(
                 executed, arrays.position[ids], target, realized, neighbours_seen
@@ -397,7 +395,7 @@ class ContinuousKernel:
         metrics,
         recorder,
         records: Optional[RecordLog],
-        activation_end_times: Dict[int, List[float]],
+        end_times: EndTimeLog,
         processed: int,
         popped: int,
         converged_time: Optional[float],
@@ -443,13 +441,13 @@ class ContinuousKernel:
                     executed = executed.take(slice(0, n_executed))
                     boundaries = 1
         if len(executed):
-            if self._round_batch_ready(committed, shard, len(batch)):
+            if self._round_batch_ready(committed):
                 decide = self._round_decide_batch
             else:
                 decide = self._round_decide_rows
             target, realized, seen = decide(look_time, committed, shard, executed)
             self._commit_round(
-                executed, target, realized, seen, records, activation_end_times
+                executed, target, realized, seen, records, end_times
             )
         if boundaries > 1:
             repeats = boundaries - 1
@@ -553,9 +551,7 @@ class ContinuousKernel:
 
         self.scheduler.reset(self.n_robots, self.rng)
         records = self._make_record_log()
-        activation_end_times: Dict[int, List[float]] = {
-            i: [] for i in range(self.n_robots)
-        }
+        end_times = EndTimeLog(self.n_robots)
         processed = 0
         popped = 0
         converged_time: Optional[float] = None
@@ -572,7 +568,7 @@ class ContinuousKernel:
                     break
                 if self._open_round(batch):
                     processed, popped, converged_time, stop = self._process_round(
-                        batch, metrics, recorder, records, activation_end_times,
+                        batch, metrics, recorder, records, end_times,
                         processed, popped, converged_time,
                     )
                     if stop:
@@ -609,7 +605,7 @@ class ContinuousKernel:
             move_end = activation.end_time
             origin_row = arrays.position[robot_id].copy()
             self._begin_move(robot_id, origin_row, realized, move_start, move_end)
-            activation_end_times[robot_id].append(move_end)
+            end_times.append(robot_id, move_end)
             if move_end <= look_time:
                 # A zero-duration move completes at the look instant itself:
                 # the observer is already at its destination, so the Look's
@@ -644,7 +640,7 @@ class ContinuousKernel:
         return KernelOutcome(
             metrics=metrics,
             processed=processed,
-            activation_end_times=activation_end_times,
+            end_times=end_times,
             records=records,
             converged_time=converged_time,
             final_time=final_time,

@@ -12,11 +12,12 @@ only when a caller reads them:
   :class:`~repro.model.types.ActivationRecord` on access;
 * :class:`SampleLog` is run-length encoded: one observed sample per run
   plus how many record boundaries replicate it, each replica differing
-  only in ``activations_processed``.
+  only in ``activations_processed``;
+* :class:`EndTimeLog` holds each activity cycle's robot id and end time.
 
-Both are read-only ``Sequence`` views for their callers (``len``, integer
-and slice indexing, iteration, ``==`` against a list or another log), so
-code written against the old lists keeps working.
+The first two are read-only ``Sequence`` views for their callers (``len``,
+integer and slice indexing, iteration, ``==`` against a list or another
+log), so code written against the old lists keeps working.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from typing import Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -271,3 +272,45 @@ class SampleLog(Sequence):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SampleLog({len(self)} samples in {len(self._heads)} runs)"
+
+
+class EndTimeLog:
+    """Every executed activity cycle's robot id and end time, as columns.
+
+    Cycles arrive one at a time or a round (ids and one end time) at once.
+    A robot's cycles never overlap, so the order they ran in is ascending
+    end time: :meth:`columns` and :meth:`as_dict` order by robot, then time.
+    """
+
+    __slots__ = ("n", "_ids", "_ends", "_rounds")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._ids: List[int] = []
+        self._ends: List[float] = []
+        self._rounds: List[Tuple[np.ndarray, float]] = []
+
+    def append(self, robot_id: int, end: float) -> None:
+        """Log one robot's cycle ending at ``end``."""
+        self._ids.append(robot_id)
+        self._ends.append(end)
+
+    def extend_round(self, robot_ids: np.ndarray, end: float) -> None:
+        """Log a round's cycles, all ending at ``end``."""
+        self._rounds.append((robot_ids, end))
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(robot ids, end times)`` of every logged cycle, by robot, then time."""
+        rounds = self._rounds
+        ids = np.concatenate([np.asarray(self._ids, np.int64), *(r for r, _ in rounds)])
+        ends = np.asarray(self._ends, np.float64)
+        ends = np.concatenate([ends, *(np.full(len(r), t) for r, t in rounds)])
+        order = np.lexsort((ends, ids))
+        return ids[order], ends[order]
+
+    def as_dict(self) -> Dict[int, List[float]]:
+        """``{robot: [end, ...]}`` for every robot of ``range(n)``."""
+        ids, ends = self.columns()
+        bounds = [0] + np.cumsum(np.bincount(ids, minlength=self.n)).tolist()
+        times = ends.tolist()
+        return {i: times[bounds[i] : bounds[i + 1]] for i in range(self.n)}

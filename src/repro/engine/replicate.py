@@ -46,7 +46,7 @@ from ..geometry.tolerances import EPS
 from ..model.types import RoundBatch
 from .decide_batch import collapse_hazard_lanes, decide_round_flat
 from .kernel import replay_round
-from .logs import RecordLog
+from .logs import EndTimeLog, RecordLog
 from .metrics import (
     MetricsCollector,
     MetricsSample,
@@ -74,7 +74,7 @@ class _Lane:
         "metrics",
         "recorder",
         "records",
-        "aet",
+        "end_times",
         "processed",
         "popped",
         "converged_time",
@@ -89,7 +89,7 @@ class _Lane:
         self.index = index
         self.sim = sim
         self.records = RecordLog()
-        self.aet: Dict[int, List[float]] = {i: [] for i in range(sim.n_robots)}
+        self.end_times = EndTimeLog(sim.n_robots)
         self.processed = 0
         self.popped = 0
         self.converged_time: Optional[float] = None
@@ -373,7 +373,7 @@ def _finish(
         metrics=lane.metrics,
         activations_processed=lane.processed,
         activation_counts=sim.activation_counts(),
-        activation_end_times=lane.aet,
+        end_times=lane.end_times,
         records=lane.records,
         converged=lane.converged_time is not None,
         convergence_time=lane.converged_time,
@@ -393,7 +393,7 @@ def _advance_scalar_round(lane: _Lane, batch: RoundBatch) -> None:
         lane.metrics,
         lane.recorder,
         lane.records,
-        lane.aet,
+        lane.end_times,
         lane.processed,
         lane.popped,
         lane.converged_time,
@@ -533,7 +533,7 @@ def _advance_vector_group(
                 rows = slice(offset, offset + count)
                 lane.sim._commit_round(
                     executed, target[rows], realized[rows], seen[rows],
-                    lane.records, lane.aet,
+                    lane.records, lane.end_times,
                 )
             offset += count
     stopping = [lane for lane, _, stop, _ in walked if stop]

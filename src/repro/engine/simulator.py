@@ -44,16 +44,10 @@ from ..schedulers.base import Scheduler
 from .convergence import ConvergenceSummary, epochs_to_converge, summarize
 from .decide_batch import collapse_hazard_lanes, decide_round_flat
 from .kernel import ContinuousKernel, Decision
-from .logs import RecordLog
+from .logs import EndTimeLog, RecordLog
 from .metrics import MetricsCollector
 from .recorder import TrajectoryRecorder
 from .state import EngineState
-
-#: Cap on the flat candidate-row count a dense (no-shard) whole-round
-#: decide may gather: ``activations * (n - 1)`` rows beyond this would
-#: allocate more than the round saves, so such rounds stay per-robot.
-_DENSE_BATCH_CAP = 4_000_000
-
 
 @dataclass
 class SimulationConfig:
@@ -103,9 +97,9 @@ def _configuration(rows: np.ndarray, visibility_range: float) -> Configuration:
 class SimulationResult:
     """Outcome of one simulation run.
 
-    The initial and final positions are kept as the engine's ``(n, 2)``
-    rows; the Point-based :class:`Configuration` views are built on first
-    access.
+    Positions are kept as the engine's ``(n, 2)`` rows and cycle end times
+    as an :class:`EndTimeLog`; the Point-based :class:`Configuration` views
+    and the ``activation_end_times`` dict are built on first access.
 
     The reported measures read what the run already measured: the t=0
     sample of the initial positions (``metrics.samples[0]``), the sample
@@ -121,7 +115,7 @@ class SimulationResult:
     metrics: MetricsCollector
     activations_processed: int
     activation_counts: Dict[int, int]
-    activation_end_times: Dict[int, List[float]]
+    end_times: EndTimeLog
     records: RecordLog
     converged: bool
     convergence_time: Optional[float]
@@ -139,6 +133,11 @@ class SimulationResult:
     def final_configuration(self) -> Configuration:
         """The configuration once every move has finished."""
         return _configuration(self.final_positions, self.visibility_range)
+
+    @cached_property
+    def activation_end_times(self) -> Dict[int, List[float]]:
+        """Each robot's activity-cycle end times, in order."""
+        return self.end_times.as_dict()
 
     def summary(self, epsilon: float = 1e-3) -> ConvergenceSummary:
         """Convergence summary of the metric history against ``epsilon``."""
@@ -167,9 +166,7 @@ class SimulationResult:
 
     def epochs_to_converge(self, epsilon: float) -> Optional[int]:
         """Epochs completed before the hull diameter dropped to ``epsilon``."""
-        return epochs_to_converge(
-            self.activation_end_times, self.metrics.samples.heads(), epsilon
-        )
+        return epochs_to_converge(self.end_times, self.metrics.samples.heads(), epsilon)
 
 
 class Simulator(ContinuousKernel):
@@ -329,9 +326,11 @@ class Simulator(ContinuousKernel):
         engine adds a finite-range check, since its lanes always gather
         through a grid): the batch is bit-identical only when the round
         draws no RNG outside the private frames and the algorithm core is
-        the KKNPS batch core.
+        the KKNPS batch core; the frame replay reads a PCG64 stream.
         """
         cfg = self.config
+        if type(self.rng.bit_generator) is not np.random.PCG64:
+            return False
         if cfg.multiplicity_detection:
             return False
         if type(self.algorithm) is not KKNPSAlgorithm:
@@ -343,19 +342,16 @@ class Simulator(ContinuousKernel):
             return False
         return True
 
-    def _round_batch_ready(self, committed: np.ndarray, shard, count: int) -> bool:
+    def _round_batch_ready(self, committed: np.ndarray) -> bool:
         ok = self._batch_decide_ok
         if ok is None:
             ok = self._batch_decide_ok = self._batch_decide_eligible()
         if not ok:
             return False
-        n = self.n_robots
-        if shard is None and count * max(0, n - 1) > _DENSE_BATCH_CAP:
-            return False
         # A committed pair inside the collapse guard could make the serial
         # tier's coincidence collapse a non-identity; such (vanishingly
         # rare) rounds keep the per-robot path, which is bit-identical.
-        return not bool(collapse_hazard_lanes(committed, 1, n)[0])
+        return not bool(collapse_hazard_lanes(committed, 1, self.n_robots)[0])
 
     def _round_decide_batch(
         self, look_time: float, committed: np.ndarray, shard, executed: RoundBatch
@@ -387,7 +383,7 @@ class Simulator(ContinuousKernel):
             metrics=outcome.metrics,
             activations_processed=outcome.processed,
             activation_counts=self.activation_counts(),
-            activation_end_times=outcome.activation_end_times,
+            end_times=outcome.end_times,
             records=outcome.records,
             converged=outcome.converged_time is not None,
             convergence_time=outcome.converged_time,

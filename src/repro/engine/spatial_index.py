@@ -263,7 +263,7 @@ class ShardedGridIndex:
         "_run_ids",
         "_blocks",
         "_slot_of_robot",
-        "_candidate_cache",
+        "_candidates",
     )
 
     def __init__(
@@ -286,7 +286,7 @@ class ShardedGridIndex:
         self._run_ids = None if run_ids is None else np.asarray(run_ids, dtype=np.int64)
         self._blocks: Optional[tuple] = None
         self._slot_of_robot: Optional[np.ndarray] = None
-        self._candidate_cache: Optional[List[np.ndarray]] = None
+        self._candidates: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if self.n == 0:
             self._cells = np.empty((0, self.dim), dtype=np.int64)
             return
@@ -356,11 +356,6 @@ class ShardedGridIndex:
             self._slot_of_robot = slot_of_robot
         return self._blocks
 
-    @property
-    def n_blocks(self) -> int:
-        """Number of non-empty blocks (for tests and the docs tables)."""
-        return len(self._block_slots()[2])
-
     def candidates(self, robot_id: int) -> np.ndarray:
         """Ascending ids of every robot in the 3^d blocks around ``robot_id``.
 
@@ -369,20 +364,22 @@ class ShardedGridIndex:
         distance zero (the round fast path filters exactly as the dense
         snapshot build does).
         """
-        self.warm_candidates()
-        return self._candidate_cache[int(self._slot_of_robot[robot_id])]
+        ids, bounds = self.warm_candidates()
+        slot = int(self._slot_of_robot[robot_id])
+        return ids[bounds[slot] : bounds[slot + 1]]
 
-    def warm_candidates(self) -> None:
-        """Build the candidate array of *every* block in one vectorized pass.
+    def warm_candidates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every block's candidate array as CSR ``(ids, bounds)``, built once.
 
-        Bulk consumers (a round's decide queries nearly every block) read
-        ``_candidate_cache[_slot_of_robot[robot]]`` directly afterwards.
-        Block adjacency for all slots resolves through one
-        ``searchsorted`` per offset, and one ``lexsort`` orders every
+        Slot ``s``'s candidates are ``ids[bounds[s]:bounds[s + 1]]`` and
+        ``_slot_of_robot`` maps a robot to its slot, so a bulk consumer (a
+        round's decide) gathers chunks of lists with plain array operations.
+        Block adjacency for all slots resolves through one ``searchsorted``
+        per offset, and one sort of ``(slot, robot)`` keys orders every
         slot's candidates by ascending robot id.
         """
-        if self._candidate_cache is not None:
-            return
+        if self._candidates is not None:
+            return self._candidates
         order, bounds, keys, slot_coords, span = self._block_slots()
         n_slots = len(keys)
         owners, sources = _adjacent(
@@ -390,14 +387,12 @@ class ShardedGridIndex:
         )
         elements, entry = _members_of(order, bounds, sources)
         slot_tag = owners[entry]
-        ranked = np.lexsort((elements, slot_tag))
-        sorted_elements = np.ascontiguousarray(elements[ranked])
         slot_bounds = np.zeros(n_slots + 1, dtype=np.int64)
         np.cumsum(np.bincount(slot_tag, minlength=n_slots), out=slot_bounds[1:])
-        self._candidate_cache = [
-            sorted_elements[lo:hi]
-            for lo, hi in zip(slot_bounds[:-1].tolist(), slot_bounds[1:].tolist())
-        ]
+        # A robot sits in one block, so no slot lists it twice: the keys
+        # are distinct and sorting them orders each slot's robots.
+        self._candidates = (np.sort(slot_tag * self.n + elements) % self.n, slot_bounds)
+        return self._candidates
 
     def neighbour_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """All pairs ``(i, j)``, ``i < j``, whose cells are the same or adjacent.

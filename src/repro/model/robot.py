@@ -20,6 +20,7 @@ the moves that have completed) run as single numpy expressions.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,11 +83,11 @@ class KinematicArrays:
     @staticmethod
     def from_positions(positions: Sequence[PointLike]) -> "KinematicArrays":
         """A planar store with every robot idle at the given positions."""
-        pts = [Point.of(p) for p in positions]
+        pts = list(map(Point.of, positions))
         arrays = KinematicArrays(len(pts))
-        for i, p in enumerate(pts):
-            arrays.position[i, 0] = p.x
-            arrays.position[i, 1] = p.y
+        for axis, name in enumerate(("x", "y")):
+            column = map(attrgetter(name), pts)
+            arrays.position[:, axis] = np.fromiter(column, dtype=float, count=len(pts))
         return arrays
 
     @staticmethod

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..engine.kernel import ContinuousKernel, Decision
-from ..engine.logs import SampleLog
+from ..engine.logs import EndTimeLog, SampleLog
 from ..engine.metrics import (
     METRICS_DENSE_MAX,
     SeparationHint,
@@ -242,12 +243,17 @@ class Simulation3AsyncResult:
     metrics: Metrics3Collector
     activations_processed: int
     activation_counts: Dict[int, int]
-    activation_end_times: Dict[int, List[float]]
+    end_times: EndTimeLog
     converged: bool
     convergence_time: Optional[float]
     cohesion_maintained: bool
     final_time: float
     wall_time_seconds: float
+
+    @cached_property
+    def activation_end_times(self) -> Dict[int, List[float]]:
+        """Each robot's activity-cycle end times, in order."""
+        return self.end_times.as_dict()
 
     @property
     def final_diameter(self) -> float:
@@ -331,7 +337,7 @@ def run_simulation3_async(
         metrics=outcome.metrics,
         activations_processed=outcome.processed,
         activation_counts=kernel.activation_counts(),
-        activation_end_times=outcome.activation_end_times,
+        end_times=outcome.end_times,
         converged=outcome.converged_time is not None,
         convergence_time=outcome.converged_time,
         cohesion_maintained=not outcome.metrics.cohesion_ever_violated,

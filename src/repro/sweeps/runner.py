@@ -283,9 +283,7 @@ def _execute_run3_async(spec: RunSpec) -> Dict[str, object]:
             convergence_epsilon=spec.epsilon,
         ),
     )
-    epochs = epochs_to_converge(
-        result.activation_end_times, result.metrics.samples, spec.epsilon
-    )
+    epochs = epochs_to_converge(result.end_times, result.metrics.samples, spec.epsilon)
     final_positions = positions_as_array3(result.final_configuration.positions)
     initial_edges = edge_index_array(result.initial_configuration.edges())
     return {

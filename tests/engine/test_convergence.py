@@ -1,8 +1,15 @@
 """Tests for convergence-rate measures (summaries, halving, epochs)."""
 
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference.epochs import epochs_scan
 from repro.engine import epochs, epochs_to_converge, rounds_to_halve, summarize, time_to_halve
+from repro.engine.logs import EndTimeLog
 from repro.engine.metrics import MetricsSample
 
 
@@ -73,3 +80,54 @@ class TestEpochs:
     def test_epochs_to_converge_when_never_converged(self):
         times = {0: [1.0], 1: [2.0]}
         assert epochs_to_converge(times, HISTORY[:1], epsilon=1e-9) is None
+
+
+def _log(times):
+    """An :class:`EndTimeLog` holding ``times``, cycles appended one by one."""
+    log = EndTimeLog(len(times))
+    for robot_id, ends in times.items():
+        for end in ends:
+            log.append(robot_id, end)
+    return log
+
+
+#: End times drawn from a few values and their float neighbours, so ties
+#: and ``nextafter`` boundaries (an epoch starting one ulp after a cycle
+#: end) come up often.
+_TICKS = [0.0, 0.5, 1.0, 2.0, 3.5]
+_END = st.sampled_from(_TICKS).flatmap(
+    lambda t: st.sampled_from([t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)])
+)
+
+
+class TestEpochSearch:
+    """The keyed search equals the rescanning oracle (``reference.epochs``)."""
+
+    @given(st.lists(st.lists(_END, max_size=8), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_scan_oracle(self, per_robot):
+        times = {robot_id: sorted(ends) for robot_id, ends in enumerate(per_robot)}
+        expected = epochs_scan(times)
+        assert epochs(times) == expected
+        assert epochs(_log(times)) == expected
+
+    def test_ties_and_nextafter_boundaries(self):
+        after = math.nextafter(2.0, math.inf)
+        times = {0: [2.0, after, 3.0], 1: [2.0, 2.0, after, 3.0], 2: [after, 4.0]}
+        assert epochs(times) == epochs_scan(times)
+        assert epochs(times) == [(0.0, after), (math.nextafter(after, math.inf), 4.0)]
+
+    def test_robot_without_cycles(self):
+        times = {0: [1.0, 2.0], 1: [], 2: [1.5]}
+        assert epochs(times) == epochs_scan(times) == []
+        assert epochs(_log(times)) == []
+        assert epochs(EndTimeLog(0)) == []
+
+    def test_round_log_equals_its_dict(self):
+        log = EndTimeLog(4)
+        log.extend_round(np.array([0, 2, 3]), 1.5)
+        log.append(1, 1.0)
+        log.append(2, 2.5)
+        log.extend_round(np.array([1, 3]), 3.0)
+        assert log.as_dict() == {0: [1.5], 1: [1.0, 3.0], 2: [1.5, 2.5], 3: [1.5, 3.0]}
+        assert epochs(log) == epochs_scan(log.as_dict())

@@ -9,19 +9,22 @@ final RNG states bitwise.  Unlike the end-to-end pins, they can hand the
 pipeline progress fractions below one, which the built-in round
 schedulers never produce, so the rigidity constant ``xi`` is exercised
 too.  The pipeline's helpers (flat perception, per-lane frame draws,
-the collapse guard) are pinned against their scalar counterparts.
+the collapse guard) are pinned against their scalar counterparts, and
+the row-budget chunking must change no output and bound a round's peak
+memory.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.algorithms import KKNPSAlgorithm
 from repro.algorithms.kknps import kknps_destinations_all
-from repro.engine import SimulationConfig, Simulator
+from repro.engine import SimulationConfig, Simulator, decide_batch
 from repro.engine.decide_batch import (
     COLLAPSE_GUARD_DIST,
     GUARD_CELL,
@@ -36,6 +39,8 @@ from repro.geometry.transforms import SymmetricDistortion, random_frame
 from repro.model.errors import MotionModel, PerceptionModel
 from repro.model.types import RoundBatch
 from repro.schedulers import SSyncScheduler
+from repro.sweeps import RunSpec
+from repro.sweeps.runner import planar_setup
 from repro.workloads import random_connected_configuration
 
 DISTORTION = SymmetricDistortion(amplitude=0.1, frequency=2)
@@ -340,3 +345,70 @@ class TestDecideRoundFlat:
         assert target.shape == (0, 2) and realized.shape == (0, 2)
         assert seen.shape == (0,)
         assert sim.rng.bit_generator.state == start
+
+
+class TestRowBudget:
+    """Chunking the row stages by ``ROW_BUDGET`` changes no output."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, None])
+    @pytest.mark.parametrize("lanes,grid", [(1, True), (1, False), (3, True)],
+                             ids=["grid-1-lane", "dense-1-lane", "grid-3-lanes"])
+    def test_rows_equal_per_robot_at_any_budget(self, monkeypatch, budget, lanes, grid):
+        if budget is not None:
+            monkeypatch.setattr(decide_batch, "ROW_BUDGET", budget)
+        n = 30
+        sims = [_sim(n, seed, visibility_range=1.0) for seed in range(8, 8 + lanes)]
+        batches = [
+            _round(n, seed, every_robot=seed % 2 == 0, partial_progress=False)
+            for seed in range(8, 8 + lanes)
+        ]
+        starts = [sim.rng.bit_generator.state for sim in sims]
+        tensor = np.stack([sim._state.arrays.position for sim in sims])
+        effective = sims[0]._effective_range()
+        consts = sims[0].algorithm.decide_consts()
+        shard = (
+            ShardedGridIndex.from_replicates(tensor, effective + 2.0 * EPS)
+            if grid
+            else None
+        )
+        target, realized, seen = decide_round_flat(
+            sims[0].config,
+            effective,
+            lambda px, py, s, e: kknps_destinations_all(px, py, s, e, consts),
+            tensor.reshape(-1, 2),
+            shard,
+            np.concatenate(
+                [batch.robot_ids + slot * n for slot, batch in enumerate(batches)]
+            ),
+            np.concatenate([batch.progress for batch in batches]),
+            [(sim.rng, len(batch)) for sim, batch in zip(sims, batches)],
+        )
+        offset = 0
+        for sim, batch, start in zip(sims, batches, starts):
+            ends = sim.rng.bit_generator.state
+            sim.rng.bit_generator.state = start
+            rows = slice(offset, offset + len(batch))
+            reference = sim._round_decide_rows(
+                0.0, sim._state.arrays.position, None, batch
+            )
+            _assert_rows_equal((target[rows], realized[rows], seen[rows]), reference)
+            assert ends == sim.rng.bit_generator.state
+            offset += len(batch)
+        assert offset == len(target)
+
+    def test_grid_round_peak_memory_is_bounded(self):
+        """One 20k-activation round at n = 4·10^4 stays under 40 MiB."""
+        spec = RunSpec("kknps", "ssync", "grid", 40_000, seed=1, max_activations=40_000)
+        configuration, algorithm, scheduler, config = planar_setup(spec)
+        sim = Simulator(configuration.positions, algorithm, scheduler, config)
+        committed = sim._state.arrays.position
+        shard = sim._round_shard(committed)
+        assert shard is not None
+        executed = RoundBatch(np.arange(0, 40_000, 2), 0.0)
+        tracemalloc.start()
+        try:
+            sim._round_decide_batch(0.0, committed, shard, executed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20

@@ -242,3 +242,31 @@ class TestWorkloadMatrix:
         fast = results[0][0]
         assert fast.activations_processed == 3000
         assert len(fast.metrics.samples) == 3000 // 250 + 2
+
+    def test_dense_rounds_past_the_old_gather_cap_decide_batched(self, monkeypatch):
+        """A dense n=2,500 run batches every round (~2,000 activations x 2,499 rows)."""
+        configuration = truncated_grid_configuration(2500, spacing=0.7)
+        paths = []
+        for name in ("_round_decide_batch", "_round_decide_rows"):
+            decide = getattr(Simulator, name)
+            monkeypatch.setattr(
+                Simulator, name,
+                lambda *args, name=name, decide=decide: paths.append(name) or decide(*args),
+            )
+        config_kw = dict(
+            seed=6, max_activations=5000, record_every=500, stop_at_convergence=False,
+            spatial_index=False,
+        )
+        results = []
+        for round_batching in (None, False):
+            results.append(
+                _run(
+                    configuration.positions,
+                    KKNPSAlgorithm(k=1),
+                    SSyncScheduler(activation_probability=0.8),
+                    SimulationConfig(round_batching=round_batching, **config_kw),
+                )
+            )
+        assert paths.count("_round_decide_batch") == 3
+        assert "_round_decide_rows" not in paths
+        _assert_identical(*results)

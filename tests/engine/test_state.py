@@ -23,6 +23,24 @@ class TestKinematicArrays:
         assert arrays.position[1].tolist() == [1.0, 2.0]
         assert not arrays.any_moving()
 
+    @pytest.mark.parametrize("form", ["points", "tuples", "rows", "int-tuples"])
+    def test_from_positions_equals_the_point_by_point_fill(self, form):
+        """One column pass stores the bytes the per-point fill stored, -0.0 included."""
+        coords = [(-0.0, 0.0), (1.5, -0.0), (-2.25, 1e-300), (3.0, -7.0)]
+        positions = {
+            "points": [Point(x, y) for x, y in coords],
+            "tuples": coords,
+            "rows": np.array(coords),
+            "int-tuples": [(0, -1), (2, 3)],
+        }[form]
+        expected = np.zeros((len(positions), 2))
+        for i, p in enumerate(map(Point.of, positions)):
+            expected[i, 0] = p.x
+            expected[i, 1] = p.y
+        position = KinematicArrays.from_positions(positions).position
+        assert position.dtype == np.float64
+        assert position.tobytes() == expected.tobytes()
+
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             KinematicArrays(-1)

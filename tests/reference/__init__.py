@@ -12,7 +12,11 @@ two and benchmarks can time the array engine against it:
 * :mod:`reference.hull` — the ``np.unique`` hull and a dense-matrix
   metrics sample (:func:`~reference.hull.dense_sample`);
 * :mod:`reference.kbound` — the k-async scheduler with the scanning
-  k-bound (:class:`~reference.kbound.ScanKAsyncScheduler`).
+  k-bound (:class:`~reference.kbound.ScanKAsyncScheduler`);
+* :mod:`reference.frames` — the per-activation scalar frame draw
+  (:func:`~reference.frames.draw_frames_scalar`);
+* :mod:`reference.epochs` — the rescanning epoch partition
+  (:func:`~reference.epochs.epochs_scan`).
 
 ``tests/conftest.py`` puts ``tests/`` on ``sys.path``, so tests import
 these as ``reference.<module>``; scripts outside the suite add

@@ -17,6 +17,7 @@ import pytest
 
 from repro.engine import replicate as replicate_engine
 from repro.engine.convergence import epochs_to_converge
+from repro.engine.logs import EndTimeLog
 from repro.engine.metrics import METRICS_DENSE_MAX
 from repro.engine.simulator import run_simulation
 from repro.model.visibility import max_edge_stretch
@@ -72,6 +73,18 @@ class TestDenseOracle:
     def test_row_fields_equal_the_dense_oracle(self, spec):
         result, row = run_spec(spec)
         assert_matches_oracle(spec, result, row)
+
+    def test_unconverged_row_never_reads_the_end_times(self, monkeypatch):
+        """``epochs`` is None before the cycle end times are looked at."""
+
+        def unread(log):
+            raise AssertionError("the end-time log was read")
+
+        monkeypatch.setattr(EndTimeLog, "columns", unread)
+        spec = RunSpec("kknps", "ssync", "grid", 64, seed=1, max_activations=64)
+        result, row = run_spec(spec)
+        assert not result.converged and row["epochs"] is None
+        assert "activation_end_times" not in vars(result)
 
     def test_grid_run_past_the_dense_metrics_switch(self):
         spec = RunSpec("kknps", "ssync", "grid", 2100, seed=2, max_activations=4200)
