@@ -9,7 +9,7 @@ destinations back through the frames and the zero-deviation motion
 model.  It has exactly two callers: a single run's round
 (:meth:`repro.engine.simulator.Simulator._round_decide_batch`, one lane)
 and a replicate bundle's group of lanes
-(:func:`repro.engine.replicate._advance_vector_group`), whose committed
+(:func:`repro.engine.replicate._advance_group`), whose committed
 rows stack into one ``(lanes * n, 2)`` array.  Every lane of a group
 shares each configuration value the pipeline reads, so one ``config``
 describes them all; only the RNG streams stay per lane.

@@ -34,6 +34,11 @@ Because the pipeline itself lives here once, the full scheduler family
 schedulers only ever see :class:`Activation` batches and the read-only
 engine view, both dimension-free.
 
+A run is a :class:`KernelRun` advanced by the kernel's steps — begin,
+next whole round, sample a round, process a round, step one heaped
+activation, loop, end.  :meth:`run_kernel` chains them; the replicate
+engine (:mod:`repro.engine.replicate`) drives many runs through them.
+
 A round-structured scheduler issues each round as a
 :class:`~repro.model.types.RoundBatch` — robot ids and progress fractions
 as arrays, one shared look instant and phase durations.  On the batched
@@ -73,19 +78,27 @@ from .state import EngineState
 Decision = Tuple[object, object, int]
 
 
-@dataclass
-class KernelOutcome:
-    """Everything one kernel run produced, in dimension-free form."""
+@dataclass(eq=False)
+class KernelRun:
+    """One run's state between the kernel's steps, in dimension-free form.
+
+    :meth:`ContinuousKernel._begin_run` creates it, the round and
+    activation steps advance it, :meth:`ContinuousKernel._end_run` ends it.
+    """
 
     metrics: object
-    processed: int
-    end_times: EndTimeLog
+    recorder: Optional[object]
     records: Optional[RecordLog]
-    converged_time: Optional[float]
-    final_time: float
-    final_positions: np.ndarray
-    wall_time_seconds: float
-    recorder: Optional[object] = None
+    end_times: EndTimeLog
+    started: float
+    processed: int = 0
+    popped: int = 0
+    converged_time: Optional[float] = None
+    #: Set by the first stopping rule that fires; no step runs after it.
+    stopped: bool = False
+    final_time: float = 0.0
+    final_positions: Optional[np.ndarray] = None
+    wall_time_seconds: float = 0.0
 
 
 def replay_round(
@@ -376,79 +389,61 @@ class ContinuousKernel:
         target: np.ndarray,
         realized: np.ndarray,
         neighbours_seen: np.ndarray,
-        records: Optional[RecordLog],
-        end_times: EndTimeLog,
+        run: KernelRun,
     ) -> None:
         """Begin every executed move with one index-array transition, then log the round."""
         arrays = self._state.arrays
         ids = executed.robot_ids
         arrays.begin_moves(ids, realized, executed.move_start_time, executed.end_time)
-        end_times.extend_round(ids, executed.end_time)
-        if records is not None:
-            records.extend_round(
+        run.end_times.extend_round(ids, executed.end_time)
+        if run.records is not None:
+            run.records.extend_round(
                 executed, arrays.position[ids], target, realized, neighbours_seen
             )
 
-    def _process_round(
-        self,
-        batch: RoundBatch,
-        metrics,
-        recorder,
-        records: Optional[RecordLog],
-        end_times: EndTimeLog,
-        processed: int,
-        popped: int,
-        converged_time: Optional[float],
-    ):
-        """Advance one round against the committed rows; returns updated loop state.
+    def _sample_round(
+        self, batch: RoundBatch, run: KernelRun, observe=None
+    ) -> RoundBatch:
+        """Replay one round's counters and take its samples; returns what executes.
 
-        The per-activation loop's counters are replayed first without
-        touching any state (:func:`replay_round`): which activations
-        execute and where the record boundaries fall.  Every boundary of a
-        round observes the same committed geometry — positions committed
-        before the round stay committed throughout it (beginning a move
-        never writes ``position``) — and ``observe`` draws no RNG, so the
-        first boundary's sample and the convergence decision are taken
-        *before* the decides.  A convergence stop then truncates the round
-        exactly where the per-activation loop would have broken: the
-        skipped activations never decide, so their draws never happen and
-        the RNG stream matches byte for byte.  The surviving activations
-        are decided as one batch when the front end allows it (else robot
-        by robot, in order), committed by :meth:`_commit_round`, and the
-        remaining boundaries are replicated from the first sample when the
-        collector declares that safe (``supports_replicated_samples``),
-        else re-observed with the same arguments.
+        The per-activation loop's counters are replayed without touching
+        any state (:func:`replay_round`): which activations execute and
+        where the record boundaries fall.  Every boundary of a round
+        observes the same committed geometry — positions committed before
+        the round stay committed throughout it (beginning a move never
+        writes ``position``) — and sampling draws no RNG, so the round's
+        samples and the convergence decision are taken *before* its
+        decides.  A convergence stop truncates the round exactly where the
+        per-activation loop would have broken: the skipped activations
+        never decide, so their draws never happen and the RNG stream
+        matches byte for byte.  Boundaries after the first replicate its
+        sample when the collector declares that safe
+        (``supports_replicated_samples``), else re-observe with the same
+        arguments.  ``observe`` stands in for ``run.metrics.observe`` at
+        the first boundary (the replicate lanes pass their batched
+        sampler).
         """
         cfg = self.config
         arrays = self._state.arrays
         look_time = batch.look_time
         committed = arrays.position
-        shard = self._round_shard(committed)
-        executed, first, boundaries, processed, popped = replay_round(
-            batch, arrays.crashed, processed, popped,
+        executed, first, boundaries, run.processed, run.popped = replay_round(
+            batch, arrays.crashed, run.processed, run.popped,
             cfg.max_activations, cfg.record_every,
         )
-        stop = False
-        if first is not None:
-            sample = metrics.observe(look_time, committed, first[1])
-            if recorder is not None:
-                recorder.record_all(look_time, committed)
-            if converged_time is None and sample.hull_diameter <= cfg.convergence_epsilon:
-                converged_time = look_time
-                if cfg.stop_at_convergence:
-                    stop = True
-                    n_executed, processed, popped = first
-                    executed = executed.take(slice(0, n_executed))
-                    boundaries = 1
-        if len(executed):
-            if self._round_batch_ready(committed):
-                decide = self._round_decide_batch
-            else:
-                decide = self._round_decide_rows
-            target, realized, seen = decide(look_time, committed, shard, executed)
-            self._commit_round(
-                executed, target, realized, seen, records, end_times
-            )
+        if first is None:
+            return executed
+        metrics = run.metrics
+        recorder = run.recorder
+        sample = (observe or metrics.observe)(look_time, committed, first[1])
+        if recorder is not None:
+            recorder.record_all(look_time, committed)
+        if run.converged_time is None and sample.hull_diameter <= cfg.convergence_epsilon:
+            run.converged_time = look_time
+            if cfg.stop_at_convergence:
+                run.stopped = True
+                n_executed, run.processed, run.popped = first
+                return executed.take(slice(0, n_executed))
         if boundaries > 1:
             repeats = boundaries - 1
             if getattr(metrics, "supports_replicated_samples", False):
@@ -459,7 +454,27 @@ class ContinuousKernel:
             if recorder is not None:
                 for _ in range(repeats):
                     recorder.record_all(look_time, committed)
-        return processed, popped, converged_time, stop
+        return executed
+
+    def _process_round(self, batch: RoundBatch, run: KernelRun) -> None:
+        """Advance one whole round against the committed rows.
+
+        :meth:`_sample_round` takes the round's samples and says which
+        activations execute; those are decided as one batch when the
+        front end allows it (else robot by robot, in order) and committed
+        by :meth:`_commit_round`.
+        """
+        executed = self._sample_round(batch, run)
+        if not len(executed):
+            return
+        committed = self._state.arrays.position
+        shard = self._round_shard(committed)
+        if self._round_batch_ready(committed):
+            decide = self._round_decide_batch
+        else:
+            decide = self._round_decide_rows
+        target, realized, seen = decide(batch.look_time, committed, shard, executed)
+        self._commit_round(executed, target, realized, seen, run)
 
     def _push(self, activation: Activation) -> None:
         heapq.heappush(self._pending, (activation.look_time, self._sequence, activation))
@@ -537,117 +552,152 @@ class ContinuousKernel:
         all_positions = self._state.positions_at(look_time)
         return np.delete(all_positions, robot_id, axis=0), all_positions
 
-    # -- main loop -----------------------------------------------------------------------
-    def run_kernel(self) -> KernelOutcome:
-        """Execute the continuous-time pipeline and return its raw outcome."""
+    # -- the run, step by step -----------------------------------------------------------
+    def _begin_run(self, metrics=None) -> KernelRun:
+        """Set a run up: bind the metrics, reset the scheduler, take the t=0 sample.
+
+        ``metrics`` may come in already bound to the initial positions and
+        holding its t=0 sample (the replicate lanes share both among
+        byte-identical starts); neither step draws RNG, so skipping them
+        here leaves the run unchanged.
+        """
         started = _time.perf_counter()
-        cfg = self.config
-        arrays = self._state.arrays
-        metrics = self._make_metrics()
-        self._bind_metrics(metrics)
+        fresh = metrics is None
+        if fresh:
+            metrics = self._make_metrics()
+            self._bind_metrics(metrics)
         recorder = self._make_recorder()
         if recorder is not None:
             recorder.record_all(0.0, self._sampled_positions(0.0, None))
-
         self.scheduler.reset(self.n_robots, self.rng)
-        records = self._make_record_log()
-        end_times = EndTimeLog(self.n_robots)
-        processed = 0
-        popped = 0
-        converged_time: Optional[float] = None
+        run = KernelRun(
+            metrics, recorder, self._make_record_log(), EndTimeLog(self.n_robots), started
+        )
+        if fresh:
+            metrics.observe(0.0, self._sampled_positions(0.0, None), 0)
+        return run
 
-        metrics.observe(0.0, self._sampled_positions(0.0, None), 0)
+    def _next_round(self, run: KernelRun) -> Optional[RoundBatch]:
+        """The run's next step when it is a whole round, else None.
 
-        while processed < cfg.max_activations and popped < 100 * cfg.max_activations:
-            if self._round is None and not self._pending and not self._refill():
-                break
-            batch = self._round
-            if batch is not None:
-                self._round = None
-                if batch.look_time > cfg.max_time:
-                    break
-                if self._open_round(batch):
-                    processed, popped, converged_time, stop = self._process_round(
-                        batch, metrics, recorder, records, end_times,
-                        processed, popped, converged_time,
-                    )
-                    if stop:
-                        break
-                    continue
-                # Someone is mid-move at the round's look instant: the
-                # per-activation path interpolates their Looks instead.
-                for activation in batch:
-                    self._push(activation)
-            look_time, _, activation = heapq.heappop(self._pending)
-            popped += 1
-            if look_time > cfg.max_time:
-                break
-            self._time = look_time
-            robot_id = activation.robot_id
-            self._finalize_completed_moves(look_time)
-            if arrays.crashed[robot_id]:
-                continue
-            if arrays.phase[robot_id] == PHASE_MOVING:
-                # A scheduler bug: a robot was activated before its previous
-                # move ended.  Fail loudly rather than silently corrupting the run.
-                raise RuntimeError(
-                    f"robot {robot_id} activated at t={look_time} before its move ended "
-                    f"at t={float(arrays.move_end[robot_id])}"
-                )
+        Applies the loop's stopping rules first — the activation and pop
+        caps, an exhausted scheduler, a round past the horizon — and sets
+        ``run.stopped`` when one fires.  Otherwise None means the next step
+        is a heaped activation: the scheduler issued a plain batch, or a
+        robot is still mid-move at the round's look instant (the round is
+        heaped, so the per-activation step interpolates its Looks).
+        """
+        cfg = self.config
+        if (
+            run.stopped
+            or run.processed >= cfg.max_activations
+            or run.popped >= 100 * cfg.max_activations
+            or (self._round is None and not self._pending and not self._refill())
+        ):
+            run.stopped = True
+            return None
+        batch, self._round = self._round, None
+        if batch is None:
+            return None
+        if batch.look_time > cfg.max_time:
+            run.stopped = True
+            return None
+        if self._open_round(batch):
+            return batch
+        for activation in batch:
+            self._push(activation)
+        return None
 
-            arrays.begin_activation_at(robot_id, look_time)
-            other_positions, look_all_positions = self._look_positions(robot_id, look_time)
-            target, realized, seen = self._decide_move(
-                robot_id, look_time, other_positions, activation
+    def _step_activation(self, run: KernelRun) -> None:
+        """Pop the earliest heaped activation and run its Look/Compute/Move."""
+        cfg = self.config
+        arrays = self._state.arrays
+        look_time, _, activation = heapq.heappop(self._pending)
+        run.popped += 1
+        if look_time > cfg.max_time:
+            run.stopped = True
+            return
+        self._time = look_time
+        robot_id = activation.robot_id
+        self._finalize_completed_moves(look_time)
+        if arrays.crashed[robot_id]:
+            return
+        if arrays.phase[robot_id] == PHASE_MOVING:
+            # A scheduler bug: a robot was activated before its previous
+            # move ended.  Fail loudly rather than silently corrupting the run.
+            raise RuntimeError(
+                f"robot {robot_id} activated at t={look_time} before its move ended "
+                f"at t={float(arrays.move_end[robot_id])}"
             )
 
-            move_start = activation.move_start_time
-            move_end = activation.end_time
-            origin_row = arrays.position[robot_id].copy()
-            self._begin_move(robot_id, origin_row, realized, move_start, move_end)
-            end_times.append(robot_id, move_end)
-            if move_end <= look_time:
-                # A zero-duration move completes at the look instant itself:
-                # the observer is already at its destination, so the Look's
-                # interpolation (taken before the move began) is stale.
-                look_all_positions = None
+        arrays.begin_activation_at(robot_id, look_time)
+        other_positions, look_all_positions = self._look_positions(robot_id, look_time)
+        target, realized, seen = self._decide_move(
+            robot_id, look_time, other_positions, activation
+        )
 
-            if records is not None:
-                records.append(activation, origin_row, target, realized, seen)
-            processed += 1
+        move_start = activation.move_start_time
+        move_end = activation.end_time
+        origin_row = arrays.position[robot_id].copy()
+        self._begin_move(robot_id, origin_row, realized, move_start, move_end)
+        run.end_times.append(robot_id, move_end)
+        if move_end <= look_time:
+            # A zero-duration move completes at the look instant itself:
+            # the observer is already at its destination, so the Look's
+            # interpolation (taken before the move began) is stale.
+            look_all_positions = None
 
-            if processed % cfg.record_every == 0:
-                # One interpolation pass feeds both the metrics sample and
-                # the trajectory recorder.
-                sampled_positions = self._sampled_positions(look_time, look_all_positions)
-                sample = metrics.observe(look_time, sampled_positions, processed)
-                if recorder is not None:
-                    recorder.record_all(look_time, sampled_positions)
-                if converged_time is None and sample.hull_diameter <= cfg.convergence_epsilon:
-                    converged_time = look_time
-                    if cfg.stop_at_convergence:
-                        break
+        if run.records is not None:
+            run.records.append(activation, origin_row, target, realized, seen)
+        run.processed += 1
 
-        # Let every in-flight move finish, then take the final measurement.
+        if run.processed % cfg.record_every == 0:
+            # One interpolation pass feeds both the metrics sample and
+            # the trajectory recorder.
+            sampled_positions = self._sampled_positions(look_time, look_all_positions)
+            sample = run.metrics.observe(look_time, sampled_positions, run.processed)
+            if run.recorder is not None:
+                run.recorder.record_all(look_time, sampled_positions)
+            if run.converged_time is None and sample.hull_diameter <= cfg.convergence_epsilon:
+                run.converged_time = look_time
+                if cfg.stop_at_convergence:
+                    run.stopped = True
+
+    def _run_loop(self, run: KernelRun) -> None:
+        """Advance the run, round or activation at a time, until it stops."""
+        while not run.stopped:
+            batch = self._next_round(run)
+            if batch is not None:
+                self._process_round(batch, run)
+            elif not run.stopped:
+                self._step_activation(run)
+
+    def _end_run(self, run: KernelRun, observe=None) -> KernelRun:
+        """Let every in-flight move finish, then take the final measurement.
+
+        ``observe`` stands in for ``run.metrics.observe``, as in
+        :meth:`_sample_round`.
+        """
         final_time = self._settle_moves()
         final_positions = self._state.committed_positions()
-        final_sample = metrics.observe(final_time, final_positions, processed)
-        if recorder is not None:
-            recorder.record_all(final_time, final_positions)
-        if converged_time is None and final_sample.hull_diameter <= cfg.convergence_epsilon:
-            converged_time = final_time
+        sample = (observe or run.metrics.observe)(final_time, final_positions, run.processed)
+        if run.recorder is not None:
+            run.recorder.record_all(final_time, final_positions)
+        if (
+            run.converged_time is None
+            and sample.hull_diameter <= self.config.convergence_epsilon
+        ):
+            run.converged_time = final_time
+        run.final_time = final_time
+        run.final_positions = final_positions.copy()
+        run.wall_time_seconds = _time.perf_counter() - run.started
+        return run
 
-        return KernelOutcome(
-            metrics=metrics,
-            processed=processed,
-            end_times=end_times,
-            records=records,
-            converged_time=converged_time,
-            final_time=final_time,
-            final_positions=arrays.position.copy(),
-            wall_time_seconds=_time.perf_counter() - started,
-            recorder=recorder,
-        )
+    def run_kernel(self) -> KernelRun:
+        """Execute the continuous-time pipeline and return the finished run."""
+        run = self._begin_run()
+        self._run_loop(run)
+        return self._end_run(run)
 
     def activation_counts(self) -> Dict[int, int]:
         """Activations begun per robot (read after :meth:`run_kernel`)."""

@@ -191,33 +191,38 @@ class MetricsCollector(SeparationHint):
 
         The edge set is also cached as a ``(|E|, 2)`` index array so every
         subsequent observation checks cohesion with one fancy-indexed
-        gather instead of rebuilding an edge list.  Past
-        ``METRICS_DENSE_MAX`` robots the edges are enumerated from the
-        neighbour pairs of a grid whose cell covers ``V + EPS`` (same
-        ``<= V + EPS`` predicate on the same per-pair floats) and only
-        the index arrays are materialised: ``initial_edges`` stays
-        empty at that scale, as an ``initial_edges`` set with tens of
-        millions of tuples would dwarf the simulation state itself.
+        gather instead of rebuilding an edge list.  At any finite range
+        the edges are enumerated from the neighbour pairs of a grid whose
+        cell covers ``V + EPS`` (the dense matrix's ``<= V + EPS``
+        predicate on the same per-pair floats), in O(n + |E|).  Past
+        ``METRICS_DENSE_MAX`` robots only the index arrays are
+        materialised: ``initial_edges`` stays empty at that scale, as a
+        set with tens of millions of tuples would dwarf the simulation
+        state itself.
         """
         arr = points_to_array(positions)
-        if len(arr) > METRICS_DENSE_MAX:
-            reach = self.visibility_range + EPS
-            if math.isfinite(reach) and self.visibility_range > 0.0:
-                shard = ShardedGridIndex(arr, covering_cell(arr, reach))
-                i, j = shard.neighbour_pairs()
-                x = np.ascontiguousarray(arr[:, 0])
-                y = np.ascontiguousarray(arr[:, 1])
-                dx = x[i] - x[j]
-                dy = y[i] - y[j]
-                keep = np.sqrt(dx * dx + dy * dy) <= reach
-                i, j = i[keep], j[keep]
-                order = np.lexsort((j, i))
-                self.initial_edges = set()
-                self._edge_i = np.ascontiguousarray(i[order])
-                self._edge_j = np.ascontiguousarray(j[order])
-                return
-        self.initial_edges = visibility_edges(positions, self.visibility_range)
-        self._build_edge_index()
+        reach = self.visibility_range + EPS
+        if not (math.isfinite(reach) and self.visibility_range > 0.0):
+            self.initial_edges = visibility_edges(positions, self.visibility_range)
+            self._build_edge_index()
+            return
+        i = j = np.empty(0, dtype=np.int64)
+        if len(arr) >= 2:
+            cell = covering_cell(arr, search_radius_floor(arr, reach))
+            i, j = ShardedGridIndex(arr, cell).neighbour_pairs()
+            x = np.ascontiguousarray(arr[:, 0])
+            y = np.ascontiguousarray(arr[:, 1])
+            dx = x[i] - x[j]
+            dy = y[i] - y[j]
+            keep = np.sqrt(dx * dx + dy * dy) <= reach
+            i, j = i[keep], j[keep]
+            order = np.lexsort((j, i))
+            i, j = i[order], j[order]
+        self._edge_i = np.ascontiguousarray(i)
+        self._edge_j = np.ascontiguousarray(j)
+        self.initial_edges = (
+            set(zip(i.tolist(), j.tolist())) if len(arr) <= METRICS_DENSE_MAX else set()
+        )
 
     def _build_edge_index(self) -> None:
         """Cache ``initial_edges`` as contiguous per-endpoint index vectors.

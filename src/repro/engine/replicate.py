@@ -2,16 +2,26 @@
 
 A sweep grid whose points differ only by seed re-pays the full per-round
 Python overhead once per seed.  This module advances a whole bundle of
-such runs ("lanes") together: every global iteration validates one round
-per lane and groups the lanes by every configuration value the flat
-round decide reads (swarm size, visibility range, perception, frames,
-reflection, motion xi and the KKNPS constants).  Each group's committed
-positions stack into one ``(lanes, n, 2)`` tensor, one
-:meth:`ShardedGridIndex.from_replicates` grid bins it, and all of the
+such runs ("lanes") together.  A lane is one :class:`Simulator` and its
+:class:`~repro.engine.kernel.KernelRun`, advanced by the kernel's own
+steps: every global iteration asks each lane's kernel for its next whole
+round (:meth:`~repro.engine.kernel.ContinuousKernel._next_round`) and
+groups the lanes by every configuration value the flat round decide
+reads (swarm size, visibility range, perception, frames, reflection,
+motion xi and the KKNPS constants).  Each lane takes its round's samples
+through :meth:`~repro.engine.kernel.ContinuousKernel._sample_round`; then
+the group's committed positions stack into one ``(lanes, n, 2)`` tensor,
+one :meth:`ShardedGridIndex.from_replicates` grid bins it, and all of the
 group's activations go through one
 :func:`~repro.engine.decide_batch.decide_round_flat` pass — the same
 pipeline a single run's round takes — with
 :func:`~repro.algorithms.kknps.kknps_destinations_all` as its core.
+
+What the lanes add to a single run is batching only: the flat decide
+over a group, a setup shared among byte-identical starts, and metrics
+samples whose minimum separations come from one grid pass per group
+(:func:`_min_pairwise_group`) and whose geometry is shared among
+byte-identical lanes (:func:`_observe_fast`).
 
 Bit-identity contract: every lane owns its own RNG, scheduler, metrics
 collector and kinematic arrays, and consumes its RNG stream in exactly
@@ -19,12 +29,13 @@ the serial order (frames are pre-drawn per lane in activation order; the
 flat decide is restricted to draw-free perception and deviation-free
 motion), so every row a lane produces is bit-identical to running that
 lane alone — the sweep store and aggregator cannot tell the difference.
-Anything the flat decide cannot replicate exactly (other algorithms,
+A round the flat decide cannot replicate exactly (other algorithms,
 random distance error, deviating motion, trajectory recording, a
-coincidence-collapse hazard) drops per-round to the lane's own serial
-``_process_round``; a lane whose scheduler does not produce
-:class:`~repro.model.types.RoundBatch` rounds (or whose round finds a
-robot mid-move) is re-run serially from its initial state.
+coincidence-collapse hazard) takes the lane's own
+:meth:`~repro.engine.kernel.ContinuousKernel._process_round`; a lane
+whose next step is not a whole round (its scheduler issued a plain
+batch, or a robot is mid-move at the round's look) finishes through its
+own kernel loop from where it stands.
 
 Per-replicate convergence masking falls out of the lane structure: a lane
 that converges (or exhausts its activation budget) is finalized and drops
@@ -34,8 +45,8 @@ out of the tensor while the stragglers continue.
 from __future__ import annotations
 
 import math
-import time as _time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +56,7 @@ from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
 from ..model.types import RoundBatch
 from .decide_batch import collapse_hazard_lanes, decide_round_flat
-from .kernel import replay_round
-from .logs import EndTimeLog, RecordLog
+from .kernel import KernelRun, replay_round
 from .metrics import (
     MetricsCollector,
     MetricsSample,
@@ -56,107 +66,70 @@ from .metrics import (
 from .simulator import SimulationConfig, SimulationResult, Simulator
 from .spatial_index import ShardedGridIndex, covering_cell
 
-#: One bundle member: a zero-argument factory producing the pristine
-#: ``(initial_positions, algorithm, scheduler, config)`` of that run.  A
-#: factory may be called more than once (the serial-fallback path rebuilds
-#: from scratch), so it must return fresh scheduler/algorithm objects.
+#: One bundle member: a zero-argument factory producing the
+#: ``(initial_positions, algorithm, scheduler, config)`` of that run.
+#: :func:`run_replicated_simulations` calls each factory once.
 LaneFactory = Callable[
     [], Tuple[Sequence, object, object, Optional[SimulationConfig]]
 ]
 
 
-class _Lane:
-    """One bundle member mid-flight: a full serial simulator plus loop state."""
+class _Lane(NamedTuple):
+    """One bundle member: its simulator, its run and its batching choices."""
 
-    __slots__ = (
-        "index",
-        "sim",
-        "metrics",
-        "recorder",
-        "records",
-        "end_times",
-        "processed",
-        "popped",
-        "converged_time",
-        "status",
-        "group",
-        "fast_observe",
-        "started",
-        "result",
-    )
-
-    def __init__(self, index: int, sim: Simulator) -> None:
-        self.index = index
-        self.sim = sim
-        self.records = RecordLog()
-        self.end_times = EndTimeLog(sim.n_robots)
-        self.processed = 0
-        self.popped = 0
-        self.converged_time: Optional[float] = None
-        self.status = "active"
-        self.result: Optional[SimulationResult] = None
+    sim: Simulator
+    run: KernelRun
+    #: The lane's flat-decide group (:func:`_group_key`), or None when its
+    #: rounds take the kernel's own round step.
+    group: Optional[tuple]
+    #: Whether the lane's samples go through :func:`_observe_fast`.
+    fast_observe: bool
 
 
-def _prepare_lane(
-    index: int, sim: Simulator, setup_cache: Optional[dict] = None
-) -> _Lane:
-    """Run the kernel preamble for one lane (mirrors ``run_kernel`` setup).
+def _prepare_lane(sim: Simulator, setup_cache: Optional[dict] = None) -> _Lane:
+    """Begin one lane's run through the kernel's own first step.
 
     Replicates of a seed-independent workload start from byte-identical
-    positions, and both expensive preamble steps — ``bind_initial`` (the
-    initial visibility edges) and the initial ``metrics.observe`` — are
+    positions, and both expensive setup steps — ``bind_initial`` (the
+    initial visibility edges) and the t=0 ``metrics.observe`` — are
     deterministic, RNG-free functions of those positions.  When
-    ``setup_cache`` is given, their products are therefore computed once
-    per distinct initial configuration and replayed into every further
-    lane: the edge set is copied, the (read-only) edge index arrays and
-    the frozen initial sample are shared.  The lane's RNG stream is
-    untouched either way, so the replay is bit-invisible.
+    ``setup_cache`` is given, they therefore run once per distinct
+    initial configuration and the result is replayed into every further
+    lane's collector: the edge set is copied, the (read-only) edge index
+    arrays and the frozen t=0 sample are shared.  The lane's RNG stream
+    is untouched either way, so the replay is bit-invisible.
     """
-    lane = _Lane(index, sim)
-    lane.started = _time.perf_counter()
-    lane.metrics = sim._make_metrics()
-    template = None
-    key = None
-    if setup_cache is not None and type(lane.metrics) is MetricsCollector:
-        key = (
-            sim.n_robots,
-            sim.config.visibility_range,
-            sim._state.arrays.position.tobytes(),
-        )
+    metrics = sim._make_metrics()
+    if setup_cache is not None and type(metrics) is MetricsCollector:
+        positions = sim._sampled_positions(0.0, None)
+        key = (sim.n_robots, sim.config.visibility_range, positions.tobytes())
         template = setup_cache.get(key)
-    if template is None:
-        sim._bind_metrics(lane.metrics)
+        if template is None:
+            sim._bind_metrics(metrics)
+            metrics.observe(0.0, positions, 0)
+            setup_cache[key] = metrics
+        else:
+            metrics.initial_edges = set(template.initial_edges)
+            metrics._edge_i = template._edge_i
+            metrics._edge_j = template._edge_j
+            metrics.record(template.samples[0])
+        run = sim._begin_run(metrics)
     else:
-        edges, edge_i, edge_j, _ = template
-        lane.metrics.initial_edges = set(edges)
-        lane.metrics._edge_i = edge_i
-        lane.metrics._edge_j = edge_j
-    lane.recorder = sim._make_recorder()
-    if lane.recorder is not None:
-        lane.recorder.record_all(0.0, sim._sampled_positions(0.0, None))
-    sim.scheduler.reset(sim.n_robots, sim.rng)
-    if template is None:
-        sample = lane.metrics.observe(0.0, sim._sampled_positions(0.0, None), 0)
-        if key is not None:
-            setup_cache[key] = (
-                lane.metrics.initial_edges,
-                lane.metrics._edge_i,
-                lane.metrics._edge_j,
-                sample,
-            )
-    else:
-        lane.metrics.record(template[3])
+        run = sim._begin_run()
     effective = sim._effective_range()
     vector_ok = (
         sim._batch_decide_eligible()
         and math.isfinite(effective)
         and effective > 0.0
-        and lane.recorder is None
-        and getattr(lane.metrics, "supports_replicated_samples", False)
+        and run.recorder is None
+        and getattr(run.metrics, "supports_replicated_samples", False)
     )
-    lane.group = _group_key(sim) if vector_ok else None
-    lane.fast_observe = vector_ok and type(lane.metrics) is MetricsCollector
-    return lane
+    return _Lane(
+        sim,
+        run,
+        _group_key(sim) if vector_ok else None,
+        vector_ok and type(run.metrics) is MetricsCollector,
+    )
 
 
 def _group_key(sim: Simulator) -> tuple:
@@ -247,22 +220,22 @@ def _min_pairwise_group(
 
 
 def _observe_fast(
-    lane: _Lane,
+    metrics: MetricsCollector,
     time: float,
     arr: np.ndarray,
     processed: int,
     min_pairwise: Optional[float] = None,
     geometry_cache: Optional[dict] = None,
 ):
-    """``MetricsCollector.observe``, bit-identically, without the dense matrix.
+    """``metrics.observe``, bit-identically, with batched inputs.
 
-    Applies the collector's own recipe (documented bit-identical to the
-    dense path) at every swarm size: the diameter is the hull's
-    :meth:`~repro.geometry.hull.ConvexHull.point_set_diameter`, and the
-    minimum separation comes from :func:`min_pairwise_distance_grid`,
-    started at the collector's separation hint.  A caller that already
-    holds the lane's exact minimum (the batched per-round group pass)
-    hands it in via ``min_pairwise``.
+    The sample's recipe is the collector's own — the diameter is the
+    hull's :meth:`~repro.geometry.hull.ConvexHull.point_set_diameter`,
+    the bounding circle runs on the hull vertices — but the minimum
+    separation comes from :func:`min_pairwise_distance_grid` at every
+    swarm size, started at the collector's separation hint, unless the
+    caller already holds the lane's exact minimum (the per-group pass of
+    :func:`_min_pairwise_group`) and hands it in via ``min_pairwise``.
 
     Every geometric field of the sample is a pure function of the
     position bytes and the collector's initial edge arrays; when sibling
@@ -271,7 +244,6 @@ def _observe_fast(
     the first lane's observation serve the rest verbatim — only ``time``
     and ``activations_processed`` stay per-lane.
     """
-    metrics = lane.metrics
     if len(arr) < 2:
         return metrics.observe(time, arr, processed)
     key = None
@@ -307,303 +279,152 @@ def _observe_fast(
     )
 
 
+def _shared_minima(lanes: List[_Lane]) -> Dict[int, float]:
+    """Equal-size lanes' exact minimum separations from one shared pass, by ``id``."""
+    if len(lanes) < 2:
+        return {}
+    found = _min_pairwise_group(
+        [lane.sim._state.arrays.position for lane in lanes],
+        [lane.run.metrics.separation_radius() for lane in lanes],
+    )
+    return dict(zip(map(id, lanes), found))
+
+
+def _sampler(lane: _Lane, minima: Dict[int, float], geometry_cache: dict):
+    """The ``observe`` a lane's kernel steps sample with (None: the collector's own)."""
+    if not lane.fast_observe:
+        return None
+    return partial(
+        _observe_fast,
+        lane.run.metrics,
+        min_pairwise=minima.get(id(lane)),
+        geometry_cache=geometry_cache,
+    )
+
+
 def _finish_group(lanes: List[_Lane]) -> None:
-    """Finish several lanes at once, batching their final observes.
+    """End several lanes' runs at once, batching their final observes.
 
     Lanes of equal swarm size share one :func:`_min_pairwise_group` pass
-    over their settled final positions; everything else of the epilogue
-    stays per lane.
+    over their settled final positions; everything else of the kernel's
+    :meth:`~repro.engine.kernel.ContinuousKernel._end_run` stays per lane.
     """
     by_n: Dict[int, List[_Lane]] = {}
     for lane in lanes:
         if lane.fast_observe and lane.sim.n_robots >= 2:
+            # Idempotent: ``_end_run`` settles again and finds no movers.
+            lane.sim._settle_moves()
             by_n.setdefault(lane.sim.n_robots, []).append(lane)
     minima: Dict[int, float] = {}
     for group in by_n.values():
-        if len(group) < 2:
-            continue
-        for lane in group:
-            # Idempotent: ``_finish`` settles again and finds no movers.
-            lane.sim._settle_moves()
-        found = _min_pairwise_group(
-            [lane.sim._state.arrays.position for lane in group],
-            [lane.metrics.separation_radius() for lane in group],
-        )
-        for lane, least in zip(group, found):
-            minima[id(lane)] = least
-    observe_cache: dict = {}
+        minima.update(_shared_minima(group))
+    geometry_cache: dict = {}
     for lane in lanes:
-        _finish(lane, minima.get(id(lane)), observe_cache)
+        lane.sim._end_run(lane.run, _sampler(lane, minima, geometry_cache))
 
 
-def _finish(
-    lane: _Lane,
-    min_pairwise: Optional[float] = None,
-    observe_cache: Optional[dict] = None,
-) -> None:
-    """Lane epilogue: mirror of ``run_kernel``'s tail plus ``Simulator.run``."""
-    sim = lane.sim
-    cfg = sim.config
-    final_time = sim._settle_moves()
-    final_positions = sim._state.committed_positions()
-    if lane.fast_observe:
-        final_sample = _observe_fast(
-            lane,
-            final_time,
-            final_positions,
-            lane.processed,
-            min_pairwise,
-            observe_cache,
-        )
-    else:
-        final_sample = lane.metrics.observe(
-            final_time, final_positions, lane.processed
-        )
-    if lane.recorder is not None:
-        lane.recorder.record_all(final_time, final_positions)
-    if (
-        lane.converged_time is None
-        and final_sample.hull_diameter <= cfg.convergence_epsilon
-    ):
-        lane.converged_time = final_time
-    lane.result = SimulationResult(
-        initial_positions=sim._initial_position_rows,
-        final_positions=final_positions.copy(),
-        visibility_range=cfg.visibility_range,
-        metrics=lane.metrics,
-        activations_processed=lane.processed,
-        activation_counts=sim.activation_counts(),
-        end_times=lane.end_times,
-        records=lane.records,
-        converged=lane.converged_time is not None,
-        convergence_time=lane.converged_time,
-        cohesion_maintained=not lane.metrics.cohesion_ever_violated,
-        final_time=final_time,
-        wall_time_seconds=_time.perf_counter() - lane.started,
-        trajectories=lane.recorder,
-    )
-    lane.status = "done"
-
-
-def _advance_scalar_round(lane: _Lane, batch: RoundBatch) -> None:
-    """Advance one lane's round through its own serial code."""
-    sim = lane.sim
-    processed, popped, converged_time, stop = sim._process_round(
-        batch,
-        lane.metrics,
-        lane.recorder,
-        lane.records,
-        lane.end_times,
-        lane.processed,
-        lane.popped,
-        lane.converged_time,
-    )
-    lane.processed = processed
-    lane.popped = popped
-    lane.converged_time = converged_time
-    if stop:
-        _finish(lane)
-
-
-def _walk_round(
-    lane: _Lane,
-    batch: RoundBatch,
-    min_pairwise: Optional[float] = None,
-    observe_cache: Optional[dict] = None,
-) -> Tuple[RoundBatch, bool]:
-    """Replay the round's counters without deciding anything yet.
-
-    Determines which activations execute (crash skips, activation caps),
-    where the record boundaries fall, and — because every boundary of a
-    round observes the same committed geometry — handles the round's
-    metrics samples and convergence checks up front.  The metrics
-    ``observe`` draws no RNG, so hoisting it before the frame draws leaves
-    the lane's stream untouched.
-    """
-    sim = lane.sim
-    cfg = sim.config
-    arrays = sim._state.arrays
-    executed, first, boundaries, processed, popped = replay_round(
-        batch, arrays.crashed, lane.processed, lane.popped,
-        cfg.max_activations, cfg.record_every,
-    )
-    stop = False
-    if first is not None:
-        look_time = batch.look_time
-        if lane.fast_observe:
-            sample = _observe_fast(
-                lane, look_time, arrays.position, first[1], min_pairwise, observe_cache
-            )
-        else:
-            sample = lane.metrics.observe(look_time, arrays.position, first[1])
-        if (
-            lane.converged_time is None
-            and sample.hull_diameter <= cfg.convergence_epsilon
-        ):
-            lane.converged_time = look_time
-            if cfg.stop_at_convergence:
-                stop = True
-                n_executed, processed, popped = first
-                executed = executed.take(slice(0, n_executed))
-                boundaries = 1
-        lane.metrics.samples.repeat_last(boundaries - 1, cfg.record_every)
-    lane.processed = processed
-    lane.popped = popped
-    return executed, stop
-
-
-def _advance_vector_group(
+def _advance_group(
     members: List[Tuple[_Lane, RoundBatch, int]],
     grid: ShardedGridIndex,
     flat_xy: np.ndarray,
 ) -> None:
-    """One flat round decide over every lane of one homogeneous group."""
+    """One round of every lane of one homogeneous group, one flat decide."""
     n, effective = members[0][0].group[:2]
-    # Group observe pre-pass: lanes whose walk will certainly hit a record
-    # boundary this round (the fast-walk arithmetic, re-derived here) share
-    # one grid over the committed tensor for their min-pairwise distances.
-    # The shared pass yields the exact same float as each lane's own grid
-    # search (see ``_min_pairwise_group``), so this is purely a batching.
-    group_mins: Dict[int, float] = {}
+    # Lanes whose round takes a sample share one grid over the committed
+    # tensor for their minimum separations; the shared pass yields the
+    # exact float each lane's own grid search would (see
+    # ``_min_pairwise_group``), so this is purely a batching.
+    minima: Dict[int, float] = {}
     if n >= 2:
-        observing: List[int] = []
-        for member_index, (lane, batch, _) in enumerate(members):
-            if not lane.fast_observe:
-                continue
-            cfg = lane.sim.config
-            if lane.sim._state.arrays.crashed.any():
-                # Crash skips make the executed count data-dependent;
-                # leave the lane on its per-lane observe path.
-                continue
-            # Without crashes the walk executes exactly this many entries
-            # (cap truncation included), so the first record boundary is
-            # predictable: the lane observes iff one falls inside.
-            executing = min(
-                len(batch),
-                cfg.max_activations - lane.processed,
-                100 * cfg.max_activations - lane.popped,
-            )
-            if executing <= 0:
-                continue
-            record_every = cfg.record_every
-            if (lane.processed // record_every + 1) * record_every > (
-                lane.processed + executing
-            ):
-                continue
-            observing.append(member_index)
-        if len(observing) >= 2:
-            found = _min_pairwise_group(
-                [members[k][0].sim._state.arrays.position for k in observing],
-                [members[k][0].metrics.separation_radius() for k in observing],
-            )
-            group_mins = dict(zip(observing, found))
-    walked: List[Tuple[_Lane, RoundBatch, bool, int]] = []
+        minima = _shared_minima([
+            lane
+            for lane, batch, _ in members
+            if lane.fast_observe and replay_round(
+                batch, lane.sim._state.arrays.crashed, lane.run.processed,
+                lane.run.popped, lane.sim.config.max_activations,
+                lane.sim.config.record_every,
+            )[1] is not None
+        ])
     # Sibling lanes with byte-identical committed positions (common until
     # round-1 RNG frames diverge seed-varied replicates) share one round of
     # observe geometry through this per-round cache.
-    observe_cache: dict = {}
-    for member_index, (lane, batch, slot) in enumerate(members):
-        executed, stop = _walk_round(
-            lane, batch, group_mins.get(member_index), observe_cache
-        )
-        walked.append((lane, executed, stop, slot))
-    if sum(len(executed) for _, executed, _, _ in walked):
-        lead = walked[0][0].sim
-        consts = lead.algorithm.decide_consts()
-        target, realized, seen = decide_round_flat(
-            lead.config,
-            effective,
-            lambda px, py, starts, ends: kknps_destinations_all(
-                px, py, starts, ends, consts
-            ),
-            flat_xy,
-            grid,
-            np.concatenate(
-                [executed.robot_ids + slot * n for _, executed, _, slot in walked]
-            ),
-            np.concatenate([executed.progress for _, executed, _, _ in walked]),
-            [(lane.sim.rng, len(executed)) for lane, executed, _, _ in walked],
-        )
-        # Each lane commits its slice of the rows through the kernel's one
-        # round commit.
-        offset = 0
-        for lane, executed, _, _ in walked:
-            count = len(executed)
-            if count:
-                rows = slice(offset, offset + count)
-                lane.sim._commit_round(
-                    executed, target[rows], realized[rows], seen[rows],
-                    lane.records, lane.end_times,
-                )
-            offset += count
-    stopping = [lane for lane, _, stop, _ in walked if stop]
-    if stopping:
-        _finish_group(stopping)
+    geometry_cache: dict = {}
+    sampled = []
+    for lane, batch, slot in members:
+        observe = _sampler(lane, minima, geometry_cache)
+        sampled.append((lane, lane.sim._sample_round(batch, lane.run, observe), slot))
+    if not any(len(executed) for _, executed, _ in sampled):
+        return
+    lead = sampled[0][0].sim
+    consts = lead.algorithm.decide_consts()
+    target, realized, seen = decide_round_flat(
+        lead.config,
+        effective,
+        lambda px, py, starts, ends: kknps_destinations_all(
+            px, py, starts, ends, consts
+        ),
+        flat_xy,
+        grid,
+        np.concatenate(
+            [executed.robot_ids + slot * n for _, executed, slot in sampled]
+        ),
+        np.concatenate([executed.progress for _, executed, _ in sampled]),
+        [(lane.sim.rng, len(executed)) for lane, executed, _ in sampled],
+    )
+    # Each lane commits its slice of the rows through the kernel's one
+    # round commit.
+    offset = 0
+    for lane, executed, _ in sampled:
+        count = len(executed)
+        if count:
+            rows = slice(offset, offset + count)
+            lane.sim._commit_round(
+                executed, target[rows], realized[rows], seen[rows], lane.run
+            )
+        offset += count
 
 
 def _drive(lanes: List[_Lane]) -> None:
-    """The global iteration loop: one round per active lane."""
-    while True:
+    """The global iteration loop: one kernel step per active lane."""
+    active = lanes
+    while active:
         rounds: List[Tuple[_Lane, RoundBatch]] = []
         finishing: List[_Lane] = []
-        for lane in lanes:
-            if lane.status != "active":
-                continue
-            sim = lane.sim
-            cfg = sim.config
-            if (
-                lane.processed >= cfg.max_activations
-                or lane.popped >= 100 * cfg.max_activations
-            ):
-                finishing.append(lane)
-                continue
-            if not sim._refill():
-                finishing.append(lane)
-                continue
-            batch, sim._round = sim._round, None
-            if batch is not None and batch.look_time > cfg.max_time:
-                # The serial loop stops at the first look past the horizon.
-                finishing.append(lane)
-            elif batch is not None and sim._open_round(batch):
+        for lane in active:
+            batch = lane.sim._next_round(lane.run)
+            if batch is not None:
                 rounds.append((lane, batch))
-            else:
-                # The scheduler issued something other than a round, or a
-                # robot is mid-move at the round's look instant: bail out
-                # to a from-scratch serial re-run, which is always bit-safe.
-                lane.status = "fallback"
+                continue
+            # The run stopped, or its next step is not a whole round: the
+            # lane finishes through its own kernel loop from here.
+            lane.sim._run_loop(lane.run)
+            finishing.append(lane)
         if finishing:
             _finish_group(finishing)
-        if not rounds:
-            break
-        scalar_rounds: List[Tuple[_Lane, RoundBatch]] = []
+        active = [lane for lane, _ in rounds]
         groups: Dict[tuple, List[Tuple[_Lane, RoundBatch]]] = {}
         for lane, batch in rounds:
-            if lane.group is not None:
-                groups.setdefault(lane.group, []).append((lane, batch))
+            if lane.group is None:
+                lane.sim._process_round(batch, lane.run)
             else:
-                scalar_rounds.append((lane, batch))
-        vector_groups = []
-        for (n, effective, *_), group_members in groups.items():
+                groups.setdefault(lane.group, []).append((lane, batch))
+        for (n, effective, *_), members in groups.items():
             tensor = np.stack(
-                [lane.sim._state.arrays.position for lane, _ in group_members]
+                [lane.sim._state.arrays.position for lane, _ in members]
             )
-            grid = ShardedGridIndex.from_replicates(tensor, effective + 2.0 * EPS)
             flat_xy = tensor.reshape(-1, 2)
-            hazard = collapse_hazard_lanes(flat_xy, len(group_members), n)
-            vector_members = []
-            for member_index, (lane, batch) in enumerate(group_members):
-                if hazard[member_index]:
+            hazard = collapse_hazard_lanes(flat_xy, len(members), n)
+            vector = []
+            for slot, (lane, batch) in enumerate(members):
+                if hazard[slot]:
                     # A (near-)coincident pair: the coincidence collapse
-                    # may engage, so take the exact serial path this round.
-                    scalar_rounds.append((lane, batch))
+                    # may engage, so the lane's own round step decides.
+                    lane.sim._process_round(batch, lane.run)
                 else:
-                    vector_members.append((lane, batch, member_index))
-            if vector_members:
-                vector_groups.append((vector_members, grid, flat_xy))
-        for lane, batch in scalar_rounds:
-            _advance_scalar_round(lane, batch)
-        for vector_members, grid, flat_xy in vector_groups:
-            _advance_vector_group(vector_members, grid, flat_xy)
+                    vector.append((lane, batch, slot))
+            if vector:
+                grid = ShardedGridIndex.from_replicates(tensor, effective + 2.0 * EPS)
+                _advance_group(vector, grid, flat_xy)
 
 
 def run_replicated_simulations(
@@ -614,25 +435,9 @@ def run_replicated_simulations(
     Returns one :class:`SimulationResult` per factory, in order, each
     bit-identical (timing aside) to ``Simulator(*factory()).run()``.
     """
-    lanes: List[_Lane] = []
-    fallback_indices: List[int] = []
     setup_cache: dict = {}
-    for index, factory in enumerate(factories):
-        positions, algorithm, scheduler, config = factory()
-        sim = Simulator(positions, algorithm, scheduler, config)
-        if not sim._round_batching:
-            fallback_indices.append(index)
-            continue
-        lanes.append(_prepare_lane(index, sim, setup_cache))
-    if lanes:
-        _drive(lanes)
-    results: List[Optional[SimulationResult]] = [None] * len(factories)
-    for lane in lanes:
-        if lane.status == "fallback" or lane.result is None:
-            fallback_indices.append(lane.index)
-        else:
-            results[lane.index] = lane.result
-    for index in fallback_indices:
-        positions, algorithm, scheduler, config = factories[index]()
-        results[index] = Simulator(positions, algorithm, scheduler, config).run()
-    return results
+    lanes = [
+        _prepare_lane(Simulator(*factory()), setup_cache) for factory in factories
+    ]
+    _drive(lanes)
+    return [lane.sim._result(lane.run) for lane in lanes]

@@ -32,18 +32,17 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..geometry.point import Point, PointLike
-from ..geometry.tolerances import EPS
 from ..geometry.transforms import LocalFrame, random_frame
 from ..model.configuration import Configuration
 from ..model.errors import MotionModel, PerceptionModel
-from ..model.snapshot import _collapse_coincident_array, build_snapshot
+from ..model.snapshot import build_snapshot, perceived_rows
 from ..model.types import Activation, RoundBatch
 from ..algorithms.base import ConvergenceAlgorithm
 from ..algorithms.kknps import KKNPSAlgorithm
 from ..schedulers.base import Scheduler
 from .convergence import ConvergenceSummary, epochs_to_converge, summarize
 from .decide_batch import collapse_hazard_lanes, decide_round_flat
-from .kernel import ContinuousKernel, Decision
+from .kernel import ContinuousKernel, Decision, KernelRun
 from .logs import EndTimeLog, RecordLog
 from .metrics import MetricsCollector
 from .recorder import TrajectoryRecorder
@@ -257,13 +256,13 @@ class Simulator(ContinuousKernel):
     def _round_decider(self, look_time: float, committed: np.ndarray, shard):
         """Snapshot-free decide for one round (the 2D per-robot fast tier).
 
-        Replicates the :func:`build_snapshot` array pipeline inline on the
-        round's committed rows — same subtraction, same ``np.hypot``
-        filter, same coincidence collapse, frame, perception and motion
-        calls in the same RNG order — but skips the Snapshot object and
-        hands the perceived array straight to the algorithm's
-        ``compute_relative`` float core.  Anything the fast tier cannot
-        replicate exactly (multiplicity detection, an algorithm without
+        Runs :func:`build_snapshot`'s array pipeline
+        (:func:`~repro.model.snapshot.perceived_rows`) on the round's
+        committed rows, with the frame, perception and motion calls in the
+        same RNG order, but skips the Snapshot object and hands the
+        perceived array straight to the algorithm's ``compute_relative``
+        float core.  Anything the fast tier cannot replicate exactly
+        (multiplicity detection, an algorithm without
         ``compute_relative``) falls back to the Tier A decider, which
         routes through :meth:`_decide_move` unchanged.
         """
@@ -274,9 +273,8 @@ class Simulator(ContinuousKernel):
         perception = cfg.perception
         motion = cfg.motion
         rng = self.rng
-        limit = self._effective_range() + EPS
-        reveal = self._effective_range() if self._reveal_range() else None
-        empty = np.zeros((0, 2), dtype=float)
+        effective = self._effective_range()
+        reveal = effective if self._reveal_range() else None
 
         def decide(robot_id: int, activation: Activation) -> Decision:
             if shard is not None:
@@ -285,17 +283,7 @@ class Simulator(ContinuousKernel):
                 arr = np.delete(committed, robot_id, axis=0)
             frame = self._frame_for_look()
             row = committed[robot_id]
-            if len(arr):
-                observer = np.array((float(row[0]), float(row[1])), dtype=float)
-                relative = arr - observer
-                distance = np.hypot(relative[:, 0], relative[:, 1])
-                keep = (distance > 1e-12) & (distance <= limit)
-                visible = relative[keep]
-            else:
-                visible = empty
-            collapsed, _ = _collapse_coincident_array(visible, 1e-12)
-            local = frame.to_local_array(collapsed) if frame is not None else collapsed
-            perceived = perception.perceive_array(local, rng)
+            perceived, _ = perceived_rows(row, arr, effective, frame, perception, rng)
             destination_local = algorithm.compute_relative(
                 perceived, visibility_range=reveal
             )
@@ -312,7 +300,7 @@ class Simulator(ContinuousKernel):
             return (
                 (target_global.x, target_global.y),
                 (realized.x, realized.y),
-                len(collapsed),
+                len(perceived),
             )
 
         return decide
@@ -375,22 +363,25 @@ class Simulator(ContinuousKernel):
     # -- main loop -----------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Execute the simulation and return its result."""
-        outcome = self.run_kernel()
+        return self._result(self.run_kernel())
+
+    def _result(self, run: KernelRun) -> SimulationResult:
+        """The :class:`SimulationResult` of this simulator's finished ``run``."""
         return SimulationResult(
             initial_positions=self._initial_position_rows,
-            final_positions=outcome.final_positions,
+            final_positions=run.final_positions,
             visibility_range=self.config.visibility_range,
-            metrics=outcome.metrics,
-            activations_processed=outcome.processed,
+            metrics=run.metrics,
+            activations_processed=run.processed,
             activation_counts=self.activation_counts(),
-            end_times=outcome.end_times,
-            records=outcome.records,
-            converged=outcome.converged_time is not None,
-            convergence_time=outcome.converged_time,
-            cohesion_maintained=not outcome.metrics.cohesion_ever_violated,
-            final_time=outcome.final_time,
-            wall_time_seconds=outcome.wall_time_seconds,
-            trajectories=outcome.recorder,
+            end_times=run.end_times,
+            records=run.records,
+            converged=run.converged_time is not None,
+            convergence_time=run.converged_time,
+            cohesion_maintained=not run.metrics.cohesion_ever_violated,
+            final_time=run.final_time,
+            wall_time_seconds=run.wall_time_seconds,
+            trajectories=run.recorder,
         )
 
 

@@ -218,6 +218,29 @@ def _collapse_coincident_scan(
     return visible[kept], np.asarray(counts, dtype=np.int64)
 
 
+def perceived_rows(
+    observer, others: np.ndarray, visibility_range: float, frame: Optional[LocalFrame],
+    perception: PerceptionModel, rng, coincidence_eps: float = 1e-12,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The Look pipeline on ``(m, 2)`` rows: what an ``(x, y)`` observer perceives.
+
+    Offsets from the observer, the distance filter (drop robots within
+    ``coincidence_eps`` of it or farther than ``visibility_range + EPS``),
+    the coincidence collapse, the private ``frame`` and the ``perception``
+    model, in that order.  Returns the perceived rows and their multiplicities.
+    """
+    if len(others):
+        relative = others - np.array((float(observer[0]), float(observer[1])), dtype=float)
+        distance = np.hypot(relative[:, 0], relative[:, 1])
+        keep = (distance > coincidence_eps) & (distance <= visibility_range + EPS)
+        visible = relative[keep]
+    else:
+        visible = np.zeros((0, 2), dtype=float)
+    collapsed, counts = _collapse_coincident_array(visible, coincidence_eps)
+    local = frame.to_local_array(collapsed) if frame is not None else collapsed
+    return perception.perceive_array(local, rng), counts
+
+
 def build_snapshot(
     observer_position: PointLike,
     others: Sequence[PointLike],
@@ -245,24 +268,14 @@ def build_snapshot(
 
     The whole pipeline — visibility mask, coincidence collapse, frame and
     perception transforms — runs as batched numpy expressions over
-    ``others`` (an ``(m, 2)`` array or a sequence of points).
+    ``others`` (an ``(m, 2)`` array or a sequence of points), in
+    :func:`perceived_rows`.
     """
     observer = Point.of(observer_position)
-    perception = perception or PerceptionModel.exact()
-
-    arr = _others_as_array(others)
-    if len(arr):
-        relative = arr - np.array((observer.x, observer.y), dtype=float)
-        distance = np.hypot(relative[:, 0], relative[:, 1])
-        keep = (distance > coincidence_eps) & (distance <= visibility_range + EPS)
-        visible = relative[keep]
-    else:
-        visible = np.zeros((0, 2), dtype=float)
-
-    collapsed, counts = _collapse_coincident_array(visible, coincidence_eps)
-    local = frame.to_local_array(collapsed) if frame is not None else collapsed
-    perceived = perception.perceive_array(local, rng)
-
+    perceived, counts = perceived_rows(
+        (observer.x, observer.y), _others_as_array(others), visibility_range, frame,
+        perception or PerceptionModel.exact(), rng, coincidence_eps,
+    )
     return Snapshot(
         neighbours=tuple(Point(float(x), float(y)) for x, y in perceived),
         visibility_range=visibility_range if reveal_range else None,

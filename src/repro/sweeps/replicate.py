@@ -9,7 +9,10 @@ engine (:mod:`repro.engine.replicate`) — one committed tensor, one grid,
 one decide pass per round — and then splits back into the *same* per-run
 rows serial execution produces (identical ``run_key``s, identical fields
 up to :data:`~repro.sweeps.runner.TIMING_FIELDS`).  The sqlite store and
-the streaming aggregator never see a bundle, only rows.
+the streaming aggregator never see a bundle, only rows.  Each member is
+set up once (:func:`~repro.sweeps.runner.planar_setup`) and runs as a
+lane of the kernel's own steps; a member whose scheduler leaves the
+round path finishes through its own kernel loop.
 
 Bundling is declined (the spec stays a singleton work item) when:
 
@@ -133,27 +136,6 @@ def plan_replicate_bundles(
     return items
 
 
-def _one_shot_factory(spec: RunSpec, initial):
-    """A lane factory that hands out ``initial`` once, then rebuilds fresh.
-
-    The replicate engine may call a factory twice (serial-fallback path);
-    the second call must not reuse scheduler/RNG objects the first
-    attempt already advanced.
-    """
-    from .runner import planar_setup
-
-    state = {"initial": initial}
-
-    def factory():
-        current = state.pop("initial", None)
-        if current is None:
-            current = planar_setup(spec)
-        configuration, algorithm, scheduler, config = current
-        return configuration.positions, algorithm, scheduler, config
-
-    return factory
-
-
 def execute_bundle(bundle: ReplicateBundle) -> List[Dict[str, object]]:
     """Execute every member of a bundle batched; return per-member rows.
 
@@ -163,10 +145,11 @@ def execute_bundle(bundle: ReplicateBundle) -> List[Dict[str, object]]:
     from ..engine.replicate import run_replicated_simulations
     from .runner import planar_row, planar_setup
 
-    factories = [
-        _one_shot_factory(spec, planar_setup(spec)) for spec in bundle.members
-    ]
-    results = run_replicated_simulations(factories)
+    lanes = []
+    for spec in bundle.members:
+        configuration, algorithm, scheduler, config = planar_setup(spec)
+        lanes.append((configuration.positions, algorithm, scheduler, config))
+    results = run_replicated_simulations([lambda lane=lane: lane for lane in lanes])
     rows = [
         planar_row(spec, result, result.wall_time_seconds)
         for spec, result in zip(bundle.members, results)

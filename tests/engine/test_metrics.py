@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import MetricsCollector
 from repro.geometry import Point
+from repro.model.visibility import visibility_edges
 
 
 SQUARE = [Point(0, 0), Point(0.9, 0), Point(0.9, 0.9), Point(0, 0.9)]
@@ -101,10 +102,10 @@ class TestLargeNMode:
         assert large_sample == dense_sample  # frozen dataclass: all floats
         assert large.cohesion_ever_violated == dense.cohesion_ever_violated
         # The large-n bind keeps only the index arrays, sorted like the
-        # dense edge set.
+        # dense matrix's edge set.
         assert large.initial_edges == set()
         index = np.stack((large._edge_i, large._edge_j), axis=1)
-        assert sorted(map(tuple, index.tolist())) == sorted(dense.initial_edges)
+        assert list(map(tuple, index.tolist())) == sorted(visibility_edges(arr, 1.5))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_large_n_observe_matches_dense_3d(self, seed, monkeypatch):
@@ -130,6 +131,63 @@ class TestLargeNMode:
         assert sorted(map(tuple, large._edge_index.tolist())) == sorted(
             dense.initial_edges
         )
+
+
+class TestBindInitialEdges:
+    """``bind_initial`` enumerates the initial edges from a grid at every
+    swarm size; they must equal the dense distance matrix's edge set."""
+
+    @staticmethod
+    def _assert_dense_edges(arr, visibility_range):
+        collector = MetricsCollector(visibility_range=visibility_range)
+        collector.bind_initial(arr)
+        dense = visibility_edges(arr, visibility_range)
+        assert collector.initial_edges == dense
+        index = list(zip(collector._edge_i.tolist(), collector._edge_j.tolist()))
+        assert index == sorted(dense)
+        return dense
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9, 33, 200])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_n_edges_match_dense(self, n, seed):
+        import numpy as np
+
+        arr = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n, 2))
+        self._assert_dense_edges(arr, 1.5)
+
+    def test_coincident_and_tiny_range(self):
+        """A range 10^12 times below the extent needs the floored cell."""
+        import numpy as np
+
+        arr = np.array([[0.0, 0.0], [0.0, 0.0], [1e-7, 0.0], [1e3, 1e3]])
+        assert self._assert_dense_edges(arr, 1e-9) == {(0, 1)}
+        assert self._assert_dense_edges(arr, 1e-6) == {(0, 1), (0, 2), (1, 2)}
+
+    def test_pair_at_exactly_v_plus_eps_is_an_edge(self):
+        """The predicate is ``<= V + EPS`` on the matrix's per-pair float."""
+        import numpy as np
+
+        from repro.geometry.tolerances import EPS
+
+        reach = 1.0 + EPS
+        beyond = np.nextafter(reach, np.inf)
+        arr = np.array([
+            [-reach / 2.0, 0.0], [reach / 2.0, 0.0],  # exactly V + EPS apart
+            [-reach / 2.0, 4.0], [-reach / 2.0 + beyond, 4.0],  # one ulp farther
+        ])
+        assert np.hypot(*(arr[1] - arr[0])) == reach
+        assert np.hypot(*(arr[3] - arr[2])) > reach
+        assert self._assert_dense_edges(arr, 1.0) == {(0, 1)}
+
+    def test_pair_across_a_cell_rounding_band(self):
+        """``-1e-17`` and ``1.0`` are ``V + EPS`` apart but floor to cells
+        two apart at cell ``V + EPS``; the covering cell keeps the pair."""
+        import numpy as np
+
+        from repro.geometry.tolerances import EPS
+
+        arr = np.array([[-1e-17, 0.0], [1.0, 0.0]])
+        assert self._assert_dense_edges(arr, 1.0 - EPS) == {(0, 1)}
 
 
 class TestContractingSwarm:
@@ -214,8 +272,6 @@ class TestToleranceDroppedRobot:
         return math.sqrt(best)
 
     def test_sample_diameter_counts_the_dropped_robot(self):
-        from types import SimpleNamespace
-
         from repro.engine.metrics import METRICS_DENSE_MAX
         from repro.engine.replicate import _observe_fast
         from repro.geometry.hull import ConvexHull
@@ -227,5 +283,5 @@ class TestToleranceDroppedRobot:
         assert ConvexHull.of_array(arr).diameter() == 1.0
         sample = MetricsCollector(visibility_range=1e-3).observe(0.0, arr, 0)
         assert sample.hull_diameter == dense
-        lane = SimpleNamespace(metrics=MetricsCollector(visibility_range=1e-3))
-        assert _observe_fast(lane, 0.0, arr, 0).hull_diameter == dense
+        lane_metrics = MetricsCollector(visibility_range=1e-3)
+        assert _observe_fast(lane_metrics, 0.0, arr, 0).hull_diameter == dense

@@ -210,7 +210,7 @@ class TestGroupKey:
 
     def test_eligible_lane_joins_its_group(self):
         sim = self._sim(seed=3)
-        assert _prepare_lane(0, sim).group == _group_key(sim)
+        assert _prepare_lane(sim).group == _group_key(sim)
 
     @pytest.mark.parametrize("variant", [
         pytest.param({"algorithm": AndoAlgorithm()}, id="ando"),
@@ -223,7 +223,7 @@ class TestGroupKey:
     ])
     def test_ineligible_lane_has_no_group(self, variant):
         """Lanes the flat decide cannot reproduce take the per-lane round path."""
-        assert _prepare_lane(0, self._sim(seed=3, **variant)).group is None
+        assert _prepare_lane(self._sim(seed=3, **variant)).group is None
 
 
 #: Decide constants without and with a distance-error tolerance.

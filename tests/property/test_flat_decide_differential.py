@@ -5,8 +5,10 @@ A planar round is decided either per robot or by
 single run (``Simulator.run`` with round batching on, one lane) and the
 replicate engine (``run_replicated_simulations``, a group of lanes).
 Hypothesis draws a bundle of one to three lanes, each with its own seed,
-size, scheduler (round-structured or k-async), algorithm, error models,
-frames, crashes, recording cadence and grid setting.  A later lane may
+size, scheduler (round-structured, k-async, or two whole rounds and then
+plain activation lists, so a lane leaves the round path mid-run),
+algorithm, error models, frames, crashes, recording cadence and grid
+setting.  A later lane may
 copy the first lane's configuration (one multi-lane group), differ from
 it in one value (a neighbouring group) or draw its own, so one bundle can
 mix lane groups.  Every lane's result must be the same from all four
@@ -19,6 +21,9 @@ entry points:
   path);
 * :class:`reference.object_engine.ObjectSimulator` (the object engine
   oracle: per-Point Looks and snapshots).
+
+``run_replicated_simulations`` must also call each lane's factory once,
+whichever path the lane takes.
 """
 
 from __future__ import annotations
@@ -37,10 +42,29 @@ from repro.model.errors import MotionModel, PerceptionModel
 from repro.schedulers import FSyncScheduler, KAsyncScheduler, SSyncScheduler
 from repro.workloads import random_connected_configuration
 
+
+class RoundsThenListsScheduler(SSyncScheduler):
+    """SSync whose rounds after the second arrive as plain activation lists.
+
+    The kernel advances the first two rounds whole and heaps every later
+    activation, so a replicate lane leaves the round path mid-run.
+    """
+
+    def _after_reset(self) -> None:
+        super()._after_reset()
+        self._issued = 0
+
+    def next_batch(self, view=None):
+        batch = super().next_batch(view)
+        self._issued += 1
+        return batch if self._issued <= 2 else list(batch)
+
+
 SCHEDULERS = {
     "fsync": FSyncScheduler,
     "ssync": SSyncScheduler,
     "kasync2": lambda: KAsyncScheduler(k=2),
+    "rounds2-lists": RoundsThenListsScheduler,
 }
 ALGORITHMS = {
     "kknps1": lambda: KKNPSAlgorithm(k=1),
@@ -184,9 +208,23 @@ class TestFlatDecideCallersAgree:
     @example([(BASE, 4), ({**BASE, "use_random_frames": False}, 5),
               ({**BASE, "allow_reflection": False}, 6)])
     @example([(BASE, 7), (BASE, 8), ({**BASE, "n": 9}, 9)])
+    # A lane that leaves the round path after two rounds, grouped with a
+    # lane that stays on it, next to a lane that never takes it.
+    @example([({**BASE, "scheduler": "rounds2-lists"}, 10), (BASE, 11),
+              ({**BASE, "scheduler": "kasync2"}, 12)])
     def test_bundle_single_run_and_per_activation_agree(self, bundle):
         factories = [_factory(spec, seed) for spec, seed in bundle]
-        replicated = run_replicated_simulations(factories)
+        calls = []
+
+        def counted(factory):
+            def call():
+                calls.append(factory)
+                return factory()
+
+            return call
+
+        replicated = run_replicated_simulations([counted(f) for f in factories])
+        assert calls == factories
         for factory, lane in zip(factories, replicated):
             expected = _fingerprint(_run_object(factory))
             assert _fingerprint(_run(factory, False)) == expected

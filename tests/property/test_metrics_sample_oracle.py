@@ -15,8 +15,6 @@ grid-local pairs.  Both are compared against :mod:`reference.hull`:
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -82,9 +80,9 @@ def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent):
     assert sample.initial_edges_preserved == (oracle[4] == 0)
     assert (sample.time, sample.activations_processed) == (1.0, 1)
     if n > 1:
-        lane = SimpleNamespace(metrics=MetricsCollector(visibility_range=visibility))
-        lane.metrics.bind_initial(start)
-        assert _observe_fast(lane, 1.0, moved, 1) == sample
+        lane_metrics = MetricsCollector(visibility_range=visibility)
+        lane_metrics.bind_initial(start)
+        assert _observe_fast(lane_metrics, 1.0, moved, 1) == sample
 
 
 coordinates = st.one_of(
