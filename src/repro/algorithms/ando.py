@@ -13,6 +13,11 @@ Section 3.1 of the paper).  Upon activation a robot:
 The algorithm is correct under SSync but, as Figure 4 of the paper shows,
 fails to preserve visibility under 1-Async and 2-NestA scheduling; the
 ``repro.adversary.ando_counterexample`` module reproduces that failure.
+
+:meth:`AndoAlgorithm.compute` reads the snapshot's perceived rows as
+plain floats.  The ``Point``-form rule (``sec_center`` over points, the
+``max_step_within_disks`` clamp over safe-region disks) is the test
+oracle it is pinned against (``tests/reference/rules.py``).
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry.point import Point
-from ..geometry.sec import sec_center, sec_center_array
+from ..geometry.sec import sec_center_array
 from ..geometry.tolerances import EPS
 from ..model.snapshot import Snapshot
 from .base import ConvergenceAlgorithm
-from .safe_regions import ando_safe_region_local, max_step_within_disks
+from .safe_regions import ando_safe_region_local
 
 
 @dataclass
@@ -47,41 +52,19 @@ class AndoAlgorithm(ConvergenceAlgorithm):
             raise ValueError("max_move must be positive when given")
 
     def compute(self, snapshot: Snapshot) -> Point:
-        """Move toward the SEC centre of the visible robots, limited by safe regions."""
-        if not snapshot.has_neighbours():
-            return Point.origin()
-        visibility_range = self._known_range(snapshot)
+        """Move toward the SEC centre of the visible robots, limited by safe regions.
 
-        points = snapshot.with_self()
-        goal = sec_center(points)
-        if goal.norm() <= EPS:
-            return Point.origin()
-        if self.max_move is not None and goal.norm() > self.max_move:
-            goal = goal.unit() * self.max_move
-
-        safe_disks = [
-            ando_safe_region_local(p, visibility_range) for p in snapshot.neighbours
-        ]
-        return max_step_within_disks(Point.origin(), goal, safe_disks)
-
-    def compute_relative(
-        self, perceived: np.ndarray, visibility_range: float | None = None
-    ) -> Point:
-        """The float-core form of :meth:`compute` for the round fast path.
-
-        ``perceived`` holds the perceived neighbour rows in snapshot
-        order; the SEC goes through the memoised
-        :func:`~repro.geometry.sec.sec_center_array` and the safe-disk
-        clamp replicates :func:`max_step_within_disks` on plain floats —
-        same formulas, same tolerances, bit-identical destination.
+        Reads the snapshot's perceived rows as plain floats: the SEC goes
+        through the memoised :func:`~repro.geometry.sec.sec_center_array`
+        and the safe-disk clamp is
+        :func:`~repro.algorithms.safe_regions.max_step_within_disks` on
+        floats — the same formulas and tolerances as the ``Point`` helpers.
         """
+        perceived = snapshot.rows
         m = perceived.shape[0]
         if m == 0:
             return Point.origin()
-        if visibility_range is None:
-            raise ValueError(
-                f"{self.name} requires the visibility range but the snapshot does not carry it"
-            )
+        visibility_range = self._known_range(snapshot)
         with_self = np.empty((m + 1, 2), dtype=float)
         with_self[0] = 0.0
         with_self[1:] = perceived

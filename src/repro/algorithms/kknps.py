@@ -28,16 +28,16 @@ a bounded-skew compass distortion is handled by shrinking the safe-region
 radius so that it is contained in the intersection of the safe regions of
 all possible true neighbour directions.
 
-Besides the per-snapshot :meth:`KKNPSAlgorithm.compute` and its float
-core :meth:`~KKNPSAlgorithm.compute_relative`, the rule has a batched
-form over many activations' perceived rows stacked end to end:
-:func:`kknps_destinations_all` (numpy over the flat rows) and its scalar
-transcription :func:`kknps_destination_segment`, both bit-identical to
-``compute_relative`` per activation.  The engine's flat round decide
-(:mod:`repro.engine.decide_batch`) reaches them through
-:meth:`~KKNPSAlgorithm.compute_array_rounds` for a single run, and the
-replicate engine calls :func:`kknps_destinations_all` with the constants
-a group of lanes shares.
+The rule is written twice.  :meth:`KKNPSAlgorithm.compute` decides one
+activation from its snapshot's perceived rows, as plain floats; every
+per-robot decide of the engine runs it.  :func:`kknps_destinations_all`
+decides many activations at once, numpy over their perceived rows
+stacked end to end, bit-identical to ``compute`` per activation.  The
+engine's flat round decide (:mod:`repro.engine.decide_batch`) reaches it
+through :meth:`~KKNPSAlgorithm.compute_array_rounds` for a single run,
+and the replicate engine calls it with the constants a group of lanes
+shares.  The ``Point``-form rule, written as the paper states it, is the
+test oracle both are pinned against (``tests/reference/rules.py``).
 """
 
 from __future__ import annotations
@@ -148,51 +148,16 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
 
     # -- the motion rule -------------------------------------------------------------
     def compute(self, snapshot: Snapshot) -> Point:
-        """Destination of the observing robot, in snapshot-local coordinates."""
-        if not snapshot.has_neighbours():
-            return Point.origin()
+        """Destination of the observing robot, in snapshot-local coordinates.
 
-        v_y = self.perceived_range_bound(snapshot)
-        if v_y <= EPS:
-            return Point.origin()
-
-        distant = self.distant_neighbours(snapshot)
-        directions = [p.unit() for p in distant if p.norm() > EPS]
-        if not directions:
-            return Point.origin()
-
-        # If the robot lies in the convex hull of its distant neighbours'
-        # directions, the intersection of the safe regions is its own
-        # location: stay put.
-        if not fits_in_open_halfplane(directions):
-            return Point.origin()
-
-        radius = self.effective_radius(v_y)
-        if radius <= EPS:
-            return Point.origin()
-
-        if len(directions) == 1:
-            return directions[0] * radius
-
-        i, j = extreme_directions(directions)
-        center_i = directions[i] * radius
-        center_j = directions[j] * radius
-        return center_i.midpoint(center_j)
-
-    def compute_relative(
-        self, perceived: np.ndarray, visibility_range: float | None = None
-    ) -> Point:
-        """The float-core form of :meth:`compute` for the round fast path.
-
-        ``perceived`` holds the perceived neighbour rows in snapshot
-        order.  The norms are the scalar ``math.hypot`` values a
-        :class:`Snapshot` would cache, the distant threshold uses the raw
-        ``V_Y`` exactly as :meth:`distant_neighbours` does, and
-        :class:`Point` objects are built only for the (typically tiny)
-        distant subset so the direction helpers run verbatim —
-        bit-identical destination, a fraction of the allocation.
+        Reads the snapshot's perceived rows as plain floats: the norms are
+        ``math.hypot`` per row (as :attr:`Snapshot.norms`), the distant
+        threshold uses the raw ``V_Y`` exactly as
+        :meth:`distant_neighbours` does, and :class:`Point` objects are
+        built only for the (typically tiny) distant subset, so the
+        direction helpers run on them verbatim.
         """
-        rows = perceived.tolist()
+        rows = snapshot.rows.tolist()
         if not rows:
             return Point.origin()
         norms = [math.hypot(px, py) for px, py in rows]
@@ -207,11 +172,15 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
             Point(px, py) for (px, py), r in zip(rows, norms) if r > threshold + EPS
         ]
         if not distant:
+            # The farthest neighbour is distant by definition.
             farthest = max(range(len(norms)), key=norms.__getitem__)
             distant = [Point(rows[farthest][0], rows[farthest][1])]
         directions = [p.unit() for p in distant if p.norm() > EPS]
         if not directions:
             return Point.origin()
+        # If the robot lies in the convex hull of its distant neighbours'
+        # directions, the intersection of the safe regions is its own
+        # location: stay put.
         if not fits_in_open_halfplane(directions):
             return Point.origin()
         radius = self.effective_radius(v_y)
@@ -245,14 +214,13 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
         starts: np.ndarray,
         ends: np.ndarray,
     ) -> np.ndarray:
-        """Whole-round batch form of :meth:`compute_relative`.
+        """Whole-round batch form of :meth:`compute`.
 
         ``px``/``py`` are the flat perceived neighbour coordinates of many
         activations stacked end to end; activation ``a`` owns the rows
         ``starts[a]:ends[a]``.  Returns an ``(acts, 2)`` array whose row
-        ``a`` is bit-identical to
-        ``compute_relative(rows[starts[a]:ends[a]])`` (see
-        :func:`kknps_destinations_all`).
+        ``a`` is bit-identical to :meth:`compute` on a snapshot of the
+        rows ``starts[a]:ends[a]`` (see :func:`kknps_destinations_all`).
         """
         return kknps_destinations_all(px, py, starts, ends, self.decide_consts())
 
@@ -293,121 +261,6 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
         return bool(verdict[0])
 
 
-def kknps_destination_segment(
-    px: np.ndarray,
-    py: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    consts: DecideConsts,
-    lo: int,
-    hi: int,
-    out: np.ndarray,
-) -> None:
-    """Local-frame KKNPS destinations for activations ``lo..hi`` (exclusive).
-
-    ``px``/``py`` are the flat perceived neighbour coordinates of *all*
-    activations; activation ``a`` owns rows ``starts[a]:ends[a]``, and
-    ``consts`` is :meth:`KKNPSAlgorithm.decide_consts`.  The body is a
-    faithful scalar transcription of :meth:`KKNPSAlgorithm.compute_relative`
-    (same ``math.hypot`` norms, same distant classification, same
-    half-plane/extreme-direction helpers), so each output row is
-    bit-identical to what the per-robot round decider computes for the
-    same perceived rows.
-    """
-    if hi <= lo:
-        return
-    close_fraction, tol, alpha, divisor, shrink = consts
-    starts_l = starts.tolist()
-    ends_l = ends.tolist()
-    # All rows this slice touches, hoisted into plain lists once; the norms
-    # come from the same ``math.hypot`` the per-robot tier applies per row
-    # (``np.hypot`` is not bit-identical to it on every platform).
-    row_lo = starts_l[lo]
-    row_hi = ends_l[hi - 1]
-    pxl = px[row_lo:row_hi].tolist()
-    pyl = py[row_lo:row_hi].tolist()
-    norms_all = list(map(math.hypot, pxl, pyl))
-    atan2 = math.atan2
-    pi_gate = math.pi + EPS
-    two_pi = 2.0 * math.pi
-    # Accumulate into plain lists and write the slice once at the end —
-    # per-activation numpy scalar stores cost more than the arithmetic.
-    out_x = [0.0] * (hi - lo)
-    out_y = [0.0] * (hi - lo)
-    for a in range(lo, hi):
-        s = starts_l[a] - row_lo
-        e = ends_l[a] - row_lo
-        if s == e:
-            continue
-        norms = norms_all[s:e]
-        v_raw = max(norms)
-        v_y = v_raw
-        if tol > 0.0:
-            v_y = v_raw / (1.0 + tol)
-        if v_y <= EPS:
-            continue
-        # ``norms[k] > threshold + EPS`` with the sum hoisted (same float
-        # every iteration).
-        threshold_eps = close_fraction * v_raw + EPS
-        distant = [k for k, nk in enumerate(norms) if nk > threshold_eps]
-        if not distant:
-            distant = [max(range(len(norms)), key=norms.__getitem__)]
-        directions: List[Tuple[float, float]] = []
-        for k in distant:
-            nk = norms[k]
-            if nk > EPS:
-                directions.append((pxl[s + k] / nk, pyl[s + k] / nk))
-        if not directions:
-            continue
-        if len(directions) == 1:
-            # A single direction's maximum gap is the full circle, which
-            # always clears the half-plane gate.
-            radius = alpha * v_y / divisor * shrink
-            if radius <= EPS:
-                continue
-            out_x[a - lo] = directions[0][0] * radius
-            out_y[a - lo] = directions[0][1] * radius
-            continue
-        # Inline ``max_angular_gap`` over the atan2 angles: atan2 lands in
-        # [-pi, pi], where ``normalize_angle_positive`` reduces to a bare
-        # ``+ 2*pi`` for negatives (``math.fmod`` is exact below one
-        # period), so the listcomp below is bit-identical to it.
-        angles = [atan2(dy, dx) for dx, dy in directions]
-        normalized = [t + two_pi if t < 0.0 else t for t in angles]
-        order = sorted(range(len(normalized)), key=normalized.__getitem__)
-        best_gap = -1.0
-        gap_i = gap_j = order[0]
-        last = len(order) - 1
-        for idx in range(last + 1):
-            i2 = order[idx]
-            if idx == last:
-                j2 = order[0]
-                gap = normalized[j2] - normalized[i2] + two_pi
-            else:
-                j2 = order[idx + 1]
-                gap = normalized[j2] - normalized[i2]
-            if gap > best_gap:
-                best_gap = gap
-                gap_i = i2
-                gap_j = j2
-        if not best_gap > pi_gate:
-            # The distant directions do not fit in an open half-plane:
-            # the robot stays put (compute_relative returns the origin).
-            continue
-        radius = alpha * v_y / divisor * shrink
-        if radius <= EPS:
-            continue
-        # extreme_directions(directions) == (j, i) of the max gap's (i, j).
-        ix, iy = directions[gap_j]
-        jx, jy = directions[gap_i]
-        cix, ciy = ix * radius, iy * radius
-        cjx, cjy = jx * radius, jy * radius
-        out_x[a - lo] = (cix + cjx) / 2.0
-        out_y[a - lo] = (ciy + cjy) / 2.0
-    out[lo:hi, 0] = out_x
-    out[lo:hi, 1] = out_y
-
-
 def kknps_destinations_all(
     px: np.ndarray,
     py: np.ndarray,
@@ -417,16 +270,16 @@ def kknps_destinations_all(
 ) -> np.ndarray:
     """All activations' local KKNPS destinations, batched over the flat rows.
 
-    Value-identical to :func:`kknps_destination_segment` over ``0..acts``:
-    the per-row norms still come from ``math.hypot`` (``np.hypot`` is not
-    bit-identical to it everywhere), while everything built on them —
-    per-activation maxima (picks, no arithmetic), the distant threshold,
-    the unit directions, the radius — uses elementwise ufuncs in the same
-    operation order as the scalar core, which numpy evaluates with the
-    same IEEE arithmetic.  Only the angular-gap scan (a sort over each
-    activation's few distant directions) stays scalar, and activations
-    whose distant set is empty take the scalar core verbatim for its
-    argmax fallback.  Returns the ``(acts, 2)`` destinations.
+    Row ``a`` is bit-identical to :meth:`KKNPSAlgorithm.compute` on a
+    snapshot of the rows ``starts[a]:ends[a]``: the per-row norms come
+    from ``math.hypot`` (``np.hypot`` is not bit-identical to it
+    everywhere), while everything built on them — per-activation maxima
+    (picks, no arithmetic), the distant threshold, the unit directions,
+    the radius — uses elementwise ufuncs in the same operation order as
+    the per-snapshot rule, which numpy evaluates with the same IEEE
+    arithmetic.  Only the angular-gap scan (a sort over each activation's
+    few distant directions) is a per-activation reduction.  Returns the
+    ``(acts, 2)`` destinations.
     """
     acts = len(starts)
     rows = len(px)
@@ -439,44 +292,47 @@ def kknps_destinations_all(
         map(math.hypot, px.tolist(), py.tolist()), dtype=np.float64, count=rows
     )
     nonempty = counts > 0
-    safe_starts = np.minimum(starts, rows - 1)
-    v_raw = np.maximum.reduceat(norms_all, safe_starts)
+    # Reduce over the non-empty activations only: their starts increase
+    # strictly, so each reduction spans exactly one activation's rows.
+    v_raw = np.zeros(acts, dtype=np.float64)
+    v_raw[nonempty] = np.maximum.reduceat(norms_all, starts[nonempty])
     # x / 1.0 is exactly x, so the unconditional division matches the
-    # scalar core's ``if tol > 0.0`` guard bit for bit.
+    # rule's ``if tol > 0.0`` guard bit for bit.
     v_y = v_raw / (1.0 + tol)
     active = nonempty & (v_y > EPS)
     threshold_eps = close_fraction * v_raw + EPS
     row_act = np.repeat(np.arange(acts, dtype=np.int64), counts)
     distant_mask = norms_all > threshold_eps[row_act]
     distant_count = np.bincount(row_act[distant_mask], minlength=acts)
+    no_distant = np.flatnonzero(nonempty & (distant_count == 0))
+    if len(no_distant):
+        # No row clears the threshold (a tiny V_Y): the farthest row, the
+        # first one on ties, is distant by definition.
+        farthest = np.flatnonzero(norms_all == v_raw[row_act])
+        distant_mask[farthest[np.searchsorted(farthest, starts[no_distant])]] = True
     valid_mask = distant_mask & (norms_all > EPS)
     valid_rows = np.flatnonzero(valid_mask)
     vcount = np.bincount(row_act[valid_rows], minlength=acts)
-    # Same operation order as the scalar ``alpha * v_y / divisor * shrink``.
+    # Same operation order as the rule's ``alpha * v_y / divisor * shrink``.
     radius = alpha * v_y / divisor * shrink
-    # Unit directions of the valid distant rows, in the scalar core's
-    # enumeration order (ascending row index within each activation).
+    # Unit directions of the valid distant rows, in the rule's enumeration
+    # order (ascending row index within each activation).
     ux = px[valid_rows] / norms_all[valid_rows]
     uy = py[valid_rows] / norms_all[valid_rows]
     vstarts = np.zeros(acts + 1, dtype=np.int64)
     np.cumsum(vcount, out=vstarts[1:])
-    single = active & (distant_count > 0) & (vcount == 1) & (radius > EPS)
+    single = active & (vcount == 1) & (radius > EPS)
     if single.any():
         first = vstarts[:-1][single]
         out[single, 0] = ux[first] * radius[single]
         out[single, 1] = uy[first] * radius[single]
-    fallback = np.flatnonzero(active & (distant_count == 0))
-    for a in fallback.tolist():
-        # Every distant candidate filtered out: the scalar core promotes
-        # the overall-farthest neighbour; reuse it verbatim.
-        kknps_destination_segment(px, py, starts, ends, consts, a, a + 1, out)
     multi_mask = active & (vcount >= 2)
     multi = np.flatnonzero(multi_mask)
     if not len(multi):
         return out
     pi_gate = math.pi + EPS
     two_pi = 2.0 * math.pi
-    # The angular-gap scan, batched.  Per activation the scalar core sorts
+    # The angular-gap scan, batched.  Per activation the rule sorts
     # its directions by normalised angle (a stable sort — lexsort likewise),
     # walks consecutive gaps plus the wrap-around gap last, and keeps the
     # FIRST gap strictly exceeding the running best, i.e. the first

@@ -1,7 +1,9 @@
 """The planar whole-round decide as one flat pipeline, for 1…k lanes.
 
-A planar round is decided either robot by robot (the kernel's
-per-robot deciders) or here, in one pass over a flat activation axis:
+A planar round is decided either robot by robot (the kernel's round
+decider, through :meth:`repro.engine.simulator.Simulator._decide_move`,
+the decide every k-async activation runs) or here, in one pass over a
+flat activation axis:
 :func:`decide_round_flat` gathers every activation's candidate rows,
 filters them by distance, pre-draws the private frames per lane in
 activation order, perceives, runs one KKNPS batch core and maps the
@@ -14,9 +16,11 @@ rows stack into one ``(lanes * n, 2)`` array.  Every lane of a group
 shares each configuration value the pipeline reads, so one ``config``
 describes them all; only the RNG streams stay per lane.
 
-Each stage is an elementwise transcription of the per-robot decider's
-arithmetic, so every decision — and every RNG draw — is bit-identical
-to deciding the round robot by robot.  That holds only for KKNPS under
+Each stage is an elementwise transcription of the per-robot decide's
+arithmetic (:func:`~repro.model.snapshot.build_snapshot`, then
+:meth:`~repro.algorithms.kknps.KKNPSAlgorithm.compute`), so every
+decision — and every RNG draw — is bit-identical to deciding the round
+robot by robot.  That holds only for KKNPS under
 draw-free perception and motion, which callers check with
 ``Simulator._batch_decide_eligible``, and for rounds without a
 near-coincident pair, which they check with :func:`collapse_hazard_lanes`.
@@ -34,7 +38,7 @@ import numpy as np
 from ..geometry.tolerances import EPS
 
 #: A committed pair (within one lane) closer than this demotes the lane's
-#: round to the serial path: above it, the serial fast tier's
+#: round to the per-robot path: above it, the per-robot decide's
 #: ``_collapse_coincident_array(visible, 1e-12)`` is provably the
 #: identity for every activation of the round (the relative-coordinate
 #: pair distance can differ from the committed one only by subtraction

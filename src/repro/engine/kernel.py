@@ -326,15 +326,15 @@ class ContinuousKernel:
         return ShardedGridIndex(committed, effective + 2.0 * EPS)
 
     def _round_decider(self, look_time: float, committed: np.ndarray, shard):
-        """Per-robot decide callable for one round (overridable).
+        """Per-robot decide callable for one round.
 
-        The base form routes through :meth:`_decide_move` unchanged — the
-        candidate rows are the committed positions themselves (every robot
-        is idle at its committed position at the round's look instant),
-        gathered through the shard's block-local candidate arrays when one
-        is active.  The shard's candidate set includes the observer, which
-        every Look filter drops at distance zero exactly as the dense path
-        drops coincident robots.
+        Routes through :meth:`_decide_move`, the decide every heaped
+        activation runs.  The candidate rows are the committed positions
+        themselves (every robot is idle at its committed position at the
+        round's look instant), gathered through the shard's block-local
+        candidate arrays when one is active.  The shard's candidate set
+        includes the observer, which every Look filter drops at distance
+        zero exactly as the dense path drops coincident robots.
         """
 
         def decide(robot_id: int, activation: Activation) -> Decision:

@@ -19,7 +19,7 @@ from ..geometry.hull import ConvexHull
 from ..geometry.point import PointLike, points_to_array
 from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
-from ..model.visibility import Edge, visibility_edges
+from ..model.visibility import Edge
 from .logs import SampleLog
 from .spatial_index import ShardedGridIndex, covering_cell
 
@@ -58,23 +58,59 @@ def min_pairwise_distance_grid(arr: np.ndarray, radius: float) -> float:
     """
     if len(arr) < 2:
         return 0.0
-    # Components squared and summed left to right, exactly like the dense
-    # matrix builders in any dimension.
-    columns = [np.ascontiguousarray(arr[:, axis]) for axis in range(arr.shape[1])]
+    columns = _columns(arr)
     radius = search_radius_floor(arr, radius)
     while True:
         shard = ShardedGridIndex(arr, covering_cell(arr, radius))
         i, j = shard.neighbour_pairs()
         if len(i):
-            squared = None
-            for column in columns:
-                delta = column[i] - column[j]
-                term = delta * delta
-                squared = term if squared is None else squared + term
-            best = float(math.sqrt(squared.min()))
+            best = float(math.sqrt(_pair_squared(columns, i, j).min()))
             if best <= radius:
                 return best
         radius *= 2.0
+
+
+def _columns(arr: np.ndarray) -> List[np.ndarray]:
+    """The contiguous coordinate columns of ``(n, d)`` rows."""
+    return [np.ascontiguousarray(arr[:, axis]) for axis in range(arr.shape[1])]
+
+
+def _pair_squared(columns: List[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distances of the pairs ``(i, j)``.
+
+    Components squared and summed left to right, exactly like the dense
+    matrix builders in any dimension.
+    """
+    squared = None
+    for column in columns:
+        delta = column[i] - column[j]
+        term = delta * delta
+        squared = term if squared is None else squared + term
+    return squared
+
+
+def grid_edges(arr: np.ndarray, reach: float) -> "tuple[np.ndarray, np.ndarray]":
+    """All pairs ``i < j`` of the ``(n, d)`` rows at distance ``<= reach``.
+
+    Returned as two index arrays in lexicographic order, the order of a
+    sorted edge set.  At a finite reach the pairs come from a grid whose
+    cell covers ``reach`` (floored with :func:`search_radius_floor`, which
+    bounds the cell keys however small the reach), in O(n + |E|); each
+    pair's distance is the dense matrix's (:func:`_pair_squared`, one
+    square root), so the ``<= reach`` predicate decides every pair as the
+    dense edge builders do.  An infinite reach pairs every two rows.
+    """
+    n = len(arr)
+    if not math.isfinite(reach):
+        return np.triu_indices(n, k=1)
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    cell = covering_cell(arr, search_radius_floor(arr, reach))
+    i, j = ShardedGridIndex(arr, cell).neighbour_pairs()
+    keep = np.sqrt(_pair_squared(_columns(arr), i, j)) <= reach
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 def min_pairwise_distance_sweep(arr: np.ndarray) -> Optional[float]:
@@ -191,33 +227,15 @@ class MetricsCollector(SeparationHint):
 
         The edge set is also cached as a ``(|E|, 2)`` index array so every
         subsequent observation checks cohesion with one fancy-indexed
-        gather instead of rebuilding an edge list.  At any finite range
-        the edges are enumerated from the neighbour pairs of a grid whose
-        cell covers ``V + EPS`` (the dense matrix's ``<= V + EPS``
-        predicate on the same per-pair floats), in O(n + |E|).  Past
+        gather instead of rebuilding an edge list.  The edges come from
+        :func:`grid_edges` (O(n + |E|) at a finite range).  Past
         ``METRICS_DENSE_MAX`` robots only the index arrays are
         materialised: ``initial_edges`` stays empty at that scale, as a
         set with tens of millions of tuples would dwarf the simulation
         state itself.
         """
         arr = points_to_array(positions)
-        reach = self.visibility_range + EPS
-        if not (math.isfinite(reach) and self.visibility_range > 0.0):
-            self.initial_edges = visibility_edges(positions, self.visibility_range)
-            self._build_edge_index()
-            return
-        i = j = np.empty(0, dtype=np.int64)
-        if len(arr) >= 2:
-            cell = covering_cell(arr, search_radius_floor(arr, reach))
-            i, j = ShardedGridIndex(arr, cell).neighbour_pairs()
-            x = np.ascontiguousarray(arr[:, 0])
-            y = np.ascontiguousarray(arr[:, 1])
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            keep = np.sqrt(dx * dx + dy * dy) <= reach
-            i, j = i[keep], j[keep]
-            order = np.lexsort((j, i))
-            i, j = i[order], j[order]
+        i, j = grid_edges(arr, self.visibility_range + EPS)
         self._edge_i = np.ascontiguousarray(i)
         self._edge_j = np.ascontiguousarray(j)
         self.initial_edges = (

@@ -18,6 +18,12 @@ reason about:
   destination; the scheduler's progress fraction (clamped to the motion
   model's xi) and the motion-error model determine the realised endpoint.
 
+Every per-robot decide — each heaped activation, and each round the
+flat round decide (:mod:`repro.engine.decide_batch`) declines — is one
+call of :meth:`Simulator._decide_move`: :func:`build_snapshot` keeps the
+perceived rows, and the algorithm's ``compute`` reads them (the KKNPS
+and Ando rules as plain floats, without building ``Point`` neighbours).
+
 Cohesion (preservation of the initial visibility edges) and hull-based
 congregation measures are sampled at every processed activation.
 """
@@ -35,7 +41,7 @@ from ..geometry.point import Point, PointLike
 from ..geometry.transforms import LocalFrame, random_frame
 from ..model.configuration import Configuration
 from ..model.errors import MotionModel, PerceptionModel
-from ..model.snapshot import build_snapshot, perceived_rows
+from ..model.snapshot import build_snapshot
 from ..model.types import Activation, RoundBatch
 from ..algorithms.base import ConvergenceAlgorithm
 from ..algorithms.kknps import KKNPSAlgorithm
@@ -62,7 +68,6 @@ class SimulationConfig:
     stop_at_convergence: bool = True
     use_random_frames: bool = True
     allow_reflection: bool = True
-    reveal_visibility_range: Optional[bool] = None
     k_bound: Optional[int] = None
     multiplicity_detection: bool = False
     record_every: int = 1
@@ -195,11 +200,6 @@ class Simulator(ContinuousKernel):
         return self._state.positions_at_points(t)
 
     # -- kernel hooks, planar implementations --------------------------------------
-    def _reveal_range(self) -> bool:
-        if self.config.reveal_visibility_range is not None:
-            return self.config.reveal_visibility_range
-        return self.algorithm.requires_visibility_range
-
     def _frame_for_look(self) -> Optional[LocalFrame]:
         if not self.config.use_random_frames:
             return None
@@ -233,7 +233,7 @@ class Simulator(ContinuousKernel):
             frame=frame,
             perception=cfg.perception,
             rng=self.rng,
-            reveal_range=self._reveal_range(),
+            reveal_range=self.algorithm.requires_visibility_range,
             k_bound=cfg.k_bound,
             multiplicity_detection=cfg.multiplicity_detection,
             time=look_time,
@@ -252,58 +252,6 @@ class Simulator(ContinuousKernel):
             (realized.x, realized.y),
             snapshot.neighbour_count(),
         )
-
-    def _round_decider(self, look_time: float, committed: np.ndarray, shard):
-        """Snapshot-free decide for one round (the 2D per-robot fast tier).
-
-        Runs :func:`build_snapshot`'s array pipeline
-        (:func:`~repro.model.snapshot.perceived_rows`) on the round's
-        committed rows, with the frame, perception and motion calls in the
-        same RNG order, but skips the Snapshot object and hands the
-        perceived array straight to the algorithm's ``compute_relative``
-        float core.  Anything the fast tier cannot replicate exactly
-        (multiplicity detection, an algorithm without
-        ``compute_relative``) falls back to the Tier A decider, which
-        routes through :meth:`_decide_move` unchanged.
-        """
-        cfg = self.config
-        algorithm = self.algorithm
-        if cfg.multiplicity_detection or not hasattr(algorithm, "compute_relative"):
-            return super()._round_decider(look_time, committed, shard)
-        perception = cfg.perception
-        motion = cfg.motion
-        rng = self.rng
-        effective = self._effective_range()
-        reveal = effective if self._reveal_range() else None
-
-        def decide(robot_id: int, activation: Activation) -> Decision:
-            if shard is not None:
-                arr = committed[shard.candidates(robot_id)]
-            else:
-                arr = np.delete(committed, robot_id, axis=0)
-            frame = self._frame_for_look()
-            row = committed[robot_id]
-            perceived, _ = perceived_rows(row, arr, effective, frame, perception, rng)
-            destination_local = algorithm.compute_relative(
-                perceived, visibility_range=reveal
-            )
-            displacement = (
-                frame.to_global(destination_local)
-                if frame is not None
-                else Point.of(destination_local)
-            )
-            position = Point(float(row[0]), float(row[1]))
-            target_global = position + displacement
-            realized = motion.realize(
-                position, target_global, activation.progress_fraction, rng
-            )
-            return (
-                (target_global.x, target_global.y),
-                (realized.x, realized.y),
-                len(perceived),
-            )
-
-        return decide
 
     # -- whole-round batched decide ---------------------------------------------------
     def _batch_decide_eligible(self) -> bool:
@@ -336,9 +284,9 @@ class Simulator(ContinuousKernel):
             ok = self._batch_decide_ok = self._batch_decide_eligible()
         if not ok:
             return False
-        # A committed pair inside the collapse guard could make the serial
-        # tier's coincidence collapse a non-identity; such (vanishingly
-        # rare) rounds keep the per-robot path, which is bit-identical.
+        # A committed pair inside the collapse guard could make the
+        # per-robot Look's coincidence collapse a non-identity; such
+        # (vanishingly rare) rounds keep the per-robot path.
         return not bool(collapse_hazard_lanes(committed, 1, self.n_robots)[0])
 
     def _round_decide_batch(
@@ -346,8 +294,9 @@ class Simulator(ContinuousKernel):
     ):
         """One round's decides as one lane of :func:`decide_round_flat`.
 
-        Bit-identical to :meth:`_round_decider`'s per-robot results;
-        returns the ``(target, realized, neighbours_seen)`` row arrays.
+        Bit-identical to deciding the round robot by robot through
+        :meth:`_decide_move`; returns the ``(target, realized,
+        neighbours_seen)`` row arrays.
         """
         return decide_round_flat(
             self.config,

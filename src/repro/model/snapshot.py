@@ -6,13 +6,16 @@ a relative position.  The private frame may be arbitrarily rotated,
 reflected and (optionally) scaled, and the perceived positions may carry
 measurement error.  Algorithms only ever see a :class:`Snapshot`; they
 return a destination expressed in the same private coordinates.
+
+A snapshot holds its perceived positions as ``(m, 2)`` float rows, which
+the KKNPS and Ando rules read directly; the ``Point`` tuple the other
+rules read is built from the rows on first access, so the engine's
+per-robot decide never pays for it under those two rules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -23,60 +26,83 @@ from ..geometry.transforms import LocalFrame
 from .errors import PerceptionModel
 
 
-@dataclass(frozen=True)
 class Snapshot:
     """The input of one Compute phase.
 
-    ``neighbours`` are the perceived relative positions of the *other*
-    visible robots (the observer itself is not included; co-located robots
-    collapse to a single perceived position unless ``multiplicities`` is
-    provided).  ``visibility_range`` carries the common range ``V`` only
-    when the engine was configured to reveal it (the paper's algorithm
+    ``rows`` are the perceived relative positions of the *other* visible
+    robots as an ``(m, 2)`` float array, and ``neighbours`` the same
+    positions as ``Point`` s (the observer itself is not included;
+    co-located robots collapse to a single perceived position unless
+    ``multiplicities`` is provided).  Build a snapshot from either:
+    ``Snapshot(neighbours=...)`` keeps the given points and derives the
+    rows from them, ``Snapshot(rows=...)`` keeps the array and builds the
+    points on first access.  ``visibility_range`` carries the common
+    range ``V`` only when the engine reveals it (the paper's algorithm
     never needs it, Ando et al.'s does).  ``k_bound`` carries the
     asynchrony bound the system is promised to respect, for algorithms
     whose motion rule scales with ``1/k``.
     """
 
-    neighbours: tuple
-    visibility_range: Optional[float] = None
-    k_bound: Optional[int] = None
-    multiplicities: Optional[tuple] = None
-    time: float = 0.0
-    robot_id: Optional[int] = None
+    __slots__ = (
+        "rows", "visibility_range", "k_bound", "multiplicities", "time", "robot_id",
+        "_neighbours", "_norms",
+    )
 
-    def __post_init__(self) -> None:
-        neighbours = self.neighbours
-        if not (
-            isinstance(neighbours, tuple)
-            and all(type(p) is Point for p in neighbours)
-        ):
-            object.__setattr__(
-                self, "neighbours", tuple(Point.of(p) for p in neighbours)
-            )
-        if self.multiplicities is not None:
-            object.__setattr__(self, "multiplicities", tuple(int(m) for m in self.multiplicities))
-            if len(self.multiplicities) != len(self.neighbours):
+    def __init__(
+        self,
+        neighbours: Sequence[PointLike] = (),
+        visibility_range: Optional[float] = None,
+        k_bound: Optional[int] = None,
+        multiplicities: Optional[Sequence[int]] = None,
+        time: float = 0.0,
+        robot_id: Optional[int] = None,
+        *,
+        rows: Optional[np.ndarray] = None,
+    ) -> None:
+        if rows is None:
+            neighbours = tuple(Point.of(p) for p in neighbours)
+            rows = np.array([(p.x, p.y) for p in neighbours], dtype=float).reshape(-1, 2)
+        else:
+            neighbours = None
+        self.rows = rows
+        self._neighbours = neighbours
+        self._norms = None
+        self.visibility_range = visibility_range
+        self.k_bound = k_bound
+        self.time = time
+        self.robot_id = robot_id
+        if multiplicities is not None:
+            multiplicities = tuple(int(m) for m in multiplicities)
+            if len(multiplicities) != len(rows):
                 raise ValueError("multiplicities must match neighbours")
+        self.multiplicities = multiplicities
+
+    @property
+    def neighbours(self) -> tuple:
+        """The perceived positions as a tuple of ``Point`` s (built once)."""
+        if self._neighbours is None:
+            self._neighbours = tuple(Point(x, y) for x, y in self.rows.tolist())
+        return self._neighbours
 
     # -- basic queries -------------------------------------------------------
     def has_neighbours(self) -> bool:
         """True when at least one other robot is visible."""
-        return len(self.neighbours) > 0
+        return len(self.rows) > 0
 
     def neighbour_count(self) -> int:
         """Number of perceived neighbour positions."""
-        return len(self.neighbours)
+        return len(self.rows)
 
-    @cached_property
+    @property
     def norms(self) -> tuple:
         """Perceived distance of each neighbour, computed once per snapshot.
 
-        Every Compute phase reads the neighbour norms several times (the
-        range bound, the distant/close split, the direction scaling); this
-        caches the single pass.  Values are exactly ``p.norm()`` per
-        neighbour.
+        Values are exactly ``p.norm()`` (``math.hypot``) per neighbour.
         """
-        return tuple(math.hypot(p.x, p.y) for p in self.neighbours)
+        if self._norms is None:
+            rows = self.rows
+            self._norms = tuple(map(math.hypot, rows[:, 0].tolist(), rows[:, 1].tolist()))
+        return self._norms
 
     def distances(self) -> List[float]:
         """Perceived distances to each neighbour."""
@@ -88,13 +114,11 @@ class Snapshot:
         This is the paper's tentative lower bound ``V_Y`` on the true
         visibility range.
         """
-        if not self.neighbours:
-            return 0.0
-        return max(self.norms)
+        return max(self.norms) if len(self.rows) else 0.0
 
     def farthest_neighbour(self) -> Optional[Point]:
         """Perceived position of the farthest neighbour."""
-        if not self.neighbours:
+        if not len(self.rows):
             return None
         norms = self.norms
         return self.neighbours[max(range(len(norms)), key=norms.__getitem__)]
@@ -218,29 +242,6 @@ def _collapse_coincident_scan(
     return visible[kept], np.asarray(counts, dtype=np.int64)
 
 
-def perceived_rows(
-    observer, others: np.ndarray, visibility_range: float, frame: Optional[LocalFrame],
-    perception: PerceptionModel, rng, coincidence_eps: float = 1e-12,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The Look pipeline on ``(m, 2)`` rows: what an ``(x, y)`` observer perceives.
-
-    Offsets from the observer, the distance filter (drop robots within
-    ``coincidence_eps`` of it or farther than ``visibility_range + EPS``),
-    the coincidence collapse, the private ``frame`` and the ``perception``
-    model, in that order.  Returns the perceived rows and their multiplicities.
-    """
-    if len(others):
-        relative = others - np.array((float(observer[0]), float(observer[1])), dtype=float)
-        distance = np.hypot(relative[:, 0], relative[:, 1])
-        keep = (distance > coincidence_eps) & (distance <= visibility_range + EPS)
-        visible = relative[keep]
-    else:
-        visible = np.zeros((0, 2), dtype=float)
-    collapsed, counts = _collapse_coincident_array(visible, coincidence_eps)
-    local = frame.to_local_array(collapsed) if frame is not None else collapsed
-    return perception.perceive_array(local, rng), counts
-
-
 def build_snapshot(
     observer_position: PointLike,
     others: Sequence[PointLike],
@@ -266,22 +267,31 @@ def build_snapshot(
     detection); co-located other robots collapse into a single entry
     unless ``multiplicity_detection`` is set.
 
-    The whole pipeline — visibility mask, coincidence collapse, frame and
-    perception transforms — runs as batched numpy expressions over
-    ``others`` (an ``(m, 2)`` array or a sequence of points), in
-    :func:`perceived_rows`.
+    The whole pipeline — offsets from the observer, the distance filter
+    (drop robots within ``coincidence_eps`` of it or farther than
+    ``visibility_range + EPS``), the coincidence collapse, the frame and
+    the perception model, in that order — runs as batched numpy
+    expressions over ``others`` (an ``(m, 2)`` array or a sequence of
+    points).  The snapshot keeps the perceived rows; its ``Point``
+    neighbours are built only if a rule reads them.
     """
     observer = Point.of(observer_position)
-    perceived, counts = perceived_rows(
-        (observer.x, observer.y), _others_as_array(others), visibility_range, frame,
-        perception or PerceptionModel.exact(), rng, coincidence_eps,
-    )
+    others = _others_as_array(others)
+    if len(others):
+        relative = others - np.array((observer.x, observer.y), dtype=float)
+        distance = np.hypot(relative[:, 0], relative[:, 1])
+        keep = (distance > coincidence_eps) & (distance <= visibility_range + EPS)
+        visible = relative[keep]
+    else:
+        visible = np.zeros((0, 2), dtype=float)
+    collapsed, counts = _collapse_coincident_array(visible, coincidence_eps)
+    local = frame.to_local_array(collapsed) if frame is not None else collapsed
+    perception = perception or PerceptionModel.exact()
     return Snapshot(
-        neighbours=tuple(Point(float(x), float(y)) for x, y in perceived),
+        rows=perception.perceive_array(local, rng),
         visibility_range=visibility_range if reveal_range else None,
         k_bound=k_bound,
-        multiplicities=tuple(int(c) for c in counts) if multiplicity_detection else None,
+        multiplicities=counts.tolist() if multiplicity_detection else None,
         time=time,
         robot_id=robot_id,
     )
-

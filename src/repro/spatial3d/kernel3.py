@@ -32,9 +32,9 @@ from ..engine.logs import EndTimeLog, SampleLog
 from ..engine.metrics import (
     METRICS_DENSE_MAX,
     SeparationHint,
+    grid_edges,
     min_pairwise_distance_grid,
 )
-from ..engine.spatial_index import ShardedGridIndex, covering_cell
 from ..engine.state import EngineState
 from ..geometry.tolerances import EPS
 from ..model.errors import MotionModel, PerceptionModel
@@ -50,12 +50,10 @@ from .engine3 import (
 from .kknps3 import KKNPS3Algorithm
 from .model3 import (
     Configuration3,
-    edge_index_array,
     edge_lengths3_array,
     max_pairwise_distance3_array,
     min_pairwise_distance3_array,
     positions_as_array3,
-    visibility_edges3,
 )
 from .vector3 import Vector3Like
 
@@ -125,26 +123,17 @@ class Metrics3Collector(SeparationHint):
     def bind_initial(self, positions) -> None:
         """Record the initial visibility edges the cohesion predicate refers to.
 
-        Past ``METRICS_DENSE_MAX`` robots the edges come from the
-        neighbour pairs of a grid whose cell covers ``V + EPS`` (same
-        ``<= V + EPS`` predicate) and only the
-        ``(E, 2)`` index array is materialised; ``initial_edges`` stays
-        empty at that scale.
+        The edges come from :func:`~repro.engine.metrics.grid_edges`, as
+        in the planar collector, and are kept as an ``(E, 2)`` index
+        array; past ``METRICS_DENSE_MAX`` robots ``initial_edges`` stays
+        empty.
         """
         arr = np.asarray(positions, dtype=float)
-        if len(arr) > METRICS_DENSE_MAX:
-            reach = self.visibility_range + EPS
-            shard = ShardedGridIndex(arr, covering_cell(arr, reach))
-            i, j = shard.neighbour_pairs()
-            index = np.stack((i, j), axis=1)
-            lengths = edge_lengths3_array(index, arr)
-            index = index[lengths <= reach]
-            order = np.lexsort((index[:, 1], index[:, 0]))
-            self.initial_edges = set()
-            self._edge_index = np.ascontiguousarray(index[order])
-            return
-        self.initial_edges = visibility_edges3(arr, self.visibility_range)
-        self._edge_index = edge_index_array(self.initial_edges)
+        i, j = grid_edges(arr, self.visibility_range + EPS)
+        self._edge_index = np.stack((i, j), axis=1)
+        self.initial_edges = (
+            set(zip(i.tolist(), j.tolist())) if len(arr) <= METRICS_DENSE_MAX else set()
+        )
 
     def observe(self, time: float, positions, activations_processed: int) -> Metrics3Sample:
         """Sample the configuration at ``time`` and append it to the history.

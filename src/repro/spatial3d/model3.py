@@ -13,6 +13,7 @@ from typing import List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from ..engine.metrics import grid_edges
 from ..geometry.tolerances import EPS
 from ..model.visibility import connected_components
 from .vector3 import Vector3, Vector3Like, centroid3
@@ -142,14 +143,13 @@ def max_edge_stretch3(edge_index: np.ndarray, positions: np.ndarray) -> float:
 def visibility_edges3(
     positions: Sequence[Vector3Like], visibility_range: float, *, eps: float = EPS
 ) -> Set[Edge]:
-    """All pairs of robots within ``V`` of each other."""
-    pts = [Vector3.of(p) for p in positions]
-    edges: Set[Edge] = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i].distance_to(pts[j]) <= visibility_range + eps:
-                edges.add((i, j))
-    return edges
+    """All pairs ``(i, j)`` with ``i < j`` whose separation is at most ``V``.
+
+    Enumerated from a covering grid (:func:`~repro.engine.metrics.grid_edges`)
+    in O(n + |E|), with the dense per-pair arithmetic.
+    """
+    i, j = grid_edges(positions_as_array3(positions), visibility_range + eps)
+    return set(zip(i.tolist(), j.tolist()))
 
 
 def is_connected3(

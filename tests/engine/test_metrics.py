@@ -189,6 +189,80 @@ class TestBindInitialEdges:
         arr = np.array([[-1e-17, 0.0], [1.0, 0.0]])
         assert self._assert_dense_edges(arr, 1.0 - EPS) == {(0, 1)}
 
+    def test_unlimited_range_pairs_everyone(self):
+        import math
+
+        import numpy as np
+
+        arr = np.random.default_rng(4).uniform(-50.0, 50.0, size=(7, 2))
+        assert len(self._assert_dense_edges(arr, math.inf)) == 21
+
+
+class TestBindInitialEdges3:
+    """The 3D collector and ``visibility_edges3`` enumerate edges from the
+    covering grid; they must equal the dense all-pairs ``Vector3`` scan."""
+
+    @staticmethod
+    def _dense_edges3(arr, visibility_range):
+        from repro.geometry.tolerances import EPS
+        from repro.spatial3d import Vector3
+
+        points = [Vector3.of(p) for p in arr]
+        return {
+            (i, j)
+            for i in range(len(points))
+            for j in range(i + 1, len(points))
+            if points[i].distance_to(points[j]) <= visibility_range + EPS
+        }
+
+    def _assert_dense_edges3(self, arr, visibility_range):
+        from repro.spatial3d import visibility_edges3
+        from repro.spatial3d.kernel3 import Metrics3Collector
+
+        dense = self._dense_edges3(arr, visibility_range)
+        assert visibility_edges3(arr, visibility_range) == dense
+        collector = Metrics3Collector(visibility_range=visibility_range)
+        collector.bind_initial(arr)
+        assert collector.initial_edges == dense
+        assert list(map(tuple, collector._edge_index.tolist())) == sorted(dense)
+        return dense
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 40])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_n_edges_match_dense(self, n, seed):
+        import numpy as np
+
+        arr = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(n, 3))
+        self._assert_dense_edges3(arr, 1.5)
+
+    def test_coincident_and_tiny_range(self):
+        import numpy as np
+
+        arr = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-7], [1e3, 1e3, 1e3]])
+        assert self._assert_dense_edges3(arr, 1e-9) == {(0, 1)}
+        assert self._assert_dense_edges3(arr, 1e-6) == {(0, 1), (0, 2), (1, 2)}
+
+    def test_pair_at_exactly_v_plus_eps_is_an_edge(self):
+        import numpy as np
+
+        from repro.geometry.tolerances import EPS
+
+        reach = 1.0 + EPS
+        beyond = np.nextafter(reach, np.inf)
+        arr = np.array([
+            [0.0, -reach / 2.0, 3.0], [0.0, reach / 2.0, 3.0],  # exactly V + EPS apart
+            [4.0, 0.0, -reach / 2.0], [4.0, 0.0, -reach / 2.0 + beyond],  # one ulp farther
+        ])
+        assert self._assert_dense_edges3(arr, 1.0) == {(0, 1)}
+
+    def test_unlimited_range_pairs_everyone(self):
+        import math
+
+        import numpy as np
+
+        arr = np.random.default_rng(4).uniform(-50.0, 50.0, size=(7, 3))
+        assert len(self._assert_dense_edges3(arr, math.inf)) == 21
+
 
 class TestContractingSwarm:
     """A swarm shrinking about its centroid keeps the large-n observe linear.

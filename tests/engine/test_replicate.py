@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
-from repro.algorithms.kknps import kknps_destination_segment, kknps_destinations_all
+from repro.algorithms.kknps import kknps_destinations_all
 from repro.engine import SimulationConfig, Simulator
 from repro.engine.replicate import _group_key, _prepare_lane, run_replicated_simulations
 from repro.geometry.transforms import SymmetricDistortion
 from repro.model.errors import MotionModel, PerceptionModel
+from repro.model.snapshot import Snapshot
 from repro.schedulers import FSyncScheduler, KAsyncScheduler, SSyncScheduler
 from repro.workloads import random_connected_configuration
 
@@ -226,12 +227,36 @@ class TestGroupKey:
         assert _prepare_lane(self._sim(seed=3, **variant)).group is None
 
 
-#: Decide constants without and with a distance-error tolerance.
-CONSTS = [(0.5, 0.0, 1.0, 8.0, 1.0), (0.5, 0.05, 1.0, 8.0, 1.0)]
+#: KKNPS rules without and with a distance-error tolerance.
+RULES = [KKNPSAlgorithm(), KKNPSAlgorithm(distance_error_tolerance=0.05)]
+
+
+def _flat(activations):
+    """Flat ``px, py, starts, ends`` of per-activation ``[(x, y), ...]`` rows."""
+    counts = np.asarray([len(rows) for rows in activations], dtype=np.int64)
+    flat = [row for rows in activations for row in rows]
+    px = np.asarray([x for x, _ in flat], dtype=np.float64)
+    py = np.asarray([y for _, y in flat], dtype=np.float64)
+    ends = np.cumsum(counts)
+    return px, py, ends - counts, ends
+
+
+def _per_snapshot(algorithm, px, py, starts, ends):
+    """Each activation's destination from ``algorithm.compute`` on its own snapshot."""
+    out = np.zeros((len(starts), 2), dtype=np.float64)
+    for a, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+        destination = algorithm.compute(Snapshot(rows=np.column_stack((px[s:e], py[s:e]))))
+        out[a] = (destination.x, destination.y)
+    return out
 
 
 class TestDestinationsAllEquivalence:
-    """The vectorized decide core equals the scalar core bitwise."""
+    """The batched decide core equals the per-snapshot rule bitwise."""
+
+    def _assert_matches_rule(self, algorithm, px, py, starts, ends):
+        batched = kknps_destinations_all(px, py, starts, ends, algorithm.decide_consts())
+        assert batched.tobytes() == _per_snapshot(algorithm, px, py, starts, ends).tobytes()
+        return batched
 
     def _random_case(self, rng, acts):
         counts = rng.integers(0, 7, size=acts)
@@ -246,44 +271,54 @@ class TestDestinationsAllEquivalence:
     def test_random_rows(self, trial):
         rng = np.random.default_rng(100 + trial)
         px, py, starts, ends = self._random_case(rng, 64)
-        for consts in CONSTS:
-            scalar = np.zeros((64, 2), dtype=np.float64)
-            kknps_destination_segment(px, py, starts, ends, consts, 0, 64, scalar)
-            vector = kknps_destinations_all(px, py, starts, ends, consts)
-            assert scalar.tobytes() == vector.tobytes()
+        for algorithm in RULES:
+            self._assert_matches_rule(algorithm, px, py, starts, ends)
 
     def test_edge_rows(self):
         """Empty activations, collapsed norms, surrounded robots, clusters."""
-        px_rows, py_rows, counts = [], [], []
-        # Empty activation.
-        counts.append(0)
-        # All neighbours at (numerically) zero distance: v_y <= EPS.
-        px_rows += [0.0, 1e-12]
-        py_rows += [0.0, 0.0]
-        counts.append(2)
-        # Surrounded: four distant directions spanning more than a half-plane.
-        px_rows += [1.0, -1.0, 0.0, 0.0]
-        py_rows += [0.0, 0.0, 1.0, -1.0]
-        counts.append(4)
-        # All close (no distant): the argmax fallback direction.
-        px_rows += [0.1, 0.12, 0.09]
-        py_rows += [0.05, 0.0, -0.02]
-        counts.append(3)
-        # Single distant direction.
-        px_rows += [0.9, 0.01]
-        py_rows += [0.1, 0.01]
-        counts.append(2)
-        counts = np.asarray(counts, dtype=np.int64)
-        acts = len(counts)
-        px = np.asarray(px_rows, dtype=np.float64)
-        py = np.asarray(py_rows, dtype=np.float64)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        scalar = np.zeros((acts, 2), dtype=np.float64)
-        kknps_destination_segment(px, py, starts, ends, CONSTS[0], 0, acts, scalar)
-        vector = kknps_destinations_all(px, py, starts, ends, CONSTS[0])
-        assert scalar.tobytes() == vector.tobytes()
+        px, py, starts, ends = _flat([
+            # Empty activation.
+            [],
+            # All neighbours at (numerically) zero distance: v_y <= EPS.
+            [(0.0, 0.0), (1e-12, 0.0)],
+            # Surrounded: four distant directions spanning more than a half-plane.
+            [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],
+            # A cluster: every row clears the distant threshold.
+            [(0.1, 0.05), (0.12, 0.0), (0.09, -0.02)],
+            # Single distant direction.
+            [(0.9, 0.1), (0.01, 0.01)],
+        ])
+        destinations = self._assert_matches_rule(RULES[0], px, py, starts, ends)
         # The surrounded and collapsed activations stay put, the others move.
-        assert scalar[1].tolist() == [0.0, 0.0]
-        assert scalar[2].tolist() == [0.0, 0.0]
-        assert scalar[4].tolist() != [0.0, 0.0]
+        assert destinations[1].tolist() == [0.0, 0.0]
+        assert destinations[2].tolist() == [0.0, 0.0]
+        assert destinations[4].tolist() != [0.0, 0.0]
+
+    def test_no_distant_row_promotes_the_farthest(self):
+        """A ``V_Y`` so tiny that no row clears ``close_fraction * V_Y + EPS``."""
+        px, py, starts, ends = _flat([
+            # The farthest row (9e-9, 0) is distant by definition: a move of V_Y / 8.
+            [(9e-9, 0.0), (0.0, 5e-9)],
+            # Tied farthest rows: the first one is promoted.
+            [(0.0, -5e-9), (9e-9, 0.0), (0.0, 9e-9)],
+        ])
+        destinations = self._assert_matches_rule(
+            KKNPSAlgorithm(close_fraction=0.9), px, py, starts, ends
+        )
+        assert destinations.tolist() == [[1.125e-9, 0.0], [1.125e-9, 0.0]]
+        # At close_fraction 0.5 a tiny pair promotes its farthest row too,
+        # but the safe-region radius V_Y / 8 falls below EPS: it stays put.
+        px, py, starts, ends = _flat([[(1.5e-9, 0.0), (0.0, 1.2e-9)]])
+        destinations = self._assert_matches_rule(RULES[0], px, py, starts, ends)
+        assert destinations.tolist() == [[0.0, 0.0]]
+
+    def test_trailing_empty_activations(self):
+        """An activation followed only by empty ones still reads its last row."""
+        px, py, starts, ends = _flat([
+            [(0.3, 0.1)],
+            [(0.1, 0.0), (0.2, 0.3), (0.9, 0.1)],
+            [],
+            [],
+        ])
+        destinations = self._assert_matches_rule(RULES[0], px, py, starts, ends)
+        assert destinations[1].tolist() == pytest.approx([0.1125, 0.0125])

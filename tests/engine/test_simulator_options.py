@@ -48,10 +48,6 @@ class TestSnapshotDelivery:
         snapshots = self._run_probe(SnapshotProbe(requires_range=True))
         assert all(s.visibility_range == 1.0 for s in snapshots)
 
-    def test_range_reveal_can_be_forced(self):
-        snapshots = self._run_probe(SnapshotProbe(), reveal_visibility_range=True)
-        assert all(s.visibility_range == 1.0 for s in snapshots)
-
     def test_k_bound_is_passed_through(self):
         snapshots = self._run_probe(SnapshotProbe(), k_bound=5)
         assert all(s.k_bound == 5 for s in snapshots)

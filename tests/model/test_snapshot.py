@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
 from repro.geometry import LocalFrame, Point
 from repro.model import PerceptionModel, Snapshot, build_snapshot
 
@@ -106,3 +107,34 @@ class TestBuildSnapshot:
         assert snap.k_bound == 3
         assert snap.time == 2.5
         assert snap.robot_id == 7
+
+
+class TestRowBackedSnapshot:
+    def test_points_give_rows(self):
+        snap = Snapshot(neighbours=(Point(1, 0), (0.0, 0.4)))
+        assert snap.rows.tolist() == [[1.0, 0.0], [0.0, 0.4]]
+        assert snap.neighbours == (Point(1, 0), Point(0.0, 0.4))
+        assert Snapshot().rows.shape == (0, 2)
+
+    def test_rows_give_points(self):
+        snap = Snapshot(rows=np.array([[0.5, -0.25], [0.0, 1.0]]))
+        assert snap.neighbours == (Point(0.5, -0.25), Point(0.0, 1.0))
+        assert snap.neighbours is snap.neighbours
+        assert snap.norms == (math.hypot(0.5, -0.25), 1.0)
+
+    def test_rules_decide_without_building_points(self, monkeypatch):
+        """The engine's decide reads only rows: count, KKNPS and Ando build no Point tuple."""
+        snap = build_snapshot(
+            (0.1, -0.2), [(0.6, 0.0), (-0.1, 0.5), (0.9, 0.3), (0.2, -0.1)],
+            visibility_range=1.2, reveal_range=True,
+        )
+
+        def no_points(self):
+            raise AssertionError("the Point neighbours were built")
+
+        monkeypatch.setattr(Snapshot, "neighbours", property(no_points))
+        assert snap.neighbour_count() == 4
+        assert KKNPSAlgorithm().compute(snap) != Point.origin()
+        assert AndoAlgorithm().compute(snap) != Point.origin()
+        monkeypatch.undo()
+        assert snap.neighbours == tuple(Point(x, y) for x, y in snap.rows.tolist())

@@ -7,6 +7,10 @@ two and benchmarks can time the array engine against it:
 * :mod:`reference.object_engine` — the planar object engine: ``Robot``
   views over the kinematic store, per-``Point`` Looks and the per-``Point``
   snapshot pipeline (:class:`~reference.object_engine.ObjectSimulator`);
+* :mod:`reference.rules` — the ``Point``-form KKNPS and Ando rules the
+  engine's float-core ``compute`` is pinned against
+  (:func:`~reference.rules.reference_compute`, which the object engine
+  decides with);
 * :mod:`reference.object_engine3` — the per-robot ``Vector3`` round loop
   of the 3D extension (:func:`~reference.object_engine3.run_simulation3_object`);
 * :mod:`reference.hull` — the ``np.unique`` hull and a dense-matrix

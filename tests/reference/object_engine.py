@@ -14,8 +14,9 @@ behaviour, as a reference:
   per-vector frame and perception transforms;
 * :class:`ObjectSimulator` — :class:`~repro.engine.simulator.Simulator`
   with per-``Point`` Looks over :class:`Robot` views, the object
-  snapshot, dense Looks (``spatial_index=False``) and the per-activation
-  path (``round_batching=False``).
+  snapshot, the ``Point``-form rules of :mod:`reference.rules`, dense
+  Looks (``spatial_index=False``) and the per-activation path
+  (``round_batching=False``).
 
 The array engine must match it bit for bit: positions, metrics samples,
 records and RNG consumption (``tests/engine/test_engine_modes.py``,
@@ -45,6 +46,8 @@ from repro.model.robot import (
 )
 from repro.model.snapshot import Snapshot
 from repro.model.types import Activation, Phase
+
+from .rules import reference_compute
 
 _PHASE_TO_CODE = {
     Phase.IDLE: PHASE_IDLE,
@@ -313,7 +316,7 @@ def build_snapshot_objects(
 
 
 class ObjectSimulator(Simulator):
-    """The object engine: per-Point Looks over :class:`Robot` views, dense, per activation.
+    """The object engine: per-Point Looks, snapshots and rules, dense, per activation.
 
     The run's configuration is taken as given except that Looks stay
     dense (``spatial_index=False``) and every activation takes the
@@ -360,13 +363,13 @@ class ObjectSimulator(Simulator):
             frame=frame,
             perception=cfg.perception,
             rng=self.rng,
-            reveal_range=self._reveal_range(),
+            reveal_range=self.algorithm.requires_visibility_range,
             k_bound=cfg.k_bound,
             multiplicity_detection=cfg.multiplicity_detection,
             time=look_time,
             robot_id=robot.robot_id,
         )
-        destination_local = self.algorithm.compute(snapshot)
+        destination_local = reference_compute(self.algorithm, snapshot)
         displacement = (
             frame.to_global(destination_local) if frame is not None else Point.of(destination_local)
         )
