@@ -35,7 +35,7 @@ def test_bench_parallel_sweep(benchmark, tmp_path):
     jsonl = tmp_path / "sweep.jsonl"
 
     result = benchmark.pedantic(
-        lambda: SweepRunner(spec, workers=4, chunk_size=4, jsonl_path=jsonl).run(),
+        lambda: SweepRunner(spec, workers=4, jsonl_path=jsonl).run(),
         rounds=1,
         iterations=1,
     )

@@ -124,9 +124,10 @@ def run(
 ) -> ConvergenceResult:
     """Run the n-sweep, the k-sweep and (optionally) the ablations.
 
-    ``workers > 1`` executes the measurements across a process pool via the
-    sweep engine; ``backend`` selects another execution backend by name
-    (e.g. ``"work-stealing"``).  The rows are identical to the serial run.
+    ``workers > 1`` executes the measurements across worker processes via
+    the sweep engine (the work-stealing backend); ``backend`` selects
+    another execution backend by name (e.g. ``"socket"``).  The rows are
+    identical to the serial run.
     """
     measurements: List[Tuple[str, RunSpec]] = []
 

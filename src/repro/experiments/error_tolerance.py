@@ -207,9 +207,9 @@ def run(
 ) -> ErrorToleranceResult:
     """Run the error-model grid (through the sweep engine) and the Figure-18 sweep.
 
-    ``workers > 1`` executes the grid across a process pool; ``backend``
-    selects another execution backend by name.  The rows are identical to
-    the serial run.
+    ``workers > 1`` executes the grid across worker processes (the
+    work-stealing backend); ``backend`` selects another execution backend
+    by name.  The rows are identical to the serial run.
     """
     result = ErrorToleranceResult()
 

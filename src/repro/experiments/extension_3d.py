@@ -97,8 +97,9 @@ def run(
     ``max_rounds`` bounds the round-grid runs; ``max_activations`` bounds
     the k-async runs (default: ``max_rounds``, which is generous — a
     round activates ~n robots).  ``workers > 1`` executes the
-    measurements across a process pool; ``backend`` selects another
-    execution backend by name.  The rows are identical to the serial run.
+    measurements across worker processes (the work-stealing backend);
+    ``backend`` selects another execution backend by name.  The rows are
+    identical to the serial run.
     """
     workloads: List[Tuple[str, int]] = [("line3", 6), ("lattice3", 8)]
     workloads.extend(("random3", n) for n in random_sizes)

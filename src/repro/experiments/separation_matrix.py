@@ -131,7 +131,8 @@ def run(
     The stochastic columns use ``runs_per_cell`` random connected
     configurations of ``n_robots`` robots each; the adversarial columns
     replay the Figure-4 construction.  ``workers > 1`` fans the stochastic
-    runs out across a process pool via the sweep engine.
+    runs out across worker processes via the sweep engine (the
+    work-stealing backend).
     """
     result = SeparationMatrixResult()
 

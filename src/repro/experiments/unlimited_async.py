@@ -91,9 +91,9 @@ def run(
 ) -> UnlimitedAsyncResult:
     """Run KKNPS (k=1) under unbounded Async with V above the initial diameter.
 
-    ``workers > 1`` executes the sizes across a process pool via the sweep
-    engine; ``backend`` selects another execution backend by name.  The
-    rows are identical to the serial run.
+    ``workers > 1`` executes the sizes across worker processes via the
+    sweep engine (the work-stealing backend); ``backend`` selects another
+    execution backend by name.  The rows are identical to the serial run.
     """
     specs = [
         RunSpec(

@@ -55,7 +55,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="default worker processes per job (default 1)")
     parser.add_argument("--backend", default=None,
                         help="default execution backend for jobs "
-                             "(default: serial/process-pool by worker count)")
+                             "(default: serial with 1 worker, work-stealing "
+                             "otherwise)")
     parser.add_argument("--executors", type=int, default=1,
                         help="jobs run concurrently by the service (default 1; "
                              "overlapping grids stay exactly-once via store claims)")

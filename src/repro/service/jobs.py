@@ -139,16 +139,16 @@ class JobManager:
         """Queue one sweep; returns its job id.
 
         ``spec`` is a :class:`SweepSpec` or its ``to_dict`` form (what
-        the HTTP API receives).  ``options`` may carry ``workers``,
-        ``backend`` and ``chunk_size`` overrides for this job; anything
-        else is rejected so client typos fail loudly.
+        the HTTP API receives).  ``options`` may carry ``workers`` and
+        ``backend`` overrides for this job; anything else is rejected so
+        client typos fail loudly.
         """
         if self._shutdown.is_set():
             raise RuntimeError("the job manager is shutting down")
         if not isinstance(spec, SweepSpec):
             spec = SweepSpec.from_dict(spec)
         opts = dict(options or {})
-        unknown = set(opts) - {"workers", "backend", "chunk_size"}
+        unknown = set(opts) - {"workers", "backend"}
         if unknown:
             raise ValueError(f"unknown job options: {sorted(unknown)}")
         runs = spec.expand()
@@ -273,7 +273,6 @@ class JobManager:
         runner = SweepRunner(
             job.spec,
             workers=int(job.options.get("workers", self.workers)),
-            chunk_size=int(job.options.get("chunk_size", 1)),
             backend=job.options.get("backend", self.backend),
             jsonl_path=self.jobs_dir / f"{job.job_id}.jsonl",
             store=self.store_path,

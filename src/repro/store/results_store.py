@@ -113,13 +113,34 @@ class ResultsStore:
             isolation_level=None,  # manual BEGIN IMMEDIATE transactions
             check_same_thread=False,
         )
-        self._conn.execute("PRAGMA busy_timeout = %d" % int(busy_timeout_s * 1000))
-        # WAL lets readers proceed while a writer commits; sqlite falls
-        # back silently where WAL is unsupported (the store still works,
-        # just with coarser locking).
-        self._conn.execute("PRAGMA journal_mode = WAL")
-        self._conn.execute("PRAGMA synchronous = FULL")
-        self._ensure_layout()
+        try:
+            self._conn.execute("PRAGMA busy_timeout = %d" % int(busy_timeout_s * 1000))
+            self._enable_wal(busy_timeout_s)
+            self._conn.execute("PRAGMA synchronous = FULL")
+            self._ensure_layout()
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def _enable_wal(self, busy_timeout_s: float) -> None:
+        """Switch the file into WAL mode within the busy timeout.
+
+        WAL lets readers proceed while a writer commits (sqlite falls back
+        silently where it is unsupported).  While a peer holds the RESERVED
+        lock, sqlite fails the switch at once with ``database is locked``
+        instead of calling the busy handler, so the retry happens here.
+        """
+        deadline = time.monotonic() + busy_timeout_s
+        delay = 0.005
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode = WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() + delay > deadline:
+                    raise
+            time.sleep(delay)
+            delay = min(2 * delay, 0.1)
 
     # ------------------------------------------------------------------
     # layout

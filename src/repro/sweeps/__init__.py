@@ -5,7 +5,7 @@ This is the scale-out seam of the reproduction: experiments (and the
 :class:`SweepSpec` grid or an explicit list of :class:`RunSpec` objects,
 and the :class:`SweepRunner` decides *how* — through a pluggable
 :class:`~repro.sweeps.backends.ExecutionBackend` (serial in-process,
-static ``multiprocessing`` pool, work-stealing pool, or socket workers)
+a work-stealing process pool, or socket workers)
 — with append-only JSONL persistence, run-key resumption, and streamed
 row consumption into the incremental analysis layer.  Results are
 identical on every backend; ``tests/sweeps`` pins that guarantee.
@@ -14,7 +14,6 @@ identical on every backend; ``tests/sweeps`` pins that guarantee.
 from .backends import (
     BackendStats,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     SocketBackend,
     WorkStealingBackend,
@@ -49,7 +48,6 @@ __all__ = [
     "BackendStats",
     "ExecutionBackend",
     "K_SCHEDULERS",
-    "ProcessPoolBackend",
     "ROW_SOURCES",
     "RunSpec",
     "SerialBackend",

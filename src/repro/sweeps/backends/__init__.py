@@ -1,17 +1,16 @@
 """Pluggable execution backends for the sweep runner.
 
 The :class:`~repro.sweeps.runner.SweepRunner` delegates *how* runs
-execute to an :class:`ExecutionBackend`; four ship with the repo:
+execute to an :class:`ExecutionBackend`; three ship with the repo:
 
 ``serial``
     One run after another in the calling process — the reference
-    semantics every other backend must reproduce bit-identically.
-``process-pool``
-    The pre-refactor static ``multiprocessing`` pool: ordered, chunked
-    ``imap`` in expansion order.
+    semantics every other backend must reproduce bit-identically, and
+    the default with one worker.
 ``work-stealing``
     Cost-ordered per-worker deques with dynamic chunking and
-    steal-on-idle — removes the straggler tail of skewed grids.
+    steal-on-idle, so an expensive tail spreads across the workers —
+    the default with more than one worker.
 ``socket``
     A churn-tolerant coordinator and N worker processes over TCP
     speaking length-prefixed JSON frames — the remote-worker seam.
@@ -35,7 +34,6 @@ from .base import (
     WorkerHealth,
     iter_rows,
 )
-from .process_pool import ProcessPoolBackend
 from .serial import SerialBackend
 from .socket_backend import SocketBackend, SocketProtocolError
 from .work_stealing import WorkStealingBackend
@@ -43,7 +41,6 @@ from .work_stealing import WorkStealingBackend
 #: Registry of constructable backend names.
 BACKENDS: Dict[str, type] = {
     SerialBackend.name: SerialBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
     WorkStealingBackend.name: WorkStealingBackend,
     SocketBackend.name: SocketBackend,
 }
@@ -58,16 +55,15 @@ def make_backend(
     name: str,
     *,
     workers: int = 1,
-    chunk_size: int = 1,
     run_fn: Optional[RunFunction] = None,
     socket_options: Optional[Dict[str, object]] = None,
 ) -> ExecutionBackend:
     """Construct a backend by registry name.
 
-    ``workers``/``chunk_size`` are applied where the backend accepts
-    them; the serial backend ignores both.  ``socket_options`` are extra
-    keyword arguments for the socket backend (``token``, ``lost_after_s``,
-    ``port``, ...) and are rejected for any other backend.
+    ``workers`` is applied where the backend accepts it; the serial
+    backend ignores it.  ``socket_options`` are extra keyword arguments
+    for the socket backend (``token``, ``lost_after_s``, ``port``, ...)
+    and are rejected for any other backend.
     """
     try:
         cls = BACKENDS[name]
@@ -82,8 +78,6 @@ def make_backend(
         )
     if cls is SerialBackend:
         return SerialBackend(run_fn=run_fn)
-    if cls is ProcessPoolBackend:
-        return ProcessPoolBackend(workers=workers, chunk_size=chunk_size, run_fn=run_fn)
     return WorkStealingBackend(workers=workers, run_fn=run_fn)
 
 
@@ -91,7 +85,6 @@ __all__ = [
     "BACKENDS",
     "BackendStats",
     "ExecutionBackend",
-    "ProcessPoolBackend",
     "RowResult",
     "RunFunction",
     "SerialBackend",

@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_arguments(parser)
     parser.add_argument("--backend", choices=backend_names(), default=None,
                         help="execution backend (default: serial with 1 worker, "
-                             "process-pool otherwise)")
+                             "work-stealing otherwise)")
     parser.add_argument("--worker-token", type=str, default=None,
                         help="socket backend: auth token a worker's hello frame "
                              "must present to be admitted (spawned workers send "
@@ -101,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default 1; 1 = serial fallback; "
                              "--smoke defaults to 2)")
-    parser.add_argument("--chunk-size", type=int, default=1,
-                        help="runs handed to a process-pool worker at a time")
     parser.add_argument("--replicate-batch", action="store_true",
                         help="bundle runs differing only by seed and advance "
                              "each bundle through one batched round pass "
@@ -205,7 +203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = run_sweep(
             spec,
             workers=workers,
-            chunk_size=args.chunk_size,
             jsonl_path=args.out,
             resume=not args.no_resume,
             backend=backend,

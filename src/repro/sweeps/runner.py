@@ -4,12 +4,12 @@ The runner is deliberately boring: :func:`execute_run` is a pure function
 from a :class:`~repro.sweeps.spec.RunSpec` to a flat, JSON-serializable
 result row, and :class:`SweepRunner` maps it over the runs through an
 :class:`~repro.sweeps.backends.ExecutionBackend` — serial in-process (the
-reference semantics), the static ``multiprocessing`` pool, a
-work-stealing pool, or socket workers.  Because every run rebuilds its
-workload, algorithm, scheduler and RNG from the spec's names and seed, a
-row is identical no matter which process produced it; the only field that
-varies between executions is ``wall_time_s``, which :data:`TIMING_FIELDS`
-names so comparisons can drop it.
+reference semantics), a work-stealing process pool, or socket workers.
+Because every run rebuilds its workload, algorithm, scheduler and RNG
+from the spec's names and seed, a row is identical no matter which
+process produced it; the only field that varies between executions is
+``wall_time_s``, which :data:`TIMING_FIELDS` names so comparisons can
+drop it.
 
 Consumption is incremental: the runner appends each row to the JSONL
 file **as it arrives** from the backend (crash-safe — a sweep killed
@@ -544,14 +544,14 @@ class SweepRunner:
     ``runs`` may be a :class:`SweepSpec` (expanded on construction) or an
     explicit sequence of :class:`RunSpec` objects (how the registry
     experiments express ablations the grid cannot).  ``backend`` selects
-    the execution strategy by registry name (``serial``, ``process-pool``,
-    ``work-stealing``, ``socket``) or as a pre-built
+    the execution strategy by registry name (``serial``, ``work-stealing``,
+    ``socket``) or as a pre-built
     :class:`~repro.sweeps.backends.ExecutionBackend`; when omitted,
-    ``workers <= 1`` selects the serial reference backend and
-    ``workers > 1`` the static process pool — exactly the pre-backend
-    behaviour.  Every backend produces the same rows (timing aside); only
-    completion order differs, and the returned result is always in
-    expansion order.
+    ``workers == 1`` selects the serial reference backend and
+    ``workers > 1`` the work-stealing pool.  Every backend produces the
+    same rows (timing aside); only completion order (and so the JSONL's
+    line order) differs, and the returned result is always in expansion
+    order.
 
     ``store`` (path or open :class:`~repro.store.ResultsStore`) plugs the
     sweep into the global results database: hits short-circuit, fresh
@@ -566,7 +566,6 @@ class SweepRunner:
         runs: Union[SweepSpec, Sequence[RunSpec]],
         *,
         workers: int = 1,
-        chunk_size: int = 1,
         jsonl_path: Optional[Union[str, Path]] = None,
         resume: bool = True,
         backend: Optional[Union[str, ExecutionBackend]] = None,
@@ -582,8 +581,6 @@ class SweepRunner:
         check_unique_keys(self.runs)
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if isinstance(backend, str) and backend not in backend_names():
             known = ", ".join(backend_names())
             raise ValueError(f"unknown backend {backend!r}; known: {known}")
@@ -592,7 +589,6 @@ class SweepRunner:
         if store_poll_s <= 0:
             raise ValueError("store_poll_s must be positive")
         self.workers = workers
-        self.chunk_size = chunk_size
         self.jsonl_path = Path(jsonl_path) if jsonl_path is not None else None
         self.resume = resume
         self.backend = backend
@@ -608,8 +604,8 @@ class SweepRunner:
             return self.backend
         name = self.backend
         if name is None:
-            name = "serial" if self.workers == 1 else "process-pool"
-        return make_backend(name, workers=self.workers, chunk_size=self.chunk_size)
+            name = "serial" if self.workers == 1 else "work-stealing"
+        return make_backend(name, workers=self.workers)
 
     def _resolve_store(self) -> Tuple[Optional["object"], bool]:
         """(store handle, whether this runner opened — and must close — it)."""
@@ -894,7 +890,6 @@ def run_sweep(
     spec: Union[SweepSpec, Sequence[RunSpec]],
     *,
     workers: int = 1,
-    chunk_size: int = 1,
     jsonl_path: Optional[Union[str, Path]] = None,
     resume: bool = True,
     backend: Optional[Union[str, ExecutionBackend]] = None,
@@ -911,7 +906,6 @@ def run_sweep(
     runner = SweepRunner(
         spec,
         workers=workers,
-        chunk_size=chunk_size,
         jsonl_path=jsonl_path,
         resume=resume,
         backend=backend,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
+import time
 
 import pytest
 
 from repro.service import JobManager, ServiceClient, ServiceError, make_server
-from repro.sweeps import SweepSpec
+from repro.sweeps import SweepSpec, run_sweep, strip_timing
 
 #: A tiny grid: 8 runs, sub-second even serially.
 SMALL_SPEC = SweepSpec(
@@ -120,6 +122,30 @@ class TestJobLifecycle:
         assert [job["job_id"] for job in listed] == [job_id]
 
 
+class TestMultiWorkerJobs:
+    def test_default_backend_job_matches_serial_and_reaps_workers(self, tmp_path):
+        """A 2-worker job with no backend named runs on work-stealing,
+        forked from the manager's executor thread: serial rows, no
+        child process left behind."""
+        with JobManager(
+            tmp_path / "store.sqlite", tmp_path / "jobs", workers=2
+        ) as manager:
+            job_id = manager.submit(SMALL_SPEC)
+            deadline = time.monotonic() + 120
+            while manager.status(job_id)["state"] in ("queued", "running"):
+                assert time.monotonic() < deadline, manager.status(job_id)
+                time.sleep(0.05)
+            status = manager.status(job_id)
+            rows = manager.results(job_id, include_rows=True)["rows"]
+        assert status["state"] == "done", status
+        assert status["executed"] == SMALL_SPEC.size()
+        serial = run_sweep(SMALL_SPEC)
+        assert [strip_timing(row) for row in rows] == [
+            strip_timing(row) for row in serial.rows
+        ]
+        assert multiprocessing.active_children() == []
+
+
 class TestErrorPaths:
     def test_unknown_job_id_is_404(self, service):
         with pytest.raises(ServiceError, match="404") as excinfo:
@@ -138,6 +164,11 @@ class TestErrorPaths:
     def test_unknown_job_option_is_400(self, service):
         with pytest.raises(ServiceError, match="unknown job options"):
             service.submit(SMALL_SPEC, options={"wrokers": 2})
+
+    def test_chunk_size_is_not_a_job_option(self, service):
+        with pytest.raises(ServiceError, match="unknown job options") as excinfo:
+            service.submit(SMALL_SPEC, options={"workers": 2, "chunk_size": 4})
+        assert excinfo.value.status == 400
 
     def test_unreachable_service_raises(self):
         client = ServiceClient("127.0.0.1", 1, timeout_s=2.0)

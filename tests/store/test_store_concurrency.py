@@ -3,13 +3,15 @@
 Two :class:`SweepRunner`s with overlapping grids share one store; the
 claims table must partition the overlap so every run key is computed by
 exactly one of them — the other serves it as a peer row — on the serial
-backend and on a multi-process work-stealing pool alike.
+backend and on a multi-process work-stealing pool alike.  Opening a store
+while a peer connection holds its write lock waits instead of failing.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import sqlite3
 import threading
 import time
 from collections import Counter
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.store import ResultsStore
 from repro.sweeps import RunSpec, SweepRunner, make_backend
 from repro.sweeps.runner import execute_run
 
@@ -124,3 +127,35 @@ class TestOverlappingRunners:
         assert first.executed == 8
         assert second.executed == 4
         assert second.store_hits == 4
+
+
+class TestStoreOpen:
+    def test_open_waits_out_a_writer_holding_the_reserved_lock(self, tmp_path):
+        """Switching a fresh file into WAL needs the write lock; a peer
+        connection holding it must delay the open, not fail it."""
+        path = tmp_path / "results.sqlite"
+        blocker = sqlite3.connect(
+            str(path), isolation_level=None, check_same_thread=False
+        )
+        try:
+            blocker.execute("BEGIN IMMEDIATE")
+            release = threading.Timer(0.3, blocker.execute, args=("ROLLBACK",))
+            release.start()
+            try:
+                started = time.monotonic()
+                store = ResultsStore(path, busy_timeout_s=10.0)
+                waited = time.monotonic() - started
+                try:
+                    assert store.stats()["rows"] == 0
+                finally:
+                    store.close()
+            finally:
+                release.join()
+        finally:
+            blocker.close()
+        assert waited >= 0.2
+        check = sqlite3.connect(str(path))
+        try:
+            assert check.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        finally:
+            check.close()

@@ -9,6 +9,7 @@ mid-run resumes losslessly from its partially-written JSONL.
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -27,8 +28,7 @@ from repro.sweeps.backends.work_stealing import (
     dynamic_chunk_size,
 )
 
-#: The 216-run acceptance grid (same shape as the process-pool acceptance
-#: test in test_sweep_runner.py).
+#: The acceptance grid: >= 200 (algorithm, scheduler, workload, seed) runs.
 ACCEPTANCE_SPEC = SweepSpec(
     algorithms=("kknps", "ando"),
     schedulers=("ssync", "k-async", "k-nesta"),
@@ -70,8 +70,8 @@ MIXED_RUNS = [
 
 
 class TestRegistry:
-    def test_four_backends_registered(self):
-        assert backend_names() == ("serial", "process-pool", "work-stealing", "socket")
+    def test_three_backends_registered(self):
+        assert backend_names() == ("serial", "work-stealing", "socket")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -83,7 +83,7 @@ class TestRegistry:
         assert SweepRunner(SMALL_SPEC.expand()[:1]).resolve_backend().name == "serial"
         assert (
             SweepRunner(SMALL_SPEC.expand()[:1], workers=2).resolve_backend().name
-            == "process-pool"
+            == "work-stealing"
         )
 
 
@@ -132,17 +132,18 @@ class TestCostModel:
 
 class TestWorkStealingBackend:
     def test_acceptance_equals_serial_on_216_runs(self, tmp_path):
-        """The 216-run acceptance grid: work-stealing == serial, bit for bit."""
+        """The 216-run acceptance grid on the multi-worker default: it
+        completes, persists, and equals the serial fallback bit for bit."""
         assert ACCEPTANCE_SPEC.size() == 216
         jsonl = tmp_path / "ws.jsonl"
-        stealing = SweepRunner(
-            ACCEPTANCE_SPEC, workers=2, backend="work-stealing", jsonl_path=jsonl
-        ).run()
+        stealing = SweepRunner(ACCEPTANCE_SPEC, workers=2, jsonl_path=jsonl).run()
         assert len(stealing) == 216
         assert stealing.executed == 216
         serial = SweepRunner(ACCEPTANCE_SPEC, workers=1).run()
         assert stealing.deterministic_rows() == serial.deterministic_rows()
+        # The persisted JSONL holds every row, and the aggregate table renders.
         assert len(load_completed_rows(jsonl)) == 216
+        assert "216 runs" in stealing.to_table().render()
         # Both workers did real work, and the health report accounts for
         # every run.
         stats = stealing.stats
@@ -160,7 +161,9 @@ class TestWorkStealingBackend:
     def test_mixed_dimension_runs_execute(self):
         serial = run_sweep(MIXED_RUNS)
         stealing = run_sweep(MIXED_RUNS, workers=2, backend="work-stealing")
+        socketed = run_sweep(MIXED_RUNS, workers=2, backend="socket")
         assert stealing.deterministic_rows() == serial.deterministic_rows()
+        assert socketed.deterministic_rows() == serial.deterministic_rows()
         assert {row["dimension"] for row in stealing.rows} == {2, 3}
 
     def test_worker_failure_surfaces(self):
@@ -354,3 +357,21 @@ class TestStreamedProgress:
             progress=lambda done, total: calls.append((done, total)),
         )
         assert calls == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestNoChildProcessesLeft:
+    """Every backend reaps the processes it starts, drained or abandoned."""
+
+    @pytest.mark.parametrize("name", backend_names())
+    def test_drained_sweep_leaves_no_children(self, name):
+        result = run_sweep(SMALL_SPEC.expand()[:4], workers=2, backend=name)
+        assert len(result) == 4
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("name", backend_names())
+    def test_rows_closed_after_the_first_leave_no_children(self, name):
+        rows = make_backend(name, workers=2).execute(SMALL_SPEC.expand()[:6])
+        key, row = next(rows)
+        assert row["run_key"] == key
+        rows.close()
+        assert multiprocessing.active_children() == []

@@ -190,13 +190,9 @@ class TestSweepIntegration:
         )
         assert all(row.get("batched_replicates") is None for row in result.rows)
 
-    def test_process_pool_backend_executes_bundles(self):
+    def test_default_multi_worker_backend_executes_bundles(self):
         batched = run_sweep(
-            REPLICATED_SPEC,
-            resume=False,
-            replicate_batch=True,
-            backend="process-pool",
-            workers=2,
+            REPLICATED_SPEC, resume=False, replicate_batch=True, workers=2
         )
         serial = run_sweep(REPLICATED_SPEC, resume=False)
         assert [strip_timing(row) for row in batched.rows] == [
