@@ -181,9 +181,13 @@ def _legacy_sec(points: List[Point]) -> Disk:
 
 
 class LegacyMetricsCollector(MetricsCollector):
-    """``MetricsCollector`` with the seed's per-observe implementation."""
+    """``MetricsCollector`` with the seed's per-observe implementation.
 
-    def observe(self, time, positions, activations_processed):
+    The seed measured everything at every observe, so every sample is
+    full whatever ``full`` asks for.
+    """
+
+    def observe(self, time, positions, activations_processed, *, full=False):
         arr = points_to_array(
             positions if not isinstance(positions, np.ndarray) else positions
         )
@@ -205,12 +209,11 @@ class LegacyMetricsCollector(MetricsCollector):
         sample = MetricsSample(
             time=time,
             hull_diameter=diameter,
+            broken_edge_count=len(broken),
+            activations_processed=activations_processed,
             hull_perimeter=_legacy_hull_perimeter(hull_vertices),
             hull_radius=_legacy_sec(hull_vertices).radius if n else 0.0,
             min_pairwise_distance=min_pairwise,
-            initial_edges_preserved=not broken,
-            broken_edge_count=len(broken),
-            activations_processed=activations_processed,
         )
         self.samples.append(sample)
         return sample
@@ -304,9 +307,9 @@ class _PhaseTimedSimulator(Simulator):
         inner_observe = metrics.observe
         phase_seconds = self.phase_seconds
 
-        def observe(time_, positions, processed):
+        def observe(time_, positions, processed, *, full=False):
             started = time.perf_counter()
-            sample = inner_observe(time_, positions, processed)
+            sample = inner_observe(time_, positions, processed, full=full)
             phase_seconds["metrics"] += time.perf_counter() - started
             return sample
 

@@ -13,13 +13,21 @@ seconds over its repeats, the activations executed, the peak RSS, and an
 output digest (the final positions and the diameter history) that must
 not move while the program's outputs stay bit-identical.  The host
 fingerprint (cores, CPU model, python, numpy, scipy) sits beside the
-rows.  This is the first ladder of ``BENCH_layers.json``; other layers
-add their rows next to it.
+rows.
+
+Beside the ladder, the ``metrics_observe`` layer times one
+``MetricsCollector.observe`` call: a step sample (diameter and broken
+edges, taken at every processed activation) and a full sample (adding
+the hull perimeter, bounding circle and minimum separation, taken at t=0
+and at the end of a run), in microseconds per call, median and
+interquartile range over blocks of calls.  Its rows are the n=200
+``random_connected_configuration(200, seed=3)`` of the per-activation
+path and the n=10^4 ``grid`` start of the ladder.
 
 Run it from the repository root::
 
     python benchmarks/bench_layers.py            # n = 10^3 … 10^6, writes BENCH_layers.json
-    python benchmarks/bench_layers.py --smoke    # n = 10^3 and 10^4 once (CI)
+    python benchmarks/bench_layers.py --smoke    # n = 10^3 and 10^4 once, fewer observes (CI)
 """
 
 from __future__ import annotations
@@ -44,6 +52,12 @@ FULL_ROWS = ((1_000, 7), (10_000, 5), (100_000, 5), (1_000_000, 1))
 SMOKE_ROWS = ((1_000, 1), (10_000, 1))
 #: Seed of every row's run (the sweep seed of its one-run spec).
 SEED = 7
+
+#: ``metrics_observe`` rows: ``(workload, n, calls per block)`` of step
+#: samples (full samples take a quarter as many), and blocks per row.
+OBSERVE_ROWS = (("random_connected", 200, 200), ("grid", 10_000, 20))
+OBSERVE_BLOCKS = 7
+SMOKE_OBSERVE_BLOCKS = 3
 
 
 def _cpu_model() -> str:
@@ -134,6 +148,76 @@ def measure_row(n: int, repeats: int) -> dict:
     }
 
 
+def _observe_start(workload: str, n: int):
+    """The positions and visibility range a ``metrics_observe`` row samples."""
+    import numpy as np
+
+    from repro.sweeps.runner import planar_setup
+    from repro.sweeps.spec import SweepSpec
+    from repro.workloads import random_connected_configuration
+
+    if workload == "random_connected":
+        configuration = random_connected_configuration(n, seed=3)
+    else:
+        spec = SweepSpec(
+            algorithms=("kknps",), schedulers=("ssync",), workloads=(workload,),
+            n_robots=(n,), seeds=(SEED,), max_activations=n,
+        ).expand()[0]
+        configuration = planar_setup(spec)[0]
+    positions = np.array([(p.x, p.y) for p in configuration.positions], dtype=float)
+    return positions, configuration.visibility_range
+
+
+def measure_observe(workload: str, n: int, calls: int, blocks: int) -> dict:
+    """One ``metrics_observe`` row: microseconds per step and per full observe."""
+    from repro.engine.metrics import MetricsCollector
+
+    positions, visibility = _observe_start(workload, n)
+    collector = MetricsCollector(visibility_range=visibility)
+    collector.bind_initial(positions)
+    full_calls = max(1, calls // 4)
+    timings = {}
+    for name, full, count in (("step_us", False, calls), ("full_us", True, full_calls)):
+        per_call = []
+        for _ in range(blocks):
+            started = time.perf_counter()
+            for k in range(count):
+                collector.observe(float(k), positions, k, full=full)
+            per_call.append((time.perf_counter() - started) / count * 1e6)
+        timings[name] = _spread(per_call)
+    step = collector.observe(0.0, positions, 0)
+    full = collector.observe(0.0, positions, 0, full=True)
+    if (step.hull_diameter, step.broken_edge_count) != (
+        full.hull_diameter, full.broken_edge_count
+    ):
+        raise RuntimeError(f"{workload} n={n}: step and full samples disagree")
+    return {
+        "layer": "metrics_observe",
+        "workload": workload,
+        "n": n,
+        "edges": len(collector._edge_i),
+        "blocks": blocks,
+        "calls": {"step": calls, "full": full_calls},
+        **timings,
+        "full_over_step": timings["full_us"]["median"] / timings["step_us"]["median"],
+    }
+
+
+def run_observe(blocks: int) -> list:
+    """The ``metrics_observe`` rows, measured in this process."""
+    sys.path.insert(0, str(ROOT / "src"))
+    out = []
+    for workload, n, calls in OBSERVE_ROWS:
+        row = measure_observe(workload, n, calls, blocks)
+        out.append(row)
+        print(
+            f"observe {workload:<16} n={n:<6} step {row['step_us']['median']:9.1f} us "
+            f"(IQR {row['step_us']['iqr']:.1f})  full {row['full_us']['median']:9.1f} us "
+            f"(IQR {row['full_us']['iqr']:.1f})"
+        )
+    return out
+
+
 def run_ladder(rows) -> list:
     """Every row in a fresh interpreter, printed as it lands."""
     out = []
@@ -175,18 +259,20 @@ def main(argv=None) -> int:
         print(json.dumps(measure_row(*args.row)))
         return 0
 
-    payload = {
-        "host": host(),
-        "smoke": bool(args.smoke),
-        "rows": run_ladder(SMOKE_ROWS if args.smoke else FULL_ROWS),
-    }
+    rows = run_ladder(SMOKE_ROWS if args.smoke else FULL_ROWS)
+    rows += run_observe(SMOKE_OBSERVE_BLOCKS if args.smoke else OBSERVE_BLOCKS)
+    payload = {"host": host(), "smoke": bool(args.smoke), "rows": rows}
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
 
     # The JSON contract the CI smoke step relies on.
     parsed = json.loads(args.output.read_text())
-    assert parsed["rows"], "bench produced no rows"
+    layers = {row["layer"] for row in parsed["rows"]}
+    assert layers == {"round_mega_ladder", "metrics_observe"}, layers
     for row in parsed["rows"]:
+        if row["layer"] == "metrics_observe":
+            assert 0 < row["step_us"]["median"] and 0 < row["full_us"]["median"]
+            continue
         assert 0 < row["activations"] <= row["n"] and row["run_s"]["median"] > 0
         assert row["peak_rss_mb"] > 0 and len(row["output_digest"]) == 64
     return 0

@@ -1,15 +1,20 @@
-"""Bench — the vectorized metrics hot path vs the seed's per-Point loops.
+"""Bench — the vectorized metrics samples vs the seed's per-Point loops.
 
-``MetricsCollector.observe`` runs after every processed activation, so its
-cost multiplies into every experiment and sweep.  The vectorized path
-stacks the positions into one ``(n, 2)`` array and builds no ``(n, n)``
-matrix: the hull diameter is the dense per-pair maximum over the hull's
-candidate rows, the minimum separation an x-sorted sweep (grid-local
-pairs when it gives up), and the broken-edge check a gather of the cached
+The seed's ``MetricsCollector.observe`` measured everything at every
+processed activation.  Today a step sample (every activation) measures
+the diameter and the broken initial edges, and a full sample (t=0 and the
+end of a run) adds the hull perimeter, the bounding-circle radius and the
+minimum separation.  Both stack the positions into one ``(n, 2)`` array
+and build no ``(n, n)`` matrix: the diameter is the dense per-pair
+maximum over the octagon-prune survivors (the hull's candidate rows in a
+full sample), the minimum separation an x-sorted sweep (grid-local pairs
+when it gives up), and the broken-edge check a gather of the cached
 initial-edge endpoints; the seed implementation rebuilt ``Point`` lists
 and recomputed pairwise distances separately for each quantity.  This
-bench keeps a faithful copy of the seed implementation and asserts the
-vectorized path beats it at n=100 robots while producing the same numbers.
+bench keeps a faithful copy of the seed implementation and asserts, at
+n=100 robots, that the full sample beats it while producing the same
+numbers, and that the step sample's diameter and broken-edge count are
+the seed's.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ def _legacy_observe(collector: MetricsCollector, positions) -> tuple:
     )
 
 
-def _observe_many(collector: MetricsCollector, positions) -> float:
+def _observe_many(collector: MetricsCollector, positions, *, full: bool) -> float:
     started = time.perf_counter()
     for i in range(OBSERVATIONS):
-        collector.observe(float(i), positions, i)
+        collector.observe(float(i), positions, i, full=full)
     return time.perf_counter() - started
 
 
@@ -63,7 +68,7 @@ def _legacy_many(collector: MetricsCollector, positions) -> float:
 
 
 def test_bench_vectorized_observe_beats_seed(benchmark):
-    """The array-native observe is measurably faster than the seed loops at n=100."""
+    """The full sample is measurably faster than the seed loops at n=100, with its numbers."""
     configuration = random_connected_configuration(N_ROBOTS, seed=7)
     positions = list(configuration.positions)
 
@@ -72,24 +77,27 @@ def test_bench_vectorized_observe_beats_seed(benchmark):
     legacy = MetricsCollector(visibility_range=configuration.visibility_range)
     legacy.bind_initial(positions)
 
-    vectorized_seconds = benchmark.pedantic(
-        lambda: _observe_many(vectorized, positions), rounds=1, iterations=1
+    full_seconds = benchmark.pedantic(
+        lambda: _observe_many(vectorized, positions, full=True), rounds=1, iterations=1
     )
+    step_seconds = _observe_many(vectorized, positions, full=False)
     legacy_seconds = _legacy_many(legacy, positions)
 
     print()
     print(
         f"observe x{OBSERVATIONS} at n={N_ROBOTS}: "
-        f"vectorized {vectorized_seconds:.3f}s, seed {legacy_seconds:.3f}s, "
-        f"speedup {legacy_seconds / vectorized_seconds:.2f}x"
+        f"full {full_seconds:.3f}s, step {step_seconds:.3f}s, seed {legacy_seconds:.3f}s, "
+        f"full speedup {legacy_seconds / full_seconds:.2f}x"
     )
 
     # Same numbers, less time.
-    sample = vectorized.samples[-1]
     reference = _legacy_observe(legacy, positions)
-    assert sample.hull_diameter == reference[0]
-    assert sample.hull_perimeter == reference[1]
-    assert abs(sample.hull_radius - reference[2]) <= 1e-9
-    assert sample.min_pairwise_distance == reference[3]
-    assert sample.broken_edge_count == reference[4]
-    assert vectorized_seconds < legacy_seconds
+    full = vectorized.observe(0.0, positions, 0, full=True)
+    assert full.hull_diameter == reference[0]
+    assert full.hull_perimeter == reference[1]
+    assert abs(full.hull_radius - reference[2]) <= 1e-9
+    assert full.min_pairwise_distance == reference[3]
+    assert full.broken_edge_count == reference[4]
+    step = vectorized.observe(0.0, positions, 0)
+    assert (step.hull_diameter, step.broken_edge_count) == (reference[0], reference[4])
+    assert full_seconds < legacy_seconds

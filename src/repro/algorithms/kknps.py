@@ -48,7 +48,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..geometry.angles import extreme_directions, fits_in_open_halfplane
+from ..geometry.angles import max_angular_gap
 from ..geometry.point import Point
 from ..geometry.tolerances import EPS
 from ..model.snapshot import Snapshot
@@ -153,9 +153,10 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
         Reads the snapshot's perceived rows as plain floats: the norms are
         ``math.hypot`` per row (as :attr:`Snapshot.norms`), the distant
         threshold uses the raw ``V_Y`` exactly as
-        :meth:`distant_neighbours` does, and :class:`Point` objects are
-        built only for the (typically tiny) distant subset, so the
-        direction helpers run on them verbatim.
+        :meth:`distant_neighbours` does, and each distant direction is a
+        unit vector divided out as :meth:`Point.unit` does it.  One
+        :func:`max_angular_gap` over their angles decides both the
+        half-plane test and the extreme pair.
         """
         rows = snapshot.rows.tolist()
         if not rows:
@@ -168,30 +169,31 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
         if v_y <= EPS:
             return Point.origin()
         threshold = self.close_fraction * v_raw
-        distant = [
-            Point(px, py) for (px, py), r in zip(rows, norms) if r > threshold + EPS
-        ]
+        # Every distant norm exceeds EPS: above ``threshold + EPS``, or the
+        # farthest one, at least ``v_y``.
+        distant = [(px, py, r) for (px, py), r in zip(rows, norms) if r > threshold + EPS]
         if not distant:
             # The farthest neighbour is distant by definition.
             farthest = max(range(len(norms)), key=norms.__getitem__)
-            distant = [Point(rows[farthest][0], rows[farthest][1])]
-        directions = [p.unit() for p in distant if p.norm() > EPS]
-        if not directions:
-            return Point.origin()
+            distant = [(*rows[farthest], v_raw)]
+        ux = [px / r for px, _, r in distant]
+        uy = [py / r for _, py, r in distant]
+        gap, i, j = max_angular_gap([math.atan2(y, x) for x, y in zip(ux, uy)])
         # If the robot lies in the convex hull of its distant neighbours'
-        # directions, the intersection of the safe regions is its own
-        # location: stay put.
-        if not fits_in_open_halfplane(directions):
+        # directions (no gap wider than a half-plane), the intersection of
+        # the safe regions is its own location: stay put.
+        if not gap > math.pi + EPS:
             return Point.origin()
         radius = self.effective_radius(v_y)
         if radius <= EPS:
             return Point.origin()
-        if len(directions) == 1:
-            return directions[0] * radius
-        i, j = extreme_directions(directions)
-        center_i = directions[i] * radius
-        center_j = directions[j] * radius
-        return center_i.midpoint(center_j)
+        # The midpoint of the safe-region centres at the gap's two ends,
+        # the extreme directions; a lone direction (i == j) gives its own
+        # centre exactly.
+        return Point(
+            (ux[j] * radius + ux[i] * radius) / 2.0,
+            (uy[j] * radius + uy[i] * radius) / 2.0,
+        )
 
     def decide_consts(self) -> DecideConsts:
         """The scalar constants the batched decide cores consume.

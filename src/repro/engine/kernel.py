@@ -21,9 +21,11 @@ subclass provides:
   transforms; the 3D engines implement it with rotation matrices and
   :meth:`~repro.spatial3d.kknps3.KKNPS3Algorithm.compute_array`.
 * :meth:`ContinuousKernel._make_metrics` / :meth:`_bind_metrics` — the
-  metrics collector.  The kernel only requires that ``observe`` return a
-  sample exposing ``hull_diameter`` (for a full-dimensional point set the
-  hull diameter *is* the set diameter, so the name is dimension-honest).
+  metrics collector.  The kernel only requires that ``observe`` accept a
+  ``full`` flag (set for the t=0 and final samples, left off for every
+  per-activation and per-round sample) and return a sample exposing
+  ``hull_diameter`` (for a full-dimensional point set the hull diameter
+  *is* the set diameter, so the name is dimension-honest).
 * :meth:`ContinuousKernel._make_record_log` — per-activation records (the
   planar engine keeps a columnar :class:`~repro.engine.logs.RecordLog`
   of Point-typed :class:`ActivationRecord` views; the 3D engines skip
@@ -554,7 +556,7 @@ class ContinuousKernel:
 
     # -- the run, step by step -----------------------------------------------------------
     def _begin_run(self, metrics=None) -> KernelRun:
-        """Set a run up: bind the metrics, reset the scheduler, take the t=0 sample.
+        """Set a run up: bind the metrics, reset the scheduler, take the full t=0 sample.
 
         ``metrics`` may come in already bound to the initial positions and
         holding its t=0 sample (the replicate lanes share both among
@@ -574,7 +576,7 @@ class ContinuousKernel:
             metrics, recorder, self._make_record_log(), EndTimeLog(self.n_robots), started
         )
         if fresh:
-            metrics.observe(0.0, self._sampled_positions(0.0, None), 0)
+            metrics.observe(0.0, self._sampled_positions(0.0, None), 0, full=True)
         return run
 
     def _next_round(self, run: KernelRun) -> Optional[RoundBatch]:
@@ -673,14 +675,16 @@ class ContinuousKernel:
                 self._step_activation(run)
 
     def _end_run(self, run: KernelRun, observe=None) -> KernelRun:
-        """Let every in-flight move finish, then take the final measurement.
+        """Let every in-flight move finish, then take the final full sample.
 
         ``observe`` stands in for ``run.metrics.observe``, as in
         :meth:`_sample_round`.
         """
         final_time = self._settle_moves()
         final_positions = self._state.committed_positions()
-        sample = (observe or run.metrics.observe)(final_time, final_positions, run.processed)
+        sample = (observe or run.metrics.observe)(
+            final_time, final_positions, run.processed, full=True
+        )
         if run.recorder is not None:
             run.recorder.record_all(final_time, final_positions)
         if (

@@ -1,10 +1,12 @@
 """Metric samples collected while a simulation runs.
 
 The quantities tracked are exactly the ones the paper's analysis reasons
-about: the diameter, perimeter and bounding-circle radius of the convex
-hull of the robot positions (congregation, Section 5), the preservation of
-the initial visibility edges (cohesion, Section 2.4 / Section 4) and the
-minimum pairwise separation (collision monitoring).
+about.  Every sample measures the two read activation by activation: the
+diameter of the robot positions (Point Convergence, Section 2) and the
+preservation of the initial visibility edges (cohesion, Section 2.4 /
+Section 4).  The full samples a run takes at t=0 and at its end add the
+perimeter and bounding-circle radius of the convex hull (congregation,
+Section 5) and the minimum pairwise separation (collision monitoring).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..geometry.hull import ConvexHull
+from ..geometry.hull import ConvexHull, point_set_diameter
 from ..geometry.point import PointLike, points_to_array
 from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
@@ -23,20 +25,16 @@ from ..model.visibility import Edge
 from .logs import SampleLog
 from .spatial_index import ShardedGridIndex, covering_cell
 
-#: Up to this many robots the collector's minimum separation comes from
+#: Up to this many robots the full sample's minimum separation comes from
 #: an x-sorted sweep over at most ``SWEEP_OFFSETS`` neighbours in x order,
-#: above it from grid-local pair enumeration started at the separation
-#: hint; the extreme distances it reports are bit-identical either way.
+#: above it from grid-local pair enumeration (:func:`min_separation`), and
+#: the collectors keep their initial edges as a set; the extreme distances
+#: reported are bit-identical either way.
 METRICS_DENSE_MAX = 2048
 
 #: Neighbours in x order the min-separation sweep compares each row with
 #: before it gives up and searches grid-local pairs instead.
 SWEEP_OFFSETS = 8
-
-#: A collector's next sparse min-separation search starts at this multiple
-#: of its last observed minimum (see :class:`SeparationHint`): a little
-#: room for the minimum to grow between observes before a doubling.
-SEPARATION_HINT_MARGIN = 1.25
 
 
 def min_pairwise_distance_grid(arr: np.ndarray, radius: float) -> float:
@@ -48,7 +46,7 @@ def min_pairwise_distance_grid(arr: np.ndarray, radius: float) -> float:
     than the radius is the true global minimum (any pair left out is
     farther); otherwise the radius doubles and the search reruns.  Any
     positive start is exact: a start near the true minimum (see
-    :class:`SeparationHint`) keeps the pair count linear, a start far
+    :func:`min_separation`) keeps the pair count linear, a start far
     above it costs pairs, one far below it costs doublings.  The start is
     floored at 1e-6 of the largest per-axis extent, which also bounds
     the grid's integer cell keys.  The per-pair arithmetic (``dx*dx +
@@ -154,46 +152,58 @@ def search_radius_floor(arr: np.ndarray, radius: float) -> float:
     return max(radius, 1e-6 * extent)
 
 
-class SeparationHint:
-    """Where a collector's next sparse min-separation search starts.
+def min_separation(
+    arr: np.ndarray, edge_lengths: np.ndarray, visibility_range: float
+) -> float:
+    """Minimum pairwise distance of ``(n, d)`` rows, for a full sample.
 
-    A search grid with visibility-sized cells degenerates as the swarm
-    contracts: every cell fills and the pair count grows as the inverse
-    square of the swarm's scale (at 10^4 robots, a ``MemoryError`` right
-    when a run converges).  The minimum separation moves little between
-    observes, so each observe — dense or sparse — records
-    ``SEPARATION_HINT_MARGIN`` times its minimum, and the next sparse
-    search starts there; the first starts at the visibility range.  The
-    search is exact from any start (:func:`min_pairwise_distance_grid`),
-    so the hint only trades pair count against the odds of a doubling.
+    ``edge_lengths`` are the initial visibility edges' lengths at ``arr``
+    (the cohesion check's gather).  The shortest is one pair's distance,
+    an exact upper bound on the minimum, so a grid search started there
+    (:func:`min_pairwise_distance_grid`) covers the closest pair at once
+    and its cells shrink with the swarm; with no initial edge the search
+    starts at the visibility range, and a zero-length edge is a
+    coincident pair.  Planar rows up to ``METRICS_DENSE_MAX`` try the
+    x-sorted sweep first.  Either way the float is the dense matrix's.
     """
-
-    _separation_hint: Optional[float] = None
-
-    def separation_radius(self) -> float:
-        """The radius the next sparse min-separation search starts from."""
-        hint = self._separation_hint
-        return self.visibility_range if hint is None else hint
-
-    def note_separation(self, min_pairwise: float) -> None:
-        """Record an observed minimum separation as the next search's start."""
-        self._separation_hint = (
-            SEPARATION_HINT_MARGIN * min_pairwise if min_pairwise > 0.0 else None
-        )
+    if len(arr) < 2:
+        return 0.0
+    if arr.shape[1] == 2 and len(arr) <= METRICS_DENSE_MAX:
+        swept = min_pairwise_distance_sweep(arr)
+        if swept is not None:
+            return swept
+    start = visibility_range
+    if len(edge_lengths):
+        start = float(edge_lengths.min())
+        if start == 0.0:
+            return 0.0
+    return min_pairwise_distance_grid(arr, start)
 
 
 @dataclass(frozen=True)
 class MetricsSample:
-    """One observation of the global configuration at a given time."""
+    """One observation of the global configuration at a given time.
+
+    Every sample holds the hull diameter and the broken-edge count, the
+    two fields read sample by sample (the convergence stop, the
+    monotonicity, nesting and epoch checks, the cohesion flag).  Only a
+    full sample, taken at t=0 and at the end of a run, also measures the
+    hull perimeter, the bounding-circle radius and the minimum
+    separation; a step sample leaves them None.
+    """
 
     time: float
     hull_diameter: float
-    hull_perimeter: float
-    hull_radius: float
-    min_pairwise_distance: float
-    initial_edges_preserved: bool
     broken_edge_count: int
     activations_processed: int
+    hull_perimeter: Optional[float] = None
+    hull_radius: Optional[float] = None
+    min_pairwise_distance: Optional[float] = None
+
+    @property
+    def initial_edges_preserved(self) -> bool:
+        """Whether every initial visibility edge is within range at this sample."""
+        return not self.broken_edge_count
 
     def converged(self, epsilon: float) -> bool:
         """Point-Convergence check at this sample."""
@@ -201,7 +211,7 @@ class MetricsSample:
 
 
 @dataclass
-class MetricsCollector(SeparationHint):
+class MetricsCollector:
     """Builds :class:`MetricsSample` objects against a fixed initial edge set."""
 
     visibility_range: float
@@ -257,45 +267,62 @@ class MetricsCollector(SeparationHint):
             self._edge_j = None
 
     def observe(
-        self, time: float, positions: Sequence[PointLike], activations_processed: int
+        self,
+        time: float,
+        positions: Sequence[PointLike],
+        activations_processed: int,
+        *,
+        full: bool = False,
     ) -> MetricsSample:
         """Sample the configuration at ``time`` and append it to the history.
 
-        One array pass, no ``(n, n)`` matrix: the hull's candidate rows give
-        the diameter (:meth:`ConvexHull.point_set_diameter`), the minimum
-        separation comes from the x-sorted sweep (grid-local pairs from the
-        separation hint past ``METRICS_DENSE_MAX`` robots, or when the
-        sweep gives up), the cohesion check gathers only the cached
-        initial-edge entries, and the bounding circle runs on the hull
-        vertices only (the SEC of a point set equals the SEC of its convex
-        hull).  Every reported float is bit-identical to the dense matrix's.
+        A step sample measures the diameter
+        (:func:`~repro.geometry.hull.point_set_diameter`: the octagon
+        prune, then the dense maximum over its survivors) and counts the
+        broken initial edges (a gather of the cached edge endpoints).  The
+        kernel asks for a full sample (:meth:`full_sample`) at t=0 and at
+        the end of a run.  No ``(n, n)`` matrix is built, and every
+        reported float is bit-identical to the dense matrix's.
         """
         arr = points_to_array(positions)
+        if full:
+            sample = self.full_sample(time, arr, activations_processed, smallest_enclosing_circle)
+        else:
+            sample = MetricsSample(
+                time, point_set_diameter(arr), self._broken_edge_count(arr), activations_processed
+            )
+        return self.record(sample)
+
+    def full_sample(
+        self, time: float, arr: np.ndarray, activations_processed: int, enclosing_circle
+    ) -> MetricsSample:
+        """The full sample of the ``(n, 2)`` rows ``arr`` (not yet recorded).
+
+        The diameter is the step sample's
+        (:func:`~repro.geometry.hull.point_set_diameter`), the bounding
+        circle runs on the hull vertices only (the SEC of a point set
+        equals the SEC of its convex hull) and the minimum separation
+        starts at the shortest initial edge (:func:`min_separation`).
+        ``enclosing_circle`` is :func:`smallest_enclosing_circle` as the
+        calling module looks it up, so each engine's calls stay at its
+        own lookup site (where a profiler patches them).
+        """
         n = len(arr)
         hull = ConvexHull.of_array(arr)
-        diameter = min_pairwise = 0.0
-        broken_count = 0
-        if n >= 2:
-            diameter = hull.point_set_diameter()
-            min_pairwise = min_pairwise_distance_sweep(arr) if n <= METRICS_DENSE_MAX else None
-            if min_pairwise is None:
-                min_pairwise = min_pairwise_distance_grid(arr, self.separation_radius())
-            broken_count = self._broken_edge_count(arr)
-        return self.record(
-            MetricsSample(
-                time=time,
-                hull_diameter=diameter,
-                hull_perimeter=hull.perimeter(),
-                hull_radius=smallest_enclosing_circle(hull.vertices).radius if n else 0.0,
-                min_pairwise_distance=min_pairwise,
-                initial_edges_preserved=not broken_count,
-                broken_edge_count=broken_count,
-                activations_processed=activations_processed,
-            )
+        lengths = self.initial_edge_lengths(arr) if n >= 2 else np.empty(0)
+        broken_count = int(np.count_nonzero(lengths > self.visibility_range + EPS))
+        return MetricsSample(
+            time=time,
+            hull_diameter=point_set_diameter(arr) if n >= 2 else 0.0,
+            broken_edge_count=broken_count,
+            activations_processed=activations_processed,
+            hull_perimeter=hull.perimeter(),
+            hull_radius=enclosing_circle(hull.vertices).radius if n else 0.0,
+            min_pairwise_distance=min_separation(arr, lengths, self.visibility_range),
         )
 
     def record(self, sample: MetricsSample) -> MetricsSample:
-        """Append ``sample`` and let the cohesion flag and separation hint follow it.
+        """Append ``sample`` and let the cohesion flag follow it.
 
         :meth:`observe` ends here; the replicate engine calls it directly
         for a sample whose geometry it computed or shared itself, so the
@@ -304,7 +331,6 @@ class MetricsCollector(SeparationHint):
         self.samples.append(sample)
         if sample.broken_edge_count:
             self.cohesion_ever_violated = True
-        self.note_separation(sample.min_pairwise_distance)
         return sample
 
     def initial_edge_lengths(self, arr: np.ndarray) -> np.ndarray:
@@ -344,10 +370,6 @@ class MetricsCollector(SeparationHint):
         """Hull diameters over time."""
         return self.samples.column("hull_diameter")
 
-    def perimeters(self) -> List[float]:
-        """Hull perimeters over time."""
-        return self.samples.column("hull_perimeter")
-
     def first_time_below(self, epsilon: float) -> Optional[float]:
         """Earliest sampled time the hull diameter was at most ``epsilon``."""
         for sample in self.samples.heads():
@@ -360,11 +382,4 @@ class MetricsCollector(SeparationHint):
         diameters = [s.hull_diameter for s in self.samples.heads()]
         return all(
             later <= earlier + tolerance for earlier, later in zip(diameters, diameters[1:])
-        )
-
-    def monotone_hull_perimeter(self, *, tolerance: float = 1e-9) -> bool:
-        """True when the sampled hull perimeter never increases beyond ``tolerance``."""
-        perimeters = [s.hull_perimeter for s in self.samples.heads()]
-        return all(
-            later <= earlier + tolerance for earlier, later in zip(perimeters, perimeters[1:])
         )

@@ -18,10 +18,11 @@ pipeline a single run's round takes — with
 :func:`~repro.algorithms.kknps.kknps_destinations_all` as its core.
 
 What the lanes add to a single run is batching only: the flat decide
-over a group, a setup shared among byte-identical starts, and metrics
-samples whose minimum separations come from one grid pass per group
-(:func:`_min_pairwise_group`) and whose geometry is shared among
-byte-identical lanes (:func:`_observe_fast`).
+over a group, a setup shared among byte-identical starts, and round
+samples whose geometry is shared among byte-identical lanes
+(:func:`_observe_fast`).  Like a single run's, a lane's round samples
+measure the diameter and the broken edges only; its t=0 and final
+samples are full.
 
 Bit-identity contract: every lane owns its own RNG, scheduler, metrics
 collector and kinematic arrays, and consumes its RNG stream in exactly
@@ -51,20 +52,15 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..algorithms.kknps import kknps_destinations_all
-from ..geometry.hull import ConvexHull
+from ..geometry.hull import point_set_diameter
 from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
 from ..model.types import RoundBatch
 from .decide_batch import collapse_hazard_lanes, decide_round_flat
-from .kernel import KernelRun, replay_round
-from .metrics import (
-    MetricsCollector,
-    MetricsSample,
-    min_pairwise_distance_grid,
-    search_radius_floor,
-)
+from .kernel import KernelRun
+from .metrics import MetricsCollector, MetricsSample
 from .simulator import SimulationConfig, SimulationResult, Simulator
-from .spatial_index import ShardedGridIndex, covering_cell
+from .spatial_index import ShardedGridIndex
 
 #: One bundle member: a zero-argument factory producing the
 #: ``(initial_positions, algorithm, scheduler, config)`` of that run.
@@ -91,7 +87,7 @@ def _prepare_lane(sim: Simulator, setup_cache: Optional[dict] = None) -> _Lane:
 
     Replicates of a seed-independent workload start from byte-identical
     positions, and both expensive setup steps — ``bind_initial`` (the
-    initial visibility edges) and the t=0 ``metrics.observe`` — are
+    initial visibility edges) and the full t=0 ``metrics.observe`` — are
     deterministic, RNG-free functions of those positions.  When
     ``setup_cache`` is given, they therefore run once per distinct
     initial configuration and the result is replayed into every further
@@ -106,7 +102,7 @@ def _prepare_lane(sim: Simulator, setup_cache: Optional[dict] = None) -> _Lane:
         template = setup_cache.get(key)
         if template is None:
             sim._bind_metrics(metrics)
-            metrics.observe(0.0, positions, 0)
+            metrics.observe(0.0, positions, 0, full=True)
             setup_cache[key] = metrics
         else:
             metrics.initial_edges = set(template.initial_edges)
@@ -153,174 +149,48 @@ def _group_key(sim: Simulator) -> tuple:
     )
 
 
-def _min_pairwise_group(
-    arrs: List[np.ndarray], radii: List[float]
-) -> List[float]:
-    """Exact per-lane minimum separations from one shared replicate grid.
-
-    Any positive search radius yields the exact minimum (the grid covers
-    every pair at distance at most the radius, the true argmin pair is
-    therefore always emitted once the per-lane verification ``best <=
-    radius`` passes, and extra emitted pairs can only be farther), so all
-    lanes can share one ``from_replicates`` binning at the largest
-    requested radius instead of building one grid each.  Per-pair
-    arithmetic matches :func:`min_pairwise_distance_grid` term for term;
-    lanes whose verification fails at the shared radius fall back to the
-    per-lane doubling search, which returns the same exact value.
-
-    Byte-identical position arrays (seed-independent workloads before the
-    lanes' RNG streams diverge) are deduplicated first: the result is a
-    pure function of the array and the shared cell, so one representative
-    per distinct array is computed and replayed.
-    """
-    unique: Dict[bytes, int] = {}
-    member_of: List[int] = []
-    rep_arrs: List[np.ndarray] = []
-    for arr in arrs:
-        key = arr.tobytes()
-        rep = unique.get(key)
-        if rep is None:
-            rep = len(rep_arrs)
-            unique[key] = rep
-            rep_arrs.append(arr)
-        member_of.append(rep)
-    if len(rep_arrs) < len(arrs):
-        minima = _min_pairwise_group(rep_arrs, [max(radii)] * len(rep_arrs))
-        return [minima[rep] for rep in member_of]
-    lanes = len(arrs)
-    n = len(arrs[0])
-    tensor = np.stack(arrs)
-    flat = tensor.reshape(lanes * n, 2)
-    radius = search_radius_floor(flat, max(radii))
-    shard = ShardedGridIndex.from_replicates(tensor, covering_cell(flat, radius))
-    i, j = shard.neighbour_pairs()
-    out: List[Optional[float]] = [None] * lanes
-    if len(i):
-        x = np.ascontiguousarray(flat[:, 0])
-        y = np.ascontiguousarray(flat[:, 1])
-        dx = x[i] - x[j]
-        squared = dx * dx
-        dy = y[i] - y[j]
-        squared = squared + dy * dy
-        lane_of = i // n
-        order = np.argsort(lane_of, kind="stable")
-        lane_sorted = lane_of[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(lane_sorted)) + 1)
-        )
-        minima = np.minimum.reduceat(squared[order], starts)
-        for lane_index, least in zip(lane_sorted[starts].tolist(), minima.tolist()):
-            best = math.sqrt(least)
-            if best <= radius:
-                out[lane_index] = best
-    for k in range(lanes):
-        if out[k] is None:
-            out[k] = min_pairwise_distance_grid(arrs[k], radius * 2.0)
-    return out
-
-
 def _observe_fast(
     metrics: MetricsCollector,
     time: float,
     arr: np.ndarray,
     processed: int,
-    min_pairwise: Optional[float] = None,
     geometry_cache: Optional[dict] = None,
+    *,
+    full: bool = False,
 ):
-    """``metrics.observe``, bit-identically, with batched inputs.
+    """``metrics.observe``, bit-identically, with shared step geometry.
 
-    The sample's recipe is the collector's own — the diameter is the
-    hull's :meth:`~repro.geometry.hull.ConvexHull.point_set_diameter`,
-    the bounding circle runs on the hull vertices — but the minimum
-    separation comes from :func:`min_pairwise_distance_grid` at every
-    swarm size, started at the collector's separation hint, unless the
-    caller already holds the lane's exact minimum (the per-group pass of
-    :func:`_min_pairwise_group`) and hands it in via ``min_pairwise``.
-
-    Every geometric field of the sample is a pure function of the
-    position bytes and the collector's initial edge arrays; when sibling
-    lanes still agree byte-for-byte (seed-independent workloads before
-    their RNG streams diverge), a caller-scoped ``geometry_cache`` lets
-    the first lane's observation serve the rest verbatim — only ``time``
-    and ``activations_processed`` stay per-lane.
+    A step sample's geometry — the diameter and the broken-edge count —
+    is a pure function of the position bytes and the collector's initial
+    edge arrays; when sibling lanes still agree byte-for-byte
+    (seed-independent workloads before their RNG streams diverge), a
+    caller-scoped ``geometry_cache`` lets the first lane's observation
+    serve the rest verbatim — only ``time`` and ``activations_processed``
+    stay per-lane.  A full sample is the collector's own, with this
+    module's :func:`smallest_enclosing_circle`.
     """
-    if len(arr) < 2:
-        return metrics.observe(time, arr, processed)
+    if full:
+        return metrics.record(
+            metrics.full_sample(time, arr, processed, smallest_enclosing_circle)
+        )
     key = None
     geometry = None
     if geometry_cache is not None:
         key = (arr.tobytes(), id(metrics._edge_i))
         geometry = geometry_cache.get(key)
     if geometry is None:
-        hull = ConvexHull.of_array(arr)
-        if min_pairwise is None:
-            min_pairwise = min_pairwise_distance_grid(arr, metrics.separation_radius())
-        geometry = (
-            hull.point_set_diameter(),
-            hull.perimeter(),
-            smallest_enclosing_circle(hull.vertices).radius,
-            min_pairwise,
-            metrics._broken_edge_count(arr),
-        )
+        geometry = (point_set_diameter(arr), metrics._broken_edge_count(arr))
         if key is not None:
             geometry_cache[key] = geometry
-    diameter, perimeter, radius, shared_min, broken_count = geometry
-    return metrics.record(
-        MetricsSample(
-            time=time,
-            hull_diameter=diameter,
-            hull_perimeter=perimeter,
-            hull_radius=radius,
-            min_pairwise_distance=shared_min if min_pairwise is None else min_pairwise,
-            initial_edges_preserved=not broken_count,
-            broken_edge_count=broken_count,
-            activations_processed=processed,
-        )
-    )
+    diameter, broken_count = geometry
+    return metrics.record(MetricsSample(time, diameter, broken_count, processed))
 
 
-def _shared_minima(lanes: List[_Lane]) -> Dict[int, float]:
-    """Equal-size lanes' exact minimum separations from one shared pass, by ``id``."""
-    if len(lanes) < 2:
-        return {}
-    found = _min_pairwise_group(
-        [lane.sim._state.arrays.position for lane in lanes],
-        [lane.run.metrics.separation_radius() for lane in lanes],
-    )
-    return dict(zip(map(id, lanes), found))
-
-
-def _sampler(lane: _Lane, minima: Dict[int, float], geometry_cache: dict):
+def _sampler(lane: _Lane, geometry_cache: Optional[dict] = None):
     """The ``observe`` a lane's kernel steps sample with (None: the collector's own)."""
     if not lane.fast_observe:
         return None
-    return partial(
-        _observe_fast,
-        lane.run.metrics,
-        min_pairwise=minima.get(id(lane)),
-        geometry_cache=geometry_cache,
-    )
-
-
-def _finish_group(lanes: List[_Lane]) -> None:
-    """End several lanes' runs at once, batching their final observes.
-
-    Lanes of equal swarm size share one :func:`_min_pairwise_group` pass
-    over their settled final positions; everything else of the kernel's
-    :meth:`~repro.engine.kernel.ContinuousKernel._end_run` stays per lane.
-    """
-    by_n: Dict[int, List[_Lane]] = {}
-    for lane in lanes:
-        if lane.fast_observe and lane.sim.n_robots >= 2:
-            # Idempotent: ``_end_run`` settles again and finds no movers.
-            lane.sim._settle_moves()
-            by_n.setdefault(lane.sim.n_robots, []).append(lane)
-    minima: Dict[int, float] = {}
-    for group in by_n.values():
-        minima.update(_shared_minima(group))
-    geometry_cache: dict = {}
-    for lane in lanes:
-        lane.sim._end_run(lane.run, _sampler(lane, minima, geometry_cache))
+    return partial(_observe_fast, lane.run.metrics, geometry_cache=geometry_cache)
 
 
 def _advance_group(
@@ -330,28 +200,13 @@ def _advance_group(
 ) -> None:
     """One round of every lane of one homogeneous group, one flat decide."""
     n, effective = members[0][0].group[:2]
-    # Lanes whose round takes a sample share one grid over the committed
-    # tensor for their minimum separations; the shared pass yields the
-    # exact float each lane's own grid search would (see
-    # ``_min_pairwise_group``), so this is purely a batching.
-    minima: Dict[int, float] = {}
-    if n >= 2:
-        minima = _shared_minima([
-            lane
-            for lane, batch, _ in members
-            if lane.fast_observe and replay_round(
-                batch, lane.sim._state.arrays.crashed, lane.run.processed,
-                lane.run.popped, lane.sim.config.max_activations,
-                lane.sim.config.record_every,
-            )[1] is not None
-        ])
     # Sibling lanes with byte-identical committed positions (common until
     # round-1 RNG frames diverge seed-varied replicates) share one round of
     # observe geometry through this per-round cache.
     geometry_cache: dict = {}
     sampled = []
     for lane, batch, slot in members:
-        observe = _sampler(lane, minima, geometry_cache)
+        observe = _sampler(lane, geometry_cache)
         sampled.append((lane, lane.sim._sample_round(batch, lane.run, observe), slot))
     if not any(len(executed) for _, executed, _ in sampled):
         return
@@ -389,7 +244,6 @@ def _drive(lanes: List[_Lane]) -> None:
     active = lanes
     while active:
         rounds: List[Tuple[_Lane, RoundBatch]] = []
-        finishing: List[_Lane] = []
         for lane in active:
             batch = lane.sim._next_round(lane.run)
             if batch is not None:
@@ -398,9 +252,7 @@ def _drive(lanes: List[_Lane]) -> None:
             # The run stopped, or its next step is not a whole round: the
             # lane finishes through its own kernel loop from here.
             lane.sim._run_loop(lane.run)
-            finishing.append(lane)
-        if finishing:
-            _finish_group(finishing)
+            lane.sim._end_run(lane.run, _sampler(lane))
         active = [lane for lane, _ in rounds]
         groups: Dict[tuple, List[Tuple[_Lane, RoundBatch]]] = {}
         for lane, batch in rounds:

@@ -24,8 +24,10 @@ call of :meth:`Simulator._decide_move`: :func:`build_snapshot` keeps the
 perceived rows, and the algorithm's ``compute`` reads them (the KKNPS
 and Ando rules as plain floats, without building ``Point`` neighbours).
 
-Cohesion (preservation of the initial visibility edges) and hull-based
-congregation measures are sampled at every processed activation.
+The hull diameter and cohesion (preservation of the initial visibility
+edges) are sampled at every processed activation; the full samples at
+t=0 and at the end of the run add the hull perimeter, bounding-circle
+radius and minimum separation.
 """
 
 from __future__ import annotations
@@ -105,10 +107,10 @@ class SimulationResult:
     as an :class:`EndTimeLog`; the Point-based :class:`Configuration` views
     and the ``activation_end_times`` dict are built on first access.
 
-    The reported measures read what the run already measured: the t=0
-    sample of the initial positions (``metrics.samples[0]``), the sample
-    of the settled final positions (``metrics.latest()``) and the
-    collector's initial-edge index arrays.  They equal the
+    The reported measures read what the run already measured: the full
+    t=0 sample of the initial positions (``metrics.samples[0]``), the
+    full sample of the settled final positions (``metrics.latest()``) and
+    the collector's initial-edge index arrays.  They equal the
     :class:`Configuration` measures bit for bit without building a Point
     or an ``(n, n)`` matrix.
     """
@@ -159,7 +161,7 @@ class SimulationResult:
 
     @property
     def final_min_pairwise_distance(self) -> float:
-        """Smallest separation in the final configuration (the final sample's)."""
+        """Smallest separation in the final configuration (the final full sample's)."""
         return self.metrics.latest().min_pairwise_distance
 
     @property

@@ -11,8 +11,8 @@ operations the experiments assert on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from .tolerances import EPS
 # the toleranced boundary.
 _PREFILTER_MARGIN = 1e-6
 _PREFILTER_MIN_POINTS = 16
-#: Past this many candidate rows, the hull also prunes them against its own
-#: polygon and its point-set diameter drops rows before pairing them.
+#: Past this many prefilter survivors, the point-set diameter runs the chain,
+#: prunes the survivors again against the hull polygon and drops rows
+#: before pairing them.
 _DENSE_CANDIDATES = 64
 
 
@@ -73,23 +74,35 @@ def _prune_interior(arr: np.ndarray):
     return arr[~_interior(x, y, cx, cy, margin)], margin
 
 
-def _hull_rows(array: np.ndarray):
-    """``(vertices, candidates)`` of an ``(n, 2)`` array, both as float rows.
+def _hull_rows(array: np.ndarray) -> np.ndarray:
+    """The hull vertices of an ``(n, 2)`` array, as float rows.
 
-    The vertices run counter-clockwise (monotone chain); the candidates
-    are every distinct row not interior to the hull by the prune margin.
-    The input preparation is vectorized: the octagon prefilter, then
-    deduplication and lexicographic sorting via one ``lexsort``, so the
-    Python chain walk only visits near-boundary points.  Collinear points
-    on the boundary are dropped.  Degenerate inputs (one point, or
+    The vertices run counter-clockwise (monotone chain).  The input
+    preparation is vectorized: the octagon prefilter, then deduplication
+    and lexicographic sorting via one ``lexsort``, so the Python chain
+    walk only visits near-boundary points.  Collinear points on the
+    boundary are dropped.  Degenerate inputs (one point, or
     all-collinear points) give the one or two extreme points.
     """
+    return _chain_rows(_pruned(array)[0])[1]
+
+
+def _pruned(array: np.ndarray):
+    """The octagon prefilter's survivors of an ``(n, 2)`` array and its margin.
+
+    Pruning comes before deduplication: the filter needs only the
+    coordinate extremes, and it cuts the rows the lexsort touches.
+    Arrays under ``_PREFILTER_MIN_POINTS`` rows are returned whole, with
+    no margin.
+    """
     arr = np.asarray(array, dtype=float).reshape(-1, 2)
-    margin = None
-    # Prune before deduplicating: the filter needs only the coordinate
-    # extremes, and it cuts the rows the lexsort touches.
     if len(arr) >= _PREFILTER_MIN_POINTS:
-        arr, margin = _prune_interior(arr)
+        return _prune_interior(arr)
+    return arr, None
+
+
+def _chain_rows(arr: np.ndarray):
+    """``(rows, vertices)``: the distinct rows of ``arr``, lexsorted, and its hull's."""
     if len(arr) > 1:
         arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
         distinct = np.ones(len(arr), dtype=bool)
@@ -127,15 +140,12 @@ def _hull_rows(array: np.ndarray):
     if not hull:
         # Fully collinear input: return the two extreme points.
         hull = [0, m - 1]
-    vertices = arr[hull]
-    if margin is not None and m > _DENSE_CANDIDATES and len(hull) >= 3:
-        arr = arr[~_interior(arr[:, 0], arr[:, 1], vertices[:, 0], vertices[:, 1], margin)]
-    return vertices, arr
+    return arr, arr[hull]
 
 
 def convex_hull_array(array: np.ndarray) -> List[Point]:
     """Convex hull of an ``(n, 2)`` array, counter-clockwise (see :func:`_hull_rows`)."""
-    return [Point(x, y) for x, y in _hull_rows(array)[0].tolist()]
+    return [Point(x, y) for x, y in _hull_rows(array).tolist()]
 
 
 def _max_squared_distance(rows: np.ndarray) -> float:
@@ -147,6 +157,35 @@ def _max_squared_distance(rows: np.ndarray) -> float:
         dy = y[start:start + 512, None] - y
         best = max(best, float((dx * dx + dy * dy).max()))
     return best
+
+
+def point_set_diameter(array: np.ndarray) -> float:
+    """Largest distance between two rows of an ``(n, 2)`` array, as the dense matrix gives it.
+
+    The rows are pruned once by the octagon prefilter, and up to
+    ``_DENSE_CANDIDATES`` survivors are paired as they are.  Past that,
+    the monotone chain runs on the survivors and they are pruned again
+    against the hull polygon: for every other row, a row interior by the
+    margin (``1e-6`` of the extent) has a survivor the margin farther
+    away, a gap no rounding of ``dx*dx + dy*dy`` closes, so survivor
+    pairs suffice.  A survivor whose farthest bounding-box corner is
+    nearer than the farthest vertex pair ends no farthest pair (rounding
+    is monotone) and is dropped before pairing.  Unlike the vertex
+    diameter, rows within the chain's collinearity tolerance count.
+    """
+    rows, margin = _pruned(array)
+    if len(rows) > _DENSE_CANDIDATES:
+        rows, vertices = _chain_rows(rows)
+        if margin is not None and len(rows) > _DENSE_CANDIDATES and len(vertices) >= 3:
+            x, y = rows[:, 0], rows[:, 1]
+            rows = rows[~_interior(x, y, vertices[:, 0], vertices[:, 1], margin)]
+        if len(rows) > _DENSE_CANDIDATES:
+            least = _max_squared_distance(vertices)
+            x, y = rows[:, 0], rows[:, 1]
+            fx = np.maximum(x - x.min(), x.max() - x)
+            fy = np.maximum(y - y.min(), y.max() - y)
+            rows = rows[fx * fx + fy * fy >= least]
+    return math.sqrt(_max_squared_distance(rows)) if len(rows) > 1 else 0.0
 
 
 def convex_hull(points: Sequence[PointLike]) -> List[Point]:
@@ -163,9 +202,6 @@ class ConvexHull:
     """Convex hull of a point set, with the measures used by the paper."""
 
     vertices: tuple
-    #: The ``(m, 2)`` rows of the point set not interior to the hull by
-    #: the prune margin (None for a hull built from its vertices alone).
-    candidates: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def of(points: Sequence[PointLike]) -> "ConvexHull":
@@ -175,8 +211,7 @@ class ConvexHull:
     @staticmethod
     def of_array(array: np.ndarray) -> "ConvexHull":
         """Compute the hull of an ``(n, 2)`` coordinate array."""
-        vertices, candidates = _hull_rows(array)
-        return ConvexHull(tuple(Point(x, y) for x, y in vertices.tolist()), candidates)
+        return ConvexHull(tuple(Point(x, y) for x, y in _hull_rows(array).tolist()))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -190,27 +225,6 @@ class ConvexHull:
         for v, w in zip(verts, verts[1:] + verts[:1]):
             total += math.hypot(v.x - w.x, v.y - w.y)
         return total
-
-    def point_set_diameter(self) -> float:
-        """Largest distance between two rows of the point set, as the dense matrix gives it.
-
-        For every other row, a row interior by the margin (``1e-6`` of the
-        extent) has a candidate the margin farther away, a gap no rounding
-        of ``dx*dx + dy*dy`` closes, so candidate pairs suffice.  A row whose
-        farthest bounding-box corner is nearer than the farthest vertex pair
-        ends no farthest pair (rounding is monotone).  Unlike the vertex
-        diameter, rows within the chain's collinearity tolerance count.
-        """
-        rows = self.candidates
-        if rows is None:
-            rows = points_to_array(self.vertices)
-        if len(rows) > _DENSE_CANDIDATES:
-            least = _max_squared_distance(points_to_array(self.vertices))
-            x, y = rows[:, 0], rows[:, 1]
-            fx = np.maximum(x - x.min(), x.max() - x)
-            fy = np.maximum(y - y.min(), y.max() - y)
-            rows = rows[fx * fx + fy * fy >= least]
-        return math.sqrt(_max_squared_distance(rows)) if len(rows) > 1 else 0.0
 
     def area(self) -> float:
         """Area of the hull (shoelace formula)."""

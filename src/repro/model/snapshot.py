@@ -167,6 +167,9 @@ def _others_as_array(others: Sequence[PointLike]) -> np.ndarray:
 #: scalar all-pairs scan instead of the lexsort pipeline.
 _COLLAPSE_SCALAR_MAX = 32
 
+#: Pairs per block of the collapse scan's guard, bounding its temporaries.
+_COLLAPSE_BLOCK_PAIRS = 1 << 20
+
 
 def _collapse_coincident_array(
     visible: np.ndarray, eps: float
@@ -186,7 +189,8 @@ def _collapse_coincident_array(
     """
     m = len(visible)
     counts = np.ones(m, dtype=np.int64)
-    if m <= 1:
+    if m <= 1 or not eps >= 0.0:
+        # No row is within a negative (or NaN) distance of another.
         return visible, counts
     if m <= _COLLAPSE_SCALAR_MAX:
         # Typical snapshots are degree-sized; a scalar all-pairs scan with
@@ -226,20 +230,71 @@ def _collapse_coincident_array(
 def _collapse_coincident_scan(
     visible: np.ndarray, eps: float
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """The first-representative collapse scan (exact per-Point semantics)."""
+    """The first-representative collapse scan (exact per-Point semantics).
+
+    Each row, in order, joins the first earlier representative within
+    ``eps`` — ``math.hypot`` of the row difference, the per-Point test —
+    or becomes a representative itself.  A row equal to an earlier row
+    lands where that row did (the same representatives are within
+    ``eps`` of both, in the same order, and the earlier row is itself
+    one at distance 0), so the scan runs over the distinct rows in order
+    of first occurrence, each carrying its multiplicity.  The pairs the
+    exact test could pass are flagged first, a block of rows at a time,
+    by a squared-distance guard widened by a relative 1e-9 (so whatever
+    ``dx*dx + dy*dy`` rounds to, no pair the exact test passes goes
+    unflagged); the exact test then walks each row's flagged earlier
+    columns in ascending order, up to the first representative it
+    accepts.  The first column comes from one ``argmax`` per block and
+    usually settles the row, so a row's later columns are only looked up
+    when it does not.
+    """
+    order = np.lexsort((visible[:, 1], visible[:, 0]))
+    ordered = visible[order]
+    starts = np.ones(len(visible), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    heads = np.flatnonzero(starts)
+    # lexsort is stable: each run of equal rows begins at its first occurrence.
+    firsts, weights = order[heads], np.diff(heads, append=len(visible))
+    by_index = np.argsort(firsts)
+    firsts, weights = firsts[by_index], weights[by_index].tolist()
+    distinct = visible[firsts]
+    m = len(distinct)
+    x, y = distinct[:, 0], distinct[:, 1]
+    guard = (eps * (1.0 + 1e-9)) ** 2
+    rows = distinct.tolist()
+    slot_of = [-1] * m
     kept: List[int] = []
     counts: List[int] = []
-    for i in range(len(visible)):
-        v = visible[i]
-        for slot, j in enumerate(kept):
-            du = visible[j] - v
-            if math.hypot(du[0], du[1]) <= eps:
-                counts[slot] += 1
-                break
-        else:
-            kept.append(i)
-            counts.append(1)
-    return visible[kept], np.asarray(counts, dtype=np.int64)
+    step = max(1, _COLLAPSE_BLOCK_PAIRS // m)
+    for start in range(0, m, step):
+        stop = min(m, start + step)
+        dx = x[start:stop, None] - x[:stop]
+        dy = y[start:stop, None] - y[:stop]
+        # Earlier rows only: column j < row start + i.
+        close = np.tril(dx * dx + dy * dy <= guard, k=start - 1)
+        heads_of = np.where(close.any(axis=1), close.argmax(axis=1), -1).tolist()
+        for offset, first in enumerate(heads_of):
+            i = start + offset
+            xi, yi = rows[i]
+            slot = -1
+            if first >= 0:
+                xj, yj = rows[first]
+                if slot_of[first] >= 0 and math.hypot(xj - xi, yj - yi) <= eps:
+                    slot = slot_of[first]
+                else:
+                    later = np.flatnonzero(close[offset, first + 1:]) + (first + 1)
+                    for j in later.tolist():
+                        xj, yj = rows[j]
+                        if slot_of[j] >= 0 and math.hypot(xj - xi, yj - yi) <= eps:
+                            slot = slot_of[j]
+                            break
+            if slot >= 0:
+                counts[slot] += weights[i]
+            else:
+                slot_of[i] = len(kept)
+                kept.append(i)
+                counts.append(weights[i])
+    return visible[firsts[kept]], np.asarray(counts, dtype=np.int64)
 
 
 def build_snapshot(

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
 from ..analysis.streaming import StreamingAggregator
-from ..sweeps.runner import SweepProgress, SweepRunner
+from ..sweeps.runner import SweepProgress, SweepRunner, backend_name
 from ..sweeps.spec import SweepSpec
 
 #: The job lifecycle.
@@ -179,6 +179,7 @@ class JobManager:
 
     def _status_locked(self, job: _Job) -> Dict[str, object]:
         done = len(job.rows_by_order)
+        workers = job.options.get("workers", self.workers)
         elapsed = None
         if job.started_at is not None:
             end = job.finished_at if job.finished_at is not None else time.time()
@@ -200,8 +201,8 @@ class JobManager:
             "submitted_at": job.submitted_at,
             "started_at": job.started_at,
             "finished_at": job.finished_at,
-            "workers": job.options.get("workers", self.workers),
-            "backend": job.options.get("backend", self.backend),
+            "workers": workers,
+            "backend": backend_name(job.options.get("backend", self.backend), workers),
         }
 
     def list_jobs(self) -> List[Dict[str, object]]:

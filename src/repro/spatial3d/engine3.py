@@ -167,7 +167,7 @@ class _NullMetrics:
     cohesion_ever_violated = False
     _SAMPLE = _NullSample()
 
-    def observe(self, time, positions, processed) -> _NullSample:
+    def observe(self, time, positions, processed, *, full=False) -> _NullSample:
         return self._SAMPLE
 
 

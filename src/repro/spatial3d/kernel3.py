@@ -29,12 +29,7 @@ import numpy as np
 
 from ..engine.kernel import ContinuousKernel, Decision
 from ..engine.logs import EndTimeLog, SampleLog
-from ..engine.metrics import (
-    METRICS_DENSE_MAX,
-    SeparationHint,
-    grid_edges,
-    min_pairwise_distance_grid,
-)
+from ..engine.metrics import METRICS_DENSE_MAX, grid_edges, min_separation
 from ..engine.state import EngineState
 from ..geometry.tolerances import EPS
 from ..model.errors import MotionModel, PerceptionModel
@@ -52,7 +47,6 @@ from .model3 import (
     Configuration3,
     edge_lengths3_array,
     max_pairwise_distance3_array,
-    min_pairwise_distance3_array,
     positions_as_array3,
 )
 from .vector3 import Vector3Like
@@ -65,15 +59,20 @@ class Metrics3Sample:
     ``hull_diameter`` is the diameter of the point set — which equals the
     diameter of its convex hull, so the field name matches the planar
     :class:`~repro.engine.metrics.MetricsSample` and the kernel's
-    convergence check reads both uniformly.
+    convergence check reads both uniformly.  As there, only a full
+    sample (t=0 and the end of a run) measures the minimum separation.
     """
 
     time: float
     hull_diameter: float
-    min_pairwise_distance: float
-    initial_edges_preserved: bool
     broken_edge_count: int
     activations_processed: int
+    min_pairwise_distance: Optional[float] = None
+
+    @property
+    def initial_edges_preserved(self) -> bool:
+        """Whether every initial visibility edge is within range at this sample."""
+        return not self.broken_edge_count
 
     def converged(self, epsilon: float) -> bool:
         """Point-Convergence check at this sample."""
@@ -104,7 +103,7 @@ def _diameter3_large(arr: np.ndarray) -> float:
 
 
 @dataclass
-class Metrics3Collector(SeparationHint):
+class Metrics3Collector:
     """Diameter / cohesion samples over ``(n, 3)`` position arrays."""
 
     visibility_range: float
@@ -135,36 +134,37 @@ class Metrics3Collector(SeparationHint):
             set(zip(i.tolist(), j.tolist())) if len(arr) <= METRICS_DENSE_MAX else set()
         )
 
-    def observe(self, time: float, positions, activations_processed: int) -> Metrics3Sample:
+    def observe(
+        self, time: float, positions, activations_processed: int, *, full: bool = False
+    ) -> Metrics3Sample:
         """Sample the configuration at ``time`` and append it to the history.
 
-        Past ``METRICS_DENSE_MAX`` robots the minimum separation is a grid
-        search started from the separation hint (see the planar
-        collector); every observe records the hint for the next.
+        Every sample measures the diameter and the broken initial edges;
+        a full one also the minimum separation, a grid search started at
+        the shortest initial edge (see
+        :func:`~repro.engine.metrics.min_separation`).
         """
         arr = np.asarray(positions, dtype=float)
         edge_index = getattr(self, "_edge_index", None)
         if edge_index is not None and len(edge_index):
             lengths = edge_lengths3_array(edge_index, arr)
-            broken = int(np.count_nonzero(lengths > self.visibility_range + EPS))
         else:
-            broken = 0
+            lengths = np.empty(0)
+        broken = int(np.count_nonzero(lengths > self.visibility_range + EPS))
         if broken:
             self.cohesion_ever_violated = True
         if len(arr) > METRICS_DENSE_MAX:
             diameter = _diameter3_large(arr)
-            min_pairwise = min_pairwise_distance_grid(arr, self.separation_radius())
         else:
             diameter = max_pairwise_distance3_array(arr)
-            min_pairwise = min_pairwise_distance3_array(arr)
-        self.note_separation(min_pairwise)
         sample = Metrics3Sample(
             time=time,
             hull_diameter=diameter,
-            min_pairwise_distance=min_pairwise,
-            initial_edges_preserved=not broken,
             broken_edge_count=broken,
             activations_processed=activations_processed,
+            min_pairwise_distance=(
+                min_separation(arr, lengths, self.visibility_range) if full else None
+            ),
         )
         self.samples.append(sample)
         return sample
@@ -253,6 +253,11 @@ class Simulation3AsyncResult:
     def initial_diameter(self) -> float:
         """Diameter of the initial configuration."""
         return self.initial_configuration.diameter()
+
+    @property
+    def final_min_pairwise_distance(self) -> float:
+        """Smallest separation of the final configuration (the final full sample's)."""
+        return self.metrics.samples[-1].min_pairwise_distance
 
 
 class Kernel3(ContinuousKernel):

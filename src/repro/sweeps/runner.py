@@ -258,7 +258,6 @@ def _execute_run3_async(spec: RunSpec) -> Dict[str, object]:
         AsyncSimulation3Config,
         edge_index_array,
         max_edge_stretch3,
-        min_pairwise_distance3_array,
         positions_as_array3,
         run_simulation3_async,
     )
@@ -309,7 +308,7 @@ def _execute_run3_async(spec: RunSpec) -> Dict[str, object]:
         "samples": len(result.metrics.samples),
         "initial_diameter": result.initial_diameter,
         "final_diameter": result.final_diameter,
-        "final_min_pairwise": min_pairwise_distance3_array(final_positions),
+        "final_min_pairwise": result.final_min_pairwise_distance,
         "max_edge_stretch": max_edge_stretch3(initial_edges, final_positions),
         "simulated_time": result.final_time,
         "wall_time_s": time.perf_counter() - started,
@@ -538,6 +537,17 @@ def load_completed_rows(
 RowCallback = Callable[[str, Dict[str, object], int, str], None]
 
 
+def backend_name(backend: Optional[str], workers: int) -> str:
+    """The backend a sweep over ``workers`` workers runs on, by name.
+
+    A named backend runs as named.  With none named, one worker runs
+    serially and more run on work-stealing.
+    """
+    if backend is not None:
+        return backend
+    return "serial" if workers == 1 else "work-stealing"
+
+
 class SweepRunner:
     """Execute a sweep's runs through a backend, persisting rows as they finish.
 
@@ -602,10 +612,7 @@ class SweepRunner:
         """The backend instance this runner will execute through."""
         if isinstance(self.backend, ExecutionBackend):
             return self.backend
-        name = self.backend
-        if name is None:
-            name = "serial" if self.workers == 1 else "work-stealing"
-        return make_backend(name, workers=self.workers)
+        return make_backend(backend_name(self.backend, self.workers), workers=self.workers)
 
     def _resolve_store(self) -> Tuple[Optional["object"], bool]:
         """(store handle, whether this runner opened — and must close — it)."""

@@ -20,7 +20,6 @@ def sample(time, diameter):
         hull_perimeter=3 * diameter,
         hull_radius=diameter / 2,
         min_pairwise_distance=diameter / 10,
-        initial_edges_preserved=True,
         broken_edge_count=0,
         activations_processed=int(time),
     )

@@ -20,7 +20,6 @@ def _sample(time, diameter, processed):
         hull_perimeter=3.0 * diameter,
         hull_radius=diameter / 2.0,
         min_pairwise_distance=0.1,
-        initial_edges_preserved=True,
         broken_edge_count=0,
         activations_processed=processed,
     )
@@ -80,7 +79,6 @@ class TestSampleLog:
         plain = MetricsCollector(visibility_range=1.0, samples=list(expected))
         assert isinstance(plain.samples, SampleLog)
         assert collector.diameters() == [s.hull_diameter for s in expected]
-        assert collector.perimeters() == [s.hull_perimeter for s in expected]
         assert collector.first_time_below(3.0) == 1.0
         diameters = [s.hull_diameter for s in expected]
         materialised = all(b <= a + 1e-9 for a, b in zip(diameters, diameters[1:]))

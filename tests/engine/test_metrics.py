@@ -14,13 +14,26 @@ class TestMetricsCollector:
     def test_observe_builds_samples(self):
         collector = MetricsCollector(visibility_range=1.0)
         collector.bind_initial(SQUARE)
-        sample = collector.observe(0.0, SQUARE, 0)
+        sample = collector.observe(0.0, SQUARE, 0, full=True)
         assert sample.hull_diameter == pytest.approx(0.9 * 2 ** 0.5)
         assert sample.hull_perimeter == pytest.approx(3.6)
+        assert sample.hull_radius == pytest.approx(0.45 * 2 ** 0.5)
         assert sample.min_pairwise_distance == pytest.approx(0.9)
         assert sample.initial_edges_preserved
         assert sample.broken_edge_count == 0
         assert collector.latest() is sample
+
+    def test_step_sample_measures_diameter_and_cohesion_only(self):
+        collector = MetricsCollector(visibility_range=1.0)
+        collector.bind_initial(SQUARE)
+        full = collector.observe(0.0, SQUARE, 0, full=True)
+        step = collector.observe(1.0, SQUARE, 1)
+        assert (step.hull_diameter, step.broken_edge_count) == (
+            full.hull_diameter, full.broken_edge_count
+        )
+        assert step.hull_perimeter is step.hull_radius is step.min_pairwise_distance is None
+        assert step.initial_edges_preserved
+        assert list(collector.samples) == [full, step]
 
     def test_cohesion_violation_is_sticky(self):
         collector = MetricsCollector(visibility_range=1.0)
@@ -50,16 +63,17 @@ class TestMetricsCollector:
         collector.observe(1.0, [p * 0.5 for p in SQUARE], 1)
         collector.observe(2.0, [p * 0.25 for p in SQUARE], 2)
         assert collector.monotone_hull_diameter()
-        assert collector.monotone_hull_perimeter()
         collector.observe(3.0, [p * 2.0 for p in SQUARE], 3)
         assert not collector.monotone_hull_diameter()
 
     def test_single_robot_metrics(self):
         collector = MetricsCollector(visibility_range=1.0)
         collector.bind_initial([Point(0, 0)])
-        sample = collector.observe(0.0, [Point(0, 0)], 0)
+        sample = collector.observe(0.0, [Point(0, 0)], 0, full=True)
         assert sample.hull_diameter == 0.0
         assert sample.min_pairwise_distance == 0.0
+        assert sample.hull_radius == sample.hull_perimeter == 0.0
+        assert collector.observe(1.0, [Point(0, 0)], 1).hull_diameter == 0.0
 
     def test_converged_predicate(self):
         collector = MetricsCollector(visibility_range=1.0)
@@ -70,7 +84,7 @@ class TestMetricsCollector:
 
 
 class TestLargeNMode:
-    """Past METRICS_DENSE_MAX the collector's minimum separation switches
+    """Past METRICS_DENSE_MAX the full sample's minimum separation switches
     from the x-sorted sweep to grid-local pairs; the threshold is
     monkeypatched low so the suite can pin the two modes bit-identical on
     the same configurations."""
@@ -92,12 +106,12 @@ class TestLargeNMode:
 
         dense = MetricsCollector(visibility_range=1.5)
         dense.bind_initial(arr)
-        dense_sample = dense.observe(1.0, moved, 1)
+        dense_sample = dense.observe(1.0, moved, 1, full=True)
 
         monkeypatch.setattr("repro.engine.metrics.METRICS_DENSE_MAX", 16)
         large = MetricsCollector(visibility_range=1.5)
         large.bind_initial(arr)
-        large_sample = large.observe(1.0, moved, 1)
+        large_sample = large.observe(1.0, moved, 1, full=True)
 
         assert large_sample == dense_sample  # frozen dataclass: all floats
         assert large.cohesion_ever_violated == dense.cohesion_ever_violated
@@ -112,6 +126,7 @@ class TestLargeNMode:
         import numpy as np
 
         from repro.spatial3d.kernel3 import Metrics3Collector
+        from repro.spatial3d.model3 import min_pairwise_distance3_array
 
         rng = np.random.default_rng(seed)
         arr = rng.uniform(-2.0, 2.0, size=(50, 3))
@@ -119,14 +134,16 @@ class TestLargeNMode:
 
         dense = Metrics3Collector(visibility_range=1.5)
         dense.bind_initial(arr)
-        dense_sample = dense.observe(1.0, moved, 1)
+        dense_sample = dense.observe(1.0, moved, 1, full=True)
 
         monkeypatch.setattr("repro.spatial3d.kernel3.METRICS_DENSE_MAX", 16)
         large = Metrics3Collector(visibility_range=1.5)
         large.bind_initial(arr)
-        large_sample = large.observe(1.0, moved, 1)
+        large_sample = large.observe(1.0, moved, 1, full=True)
 
         assert large_sample == dense_sample
+        # The minimum separation takes no dense branch: pin it to the matrix.
+        assert dense_sample.min_pairwise_distance == min_pairwise_distance3_array(moved)
         assert large.initial_edges == set()
         assert sorted(map(tuple, large._edge_index.tolist())) == sorted(
             dense.initial_edges
@@ -265,13 +282,14 @@ class TestBindInitialEdges3:
 
 
 class TestContractingSwarm:
-    """A swarm shrinking about its centroid keeps the large-n observe linear.
+    """A swarm shrinking about its centroid keeps the large-n full sample linear.
 
     With every min-separation search started at the visibility range, each
     cell fills as the swarm contracts and the pair count grows as the
-    inverse square of its scale.  The collector starts each search at 1.25x
-    its last observed minimum instead; each sample must stay exact against
-    the dense oracle and each observe's allocation peak small.
+    inverse square of its scale.  A full sample starts the search at the
+    shortest initial edge at the sampled positions instead, which shrinks
+    with the swarm; each full sample of the lattice, at every scale, must
+    stay exact against the dense oracle and its allocation peak small.
     """
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -300,7 +318,7 @@ class TestContractingSwarm:
             arr = centroid + (lattice - centroid) * 0.6**k
             tracemalloc.start()
             try:
-                sample = collector.observe(float(k), arr, k)
+                sample = collector.observe(float(k), arr, k, full=True)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -359,3 +377,67 @@ class TestToleranceDroppedRobot:
         assert sample.hull_diameter == dense
         lane_metrics = MetricsCollector(visibility_range=1e-3)
         assert _observe_fast(lane_metrics, 0.0, arr, 0).hull_diameter == dense
+
+
+class TestFullSamplesAtTheEnds:
+    """A run takes full samples at t=0 and at its end, step samples between.
+
+    Checked on the per-activation path (k-async), the batched round path
+    (ssync) and replicate lanes: the first and last samples equal a
+    collector's full observe of the initial and final positions, and every
+    sample between them measures only the diameter and the broken edges.
+    """
+
+    @staticmethod
+    def _factory(scheduler, seed):
+        from repro.algorithms import KKNPSAlgorithm
+        from repro.engine import SimulationConfig
+        from repro.workloads import random_connected_configuration
+
+        def factory():
+            configuration = random_connected_configuration(30, seed=seed)
+            config = SimulationConfig(
+                visibility_range=configuration.visibility_range,
+                seed=seed,
+                max_activations=240,
+            )
+            return configuration.positions, KKNPSAlgorithm(k=2), scheduler(), config
+
+        return factory
+
+    @staticmethod
+    def _assert_full_only_at_the_ends(result):
+        samples = list(result.metrics.samples)
+        assert len(samples) > 2
+        for sample, positions in ((samples[0], result.initial_positions),
+                                  (samples[-1], result.final_positions)):
+            oracle = MetricsCollector(visibility_range=result.visibility_range)
+            oracle.bind_initial(result.initial_positions)
+            expected = oracle.observe(sample.time, positions, sample.activations_processed,
+                                      full=True)
+            assert sample == expected
+        for sample in samples[1:-1]:
+            assert sample.hull_perimeter is None
+            assert sample.hull_radius is None
+            assert sample.min_pairwise_distance is None
+        assert result.final_min_pairwise_distance == samples[-1].min_pairwise_distance
+
+    @pytest.mark.parametrize("scheduler", ["k-async", "ssync"])
+    def test_single_runs(self, scheduler):
+        from repro.engine import Simulator
+        from repro.schedulers import KAsyncScheduler, SSyncScheduler
+
+        make = (lambda: KAsyncScheduler(k=2)) if scheduler == "k-async" else SSyncScheduler
+        sim = Simulator(*self._factory(make, seed=4)())
+        assert sim._round_batching == (scheduler == "ssync")
+        self._assert_full_only_at_the_ends(sim.run())
+
+    def test_replicate_lanes(self):
+        from repro.engine.replicate import run_replicated_simulations
+        from repro.schedulers import SSyncScheduler
+
+        results = run_replicated_simulations(
+            [self._factory(SSyncScheduler, seed) for seed in range(3)]
+        )
+        for result in results:
+            self._assert_full_only_at_the_ends(result)

@@ -1,16 +1,21 @@
 """Pins: one array pass per metrics sample matches the row-unique hull and the dense matrix.
 
-``ConvexHull.of_array`` prunes and deduplicates without ``np.unique`` and
-keeps the candidate rows the sample diameter reduces; the collector's
-minimum separation comes from an x-sorted sweep that falls back to
-grid-local pairs.  Both are compared against :mod:`reference.hull`:
+``ConvexHull.of_array`` prunes and deduplicates without ``np.unique``,
+and :func:`~repro.geometry.hull.point_set_diameter` pairs the prune
+survivors; a full sample's minimum separation comes from an x-sorted
+sweep that falls back to grid-local pairs started at the shortest initial
+edge.  All are compared against :mod:`reference.hull` or the dense matrix:
 
-* the hull vertices, on duplicates, signed zeros, collinear sets and
-  extents from 1e-9 to 1e3;
-* every :class:`~repro.engine.metrics.MetricsSample` field, from the
-  collector and from the replicate lanes' observe, on random, line,
-  cluster and lattice inputs (lattices make the sweep fall back) at
-  sizes on both sides of the prefilter and of ``METRICS_DENSE_MAX``.
+* the hull vertices and the point-set diameter, on duplicates, signed
+  zeros, collinear sets and extents from 1e-9 to 1e3;
+* every field of a full :class:`~repro.engine.metrics.MetricsSample`,
+  from the collector and from the replicate lanes' observe, on random,
+  line, cluster and lattice inputs (lattices make the sweep fall back)
+  at sizes on both sides of the prefilter and of ``METRICS_DENSE_MAX``,
+  with and without initial edges;
+* the step sample's diameter (:func:`~repro.geometry.hull.point_set_diameter`,
+  the chain only past ``_DENSE_CANDIDATES`` prune survivors) against the
+  dense maximum and the full sample's diameter.
 """
 
 from __future__ import annotations
@@ -19,13 +24,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
 from reference.hull import convex_hull_array, dense_sample
-from repro.engine.metrics import MetricsCollector
+from repro.engine.metrics import METRICS_DENSE_MAX, MetricsCollector
 from repro.engine.replicate import _observe_fast
-from repro.geometry.hull import ConvexHull
+from repro.geometry.hull import (
+    _DENSE_CANDIDATES,
+    _PREFILTER_MIN_POINTS,
+    ConvexHull,
+    _pruned,
+    point_set_diameter,
+)
 
 SIZES = (1, 2, 3, 15, 16, 200, 1000, 2049)
-KINDS = ("random", "line", "cluster", "lattice")
+KINDS = ("random", "line", "cluster", "lattice", "circle", "coincident")
 
 
 def _configuration(kind: str, n: int, seed: int, extent: float) -> np.ndarray:
@@ -40,9 +52,14 @@ def _configuration(kind: str, n: int, seed: int, extent: float) -> np.ndarray:
         centres = rng.uniform(-0.5, 0.5, size=(3, 2))
         unit = centres[rng.integers(0, 3, n)] + rng.normal(0.0, 1e-3, size=(n, 2))
         unit[: n // 4] = unit[n // 4 : 2 * (n // 4)]
-    else:
+    elif kind == "lattice":
         side = int(np.ceil(np.sqrt(n)))
         unit = np.stack(np.divmod(np.arange(n), side), axis=1) / side
+    elif kind == "circle":
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        unit = 0.5 * np.stack((np.cos(angle), np.sin(angle)), axis=1)
+    else:
+        unit = rng.uniform(-0.5, 0.5, size=(2, 2))[rng.integers(0, 2, n)]
     return unit * extent + rng.uniform(-2.0, 2.0, size=2) * extent
 
 
@@ -51,21 +68,32 @@ def _configuration(kind: str, n: int, seed: int, extent: float) -> np.ndarray:
     n=st.sampled_from(SIZES),
     seed=st.integers(0, 2**32 - 1),
     exponent=st.integers(-9, 3),
+    edges=st.booleans(),
 )
-@example(kind="lattice", n=2049, seed=0, exponent=0)
-@example(kind="lattice", n=200, seed=0, exponent=-9)
-@example(kind="cluster", n=16, seed=1, exponent=3)
-@example(kind="line", n=1000, seed=2, exponent=0)
+@example(kind="lattice", n=2049, seed=0, exponent=0, edges=True)
+@example(kind="lattice", n=200, seed=0, exponent=-9, edges=True)
+@example(kind="cluster", n=16, seed=1, exponent=3, edges=True)
+@example(kind="line", n=1000, seed=2, exponent=0, edges=True)
+@example(kind="random", n=200, seed=3, exponent=0, edges=False)
+@example(kind="random", n=2049, seed=4, exponent=0, edges=False)
+@example(kind="coincident", n=2049, seed=5, exponent=-3, edges=True)
 @settings(max_examples=40, deadline=None)
-def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent):
+def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent, edges):
+    """A full sample, from the collector and from a replicate lane, field by field.
+
+    Without initial edges (a visibility range far below the start's
+    spacing, unless rows coincide) the min-separation search starts at
+    the visibility range instead of the shortest edge; coincident rows
+    past ``METRICS_DENSE_MAX`` give a zero-length shortest edge.
+    """
     extent = 10.0**exponent
     start = _configuration(kind, n, seed, extent)
     moved = start * 1.1
-    visibility = 0.2 * extent
+    visibility = 0.2 * extent if edges else 1e-7 * extent
 
     collector = MetricsCollector(visibility_range=visibility)
     collector.bind_initial(start)
-    sample = collector.observe(1.0, moved, 1)
+    sample = collector.observe(1.0, moved, 1, full=True)
     edge_i, edge_j = getattr(collector, "_edge_i", None), getattr(collector, "_edge_j", None)
     edges = [] if edge_i is None else list(zip(edge_i.tolist(), edge_j.tolist()))
     oracle = dense_sample(moved, edges, visibility)
@@ -79,10 +107,72 @@ def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent):
     assert fields == oracle
     assert sample.initial_edges_preserved == (oracle[4] == 0)
     assert (sample.time, sample.activations_processed) == (1.0, 1)
-    if n > 1:
-        lane_metrics = MetricsCollector(visibility_range=visibility)
-        lane_metrics.bind_initial(start)
-        assert _observe_fast(lane_metrics, 1.0, moved, 1) == sample
+    lane_metrics = MetricsCollector(visibility_range=visibility)
+    lane_metrics.bind_initial(start)
+    assert _observe_fast(lane_metrics, 1.0, moved, 1, full=True) == sample
+
+
+def _dense_diameter(arr: np.ndarray) -> float:
+    """``sqrt`` of the dense squared-distance matrix's maximum, in row blocks."""
+    best = 0.0
+    for first in range(0, len(arr), 512):
+        dx = arr[first:first + 512, 0, None] - arr[None, :, 0]
+        dy = arr[first:first + 512, 1, None] - arr[None, :, 1]
+        best = max(best, float((dx * dx + dy * dy).max()))
+    return float(np.sqrt(best))
+
+
+def _assert_step_diameter(arr: np.ndarray, visibility: float) -> None:
+    collector = MetricsCollector(visibility_range=visibility)
+    collector.bind_initial(arr)
+    step = collector.observe(0.0, arr, 0)
+    full = collector.observe(1.0, arr, 1, full=True)
+    assert point_set_diameter(arr) == step.hull_diameter == full.hull_diameter
+    assert step.hull_diameter == _dense_diameter(arr)
+    assert step.broken_edge_count == full.broken_edge_count
+    assert step.hull_perimeter is step.hull_radius is step.min_pairwise_distance is None
+    lane_metrics = MetricsCollector(visibility_range=visibility)
+    lane_metrics.bind_initial(arr)
+    assert _observe_fast(lane_metrics, 0.0, arr, 0) == step
+
+
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.sampled_from(SIZES),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-9, 3),
+)
+@example(kind="circle", n=200, seed=0, exponent=0)
+@example(kind="line", n=2049, seed=1, exponent=-9)
+@example(kind="coincident", n=1000, seed=2, exponent=3)
+@settings(max_examples=40, deadline=None)
+def test_step_diameter_matches_dense_and_full(kind, n, seed, exponent):
+    extent = 10.0**exponent
+    _assert_step_diameter(_configuration(kind, n, seed, extent), 0.2 * extent)
+
+
+@pytest.mark.parametrize(
+    "kind, n, branch",
+    [
+        ("random", 15, "unpruned"),
+        ("random", 200, "dense survivors"),
+        ("circle", 200, "chained survivors"),
+        ("lattice", 2049, "past METRICS_DENSE_MAX"),
+    ],
+)
+def test_step_diameter_branches(kind, n, branch):
+    """Each way :func:`point_set_diameter` can go, on an input that takes it."""
+    arr = _configuration(kind, n, 0, 1.0)
+    survivors, margin = _pruned(arr)
+    if branch == "unpruned":
+        assert n < _PREFILTER_MIN_POINTS and margin is None
+    elif branch == "dense survivors":
+        assert margin is not None and len(survivors) <= _DENSE_CANDIDATES
+    elif branch == "chained survivors":
+        assert len(survivors) > _DENSE_CANDIDATES
+    else:
+        assert n > METRICS_DENSE_MAX
+    _assert_step_diameter(arr, 0.2)
 
 
 coordinates = st.one_of(
@@ -109,7 +199,6 @@ def test_hull_matches_row_unique_oracle(rows, exponent, shift, collinear):
     arr = arr * 10.0**exponent + shift
     hull = ConvexHull.of_array(arr)
     assert list(hull.vertices) == convex_hull_array(arr)
-    assert {tuple(v) for v in hull.vertices} <= {tuple(r) for r in hull.candidates.tolist()}
     dx = arr[:, 0, None] - arr[None, :, 0]
     dy = arr[:, 1, None] - arr[None, :, 1]
-    assert hull.point_set_diameter() == float(np.sqrt((dx * dx + dy * dy).max()))
+    assert point_set_diameter(arr) == float(np.sqrt((dx * dx + dy * dy).max()))

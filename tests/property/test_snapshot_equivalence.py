@@ -13,13 +13,18 @@ pass-through.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference.object_engine import build_snapshot_objects
 
 from repro.geometry import Point
 from repro.geometry.transforms import LocalFrame, SymmetricDistortion
 from repro.model import PerceptionModel, build_snapshot
+from repro.model import snapshot as snapshot_module
 
 
 def _random_others(rng: np.random.Generator, m: int, *, duplicates: bool = False):
@@ -152,3 +157,49 @@ class TestSnapshotPathEquivalence:
         _assert_equivalent((1.0, 1.0), [], 1.0)
         _assert_equivalent((1.0, 1.0), [(1.5, 1.0)], 1.0)
         _assert_equivalent((1.0, 1.0), [(1.0, 1.0)], 1.0)  # observer-coincident only
+
+
+@given(
+    clusters=st.integers(1, 6),
+    m=st.integers(2, 90),
+    seed=st.integers(0, 2**32 - 1),
+    multiplicity=st.booleans(),
+    block_pairs=st.sampled_from((1 << 20, 7)),
+)
+@settings(max_examples=80, deadline=None)
+def test_coincident_clusters_collapse_like_the_object_path(
+    clusters, m, seed, multiplicity, block_pairs
+):
+    """Clusters of coincident rows and rows at, inside and just beyond the
+    coincidence epsilon of a cluster centre, on both sides of the scalar
+    certificate's size, with the collapse scan's guard run in one block or
+    in blocks of a few rows.  Centres and offsets are multiples of powers
+    of two, so row differences are exact and an axis-aligned offset of
+    exactly ``eps`` puts a pair on the ``<= eps`` boundary itself."""
+    unit = 2.0**-50
+    eps = 768 * unit
+    rng = np.random.default_rng(seed)
+    centres = rng.integers(-800, 800, size=(clusters, 2)) * 2.0**-10
+    steps = rng.choice((0, 384, 767, 768, 769, 1536), size=(m, 2))
+    steps *= rng.choice((-1, 1), size=(m, 2))
+    axis = rng.integers(0, 3, size=m)  # offset along x, along y, or both
+    steps[axis == 0, 1] = 0
+    steps[axis == 1, 0] = 0
+    others = centres[rng.integers(0, clusters, size=m)] + steps * unit
+    with mock.patch.object(snapshot_module, "_COLLAPSE_BLOCK_PAIRS", block_pairs):
+        snap = _assert_equivalent(
+            (1.0, 1.0), others, 4.0, multiplicity_detection=multiplicity,
+            coincidence_eps=eps,
+        )
+    assert snap.neighbour_count() <= m
+
+
+@pytest.mark.parametrize("m", [5, 40])
+def test_negative_coincidence_eps_collapses_nothing(m):
+    """No pair is within a negative distance, so even equal rows, on both
+    sides of the scalar certificate's size, stay apart, as on the object path."""
+    rng = np.random.default_rng(m)
+    others = rng.uniform(0.0, 2.0, size=(m, 2))
+    others[m // 2:] = others[0]
+    snap = _assert_equivalent((1.0, 1.0), others, 4.0, coincidence_eps=-1e-12)
+    assert snap.neighbour_count() == m

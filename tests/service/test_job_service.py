@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.service import JobManager, ServiceClient, ServiceError, make_server
-from repro.sweeps import SweepSpec, run_sweep, strip_timing
+from repro.sweeps import SweepRunner, SweepSpec, run_sweep, strip_timing
 
 #: A tiny grid: 8 runs, sub-second even serially.
 SMALL_SPEC = SweepSpec(
@@ -55,6 +55,7 @@ class TestJobLifecycle:
         assert status["store_hits"] == 0
         assert status["eta_s"] == 0.0
         assert status["cost_done"] == status["cost_total"] > 0
+        assert (status["workers"], status["backend"]) == (1, "serial")
 
         results = service.results(job_id, include_rows=True)
         assert results["rows_added"] == SMALL_SPEC.size()
@@ -139,11 +140,39 @@ class TestMultiWorkerJobs:
             rows = manager.results(job_id, include_rows=True)["rows"]
         assert status["state"] == "done", status
         assert status["executed"] == SMALL_SPEC.size()
+        assert status["backend"] == "work-stealing"
         serial = run_sweep(SMALL_SPEC)
         assert [strip_timing(row) for row in rows] == [
             strip_timing(row) for row in serial.rows
         ]
         assert multiprocessing.active_children() == []
+
+
+    @pytest.mark.parametrize(
+        "workers, options, expected",
+        [
+            (1, None, "serial"),
+            (2, None, "work-stealing"),
+            (1, {"workers": 2}, "work-stealing"),
+            (2, {"backend": "socket"}, "socket"),
+        ],
+    )
+    def test_status_names_the_backend_the_job_runs_on(
+        self, tmp_path, workers, options, expected
+    ):
+        """The status reports the backend ``SweepRunner.resolve_backend``
+        picks for the job's workers and option, not the option itself;
+        the manager is never started, so the job stays queued."""
+        manager = JobManager(tmp_path / "store.sqlite", tmp_path / "jobs", workers=workers)
+        status = manager.status(manager.submit(SMALL_SPEC, options=options))
+        assert status["state"] == "queued"
+        assert status["backend"] == expected
+        runner = SweepRunner(
+            SMALL_SPEC,
+            workers=status["workers"],
+            backend=(options or {}).get("backend"),
+        )
+        assert runner.resolve_backend().name == expected
 
 
 class TestErrorPaths:

@@ -7,6 +7,8 @@ import pytest
 from repro.spatial3d import (
     KKNPS3Algorithm,
     Simulation3Config,
+    min_pairwise_distance3_array,
+    positions_as_array3,
     run_simulation3,
 )
 from repro.sweeps import RunSpec, SweepSpec, run_sweep
@@ -182,6 +184,9 @@ class TestExecuteRun3D:
         assert row["cohesion"] == result.cohesion_maintained
         assert row["activations"] == result.activations_processed
         assert row["final_diameter"] == result.final_diameter
+        # The row reads the final full sample; the dense matrix agrees.
+        final = positions_as_array3(result.final_configuration.positions)
+        assert row["final_min_pairwise"] == min_pairwise_distance3_array(final)
 
     def test_planar_only_error_model_rejected_for_continuous_3d(self):
         with pytest.raises(ValueError, match="planar-only"):
