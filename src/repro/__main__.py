@@ -11,13 +11,16 @@ Examples::
     python -m repro submit --smoke --wait
     python -m repro store stats --store results.sqlite
 
-The default form builds a workload, runs the requested algorithm under
-the requested scheduler, prints a summary table, and can optionally dump
-the trajectories to an SVG file.  The ``sweep`` subcommand fans a whole
-parameter grid out across worker processes (see :mod:`repro.sweeps`);
-``store`` inspects and imports into the persistent results store
-(:mod:`repro.store`); ``serve``/``submit``/``status``/``results`` run and
-talk to the sweep job service (:mod:`repro.service`).
+The default form builds a workload of exactly ``--robots`` robots, runs
+the requested algorithm under the requested scheduler, prints a summary
+table, and can optionally dump the trajectories to an SVG file.  The
+names and the objects they build are the sweep engine's planar
+registries (:mod:`repro.sweeps.factories`), so a single run is the run
+a sweep row of the same names describes.  The ``sweep`` subcommand fans
+a whole parameter grid out across worker processes (see
+:mod:`repro.sweeps`); ``store`` inspects and imports into the persistent
+results store (:mod:`repro.store`); ``serve``/``submit``/``status``/
+``results`` run and talk to the sweep job service (:mod:`repro.service`).
 """
 
 from __future__ import annotations
@@ -26,35 +29,18 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .algorithms import (
-    AndoAlgorithm,
-    CenterOfGravityAlgorithm,
-    KKNPSAlgorithm,
-    KatreniakAlgorithm,
-    MinboxAlgorithm,
-)
 from .analysis.tables import render_key_values
 from .engine import SimulationConfig, run_simulation
 from .geometry.transforms import SymmetricDistortion
 from .model import MotionModel, PerceptionModel
-from .schedulers import (
-    AsyncScheduler,
-    FSyncScheduler,
-    KAsyncScheduler,
-    KNestAScheduler,
-    SSyncScheduler,
+from .sweeps.factories import (
+    ALGORITHM_FACTORIES,
+    SCHEDULER_FACTORIES,
+    WORKLOAD_FACTORIES,
+    make_algorithm,
+    make_scheduler,
+    make_workload,
 )
-from .workloads import (
-    clustered_configuration,
-    grid_configuration,
-    line_configuration,
-    random_connected_configuration,
-    ring_configuration,
-)
-
-ALGORITHMS = ("kknps", "ando", "katreniak", "cog", "gcm")
-SCHEDULERS = ("fsync", "ssync", "k-nesta", "k-async", "async")
-WORKLOADS = ("random", "line", "grid", "ring", "clusters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Subcommand: 'python -m repro sweep --help' runs whole parameter "
                "grids across worker processes with resumable JSONL results.",
     )
-    parser.add_argument("--algorithm", choices=ALGORITHMS, default="kknps")
-    parser.add_argument("--scheduler", choices=SCHEDULERS, default="k-async")
-    parser.add_argument("--workload", choices=WORKLOADS, default="random")
+    parser.add_argument("--algorithm", choices=tuple(ALGORITHM_FACTORIES), default="kknps")
+    parser.add_argument("--scheduler", choices=tuple(SCHEDULER_FACTORIES), default="k-async")
+    parser.add_argument("--workload", choices=tuple(WORKLOAD_FACTORIES), default="random")
     parser.add_argument(
         "--robots", dest="n_robots", type=int, default=15, help="number of robots"
     )
@@ -86,49 +72,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_algorithm(args: argparse.Namespace):
-    """Instantiate the requested algorithm."""
+def build_run(args: argparse.Namespace):
+    """``(configuration, algorithm, scheduler)`` of one run, from the sweep registries.
+
+    The workload has exactly ``args.n_robots`` robots; ``--k``,
+    ``--distance-error`` and ``--skew`` parametrise the KKNPS algorithm,
+    and ``--k`` the k-schedulers.  A workload that cannot hold that many
+    robots raises ``ValueError``.
+    """
+    params = ()
     if args.algorithm == "kknps":
-        return KKNPSAlgorithm(
-            k=args.k,
-            distance_error_tolerance=args.distance_error,
-            skew_tolerance=args.skew,
+        params = (
+            ("k", args.k),
+            ("distance_error_tolerance", args.distance_error),
+            ("skew_tolerance", args.skew),
         )
-    if args.algorithm == "ando":
-        return AndoAlgorithm()
-    if args.algorithm == "katreniak":
-        return KatreniakAlgorithm()
-    if args.algorithm == "cog":
-        return CenterOfGravityAlgorithm()
-    return MinboxAlgorithm()
-
-
-def make_scheduler(args: argparse.Namespace):
-    """Instantiate the requested scheduler."""
-    if args.scheduler == "fsync":
-        return FSyncScheduler()
-    if args.scheduler == "ssync":
-        return SSyncScheduler()
-    if args.scheduler == "k-nesta":
-        return KNestAScheduler(k=args.k)
-    if args.scheduler == "k-async":
-        return KAsyncScheduler(k=args.k)
-    return AsyncScheduler()
-
-
-def make_workload(args: argparse.Namespace):
-    """Instantiate the requested initial configuration."""
-    if args.workload == "random":
-        return random_connected_configuration(args.n_robots, seed=args.seed)
-    if args.workload == "line":
-        return line_configuration(args.n_robots)
-    if args.workload == "grid":
-        side = max(2, int(round(args.n_robots ** 0.5)))
-        return grid_configuration(side, side)
-    if args.workload == "ring":
-        return ring_configuration(max(3, args.n_robots))
-    robots_per_cluster = max(2, args.n_robots // 3)
-    return clustered_configuration(3, robots_per_cluster, seed=args.seed)
+    return (
+        make_workload(args.workload, args.n_robots, args.seed),
+        make_algorithm(args.algorithm, params),
+        make_scheduler(args.scheduler, args.k),
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -148,11 +111,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         verb_main = getattr(service_cli, f"main_{argv[0]}")
         return verb_main(argv[1:])
-    args = build_parser().parse_args(argv)
-
-    configuration = make_workload(args)
-    algorithm = make_algorithm(args)
-    scheduler = make_scheduler(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        configuration, algorithm, scheduler = build_run(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     perception = PerceptionModel(
         distance_error=args.distance_error,

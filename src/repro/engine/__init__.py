@@ -17,11 +17,9 @@ from .spatial_index import (
     UniformGridIndex,
     grid_auto_threshold,
 )
-from .state import EngineState
 
 __all__ = [
     "ConvergenceSummary",
-    "EngineState",
     "GRID_MIN_ROBOTS",
     "GRID_MIN_ROBOTS_3D",
     "grid_auto_threshold",

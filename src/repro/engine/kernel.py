@@ -20,16 +20,17 @@ subclass provides:
   :func:`~repro.model.snapshot.build_snapshot` and 2D ``LocalFrame``
   transforms; the 3D engines implement it with rotation matrices and
   :meth:`~repro.spatial3d.kknps3.KKNPS3Algorithm.compute_array`.
-* :meth:`ContinuousKernel._make_metrics` / :meth:`_bind_metrics` — the
-  metrics collector.  The kernel only requires that ``observe`` accept a
-  ``full`` flag (set for the t=0 and final samples, left off for every
-  per-activation and per-round sample) and return a sample exposing
-  ``hull_diameter`` (for a full-dimensional point set the hull diameter
-  *is* the set diameter, so the name is dimension-honest).
 * :meth:`ContinuousKernel._make_record_log` — per-activation records (the
   planar engine keeps a columnar :class:`~repro.engine.logs.RecordLog`
   of Point-typed :class:`ActivationRecord` views; the 3D engines skip
   records entirely).
+
+Metrics need no hook: every engine samples through one
+:class:`~repro.engine.metrics.MetricsCollector` over ``(n, d)`` rows
+(:meth:`ContinuousKernel._make_metrics`; the 3D round adapter returns
+the collector its scheduler samples each round into).  The kernel takes
+the full samples (``observe(..., full=True)``) at t=0 and at the end of
+a run, and a step sample at every ``record_every`` boundary.
 
 Because the pipeline itself lives here once, the full scheduler family
 (fsync, ssync, k-NestA, k-Async, scripted) drives runs in any dimension;
@@ -67,12 +68,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..geometry.tolerances import EPS
-from ..model.robot import PHASE_MOVING
+from ..model.robot import PHASE_MOVING, KinematicArrays
 from ..model.types import Activation, RoundBatch
 from ..schedulers.base import Scheduler
 from .logs import EndTimeLog, RecordLog
+from .metrics import MetricsCollector
 from .spatial_index import ShardedGridIndex, UniformGridIndex, grid_auto_threshold
-from .state import EngineState
 
 #: What one Look/Compute/Move decision produced: the target the algorithm
 #: chose and the endpoint the motion model realises (global coordinate
@@ -156,11 +157,17 @@ def replay_round(
 
 
 class ContinuousKernel:
-    """The shared continuous-time activation pipeline over ``(n, d)`` state."""
+    """The shared continuous-time activation pipeline over ``(n, d)`` state.
+
+    The kernel owns the swarm's :class:`~repro.model.robot.KinematicArrays`
+    store: every hot query of the loop (interpolating all robots at a
+    Look instant, finding the moves that ended before the current event)
+    is one numpy expression over its contiguous rows.
+    """
 
     def __init__(
         self,
-        state: EngineState,
+        arrays: KinematicArrays,
         algorithm,
         scheduler: Scheduler,
         config,
@@ -171,9 +178,9 @@ class ContinuousKernel:
         self.algorithm = algorithm
         self.scheduler = scheduler
         self.rng = np.random.default_rng(config.seed) if rng is None else rng
-        self._state = state
+        self._arrays = arrays
         for crashed_id in getattr(config, "crashed_robots", ()):
-            self._state.arrays.crash_at(crashed_id)
+            arrays.crash_at(crashed_id)
         self._time = 0.0
         self._pending: List[tuple] = []
         #: The scheduler's latest round, held whole for the batched round
@@ -195,12 +202,12 @@ class ContinuousKernel:
     @property
     def n_robots(self) -> int:
         """Number of robots in the run."""
-        return self._state.n
+        return self._arrays.n
 
     @property
     def dim(self) -> int:
         """Spatial dimension of the run."""
-        return self._state.arrays.dim
+        return self._arrays.dim
 
     def positions_array(self, at_time: Optional[float] = None) -> np.ndarray:
         """Positions of all robots at ``at_time`` as an ``(n, d)`` float array.
@@ -208,7 +215,7 @@ class ContinuousKernel:
         All in-flight moves are interpolated in one numpy expression.
         """
         t = self._time if at_time is None else at_time
-        return self._state.positions_at(t)
+        return self._arrays.positions_at(t)
 
     # -- dimension hooks -------------------------------------------------------------
     def _decide_move(
@@ -226,15 +233,13 @@ class ContinuousKernel:
         """
         raise NotImplementedError
 
-    def _make_metrics(self):
-        """The metrics collector for this run (subclasses implement)."""
-        raise NotImplementedError
+    def _make_metrics(self) -> MetricsCollector:
+        """The metrics collector for this run (a seam for benchmark baselines)."""
+        return MetricsCollector(visibility_range=self.config.visibility_range)
 
-    def _bind_metrics(self, metrics) -> None:
+    def _bind_metrics(self, metrics: MetricsCollector) -> None:
         """Bind the collector to the initial configuration (cohesion baseline)."""
-        bind = getattr(metrics, "bind_initial", None)
-        if bind is not None:
-            bind(self._state.committed_positions())
+        metrics.bind_initial(self._arrays.position)
 
     def _make_recorder(self):
         """The trajectory recorder, or None (base: no recording)."""
@@ -290,7 +295,7 @@ class ContinuousKernel:
         if effective is None:
             return None
         grid = UniformGridIndex(effective, dim=self.dim)
-        committed = self._state.committed_positions()
+        committed = self._arrays.position
         for i in range(self.n_robots):
             grid.settle(i, *committed[i])
         return grid
@@ -394,7 +399,7 @@ class ContinuousKernel:
         run: KernelRun,
     ) -> None:
         """Begin every executed move with one index-array transition, then log the round."""
-        arrays = self._state.arrays
+        arrays = self._arrays
         ids = executed.robot_ids
         arrays.begin_moves(ids, realized, executed.move_start_time, executed.end_time)
         run.end_times.extend_round(ids, executed.end_time)
@@ -426,7 +431,7 @@ class ContinuousKernel:
         sampler).
         """
         cfg = self.config
-        arrays = self._state.arrays
+        arrays = self._arrays
         look_time = batch.look_time
         committed = arrays.position
         executed, first, boundaries, run.processed, run.popped = replay_round(
@@ -469,7 +474,7 @@ class ContinuousKernel:
         executed = self._sample_round(batch, run)
         if not len(executed):
             return
-        committed = self._state.arrays.position
+        committed = self._arrays.position
         shard = self._round_shard(committed)
         if self._round_batch_ready(committed):
             decide = self._round_decide_batch
@@ -504,13 +509,13 @@ class ContinuousKernel:
         """
         self._time = batch.look_time
         self._finalize_completed_moves(batch.look_time)
-        return not self._state.any_moving()
+        return not self._arrays.any_moving()
 
     def _finalize_completed_moves(self, now: float) -> None:
-        completed = self._state.completed_movers(now)
+        completed = self._arrays.completed_movers(now)
         if len(completed) == 0:
             return
-        arrays = self._state.arrays
+        arrays = self._arrays
         arrays.finish_moves(completed)
         grid = self._grid
         if grid is not None:
@@ -520,7 +525,7 @@ class ContinuousKernel:
 
     def _settle_moves(self) -> float:
         """Let every in-flight move finish; returns the final time."""
-        arrays = self._state.arrays
+        arrays = self._arrays
         moving = np.flatnonzero(arrays.phase == PHASE_MOVING)
         if len(moving):
             self._time = max(self._time, float(arrays.move_end[moving].max()))
@@ -531,7 +536,7 @@ class ContinuousKernel:
         self, robot_id: int, origin: np.ndarray, destination,
         start: float, end: float,
     ) -> None:
-        self._state.arrays.begin_move_at(robot_id, origin, destination, start, end)
+        self._arrays.begin_move_at(robot_id, origin, destination, start, end)
         if self._grid is not None:
             self._grid.begin_move(robot_id, *origin, *destination)
 
@@ -548,10 +553,10 @@ class ContinuousKernel:
         (reused for the metrics sample of the same instant), else None.
         """
         if self._grid is not None:
-            observer = self._state.committed_positions()[robot_id]
+            observer = self._arrays.position[robot_id]
             candidates = self._grid.candidates(*observer, exclude=robot_id)
-            return self._state.positions_at(look_time, candidates), None
-        all_positions = self._state.positions_at(look_time)
+            return self._arrays.positions_at(look_time, candidates), None
+        all_positions = self._arrays.positions_at(look_time)
         return np.delete(all_positions, robot_id, axis=0), all_positions
 
     # -- the run, step by step -----------------------------------------------------------
@@ -613,7 +618,7 @@ class ContinuousKernel:
     def _step_activation(self, run: KernelRun) -> None:
         """Pop the earliest heaped activation and run its Look/Compute/Move."""
         cfg = self.config
-        arrays = self._state.arrays
+        arrays = self._arrays
         look_time, _, activation = heapq.heappop(self._pending)
         run.popped += 1
         if look_time > cfg.max_time:
@@ -681,7 +686,7 @@ class ContinuousKernel:
         :meth:`_sample_round`.
         """
         final_time = self._settle_moves()
-        final_positions = self._state.committed_positions()
+        final_positions = self._arrays.position
         sample = (observe or run.metrics.observe)(
             final_time, final_positions, run.processed, full=True
         )
@@ -705,4 +710,4 @@ class ContinuousKernel:
 
     def activation_counts(self) -> Dict[int, int]:
         """Activations begun per robot (read after :meth:`run_kernel`)."""
-        return dict(enumerate(self._state.arrays.activation_count.tolist()))
+        return dict(enumerate(self._arrays.activation_count.tolist()))

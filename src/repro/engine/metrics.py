@@ -1,12 +1,20 @@
-"""Metric samples collected while a simulation runs.
+"""Metric samples collected while a simulation runs, in any dimension.
 
 The quantities tracked are exactly the ones the paper's analysis reasons
 about.  Every sample measures the two read activation by activation: the
 diameter of the robot positions (Point Convergence, Section 2) and the
 preservation of the initial visibility edges (cohesion, Section 2.4 /
 Section 4).  The full samples a run takes at t=0 and at its end add the
-perimeter and bounding-circle radius of the convex hull (congregation,
-Section 5) and the minimum pairwise separation (collision monitoring).
+minimum pairwise separation (collision monitoring) and, in the plane,
+the perimeter and bounding-circle radius of the convex hull
+(congregation, Section 5).
+
+One :class:`MetricsCollector` serves every engine: the planar simulator
+and the replicate lanes, the continuous-time 3D kernel and the 3D round
+adapter (Section 6.3.2 defines both measures in 3-space exactly as in
+the plane).  Positions are ``(n, d)`` rows; only the diameter scan
+(:func:`rows_diameter`) and a full sample's hull perimeter and radius
+depend on ``d``.
 """
 
 from __future__ import annotations
@@ -26,11 +34,19 @@ from .logs import SampleLog
 from .spatial_index import ShardedGridIndex, covering_cell
 
 #: Up to this many robots the full sample's minimum separation comes from
-#: an x-sorted sweep over at most ``SWEEP_OFFSETS`` neighbours in x order,
-#: above it from grid-local pair enumeration (:func:`min_separation`), and
-#: the collectors keep their initial edges as a set; the extreme distances
+#: an x-sorted sweep over at most ``SWEEP_OFFSETS`` neighbours in x order
+#: (planar rows), above it from grid-local pair enumeration
+#: (:func:`min_separation`); up to it a 3D diameter pairs every row, above
+#: it only the hull vertices (:func:`rows_diameter`); and up to it the
+#: collector keeps its initial edges as a set.  The extreme distances
 #: reported are bit-identical either way.
 METRICS_DENSE_MAX = 2048
+
+#: Row cap and pair budget of one block of :func:`dense_diameter`: a block
+#: holds ``min(512, budget // n)`` rows (at least one), so each of its
+#: float64 temporaries stays within 32 MiB for any n up to 2**22.
+_DIAMETER_BLOCK_ROWS = 512
+_DIAMETER_BLOCK_PAIRS = 1 << 22
 
 #: Neighbours in x order the min-separation sweep compares each row with
 #: before it gives up and searches grid-local pairs instead.
@@ -73,11 +89,13 @@ def _columns(arr: np.ndarray) -> List[np.ndarray]:
     return [np.ascontiguousarray(arr[:, axis]) for axis in range(arr.shape[1])]
 
 
-def _pair_squared(columns: List[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _pair_squared(columns: List[np.ndarray], i, j) -> np.ndarray:
     """Squared distances of the pairs ``(i, j)``.
 
-    Components squared and summed left to right, exactly like the dense
-    matrix builders in any dimension.
+    ``i`` and ``j`` index every column alike: two index arrays, or two
+    broadcasting slices for a block of pairs.  Components squared and
+    summed left to right, exactly like the dense matrix builders in any
+    dimension.
     """
     squared = None
     for column in columns:
@@ -85,6 +103,50 @@ def _pair_squared(columns: List[np.ndarray], i: np.ndarray, j: np.ndarray) -> np
         term = delta * delta
         squared = term if squared is None else squared + term
     return squared
+
+
+def dense_diameter(arr: np.ndarray) -> float:
+    """Largest distance between two ``(n, d)`` rows, over every pair.
+
+    The scan runs in row blocks, each against the rows from its own first
+    row on, so memory stays bounded and every pair is reduced once or
+    twice (a pair's squared distance is the same float in either order).
+    Reducing the squared distances (:func:`_pair_squared`) first and
+    rooting once returns the dense matrix's float: ``sqrt`` is monotone
+    and correctly rounded.  0 below two rows.
+    """
+    n = len(arr)
+    if n < 2:
+        return 0.0
+    columns = _columns(arr)
+    step = max(1, min(_DIAMETER_BLOCK_ROWS, _DIAMETER_BLOCK_PAIRS // n))
+    best = 0.0
+    for start in range(0, n, step):
+        squared = _pair_squared(columns, np.s_[start:start + step, None], np.s_[None, start:])
+        best = max(best, float(squared.max()))
+    return math.sqrt(best)
+
+
+def rows_diameter(arr: np.ndarray) -> float:
+    """Largest distance between two ``(n, d)`` rows, as the dense matrix gives it.
+
+    Planar rows take :func:`~repro.geometry.hull.point_set_diameter`.  In
+    3-space the diameter is attained between two hull vertices, so past
+    ``METRICS_DENSE_MAX`` rows :func:`dense_diameter` pairs only the
+    vertices of the Qhull hull (a few hundred at mega-swarm scale), with
+    the dense per-pair arithmetic; below it, and for a flat swarm Qhull
+    rejects, it pairs every row.
+    """
+    if arr.shape[1] == 2:
+        return point_set_diameter(arr)
+    if len(arr) > METRICS_DENSE_MAX:
+        from scipy.spatial import ConvexHull as QhullHull, QhullError
+
+        try:
+            arr = arr[QhullHull(arr).vertices]
+        except QhullError:
+            pass
+    return dense_diameter(arr)
 
 
 def grid_edges(arr: np.ndarray, reach: float) -> "tuple[np.ndarray, np.ndarray]":
@@ -186,10 +248,12 @@ class MetricsSample:
 
     Every sample holds the hull diameter and the broken-edge count, the
     two fields read sample by sample (the convergence stop, the
-    monotonicity, nesting and epoch checks, the cohesion flag).  Only a
-    full sample, taken at t=0 and at the end of a run, also measures the
-    hull perimeter, the bounding-circle radius and the minimum
-    separation; a step sample leaves them None.
+    monotonicity, nesting and epoch checks, the cohesion flag).  For a
+    full-dimensional point set the hull diameter is the set diameter, so
+    the name holds in any dimension.  Only a full sample, taken at t=0
+    and at the end of a run, also measures the minimum separation and,
+    for planar rows, the hull perimeter and the bounding-circle radius;
+    the fields it does not measure are None.
     """
 
     time: float
@@ -210,9 +274,20 @@ class MetricsSample:
         return self.hull_diameter <= epsilon
 
 
+def _rows(positions) -> np.ndarray:
+    """``positions`` as ``(n, d)`` float rows: an array as it is, points stacked."""
+    if isinstance(positions, np.ndarray):
+        return np.asarray(positions, dtype=float)
+    return points_to_array(positions)
+
+
 @dataclass
 class MetricsCollector:
-    """Builds :class:`MetricsSample` objects against a fixed initial edge set."""
+    """Builds :class:`MetricsSample` objects against a fixed initial edge set.
+
+    Positions are ``(n, d)`` rows of any dimension (planar positions may
+    also come as points).
+    """
 
     visibility_range: float
     initial_edges: Set[Edge] = field(default_factory=set)
@@ -244,7 +319,7 @@ class MetricsCollector:
         set with tens of millions of tuples would dwarf the simulation
         state itself.
         """
-        arr = points_to_array(positions)
+        arr = _rows(positions)
         i, j = grid_edges(arr, self.visibility_range + EPS)
         self._edge_i = np.ascontiguousarray(i)
         self._edge_j = np.ascontiguousarray(j)
@@ -276,48 +351,53 @@ class MetricsCollector:
     ) -> MetricsSample:
         """Sample the configuration at ``time`` and append it to the history.
 
-        A step sample measures the diameter
-        (:func:`~repro.geometry.hull.point_set_diameter`: the octagon
-        prune, then the dense maximum over its survivors) and counts the
-        broken initial edges (a gather of the cached edge endpoints).  The
-        kernel asks for a full sample (:meth:`full_sample`) at t=0 and at
-        the end of a run.  No ``(n, n)`` matrix is built, and every
-        reported float is bit-identical to the dense matrix's.
+        A step sample measures the diameter (:func:`rows_diameter`; for
+        planar rows the octagon prune, then the dense maximum over its
+        survivors) and counts the broken initial edges (a gather of the
+        cached edge endpoints).  The kernel asks for a full sample
+        (:meth:`full_sample`) at t=0 and at the end of a run.  No
+        ``(n, n)`` matrix is built, and every reported float is
+        bit-identical to the dense matrix's.
         """
-        arr = points_to_array(positions)
+        arr = _rows(positions)
         if full:
             sample = self.full_sample(time, arr, activations_processed, smallest_enclosing_circle)
         else:
             sample = MetricsSample(
-                time, point_set_diameter(arr), self._broken_edge_count(arr), activations_processed
+                time, rows_diameter(arr), self._broken_edge_count(arr), activations_processed
             )
         return self.record(sample)
 
     def full_sample(
         self, time: float, arr: np.ndarray, activations_processed: int, enclosing_circle
     ) -> MetricsSample:
-        """The full sample of the ``(n, 2)`` rows ``arr`` (not yet recorded).
+        """The full sample of the ``(n, d)`` rows ``arr`` (not yet recorded).
 
-        The diameter is the step sample's
-        (:func:`~repro.geometry.hull.point_set_diameter`), the bounding
-        circle runs on the hull vertices only (the SEC of a point set
-        equals the SEC of its convex hull) and the minimum separation
-        starts at the shortest initial edge (:func:`min_separation`).
-        ``enclosing_circle`` is :func:`smallest_enclosing_circle` as the
-        calling module looks it up, so each engine's calls stay at its
-        own lookup site (where a profiler patches them).
+        The diameter is the step sample's (:func:`rows_diameter`) and the
+        minimum separation starts at the shortest initial edge
+        (:func:`min_separation`).  Planar rows also measure the hull
+        perimeter and the bounding circle, which runs on the hull
+        vertices only (the SEC of a point set equals the SEC of its
+        convex hull); 3D samples leave both None.  ``enclosing_circle``
+        is :func:`smallest_enclosing_circle` as the calling module looks
+        it up, so each engine's calls stay at its own lookup site (where
+        a profiler patches them).
         """
-        n = len(arr)
-        hull = ConvexHull.of_array(arr)
+        n, dim = arr.shape
+        perimeter = radius = None
+        if dim == 2:
+            hull = ConvexHull.of_array(arr)
+            perimeter = hull.perimeter()
+            radius = enclosing_circle(hull.vertices).radius if n else 0.0
         lengths = self.initial_edge_lengths(arr) if n >= 2 else np.empty(0)
         broken_count = int(np.count_nonzero(lengths > self.visibility_range + EPS))
         return MetricsSample(
             time=time,
-            hull_diameter=point_set_diameter(arr) if n >= 2 else 0.0,
+            hull_diameter=rows_diameter(arr),
             broken_edge_count=broken_count,
             activations_processed=activations_processed,
-            hull_perimeter=hull.perimeter(),
-            hull_radius=enclosing_circle(hull.vertices).radius if n else 0.0,
+            hull_perimeter=perimeter,
+            hull_radius=radius,
             min_pairwise_distance=min_separation(arr, lengths, self.visibility_range),
         )
 
@@ -334,11 +414,11 @@ class MetricsCollector:
         return sample
 
     def initial_edge_lengths(self, arr: np.ndarray) -> np.ndarray:
-        """Lengths of the initial visibility edges at the ``(n, 2)`` rows ``arr``.
+        """Lengths of the initial visibility edges at the ``(n, d)`` rows ``arr``.
 
         O(|E|): reads the endpoint index arrays :meth:`bind_initial` caches
-        at every swarm size, with the dense matrix's per-pair arithmetic.
-        Empty when there are no initial edges.
+        at every swarm size, with the dense matrix's per-pair arithmetic
+        (:func:`_pair_squared`).  Empty when there are no initial edges.
         """
         i = getattr(self, "_edge_i", None)
         if i is None:
@@ -347,12 +427,12 @@ class MetricsCollector:
             # initial_edges was assigned directly (without bind_initial).
             self._build_edge_index()
             i = self._edge_i
-        j = self._edge_j
-        x = np.ascontiguousarray(arr[:, 0])
-        y = np.ascontiguousarray(arr[:, 1])
-        dx = x[i] - x[j]
-        dy = y[i] - y[j]
-        return np.sqrt(dx * dx + dy * dy)
+        return np.sqrt(_pair_squared(_columns(arr), i, self._edge_j))
+
+    def max_edge_stretch(self, arr: np.ndarray) -> float:
+        """Longest initial visibility edge at the ``(n, d)`` rows ``arr`` (0 with no edges)."""
+        lengths = self.initial_edge_lengths(arr)
+        return float(lengths.max()) if len(lengths) else 0.0
 
     def _broken_edge_count(self, arr: np.ndarray) -> int:
         """How many initial visibility edges currently exceed the range."""

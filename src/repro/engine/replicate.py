@@ -262,7 +262,7 @@ def _drive(lanes: List[_Lane]) -> None:
                 groups.setdefault(lane.group, []).append((lane, batch))
         for (n, effective, *_), members in groups.items():
             tensor = np.stack(
-                [lane.sim._state.arrays.position for lane, _ in members]
+                [lane.sim._arrays.position for lane, _ in members]
             )
             flat_xy = tensor.reshape(-1, 2)
             hazard = collapse_hazard_lanes(flat_xy, len(members), n)

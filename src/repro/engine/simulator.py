@@ -39,10 +39,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..geometry.point import Point, PointLike
+from ..geometry.point import Point, PointLike, array_to_points
 from ..geometry.transforms import LocalFrame, random_frame
 from ..model.configuration import Configuration
 from ..model.errors import MotionModel, PerceptionModel
+from ..model.robot import KinematicArrays
 from ..model.snapshot import build_snapshot
 from ..model.types import Activation, RoundBatch
 from ..algorithms.base import ConvergenceAlgorithm
@@ -54,7 +55,6 @@ from .kernel import ContinuousKernel, Decision, KernelRun
 from .logs import EndTimeLog, RecordLog
 from .metrics import MetricsCollector
 from .recorder import TrajectoryRecorder
-from .state import EngineState
 
 @dataclass
 class SimulationConfig:
@@ -167,8 +167,7 @@ class SimulationResult:
     @property
     def max_edge_stretch(self) -> float:
         """Longest initial visibility edge at the final positions (0 with no edges)."""
-        lengths = self.metrics.initial_edge_lengths(self.final_positions)
-        return float(lengths.max()) if len(lengths) else 0.0
+        return self.metrics.max_edge_stretch(self.final_positions)
 
     def epochs_to_converge(self, epsilon: float) -> Optional[int]:
         """Epochs completed before the hull diameter dropped to ``epsilon``."""
@@ -191,25 +190,21 @@ class Simulator(ContinuousKernel):
         scheduler: Scheduler,
         config: Optional[SimulationConfig] = None,
     ) -> None:
-        state = EngineState(initial_positions)
-        super().__init__(state, algorithm, scheduler, config or SimulationConfig())
-        self._initial_position_rows = state.arrays.position.copy()
+        arrays = KinematicArrays.from_positions(initial_positions)
+        super().__init__(arrays, algorithm, scheduler, config or SimulationConfig())
+        self._initial_position_rows = arrays.position.copy()
         self._batch_decide_ok: Optional[bool] = None
 
     def positions(self, at_time: Optional[float] = None) -> List[Point]:
         """Positions of all robots at ``at_time`` (default: the current time)."""
         t = self._time if at_time is None else at_time
-        return self._state.positions_at_points(t)
+        return array_to_points(self._arrays.positions_at(t))
 
     # -- kernel hooks, planar implementations --------------------------------------
     def _frame_for_look(self) -> Optional[LocalFrame]:
         if not self.config.use_random_frames:
             return None
         return random_frame(self.rng, allow_reflection=self.config.allow_reflection)
-
-    def _make_metrics(self) -> MetricsCollector:
-        """The metrics collector for this run (a seam for benchmark baselines)."""
-        return MetricsCollector(visibility_range=self.config.visibility_range)
 
     def _make_recorder(self) -> Optional[TrajectoryRecorder]:
         return TrajectoryRecorder() if self.config.record_trajectories else None
@@ -225,7 +220,7 @@ class Simulator(ContinuousKernel):
         activation: Activation,
     ) -> Decision:
         cfg = self.config
-        row = self._state.arrays.position[robot_id]
+        row = self._arrays.position[robot_id]
         position = Point(float(row[0]), float(row[1]))
         frame = self._frame_for_look()
         snapshot = build_snapshot(

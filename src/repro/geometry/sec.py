@@ -100,16 +100,11 @@ def smallest_enclosing_circle(
 ) -> Disk:
     """Smallest closed disk containing every point in ``points``.
 
-    Uses Welzl's randomised incremental algorithm (iterative variant).  The
-    shuffle is seeded (default seed 0) so results are reproducible; pass
-    ``seed=None`` for an unshuffled run, which is fine for the small point
-    sets a robot sees.
-
-    This runs after every processed activation (once per metrics sample
-    and inside Ando et al.'s algorithm on every Look), so the inner loops
-    work on plain floats — same formulas, same tolerances, same seeded
-    order as the object form, with the :class:`Disk` built only at the
-    end.
+    Uses Welzl's randomised incremental algorithm (iterative variant, in
+    :func:`_welzl_float_core`).  The shuffle is seeded (default seed 0)
+    so results are reproducible; pass ``seed=None`` for an unshuffled
+    run, which is fine for the small point sets a robot sees.  The loops
+    work on plain floats, with the :class:`Disk` built only at the end.
     """
     pts = [Point.of(p) for p in points]
     if not pts:
@@ -117,43 +112,8 @@ def smallest_enclosing_circle(
     if seed is not None and len(pts) > 3:
         order = _seeded_order(len(pts), seed)
         pts = [pts[i] for i in order]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-
-    # (cx, cy, radius) of the current candidate, None before the first point.
-    disk = None
-    for i in range(len(pts)):
-        px, py = xs[i], ys[i]
-        if disk is not None:
-            cx, cy, cr = disk
-            if math.hypot(px - cx, py - cy) <= cr + 1e-7 * max(1.0, cr):
-                continue
-        # p must be on the boundary of the smallest circle of pts[:i + 1]
-        disk = (px, py, 0.0)
-        for j in range(i):
-            qx, qy = xs[j], ys[j]
-            cx, cy, cr = disk
-            if math.hypot(qx - cx, qy - cy) <= cr + 1e-7 * max(1.0, cr):
-                continue
-            disk = _float_two(px, py, qx, qy)
-            for k in range(j):
-                rx, ry = xs[k], ys[k]
-                cx, cy, cr = disk
-                if math.hypot(rx - cx, ry - cy) <= cr + 1e-7 * max(1.0, cr):
-                    continue
-                candidate = _float_trivial(px, py, qx, qy, rx, ry)
-                if candidate is None:
-                    # Collinear triple: fall back to the diametral pair.
-                    triple = ((px, py), (qx, qy), (rx, ry))
-                    far_pair = max(
-                        ((a, b) for a in triple for b in triple),
-                        key=lambda ab: math.hypot(ab[0][0] - ab[1][0], ab[0][1] - ab[1][1]),
-                    )
-                    (fax, fay), (fbx, fby) = far_pair
-                    candidate = _float_two(fax, fay, fbx, fby)
-                disk = candidate
-    assert disk is not None
-    return Disk(Point(disk[0], disk[1]), disk[2])
+    cx, cy, radius = _welzl_float_core([p.x for p in pts], [p.y for p in pts])
+    return Disk(Point(cx, cy), radius)
 
 
 def sec_center(points: Sequence[PointLike], *, seed: Optional[int] = 0) -> Point:
@@ -162,57 +122,39 @@ def sec_center(points: Sequence[PointLike], *, seed: Optional[int] = 0) -> Point
 
 
 # Memo of SEC solutions keyed by the exact bytes of the input array: one
-# entry per distinct neighbourhood, storing the centre plus the (up to
-# three) support-point indices that define it.  A robot whose visibility
-# set did not move between rounds re-hits its entry, so the re-check is a
-# hash of the bytes rather than a Welzl run.  Bounded FIFO so mega-swarm
-# sweeps cannot grow it without limit.
+# entry per distinct neighbourhood, storing its centre.  A robot whose
+# visibility set did not move between rounds re-hits its entry, so the
+# re-check is a hash of the bytes rather than a Welzl run.  Bounded FIFO so
+# mega-swarm sweeps cannot grow it without limit.
 _SEC_CACHE: dict = {}
 _SEC_CACHE_MAX = 4096
 
 
-def _welzl_float_core(xs: list, ys: list, xs_arr: np.ndarray, ys_arr: np.ndarray):
-    """Welzl's loops on plain floats with a vectorized violator scan.
+def _welzl_float_core(xs: list, ys: list):
+    """Welzl's loops on the plain-float coordinate lists ``xs``, ``ys``.
 
-    Control flow is *identical* to :func:`smallest_enclosing_circle`: the
-    acceptance test per point has no side effects, so skipping a run of
-    accepted points in one ``np.hypot`` sweep — with every surviving
-    candidate re-confirmed by the scalar ``math.hypot`` test in index
-    order — visits exactly the same violators with exactly the same
-    candidate disks.  The prefilter margin ``(1 - 1e-12)`` is orders of
-    magnitude wider than the one-ulp disagreement between ``np.hypot``
-    and ``math.hypot``, so no true violator can slip past it.  Returns
-    ``(cx, cy, r, support)`` with ``support`` the indices (into the given
-    order) of the points the final disk was built from.
+    The one Welzl loop of :func:`smallest_enclosing_circle` and
+    :func:`sec_center_array`, testing the points one by one.  Welzl
+    rescans after every violator, so a numpy sweep over the untested
+    points before each test was slower on the sets robots solve (tens of
+    points) and on large random sets; it won only on large cocircular
+    sets, which no workload builds.  Returns the disk as ``(cx, cy, r)``.
     """
-    m = len(xs)
     disk = None
-    support: tuple = ()
-    i = 0
-    while i < m:
+    for i in range(len(xs)):
+        px, py = xs[i], ys[i]
         if disk is not None:
             cx, cy, cr = disk
-            tol = cr + 1e-7 * max(1.0, cr)
-            approx = np.hypot(xs_arr[i:] - cx, ys_arr[i:] - cy)
-            nxt = None
-            for c in np.flatnonzero(approx > tol * (1.0 - 1e-12)):
-                idx = i + int(c)
-                if math.hypot(xs[idx] - cx, ys[idx] - cy) > tol:
-                    nxt = idx
-                    break
-            if nxt is None:
-                break
-            i = nxt
-        px, py = xs[i], ys[i]
+            if math.hypot(px - cx, py - cy) <= cr + 1e-7 * max(1.0, cr):
+                continue
+        # p must be on the boundary of the smallest circle of the first i + 1 points.
         disk = (px, py, 0.0)
-        support = (i,)
         for j in range(i):
             qx, qy = xs[j], ys[j]
             cx, cy, cr = disk
             if math.hypot(qx - cx, qy - cy) <= cr + 1e-7 * max(1.0, cr):
                 continue
             disk = _float_two(px, py, qx, qy)
-            support = (i, j)
             for k in range(j):
                 rx, ry = xs[k], ys[k]
                 cx, cy, cr = disk
@@ -229,10 +171,8 @@ def _welzl_float_core(xs: list, ys: list, xs_arr: np.ndarray, ys_arr: np.ndarray
                     (fax, fay), (fbx, fby) = far_pair
                     candidate = _float_two(fax, fay, fbx, fby)
                 disk = candidate
-                support = (i, j, k)
-        i += 1
     assert disk is not None
-    return disk[0], disk[1], disk[2], support
+    return disk
 
 
 def sec_center_array(arr: np.ndarray, *, seed: Optional[int] = 0):
@@ -250,18 +190,14 @@ def sec_center_array(arr: np.ndarray, *, seed: Optional[int] = 0):
     key = (a.shape[0], seed, a.tobytes())
     hit = _SEC_CACHE.get(key)
     if hit is not None:
-        return hit[0], hit[1]
+        return hit
     m = a.shape[0]
     if seed is not None and m > 3:
         a = a[list(_seeded_order(m, seed))]
-    xs_arr = np.ascontiguousarray(a[:, 0])
-    ys_arr = np.ascontiguousarray(a[:, 1])
-    cx, cy, _r, support = _welzl_float_core(
-        xs_arr.tolist(), ys_arr.tolist(), xs_arr, ys_arr
-    )
+    cx, cy, _r = _welzl_float_core(a[:, 0].tolist(), a[:, 1].tolist())
     if len(_SEC_CACHE) >= _SEC_CACHE_MAX:
         _SEC_CACHE.pop(next(iter(_SEC_CACHE)))
-    _SEC_CACHE[key] = (cx, cy, support)
+    _SEC_CACHE[key] = (cx, cy)
     return cx, cy
 
 

@@ -4,8 +4,6 @@ from .halfspace import fits_in_open_halfspace_array
 from .kernel3 import (
     AsyncSimulation3Config,
     Kernel3,
-    Metrics3Collector,
-    Metrics3Sample,
     Simulation3AsyncResult,
     run_simulation3_async,
 )
@@ -14,13 +12,8 @@ from .model3 import (
     Configuration3,
     Snapshot3,
     build_snapshot3,
-    edge_index_array,
     edges_preserved3,
-    edges_preserved3_array,
     is_connected3,
-    max_edge_stretch3,
-    max_pairwise_distance3_array,
-    min_pairwise_distance3_array,
     positions_as_array3,
     visibility_edges3,
 )
@@ -37,8 +30,6 @@ __all__ = [
     "Configuration3",
     "KKNPS3Algorithm",
     "Kernel3",
-    "Metrics3Collector",
-    "Metrics3Sample",
     "Simulation3AsyncResult",
     "Simulation3Config",
     "Simulation3Result",
@@ -46,18 +37,13 @@ __all__ = [
     "Vector3",
     "build_snapshot3",
     "centroid3",
-    "edge_index_array",
     "edges_preserved3",
-    "edges_preserved3_array",
     "fits_in_open_halfspace",
     "fits_in_open_halfspace_array",
     "is_connected3",
     "lattice_configuration3",
     "line_configuration3",
-    "max_edge_stretch3",
     "max_pairwise_distance3",
-    "max_pairwise_distance3_array",
-    "min_pairwise_distance3_array",
     "positions_as_array3",
     "random_connected_configuration3",
     "run_simulation3",

@@ -36,26 +36,26 @@ positions — and every move ends at ``r + 0.5``, inside the round.  The
 interpolated end-of-round state before drawing the next subset, so a
 converged run stops without consuming further RNG, exactly like the
 historical loop.
+
+The adapter binds one :class:`~repro.engine.metrics.MetricsCollector`:
+the kernel takes its full t=0 and final samples into it, and the
+scheduler one step sample per round boundary, whose diameter and broken
+edges make the round history and the cohesion flag.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..engine.kernel import ContinuousKernel, Decision
-from ..engine.state import EngineState
+from ..engine.metrics import MetricsCollector
+from ..model.robot import KinematicArrays
 from ..model.types import Activation, RoundBatch, SchedulerClass
 from ..schedulers.base import Scheduler
 from .kknps3 import KKNPS3Algorithm
-from .model3 import (
-    Edge,
-    edge_index_array,
-    edges_preserved3_array,
-    max_pairwise_distance3_array,
-)
 
 #: The visibility filter tolerance of the round engine (the historical
 #: constant of the 3D simulator; distinct from the geometric EPS used by
@@ -122,7 +122,12 @@ def rotate_back3(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 class RoundOutcome:
-    """What one run of the round loop produced."""
+    """What one run of the round loop produced.
+
+    ``metrics`` is the run's collector (None from a loop that measures
+    without one): its t=0 sample, one step sample per round boundary and
+    the final full sample.
+    """
 
     __slots__ = (
         "final_positions",
@@ -130,6 +135,7 @@ class RoundOutcome:
         "converged_round",
         "cohesion_maintained",
         "activations_executed",
+        "metrics",
     )
 
     def __init__(
@@ -139,36 +145,14 @@ class RoundOutcome:
         converged_round: Optional[int],
         cohesion_maintained: bool,
         activations_executed: int,
+        metrics: Optional[MetricsCollector] = None,
     ) -> None:
         self.final_positions = final_positions
         self.diameter_history = diameter_history
         self.converged_round = converged_round
         self.cohesion_maintained = cohesion_maintained
         self.activations_executed = activations_executed
-
-
-class _NullSample:
-    """The sample a round-adapter observation returns (never converges)."""
-
-    __slots__ = ()
-    hull_diameter = math.inf
-
-
-class _NullMetrics:
-    """A do-nothing metrics collector for the round adapter.
-
-    The round loop's own measurements (per-round diameter and cohesion)
-    live in :class:`Round3Scheduler`, which evaluates them at round
-    boundaries exactly as the historical loop did; the kernel's
-    per-activation sampling is therefore switched off.
-    """
-
-    __slots__ = ()
-    cohesion_ever_violated = False
-    _SAMPLE = _NullSample()
-
-    def observe(self, time, positions, processed, *, full=False) -> _NullSample:
-        return self._SAMPLE
+        self.metrics = metrics
 
 
 class _RoundKernelConfig:
@@ -189,13 +173,13 @@ class _RoundKernelConfig:
         # Bound generously: the scheduler exhausts after max_rounds rounds.
         self.max_activations = max_rounds * max(n, 1) + 1
         self.max_time = math.inf
-        # Unsatisfiable on purpose: _NullSample.hull_diameter is +inf, so any
-        # non-negative epsilon (and in particular +inf <= +inf) would flag a
-        # spurious converged_time on the kernel outcome.  The scheduler owns
-        # the round engine's real convergence decision.
+        # Unsatisfiable on purpose: the scheduler owns the round engine's
+        # convergence decision, taken at round boundaries, so the kernel's
+        # own samples (t=0 and final) never flag a converged_time.
         self.convergence_epsilon = -1.0
         self.stop_at_convergence = False
-        self.record_every = self.max_activations + 1  # skip per-activation sampling
+        # Skip per-activation sampling: the scheduler samples each round.
+        self.record_every = self.max_activations + 1
         self.crashed_robots = ()
 
 
@@ -203,10 +187,13 @@ class Round3Scheduler(Scheduler):
     """The round discipline as a continuous-time scheduler (the adapter's clock).
 
     Each :meth:`next_batch` call is one round boundary: it first measures
-    the configuration the *previous* round produced (diameter history,
-    cohesion, convergence — in that order, exactly like the historical
-    loop, and crucially *before* any further RNG draw), then draws the
-    activated subset for the next round from the engine's own generator —
+    the configuration the *previous* round produced (one step sample into
+    ``metrics``, stamped when the round's moves ended, whose diameter
+    enters the run's history and whose broken edges clear the cohesion
+    flag, then the convergence check — exactly
+    like the historical loop, and crucially *before* any further RNG
+    draw), then draws the activated subset for the next round from the
+    engine's own generator —
     ``rng.random(n) < p`` with the single-robot fallback — and issues one
     simultaneous batch at ``look_time = round``.  All activated robots
     therefore Look at the start-of-round positions (simultaneous
@@ -225,26 +212,22 @@ class Round3Scheduler(Scheduler):
         activation_probability: float,
         max_rounds: int,
         convergence_epsilon: float,
-        visibility_range: float,
-        edge_index: np.ndarray,
+        metrics: MetricsCollector,
         move_duration: float = 0.5,
     ) -> None:
         super().__init__()
         self.activation_probability = activation_probability
         self.max_rounds = max_rounds
         self.convergence_epsilon = convergence_epsilon
-        self.visibility_range = visibility_range
-        self.edge_index = edge_index
+        self.metrics = metrics
         self.move_duration = move_duration
         self.rounds_issued = 0
-        self.diameter_history: List[float] = []
-        self.cohesion = True
+        self.activations_issued = 0
         self.converged_round: Optional[int] = None
 
     def _after_reset(self) -> None:
         self.rounds_issued = 0
-        self.diameter_history = []
-        self.cohesion = True
+        self.activations_issued = 0
         self.converged_round = None
 
     def next_batch(self, view=None) -> Sequence[Activation]:
@@ -252,12 +235,16 @@ class Round3Scheduler(Scheduler):
         if self.rounds_issued > 0:
             # End-of-round measurement: every move of the previous round has
             # completed by its round boundary, so the interpolation returns
-            # exactly the committed end-of-round positions.
-            positions = view.positions_array(float(self.rounds_issued))
-            diameter = max_pairwise_distance3_array(positions)
-            self.diameter_history.append(diameter)
-            if not edges_preserved3_array(self.edge_index, positions, self.visibility_range):
-                self.cohesion = False
+            # exactly the committed end-of-round positions.  The sample is
+            # stamped when those moves ended, the time the kernel's final
+            # sample also takes, so sample times never decrease.
+            now = float(self.rounds_issued)
+            sample = self.metrics.observe(
+                now - 1.0 + self.move_duration,
+                view.positions_array(now),
+                self.activations_issued,
+            )
+            diameter = sample.hull_diameter
             if diameter <= self.convergence_epsilon and self.converged_round is None:
                 self.converged_round = self.rounds_issued
                 return []
@@ -268,6 +255,7 @@ class Round3Scheduler(Scheduler):
             activated = np.array([int(self._rng.integers(0, n))], dtype=np.intp)
         look_time = float(self.rounds_issued)
         self.rounds_issued += 1
+        self.activations_issued += len(activated)
         return RoundBatch(activated, look_time, move_duration=self.move_duration)
 
     def describe(self) -> str:
@@ -285,11 +273,8 @@ class _RoundKernel3(ContinuousKernel):
     engine's xi-truncation *is* its motion model.
     """
 
-    def _make_metrics(self) -> _NullMetrics:
-        return _NullMetrics()
-
-    def _bind_metrics(self, metrics) -> None:
-        pass
+    def _make_metrics(self) -> MetricsCollector:
+        return self.scheduler.metrics
 
     def _decide_move(
         self,
@@ -299,7 +284,7 @@ class _RoundKernel3(ContinuousKernel):
         activation: Activation,
     ) -> Decision:
         cfg = self.config
-        observer = self._state.committed_positions()[robot_id]
+        observer = self._arrays.position[robot_id]
         rotation = random_rotation3(self.rng) if cfg.rotate_frames else None
         relative = visible_relative3(observer, other_positions, cfg.visibility_range)
         if rotation is not None:
@@ -317,7 +302,6 @@ class _RoundKernel3(ContinuousKernel):
 def run_rounds_array(
     positions: np.ndarray,
     algorithm: KKNPS3Algorithm,
-    initial_edges: Set[Edge],
     *,
     visibility_range: float,
     max_rounds: int,
@@ -335,21 +319,20 @@ def run_rounds_array(
     :class:`_RoundKernel3` (the historical Look filter and RNG draws);
     the activation pipeline itself — round consumption, interpolation,
     phase transitions, grid maintenance — is the shared
-    :class:`~repro.engine.kernel.ContinuousKernel`.  The outcome is
-    bit-identical to the historical per-robot loop (pinned against its
-    oracle by ``tests/spatial3d/test_engine3.py``).
+    :class:`~repro.engine.kernel.ContinuousKernel`.  The cohesion
+    baseline is the visibility edges of ``positions``, which the
+    collector binds.  The outcome is bit-identical to the historical
+    per-robot loop (pinned against its oracle by
+    ``tests/spatial3d/test_engine3.py``).
     """
     positions = np.array(positions, dtype=float)
     n = len(positions)
-    edge_index = edge_index_array(initial_edges)
-    initial_diameter = max_pairwise_distance3_array(positions)
-
+    metrics = MetricsCollector(visibility_range=visibility_range)
     scheduler = Round3Scheduler(
         activation_probability=activation_probability,
         max_rounds=max_rounds,
         convergence_epsilon=convergence_epsilon,
-        visibility_range=visibility_range,
-        edge_index=edge_index,
+        metrics=metrics,
     )
     config = _RoundKernelConfig(
         visibility_range=visibility_range,
@@ -360,15 +343,16 @@ def run_rounds_array(
         n=n,
     )
     kernel = _RoundKernel3(
-        EngineState.from_array(positions), algorithm, scheduler, config, rng=rng
+        KinematicArrays.from_array(positions), algorithm, scheduler, config, rng=rng
     )
     outcome = kernel.run_kernel()
 
     return RoundOutcome(
         outcome.final_positions,
-        [initial_diameter] + scheduler.diameter_history,
+        metrics.diameters()[:-1],
         scheduler.converged_round,
-        scheduler.cohesion,
+        not metrics.cohesion_ever_violated,
         outcome.processed,
+        metrics,
     )
 

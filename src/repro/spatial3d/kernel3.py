@@ -11,7 +11,9 @@ frames, the batched ``(m, 3)`` Look filter, the
 rule, dimension-generic perception/motion error models) and with them the
 *full* scheduler family drives 3D runs: interpolated mid-move Looks,
 overlapping activity intervals, xi-rigid truncation — the exact
-continuous-time semantics of the planar engine, in 3-space.
+continuous-time semantics of the planar engine, in 3-space.  Its samples
+go through the one :class:`~repro.engine.metrics.MetricsCollector`, which
+takes ``(n, d)`` rows, and its result reads its measures from them.
 
 The Look filter uses the 3D extension's historical visibility tolerance
 (:data:`~repro.spatial3d.engine3.VIS_EPS`) so the continuous engine is
@@ -28,11 +30,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..engine.kernel import ContinuousKernel, Decision
-from ..engine.logs import EndTimeLog, SampleLog
-from ..engine.metrics import METRICS_DENSE_MAX, grid_edges, min_separation
-from ..engine.state import EngineState
-from ..geometry.tolerances import EPS
+from ..engine.logs import EndTimeLog
+from ..engine.metrics import MetricsCollector
 from ..model.errors import MotionModel, PerceptionModel
+from ..model.robot import KinematicArrays
 from ..model.types import Activation
 from ..schedulers.base import Scheduler
 from ..schedulers.kasync import KAsyncScheduler
@@ -43,142 +44,8 @@ from .engine3 import (
     visible_relative3,
 )
 from .kknps3 import KKNPS3Algorithm
-from .model3 import (
-    Configuration3,
-    edge_lengths3_array,
-    max_pairwise_distance3_array,
-    positions_as_array3,
-)
+from .model3 import Configuration3, positions_as_array3
 from .vector3 import Vector3Like
-
-
-@dataclass(frozen=True)
-class Metrics3Sample:
-    """One observation of the 3D configuration at a given time.
-
-    ``hull_diameter`` is the diameter of the point set — which equals the
-    diameter of its convex hull, so the field name matches the planar
-    :class:`~repro.engine.metrics.MetricsSample` and the kernel's
-    convergence check reads both uniformly.  As there, only a full
-    sample (t=0 and the end of a run) measures the minimum separation.
-    """
-
-    time: float
-    hull_diameter: float
-    broken_edge_count: int
-    activations_processed: int
-    min_pairwise_distance: Optional[float] = None
-
-    @property
-    def initial_edges_preserved(self) -> bool:
-        """Whether every initial visibility edge is within range at this sample."""
-        return not self.broken_edge_count
-
-    def converged(self, epsilon: float) -> bool:
-        """Point-Convergence check at this sample."""
-        return self.hull_diameter <= epsilon
-
-
-def _diameter3_large(arr: np.ndarray) -> float:
-    """Diameter of a large ``(n, 3)`` point set without the full matrix.
-
-    The diameter is attained between two convex-hull vertices, so the
-    quadratic reduction only runs over the hull (a few hundred points at
-    mega-swarm scale) — the per-pair arithmetic is the dense path's, so
-    the result matches it bit for bit.  Degenerate inputs the hull
-    construction rejects (coplanar mega-swarms) fall back to the
-    row-blocked exact scan over every point.
-    """
-    try:
-        from scipy.spatial import ConvexHull as _SpatialHull
-        from scipy.spatial import QhullError
-
-        try:
-            vertices = arr[_SpatialHull(arr).vertices]
-        except QhullError:
-            vertices = None
-    except ImportError:  # pragma: no cover - scipy is a declared dependency
-        vertices = None
-    return max_pairwise_distance3_array(arr if vertices is None else vertices)
-
-
-@dataclass
-class Metrics3Collector:
-    """Diameter / cohesion samples over ``(n, 3)`` position arrays."""
-
-    visibility_range: float
-    samples: SampleLog = field(default_factory=SampleLog)
-    cohesion_ever_violated: bool = False
-
-    #: Record boundaries inside one synchronous round see identical
-    #: geometry, so the kernel's batched round path may replicate one
-    #: sample per round (see the planar collector for the contract).
-    supports_replicated_samples = True
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.samples, SampleLog):
-            self.samples = SampleLog(self.samples)
-
-    def bind_initial(self, positions) -> None:
-        """Record the initial visibility edges the cohesion predicate refers to.
-
-        The edges come from :func:`~repro.engine.metrics.grid_edges`, as
-        in the planar collector, and are kept as an ``(E, 2)`` index
-        array; past ``METRICS_DENSE_MAX`` robots ``initial_edges`` stays
-        empty.
-        """
-        arr = np.asarray(positions, dtype=float)
-        i, j = grid_edges(arr, self.visibility_range + EPS)
-        self._edge_index = np.stack((i, j), axis=1)
-        self.initial_edges = (
-            set(zip(i.tolist(), j.tolist())) if len(arr) <= METRICS_DENSE_MAX else set()
-        )
-
-    def observe(
-        self, time: float, positions, activations_processed: int, *, full: bool = False
-    ) -> Metrics3Sample:
-        """Sample the configuration at ``time`` and append it to the history.
-
-        Every sample measures the diameter and the broken initial edges;
-        a full one also the minimum separation, a grid search started at
-        the shortest initial edge (see
-        :func:`~repro.engine.metrics.min_separation`).
-        """
-        arr = np.asarray(positions, dtype=float)
-        edge_index = getattr(self, "_edge_index", None)
-        if edge_index is not None and len(edge_index):
-            lengths = edge_lengths3_array(edge_index, arr)
-        else:
-            lengths = np.empty(0)
-        broken = int(np.count_nonzero(lengths > self.visibility_range + EPS))
-        if broken:
-            self.cohesion_ever_violated = True
-        if len(arr) > METRICS_DENSE_MAX:
-            diameter = _diameter3_large(arr)
-        else:
-            diameter = max_pairwise_distance3_array(arr)
-        sample = Metrics3Sample(
-            time=time,
-            hull_diameter=diameter,
-            broken_edge_count=broken,
-            activations_processed=activations_processed,
-            min_pairwise_distance=(
-                min_separation(arr, lengths, self.visibility_range) if full else None
-            ),
-        )
-        self.samples.append(sample)
-        return sample
-
-    def diameters(self) -> List[float]:
-        """Diameters over time."""
-        return self.samples.column("hull_diameter")
-
-    def first_time_below(self, epsilon: float) -> Optional[float]:
-        """Earliest sampled time the diameter was at most ``epsilon``."""
-        for sample in self.samples.heads():
-            if sample.hull_diameter <= epsilon:
-                return sample.time
-        return None
 
 
 @dataclass
@@ -225,11 +92,15 @@ class AsyncSimulation3Config:
 
 @dataclass
 class Simulation3AsyncResult:
-    """Outcome of one continuous-time 3D run."""
+    """Outcome of one continuous-time 3D run.
+
+    The measures read the run's own samples, as the planar result's do:
+    the full t=0 and final samples and the collector's initial edges.
+    """
 
     initial_configuration: Configuration3
     final_configuration: Configuration3
-    metrics: Metrics3Collector
+    metrics: MetricsCollector
     activations_processed: int
     activation_counts: Dict[int, int]
     end_times: EndTimeLog
@@ -246,13 +117,13 @@ class Simulation3AsyncResult:
 
     @property
     def final_diameter(self) -> float:
-        """Diameter of the final configuration."""
-        return self.final_configuration.diameter()
+        """Diameter of the final configuration (the final sample's)."""
+        return self.metrics.latest().hull_diameter
 
     @property
     def initial_diameter(self) -> float:
-        """Diameter of the initial configuration."""
-        return self.initial_configuration.diameter()
+        """Diameter of the initial configuration (the t=0 sample's)."""
+        return self.metrics.samples[0].hull_diameter
 
     @property
     def final_min_pairwise_distance(self) -> float:
@@ -262,9 +133,6 @@ class Simulation3AsyncResult:
 
 class Kernel3(ContinuousKernel):
     """The 3D instantiation of the continuous-time kernel."""
-
-    def _make_metrics(self) -> Metrics3Collector:
-        return Metrics3Collector(visibility_range=self.config.visibility_range)
 
     def _frame_for_look(self) -> Optional[np.ndarray]:
         if not self.config.rotate_frames:
@@ -279,7 +147,7 @@ class Kernel3(ContinuousKernel):
         activation: Activation,
     ) -> Decision:
         cfg = self.config
-        observer = self._state.committed_positions()[robot_id]
+        observer = self._arrays.position[robot_id]
         rotation = self._frame_for_look()
         relative = visible_relative3(
             observer, other_positions, self._effective_range()
@@ -320,8 +188,7 @@ def run_simulation3_async(
 
     positions = positions_as_array3(initial_positions)
     initial = Configuration3.of(positions, config.visibility_range)
-    state = EngineState.from_array(positions)
-    kernel = Kernel3(state, algorithm, scheduler, config)
+    kernel = Kernel3(KinematicArrays.from_array(positions), algorithm, scheduler, config)
     outcome = kernel.run_kernel()
 
     final = Configuration3.of(outcome.final_positions, config.visibility_range)

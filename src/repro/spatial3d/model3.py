@@ -7,13 +7,12 @@ relative positions.  Only the geometry changes (balls instead of disks).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..engine.metrics import grid_edges
+from ..engine.metrics import grid_edges, rows_diameter
 from ..geometry.tolerances import EPS
 from ..model.visibility import connected_components
 from .vector3 import Vector3, Vector3Like, centroid3
@@ -30,114 +29,6 @@ def positions_as_array3(positions: Sequence[Vector3Like]) -> np.ndarray:
         out[i, 1] = p.y
         out[i, 2] = p.z
     return out
-
-
-def _pairwise_squared3(rows: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """The ``(m, n)`` squared distances from ``(m, 3)`` rows to ``(n, 3)`` points.
-
-    Component arithmetic mirrors :meth:`Vector3.distance_to` (squares
-    summed left to right), so with one correctly-rounded square root per
-    consumer the derived distances are bit-identical to the scalar path.
-    """
-    delta = rows[:, None, 0] - arr[None, :, 0]
-    squared = delta * delta
-    for axis in (1, 2):
-        delta = rows[:, None, axis] - arr[None, :, axis]
-        squared += delta * delta
-    return squared
-
-
-def pairwise_distances3_array(positions: np.ndarray) -> np.ndarray:
-    """The full ``(n, n)`` distance matrix of an ``(n, 3)`` position array."""
-    arr = np.asarray(positions, dtype=float)
-    return np.sqrt(_pairwise_squared3(arr, arr))
-
-
-#: Row cap and pair budget of one block of the exact diameter scan: a
-#: block holds ``min(512, budget // n)`` rows (at least one), so each of
-#: its float64 temporaries stays within 32 MiB for any n up to 2**22.
-_DIAMETER_BLOCK_ROWS = 512
-_DIAMETER_BLOCK_PAIRS = 1 << 22
-
-
-def max_pairwise_distance3_array(positions: np.ndarray) -> float:
-    """Diameter of an ``(n, 3)`` point array (0 for fewer than two points).
-
-    Bit-identical to :func:`~repro.spatial3d.vector3.max_pairwise_distance3`
-    on the same points: ``sqrt`` is monotone and correctly rounded, so
-    reducing the squared distances first and rooting once preserves the
-    scalar path's floats.  The scan runs in row blocks, each against the
-    points from its own first row on, so memory stays bounded and every
-    pair is reduced once or twice (a pair's squared distance is the same
-    float in either order).
-    """
-    arr = np.asarray(positions, dtype=float)
-    n = len(arr)
-    if n < 2:
-        return 0.0
-    step = max(1, min(_DIAMETER_BLOCK_ROWS, _DIAMETER_BLOCK_PAIRS // n))
-    best = 0.0
-    for start in range(0, n, step):
-        squared = _pairwise_squared3(arr[start:start + step], arr[start:])
-        best = max(best, float(squared.max()))
-    return math.sqrt(best)
-
-
-def min_pairwise_distance3_array(positions: np.ndarray) -> float:
-    """Smallest separation between two distinct robots (0 below two points)."""
-    arr = np.asarray(positions, dtype=float)
-    n = len(arr)
-    if n < 2:
-        return 0.0
-    squared = _pairwise_squared3(arr, arr)
-    return float(math.sqrt(squared[~np.eye(n, dtype=bool)].min()))
-
-
-def edge_index_array(edges: Set[Edge]) -> np.ndarray:
-    """A visibility edge set as a sorted ``(E, 2)`` integer index array."""
-    if not edges:
-        return np.empty((0, 2), dtype=np.intp)
-    return np.array(sorted(edges), dtype=np.intp)
-
-
-def edge_lengths3_array(edge_index: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Current lengths of the given edges — an O(E) gather, no full matrix."""
-    index = np.asarray(edge_index, dtype=np.intp).reshape(-1, 2)
-    if index.size == 0:
-        return np.empty(0, dtype=float)
-    arr = np.asarray(positions, dtype=float)
-    diff = arr[index[:, 0]] - arr[index[:, 1]]
-    squared = (
-        diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] + diff[:, 2] * diff[:, 2]
-    )
-    return np.sqrt(squared)
-
-
-def edges_preserved3_array(
-    edge_index: np.ndarray,
-    positions: np.ndarray,
-    visibility_range: float,
-    *,
-    eps: float = EPS,
-) -> bool:
-    """The cohesion predicate on arrays: every given edge still within ``V``.
-
-    Decides exactly what :func:`edges_preserved3` decides (an edge is
-    preserved iff its endpoints are within ``V + eps``), without
-    rebuilding the full current edge set.
-    """
-    lengths = edge_lengths3_array(edge_index, positions)
-    if lengths.size == 0:
-        return True
-    return bool((lengths <= visibility_range + eps).all())
-
-
-def max_edge_stretch3(edge_index: np.ndarray, positions: np.ndarray) -> float:
-    """Largest current separation among the given pairs (0 with no edges)."""
-    lengths = edge_lengths3_array(edge_index, positions)
-    if lengths.size == 0:
-        return 0.0
-    return float(lengths.max())
 
 
 def visibility_edges3(
@@ -207,8 +98,8 @@ class Configuration3:
         return is_connected3(self.positions, self.visibility_range)
 
     def diameter(self) -> float:
-        """Largest pairwise separation."""
-        return max_pairwise_distance3_array(positions_as_array3(self.positions))
+        """Largest pairwise separation (the metrics samples' diameter scan)."""
+        return rows_diameter(positions_as_array3(self.positions))
 
     def centroid(self) -> Vector3:
         """Centre of gravity of the configuration."""

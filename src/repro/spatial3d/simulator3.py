@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..engine.metrics import MetricsCollector
 from .engine3 import run_rounds_array
 from .kknps3 import KKNPS3Algorithm
 from .model3 import Configuration3, positions_as_array3
@@ -50,7 +51,13 @@ class Simulation3Config:
 
 @dataclass
 class Simulation3Result:
-    """Outcome of a 3D run."""
+    """Outcome of a 3D run.
+
+    ``metrics`` is the run's collector (its t=0 sample, one step sample
+    per round and the final full sample, in time order: a round's sample
+    is stamped when its moves end, so the last round's sample shares its
+    time with the final one), which sweep rows read their measures from.
+    """
 
     initial_configuration: Configuration3
     final_configuration: Configuration3
@@ -59,11 +66,12 @@ class Simulation3Result:
     cohesion_maintained: bool
     diameter_history: List[float] = field(default_factory=list)
     activations_executed: int = 0
+    metrics: Optional[MetricsCollector] = None
 
     @property
     def final_diameter(self) -> float:
-        """Diameter of the final configuration."""
-        return self.final_configuration.diameter()
+        """Diameter of the final configuration (the last round's sample)."""
+        return self.diameter_history[-1]
 
 
 def run_simulation3(
@@ -77,13 +85,9 @@ def run_simulation3(
     rng = np.random.default_rng(config.seed)
 
     positions = positions_as_array3(initial_positions)
-    initial = Configuration3.of(positions, config.visibility_range)
-    initial_edges = initial.edges()
-
     outcome = run_rounds_array(
         positions,
         algorithm,
-        initial_edges,
         visibility_range=config.visibility_range,
         max_rounds=config.max_rounds,
         convergence_epsilon=config.convergence_epsilon,
@@ -94,13 +98,13 @@ def run_simulation3(
         spatial_index=config.spatial_index,
     )
 
-    final = Configuration3.of(outcome.final_positions, config.visibility_range)
     return Simulation3Result(
-        initial_configuration=initial,
-        final_configuration=final,
+        initial_configuration=Configuration3.of(positions, config.visibility_range),
+        final_configuration=Configuration3.of(outcome.final_positions, config.visibility_range),
         rounds_executed=len(outcome.diameter_history) - 1,
         converged=outcome.converged_round is not None,
         cohesion_maintained=outcome.cohesion_maintained,
         diameter_history=outcome.diameter_history,
         activations_executed=outcome.activations_executed,
+        metrics=outcome.metrics,
     )

@@ -187,14 +187,7 @@ def _execute_run3_round(spec: RunSpec) -> Dict[str, object]:
       no perception-error machinery), via ``ERROR_MODEL3_XI``.
     * ``simulated_time`` is the executed round count as a float.
     """
-    from ..spatial3d import (
-        Simulation3Config,
-        edge_index_array,
-        max_edge_stretch3,
-        min_pairwise_distance3_array,
-        positions_as_array3,
-        run_simulation3,
-    )
+    from ..spatial3d import Simulation3Config, run_simulation3
 
     started = time.perf_counter()
     configuration = make_workload(
@@ -213,36 +206,16 @@ def _execute_run3_round(spec: RunSpec) -> Dict[str, object]:
             seed=spec.seed,
         ),
     )
-    final_positions = positions_as_array3(result.final_configuration.positions)
-    initial_edges = edge_index_array(result.initial_configuration.edges())
-    return {
-        "run_key": spec.run_key,
-        "dimension": 3,
-        "algorithm": spec.algorithm,
-        "scheduler": spec.scheduler,
-        "workload": spec.workload,
-        "n_robots": len(configuration),
-        "seed": spec.seed,
-        "error_model": spec.error_model,
-        "scheduler_k": spec.scheduler_k,
-        "k_bound": spec.k_bound,
-        "epsilon": spec.epsilon,
-        "max_activations": spec.max_activations,
-        "visibility_range": configuration.visibility_range,
-        "converged": result.converged,
-        "convergence_time": float(result.rounds_executed) if result.converged else None,
-        "cohesion": result.cohesion_maintained,
-        "activations": result.activations_executed,
-        "rounds": result.rounds_executed,
-        "epochs": None,
-        "samples": len(result.diameter_history),
-        "initial_diameter": result.initial_configuration.diameter(),
-        "final_diameter": result.final_diameter,
-        "final_min_pairwise": min_pairwise_distance3_array(final_positions),
-        "max_edge_stretch": max_edge_stretch3(initial_edges, final_positions),
-        "simulated_time": float(result.rounds_executed),
-        "wall_time_s": time.perf_counter() - started,
-    }
+    elapsed = float(result.rounds_executed)
+    return _row3(
+        spec, configuration, result, started,
+        convergence_time=elapsed if result.converged else None,
+        activations=result.activations_executed,
+        rounds=result.rounds_executed,
+        epochs=None,
+        samples=len(result.diameter_history),
+        simulated_time=elapsed,
+    )
 
 
 def _execute_run3_async(spec: RunSpec) -> Dict[str, object]:
@@ -254,13 +227,7 @@ def _execute_run3_async(spec: RunSpec) -> Dict[str, object]:
     the activation end times, and ``simulated_time`` is the final global
     time.  ``rounds`` is None — continuous time has no rounds.
     """
-    from ..spatial3d import (
-        AsyncSimulation3Config,
-        edge_index_array,
-        max_edge_stretch3,
-        positions_as_array3,
-        run_simulation3_async,
-    )
+    from ..spatial3d import AsyncSimulation3Config, run_simulation3_async
 
     started = time.perf_counter()
     configuration = make_workload(
@@ -282,9 +249,42 @@ def _execute_run3_async(spec: RunSpec) -> Dict[str, object]:
             convergence_epsilon=spec.epsilon,
         ),
     )
-    epochs = epochs_to_converge(result.end_times, result.metrics.samples, spec.epsilon)
+    return _row3(
+        spec, configuration, result, started,
+        convergence_time=result.convergence_time,
+        activations=result.activations_processed,
+        rounds=None,
+        epochs=epochs_to_converge(result.end_times, result.metrics.samples, spec.epsilon),
+        samples=len(result.metrics.samples),
+        simulated_time=result.final_time,
+    )
+
+
+def _row3(
+    spec: RunSpec,
+    configuration,
+    result,
+    started: float,
+    *,
+    convergence_time,
+    activations: int,
+    rounds,
+    epochs,
+    samples: int,
+    simulated_time: float,
+) -> Dict[str, object]:
+    """The flat row of one finished 3D run, either engine.
+
+    Like :func:`planar_row`, every measure is the run's own: the diameters
+    and the minimum separation come from the t=0 and final full samples
+    of ``result.metrics``, the edge stretch from its initial edges.  No
+    ``Configuration3`` measure is rebuilt and no ``(n, n)`` matrix built.
+    """
+    from ..spatial3d import positions_as_array3
+
+    metrics = result.metrics
+    final = metrics.latest()
     final_positions = positions_as_array3(result.final_configuration.positions)
-    initial_edges = edge_index_array(result.initial_configuration.edges())
     return {
         "run_key": spec.run_key,
         "dimension": 3,
@@ -300,17 +300,17 @@ def _execute_run3_async(spec: RunSpec) -> Dict[str, object]:
         "max_activations": spec.max_activations,
         "visibility_range": configuration.visibility_range,
         "converged": result.converged,
-        "convergence_time": result.convergence_time,
+        "convergence_time": convergence_time,
         "cohesion": result.cohesion_maintained,
-        "activations": result.activations_processed,
-        "rounds": None,
+        "activations": activations,
+        "rounds": rounds,
         "epochs": epochs,
-        "samples": len(result.metrics.samples),
-        "initial_diameter": result.initial_diameter,
-        "final_diameter": result.final_diameter,
-        "final_min_pairwise": result.final_min_pairwise_distance,
-        "max_edge_stretch": max_edge_stretch3(initial_edges, final_positions),
-        "simulated_time": result.final_time,
+        "samples": samples,
+        "initial_diameter": metrics.samples[0].hull_diameter,
+        "final_diameter": final.hull_diameter,
+        "final_min_pairwise": final.min_pairwise_distance,
+        "max_edge_stretch": metrics.max_edge_stretch(final_positions),
+        "simulated_time": simulated_time,
         "wall_time_s": time.perf_counter() - started,
     }
 

@@ -225,7 +225,7 @@ class TestDecideRoundFlat:
         n = 40
         sim = _sim(n, 3, perception=perception, frames=frames,
                    reflection=reflection, xi=xi, k=k)
-        committed = sim._state.arrays.position.copy()
+        committed = sim._arrays.position.copy()
         executed = _round(n, 3, every_robot=every_robot, partial_progress=partial)
         assert len(executed)
         start = sim.rng.bit_generator.state
@@ -269,7 +269,7 @@ class TestDecideRoundFlat:
             _round(n, 7, every_robot=False, partial_progress=xi < 1.0),
         ]
         starts = [sim.rng.bit_generator.state for sim in sims]
-        tensor = np.stack([sim._state.arrays.position for sim in sims])
+        tensor = np.stack([sim._arrays.position for sim in sims])
         effective = sims[0]._effective_range()
         consts = sims[0].algorithm.decide_consts()
         target, realized, seen = decide_round_flat(
@@ -290,7 +290,7 @@ class TestDecideRoundFlat:
             sim.rng.bit_generator.state = start
             rows = slice(offset, offset + len(batch))
             reference = sim._round_decide_rows(
-                0.0, sim._state.arrays.position, None, batch
+                0.0, sim._arrays.position, None, batch
             )
             _assert_rows_equal((target[rows], realized[rows], seen[rows]), reference)
             assert ends == sim.rng.bit_generator.state
@@ -304,7 +304,7 @@ class TestDecideRoundFlat:
         sims = [_sim(n, 4, frames=True) for _ in range(3)]
         for slot, sim in enumerate(sims):
             sim.rng = np.random.default_rng(90 + slot)
-        tensor = np.stack([sim._state.arrays.position for sim in sims])
+        tensor = np.stack([sim._arrays.position for sim in sims])
         assert (tensor[0] == tensor[1]).all() and (tensor[1] == tensor[2]).all()
         effective = sims[0]._effective_range()
         consts = sims[0].algorithm.decide_consts()
@@ -331,7 +331,7 @@ class TestDecideRoundFlat:
     def test_empty_round_draws_nothing(self):
         sim = _sim(10, 2)
         start = sim.rng.bit_generator.state
-        committed = sim._state.arrays.position
+        committed = sim._arrays.position
         target, realized, seen = decide_round_flat(
             sim.config,
             sim._effective_range(),
@@ -363,7 +363,7 @@ class TestRowBudget:
             for seed in range(8, 8 + lanes)
         ]
         starts = [sim.rng.bit_generator.state for sim in sims]
-        tensor = np.stack([sim._state.arrays.position for sim in sims])
+        tensor = np.stack([sim._arrays.position for sim in sims])
         effective = sims[0]._effective_range()
         consts = sims[0].algorithm.decide_consts()
         shard = (
@@ -389,7 +389,7 @@ class TestRowBudget:
             sim.rng.bit_generator.state = start
             rows = slice(offset, offset + len(batch))
             reference = sim._round_decide_rows(
-                0.0, sim._state.arrays.position, None, batch
+                0.0, sim._arrays.position, None, batch
             )
             _assert_rows_equal((target[rows], realized[rows], seen[rows]), reference)
             assert ends == sim.rng.bit_generator.state
@@ -401,7 +401,7 @@ class TestRowBudget:
         spec = RunSpec("kknps", "ssync", "grid", 40_000, seed=1, max_activations=40_000)
         configuration, algorithm, scheduler, config = planar_setup(spec)
         sim = Simulator(configuration.positions, algorithm, scheduler, config)
-        committed = sim._state.arrays.position
+        committed = sim._arrays.position
         shard = sim._round_shard(committed)
         assert shard is not None
         executed = RoundBatch(np.arange(0, 40_000, 2), 0.0)

@@ -15,7 +15,8 @@ import pytest
 
 from repro.engine import SimulationConfig, Simulator
 from repro.engine.kernel import ContinuousKernel
-from repro.engine.state import EngineState
+from repro.engine.metrics import MetricsCollector
+from repro.model import KinematicArrays
 from repro.schedulers import FSyncScheduler, KAsyncScheduler
 from repro.spatial3d import (
     AsyncSimulation3Config,
@@ -36,9 +37,9 @@ class TestOneKernelTwoEngines:
         assert issubclass(_RoundKernel3, ContinuousKernel)
 
     def test_base_kernel_requires_a_decide_move_hook(self):
-        state = EngineState([(0.0, 0.0), (0.5, 0.0)])
+        arrays = KinematicArrays.from_positions([(0.0, 0.0), (0.5, 0.0)])
         kernel = ContinuousKernel(
-            state, KKNPSAlgorithm(k=1), FSyncScheduler(), SimulationConfig()
+            arrays, KKNPSAlgorithm(k=1), FSyncScheduler(), SimulationConfig()
         )
         with pytest.raises(NotImplementedError):
             kernel.run_kernel()
@@ -48,8 +49,39 @@ class TestOneKernelTwoEngines:
             line_configuration(3).positions, KKNPSAlgorithm(k=1), FSyncScheduler()
         )
         assert planar.dim == 2
-        spatial = EngineState.from_array(np.zeros((4, 3)))
-        assert spatial.arrays.dim == 3
+        spatial = KinematicArrays.from_array(np.zeros((4, 3)))
+        assert spatial.dim == 3
+
+    def test_every_engine_samples_through_one_collector(self):
+        """Both 3D engines measure with the planar collector: t=0 and final
+        full samples, and (round adapter) one step sample per round."""
+        from repro.spatial3d import Simulation3Config, run_simulation3
+
+        configuration = random_connected_configuration3(6, seed=1)
+        continuous = run_simulation3_async(
+            configuration.positions,
+            KKNPS3Algorithm(k=1),
+            KAsyncScheduler(k=1),
+            AsyncSimulation3Config(visibility_range=configuration.visibility_range, seed=1),
+        )
+        rounds = run_simulation3(
+            configuration.positions,
+            KKNPS3Algorithm(k=1),
+            Simulation3Config(visibility_range=configuration.visibility_range, seed=1),
+        )
+        for result in (continuous, rounds):
+            assert type(result.metrics) is MetricsCollector
+            first, final = result.metrics.samples[0], result.metrics.latest()
+            assert first.min_pairwise_distance is not None
+            assert final.min_pairwise_distance is not None
+            assert first.hull_perimeter is final.hull_radius is None
+        samples = rounds.metrics.samples
+        assert len(samples) == len(rounds.diameter_history) + 1
+        assert [s.hull_diameter for s in samples][:-1] == rounds.diameter_history
+        assert samples[-1].hull_diameter == rounds.final_diameter
+        times = [s.time for s in samples]
+        assert times == sorted(times)
+        assert times[-2] == times[-1]
 
 
 class TestKernel3Semantics:
@@ -135,8 +167,7 @@ class TestRoundSchedulerAdapter:
             activation_probability=1.0,
             max_rounds=3,
             convergence_epsilon=1e-12,
-            visibility_range=1.0,
-            edge_index=np.empty((0, 2), dtype=np.intp),
+            metrics=MetricsCollector(visibility_range=1.0),
         )
         scheduler.reset(4, np.random.default_rng(0))
 

@@ -124,30 +124,28 @@ class TestLargeNMode:
     @pytest.mark.parametrize("seed", range(3))
     def test_large_n_observe_matches_dense_3d(self, seed, monkeypatch):
         import numpy as np
-
-        from repro.spatial3d.kernel3 import Metrics3Collector
-        from repro.spatial3d.model3 import min_pairwise_distance3_array
+        from reference.dense3 import min_pairwise_distance3_array
 
         rng = np.random.default_rng(seed)
         arr = rng.uniform(-2.0, 2.0, size=(50, 3))
         moved = arr * 1.1
 
-        dense = Metrics3Collector(visibility_range=1.5)
+        dense = MetricsCollector(visibility_range=1.5)
         dense.bind_initial(arr)
         dense_sample = dense.observe(1.0, moved, 1, full=True)
 
-        monkeypatch.setattr("repro.spatial3d.kernel3.METRICS_DENSE_MAX", 16)
-        large = Metrics3Collector(visibility_range=1.5)
+        monkeypatch.setattr("repro.engine.metrics.METRICS_DENSE_MAX", 16)
+        large = MetricsCollector(visibility_range=1.5)
         large.bind_initial(arr)
         large_sample = large.observe(1.0, moved, 1, full=True)
 
         assert large_sample == dense_sample
+        assert dense_sample.hull_perimeter is dense_sample.hull_radius is None
         # The minimum separation takes no dense branch: pin it to the matrix.
         assert dense_sample.min_pairwise_distance == min_pairwise_distance3_array(moved)
         assert large.initial_edges == set()
-        assert sorted(map(tuple, large._edge_index.tolist())) == sorted(
-            dense.initial_edges
-        )
+        index = zip(large._edge_i.tolist(), large._edge_j.tolist())
+        assert list(index) == sorted(dense.initial_edges)
 
 
 class TestBindInitialEdges:
@@ -216,8 +214,8 @@ class TestBindInitialEdges:
 
 
 class TestBindInitialEdges3:
-    """The 3D collector and ``visibility_edges3`` enumerate edges from the
-    covering grid; they must equal the dense all-pairs ``Vector3`` scan."""
+    """The collector on 3D rows and ``visibility_edges3`` enumerate edges from
+    the covering grid; they must equal the dense all-pairs ``Vector3`` scan."""
 
     @staticmethod
     def _dense_edges3(arr, visibility_range):
@@ -234,14 +232,14 @@ class TestBindInitialEdges3:
 
     def _assert_dense_edges3(self, arr, visibility_range):
         from repro.spatial3d import visibility_edges3
-        from repro.spatial3d.kernel3 import Metrics3Collector
 
         dense = self._dense_edges3(arr, visibility_range)
         assert visibility_edges3(arr, visibility_range) == dense
-        collector = Metrics3Collector(visibility_range=visibility_range)
+        collector = MetricsCollector(visibility_range=visibility_range)
         collector.bind_initial(arr)
         assert collector.initial_edges == dense
-        assert list(map(tuple, collector._edge_index.tolist())) == sorted(dense)
+        index = zip(collector._edge_i.tolist(), collector._edge_j.tolist())
+        assert list(index) == sorted(dense)
         return dense
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 40])
@@ -301,14 +299,9 @@ class TestContractingSwarm:
         import scipy.spatial  # noqa: F401  (the 3D hull's first-use import, kept out of the trace)
 
         from repro.engine.metrics import METRICS_DENSE_MAX
-        from repro.spatial3d.kernel3 import Metrics3Collector
 
-        if dim == 2:
-            axes = (np.arange(60), np.arange(50))
-            collector = MetricsCollector(visibility_range=1.0)
-        else:
-            axes = (np.arange(13),) * 3
-            collector = Metrics3Collector(visibility_range=1.0)
+        axes = (np.arange(60), np.arange(50)) if dim == 2 else (np.arange(13),) * 3
+        collector = MetricsCollector(visibility_range=1.0)
         lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
         lattice = lattice * 0.7
         assert len(lattice) > METRICS_DENSE_MAX

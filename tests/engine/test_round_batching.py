@@ -27,7 +27,7 @@ def _run(positions, algorithm, scheduler, config):
     """One run, plus the per-robot travelled distances the result leaves out."""
     simulator = Simulator(positions, algorithm, scheduler, config)
     result = simulator.run()
-    return result, simulator._state.arrays.total_distance.copy()
+    return result, simulator._arrays.total_distance.copy()
 
 
 def _pair(algorithm_factory, scheduler_factory, n=40, seed=11, **config_kw):

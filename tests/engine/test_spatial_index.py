@@ -10,7 +10,7 @@ from reference.object_engine import Robot
 
 from repro.algorithms import KKNPSAlgorithm
 from repro.engine import SimulationConfig, Simulator, UniformGridIndex, run_simulation
-from repro.engine.state import EngineState
+from repro.model import KinematicArrays
 from repro.schedulers import KAsyncScheduler, SSyncScheduler
 from repro.workloads import random_connected_configuration
 
@@ -77,22 +77,22 @@ class TestGridExactness:
         rng = np.random.default_rng(seed)
         n, v = 60, 1.0
         positions = rng.uniform(-4.0, 4.0, size=(n, 2))
-        state = EngineState(positions)
+        arrays = KinematicArrays.from_positions(positions)
         grid = UniformGridIndex(v)
         for i in range(n):
             grid.settle(i, positions[i, 0], positions[i, 1])
         # Start some moves and finish others to mix phases.
         movers = rng.choice(n, size=n // 3, replace=False)
         for j, i in enumerate(movers):
-            robot = Robot.view(state.arrays, int(i))
+            robot = Robot.view(arrays, int(i))
             robot.begin_activation(float(j))
             target = positions[i] + rng.uniform(-v / 8, v / 8, size=2)
             robot.begin_move(positions[i], target, float(j), float(j) + 1.0)
             grid.begin_move(int(i), positions[i, 0], positions[i, 1], target[0], target[1])
         look_time = float(rng.uniform(0.0, n // 3 + 1.0))
-        interpolated = state.positions_at(look_time)
+        interpolated = arrays.positions_at(look_time)
         for observer in range(0, n, 7):
-            if Robot.view(state.arrays, observer).is_motile():
+            if Robot.view(arrays, observer).is_motile():
                 continue
             ox, oy = positions[observer]
             candidates = set(grid.candidates(ox, oy, exclude=observer).tolist())

@@ -1,4 +1,4 @@
-"""Tests for the structure-of-arrays kinematic state and robot views."""
+"""Tests for the structure-of-arrays kinematic store and robot views."""
 
 from __future__ import annotations
 
@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from reference.object_engine import Robot
 
-from repro.engine.state import EngineState
 from repro.geometry import Point
 from repro.model import KinematicArrays, Phase
 
 
-def _views(state):
-    """One oracle :class:`Robot` view per row of the state's store."""
-    return [Robot.view(state.arrays, i) for i in range(state.n)]
+def _views(arrays):
+    """One oracle :class:`Robot` view per row of the store."""
+    return [Robot.view(arrays, i) for i in range(arrays.n)]
 
 
 class TestKinematicArrays:
@@ -46,41 +45,41 @@ class TestKinematicArrays:
             KinematicArrays(-1)
 
     def test_vectorized_positions_match_scalar(self):
-        state = EngineState([(0.0, 0.0), (2.0, 0.0), (0.0, 3.0), (5.0, 5.0)])
-        robots = _views(state)
+        arrays = KinematicArrays.from_positions([(0.0, 0.0), (2.0, 0.0), (0.0, 3.0), (5.0, 5.0)])
+        robots = _views(arrays)
         r1, r2 = robots[1], robots[2]
         for robot, dest, t0, t1 in ((r1, (3.0, 1.0), 1.0, 3.0), (r2, (0.0, 2.0), 2.0, 2.0)):
             robot.begin_activation(t0)
             robot.begin_move(robot.position, dest, t0, t1)
         for t in (0.0, 0.5, 1.0, 1.7, 2.0, 2.5, 3.0, 10.0):
-            batch = state.positions_at(t)
+            batch = arrays.positions_at(t)
             for i, robot in enumerate(robots):
                 scalar = robot.position_at(t)
                 assert batch[i, 0] == scalar.x and batch[i, 1] == scalar.y
 
     def test_positions_at_subset_ordering(self):
-        state = EngineState([(float(i), 0.0) for i in range(6)])
-        subset = state.positions_at(0.0, np.array([4, 1, 3]))
+        arrays = KinematicArrays.from_positions([(float(i), 0.0) for i in range(6)])
+        subset = arrays.positions_at(0.0, np.array([4, 1, 3]))
         assert subset[:, 0].tolist() == [4.0, 1.0, 3.0]
 
     def test_completed_movers(self):
-        state = EngineState([(0.0, 0.0), (1.0, 0.0)])
-        robot = _views(state)[0]
+        arrays = KinematicArrays.from_positions([(0.0, 0.0), (1.0, 0.0)])
+        robot = _views(arrays)[0]
         robot.begin_activation(0.0)
         robot.begin_move((0, 0), (1, 1), 0.0, 2.0)
-        assert state.completed_movers(1.0).tolist() == []
-        assert state.completed_movers(2.0).tolist() == [0]
+        assert arrays.completed_movers(1.0).tolist() == []
+        assert arrays.completed_movers(2.0).tolist() == [0]
 
 
 class TestRobotViews:
     def test_views_share_the_store(self):
-        state = EngineState([(0.0, 0.0), (1.0, 1.0)])
-        robot = _views(state)[0]
+        arrays = KinematicArrays.from_positions([(0.0, 0.0), (1.0, 1.0)])
+        robot = _views(arrays)[0]
         robot.begin_activation(0.0)
         robot.begin_move((0, 0), (4, 0), 0.0, 1.0)
-        assert state.any_moving()
+        assert arrays.any_moving()
         robot.finish_move()
-        assert state.committed_positions()[0].tolist() == [4.0, 0.0]
+        assert arrays.position[0].tolist() == [4.0, 0.0]
         assert robot.position == Point(4.0, 0.0)
         assert robot.total_distance_travelled == pytest.approx(4.0)
 

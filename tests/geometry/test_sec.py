@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import (
     Point,
@@ -132,3 +134,40 @@ class TestFloatCorePins:
         collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         reference = sec_center([Point(x, y) for x, y in collinear])
         assert sec_center_array(collinear) == (reference.x, reference.y)
+
+
+def _sec_inputs():
+    """Random, rounded, cocircular and collinear point sets of 1 to 60 points."""
+
+    def build(args):
+        kind, m, seed = args
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            return rng.normal(size=(m, 2))
+        if kind == "rounded":
+            return np.round(rng.uniform(-3.0, 3.0, size=(m, 2)), 1)
+        if kind == "cocircular":
+            angle = 2.0 * np.pi * rng.integers(0, 12, m) / 12.0
+            return 1.5 * np.stack((np.cos(angle), np.sin(angle)), axis=1) + 0.25
+        along = rng.uniform(-1.0, 1.0, m)
+        return np.stack((along, 0.5 * along + 0.125), axis=1)
+
+    return st.tuples(
+        st.sampled_from(("random", "rounded", "cocircular", "collinear")),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+    ).map(build)
+
+
+class TestOneWelzlLoop:
+    """``smallest_enclosing_circle`` runs the float core; it must return
+    the point-by-point loop's floats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_sec_inputs(), seed=st.sampled_from((0, None, 3)))
+    def test_matches_the_pointwise_loop(self, rows, seed):
+        from reference.sec import welzl_pointwise
+
+        points = [Point(float(x), float(y)) for x, y in rows]
+        disk = smallest_enclosing_circle(points, seed=seed)
+        assert (disk.center.x, disk.center.y, disk.radius) == welzl_pointwise(points, seed=seed)

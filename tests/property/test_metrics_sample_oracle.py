@@ -4,18 +4,20 @@
 and :func:`~repro.geometry.hull.point_set_diameter` pairs the prune
 survivors; a full sample's minimum separation comes from an x-sorted
 sweep that falls back to grid-local pairs started at the shortest initial
-edge.  All are compared against :mod:`reference.hull` or the dense matrix:
+edge.  In 3-space the diameter pairs every row up to ``METRICS_DENSE_MAX``
+and the Qhull vertices past it.  All are compared against
+:mod:`reference.hull`, :mod:`reference.dense3` or the dense matrix:
 
 * the hull vertices and the point-set diameter, on duplicates, signed
   zeros, collinear sets and extents from 1e-9 to 1e3;
-* every field of a full :class:`~repro.engine.metrics.MetricsSample`,
-  from the collector and from the replicate lanes' observe, on random,
-  line, cluster and lattice inputs (lattices make the sweep fall back)
-  at sizes on both sides of the prefilter and of ``METRICS_DENSE_MAX``,
-  with and without initial edges;
-* the step sample's diameter (:func:`~repro.geometry.hull.point_set_diameter`,
-  the chain only past ``_DENSE_CANDIDATES`` prune survivors) against the
-  dense maximum and the full sample's diameter.
+* every field of a full :class:`~repro.engine.metrics.MetricsSample`
+  of planar and 3D rows, from the collector and (planar) from the
+  replicate lanes' observe, on random, line, cluster and lattice inputs
+  (lattices make the sweep fall back) at sizes on both sides of the
+  prefilter and of ``METRICS_DENSE_MAX``, with and without initial edges;
+* the step sample's diameter (:func:`~repro.engine.metrics.rows_diameter`;
+  in the plane the chain only past ``_DENSE_CANDIDATES`` prune survivors)
+  against the dense maximum and the full sample's diameter.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
+from reference.dense3 import dense_sample3
 from reference.hull import convex_hull_array, dense_sample
-from repro.engine.metrics import METRICS_DENSE_MAX, MetricsCollector
+from repro.engine.metrics import METRICS_DENSE_MAX, MetricsCollector, rows_diameter
 from repro.engine.replicate import _observe_fast
 from repro.geometry.hull import (
     _DENSE_CANDIDATES,
@@ -40,27 +43,33 @@ SIZES = (1, 2, 3, 15, 16, 200, 1000, 2049)
 KINDS = ("random", "line", "cluster", "lattice", "circle", "coincident")
 
 
-def _configuration(kind: str, n: int, seed: int, extent: float) -> np.ndarray:
-    """``n`` rows of one input family, scaled to ``extent`` and shifted off the origin."""
+def _configuration(kind: str, n: int, seed: int, extent: float, dim: int = 2) -> np.ndarray:
+    """``n`` rows of one input family in ``dim`` dimensions, scaled to ``extent``
+    and shifted off the origin.  A 3D circle lies in a tilted plane (a flat
+    swarm, which Qhull rejects)."""
     rng = np.random.default_rng(seed)
     if kind == "random":
-        unit = rng.uniform(-0.5, 0.5, size=(n, 2))
+        unit = rng.uniform(-0.5, 0.5, size=(n, dim))
     elif kind == "line":
         angle = rng.uniform(0.0, np.pi)
-        unit = np.outer(rng.uniform(-0.5, 0.5, n), (np.cos(angle), np.sin(angle)))
+        direction = (np.cos(angle), np.sin(angle)) if dim == 2 else rng.normal(size=dim)
+        unit = np.outer(rng.uniform(-0.5, 0.5, n), direction)
     elif kind == "cluster":
-        centres = rng.uniform(-0.5, 0.5, size=(3, 2))
-        unit = centres[rng.integers(0, 3, n)] + rng.normal(0.0, 1e-3, size=(n, 2))
+        centres = rng.uniform(-0.5, 0.5, size=(3, dim))
+        unit = centres[rng.integers(0, 3, n)] + rng.normal(0.0, 1e-3, size=(n, dim))
         unit[: n // 4] = unit[n // 4 : 2 * (n // 4)]
     elif kind == "lattice":
-        side = int(np.ceil(np.sqrt(n)))
-        unit = np.stack(np.divmod(np.arange(n), side), axis=1) / side
+        side = int(np.ceil(n ** (1.0 / dim) - 1e-9))
+        unit = np.stack(np.unravel_index(np.arange(n), (side,) * dim), axis=1) / side
     elif kind == "circle":
         angle = rng.uniform(0.0, 2.0 * np.pi, n)
-        unit = 0.5 * np.stack((np.cos(angle), np.sin(angle)), axis=1)
+        ring = (np.cos(angle), np.sin(angle)) if dim == 2 else (
+            np.cos(angle), np.sin(angle), 0.3 * np.cos(angle)
+        )
+        unit = 0.5 * np.stack(ring, axis=1)
     else:
-        unit = rng.uniform(-0.5, 0.5, size=(2, 2))[rng.integers(0, 2, n)]
-    return unit * extent + rng.uniform(-2.0, 2.0, size=2) * extent
+        unit = rng.uniform(-0.5, 0.5, size=(2, dim))[rng.integers(0, 2, n)]
+    return unit * extent + rng.uniform(-2.0, 2.0, size=dim) * extent
 
 
 @given(
@@ -69,25 +78,36 @@ def _configuration(kind: str, n: int, seed: int, extent: float) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
     exponent=st.integers(-9, 3),
     edges=st.booleans(),
+    dim=st.sampled_from((2, 3)),
 )
-@example(kind="lattice", n=2049, seed=0, exponent=0, edges=True)
-@example(kind="lattice", n=200, seed=0, exponent=-9, edges=True)
-@example(kind="cluster", n=16, seed=1, exponent=3, edges=True)
-@example(kind="line", n=1000, seed=2, exponent=0, edges=True)
-@example(kind="random", n=200, seed=3, exponent=0, edges=False)
-@example(kind="random", n=2049, seed=4, exponent=0, edges=False)
-@example(kind="coincident", n=2049, seed=5, exponent=-3, edges=True)
-@settings(max_examples=40, deadline=None)
-def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent, edges):
+@example(kind="lattice", n=2049, seed=0, exponent=0, edges=True, dim=2)
+@example(kind="lattice", n=200, seed=0, exponent=-9, edges=True, dim=2)
+@example(kind="cluster", n=16, seed=1, exponent=3, edges=True, dim=2)
+@example(kind="line", n=1000, seed=2, exponent=0, edges=True, dim=2)
+@example(kind="random", n=200, seed=3, exponent=0, edges=False, dim=2)
+@example(kind="random", n=2049, seed=4, exponent=0, edges=False, dim=2)
+@example(kind="coincident", n=2049, seed=5, exponent=-3, edges=True, dim=2)
+@example(kind="random", n=2049, seed=6, exponent=0, edges=True, dim=3)
+@example(kind="lattice", n=2049, seed=7, exponent=-9, edges=True, dim=3)
+@example(kind="circle", n=2049, seed=8, exponent=0, edges=True, dim=3)
+@example(kind="coincident", n=2049, seed=9, exponent=-3, edges=True, dim=3)
+@example(kind="coincident", n=200, seed=10, exponent=0, edges=False, dim=3)
+@example(kind="random", n=200, seed=11, exponent=0, edges=False, dim=3)
+# Twice the planar-only draw count, so about as many planar draws as before
+# 3D joined the strategy.
+@settings(max_examples=80, deadline=None)
+def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent, edges, dim):
     """A full sample, from the collector and from a replicate lane, field by field.
 
     Without initial edges (a visibility range far below the start's
     spacing, unless rows coincide) the min-separation search starts at
     the visibility range instead of the shortest edge; coincident rows
-    past ``METRICS_DENSE_MAX`` give a zero-length shortest edge.
+    past ``METRICS_DENSE_MAX`` give a zero-length shortest edge.  3D rows
+    past it take the hull-vertex diameter (a flat 3D circle falls back to
+    every row), and their samples measure no hull perimeter or radius.
     """
     extent = 10.0**exponent
-    start = _configuration(kind, n, seed, extent)
+    start = _configuration(kind, n, seed, extent, dim)
     moved = start * 1.1
     visibility = 0.2 * extent if edges else 1e-7 * extent
 
@@ -96,7 +116,7 @@ def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent, edges):
     sample = collector.observe(1.0, moved, 1, full=True)
     edge_i, edge_j = getattr(collector, "_edge_i", None), getattr(collector, "_edge_j", None)
     edges = [] if edge_i is None else list(zip(edge_i.tolist(), edge_j.tolist()))
-    oracle = dense_sample(moved, edges, visibility)
+    oracle = (dense_sample if dim == 2 else dense_sample3)(moved, edges, visibility)
     fields = (
         sample.hull_diameter,
         sample.hull_perimeter,
@@ -107,18 +127,24 @@ def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent, edges):
     assert fields == oracle
     assert sample.initial_edges_preserved == (oracle[4] == 0)
     assert (sample.time, sample.activations_processed) == (1.0, 1)
-    lane_metrics = MetricsCollector(visibility_range=visibility)
-    lane_metrics.bind_initial(start)
-    assert _observe_fast(lane_metrics, 1.0, moved, 1, full=True) == sample
+    step = collector.observe(2.0, moved, 2)
+    assert (step.hull_diameter, step.broken_edge_count) == (oracle[0], oracle[4])
+    if dim == 2:
+        lane_metrics = MetricsCollector(visibility_range=visibility)
+        lane_metrics.bind_initial(start)
+        assert _observe_fast(lane_metrics, 1.0, moved, 1, full=True) == sample
 
 
 def _dense_diameter(arr: np.ndarray) -> float:
     """``sqrt`` of the dense squared-distance matrix's maximum, in row blocks."""
     best = 0.0
     for first in range(0, len(arr), 512):
-        dx = arr[first:first + 512, 0, None] - arr[None, :, 0]
-        dy = arr[first:first + 512, 1, None] - arr[None, :, 1]
-        best = max(best, float((dx * dx + dy * dy).max()))
+        squared = None
+        for axis in range(arr.shape[1]):
+            delta = arr[first:first + 512, axis, None] - arr[None, :, axis]
+            term = delta * delta
+            squared = term if squared is None else squared + term
+        best = max(best, float(squared.max()))
     return float(np.sqrt(best))
 
 
@@ -127,13 +153,15 @@ def _assert_step_diameter(arr: np.ndarray, visibility: float) -> None:
     collector.bind_initial(arr)
     step = collector.observe(0.0, arr, 0)
     full = collector.observe(1.0, arr, 1, full=True)
-    assert point_set_diameter(arr) == step.hull_diameter == full.hull_diameter
+    assert rows_diameter(arr) == step.hull_diameter == full.hull_diameter
     assert step.hull_diameter == _dense_diameter(arr)
     assert step.broken_edge_count == full.broken_edge_count
     assert step.hull_perimeter is step.hull_radius is step.min_pairwise_distance is None
-    lane_metrics = MetricsCollector(visibility_range=visibility)
-    lane_metrics.bind_initial(arr)
-    assert _observe_fast(lane_metrics, 0.0, arr, 0) == step
+    if arr.shape[1] == 2:
+        assert point_set_diameter(arr) == step.hull_diameter
+        lane_metrics = MetricsCollector(visibility_range=visibility)
+        lane_metrics.bind_initial(arr)
+        assert _observe_fast(lane_metrics, 0.0, arr, 0) == step
 
 
 @given(
@@ -141,35 +169,51 @@ def _assert_step_diameter(arr: np.ndarray, visibility: float) -> None:
     n=st.sampled_from(SIZES),
     seed=st.integers(0, 2**32 - 1),
     exponent=st.integers(-9, 3),
+    dim=st.sampled_from((2, 3)),
 )
-@example(kind="circle", n=200, seed=0, exponent=0)
-@example(kind="line", n=2049, seed=1, exponent=-9)
-@example(kind="coincident", n=1000, seed=2, exponent=3)
-@settings(max_examples=40, deadline=None)
-def test_step_diameter_matches_dense_and_full(kind, n, seed, exponent):
+@example(kind="circle", n=200, seed=0, exponent=0, dim=2)
+@example(kind="line", n=2049, seed=1, exponent=-9, dim=2)
+@example(kind="coincident", n=1000, seed=2, exponent=3, dim=2)
+@example(kind="line", n=2049, seed=3, exponent=-9, dim=3)
+@settings(max_examples=80, deadline=None)
+def test_step_diameter_matches_dense_and_full(kind, n, seed, exponent, dim):
     extent = 10.0**exponent
-    _assert_step_diameter(_configuration(kind, n, seed, extent), 0.2 * extent)
+    _assert_step_diameter(_configuration(kind, n, seed, extent, dim), 0.2 * extent)
 
 
 @pytest.mark.parametrize(
-    "kind, n, branch",
+    "kind, n, dim, branch",
     [
-        ("random", 15, "unpruned"),
-        ("random", 200, "dense survivors"),
-        ("circle", 200, "chained survivors"),
-        ("lattice", 2049, "past METRICS_DENSE_MAX"),
+        ("random", 15, 2, "unpruned"),
+        ("random", 200, 2, "dense survivors"),
+        ("circle", 200, 2, "chained survivors"),
+        ("lattice", 2049, 2, "past METRICS_DENSE_MAX"),
+        ("random", 200, 3, "every row"),
+        ("random", 2049, 3, "hull vertices"),
+        ("circle", 2049, 3, "flat past METRICS_DENSE_MAX"),
     ],
 )
-def test_step_diameter_branches(kind, n, branch):
-    """Each way :func:`point_set_diameter` can go, on an input that takes it."""
-    arr = _configuration(kind, n, 0, 1.0)
-    survivors, margin = _pruned(arr)
+def test_step_diameter_branches(kind, n, dim, branch):
+    """Each way :func:`rows_diameter` can go, on an input that takes it."""
+    from scipy.spatial import ConvexHull as QhullHull, QhullError
+
+    arr = _configuration(kind, n, 0, 1.0, dim)
+    if dim == 2:
+        survivors, margin = _pruned(arr)
     if branch == "unpruned":
         assert n < _PREFILTER_MIN_POINTS and margin is None
     elif branch == "dense survivors":
         assert margin is not None and len(survivors) <= _DENSE_CANDIDATES
     elif branch == "chained survivors":
         assert len(survivors) > _DENSE_CANDIDATES
+    elif branch == "every row":
+        assert n <= METRICS_DENSE_MAX
+    elif branch == "hull vertices":
+        assert n > METRICS_DENSE_MAX and len(QhullHull(arr).vertices) < n
+    elif branch == "flat past METRICS_DENSE_MAX":
+        assert n > METRICS_DENSE_MAX
+        with pytest.raises(QhullError):
+            QhullHull(arr)
     else:
         assert n > METRICS_DENSE_MAX
     _assert_step_diameter(arr, 0.2)

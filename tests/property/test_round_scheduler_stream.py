@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.model.types import Activation
+from repro.engine.metrics import MetricsCollector
 from repro.schedulers import FSyncScheduler, SSyncScheduler
 from repro.spatial3d.engine3 import Round3Scheduler
 
@@ -155,8 +156,7 @@ def test_round3_matches_loop_oracle(n, probability, seed):
         activation_probability=probability,
         max_rounds=ROUNDS,
         convergence_epsilon=-1.0,  # never met: every round is drawn
-        visibility_range=1.0,
-        edge_index=np.zeros((0, 2), dtype=np.intp),
+        metrics=MetricsCollector(visibility_range=1.0),
     )
     rng = np.random.default_rng(seed)
     scheduler.reset(n, rng)

@@ -15,6 +15,10 @@ two and benchmarks can time the array engine against it:
   of the 3D extension (:func:`~reference.object_engine3.run_simulation3_object`);
 * :mod:`reference.hull` — the ``np.unique`` hull and a dense-matrix
   metrics sample (:func:`~reference.hull.dense_sample`);
+* :mod:`reference.dense3` — the dense 3D distance helpers and a
+  dense-matrix 3D metrics sample (:func:`~reference.dense3.dense_sample3`);
+* :mod:`reference.sec` — Welzl's point-by-point loop
+  (:func:`~reference.sec.welzl_pointwise`);
 * :mod:`reference.kbound` — the k-async scheduler with the scanning
   k-bound (:class:`~reference.kbound.ScanKAsyncScheduler`);
 * :mod:`reference.frames` — the per-activation scalar frame draw

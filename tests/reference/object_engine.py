@@ -334,7 +334,7 @@ class ObjectSimulator(Simulator):
             config or SimulationConfig(), spatial_index=False, round_batching=False
         )
         super().__init__(initial_positions, algorithm, scheduler, config)
-        arrays = self._state.arrays
+        arrays = self._arrays
         self.robots: List[Robot] = [Robot.view(arrays, i) for i in range(arrays.n)]
 
     def _look_positions(self, robot_id: int, look_time: float):

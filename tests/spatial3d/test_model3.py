@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.engine import metrics
+from repro.engine.metrics import dense_diameter, rows_diameter
 from repro.spatial3d import (
     Configuration3,
     Snapshot3,
@@ -11,11 +13,8 @@ from repro.spatial3d import (
     edges_preserved3,
     is_connected3,
     max_pairwise_distance3,
-    max_pairwise_distance3_array,
     visibility_edges3,
 )
-from repro.spatial3d import model3
-from repro.spatial3d.kernel3 import _diameter3_large
 
 
 LINE3 = [Vector3(0, 0, 0), Vector3(0.8, 0, 0), Vector3(1.6, 0, 0)]
@@ -93,16 +92,25 @@ class TestDiameter3:
         arr = self.CASES[name]
         expected = _scalar_diameter(arr)
         assert Configuration3.of(arr, 1.0).diameter() == expected
-        assert max_pairwise_distance3_array(arr) == expected
+        assert dense_diameter(arr) == rows_diameter(arr) == expected
 
     def test_one_row_blocks_cover_every_pair(self, monkeypatch):
-        monkeypatch.setattr(model3, "_DIAMETER_BLOCK_PAIRS", 64)
+        monkeypatch.setattr(metrics, "_DIAMETER_BLOCK_PAIRS", 64)
         arr = _random3(50, 3)
-        assert max_pairwise_distance3_array(arr) == _scalar_diameter(arr)
+        assert dense_diameter(arr) == _scalar_diameter(arr)
 
-    def test_large_diameter_scans_every_point_of_a_flat_swarm(self):
+    @pytest.mark.parametrize("name", ["random", "tied-lattice", "coplanar", "past-one-block"])
+    def test_hull_vertex_diameter_equals_scalar_scan(self, name, monkeypatch):
+        """Past ``METRICS_DENSE_MAX`` the scan pairs the Qhull vertices only;
+        a flat swarm, which Qhull rejects, still pairs every point."""
+        monkeypatch.setattr(metrics, "METRICS_DENSE_MAX", 16)
+        arr = self.CASES[name]
+        assert rows_diameter(arr) == _scalar_diameter(arr)
+
+    def test_large_diameter_scans_every_point_of_a_flat_swarm(self, monkeypatch):
+        monkeypatch.setattr(metrics, "METRICS_DENSE_MAX", 16)
         arr = _coplanar3(600, 4)
-        assert _diameter3_large(arr) == _scalar_diameter(arr)
+        assert rows_diameter(arr) == _scalar_diameter(arr)
 
 
 class TestSnapshot3:

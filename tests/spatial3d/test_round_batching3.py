@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.state import EngineState
 from repro.model.errors import MotionModel, PerceptionModel
+from repro.model.robot import KinematicArrays
 from repro.schedulers import FSyncScheduler, SSyncScheduler
 from repro.spatial3d import (
     AsyncSimulation3Config,
@@ -95,7 +95,7 @@ class TestRoundBatching3Pins:
         outcomes = []
         for round_batching in (None, False):
             kernel = Kernel3(
-                EngineState.from_array(positions),
+                KinematicArrays.from_array(positions),
                 KKNPS3Algorithm(k=1),
                 SSyncScheduler(),
                 AsyncSimulation3Config(
@@ -106,7 +106,7 @@ class TestRoundBatching3Pins:
                     round_batching=round_batching,
                 ),
             )
-            outcomes.append((kernel.run_kernel(), kernel._state.arrays.total_distance.copy()))
+            outcomes.append((kernel.run_kernel(), kernel._arrays.total_distance.copy()))
         (fast, fast_distance), (reference, reference_distance) = outcomes
         assert np.array_equal(fast_distance, reference_distance)
         assert fast.metrics.samples == reference.metrics.samples

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from reference.dense3 import max_edge_stretch3, min_pairwise_distance3_array
 
 from repro.spatial3d import (
     KKNPS3Algorithm,
     Simulation3Config,
-    min_pairwise_distance3_array,
     positions_as_array3,
     run_simulation3,
 )
@@ -129,6 +129,32 @@ class TestExecuteRun3D:
         assert row["rounds"] == result.rounds_executed
         assert row["activations"] == result.activations_executed
         assert row["final_diameter"] == result.final_diameter
+        assert row["initial_diameter"] == result.diameter_history[0]
+        # The row reads the final full sample and the collector's initial
+        # edges; the dense matrix and a row gather agree.
+        final = positions_as_array3(result.final_configuration.positions)
+        edges = sorted(result.initial_configuration.edges())
+        assert row["final_min_pairwise"] == min_pairwise_distance3_array(final)
+        assert row["max_edge_stretch"] == max_edge_stretch3(edges, final)
+
+    def test_round_row_of_a_big_lattice_builds_no_square_matrix(self):
+        """One ssync3 round on a 14^3 lattice: the row's allocation peak stays
+        far below one (n, n) float matrix (60 MiB at n=2,744)."""
+        import tracemalloc
+
+        import scipy.spatial  # noqa: F401  (the 3D hull's first-use import, kept out of the trace)
+
+        spec = self._spec(
+            workload="lattice3", n_robots=14**3, error_model="exact", max_activations=1
+        )
+        tracemalloc.start()
+        try:
+            row = execute_run(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row["rounds"] == 1 and row["n_robots"] == 14**3
+        assert peak < 64 * 2**20, f"the row peaked at {peak / 2**20:.1f} MiB"
 
     def test_parallel_equals_serial_3d(self):
         spec = SweepSpec(

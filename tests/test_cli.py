@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import build_parser, main, make_algorithm, make_scheduler, make_workload
+from repro.__main__ import build_parser, build_run, main
 from repro.algorithms import (
     AndoAlgorithm,
     CenterOfGravityAlgorithm,
@@ -31,13 +31,13 @@ class TestFactories:
         }
         for name, expected in cases.items():
             args = parser.parse_args(["--algorithm", name])
-            assert isinstance(make_algorithm(args), expected)
+            assert isinstance(build_run(args)[1], expected)
 
     def test_kknps_picks_up_error_tolerances(self):
         args = build_parser().parse_args(
             ["--algorithm", "kknps", "--k", "3", "--distance-error", "0.05", "--skew", "0.1"]
         )
-        algorithm = make_algorithm(args)
+        algorithm = build_run(args)[1]
         assert algorithm.k == 3
         assert algorithm.distance_error_tolerance == pytest.approx(0.05)
         assert algorithm.skew_tolerance == pytest.approx(0.1)
@@ -53,15 +53,43 @@ class TestFactories:
         }
         for name, expected in cases.items():
             args = parser.parse_args(["--scheduler", name])
-            assert isinstance(make_scheduler(args), expected)
+            assert isinstance(build_run(args)[2], expected)
 
-    def test_workload_factory(self):
+    def test_choices_are_the_sweep_registries(self):
+        from repro.sweeps.factories import (
+            ALGORITHM_FACTORIES,
+            SCHEDULER_FACTORIES,
+            WORKLOAD_FACTORIES,
+        )
+
+        choices = {
+            action.dest: tuple(action.choices)
+            for action in build_parser()._actions
+            if action.choices is not None
+        }
+        assert choices == {
+            "algorithm": tuple(ALGORITHM_FACTORIES),
+            "scheduler": tuple(SCHEDULER_FACTORIES),
+            "workload": tuple(WORKLOAD_FACTORIES),
+        }
+
+    @pytest.mark.parametrize("n", [3, 9, 15, 16, 17])
+    def test_workload_factory(self, n):
+        """Every planar workload runs exactly ``--robots`` robots."""
+        from repro.sweeps.factories import WORKLOAD_FACTORIES
+
         parser = build_parser()
-        for name in ("random", "line", "grid", "ring", "clusters"):
-            args = parser.parse_args(["--workload", name, "--robots", "9"])
-            configuration = make_workload(args)
-            assert len(configuration) >= 3
+        for name in WORKLOAD_FACTORIES:
+            args = parser.parse_args(["--workload", name, "--robots", str(n)])
+            configuration = build_run(args)[0]
+            assert len(configuration) == n, name
             assert configuration.is_connected()
+
+    def test_too_few_robots_for_a_ring_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workload", "ring", "--robots", "2"])
+        assert exit_info.value.code == 2
+        assert "at least three robots" in capsys.readouterr().err
 
 
 class TestMain:
