@@ -38,6 +38,14 @@ through :meth:`~KKNPSAlgorithm.compute_array_rounds` for a single run,
 and the replicate engine calls it with the constants a group of lanes
 shares.  The ``Point``-form rule, written as the paper states it, is the
 test oracle both are pinned against (``tests/reference/rules.py``).
+
+Both forms settle the commonest case first: a robot with a distant
+neighbour in each open quadrant is surrounded (no gap between distant
+directions can exceed pi), so it stays put without the angular scan.
+``compute`` tests its exact distant rows; the batched core certifies
+with ``np.hypot`` norms and a relative margin (:func:`_surrounded`) and
+runs its exact pipeline (:func:`_kknps_destinations_exact`) on the
+other activations only.
 """
 
 from __future__ import annotations
@@ -58,6 +66,14 @@ from .safe_regions import kknps_safe_region_local
 #: :meth:`KKNPSAlgorithm.decide_consts` — ``(close_fraction,
 #: distance_error_tolerance, alpha, radius_divisor, shrink)``.
 DecideConsts = Tuple[float, float, float, float, float]
+
+#: Relative margin of the batched surround certificate
+#: (:func:`_surrounded`), thousands of ulps: far above the gap between
+#: ``np.hypot`` and ``math.hypot``.
+_CERTIFY_MARGIN = 1e-12
+
+#: The sign pairs of the four open quadrants (:meth:`KKNPSAlgorithm.compute`).
+_OPEN_QUADRANTS = frozenset({(1, 1), (-1, 1), (-1, -1), (1, -1)})
 
 
 @dataclass
@@ -176,6 +192,13 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
             # The farthest neighbour is distant by definition.
             farthest = max(range(len(norms)), key=norms.__getitem__)
             distant = [(*rows[farthest], v_raw)]
+        elif _OPEN_QUADRANTS <= {
+            ((px > 0.0) - (px < 0.0), (py > 0.0) - (py < 0.0)) for px, py, _ in distant
+        }:
+            # A distant direction in each open quadrant leaves no gap
+            # wider than pi (up to rounding far below EPS): the scan
+            # below would stay put too.
+            return Point.origin()
         ux = [px / r for px, _, r in distant]
         uy = [py / r for _, py, r in distant]
         gap, i, j = max_angular_gap([math.atan2(y, x) for x, y in zip(ux, uy)])
@@ -271,6 +294,86 @@ def kknps_destinations_all(
     consts: DecideConsts,
 ) -> np.ndarray:
     """All activations' local KKNPS destinations, batched over the flat rows.
+
+    Row ``a`` is bit-identical to :meth:`KKNPSAlgorithm.compute` on a
+    snapshot of the rows ``starts[a]:ends[a]``.  The activations whose
+    distant rows certainly surround the robot (:func:`_surrounded`) stay
+    put, ``(+0.0, +0.0)`` as the exact rule leaves them; only the rest
+    are gathered, each keeping its row order (the exact scan breaks ties
+    by it), and decided by :func:`_kknps_destinations_exact`.  Returns
+    the ``(acts, 2)`` destinations.
+    """
+    acts = len(starts)
+    out = np.zeros((acts, 2), dtype=np.float64)
+    if acts == 0 or len(px) == 0:
+        return out
+    counts = ends - starts
+    rest = np.flatnonzero(~_surrounded(px, py, starts, counts, consts[0]))
+    if len(rest):
+        rest_counts = counts[rest]
+        rest_ends = np.cumsum(rest_counts)
+        rest_starts = rest_ends - rest_counts
+        rows = np.arange(rest_ends[-1]) + np.repeat(starts[rest] - rest_starts, rest_counts)
+        out[rest] = _kknps_destinations_exact(
+            px[rows], py[rows], rest_starts, rest_ends, consts
+        )
+    return out
+
+
+def _surrounded(
+    px: np.ndarray,
+    py: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    close_fraction: float,
+) -> np.ndarray:
+    """Which activations' exact rule certainly keeps the robot where it is.
+
+    A row is *certainly distant* when its ``np.hypot`` norm clears the
+    distant threshold of the activation's largest such norm with a
+    relative margin of ``_CERTIFY_MARGIN`` on every factor.  ``np.hypot``
+    is within an ulp or two of ``math.hypot``, far inside that margin, so
+    a certainly distant row is distant (and longer than ``EPS``) under
+    the exact norms too.  An activation is certified when its certainly
+    distant rows include one in each open quadrant (strict sign tests,
+    so zeros and NaN never count).  Each such row's exact direction
+    angle lies in the closed quadrant of its signs, so no gap between
+    consecutive directions, wrap-around included, exceeds pi by more
+    than a few ulps of rounding — far below ``EPS``.  The exact scan's
+    ``best_gap > pi + EPS`` is then false and it leaves the row at its
+    initial ``(+0.0, +0.0)``; more distant rows only shrink the gaps.
+    """
+    acts = len(starts)
+    norms = np.hypot(px, py)
+    nonempty = counts > 0
+    v = np.zeros(acts, dtype=np.float64)
+    v[nonempty] = np.maximum.reduceat(norms, starts[nonempty])
+    up = 1.0 + _CERTIFY_MARGIN
+    bound = (close_fraction * v * up + EPS) * up
+    row_act = np.repeat(np.arange(acts, dtype=np.int64), counts)
+    distant = norms * (1.0 - _CERTIFY_MARGIN) > bound[row_act]
+    right, left = px > 0.0, px < 0.0
+    upper, lower = py > 0.0, py < 0.0
+    quadrants = (
+        (right & upper).view(np.uint8)
+        | (left & upper).view(np.uint8) << 1
+        | (left & lower).view(np.uint8) << 2
+        | (right & lower).view(np.uint8) << 3
+    )
+    quadrants[~distant] = 0
+    seen = np.zeros(acts, dtype=np.uint8)
+    seen[nonempty] = np.bitwise_or.reduceat(quadrants, starts[nonempty])
+    return seen == 15
+
+
+def _kknps_destinations_exact(
+    px: np.ndarray,
+    py: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    consts: DecideConsts,
+) -> np.ndarray:
+    """The exact batched rule behind :func:`kknps_destinations_all`.
 
     Row ``a`` is bit-identical to :meth:`KKNPSAlgorithm.compute` on a
     snapshot of the rows ``starts[a]:ends[a]``: the per-row norms come

@@ -221,18 +221,18 @@ def max_step_within_regions(
     ts = np.arange(1, samples + 1, dtype=np.float64) / samples
     px = origin.x + (goal.x - origin.x) * ts
     py = origin.y + (goal.y - origin.y) * ts
-    feasible = np.ones(samples, dtype=bool)
+    # The first failing sample is the earliest first failure over the
+    # regions, so each region is tested only on the samples before the
+    # earliest failure found so far.
+    prefix = samples
     for region in regions:
         # Disk.contains_array feeds the same per-candidate
         # ``math.hypot(cx - px, cy - py) <= radius + eps`` decision.
-        feasible &= region.contains_array(px, py)
-        if not feasible.any():
-            break
-    failing = np.flatnonzero(~feasible)
-    if not len(failing):
-        prefix = samples
-    else:
-        prefix = int(failing[0])
+        failing = np.flatnonzero(~region.contains_array(px[:prefix], py[:prefix]))
+        if len(failing):
+            prefix = int(failing[0])
+            if prefix == 0:
+                break
     if prefix == 0:
         return origin
     return origin.lerp(goal, prefix / samples)

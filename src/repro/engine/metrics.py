@@ -33,13 +33,10 @@ from ..model.visibility import Edge
 from .logs import SampleLog
 from .spatial_index import ShardedGridIndex, covering_cell
 
-#: Up to this many robots the full sample's minimum separation comes from
-#: an x-sorted sweep over at most ``SWEEP_OFFSETS`` neighbours in x order
-#: (planar rows), above it from grid-local pair enumeration
-#: (:func:`min_separation`); up to it a 3D diameter pairs every row, above
-#: it only the hull vertices (:func:`rows_diameter`); and up to it the
-#: collector keeps its initial edges as a set.  The extreme distances
-#: reported are bit-identical either way.
+#: Up to this many robots a 3D diameter pairs every row, above it only the
+#: hull vertices (:func:`rows_diameter`), and up to it the collector keeps
+#: its initial edges as a set.  The extreme distances reported are
+#: bit-identical either way.
 METRICS_DENSE_MAX = 2048
 
 #: Row cap and pair budget of one block of :func:`dense_diameter`: a block
@@ -47,10 +44,6 @@ METRICS_DENSE_MAX = 2048
 #: float64 temporaries stays within 32 MiB for any n up to 2**22.
 _DIAMETER_BLOCK_ROWS = 512
 _DIAMETER_BLOCK_PAIRS = 1 << 22
-
-#: Neighbours in x order the min-separation sweep compares each row with
-#: before it gives up and searches grid-local pairs instead.
-SWEEP_OFFSETS = 8
 
 
 def min_pairwise_distance_grid(arr: np.ndarray, radius: float) -> float:
@@ -173,32 +166,6 @@ def grid_edges(arr: np.ndarray, reach: float) -> "tuple[np.ndarray, np.ndarray]"
     return i[order], j[order]
 
 
-def min_pairwise_distance_sweep(arr: np.ndarray) -> Optional[float]:
-    """Minimum pairwise distance of ``(n, 2)`` rows by an x-sorted sweep, or None.
-
-    Compares each row with its next ``1..SWEEP_OFFSETS`` neighbours in x
-    order, with the dense matrix's per-pair arithmetic.  Rows ``k`` or
-    more apart in that order differ in x by at least the least ``k``-apart
-    gap, and rounding is monotone, so once that gap squared reaches the
-    running minimum no farther pair can beat it and the minimum is exact.
-    None when the offsets run out first (many rows sharing an x, as in a
-    lattice).
-    """
-    order = np.argsort(arr[:, 0])
-    x, y = arr[order, 0], arr[order, 1]
-    best = math.inf
-    for k in range(1, len(x)):
-        dx = x[k:] - x[:-k]
-        dxx = dx * dx
-        if dxx.min() >= best:
-            break
-        if k > SWEEP_OFFSETS:
-            return None
-        dy = y[k:] - y[:-k]
-        best = min(best, float((dxx + dy * dy).min()))
-    return math.sqrt(best)
-
-
 def search_radius_floor(arr: np.ndarray, radius: float) -> float:
     """``radius`` as a min-separation search start: positive, finite, not tiny.
 
@@ -225,15 +192,10 @@ def min_separation(
     (:func:`min_pairwise_distance_grid`) covers the closest pair at once
     and its cells shrink with the swarm; with no initial edge the search
     starts at the visibility range, and a zero-length edge is a
-    coincident pair.  Planar rows up to ``METRICS_DENSE_MAX`` try the
-    x-sorted sweep first.  Either way the float is the dense matrix's.
+    coincident pair.  The float is the dense matrix's.
     """
     if len(arr) < 2:
         return 0.0
-    if arr.shape[1] == 2 and len(arr) <= METRICS_DENSE_MAX:
-        swept = min_pairwise_distance_sweep(arr)
-        if swept is not None:
-            return swept
     start = visibility_range
     if len(edge_lengths):
         start = float(edge_lengths.min())
@@ -317,10 +279,12 @@ class MetricsCollector:
         ``METRICS_DENSE_MAX`` robots only the index arrays are
         materialised: ``initial_edges`` stays empty at that scale, as a
         set with tens of millions of tuples would dwarf the simulation
-        state itself.
+        state itself.  A copy of the rows is kept too, so a full sample
+        can tell when it sees them (:meth:`full_sample`).
         """
         arr = _rows(positions)
         i, j = grid_edges(arr, self.visibility_range + EPS)
+        self._bound_rows = arr.copy()
         self._edge_i = np.ascontiguousarray(i)
         self._edge_j = np.ascontiguousarray(j)
         self.initial_edges = (
@@ -373,8 +337,12 @@ class MetricsCollector:
     ) -> MetricsSample:
         """The full sample of the ``(n, d)`` rows ``arr`` (not yet recorded).
 
-        The diameter is the step sample's (:func:`rows_diameter`) and the
-        minimum separation starts at the shortest initial edge
+        The diameter is the step sample's (:func:`rows_diameter`).  At
+        the rows :meth:`bind_initial` saw, every pair within the range is
+        an initial edge, so with any edge the closest pair is the shortest
+        one, the float a search would return (both are the square root of
+        a :func:`_pair_squared` minimum); elsewhere the minimum separation
+        is searched from the shortest initial edge
         (:func:`min_separation`).  Planar rows also measure the hull
         perimeter and the bounding circle, which runs on the hull
         vertices only (the SEC of a point set equals the SEC of its
@@ -391,6 +359,11 @@ class MetricsCollector:
             radius = enclosing_circle(hull.vertices).radius if n else 0.0
         lengths = self.initial_edge_lengths(arr) if n >= 2 else np.empty(0)
         broken_count = int(np.count_nonzero(lengths > self.visibility_range + EPS))
+        bound = getattr(self, "_bound_rows", None)
+        if len(lengths) and bound is not None and np.array_equal(arr, bound):
+            separation = float(lengths.min())
+        else:
+            separation = min_separation(arr, lengths, self.visibility_range)
         return MetricsSample(
             time=time,
             hull_diameter=rows_diameter(arr),
@@ -398,7 +371,7 @@ class MetricsCollector:
             activations_processed=activations_processed,
             hull_perimeter=perimeter,
             hull_radius=radius,
-            min_pairwise_distance=min_separation(arr, lengths, self.visibility_range),
+            min_pairwise_distance=separation,
         )
 
     def record(self, sample: MetricsSample) -> MetricsSample:

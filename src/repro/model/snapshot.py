@@ -213,16 +213,14 @@ def _collapse_coincident_array(
     xs = visible[order, 0]
     x_close = np.diff(xs) <= eps
     if x_close.any():
-        # Check y-separation inside each run of x-close points.
-        suspicious = False
-        for run in np.split(order, np.flatnonzero(~x_close) + 1):
-            if len(run) < 2:
-                continue
-            ys = np.sort(visible[run, 1])
-            if (np.diff(ys) <= eps).any():
-                suspicious = True
-                break
-        if suspicious:
+        # Check y-separation inside each run of x-close points: sorted by
+        # run, then by y, the runs stay where they were, so position k and
+        # k + 1 share a run exactly where x_close[k] holds.
+        run_id = np.zeros(m, dtype=np.int64)
+        np.cumsum(~x_close, out=run_id[1:])
+        ys = visible[order, 1]
+        ys = ys[np.lexsort((ys, run_id))]
+        if (x_close & (np.diff(ys) <= eps)).any():
             return _collapse_coincident_scan(visible, eps)
     return visible, counts
 

@@ -136,3 +136,39 @@ class TestErrorTolerance:
         algorithm = KKNPSAlgorithm(k=2)
         snapshot = snap((0.8, 0.0))
         assert algorithm.max_move_length(snapshot) == pytest.approx(0.05)
+
+
+class TestSurroundCertificate:
+    def test_most_grid_activations_skip_the_exact_scan(self, monkeypatch):
+        """On a 10^4-robot grid, nearly every robot is surrounded: under a
+        tenth of the flat round decide's activations reach the exact scan."""
+        import repro.algorithms.kknps as kknps
+        from repro.engine.simulator import Simulator
+        from repro.sweeps.runner import planar_setup
+        from repro.sweeps.spec import SweepSpec
+
+        seen = {"all": 0, "exact": 0}
+
+        def counting(name, key):
+            original = getattr(kknps, name)
+
+            def wrapper(px, py, starts, ends, consts):
+                seen[key] += len(starts)
+                return original(px, py, starts, ends, consts)
+
+            monkeypatch.setattr(kknps, name, wrapper)
+
+        counting("kknps_destinations_all", "all")
+        counting("_kknps_destinations_exact", "exact")
+        spec = SweepSpec(
+            algorithms=("kknps",),
+            schedulers=("ssync",),
+            workloads=("grid",),
+            n_robots=(10_000,),
+            seeds=(7,),
+            max_activations=10_000,
+        ).expand()[0]
+        configuration, algorithm, scheduler, config = planar_setup(spec)
+        result = Simulator(configuration.positions, algorithm, scheduler, config).run()
+        assert result.activations_processed == seen["all"] == 10_000
+        assert seen["exact"] < 0.1 * seen["all"]

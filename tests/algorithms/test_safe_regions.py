@@ -150,6 +150,36 @@ class TestMaxStepHelpers:
             reference = _max_step_within_regions_loop(origin, goal, regions, 512)
             assert (vectorized.x, vectorized.y) == (reference.x, reference.y)
 
+    def test_max_step_within_regions_later_region_fails_earlier(self):
+        """Regions ordered so each fails the ray earlier than the one before
+        it: the prefix each later region is tested on shrinks, and the
+        landing still pins bitwise to the 512-sample loop."""
+        import random
+
+        from repro.algorithms.safe_regions import _max_step_within_regions_loop
+
+        rng = random.Random(11)
+        tightened = 0
+        for _ in range(60):
+            origin = Point(0.0, 0.0)
+            goal = Point.polar(rng.uniform(0.2, 0.5), rng.uniform(0.0, 6.28))
+            regions = [
+                katreniak_safe_region(
+                    origin, Point.polar(rng.uniform(0.3, 1.0), rng.uniform(0.0, 6.28)), 1.0
+                )
+                for _ in range(rng.randint(2, 5))
+            ]
+            alone = [
+                _max_step_within_regions_loop(origin, goal, [region], 512).norm()
+                for region in regions
+            ]
+            regions = [region for _, region in sorted(zip(alone, regions), key=lambda p: -p[0])]
+            tightened += sorted(alone)[0] < sorted(alone)[-1]
+            vectorized = max_step_within_regions(origin, goal, regions)
+            reference = _max_step_within_regions_loop(origin, goal, regions, 512)
+            assert (vectorized.x, vectorized.y) == (reference.x, reference.y)
+        assert tightened >= 30
+
     def test_max_step_within_regions_unknown_region_type_falls_back(self):
         class HalfPlane:
             def contains(self, point, *, eps=0.0):

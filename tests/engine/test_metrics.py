@@ -84,10 +84,10 @@ class TestMetricsCollector:
 
 
 class TestLargeNMode:
-    """Past METRICS_DENSE_MAX the full sample's minimum separation switches
-    from the x-sorted sweep to grid-local pairs; the threshold is
-    monkeypatched low so the suite can pin the two modes bit-identical on
-    the same configurations."""
+    """Past METRICS_DENSE_MAX the collector keeps only the initial edges'
+    index arrays and a 3D diameter pairs only the hull vertices; the
+    threshold is monkeypatched low so the suite can pin the two modes
+    bit-identical on the same configurations."""
 
     def _positions(self, seed, n=60):
         import numpy as np

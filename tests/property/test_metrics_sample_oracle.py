@@ -2,10 +2,11 @@
 
 ``ConvexHull.of_array`` prunes and deduplicates without ``np.unique``,
 and :func:`~repro.geometry.hull.point_set_diameter` pairs the prune
-survivors; a full sample's minimum separation comes from an x-sorted
-sweep that falls back to grid-local pairs started at the shortest initial
-edge.  In 3-space the diameter pairs every row up to ``METRICS_DENSE_MAX``
-and the Qhull vertices past it.  All are compared against
+survivors; a full sample's minimum separation is the shortest initial
+edge at the rows the collector was bound to, and elsewhere comes from
+grid-local pairs started at the shortest initial edge.  In 3-space the
+diameter pairs every row up to ``METRICS_DENSE_MAX`` and the Qhull
+vertices past it.  All are compared against
 :mod:`reference.hull`, :mod:`reference.dense3` or the dense matrix:
 
 * the hull vertices and the point-set diameter, on duplicates, signed
@@ -13,14 +14,17 @@ and the Qhull vertices past it.  All are compared against
 * every field of a full :class:`~repro.engine.metrics.MetricsSample`
   of planar and 3D rows, from the collector and (planar) from the
   replicate lanes' observe, on random, line, cluster and lattice inputs
-  (lattices make the sweep fall back) at sizes on both sides of the
-  prefilter and of ``METRICS_DENSE_MAX``, with and without initial edges;
+  at sizes on both sides of the prefilter and of ``METRICS_DENSE_MAX``,
+  with and without initial edges, and the t=0 sample's separation
+  against the grid search and the dense matrix;
 * the step sample's diameter (:func:`~repro.engine.metrics.rows_diameter`;
   in the plane the chain only past ``_DENSE_CANDIDATES`` prune survivors)
   against the dense maximum and the full sample's diameter.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -29,7 +33,12 @@ from hypothesis import strategies as st
 import pytest
 from reference.dense3 import dense_sample3
 from reference.hull import convex_hull_array, dense_sample
-from repro.engine.metrics import METRICS_DENSE_MAX, MetricsCollector, rows_diameter
+from repro.engine.metrics import (
+    METRICS_DENSE_MAX,
+    MetricsCollector,
+    min_pairwise_distance_grid,
+    rows_diameter,
+)
 from repro.engine.replicate import _observe_fast
 from repro.geometry.hull import (
     _DENSE_CANDIDATES,
@@ -113,10 +122,17 @@ def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent, edges, dim
 
     collector = MetricsCollector(visibility_range=visibility)
     collector.bind_initial(start)
+    initial = collector.observe(0.0, start, 0, full=True)
     sample = collector.observe(1.0, moved, 1, full=True)
     edge_i, edge_j = getattr(collector, "_edge_i", None), getattr(collector, "_edge_j", None)
     edges = [] if edge_i is None else list(zip(edge_i.tolist(), edge_j.tolist()))
-    oracle = (dense_sample if dim == 2 else dense_sample3)(moved, edges, visibility)
+    oracle_of = dense_sample if dim == 2 else dense_sample3
+    # At the bound rows the separation is the shortest initial edge, when
+    # there is one: the grid search's and the dense matrix's float.
+    initial_oracle = oracle_of(start, edges, visibility)
+    assert initial.min_pairwise_distance == initial_oracle[3]
+    assert initial.min_pairwise_distance == min_pairwise_distance_grid(start, visibility)
+    oracle = oracle_of(moved, edges, visibility)
     fields = (
         sample.hull_diameter,
         sample.hull_perimeter,
@@ -127,6 +143,8 @@ def test_metrics_sample_matches_dense_oracle(kind, n, seed, exponent, edges, dim
     assert fields == oracle
     assert sample.initial_edges_preserved == (oracle[4] == 0)
     assert (sample.time, sample.activations_processed) == (1.0, 1)
+    # Other rows sampled with a zero activation count are not the bound rows.
+    assert collector.observe(1.0, moved, 0, full=True) == replace(sample, activations_processed=0)
     step = collector.observe(2.0, moved, 2)
     assert (step.hull_diameter, step.broken_edge_count) == (oracle[0], oracle[4])
     if dim == 2:

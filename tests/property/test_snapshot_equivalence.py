@@ -203,3 +203,35 @@ def test_negative_coincidence_eps_collapses_nothing(m):
     others[m // 2:] = others[0]
     snap = _assert_equivalent((1.0, 1.0), others, 4.0, coincidence_eps=-1e-12)
     assert snap.neighbour_count() == m
+
+
+@given(
+    m=st.integers(33, 120),
+    runs=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    y_close=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_collapse_certificate_matches_the_exact_scan(m, runs, seed, y_close):
+    """Past the scalar certificate's size, runs of rows whose x differ by at
+    most, or just past, ``eps`` — with spread y, or (``y_close``) with some
+    rows of one run on a shared y, so a near-coincident pair may have rows
+    of other y between them in x order — collapse exactly as the
+    first-representative scan does: the certificate skips the scan only
+    when no pair is within ``eps``.  Rows are multiples of powers of two,
+    so differences are exact and an offset of exactly ``eps`` sits on the
+    ``<= eps`` boundary."""
+    unit = 2.0**-50
+    eps = 768 * unit
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2**20, 2**20, size=(m, 2)) * 2.0**-20
+    for run in range(runs):
+        members = rng.choice(m, size=int(rng.integers(2, 9)), replace=False)
+        steps = rng.choice((0, 384, 768, 769), size=len(members))
+        rows[members, 0] = rows[members[0], 0] + steps * unit
+        if y_close and run == 0:
+            rows[members[rng.random(len(members)) < 0.5], 1] = rows[members[0], 1]
+    collapsed, counts = snapshot_module._collapse_coincident_array(rows, eps)
+    expected, expected_counts = snapshot_module._collapse_coincident_scan(rows, eps)
+    assert collapsed.tolist() == expected.tolist()
+    assert counts.tolist() == expected_counts.tolist()
