@@ -41,7 +41,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 _ROOT = Path(__file__).resolve().parent.parent
 for _path in (_ROOT / "tests", _ROOT / "src"):
@@ -55,9 +55,9 @@ from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
 from repro.engine import MetricsCollector, SimulationConfig, Simulator
 from repro.engine.metrics import MetricsSample
 from repro.geometry.point import Point, points_to_array
-from repro.geometry.sec import _is_in, _trivial, _circle_from_two
 from repro.geometry.disk import Disk
-from repro.model.visibility import broken_edges_from_matrix
+from repro.geometry.segment import perpendicular_bisector_intersection
+from repro.geometry.tolerances import EPS
 from repro.schedulers import KAsyncScheduler, SSyncScheduler
 from repro.workloads import random_connected_configuration, truncated_grid_configuration
 
@@ -105,8 +105,6 @@ def _legacy_pairwise(arr: np.ndarray) -> np.ndarray:
 
 def _legacy_hull_vertices(arr: np.ndarray) -> List[Point]:
     """The seed ``convex_hull_array``: np.unique, then a numpy-scalar chain walk."""
-    from repro.geometry.tolerances import EPS
-
     arr = np.asarray(arr, dtype=float).reshape(-1, 2)
     unique = np.unique(arr, axis=0) if len(arr) else arr
     m = len(unique)
@@ -145,6 +143,51 @@ def _legacy_hull_perimeter(vertices: List[Point]) -> float:
     for i, v in enumerate(vertices):
         total += v.distance_to(vertices[(i + 1) % len(vertices)])
     return total
+
+
+def _circle_from_two(a: Point, b: Point) -> Disk:
+    center = a.midpoint(b)
+    return Disk(center, a.distance_to(b) / 2.0)
+
+
+def _circle_from_three(a: Point, b: Point, c: Point) -> Optional[Disk]:
+    center = perpendicular_bisector_intersection(a, b, c)
+    if center is None:
+        return None
+    return Disk(center, center.distance_to(a))
+
+
+def _is_in(disk: Optional[Disk], p: Point) -> bool:
+    return disk is not None and disk.contains(p, eps=1e-7 * max(1.0, disk.radius))
+
+
+def _trivial(boundary: Sequence[Point]) -> Optional[Disk]:
+    if not boundary:
+        return None
+    if len(boundary) == 1:
+        return Disk(boundary[0], 0.0)
+    if len(boundary) == 2:
+        return _circle_from_two(boundary[0], boundary[1])
+    # Three boundary points: try all pairs first (one may dominate), then the
+    # circumcircle.  The pair acceptance uses a tight relative tolerance so a
+    # point that is genuinely (if barely) outside falls through to the
+    # circumcircle, which contains all three exactly.
+    for i in range(3):
+        for j in range(i + 1, 3):
+            d = _circle_from_two(boundary[i], boundary[j])
+            if all(d.contains(q, eps=1e-12 * max(1.0, d.radius)) for q in boundary):
+                return d
+    return _circle_from_three(boundary[0], boundary[1], boundary[2])
+
+
+def broken_edges_from_matrix(initial_edges, distances: np.ndarray, visibility_range: float):
+    """The initial edges longer than ``V + EPS`` in a distance matrix (the seed's check)."""
+    edges = list(initial_edges)
+    if not edges:
+        return set()
+    index = np.asarray(edges, dtype=int)
+    over = distances[index[:, 0], index[:, 1]] > visibility_range + EPS
+    return {edges[i] for i in np.flatnonzero(over)}
 
 
 def _legacy_sec(points: List[Point]) -> Disk:

@@ -15,6 +15,12 @@ not move while the program's outputs stay bit-identical.  The host
 fingerprint (cores, CPU model, python, numpy, scipy) sits beside the
 rows.
 
+The ``workload_setup`` layer generates every planar registry workload
+(:data:`~repro.sweeps.factories.WORKLOAD_FACTORIES`) at n = 4000, each
+in a fresh subprocess: the median ``make_workload`` seconds over its
+repeats, the process's peak RSS and a digest of the generated rows and
+visibility range.
+
 Beside the ladder, the ``metrics_observe`` layer times one
 ``MetricsCollector.observe`` call: a step sample (diameter and broken
 edges, taken at every processed activation) and a full sample (adding
@@ -24,10 +30,17 @@ interquartile range over blocks of calls.  Its rows are the n=200
 ``random_connected_configuration(200, seed=3)`` of the per-activation
 path and the n=10^4 ``grid`` start of the ladder.
 
+``--baseline-src`` also measures every subprocess row (ladder and
+workload) on another checkout's ``src`` directory, e.g. the parent
+commit's, and records it as the row's ``baseline`` (the checkout's commit
+as ``baseline_commit``); a baseline whose output digest differs fails the
+bench.
+
 Run it from the repository root::
 
     python benchmarks/bench_layers.py            # n = 10^3 … 10^6, writes BENCH_layers.json
-    python benchmarks/bench_layers.py --smoke    # n = 10^3 and 10^4 once, fewer observes (CI)
+    python benchmarks/bench_layers.py --smoke    # n = 10^3 and 10^4 once, small workloads (CI)
+    python benchmarks/bench_layers.py --baseline-src ../parent/src   # rows beside the parent's
 """
 
 from __future__ import annotations
@@ -52,6 +65,12 @@ FULL_ROWS = ((1_000, 7), (10_000, 5), (100_000, 5), (1_000_000, 1))
 SMOKE_ROWS = ((1_000, 1), (10_000, 1))
 #: Seed of every row's run (the sweep seed of its one-run spec).
 SEED = 7
+
+#: ``workload_setup`` rows: every planar registry workload at this size,
+#: generated ``repeats`` times from one seed (smoke: once, at a tenth).
+WORKLOAD_ROWS = (4_000, 3)
+SMOKE_WORKLOAD_ROWS = (400, 1)
+WORKLOAD_SEED = 0
 
 #: ``metrics_observe`` rows: ``(workload, n, calls per block)`` of step
 #: samples (full samples take a quarter as many), and blocks per row.
@@ -96,9 +115,12 @@ def _spread(values) -> dict:
     return {"median": statistics.median(ordered), "iqr": iqr}
 
 
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def measure_row(n: int, repeats: int) -> dict:
     """One ladder row, measured in this process (the parent spawns one per size)."""
-    sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
     from repro.engine.simulator import Simulator
@@ -143,7 +165,36 @@ def measure_row(n: int, repeats: int) -> dict:
         "setup_s": _spread(setup_s),
         "run_s": _spread(run_s),
         "activations_per_s": activations / statistics.median(run_s),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": _peak_rss_mb(),
+        "output_digest": digests.pop(),
+    }
+
+
+def measure_workload(name: str, n: int, repeats: int) -> dict:
+    """One ``workload_setup`` row, measured in this process."""
+    import numpy as np
+
+    from repro.sweeps.factories import make_workload
+
+    setup_s, digests = [], set()
+    for _ in range(repeats):
+        started = time.perf_counter()
+        configuration = make_workload(name, n, WORKLOAD_SEED)
+        setup_s.append(time.perf_counter() - started)
+        rows = np.asarray(configuration.as_array(), dtype=float)
+        payload = rows.tobytes() + repr(configuration.visibility_range).encode()
+        digests.add(hashlib.sha256(payload).hexdigest())
+        del configuration, rows
+    if len(digests) != 1:
+        raise RuntimeError(f"{name} n={n}: repeats disagree on the output digest")
+    return {
+        "layer": "workload_setup",
+        "workload": name,
+        "n": n,
+        "seed": WORKLOAD_SEED,
+        "repeats": repeats,
+        "setup_s": _spread(setup_s),
+        "peak_rss_mb": _peak_rss_mb(),
         "output_digest": digests.pop(),
     }
 
@@ -218,23 +269,77 @@ def run_observe(blocks: int) -> list:
     return out
 
 
-def run_ladder(rows) -> list:
+def _child(request: list, src: Path) -> dict:
+    """One subprocess row, measured in a fresh interpreter on ``src``."""
+    child = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--src", str(src), *request],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return json.loads(child.stdout.strip().splitlines()[-1])
+
+
+def _measured(request: list, baseline_src) -> dict:
+    """The row of ``request`` on this tree, and on ``baseline_src`` when given."""
+    row = _child(request, ROOT / "src")
+    if baseline_src is not None:
+        base = _child(request, baseline_src)
+        if base["output_digest"] != row["output_digest"]:
+            raise RuntimeError(f"{request}: the baseline's output digest differs")
+        row["baseline"] = {
+            key: base[key] for key in ("setup_s", "run_s", "activations_per_s", "peak_rss_mb")
+            if key in base
+        }
+    return row
+
+
+def _commit_of(src: Path) -> str:
+    """The git commit of the checkout holding ``src`` ("unknown" outside git)."""
+    found = subprocess.run(
+        ["git", "-C", str(src), "rev-parse", "HEAD"], capture_output=True, text=True
+    )
+    return found.stdout.strip() or "unknown"
+
+
+def _baseline_note(row: dict) -> str:
+    base = row.get("baseline")
+    if base is None:
+        return ""
+    return (
+        f"  [baseline setup {base['setup_s']['median']:7.3f}s, "
+        f"peak {base['peak_rss_mb']:7.1f} MB]"
+    )
+
+
+def run_ladder(rows, baseline_src=None) -> list:
     """Every row in a fresh interpreter, printed as it lands."""
     out = []
     for n, repeats in rows:
-        child = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--row", str(n), str(repeats)],
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-        row = json.loads(child.stdout.strip().splitlines()[-1])
+        row = _measured(["--row", str(n), str(repeats)], baseline_src)
         out.append(row)
         print(
             f"n={n:<8} setup {row['setup_s']['median']:7.3f}s  "
             f"run {row['run_s']['median']:8.3f}s (IQR {row['run_s']['iqr']:.3f}, "
             f"k={repeats})  {row['activations_per_s']:9.0f} act/s  "
-            f"peak {row['peak_rss_mb']:7.1f} MB"
+            f"peak {row['peak_rss_mb']:7.1f} MB" + _baseline_note(row)
+        )
+    return out
+
+
+def run_workloads(n: int, repeats: int, baseline_src=None) -> list:
+    """Every planar registry workload generated in a fresh interpreter."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.sweeps.factories import WORKLOAD_FACTORIES
+
+    out = []
+    for name in WORKLOAD_FACTORIES:
+        row = _measured(["--workload", name, str(n), str(repeats)], baseline_src)
+        out.append(row)
+        print(
+            f"workload {name:<15} n={n:<6} setup {row['setup_s']['median']:7.3f}s "
+            f"(IQR {row['setup_s']['iqr']:.3f}, k={repeats})  "
+            f"peak {row['peak_rss_mb']:7.1f} MB" + _baseline_note(row)
         )
     return out
 
@@ -252,26 +357,47 @@ def main(argv=None) -> int:
         default=BENCH_PATH,
         help=f"where to write the JSON results (default: {BENCH_PATH})",
     )
-    # Internal: measure one row in this process and print it as JSON.
+    parser.add_argument(
+        "--baseline-src",
+        type=Path,
+        help="also measure the ladder and workload rows on this src directory "
+        "(e.g. the parent commit's) and record them as each row's baseline",
+    )
+    # Internal: measure one row in this process on --src and print it as JSON.
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
     parser.add_argument("--row", nargs=2, type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--workload", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.row:
-        print(json.dumps(measure_row(*args.row)))
+    if args.row or args.workload:
+        sys.path.insert(0, str(args.src.resolve()))
+        if args.row:
+            print(json.dumps(measure_row(*args.row)))
+        else:
+            name, n, repeats = args.workload
+            print(json.dumps(measure_workload(name, int(n), int(repeats))))
         return 0
 
-    rows = run_ladder(SMOKE_ROWS if args.smoke else FULL_ROWS)
+    baseline = args.baseline_src.resolve() if args.baseline_src else None
+    rows = run_ladder(SMOKE_ROWS if args.smoke else FULL_ROWS, baseline)
+    rows += run_workloads(*(SMOKE_WORKLOAD_ROWS if args.smoke else WORKLOAD_ROWS), baseline)
     rows += run_observe(SMOKE_OBSERVE_BLOCKS if args.smoke else OBSERVE_BLOCKS)
     payload = {"host": host(), "smoke": bool(args.smoke), "rows": rows}
+    if baseline is not None:
+        payload["baseline_commit"] = _commit_of(baseline)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
 
     # The JSON contract the CI smoke step relies on.
     parsed = json.loads(args.output.read_text())
     layers = {row["layer"] for row in parsed["rows"]}
-    assert layers == {"round_mega_ladder", "metrics_observe"}, layers
+    assert layers == {"round_mega_ladder", "workload_setup", "metrics_observe"}, layers
     for row in parsed["rows"]:
         if row["layer"] == "metrics_observe":
             assert 0 < row["step_us"]["median"] and 0 < row["full_us"]["median"]
+            continue
+        if row["layer"] == "workload_setup":
+            assert row["setup_s"]["median"] > 0 and row["peak_rss_mb"] > 0
+            assert len(row["output_digest"]) == 64
             continue
         assert 0 < row["activations"] <= row["n"] and row["run_s"]["median"] > 0
         assert row["peak_rss_mb"] > 0 and len(row["output_digest"]) == 64

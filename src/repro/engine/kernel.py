@@ -120,40 +120,24 @@ def replay_round(
     the sub-round that executes, the first record boundary inside it as
     ``(executed so far, processed, popped)`` (None when there is none),
     and how many boundaries fall inside it.  The boundaries are
-    consecutive multiples of ``record_every`` in ``processed``.
+    consecutive multiples of ``record_every`` in ``processed``, read off
+    one cumulative sum over the round's live (not crashed) rows.
     """
     count = len(batch)
-    pop_cap = 100 * max_activations
-    if (
-        processed + count <= max_activations
-        and popped + count < pop_cap
-        and not crashed.any()
-    ):
-        # No skip and no cap can trigger inside this round: every entry
-        # executes and the record boundaries fall arithmetically.
-        boundaries = (processed + count) // record_every - processed // record_every
-        first = None
-        if boundaries:
-            k = (processed // record_every + 1) * record_every - processed
-            first = (k, processed + k, popped + k)
-        return batch, first, boundaries, processed + count, popped + count
-    rows: List[int] = []
+    alive = ~crashed[batch.robot_ids]
+    live = np.cumsum(alive)
+    stop = min(count, max(0, 100 * max_activations - popped))
+    room = max_activations - processed
+    stop = 0 if room <= 0 else min(stop, int(np.searchsorted(live, room)) + 1)
+    done = int(live[stop - 1]) if stop else 0
+    executed = batch if done == count else batch.take(np.flatnonzero(alive[:stop]))
+    boundaries = (processed + done) // record_every - processed // record_every
     first = None
-    boundaries = 0
-    for row, robot_id in enumerate(batch.robot_ids.tolist()):
-        if processed >= max_activations or popped >= pop_cap:
-            break
-        popped += 1
-        if crashed[robot_id]:
-            continue
-        rows.append(row)
-        processed += 1
-        if processed % record_every == 0:
-            if first is None:
-                first = (len(rows), processed, popped)
-            boundaries += 1
-    executed = batch.take(np.asarray(rows, dtype=np.intp))
-    return executed, first, boundaries, processed, popped
+    if boundaries:
+        k = (processed // record_every + 1) * record_every - processed
+        row = int(np.searchsorted(live, k))
+        first = (k, processed + k, popped + row + 1)
+    return executed, first, boundaries, processed + done, popped + stop
 
 
 class ContinuousKernel:

@@ -13,172 +13,31 @@ One :class:`MetricsCollector` serves every engine: the planar simulator
 and the replicate lanes, the continuous-time 3D kernel and the 3D round
 adapter (Section 6.3.2 defines both measures in 3-space exactly as in
 the plane).  Positions are ``(n, d)`` rows; only the diameter scan
-(:func:`rows_diameter`) and a full sample's hull perimeter and radius
-depend on ``d``.
+(:func:`~repro.geometry.pairs.rows_diameter`) and a full sample's hull
+perimeter and radius depend on ``d``.  The pair readers it samples with
+(edges, diameter, minimum separation) live in :mod:`repro.geometry.pairs`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..geometry.hull import ConvexHull, point_set_diameter
+from ..geometry.hull import ConvexHull
+from ..geometry.pairs import (
+    METRICS_DENSE_MAX,
+    grid_edges,
+    min_pairwise_distance_grid,
+    pair_distances,
+    rows_diameter,
+)
 from ..geometry.point import PointLike, points_to_array
 from ..geometry.sec import smallest_enclosing_circle
 from ..geometry.tolerances import EPS
 from ..model.visibility import Edge
 from .logs import SampleLog
-from .spatial_index import ShardedGridIndex, covering_cell
-
-#: Up to this many robots a 3D diameter pairs every row, above it only the
-#: hull vertices (:func:`rows_diameter`), and up to it the collector keeps
-#: its initial edges as a set.  The extreme distances reported are
-#: bit-identical either way.
-METRICS_DENSE_MAX = 2048
-
-#: Row cap and pair budget of one block of :func:`dense_diameter`: a block
-#: holds ``min(512, budget // n)`` rows (at least one), so each of its
-#: float64 temporaries stays within 32 MiB for any n up to 2**22.
-_DIAMETER_BLOCK_ROWS = 512
-_DIAMETER_BLOCK_PAIRS = 1 << 22
-
-
-def min_pairwise_distance_grid(arr: np.ndarray, radius: float) -> float:
-    """Minimum pairwise distance via grid-local pairs, exact at any scale.
-
-    The search grid's :meth:`ShardedGridIndex.neighbour_pairs` covers
-    every pair at distance at most ``radius`` (its cell is
-    :func:`covering_cell` of the radius), so a found minimum no larger
-    than the radius is the true global minimum (any pair left out is
-    farther); otherwise the radius doubles and the search reruns.  Any
-    positive start is exact: a start near the true minimum (see
-    :func:`min_separation`) keeps the pair count linear, a start far
-    above it costs pairs, one far below it costs doublings.  The start is
-    floored at 1e-6 of the largest per-axis extent, which also bounds
-    the grid's integer cell keys.  The per-pair arithmetic (``dx*dx +
-    dy*dy``, one square root after the reduction) matches the dense
-    matrix path, so the returned float is bit-identical to
-    ``sqrt(squared_distance_matrix(arr).min())``.
-    """
-    if len(arr) < 2:
-        return 0.0
-    columns = _columns(arr)
-    radius = search_radius_floor(arr, radius)
-    while True:
-        shard = ShardedGridIndex(arr, covering_cell(arr, radius))
-        i, j = shard.neighbour_pairs()
-        if len(i):
-            best = float(math.sqrt(_pair_squared(columns, i, j).min()))
-            if best <= radius:
-                return best
-        radius *= 2.0
-
-
-def _columns(arr: np.ndarray) -> List[np.ndarray]:
-    """The contiguous coordinate columns of ``(n, d)`` rows."""
-    return [np.ascontiguousarray(arr[:, axis]) for axis in range(arr.shape[1])]
-
-
-def _pair_squared(columns: List[np.ndarray], i, j) -> np.ndarray:
-    """Squared distances of the pairs ``(i, j)``.
-
-    ``i`` and ``j`` index every column alike: two index arrays, or two
-    broadcasting slices for a block of pairs.  Components squared and
-    summed left to right, exactly like the dense matrix builders in any
-    dimension.
-    """
-    squared = None
-    for column in columns:
-        delta = column[i] - column[j]
-        term = delta * delta
-        squared = term if squared is None else squared + term
-    return squared
-
-
-def dense_diameter(arr: np.ndarray) -> float:
-    """Largest distance between two ``(n, d)`` rows, over every pair.
-
-    The scan runs in row blocks, each against the rows from its own first
-    row on, so memory stays bounded and every pair is reduced once or
-    twice (a pair's squared distance is the same float in either order).
-    Reducing the squared distances (:func:`_pair_squared`) first and
-    rooting once returns the dense matrix's float: ``sqrt`` is monotone
-    and correctly rounded.  0 below two rows.
-    """
-    n = len(arr)
-    if n < 2:
-        return 0.0
-    columns = _columns(arr)
-    step = max(1, min(_DIAMETER_BLOCK_ROWS, _DIAMETER_BLOCK_PAIRS // n))
-    best = 0.0
-    for start in range(0, n, step):
-        squared = _pair_squared(columns, np.s_[start:start + step, None], np.s_[None, start:])
-        best = max(best, float(squared.max()))
-    return math.sqrt(best)
-
-
-def rows_diameter(arr: np.ndarray) -> float:
-    """Largest distance between two ``(n, d)`` rows, as the dense matrix gives it.
-
-    Planar rows take :func:`~repro.geometry.hull.point_set_diameter`.  In
-    3-space the diameter is attained between two hull vertices, so past
-    ``METRICS_DENSE_MAX`` rows :func:`dense_diameter` pairs only the
-    vertices of the Qhull hull (a few hundred at mega-swarm scale), with
-    the dense per-pair arithmetic; below it, and for a flat swarm Qhull
-    rejects, it pairs every row.
-    """
-    if arr.shape[1] == 2:
-        return point_set_diameter(arr)
-    if len(arr) > METRICS_DENSE_MAX:
-        from scipy.spatial import ConvexHull as QhullHull, QhullError
-
-        try:
-            arr = arr[QhullHull(arr).vertices]
-        except QhullError:
-            pass
-    return dense_diameter(arr)
-
-
-def grid_edges(arr: np.ndarray, reach: float) -> "tuple[np.ndarray, np.ndarray]":
-    """All pairs ``i < j`` of the ``(n, d)`` rows at distance ``<= reach``.
-
-    Returned as two index arrays in lexicographic order, the order of a
-    sorted edge set.  At a finite reach the pairs come from a grid whose
-    cell covers ``reach`` (floored with :func:`search_radius_floor`, which
-    bounds the cell keys however small the reach), in O(n + |E|); each
-    pair's distance is the dense matrix's (:func:`_pair_squared`, one
-    square root), so the ``<= reach`` predicate decides every pair as the
-    dense edge builders do.  An infinite reach pairs every two rows.
-    """
-    n = len(arr)
-    if not math.isfinite(reach):
-        return np.triu_indices(n, k=1)
-    if n < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    cell = covering_cell(arr, search_radius_floor(arr, reach))
-    i, j = ShardedGridIndex(arr, cell).neighbour_pairs()
-    keep = np.sqrt(_pair_squared(_columns(arr), i, j)) <= reach
-    i, j = i[keep], j[keep]
-    order = np.lexsort((j, i))
-    return i[order], j[order]
-
-
-def search_radius_floor(arr: np.ndarray, radius: float) -> float:
-    """``radius`` as a min-separation search start: positive, finite, not tiny.
-
-    A non-positive or infinite radius (no hint, unlimited visibility)
-    starts at 1.  The floor of 1e-6 times the largest per-axis extent of
-    ``arr`` keeps a search grid within ``10^6 + 2`` cells per axis, so
-    its integer cell keys stay far from overflow even in 3-space, however
-    small a past minimum was.
-    """
-    if not math.isfinite(radius) or radius <= 0.0:
-        radius = 1.0
-    extent = float((arr.max(axis=0) - arr.min(axis=0)).max())
-    return max(radius, 1e-6 * extent)
 
 
 def min_separation(
@@ -341,7 +200,7 @@ class MetricsCollector:
         the rows :meth:`bind_initial` saw, every pair within the range is
         an initial edge, so with any edge the closest pair is the shortest
         one, the float a search would return (both are the square root of
-        a :func:`_pair_squared` minimum); elsewhere the minimum separation
+        the same pair's squared distance); elsewhere the minimum separation
         is searched from the shortest initial edge
         (:func:`min_separation`).  Planar rows also measure the hull
         perimeter and the bounding circle, which runs on the hull
@@ -391,7 +250,8 @@ class MetricsCollector:
 
         O(|E|): reads the endpoint index arrays :meth:`bind_initial` caches
         at every swarm size, with the dense matrix's per-pair arithmetic
-        (:func:`_pair_squared`).  Empty when there are no initial edges.
+        (:func:`~repro.geometry.pairs.pair_distances`).  Empty when there
+        are no initial edges.
         """
         i = getattr(self, "_edge_i", None)
         if i is None:
@@ -400,7 +260,7 @@ class MetricsCollector:
             # initial_edges was assigned directly (without bind_initial).
             self._build_edge_index()
             i = self._edge_i
-        return np.sqrt(_pair_squared(_columns(arr), i, self._edge_j))
+        return pair_distances(arr, i, self._edge_j)
 
     def max_edge_stretch(self, arr: np.ndarray) -> float:
         """Longest initial visibility edge at the ``(n, d)`` rows ``arr`` (0 with no edges)."""

@@ -92,20 +92,14 @@ class SimulationConfig:
             raise ValueError("record_every must be at least 1")
 
 
-def _configuration(rows: np.ndarray, visibility_range: float) -> Configuration:
-    """The Point-based configuration of ``(n, 2)`` position rows."""
-    return Configuration.of(
-        [Point(px, py) for px, py in rows.tolist()], visibility_range
-    )
-
-
 @dataclass(eq=False)
 class SimulationResult:
     """Outcome of one simulation run.
 
     Positions are kept as the engine's ``(n, 2)`` rows and cycle end times
-    as an :class:`EndTimeLog`; the Point-based :class:`Configuration` views
-    and the ``activation_end_times`` dict are built on first access.
+    as an :class:`EndTimeLog`; the :class:`Configuration` views (over a
+    copy of the rows) and the ``activation_end_times`` dict are built on
+    first access.
 
     The reported measures read what the run already measured: the full
     t=0 sample of the initial positions (``metrics.samples[0]``), the
@@ -133,12 +127,12 @@ class SimulationResult:
     @cached_property
     def initial_configuration(self) -> Configuration:
         """The configuration the run started from."""
-        return _configuration(self.initial_positions, self.visibility_range)
+        return Configuration.of(self.initial_positions, self.visibility_range)
 
     @cached_property
     def final_configuration(self) -> Configuration:
         """The configuration once every move has finished."""
-        return _configuration(self.final_positions, self.visibility_range)
+        return Configuration.of(self.final_positions, self.visibility_range)
 
     @cached_property
     def activation_end_times(self) -> Dict[int, List[float]]:

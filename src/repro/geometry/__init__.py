@@ -36,9 +36,6 @@ from .point import (
     array_to_points,
     centroid,
     max_pairwise_distance,
-    min_pairwise_distance,
-    min_pairwise_distance_from_matrix,
-    pairwise_distance_matrix,
     pairwise_distances,
     points_to_array,
 )
@@ -98,10 +95,7 @@ __all__ = [
     "lens_center",
     "max_angular_gap",
     "max_pairwise_distance",
-    "min_pairwise_distance",
-    "min_pairwise_distance_from_matrix",
     "minbox_center",
-    "pairwise_distance_matrix",
     "normalize_angle",
     "normalize_angle_positive",
     "offset_disk",

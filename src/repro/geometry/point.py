@@ -11,6 +11,8 @@ constructions use.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
@@ -192,18 +194,67 @@ def centroid(points: Iterable[PointLike]) -> Point:
 def points_to_array(points: Iterable[PointLike]) -> np.ndarray:
     """Stack points into an ``(n, 2)`` float array.
 
-    An input that already is an ``(n, 2)`` array is passed through without
-    the per-Point loop — the form the array-native engine paths hand in.
+    A :class:`PointRows` hands over its read-only rows, and an input that
+    already is an ``(n, 2)`` array is passed through — neither takes the
+    per-Point loop.
     """
+    if isinstance(points, PointRows):
+        return points.rows
     if isinstance(points, np.ndarray):
         arr = np.asarray(points, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("expected an array of shape (n, 2)")
         return arr
     pts = [Point.of(p) for p in points]
-    if not pts:
-        return np.zeros((0, 2), dtype=float)
-    return np.array([[p.x, p.y] for p in pts], dtype=float)
+    arr = np.empty((len(pts), 2), dtype=float)
+    for axis, name in enumerate(("x", "y")):
+        column = map(operator.attrgetter(name), pts)
+        arr[:, axis] = np.fromiter(column, dtype=float, count=len(pts))
+    return arr
+
+
+class PointRows(SequenceABC):
+    """A read-only tuple of :class:`Point` kept as ``(n, 2)`` float rows.
+
+    ``len``, indexing, slicing (a tuple), iteration, ``==`` (with another
+    ``PointRows`` or a tuple) and ``hash`` are the tuple's, but each Point
+    is built on access, and :func:`points_to_array` takes :attr:`rows` as
+    they are.  A given array is copied, so later writes to it do not show.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, points: Iterable[PointLike]) -> None:
+        rows = points_to_array(points)
+        if isinstance(points, np.ndarray):
+            rows = rows.copy()
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(Point, *self.rows[index].T.tolist()))
+        return Point(*self.rows[operator.index(index)].tolist())
+
+    def __iter__(self) -> Iterator[Point]:
+        return map(Point, *self.rows.T.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PointRows):
+            return np.array_equal(self.rows, other.rows)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return PointRows, (self.rows,)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return repr(tuple(self))
 
 
 def array_to_points(array: np.ndarray) -> list[Point]:
@@ -214,35 +265,16 @@ def array_to_points(array: np.ndarray) -> list[Point]:
     return [Point(float(x), float(y)) for x, y in array]
 
 
-def squared_distance_matrix(array: np.ndarray) -> np.ndarray:
-    """Full ``(n, n)`` matrix of *squared* distances of an ``(n, 2)`` array.
+def pairwise_distances(points: Sequence[PointLike]) -> np.ndarray:
+    """Full ``(n, n)`` matrix of pairwise Euclidean distances.
 
-    Built from two 2D broadcasts (``dx*dx + dy*dy``) rather than an
-    ``(n, n, 2)`` temporary with an axis reduction — same values, roughly
-    half the memory traffic.  Because ``sqrt`` is monotone and correctly
-    rounded, minima/maxima commute with it, so callers that only need the
-    extreme *distance* can reduce over this matrix and take one square
-    root at the end — bit-identical to reducing over the rooted matrix.
+    Each entry is ``sqrt(dx*dx + dy*dy)``: the dense reference whose
+    floats the grid-local readers of :mod:`repro.geometry.pairs` return.
     """
-    arr = np.asarray(array, dtype=float)
+    arr = points_to_array(points)
     dx = arr[:, 0, None] - arr[None, :, 0]
     dy = arr[:, 1, None] - arr[None, :, 1]
-    return dx * dx + dy * dy
-
-
-def pairwise_distance_matrix(array: np.ndarray) -> np.ndarray:
-    """Full ``(n, n)`` distance matrix of an ``(n, 2)`` coordinate array.
-
-    This is the array-native core of the metrics hot path: compute it once
-    per observation and derive the diameter, the minimum separation and the
-    edge lengths from the same matrix.
-    """
-    return np.sqrt(squared_distance_matrix(array))
-
-
-def pairwise_distances(points: Sequence[PointLike]) -> np.ndarray:
-    """Full ``(n, n)`` matrix of pairwise Euclidean distances."""
-    return pairwise_distance_matrix(points_to_array(points))
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def max_pairwise_distance(points: Sequence[PointLike]) -> float:
@@ -250,18 +282,3 @@ def max_pairwise_distance(points: Sequence[PointLike]) -> float:
     if len(points) < 2:
         return 0.0
     return float(pairwise_distances(points).max())
-
-
-def min_pairwise_distance_from_matrix(distances: np.ndarray) -> float:
-    """Smallest off-diagonal entry of a distance matrix (0 for n < 2)."""
-    n = distances.shape[0]
-    if n < 2:
-        return 0.0
-    return float(distances[~np.eye(n, dtype=bool)].min())
-
-
-def min_pairwise_distance(points: Sequence[PointLike]) -> float:
-    """Smallest separation between distinct points (0 for fewer than two)."""
-    if len(points) < 2:
-        return 0.0
-    return min_pairwise_distance_from_matrix(pairwise_distances(points))

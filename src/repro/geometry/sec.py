@@ -17,43 +17,7 @@ import numpy as np
 
 from .disk import Disk
 from .point import Point, PointLike
-from .segment import perpendicular_bisector_intersection
 from .tolerances import EPS
-
-
-def _circle_from_two(a: Point, b: Point) -> Disk:
-    center = a.midpoint(b)
-    return Disk(center, a.distance_to(b) / 2.0)
-
-
-def _circle_from_three(a: Point, b: Point, c: Point) -> Optional[Disk]:
-    center = perpendicular_bisector_intersection(a, b, c)
-    if center is None:
-        return None
-    return Disk(center, center.distance_to(a))
-
-
-def _is_in(disk: Optional[Disk], p: Point) -> bool:
-    return disk is not None and disk.contains(p, eps=1e-7 * max(1.0, disk.radius))
-
-
-def _trivial(boundary: Sequence[Point]) -> Optional[Disk]:
-    if not boundary:
-        return None
-    if len(boundary) == 1:
-        return Disk(boundary[0], 0.0)
-    if len(boundary) == 2:
-        return _circle_from_two(boundary[0], boundary[1])
-    # Three boundary points: try all pairs first (one may dominate), then the
-    # circumcircle.  The pair acceptance uses a tight relative tolerance so a
-    # point that is genuinely (if barely) outside falls through to the
-    # circumcircle, which contains all three exactly.
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = _circle_from_two(boundary[i], boundary[j])
-            if all(d.contains(q, eps=1e-12 * max(1.0, d.radius)) for q in boundary):
-                return d
-    return _circle_from_three(boundary[0], boundary[1], boundary[2])
 
 
 @lru_cache(maxsize=64)
@@ -70,7 +34,7 @@ def _float_two(ax, ay, bx, by):
 
 
 def _float_trivial(ax, ay, bx, by, cx, cy):
-    """The three-boundary-point circle of :func:`_trivial`, on plain floats."""
+    """Smallest circle with three boundary points, on plain floats (None if collinear)."""
     for (px, py), (qx, qy) in (
         ((ax, ay), (bx, by)),
         ((ax, ay), (cx, cy)),

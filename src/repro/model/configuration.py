@@ -5,20 +5,24 @@ range and offers the geometric and graph-theoretic measures the paper's
 analysis is phrased in: visibility graph and its connectivity, convex
 hull perimeter/diameter, smallest bounding circle, and the cohesion
 predicate relative to an earlier configuration.
+
+The positions are ``(n, 2)`` float rows, held read-only: the workload
+generators build rows, and the engine, the edge builder and the
+diameter and separation readers take them without a Point per robot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..geometry.hull import ConvexHull
 from ..geometry.minbox import BoundingBox
-from ..geometry.point import Point, PointLike, centroid, max_pairwise_distance, points_to_array
+from ..geometry.pairs import min_pairwise_distance_grid, rows_diameter
+from ..geometry.point import Point, PointLike, PointRows, centroid
 from ..geometry.sec import smallest_enclosing_circle
-from ..geometry.tolerances import EPS
 from .visibility import (
     Edge,
     broken_edges,
@@ -32,29 +36,26 @@ from .visibility import (
 
 @dataclass(frozen=True)
 class Configuration:
-    """Positions of all robots at one instant, plus the visibility range."""
+    """Positions of all robots at one instant, plus the visibility range.
 
-    positions: tuple
+    ``positions`` is a :class:`~repro.geometry.point.PointRows`: it reads
+    as a tuple of Points, built on access, over read-only ``(n, 2)``
+    rows.  Any point-like sequence or ``(n, 2)`` array may be given.
+    """
+
+    positions: PointRows
     visibility_range: float
 
     def __post_init__(self) -> None:
-        positions = self.positions
-        # Point.of is the identity on Point inputs; skip rebuilding the
-        # tuple when there is nothing to convert (the common case when an
-        # engine hands back its own observed positions).
-        if type(positions) is not tuple or not all(
-            type(p) is Point for p in positions
-        ):
-            object.__setattr__(
-                self, "positions", tuple(Point.of(p) for p in positions)
-            )
+        if type(self.positions) is not PointRows:
+            object.__setattr__(self, "positions", PointRows(self.positions))
         if self.visibility_range <= 0.0:
             raise ValueError("visibility range must be positive")
 
     @staticmethod
     def of(positions: Sequence[PointLike], visibility_range: float) -> "Configuration":
-        """Build a configuration from any point-like sequence."""
-        return Configuration(tuple(positions), float(visibility_range))
+        """Build a configuration from any point-like sequence or ``(n, 2)`` rows."""
+        return Configuration(positions, float(visibility_range))
 
     # -- basics -----------------------------------------------------------------
     def __len__(self) -> int:
@@ -64,8 +65,8 @@ class Configuration:
         return self.positions[index]
 
     def as_array(self) -> np.ndarray:
-        """Positions as an ``(n, 2)`` numpy array."""
-        return points_to_array(self.positions)
+        """Positions as the read-only ``(n, 2)`` rows."""
+        return self.positions.rows
 
     def with_positions(self, positions: Sequence[PointLike]) -> "Configuration":
         """A configuration with the same range but new positions."""
@@ -117,7 +118,7 @@ class Configuration:
 
     def hull_diameter(self) -> float:
         """Diameter of the convex hull (the paper's convergence measure)."""
-        return max_pairwise_distance(list(self.positions))
+        return rows_diameter(self.positions.rows)
 
     def hull_perimeter(self) -> float:
         """Perimeter of the convex hull."""
@@ -137,9 +138,7 @@ class Configuration:
 
     def min_pairwise_distance(self) -> float:
         """Smallest separation between distinct robots (collision measure)."""
-        from ..geometry.point import min_pairwise_distance
-
-        return min_pairwise_distance(self.positions)
+        return min_pairwise_distance_grid(self.positions.rows, self.visibility_range)
 
     def within_epsilon(self, epsilon: float) -> bool:
         """Point-Convergence check: every pairwise separation at most ``epsilon``."""

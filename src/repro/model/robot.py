@@ -20,12 +20,11 @@ the moves that have completed) run as single numpy expressions.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..geometry.point import Point, PointLike
+from ..geometry.point import PointLike, points_to_array
 from ..geometry.tolerances import EPS
 from .types import Phase
 
@@ -82,13 +81,8 @@ class KinematicArrays:
 
     @staticmethod
     def from_positions(positions: Sequence[PointLike]) -> "KinematicArrays":
-        """A planar store with every robot idle at the given positions."""
-        pts = list(map(Point.of, positions))
-        arrays = KinematicArrays(len(pts))
-        for axis, name in enumerate(("x", "y")):
-            column = map(attrgetter(name), pts)
-            arrays.position[:, axis] = np.fromiter(column, dtype=float, count=len(pts))
-        return arrays
+        """A planar store with every robot idle at the given positions (rows copied)."""
+        return KinematicArrays.from_array(points_to_array(positions))
 
     @staticmethod
     def from_array(positions: np.ndarray) -> "KinematicArrays":

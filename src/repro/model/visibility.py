@@ -11,37 +11,28 @@ is monotone under its algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from itertools import chain
+from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..geometry.point import PointLike, pairwise_distances, points_to_array
+from ..geometry.pairs import grid_edges
+from ..geometry.point import PointLike, points_to_array
 from ..geometry.tolerances import EPS
 
 Edge = Tuple[int, int]
 
 
-def visibility_edges_from_matrix(
-    distances: np.ndarray, visibility_range: float, *, eps: float = EPS
-) -> Set[Edge]:
-    """Visibility edges derived from a precomputed ``(n, n)`` distance matrix."""
-    n = distances.shape[0]
-    if n < 2:
-        return set()
-    rows, cols = np.triu_indices(n, k=1)
-    mask = distances[rows, cols] <= visibility_range + eps
-    return set(zip(rows[mask].tolist(), cols[mask].tolist()))
-
-
 def visibility_edges(
     positions: Sequence[PointLike], visibility_range: float, *, eps: float = EPS
 ) -> Set[Edge]:
-    """All pairs ``(i, j)`` with ``i < j`` whose separation is at most ``V``."""
-    if len(positions) < 2:
-        return set()
-    return visibility_edges_from_matrix(
-        pairwise_distances(positions), visibility_range, eps=eps
-    )
+    """All pairs ``(i, j)`` with ``i < j`` whose separation is at most ``V``.
+
+    Built by :func:`~repro.geometry.pairs.grid_edges` in O(n + |E|), which
+    decides each pair's ``<= V + eps`` on the dense matrix's float.
+    """
+    i, j = grid_edges(points_to_array(positions), visibility_range + eps)
+    return set(zip(i.tolist(), j.tolist()))
 
 
 def strong_visibility_edges(
@@ -51,45 +42,42 @@ def strong_visibility_edges(
     return visibility_edges(positions, visibility_range / 2.0, eps=eps)
 
 
-def adjacency_from_edges(n: int, edges: Iterable[Edge]) -> Dict[int, Set[int]]:
-    """Adjacency-list view of an edge set over ``n`` vertices."""
-    adjacency: Dict[int, Set[int]] = {i: set() for i in range(n)}
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    return adjacency
+def component_labels(n: int, i: np.ndarray, j: np.ndarray) -> Tuple[int, np.ndarray]:
+    """``(count, labels)`` of the components of the graph on ``n`` vertices.
+
+    The edges are the index pairs ``(i[k], j[k])``.  ``scipy`` labels an
+    undirected graph's components from 0 as its search meets them in
+    vertex order, so labels count up with each component's lowest vertex.
+    """
+    from scipy.sparse import coo_matrix, csgraph
+
+    graph = coo_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)
 
 
 def connected_components(n: int, edges: Iterable[Edge]) -> List[Set[int]]:
-    """Connected components of the graph on ``n`` vertices with ``edges``."""
-    adjacency = adjacency_from_edges(n, edges)
-    seen: Set[int] = set()
-    components: List[Set[int]] = []
-    for start in range(n):
-        if start in seen:
-            continue
-        stack = [start]
-        component: Set[int] = set()
-        while stack:
-            v = stack.pop()
-            if v in component:
-                continue
-            component.add(v)
-            stack.extend(adjacency[v] - component)
-        seen |= component
-        components.append(component)
-    return components
+    """Connected components of the graph on ``n`` vertices with ``edges``.
+
+    Ordered by each component's lowest vertex.
+    """
+    if n == 0:
+        return []
+    index = np.fromiter(chain.from_iterable(edges), dtype=np.intp).reshape(-1, 2)
+    count, labels = component_labels(n, index[:, 0], index[:, 1])
+    bounds = np.cumsum(np.bincount(labels, minlength=count))[:-1]
+    members = np.split(np.argsort(labels, kind="stable"), bounds)
+    return [set(part.tolist()) for part in members]
 
 
 def is_connected(
     positions: Sequence[PointLike], visibility_range: float, *, eps: float = EPS
 ) -> bool:
     """True when the visibility graph of ``positions`` is connected."""
-    n = len(positions)
-    if n <= 1:
+    arr = points_to_array(positions)
+    if len(arr) <= 1:
         return True
-    edges = visibility_edges(positions, visibility_range, eps=eps)
-    return len(connected_components(n, edges)) == 1
+    i, j = grid_edges(arr, visibility_range + eps)
+    return component_labels(len(arr), i, j)[0] == 1
 
 
 def edges_preserved(
@@ -118,28 +106,6 @@ def broken_edges(
     """The initial edges that are no longer visibility edges (empty when cohesive)."""
     current = visibility_edges(positions, visibility_range, eps=eps)
     return {edge for edge in initial_edges if edge not in current}
-
-
-def broken_edges_from_matrix(
-    initial_edges: Iterable[Edge],
-    distances: np.ndarray,
-    visibility_range: float,
-    *,
-    eps: float = EPS,
-) -> Set[Edge]:
-    """The initial edges whose current length exceeds ``V``, from a distance matrix.
-
-    Equivalent to :func:`broken_edges` but reads the lengths of the tracked
-    edges straight out of a precomputed matrix instead of rebuilding the
-    full current edge set — the form the vectorized metrics path uses.
-    """
-    edges = list(initial_edges)
-    if not edges:
-        return set()
-    index = np.asarray(edges, dtype=int)
-    lengths = distances[index[:, 0], index[:, 1]]
-    over = lengths > visibility_range + eps
-    return {edges[i] for i in np.flatnonzero(over)}
 
 
 def max_edge_stretch(

@@ -44,7 +44,7 @@ from .engine3 import (
     visible_relative3,
 )
 from .kknps3 import KKNPS3Algorithm
-from .model3 import Configuration3, positions_as_array3
+from .model3 import ConfigurationViews3, positions_as_array3
 from .vector3 import Vector3Like
 
 
@@ -90,16 +90,18 @@ class AsyncSimulation3Config:
             )
 
 
-@dataclass
-class Simulation3AsyncResult:
+@dataclass(eq=False)
+class Simulation3AsyncResult(ConfigurationViews3):
     """Outcome of one continuous-time 3D run.
 
     The measures read the run's own samples, as the planar result's do:
     the full t=0 and final samples and the collector's initial edges.
+    Positions are kept as ``(n, 3)`` rows (:class:`ConfigurationViews3`).
     """
 
-    initial_configuration: Configuration3
-    final_configuration: Configuration3
+    initial_positions: np.ndarray
+    final_positions: np.ndarray
+    visibility_range: float
     metrics: MetricsCollector
     activations_processed: int
     activation_counts: Dict[int, int]
@@ -187,14 +189,13 @@ def run_simulation3_async(
     scheduler = scheduler or KAsyncScheduler(k=1)
 
     positions = positions_as_array3(initial_positions)
-    initial = Configuration3.of(positions, config.visibility_range)
     kernel = Kernel3(KinematicArrays.from_array(positions), algorithm, scheduler, config)
     outcome = kernel.run_kernel()
 
-    final = Configuration3.of(outcome.final_positions, config.visibility_range)
     return Simulation3AsyncResult(
-        initial_configuration=initial,
-        final_configuration=final,
+        initial_positions=positions,
+        final_positions=outcome.final_positions,
+        visibility_range=config.visibility_range,
         metrics=outcome.metrics,
         activations_processed=outcome.processed,
         activation_counts=kernel.activation_counts(),

@@ -8,13 +8,14 @@ relative positions.  Only the geometry changes (balls instead of disks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..engine.metrics import grid_edges, rows_diameter
+from ..geometry.pairs import grid_edges, rows_diameter
 from ..geometry.tolerances import EPS
-from ..model.visibility import connected_components
+from ..model.visibility import component_labels
 from .vector3 import Vector3, Vector3Like, centroid3
 
 Edge = Tuple[int, int]
@@ -36,7 +37,7 @@ def visibility_edges3(
 ) -> Set[Edge]:
     """All pairs ``(i, j)`` with ``i < j`` whose separation is at most ``V``.
 
-    Enumerated from a covering grid (:func:`~repro.engine.metrics.grid_edges`)
+    Enumerated from a covering grid (:func:`~repro.geometry.pairs.grid_edges`)
     in O(n + |E|), with the dense per-pair arithmetic.
     """
     i, j = grid_edges(positions_as_array3(positions), visibility_range + eps)
@@ -50,8 +51,8 @@ def is_connected3(
     n = len(positions)
     if n <= 1:
         return True
-    edges = visibility_edges3(positions, visibility_range, eps=eps)
-    return len(connected_components(n, edges)) == 1
+    i, j = grid_edges(positions_as_array3(positions), visibility_range + eps)
+    return component_labels(n, i, j)[0] == 1
 
 
 def edges_preserved3(
@@ -112,6 +113,22 @@ class Configuration3:
     def preserves_edges_of(self, other: "Configuration3") -> bool:
         """3D cohesion check against an earlier configuration."""
         return edges_preserved3(other.edges(), self.positions, self.visibility_range)
+
+
+class ConfigurationViews3:
+    """A 3D result's ``(n, 3)`` start and end rows as :class:`Configuration3` views.
+
+    The views are built on first access from ``initial_positions``,
+    ``final_positions`` and ``visibility_range``.
+    """
+
+    @cached_property
+    def initial_configuration(self) -> Configuration3:
+        return Configuration3.of(self.initial_positions, self.visibility_range)
+
+    @cached_property
+    def final_configuration(self) -> Configuration3:
+        return Configuration3.of(self.final_positions, self.visibility_range)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from ..engine.metrics import MetricsCollector
 from .engine3 import run_rounds_array
 from .kknps3 import KKNPS3Algorithm
-from .model3 import Configuration3, positions_as_array3
+from .model3 import ConfigurationViews3, positions_as_array3
 from .vector3 import Vector3Like
 
 
@@ -49,18 +49,20 @@ class Simulation3Config:
             raise ValueError("max_rounds must be at least 1")
 
 
-@dataclass
-class Simulation3Result:
+@dataclass(eq=False)
+class Simulation3Result(ConfigurationViews3):
     """Outcome of a 3D run.
 
     ``metrics`` is the run's collector (its t=0 sample, one step sample
     per round and the final full sample, in time order: a round's sample
     is stamped when its moves end, so the last round's sample shares its
     time with the final one), which sweep rows read their measures from.
+    Positions are kept as ``(n, 3)`` rows (:class:`ConfigurationViews3`).
     """
 
-    initial_configuration: Configuration3
-    final_configuration: Configuration3
+    initial_positions: np.ndarray
+    final_positions: np.ndarray
+    visibility_range: float
     rounds_executed: int
     converged: bool
     cohesion_maintained: bool
@@ -99,8 +101,9 @@ def run_simulation3(
     )
 
     return Simulation3Result(
-        initial_configuration=Configuration3.of(positions, config.visibility_range),
-        final_configuration=Configuration3.of(outcome.final_positions, config.visibility_range),
+        initial_positions=positions,
+        final_positions=outcome.final_positions,
+        visibility_range=config.visibility_range,
         rounds_executed=len(outcome.diameter_history) - 1,
         converged=outcome.converged_round is not None,
         cohesion_maintained=outcome.cohesion_maintained,

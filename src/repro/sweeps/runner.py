@@ -280,11 +280,8 @@ def _row3(
     of ``result.metrics``, the edge stretch from its initial edges.  No
     ``Configuration3`` measure is rebuilt and no ``(n, n)`` matrix built.
     """
-    from ..spatial3d import positions_as_array3
-
     metrics = result.metrics
     final = metrics.latest()
-    final_positions = positions_as_array3(result.final_configuration.positions)
     return {
         "run_key": spec.run_key,
         "dimension": 3,
@@ -309,7 +306,7 @@ def _row3(
         "initial_diameter": metrics.samples[0].hull_diameter,
         "final_diameter": final.hull_diameter,
         "final_min_pairwise": final.min_pairwise_distance,
-        "max_edge_stretch": metrics.max_edge_stretch(final_positions),
+        "max_edge_stretch": metrics.max_edge_stretch(result.final_positions),
         "simulated_time": simulated_time,
         "wall_time_s": time.perf_counter() - started,
     }

@@ -1,19 +1,24 @@
 """Workload generators: initial robot configurations for the experiments.
 
 All generators guarantee the property every limited-visibility experiment
-needs: the visibility graph of the generated configuration is connected.
-Random generators take an explicit numpy ``Generator`` (or a seed) so runs
-are reproducible.
+needs: the visibility graph of the generated configuration is connected —
+by construction, or (``annulus``, ``disk``) by rejecting samples until
+:func:`~repro.model.visibility.is_connected` accepts one.  Random
+generators take an explicit numpy ``Generator`` (or a seed) so runs are
+reproducible.
+
+Configurations are built as ``(n, 2)`` rows with the floats and RNG order
+of placing one ``Point`` per robot (``Point.polar`` plus addition); angles
+go through ``math.cos``/``math.sin``, as ``np.cos`` need not round alike.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..geometry.point import Point
 from ..model.configuration import Configuration
 from ..model.visibility import is_connected
 
@@ -26,6 +31,24 @@ def _rng(seed: RngLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _polar_rows(radius, angles) -> np.ndarray:
+    """``Point.polar(radius, angle)`` of every angle (``radius`` scalar or per angle) as rows."""
+    angles = np.asarray(angles, dtype=float).tolist()
+    cos = np.fromiter(map(math.cos, angles), dtype=float, count=len(angles))
+    sin = np.fromiter(map(math.sin, angles), dtype=float, count=len(angles))
+    return np.column_stack((radius * cos, radius * sin))
+
+
+def _disk_offsets(rng: np.random.Generator, radius: float, count: int) -> np.ndarray:
+    """``count`` offsets uniform in a disk; each draws its radius, then its angle."""
+    radii = np.empty(count)
+    angles = np.empty(count)
+    for k in range(count):
+        radii[k] = radius * math.sqrt(rng.random())
+        angles[k] = rng.uniform(0.0, 2.0 * math.pi)
+    return _polar_rows(radii, angles)
+
+
 def line_configuration(
     n: int, *, spacing: float = 0.8, visibility_range: float = 1.0
 ) -> Configuration:
@@ -34,8 +57,9 @@ def line_configuration(
         raise ValueError("need at least one robot")
     if spacing > visibility_range:
         raise ValueError("spacing beyond the visibility range would disconnect the line")
-    points = [Point(i * spacing, 0.0) for i in range(n)]
-    return Configuration.of(points, visibility_range)
+    rows = np.zeros((n, 2))
+    rows[:, 0] = np.arange(n) * spacing
+    return Configuration.of(rows, visibility_range)
 
 
 def grid_configuration(
@@ -46,8 +70,9 @@ def grid_configuration(
         raise ValueError("grid must have at least one row and one column")
     if spacing > visibility_range:
         raise ValueError("spacing beyond the visibility range would disconnect the grid")
-    points = [Point(c * spacing, r * spacing) for r in range(rows) for c in range(cols)]
-    return Configuration.of(points, visibility_range)
+    xs = np.tile(np.arange(cols) * spacing, rows)
+    ys = np.repeat(np.arange(rows) * spacing, cols)
+    return Configuration.of(np.column_stack((xs, ys)), visibility_range)
 
 
 def truncated_grid_configuration(
@@ -65,10 +90,9 @@ def truncated_grid_configuration(
     if spacing > visibility_range:
         raise ValueError("spacing beyond the visibility range would disconnect the grid")
     cols = max(1, math.ceil(math.sqrt(n)))
-    points = [
-        Point((i % cols) * spacing, (i // cols) * spacing) for i in range(n)
-    ]
-    return Configuration.of(points, visibility_range)
+    index = np.arange(n)
+    rows = np.column_stack(((index % cols) * spacing, (index // cols) * spacing))
+    return Configuration.of(rows, visibility_range)
 
 
 def ring_configuration(
@@ -81,10 +105,8 @@ def ring_configuration(
         raise ValueError("chord_fraction must lie in (0, 1]")
     chord = chord_fraction * visibility_range
     radius = chord / (2.0 * math.sin(math.pi / n))
-    points = [
-        Point.polar(radius, 2.0 * math.pi * i / n) for i in range(n)
-    ]
-    return Configuration.of(points, visibility_range)
+    rows = _polar_rows(radius, 2.0 * math.pi * np.arange(n) / n)
+    return Configuration.of(rows, visibility_range)
 
 
 def random_connected_configuration(
@@ -107,16 +129,16 @@ def random_connected_configuration(
     if not 0.0 < attach_radius_fraction <= 1.0:
         raise ValueError("attach_radius_fraction must lie in (0, 1]")
     rng = _rng(seed)
-    points: List[Point] = [Point(0.0, 0.0)]
+    xs = [0.0]
+    ys = [0.0]
     max_radius = attach_radius_fraction * visibility_range
-    while len(points) < n:
-        anchor = points[int(rng.integers(0, len(points)))]
+    while len(xs) < n:
+        anchor = int(rng.integers(0, len(xs)))
         radius = max_radius * (spread + (1.0 - spread) * rng.random())
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        points.append(anchor + Point.polar(radius, angle))
-    configuration = Configuration.of(points, visibility_range)
-    assert configuration.is_connected(), "incremental attachment must yield a connected configuration"
-    return configuration
+        xs.append(xs[anchor] + radius * math.cos(angle))
+        ys.append(ys[anchor] + radius * math.sin(angle))
+    return Configuration.of(np.column_stack((xs, ys)), visibility_range)
 
 
 def clustered_configuration(
@@ -151,19 +173,12 @@ def clustered_configuration(
     rng = _rng(seed)
     cluster_gap = 1.2 * visibility_range
     cluster_radius = cluster_radius_fraction * visibility_range
-    points: List[Point] = []
+    blocks = []
     for c, size in enumerate(cluster_sizes):
-        center = Point(c * cluster_gap, 0.0)
-        for _ in range(size):
-            offset = Point.polar(
-                cluster_radius * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
-            )
-            points.append(center + offset)
+        blocks.append(np.array([c * cluster_gap, 0.0]) + _disk_offsets(rng, cluster_radius, size))
         if c + 1 < n_clusters:
-            points.append(Point((c + 0.5) * cluster_gap, 0.0))
-    configuration = Configuration.of(points, visibility_range)
-    assert configuration.is_connected()
-    return configuration
+            blocks.append(np.array([[(c + 0.5) * cluster_gap, 0.0]]))
+    return Configuration.of(np.concatenate(blocks), visibility_range)
 
 
 def blob_configuration(
@@ -198,23 +213,19 @@ def blob_configuration(
             "disconnect adjacent blobs"
         )
     rng = _rng(seed)
-    centres: List[Point] = [Point(0.0, 0.0)]
+    centres = [(0.0, 0.0)]
+    gap = centre_gap_fraction * visibility_range
     while len(centres) < n_blobs:
-        anchor = centres[int(rng.integers(0, len(centres)))]
+        ax, ay = centres[int(rng.integers(0, len(centres)))]
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        centres.append(anchor + Point.polar(centre_gap_fraction * visibility_range, angle))
+        centres.append((ax + gap * math.cos(angle), ay + gap * math.sin(angle)))
     blob_radius = blob_radius_fraction * visibility_range
     sizes = [n // n_blobs + (1 if b < n % n_blobs else 0) for b in range(n_blobs)]
-    points: List[Point] = []
-    for centre, size in zip(centres, sizes):
-        for _ in range(size):
-            offset = Point.polar(
-                blob_radius * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)
-            )
-            points.append(centre + offset)
-    configuration = Configuration.of(points, visibility_range)
-    assert configuration.is_connected(), "blob attachment must yield a connected configuration"
-    return configuration
+    blocks = [
+        np.array(centre) + _disk_offsets(rng, blob_radius, size)
+        for centre, size in zip(centres, sizes)
+    ]
+    return Configuration.of(np.concatenate(blocks), visibility_range)
 
 
 def annulus_configuration(
@@ -244,9 +255,9 @@ def annulus_configuration(
             rng.uniform(inner_radius**2, outer_radius**2, n)
         )
         angles = rng.uniform(0.0, 2.0 * math.pi, n)
-        points = [Point.polar(float(r), float(a)) for r, a in zip(radii, angles)]
-        if is_connected(points, visibility_range):
-            return Configuration.of(points, visibility_range)
+        rows = _polar_rows(radii, angles)
+        if is_connected(rows, visibility_range):
+            return Configuration.of(rows, visibility_range)
     raise RuntimeError(
         f"no connected configuration of {n} robots found in the annulus "
         f"[{inner_radius}, {outer_radius}] with V={visibility_range} "
@@ -271,9 +282,9 @@ def random_disk_configuration(
     for _ in range(max_attempts):
         radii = disk_radius * np.sqrt(rng.random(n))
         angles = rng.uniform(0.0, 2.0 * math.pi, n)
-        points = [Point.polar(float(r), float(a)) for r, a in zip(radii, angles)]
-        if is_connected(points, visibility_range):
-            return Configuration.of(points, visibility_range)
+        rows = _polar_rows(radii, angles)
+        if is_connected(rows, visibility_range):
+            return Configuration.of(rows, visibility_range)
     raise RuntimeError(
         f"no connected configuration of {n} robots found in a disk of radius {disk_radius} "
         f"with V={visibility_range} after {max_attempts} attempts"
@@ -293,10 +304,10 @@ def polygon_configuration(
     if n < 3:
         raise ValueError("a polygon needs at least three vertices")
     circumradius = side_length / (2.0 * math.sin(math.pi / n))
-    points = [Point.polar(circumradius, 2.0 * math.pi * i / n) for i in range(n)]
-    return Configuration.of(points, visibility_range)
+    rows = _polar_rows(circumradius, 2.0 * math.pi * np.arange(n) / n)
+    return Configuration.of(rows, visibility_range)
 
 
 def two_robot_configuration(separation: float, *, visibility_range: float = 1.0) -> Configuration:
     """Two robots at the given separation (the minimal interesting configuration)."""
-    return Configuration.of([Point(0.0, 0.0), Point(separation, 0.0)], visibility_range)
+    return Configuration.of([(0.0, 0.0), (separation, 0.0)], visibility_range)

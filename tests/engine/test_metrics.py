@@ -1,10 +1,10 @@
 """Tests for the metrics collector."""
 
 import pytest
+from reference.visibility import dense_visibility_edges
 
 from repro.engine import MetricsCollector
 from repro.geometry import Point
-from repro.model.visibility import visibility_edges
 
 
 SQUARE = [Point(0, 0), Point(0.9, 0), Point(0.9, 0.9), Point(0, 0.9)]
@@ -119,7 +119,7 @@ class TestLargeNMode:
         # dense matrix's edge set.
         assert large.initial_edges == set()
         index = np.stack((large._edge_i, large._edge_j), axis=1)
-        assert list(map(tuple, index.tolist())) == sorted(visibility_edges(arr, 1.5))
+        assert list(map(tuple, index.tolist())) == sorted(dense_visibility_edges(arr, 1.5))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_large_n_observe_matches_dense_3d(self, seed, monkeypatch):
@@ -135,6 +135,7 @@ class TestLargeNMode:
         dense_sample = dense.observe(1.0, moved, 1, full=True)
 
         monkeypatch.setattr("repro.engine.metrics.METRICS_DENSE_MAX", 16)
+        monkeypatch.setattr("repro.geometry.pairs.METRICS_DENSE_MAX", 16)
         large = MetricsCollector(visibility_range=1.5)
         large.bind_initial(arr)
         large_sample = large.observe(1.0, moved, 1, full=True)
@@ -156,7 +157,7 @@ class TestBindInitialEdges:
     def _assert_dense_edges(arr, visibility_range):
         collector = MetricsCollector(visibility_range=visibility_range)
         collector.bind_initial(arr)
-        dense = visibility_edges(arr, visibility_range)
+        dense = dense_visibility_edges(arr, visibility_range)
         assert collector.initial_edges == dense
         index = list(zip(collector._edge_i.tolist(), collector._edge_j.tolist()))
         assert index == sorted(dense)

@@ -96,3 +96,60 @@ class TestGeometry:
         point, count = multiplicities[0]
         assert point == Point(0, 0) and count == 2
         assert SQUARE.multiplicity_points() == []
+
+
+class TestRowBackedPositions:
+    """``positions`` reads as the tuple of Points it stands for."""
+
+    COORDS = [(0.0, 0.0), (0.9, -0.0), (0.9, 0.9), (-1.5, 1e-300)]
+
+    def _pair(self):
+        config = Configuration.of(np.array(self.COORDS), 1.0)
+        return config, tuple(Point(x, y) for x, y in self.COORDS)
+
+    def test_len_index_slice_and_iteration(self):
+        config, points = self._pair()
+        positions = config.positions
+        assert len(positions) == len(points)
+        for index in range(-len(points), len(points)):
+            assert positions[index] == points[index]
+            assert type(positions[index].x) is float
+        assert positions[1:3] == points[1:3] and type(positions[1:3]) is tuple
+        assert positions[::-1] == points[::-1]
+        assert tuple(positions) == points and list(reversed(positions)) == list(points[::-1])
+        assert points[2] in positions and positions.index(points[3]) == 3
+        with pytest.raises(IndexError):
+            positions[len(points)]
+
+    def test_equality_and_hash(self):
+        config, points = self._pair()
+        same = Configuration.of(list(points), 1.0)
+        assert config.positions == points and config.positions == same.positions
+        assert config == same and hash(config) == hash(same)
+        assert hash(config.positions) == hash(points)
+        assert config != Configuration.of(list(points), 2.0)
+        assert config.positions != points[:-1] and config.positions != list(points)
+
+    def test_rows_are_read_only_and_copied(self):
+        arr = np.array(self.COORDS)
+        config = Configuration.of(arr, 1.0)
+        arr[0, 0] = 7.0
+        assert config[0] == Point(0.0, 0.0)
+        with pytest.raises(ValueError):
+            config.as_array()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            config.positions.rows[0, 0] = 1.0
+
+    def test_same_bytes_from_points_and_rows(self):
+        config, points = self._pair()
+        assert Configuration.of(points, 1.0).as_array().tobytes() == config.as_array().tobytes()
+        assert Configuration.of(config.positions, 1.0).as_array() is config.as_array()
+
+    def test_pickle_round_trip_stays_read_only(self):
+        import pickle
+
+        config, _ = self._pair()
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config
+        with pytest.raises(ValueError):
+            copy.as_array()[0, 0] = 1.0

@@ -24,7 +24,14 @@ two and benchmarks can time the array engine against it:
 * :mod:`reference.frames` — the per-activation scalar frame draw
   (:func:`~reference.frames.draw_frames_scalar`);
 * :mod:`reference.epochs` — the rescanning epoch partition
-  (:func:`~reference.epochs.epochs_scan`).
+  (:func:`~reference.epochs.epochs_scan`);
+* :mod:`reference.visibility` — the dense ``(n, n)`` visibility graph
+  and the depth-first components
+  (:func:`~reference.visibility.dense_visibility_edges`);
+* :mod:`reference.generators` — the Point-by-Point workload generators
+  (:func:`~reference.generators.reference_workload`);
+* :mod:`reference.rounds` — the per-row replay of a round's counters
+  (:func:`~reference.rounds.replay_round_loop`).
 
 ``tests/conftest.py`` puts ``tests/`` on ``sys.path``, so tests import
 these as ``reference.<module>``; scripts outside the suite add

@@ -137,8 +137,9 @@ def run_simulation3_object(
         rotate_frames=config.rotate_frames,
     )
     return Simulation3Result(
-        initial_configuration=initial,
-        final_configuration=Configuration3.of(outcome.final_positions, config.visibility_range),
+        initial_positions=positions,
+        final_positions=outcome.final_positions,
+        visibility_range=config.visibility_range,
         rounds_executed=len(outcome.diameter_history) - 1,
         converged=outcome.converged_round is not None,
         cohesion_maintained=outcome.cohesion_maintained,

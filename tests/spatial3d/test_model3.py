@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine import metrics
-from repro.engine.metrics import dense_diameter, rows_diameter
+from repro.geometry import pairs
+from repro.geometry.pairs import dense_diameter, rows_diameter
 from repro.spatial3d import (
     Configuration3,
     Snapshot3,
@@ -95,7 +95,7 @@ class TestDiameter3:
         assert dense_diameter(arr) == rows_diameter(arr) == expected
 
     def test_one_row_blocks_cover_every_pair(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_DIAMETER_BLOCK_PAIRS", 64)
+        monkeypatch.setattr(pairs, "_DIAMETER_BLOCK_PAIRS", 64)
         arr = _random3(50, 3)
         assert dense_diameter(arr) == _scalar_diameter(arr)
 
@@ -103,12 +103,12 @@ class TestDiameter3:
     def test_hull_vertex_diameter_equals_scalar_scan(self, name, monkeypatch):
         """Past ``METRICS_DENSE_MAX`` the scan pairs the Qhull vertices only;
         a flat swarm, which Qhull rejects, still pairs every point."""
-        monkeypatch.setattr(metrics, "METRICS_DENSE_MAX", 16)
+        monkeypatch.setattr(pairs, "METRICS_DENSE_MAX", 16)
         arr = self.CASES[name]
         assert rows_diameter(arr) == _scalar_diameter(arr)
 
     def test_large_diameter_scans_every_point_of_a_flat_swarm(self, monkeypatch):
-        monkeypatch.setattr(metrics, "METRICS_DENSE_MAX", 16)
+        monkeypatch.setattr(pairs, "METRICS_DENSE_MAX", 16)
         arr = _coplanar3(600, 4)
         assert rows_diameter(arr) == _scalar_diameter(arr)
 

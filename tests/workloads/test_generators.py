@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from reference.generators import reference_workload
 
 from repro.geometry import Point
+from repro.sweeps.factories import WORKLOAD_FACTORIES, make_workload
 from repro.workloads import (
     annulus_configuration,
     blob_configuration,
@@ -180,3 +182,50 @@ class TestAnnulusConfiguration:
                 3, inner_radius=40.0, outer_radius=50.0, visibility_range=0.1,
                 seed=0, max_attempts=5,
             )
+
+
+PLANAR_WORKLOADS = tuple(WORKLOAD_FACTORIES)
+
+
+class TestRowsEqualThePointLoops:
+    """Every planar registry workload builds the rows the Point-by-Point
+    generators built, byte for byte, and the same visibility range."""
+
+    @pytest.mark.parametrize("name", PLANAR_WORKLOADS)
+    def test_rows_are_byte_equal(self, name):
+        for n in (3, 17, 200, 2000):
+            for seed in range(5):
+                try:
+                    rows, visibility_range = reference_workload(name, n, seed)
+                except (ValueError, RuntimeError) as refused:
+                    with pytest.raises(type(refused)):
+                        make_workload(name, n, seed)
+                    continue
+                config = make_workload(name, n, seed)
+                assert config.as_array().tobytes() == rows.tobytes(), (name, n, seed)
+                assert config.visibility_range == visibility_range
+
+
+class TestConnectedByConstruction:
+    """The shapes built by attachment or bridging are connected without a
+    check in the generator: seeds 0-19 at several sizes."""
+
+    @pytest.mark.parametrize("name", ["random", "clusters", "blobs"])
+    def test_always_connected(self, name):
+        for n in (1, 2, 3, 17, 200, 1000):
+            for seed in range(20):
+                config = make_workload(name, n, seed)
+                assert len(config) == n
+                assert config.is_connected(), (name, n, seed)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_non_default_shapes_are_connected(self, seed):
+        assert random_connected_configuration(
+            60, visibility_range=0.5, attach_radius_fraction=1.0, spread=0.0, seed=seed
+        ).is_connected()
+        assert clustered_configuration(
+            4, 9, cluster_radius_fraction=0.35, visibility_range=2.0, seed=seed
+        ).is_connected()
+        assert blob_configuration(
+            40, n_blobs=5, blob_radius_fraction=0.25, centre_gap_fraction=0.5, seed=seed
+        ).is_connected()
