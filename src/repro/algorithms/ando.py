@@ -32,7 +32,7 @@ from ..geometry.sec import sec_center_array
 from ..geometry.tolerances import EPS
 from ..model.snapshot import Snapshot
 from .base import ConvergenceAlgorithm
-from .safe_regions import ando_safe_region_local
+from .safe_regions import ando_safe_region_local, point_respects_disks
 
 
 @dataclass
@@ -103,13 +103,6 @@ class AndoAlgorithm(ConvergenceAlgorithm):
 
     def destination_respects_safe_regions(self, snapshot: Snapshot, *, eps: float = 1e-9) -> bool:
         """Check that the computed destination lies in every neighbour's safe disk."""
-        from ..geometry.pointloc import points_in_all_disks
-
-        destination = self.compute(snapshot)
-        verdict = points_in_all_disks(
-            self.safe_regions(snapshot),
-            np.array([destination.x]),
-            np.array([destination.y]),
-            eps=eps,
+        return point_respects_disks(
+            self.compute(snapshot), self.safe_regions(snapshot), eps=eps
         )
-        return bool(verdict[0])

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..geometry.point import Point
 from ..geometry.sec import sec_center
 from ..geometry.tolerances import EPS
@@ -70,15 +68,6 @@ class KatreniakAlgorithm(ConvergenceAlgorithm):
         return [katreniak_safe_region_local(p, v_z) for p in snapshot.neighbours]
 
     def destination_respects_safe_regions(self, snapshot: Snapshot, *, eps: float = 1e-9) -> bool:
-        """Check that the destination lies in every neighbour's composite region.
-
-        Each composite region is a two-disk union, so the verdict is a
-        batched union-locator query per region — bit-identical to the
-        scalar ``contains`` conjunction it replaces.
-        """
+        """Check that the destination lies in every neighbour's composite region."""
         destination = self.compute(snapshot)
-        px = np.array([destination.x])
-        py = np.array([destination.y])
-        return all(
-            bool(r.contains_array(px, py, eps=eps)[0]) for r in self.safe_regions(snapshot)
-        )
+        return all(r.contains(destination, eps=eps) for r in self.safe_regions(snapshot))

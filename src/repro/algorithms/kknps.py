@@ -61,7 +61,7 @@ from ..geometry.point import Point
 from ..geometry.tolerances import EPS
 from ..model.snapshot import Snapshot
 from .base import ConvergenceAlgorithm
-from .safe_regions import kknps_safe_region_local
+from .safe_regions import kknps_safe_region_local, point_respects_disks
 
 #: :meth:`KKNPSAlgorithm.decide_consts` — ``(close_fraction,
 #: distance_error_tolerance, alpha, radius_divisor, shrink)``.
@@ -274,16 +274,9 @@ class KKNPSAlgorithm(ConvergenceAlgorithm):
 
     def destination_respects_safe_regions(self, snapshot: Snapshot, *, eps: float = 1e-9) -> bool:
         """Check that the computed destination lies in every distant safe region."""
-        from ..geometry.pointloc import points_in_all_disks
-
-        destination = self.compute(snapshot)
-        verdict = points_in_all_disks(
-            self.safe_regions(snapshot),
-            np.array([destination.x]),
-            np.array([destination.y]),
-            eps=eps,
+        return point_respects_disks(
+            self.compute(snapshot), self.safe_regions(snapshot), eps=eps
         )
-        return bool(verdict[0])
 
 
 def kknps_destinations_all(

@@ -135,15 +135,6 @@ def point_respects_disks(point: PointLike, disks: Sequence[Disk], *, eps: float 
     return all(d.contains(point, eps=eps) for d in disks)
 
 
-def points_respect_disks(
-    px: np.ndarray, py: np.ndarray, disks: Sequence[Disk], *, eps: float = EPS
-) -> np.ndarray:
-    """Batched :func:`point_respects_disks` via the build-once locator."""
-    from ..geometry.pointloc import points_in_all_disks
-
-    return points_in_all_disks(disks, px, py, eps=eps)
-
-
 def max_step_within_disks(
     origin: PointLike, goal: PointLike, disks: Sequence[Disk], *, eps: float = 1e-12
 ) -> Point:

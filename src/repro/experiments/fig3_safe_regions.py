@@ -96,8 +96,8 @@ def _katreniak_area(neighbour: Point, v_lower: float, *, samples: int = 40_000, 
     rng = np.random.default_rng(seed)
     box = 2.0 * radius
     points = rng.uniform(-radius, radius, size=(samples, 2))
-    # Batched union membership: one locator query instead of `samples`
-    # scalar contains() calls, verdict-for-verdict identical.
+    # Batched union membership: one contains_array call per disk instead
+    # of `samples` scalar contains() calls, verdict-for-verdict identical.
     hits = int(np.count_nonzero(region.contains_array(points[:, 0], points[:, 1])))
     return hits / samples * box * box
 

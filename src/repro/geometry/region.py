@@ -21,10 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional
-
-import numpy as np
 
 from .disk import Disk
 from .point import Point, PointLike
@@ -146,26 +143,10 @@ class ReachableRegion:
             Disk(self.observer, self.observer.distance_to(y_minus)),
         ]
 
-    @cached_property
-    def _bulge_locator(self):
-        """Build-once point locator for the bulge's four-disk intersection."""
-        from .pointloc import DiskIntersectionLocator
-
-        return DiskIntersectionLocator(self.bulge_disks())
-
     def in_bulge(self, point: PointLike, *, eps: float = EPS) -> bool:
-        """True when ``point`` belongs to the bulge."""
-        locator = self._bulge_locator
-        if not locator.disks:
-            return False
-        return locator.contains(Point.of(point), eps=eps)
-
-    def in_bulge_array(self, px, py, *, eps: float = EPS):
-        """Vectorized :meth:`in_bulge`, bit-identical per point."""
-        locator = self._bulge_locator
-        if not locator.disks:
-            return np.zeros(len(px), dtype=bool)
-        return locator.contains_array(px, py, eps=eps)
+        """True when ``point`` belongs to the bulge (never for a degenerate region)."""
+        disks = self.bulge_disks()
+        return bool(disks) and all(d.contains(point, eps=eps) for d in disks)
 
     # -- full region --------------------------------------------------------
     def contains(self, point: PointLike, *, eps: float = EPS, samples: int = 129) -> bool:

@@ -34,7 +34,15 @@ def _float_two(ax, ay, bx, by):
 
 
 def _float_trivial(ax, ay, bx, by, cx, cy):
-    """Smallest circle with three boundary points, on plain floats (None if collinear)."""
+    """Circle with all three points on its boundary, on plain floats (None if collinear).
+
+    Welzl's innermost step needs a circle through p, q *and* r.  When the
+    smallest circle of the three is a pair's diametral circle, that circle
+    is kept only if the third point lies on it too (a right angle, so
+    lattice sets keep their midpoint floats); an obtuse triple's diametral
+    circle drops a point from the boundary, so the circumcircle is taken
+    instead.
+    """
     for (px, py), (qx, qy) in (
         ((ax, ay), (bx, by)),
         ((ax, ay), (cx, cy)),
@@ -42,12 +50,13 @@ def _float_trivial(ax, ay, bx, by, cx, cy):
     ):
         ox, oy, r = _float_two(px, py, qx, qy)
         eps = 1e-12 * max(1.0, r)
-        if (
-            math.hypot(ax - ox, ay - oy) <= r + eps
-            and math.hypot(bx - ox, by - oy) <= r + eps
-            and math.hypot(cx - ox, cy - oy) <= r + eps
-        ):
-            return ox, oy, r
+        da = math.hypot(ax - ox, ay - oy)
+        db = math.hypot(bx - ox, by - oy)
+        dc = math.hypot(cx - ox, cy - oy)
+        if da <= r + eps and db <= r + eps and dc <= r + eps:
+            if min(da, db, dc) >= r - eps:
+                return ox, oy, r
+            break
     d = 2.0 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
     if abs(d) <= EPS:
         return None

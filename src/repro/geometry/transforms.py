@@ -83,21 +83,6 @@ class LocalFrame:
             ry = -ry
         return np.column_stack((rx / self.scale, ry / self.scale))
 
-    def to_global_array(self, array) -> "np.ndarray":
-        """Express an ``(m, 2)`` array of frame-local points globally.
-
-        Bit-identical to mapping :meth:`to_global` over the rows.
-        """
-        arr = np.asarray(array, dtype=float).reshape(-1, 2)
-        x = arr[:, 0] * self.scale
-        y = arr[:, 1] * self.scale
-        if self.reflected:
-            y = -y
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rx = c * x - s * y
-        ry = s * x + c * y
-        return np.column_stack((rx + self.origin.x, ry + self.origin.y))
-
 
 @dataclass(frozen=True)
 class SymmetricDistortion:

@@ -66,17 +66,6 @@ class PerceptionModel:
             self.distortion is None or self.distortion.amplitude == 0.0
         )
 
-    def _distance_factor(self, rng: Optional[np.random.Generator]) -> float:
-        if self.distance_error == 0.0 or self.bias == "none":
-            return 1.0
-        if self.bias == "over":
-            return 1.0 + self.distance_error
-        if self.bias == "under":
-            return 1.0 - self.distance_error
-        if rng is None:
-            return 1.0
-        return float(rng.uniform(1.0 - self.distance_error, 1.0 + self.distance_error))
-
     def _is_identity(self, rng: Optional[np.random.Generator]) -> bool:
         """True when perception would report every vector unchanged."""
         no_distance_error = (

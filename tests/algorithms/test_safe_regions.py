@@ -214,25 +214,6 @@ class TestBatchedMembership:
             for i in range(len(px)):
                 assert verdicts[i] == region.contains(Point(float(px[i]), float(py[i])))
 
-    def test_points_respect_disks_matches_scalar(self):
-        import numpy as np
-
-        from repro.algorithms.safe_regions import points_respect_disks
-
-        rng = np.random.default_rng(11)
-        disks = [
-            Disk(Point(float(x), float(y)), float(r))
-            for x, y, r in zip(
-                rng.normal(size=5), rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
-            )
-        ]
-        px = rng.normal(scale=1.5, size=200)
-        py = rng.normal(scale=1.5, size=200)
-        verdicts = points_respect_disks(px, py, disks)
-        for i in range(len(px)):
-            point = Point(float(px[i]), float(py[i]))
-            assert verdicts[i] == point_respects_disks(point, disks)
-
     def test_max_step_within_regions_unchanged_by_batched_membership(self):
         import numpy as np
 

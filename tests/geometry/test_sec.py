@@ -171,3 +171,47 @@ class TestOneWelzlLoop:
         points = [Point(float(x), float(y)) for x, y in rows]
         disk = smallest_enclosing_circle(points, seed=seed)
         assert (disk.center.x, disk.center.y, disk.radius) == welzl_pointwise(points, seed=seed)
+
+
+def _small_sets():
+    """Sets of 1-9 points: small integer lattices (with repeats) or floats."""
+    lattice = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+    floats = st.tuples(unit, unit)
+    return st.one_of(
+        st.lists(lattice, min_size=1, max_size=9),
+        st.lists(
+            st.sampled_from([(0, 0), (0, -29), (24, -9), (-2, -2), (25, -14)]),
+            min_size=1,
+            max_size=9,
+        ),
+        st.lists(floats, min_size=1, max_size=9),
+    )
+
+
+class TestBruteForceOracle:
+    """The float core returns the smallest circle holding every point."""
+
+    def test_repeated_origins_keep_every_point(self):
+        # The three-point step once took the obtuse triple's diametral
+        # circle, which dropped a boundary point: (0, -29) fell 9.17 outside.
+        from reference.sec import brute_force_sec
+        from repro.geometry.sec import sec_center_array
+
+        points = [(0, 0), (0, 0), (0, -29), (24, -9), (-2, -2), (25, -14), (0, 0)]
+        disk = smallest_enclosing_circle(points)
+        assert is_valid_enclosing_circle(disk, points)
+        assert disk.radius == pytest.approx(brute_force_sec(points)[2], rel=1e-12)
+        assert sec_center_array(np.array(points, dtype=float)) == (disk.center.x, disk.center.y)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(points=_small_sets(), seed=st.sampled_from((0, None, 5)))
+    def test_radius_is_the_brute_force_minimum(self, points, seed):
+        """Within the core's own membership tolerance of ``1e-7 * max(1, r)``."""
+        from reference.sec import brute_force_sec
+
+        disk = smallest_enclosing_circle(points, seed=seed)
+        tolerance = 1e-7 * max(1.0, disk.radius)
+        for x, y in points:
+            assert math.hypot(x - disk.center.x, y - disk.center.y) <= disk.radius + tolerance
+        assert abs(disk.radius - brute_force_sec(points)[2]) <= tolerance

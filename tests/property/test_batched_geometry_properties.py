@@ -1,9 +1,9 @@
-"""Property suite for the build-once / query-many geometry layer.
+"""Property suite for the batched geometry paths.
 
 Two families of properties:
 
-* the batched locators answer exactly what the scalar predicates answer,
-  on arbitrary disk families and query clouds; and
+* ``Disk.contains_array`` answers exactly what ``Disk.contains`` answers,
+  on arbitrary disks and query clouds; and
 * the destinations the motion rules plan stay inside every distant safe
   region — the paper's per-activation safety invariant — in the plane
   and in 3-space, where every activation of a drawn round goes through
@@ -19,12 +19,6 @@ from hypothesis import strategies as st
 from repro.algorithms import KKNPSAlgorithm
 from repro.geometry import Point
 from repro.geometry.disk import Disk
-from repro.geometry.pointloc import (
-    DiskIntersectionLocator,
-    DiskUnionLocator,
-    HalfplaneFan,
-    points_in_all_disks,
-)
 from repro.geometry.tolerances import EPS
 from repro.model import Snapshot
 from repro.spatial3d.kknps3 import KKNPS3Algorithm
@@ -33,7 +27,6 @@ finite = dict(allow_nan=False, allow_infinity=False)
 coords = st.floats(min_value=-5.0, max_value=5.0, **finite)
 radii = st.floats(min_value=0.05, max_value=3.0, **finite)
 disk_strategy = st.builds(lambda x, y, r: Disk(Point(x, y), r), coords, coords, radii)
-disk_lists = st.lists(disk_strategy, min_size=0, max_size=12)
 query_clouds = st.lists(st.tuples(coords, coords), min_size=1, max_size=40)
 
 angles = st.floats(min_value=0.0, max_value=2 * math.pi, **finite)
@@ -52,19 +45,7 @@ rounds_3d = st.lists(
 )
 
 
-class TestLocatorProperties:
-    @given(disk_lists, query_clouds)
-    @settings(max_examples=120)
-    def test_locators_equal_scalar_loops(self, disks, cloud):
-        px = np.array([x for x, _ in cloud])
-        py = np.array([y for _, y in cloud])
-        inter = DiskIntersectionLocator(disks).contains_array(px, py)
-        union = DiskUnionLocator(disks).contains_array(px, py)
-        for i, (x, y) in enumerate(cloud):
-            point = Point(x, y)
-            assert inter[i] == all(d.contains(point) for d in disks)
-            assert union[i] == any(d.contains(point) for d in disks)
-
+class TestDiskContainsArray:
     @given(disk_strategy, query_clouds)
     @settings(max_examples=80)
     def test_disk_contains_array_equals_contains(self, disk, cloud):
@@ -74,16 +55,6 @@ class TestLocatorProperties:
         for i, (x, y) in enumerate(cloud):
             assert verdicts[i] == disk.contains(Point(x, y))
 
-    @given(st.lists(neighbour_strategy, min_size=0, max_size=9), query_clouds)
-    @settings(max_examples=80)
-    def test_halfplane_fan_equals_dot_loop(self, directions, cloud):
-        fan = HalfplaneFan(directions)
-        px = np.array([x for x, _ in cloud])
-        py = np.array([y for _, y in cloud])
-        verdicts = fan.contains_array(px, py)
-        for i, (x, y) in enumerate(cloud):
-            assert verdicts[i] == all(x * d.x + y * d.y > 0.0 for d in directions)
-
 
 class TestBatchedDestinations2D:
     @given(st.lists(neighbour_lists, min_size=1, max_size=5), k_values)
@@ -91,20 +62,10 @@ class TestBatchedDestinations2D:
     def test_batched_destinations_lie_in_all_distant_safe_regions(
         self, snapshots, k
     ):
-        """One batched membership query certifies a whole round of moves."""
+        """Every destination of a drawn round lies in its distant safe regions."""
         algorithm = KKNPSAlgorithm(k=k)
-        destinations = [
-            algorithm.compute(Snapshot(neighbours=tuple(n))) for n in snapshots
-        ]
-        for neighbours, destination in zip(snapshots, destinations):
+        for neighbours in snapshots:
             snapshot = Snapshot(neighbours=tuple(neighbours))
-            verdict = points_in_all_disks(
-                algorithm.safe_regions(snapshot),
-                np.array([destination.x]),
-                np.array([destination.y]),
-                eps=1e-7,
-            )
-            assert bool(verdict[0])
             assert algorithm.destination_respects_safe_regions(snapshot, eps=1e-7)
 
 

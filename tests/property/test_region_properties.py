@@ -7,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, ReachableRegion, offset_disk
+from repro.geometry.tolerances import EPS
+
+finite = dict(allow_nan=False, allow_infinity=False)
+coords = st.floats(min_value=-2.0, max_value=2.0, **finite)
 
 
 class TestReachableRegionProperties:
@@ -71,3 +75,41 @@ class TestReachableRegionProperties:
         # expanded region.
         boundary_point = small.core_disk(0.0).boundary_point(angle + 1.0)
         assert small.expanded(extra).contains(boundary_point, eps=1e-7)
+
+    @given(
+        st.tuples(coords, coords),
+        st.tuples(coords, coords),
+        st.tuples(coords, coords),
+        st.floats(min_value=0.01, max_value=1.0, **finite),
+        st.sampled_from(["none", "start", "end"]),
+        st.floats(min_value=0.0, max_value=2 * math.pi, **finite),
+        st.tuples(coords, coords),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_in_bulge_is_the_scalar_disk_conjunction(
+        self, observer, x_start, x_end, radius, degenerate, theta, free
+    ):
+        """``in_bulge`` answers ``all(d.contains(q))`` over ``bulge_disks()``.
+
+        The query points sit on each bulge disk's boundary, where the
+        comparison is tightest, plus the observer and one free point; a
+        degenerate region (observer at an endpoint) has no bulge and
+        contains nothing.
+        """
+        if degenerate == "start":
+            x_start = observer
+        elif degenerate == "end":
+            x_end = observer
+        region = ReachableRegion.of(observer, x_start, x_end, radius)
+        disks = region.bulge_disks()
+        if degenerate != "none":
+            assert disks == []
+        queries = [Point(*free), Point(*observer)] + [
+            Point(d.center.x + d.radius * math.cos(theta), d.center.y + d.radius * math.sin(theta))
+            for d in disks
+        ]
+        for q in queries:
+            for eps in (0.0, 1e-9, EPS):
+                expected = bool(disks) and all(d.contains(q, eps=eps) for d in disks)
+                assert region.in_bulge(q, eps=eps) == expected
+                assert region.in_bulge((q.x, q.y), eps=eps) == expected

@@ -18,7 +18,8 @@ two and benchmarks can time the array engine against it:
 * :mod:`reference.dense3` — the dense 3D distance helpers and a
   dense-matrix 3D metrics sample (:func:`~reference.dense3.dense_sample3`);
 * :mod:`reference.sec` — Welzl's point-by-point loop
-  (:func:`~reference.sec.welzl_pointwise`);
+  (:func:`~reference.sec.welzl_pointwise`) and the exhaustive
+  pair-and-triple search (:func:`~reference.sec.brute_force_sec`);
 * :mod:`reference.kbound` — the k-async scheduler with the scanning
   k-bound (:class:`~reference.kbound.ScanKAsyncScheduler`);
 * :mod:`reference.frames` — the per-activation scalar frame draw

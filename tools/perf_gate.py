@@ -18,10 +18,7 @@ the fresh runs/sec drop below
 When the ``mega`` section records a decide-phase floor
 (``mega.perf_floor_decide_activations_per_second``) the gate re-times the
 whole-round batched decide phase at the recorded anchor size and fails if
-the fresh activations/sec drop below it.  A pointloc micro-bench smoke
-runs alongside: the build-once locators must answer a batched membership
-query and agree with the scalar predicates (a cheap canary for the
-geometry layer the decide path leans on).
+the fresh activations/sec drop below it.
 
 Run it directly::
 
@@ -140,49 +137,6 @@ def measure_decide_throughput(n: int) -> float:
     return activations / decide_seconds if decide_seconds > 0 else float("inf")
 
 
-def pointloc_smoke(queries: int = 4096, disks_count: int = 6) -> bool:
-    """Micro-bench smoke for the build-once locators.
-
-    Times one batched intersection + union query and cross-checks every
-    verdict against the scalar ``Disk.contains`` loops.  Catches both a
-    broken import and a certificate-soundness regression before the
-    engine-level gates would surface it as a bit-identity failure.
-    """
-    import numpy as np
-
-    from repro.geometry.disk import Disk
-    from repro.geometry.point import Point
-    from repro.geometry.pointloc import DiskIntersectionLocator, DiskUnionLocator
-
-    rng = np.random.default_rng(SEED)
-    disks = [
-        Disk(Point(float(x), float(y)), float(r))
-        for x, y, r in zip(
-            rng.normal(size=disks_count),
-            rng.normal(size=disks_count),
-            rng.uniform(0.5, 2.0, size=disks_count),
-        )
-    ]
-    px = rng.normal(size=queries) * 2.0
-    py = rng.normal(size=queries) * 2.0
-    started = time.perf_counter()
-    inter = DiskIntersectionLocator(disks).contains_array(px, py)
-    union = DiskUnionLocator(disks).contains_array(px, py)
-    elapsed = time.perf_counter() - started
-    ref_inter = np.array(
-        [all(d.contains(Point(float(x), float(y))) for d in disks) for x, y in zip(px, py)]
-    )
-    ref_union = np.array(
-        [any(d.contains(Point(float(x), float(y))) for d in disks) for x, y in zip(px, py)]
-    )
-    ok = bool((inter == ref_inter).all() and (union == ref_union).all())
-    print(
-        f"pointloc micro-bench: {queries} queries x {disks_count} disks in "
-        f"{elapsed * 1e3:.2f} ms, verdicts {'match' if ok else 'MISMATCH'}"
-    )
-    return ok
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -255,13 +209,6 @@ def main(argv=None) -> int:
             return 1
     else:
         print("no decide-phase floor recorded; skipping the decide gate")
-
-    if not pointloc_smoke():
-        print(
-            "PERF GATE FAILED: pointloc locator verdicts diverged from the "
-            "scalar containment loops."
-        )
-        return 1
 
     print("perf gate passed")
     return 0
