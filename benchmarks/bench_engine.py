@@ -312,9 +312,10 @@ class _PhaseTimedSimulator(Simulator):
     """A Simulator that accumulates wall time per round-fast-path phase.
 
     Wraps the three phase primitives of the batched round path — the
-    per-round :class:`ShardedGridIndex` build, the per-activation decide
-    closure and the metrics observe — in ``perf_counter`` brackets.  The
-    wrappers cost a few microseconds per call, so the phase split is
+    per-round refresh of the visible pairs, the round's decides (robot by
+    robot or batched) and the metrics observe — in ``perf_counter``
+    brackets.  The wrappers cost a few microseconds per call, so the
+    phase split is
     measured in a *separate* run from the headline wall clock.
     """
 
@@ -322,26 +323,21 @@ class _PhaseTimedSimulator(Simulator):
         super().__init__(*args, **kwargs)
         self.phase_seconds = {"grid_build": 0.0, "decide": 0.0, "metrics": 0.0}
 
-    def _round_shard(self, committed):
+    def _round_pairs(self, committed):
         started = time.perf_counter()
-        shard = super()._round_shard(committed)
+        pairs = super()._round_pairs(committed)
         self.phase_seconds["grid_build"] += time.perf_counter() - started
-        return shard
+        return pairs
 
-    def _round_decider(self, look_time, committed, shard):
-        inner = super()._round_decider(look_time, committed, shard)
-
-        def decide(robot_id, activation):
-            started = time.perf_counter()
-            decision = inner(robot_id, activation)
-            self.phase_seconds["decide"] += time.perf_counter() - started
-            return decision
-
-        return decide
-
-    def _round_decide_batch(self, look_time, committed, shard, executed):
+    def _round_decide_rows(self, look_time, committed, pairs, executed):
         started = time.perf_counter()
-        decisions = super()._round_decide_batch(look_time, committed, shard, executed)
+        decisions = super()._round_decide_rows(look_time, committed, pairs, executed)
+        self.phase_seconds["decide"] += time.perf_counter() - started
+        return decisions
+
+    def _round_decide_batch(self, look_time, committed, pairs, executed):
+        started = time.perf_counter()
+        decisions = super()._round_decide_batch(look_time, committed, pairs, executed)
         self.phase_seconds["decide"] += time.perf_counter() - started
         return decisions
 

@@ -1,27 +1,30 @@
 #!/usr/bin/env python3
-"""Bench sweep behind the shared ``GRID_MIN_ROBOTS`` auto-threshold.
+"""Bench sweep behind the grid auto-thresholds.
 
 Each engine auto-enables a spatial grid once a run reaches its
-dimension's threshold — ``GRID_MIN_ROBOTS`` in the plane,
-``GRID_MIN_ROBOTS_3D`` in 3-space (``repro.engine.spatial_index``; the
-3D value was set from this bench's measurements).  The threshold
-switches on one of two indexes, depending on the scheduler:
+threshold (``repro.engine.spatial_index``, every value set from this
+bench's measurements), and the threshold switches on one of two
+structures, depending on the scheduler:
 
-* **round-shard rows.**  Round-structured schedulers (ssync, and the 3D
-  round engine) run whole rounds and bin each round's committed rows
-  into a ``ShardedGridIndex``: ``--rounds`` rounds of kknps × ssync on
-  a constant-density truncated grid in the plane (``rounds * n``
-  activations), of kknps3 on a lattice in 3D.  Metrics sampling is
-  suppressed (``record_every`` past the horizon); each arm reports its
-  best of ``--repeats``.
-* **k-async rows.**  Per-activation schedulers (k-async, k-NestA, async)
-  keep an incrementally maintained ``UniformGridIndex``:
-  kknps(k=2) × k-async(2), the paper's setting, on the ``random``
-  workload and on the constant-density ``grid`` workload.  Each row is
-  timed with one metrics sample per activation (``record_every=1``,
-  what ``execute_run`` and the CLI use) and with sampling suppressed.
-  The two arms alternate their order pair by pair; a row reports each
-  arm's median and IQR and how many pairs the grid won.
+* **round-shard rows** (``GRID_MIN_ROBOTS`` in the plane,
+  ``GRID_MIN_ROBOTS_3D`` in 3-space).  Round-structured schedulers
+  (ssync, and the 3D round engine) run whole rounds, whose Looks read
+  the run's carried ``VisiblePairs`` (refreshed through a
+  ``ShardedGridIndex`` over the rows that changed): ``--rounds`` rounds
+  of kknps × ssync on a constant-density truncated grid in the plane
+  (``rounds * n`` activations), of kknps3 on a lattice in 3D.  Metrics
+  sampling is suppressed (``record_every`` past the horizon); each arm
+  reports its best of ``--repeats``.
+* **k-async rows** (``grid_auto_threshold(2, rounds=False)``: whether
+  planar per-activation runs ever enable their grid on their own).
+  Per-activation schedulers (k-async, k-NestA, async) keep an
+  incrementally maintained ``UniformGridIndex``: kknps(k=2) ×
+  k-async(2), the paper's setting, on the ``random`` workload and on
+  the constant-density ``grid`` workload.  Each row is timed with one
+  metrics sample per activation (``record_every=1``, what
+  ``execute_run`` and the CLI use) and with sampling suppressed.  The
+  two arms alternate their order pair by pair; a row reports each arm's
+  median and IQR and how many pairs the grid won.
 
 Every row times the same run with the grid forced on and forced off and
 reports the grid:dense speedup.  The tables are recorded in
@@ -48,6 +51,7 @@ from repro.engine import SimulationConfig, run_simulation  # noqa: E402
 from repro.engine.spatial_index import (  # noqa: E402
     GRID_MIN_ROBOTS,
     GRID_MIN_ROBOTS_3D,
+    grid_auto_threshold,
 )
 from repro.schedulers import KAsyncScheduler, SSyncScheduler  # noqa: E402
 from repro.spatial3d import (  # noqa: E402
@@ -59,11 +63,14 @@ from repro.spatial3d import (  # noqa: E402
 from repro.sweeps.factories import make_workload  # noqa: E402
 from repro.workloads import truncated_grid_configuration  # noqa: E402
 
-#: k-async rows: ``(workload, n, activations)``.  ``random`` at n=10^4
-#: is left out: its dense neighbourhoods make one sampled run take ~45 s.
+#: k-async rows: ``(workload, n, activations)``.  The large ``random``
+#: rows run fewer activations: their dense neighbourhoods make one
+#: sampled activation cost ~14 ms at n=4,000 and ~0.14 s at n=10^4.
 KASYNC_ROWS = (
     ("random", 512, 3000),
     ("random", 1000, 3000),
+    ("random", 4000, 400),
+    ("random", 10_000, 100),
     ("grid", 512, 3000),
     ("grid", 1000, 3000),
     ("grid", 4000, 2000),
@@ -173,6 +180,7 @@ def main(argv=None) -> int:
         "host": host(),
         "smoke": bool(args.smoke),
         "grid_min_robots": GRID_MIN_ROBOTS,
+        "grid_min_robots_per_activation": grid_auto_threshold(2, rounds=False),
         "grid_min_robots_3d": GRID_MIN_ROBOTS_3D,
         "rounds": args.rounds,
         "repeats": args.repeats,
@@ -180,8 +188,10 @@ def main(argv=None) -> int:
         "round_shard_3d": [],
         "kasync": [],
     }
-    print(f"GRID_MIN_ROBOTS = {GRID_MIN_ROBOTS} (2D), {GRID_MIN_ROBOTS_3D} (3D)\n")
-    print("round-shard rows (ShardedGridIndex), best of repeats")
+    print(f"GRID_MIN_ROBOTS = {GRID_MIN_ROBOTS} (2D rounds), "
+          f"per-activation grid from {grid_auto_threshold(2, rounds=False)} "
+          f"(2D; None: never), GRID_MIN_ROBOTS_3D = {GRID_MIN_ROBOTS_3D} (3D)\n")
+    print("round-shard rows (carried VisiblePairs), best of repeats")
     print(f"{'engine':<9} {'n':>5} {'dense s':>9} {'grid s':>9} {'grid/dense':>11}")
     for n in args.n:
         dense = time_2d(n, spatial_index=False, rounds=args.rounds, repeats=args.repeats)

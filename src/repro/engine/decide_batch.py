@@ -4,17 +4,21 @@ A planar round is decided either robot by robot (the kernel's round
 decider, through :meth:`repro.engine.simulator.Simulator._decide_move`,
 the decide every k-async activation runs) or here, in one pass over a
 flat activation axis:
-:func:`decide_round_flat` gathers every activation's candidate rows,
-filters them by distance, pre-draws the private frames per lane in
-activation order, perceives, runs one KKNPS batch core and maps the
-destinations back through the frames and the zero-deviation motion
-model.  It has exactly two callers: a single run's round
-(:meth:`repro.engine.simulator.Simulator._round_decide_batch`, one lane)
-and a replicate bundle's group of lanes
-(:func:`repro.engine.replicate._advance_group`), whose committed
-rows stack into one ``(lanes * n, 2)`` array.  Every lane of a group
-shares each configuration value the pipeline reads, so one ``config``
-describes them all; only the RNG streams stay per lane.
+:func:`decide_round_flat` gathers every activation's visible rows a
+chunk at a time (from the round's
+:class:`~repro.geometry.pairs.VisiblePairs`, which already applied the
+Look's distance filter; or every row, filtered here, when the grid is
+off), pre-draws the private frames per lane in activation
+order, perceives, runs one KKNPS batch core and maps the destinations
+back through the frames and the zero-deviation motion model.  It has
+exactly two callers: a single run's round
+(:meth:`repro.engine.simulator.Simulator._round_decide_batch`, one lane,
+with the run's carried pairs) and a replicate bundle's group of lanes
+(:func:`repro.engine.replicate._advance_group`), whose committed rows
+stack into one ``(lanes * n, 2)`` array with pairs enumerated afresh
+each round.  Every lane of a group shares each configuration value the
+pipeline reads, so one ``config`` describes them all; only the RNG
+streams stay per lane.
 
 Each stage is an elementwise transcription of the per-robot decide's
 arithmetic (:func:`~repro.model.snapshot.build_snapshot`, then
@@ -35,7 +39,9 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from ..geometry.pairs import ROW_BUDGET, budget_chunks
 from ..geometry.tolerances import EPS
+from ..model.snapshot import visible_mask
 
 #: A committed pair (within one lane) closer than this demotes the lane's
 #: round to the per-robot path: above it, the per-robot decide's
@@ -45,8 +51,8 @@ from ..geometry.tolerances import EPS
 #: rounding, orders of magnitude below this margin).
 COLLAPSE_GUARD_DIST = 4e-12
 
-#: Cell size of the quantized duplicate test implementing the guard.  Any
-#: pair with both coordinate gaps below half a cell (5e-12, above the
+#: Least cell size of the quantized duplicate test implementing the guard.
+#: Any pair with both coordinate gaps below half a cell (5e-12, above the
 #: guard distance) shares a cell in at least one of the four offset
 #: passes, so hazardous lanes are always caught; hash collisions between
 #: distinct cells only ever add false positives (a needless — but still
@@ -88,30 +94,46 @@ def collapse_hazard_lanes(flat_xy: np.ndarray, lanes: int, n: int) -> np.ndarray
     """Per-lane flag: may this round hold a pair within the collapse guard?
 
     Quantized-cell duplicate detection in O(lanes * n log n): four passes
-    quantize the committed coordinates to cells of :data:`GUARD_CELL`
-    with the grid shifted by half a cell per axis.  Two points both of
-    whose coordinate gaps are below half a cell straddle at most one cell
-    boundary per axis across the two shifts, so at least one of the four
-    offset combinations lands them in the same cell — and equal cells
-    hash to equal keys, so sorting each lane's keys and scanning adjacent
-    equalities finds every hazardous pair.  Distinct cells may hash alike;
-    that only demotes an extra lane to the (bit-identical) serial round.
+    quantize the committed coordinates to cells with the grid shifted by
+    half a cell per axis.  Two points both of whose coordinate gaps are
+    below half a cell straddle at most one cell boundary per axis across
+    the two shifts, so at least one of the four offset combinations lands
+    them in the same cell — and equal cells hash to equal keys, so
+    sorting each lane's keys and scanning adjacent equalities finds every
+    hazardous pair.  Distinct cells may hash alike; that only demotes an
+    extra lane to the (bit-identical) serial round.
+
+    Each lane is quantized relative to its own lowest coordinates, in
+    half cells ``h``: a power of two at least ``GUARD_CELL / 2`` and
+    ``2^-48`` of the lane's extent ``E``.  The offsets are then exact in
+    ``int64`` at any coordinate magnitude (at most ``2^48``), the
+    division by ``h`` and the floor are exact, and the two shifts are
+    ``k >> 1`` and ``(k + 1) >> 1`` of one half-cell index ``k``.  The
+    one rounding, of ``x - min``, moves a gap by at most ``2^-52 E``, so
+    a pair within the guard still has gaps below ``h``.  A larger cell
+    only adds false positives.
 
     This replaces a ``neighbour_pairs`` distance scan, which degenerates
     to O(n^2) pairs per lane once the swarm contracts inside one grid
     cell; the quantized test stays linearithmic at any density.
     """
-    x = flat_xy[:, 0]
-    y = flat_xy[:, 1]
     hazard = np.zeros(lanes, dtype=bool)
-    inv = 1.0 / GUARD_CELL
-    half = GUARD_CELL / 2.0
+    columns = [np.ascontiguousarray(flat_xy[:, axis]).reshape(lanes, n) for axis in (0, 1)]
+    low = [column.min(axis=1, keepdims=True) for column in columns]
+    extent = np.maximum(
+        *(column.max(axis=1, keepdims=True) - least for column, least in zip(columns, low))
+    )
+    # The least power of two at or above the floor: v < ldexp(1, frexp(v)[1]) <= 2v.
+    half = np.ldexp(1.0, np.frexp(np.maximum(GUARD_CELL / 2.0, extent * 2.0**-48))[1])
+    kx, ky = (
+        np.floor((column - least) / half).astype(np.int64)
+        for column, least in zip(columns, low)
+    )
     mix = np.int64(-7046029254386353131)  # odd 64-bit multiplier
-    for ox in (0.0, half):
-        ix = np.floor((x + ox) * inv).astype(np.int64)
-        for oy in (0.0, half):
-            iy = np.floor((y + oy) * inv).astype(np.int64)
-            keys = np.sort((ix * mix + iy).reshape(lanes, n), axis=1)
+    for ix in (kx >> 1, (kx + 1) >> 1):
+        ix = ix * mix
+        for iy in (ky >> 1, (ky + 1) >> 1):
+            keys = np.sort(ix + iy, axis=1)
             np.logical_or(
                 hazard, (keys[:, 1:] == keys[:, :-1]).any(axis=1), out=hazard
             )
@@ -122,11 +144,6 @@ def collapse_hazard_lanes(flat_xy: np.ndarray, lanes: int, n: int) -> np.ndarray
 #: flat perceived rows, activation ``a`` owning ``starts[a]:ends[a]``.
 DecideCore = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-#: Most candidate rows one chunk of a round's decide gathers (a chunk holds
-#: at least one activation).  Every row array of the pipeline spans one
-#: chunk, so a round's peak memory is O(chunk), not O(round).
-ROW_BUDGET = 1 << 17
-
 _TWO_PI = 2.0 * math.pi
 _UNIT_DOUBLE = 1.0 / 9007199254740992.0  # 2^-53: next_double's scale
 
@@ -136,7 +153,7 @@ def decide_round_flat(
     effective_range: float,
     core: DecideCore,
     committed: np.ndarray,
-    shard,
+    pairs,
     observers: np.ndarray,
     progress: np.ndarray,
     lane_draws: Sequence[Tuple[np.random.Generator, int]],
@@ -144,32 +161,34 @@ def decide_round_flat(
     """One round's decides for 1…k lanes in a single flat pipeline.
 
     ``committed`` holds every lane's committed rows stacked, and
-    ``shard`` is the :class:`~repro.engine.spatial_index.ShardedGridIndex`
-    over it (None gathers densely; one lane only).  ``observers`` are the
+    ``pairs`` is the :class:`~repro.geometry.pairs.VisiblePairs` of it
+    (None gathers every row and filters it; one lane only).  An
+    observer's rows are its visible ids in ascending order, each row
+    ``p_other - p_observer`` as the per-robot Look computes it, and
+    ``neighbours_seen`` is their count.  ``observers`` are the
     executing robots' rows in ``committed``, lane by lane and in
     activation order within a lane, with their ``progress`` fractions;
     ``lane_draws`` pairs each lane's RNG (a PCG64 generator) with its
     activation count.  ``config`` supplies the values every lane shares
     (frames, reflection, perception, motion xi), ``effective_range`` the
-    Look filter and ``core`` the KKNPS batch core.  Returns the
+    dense Look filter and ``core`` the KKNPS batch core.  Returns the
     ``(target, realized, neighbours_seen)`` row arrays.  The frames are
     drawn first; the row stages then run over consecutive chunks of at
-    most :data:`ROW_BUDGET` candidate rows, which changes no output.
+    most :data:`ROW_BUDGET` gathered rows, which changes no output.
     """
     acts = len(observers)
+    n = len(committed)
     flat_x = np.ascontiguousarray(committed[:, 0])
     flat_y = np.ascontiguousarray(committed[:, 1])
-    if shard is not None:
-        ids, bounds = shard.warm_candidates()
-        slots = shard._slot_of_robot[observers]
-        first = bounds[slots]
-        counts = bounds[slots + 1] - first
+    if pairs is not None:
+        chunks = pairs.chunks(observers, ROW_BUDGET)
     else:
-        # Every row, the observer's too: as with a shard's candidate lists,
-        # the distance filter drops it at distance zero.
-        ids = np.arange(len(committed))
-        first, counts = np.zeros(acts, np.int64), np.full(acts, len(committed), np.int64)
-    segment = np.concatenate(([0], np.cumsum(counts)))
+        # Every row, the observer's too: the filter drops it at distance zero.
+        every = np.full(acts, n, np.int64)
+        chunks = (
+            (lo, hi, np.tile(np.arange(n), hi - lo), every[lo:hi])
+            for lo, hi in budget_chunks(every, ROW_BUDGET)
+        )
 
     # Private frames, drawn per lane in activation order (the per-robot
     # decider draws the frame before its empty-candidate check, so every
@@ -181,26 +200,21 @@ def decide_round_flat(
         )
     destinations = np.empty((acts, 2), dtype=np.float64)
     vis_counts = np.empty(acts, dtype=np.int64)
-    limit = effective_range + EPS
-    lo = 0
-    while lo < acts:
-        hi = int(np.searchsorted(segment, segment[lo] + ROW_BUDGET, side="right")) - 1
-        hi = min(acts, max(lo + 1, hi))
+    for lo, hi, others, counts in chunks:
         owners = observers[lo:hi]
-        chunk_counts = counts[lo:hi]
-        starts = segment[lo : hi + 1] - segment[lo]
-        rows = np.arange(starts[-1], dtype=np.int64)
-        candidates = ids[rows + np.repeat(first[lo:hi] - starts[:-1], chunk_counts)]
         # Column-wise mirror of the per-robot ``arr - observer`` — elementwise
         # identical, half the gather traffic.
-        rel_x = flat_x[candidates] - np.repeat(flat_x[owners], chunk_counts)
-        rel_y = flat_y[candidates] - np.repeat(flat_y[owners], chunk_counts)
-        distance = np.hypot(rel_x, rel_y)
-        keep = (distance > 1e-12) & (distance <= limit)
-        vis_segment = np.concatenate(([0], np.cumsum(keep)))[starts]
+        rel_x = flat_x[others] - np.repeat(flat_x[owners], counts)
+        rel_y = flat_y[others] - np.repeat(flat_y[owners], counts)
+        vis_segment = np.concatenate(([0], np.cumsum(counts)))
+        if pairs is None:
+            keep = visible_mask(rel_x, rel_y, effective_range)
+            vis_segment = np.concatenate(([0], np.cumsum(keep)))[vis_segment]
+            rel_x = rel_x[keep]
+            rel_y = rel_y[keep]
         seen = np.diff(vis_segment)
-        local_x = rel_x[keep]
-        local_y = rel_y[keep]
+        local_x = rel_x
+        local_y = rel_y
         if framed:
             row_cos = np.repeat(cos_neg[lo:hi], seen)
             row_sin = np.repeat(sin_neg[lo:hi], seen)
@@ -214,7 +228,6 @@ def decide_round_flat(
             perceived_x, perceived_y, vis_segment[:-1], vis_segment[1:]
         )
         vis_counts[lo:hi] = seen
-        lo = hi
 
     # Frame-back and motion, elementwise in the scalar operation order.
     ldx = np.ascontiguousarray(destinations[:, 0])

@@ -48,7 +48,14 @@ as arrays, one shared look instant and phase durations.  On the batched
 round path the kernel holds that batch whole instead of heaping its
 activations: the round's decisions come back as row arrays, one
 index-array transition on the kinematic store begins every move, and the
-round's records and metrics samples are appended as columns.
+round's records and metrics samples are appended as columns.  With a
+grid on, every round's Looks read one
+:class:`~repro.geometry.pairs.VisiblePairs` the kernel keeps for the
+whole run: each round refreshes it against the committed rows, which
+re-pairs only the rows whose bits changed since the last refresh (under
+KKNPS a surrounded robot stays put, so most rounds change a handful),
+and both the flat and the per-robot round decides read it a chunk of
+the round's robots at a time.
 
 The required configuration attributes (duck-typed; satisfied by
 ``SimulationConfig`` and the 3D config types) are: ``visibility_range``,
@@ -63,17 +70,17 @@ import heapq
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry.tolerances import EPS
+from ..geometry.pairs import VisiblePairs
 from ..model.robot import PHASE_MOVING, KinematicArrays
 from ..model.types import Activation, RoundBatch
 from ..schedulers.base import Scheduler
 from .logs import EndTimeLog, RecordLog
 from .metrics import MetricsCollector
-from .spatial_index import ShardedGridIndex, UniformGridIndex, grid_auto_threshold
+from .spatial_index import UniformGridIndex, grid_auto_threshold
 
 #: What one Look/Compute/Move decision produced: the target the algorithm
 #: chose and the endpoint the motion model realises (global coordinate
@@ -140,6 +147,26 @@ def replay_round(
     return executed, first, boundaries, processed + done, popped + stop
 
 
+def _round_candidates(
+    committed: np.ndarray, pairs: Optional[VisiblePairs], robot_ids: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Each robot's candidate rows for a round's Looks, in ``robot_ids`` order.
+
+    With ``pairs``, the committed rows of its visible ids; else every
+    other robot's row.
+    """
+    if pairs is None:
+        for robot_id in robot_ids.tolist():
+            yield np.delete(committed, robot_id, axis=0)
+        return
+    for _, _, ids, counts in pairs.chunks(robot_ids):
+        rows = committed[ids]
+        start = 0
+        for end in np.cumsum(counts).tolist():
+            yield rows[start:end]
+            start = end
+
+
 class ContinuousKernel:
     """The shared continuous-time activation pipeline over ``(n, d)`` state.
 
@@ -172,10 +199,12 @@ class ContinuousKernel:
         self._round: Optional[RoundBatch] = None
         self._sequence = 0
         self._round_batching = self._round_batching_enabled()
-        # The batched round path rebuilds a sharded grid per round from the
-        # committed positions, so the incrementally maintained index would
-        # only be dead weight there.
+        # The batched round path reads the visible pairs of the committed
+        # positions, so the incrementally maintained index would only be
+        # dead weight there.
         self._grid = None if self._round_batching else self._build_grid()
+        #: The run's visible pairs, built by the first gridded round.
+        self._pairs: Optional[VisiblePairs] = None
 
     # -- EngineView protocol --------------------------------------------------------
     @property
@@ -243,6 +272,16 @@ class ContinuousKernel:
             return math.inf
         return self.config.visibility_range
 
+    def _pair_rule(self):
+        """``(reach, keeps)``: the front end's Look filter as a pair predicate.
+
+        ``keeps`` takes the per-axis components of ``p_j - p_i`` and must
+        keep exactly the pairs the front end's own Look keeps, with a
+        verdict that ignores signs; ``reach`` bounds every distance it
+        keeps (subclasses implement).
+        """
+        raise NotImplementedError
+
     def _sampled_positions(self, look_time: float, look_all_positions):
         """Positions fed to the metrics sample of ``look_time``.
 
@@ -255,27 +294,30 @@ class ContinuousKernel:
         return self.positions_array(look_time)
 
     # -- internals ---------------------------------------------------------------------
-    def _grid_range(self) -> Optional[float]:
+    def _grid_range(self, rounds: bool) -> Optional[float]:
         """The range a Look grid bins by, or None when Looks stay dense.
 
         The one enablement rule of both grids (the incremental
-        :meth:`_build_grid` and the per-round :meth:`_round_shard`): a
-        grid needs a finite, positive visibility range;
-        ``spatial_index=False`` always forces the dense path, ``True``
-        forces the grid, and the default (None) enables it only for a
-        swarm big enough for the bookkeeping to pay off.
+        :meth:`_build_grid` and, with ``rounds``, the round path's
+        :meth:`_round_pairs`): a grid needs a finite, positive visibility
+        range; ``spatial_index=False`` always forces the dense path,
+        ``True`` forces the grid, and the default (None) enables it only
+        for a swarm big enough for the bookkeeping to pay off
+        (:func:`~repro.engine.spatial_index.grid_auto_threshold`; never
+        for the planar incremental grid).
         """
         effective = self._effective_range()
         if not (math.isfinite(effective) and effective > 0.0):
             return None
         enabled = self.config.spatial_index
         if enabled is None:
-            enabled = self.n_robots >= grid_auto_threshold(self.dim)
+            threshold = grid_auto_threshold(self.dim, rounds)
+            enabled = threshold is not None and self.n_robots >= threshold
         return effective if enabled else None
 
     def _build_grid(self) -> Optional[UniformGridIndex]:
         """The incrementally maintained spatial hash index, or None for dense Looks."""
-        effective = self._grid_range()
+        effective = self._grid_range(rounds=False)
         if effective is None:
             return None
         grid = UniformGridIndex(effective, dim=self.dim)
@@ -304,50 +346,46 @@ class ContinuousKernel:
             return bool(getattr(self.scheduler, "round_structured", False))
         return True
 
-    def _round_shard(self, committed: np.ndarray) -> Optional[ShardedGridIndex]:
-        """The per-round sharded candidate index, or None for dense Looks.
+    def _round_pairs(self, committed: np.ndarray) -> Optional[VisiblePairs]:
+        """The visible pairs of the committed rows, or None for dense Looks.
 
-        Enabled by :meth:`_grid_range`'s rule, like :meth:`_build_grid`, but
-        bins the round's committed positions in one vectorized pass
-        instead of maintaining buckets per activation.
+        Enabled by :meth:`_grid_range`'s rule, like :meth:`_build_grid`.
+        The run keeps one :class:`~repro.geometry.pairs.VisiblePairs`,
+        under the front end's :meth:`_pair_rule`, and refreshes it here
+        against the rows themselves, not against the moves the kernel
+        began: a crash, heaped activations between rounds or a replicate
+        lane's own round cannot leave it stale.
         """
-        effective = self._grid_range()
-        if effective is None:
+        if self._grid_range(rounds=True) is None:
             return None
-        return ShardedGridIndex(committed, effective + 2.0 * EPS)
-
-    def _round_decider(self, look_time: float, committed: np.ndarray, shard):
-        """Per-robot decide callable for one round.
-
-        Routes through :meth:`_decide_move`, the decide every heaped
-        activation runs.  The candidate rows are the committed positions
-        themselves (every robot is idle at its committed position at the
-        round's look instant), gathered through the shard's block-local
-        candidate arrays when one is active.  The shard's candidate set
-        includes the observer, which every Look filter drops at distance
-        zero exactly as the dense path drops coincident robots.
-        """
-
-        def decide(robot_id: int, activation: Activation) -> Decision:
-            if shard is not None:
-                other = committed[shard.candidates(robot_id)]
-            else:
-                other = np.delete(committed, robot_id, axis=0)
-            return self._decide_move(robot_id, look_time, other, activation)
-
-        return decide
+        if self._pairs is None:
+            self._pairs = VisiblePairs(*self._pair_rule())
+        return self._pairs.refresh(committed)
 
     def _round_decide_rows(
-        self, look_time: float, committed: np.ndarray, shard, executed: RoundBatch
+        self, look_time: float, committed: np.ndarray, pairs, executed: RoundBatch
     ):
-        """One round's decides, robot by robot, gathered into row arrays."""
-        decide = self._round_decider(look_time, committed, shard)
+        """One round's decides, robot by robot, gathered into row arrays.
+
+        Each routes through :meth:`_decide_move`, the decide every heaped
+        activation runs.  The candidate rows are the committed positions
+        themselves (every robot is idle at its committed position at the
+        round's look instant): with ``pairs`` on, exactly the rows the
+        observer sees, read for the round's robots a chunk at a time
+        (:meth:`~repro.geometry.pairs.VisiblePairs.chunks`), in ascending
+        id order and without the observer — the rows the front end's own
+        Look filter keeps from a dense pool, so that filter keeps every
+        one of them and the snapshot is unchanged; else every other robot.
+        """
         acts = len(executed)
         target = np.empty((acts, self.dim), dtype=np.float64)
         realized = np.empty((acts, self.dim), dtype=np.float64)
         seen = np.empty(acts, dtype=np.int64)
-        for k, activation in enumerate(executed):
-            target[k], realized[k], seen[k] = decide(activation.robot_id, activation)
+        candidates = _round_candidates(committed, pairs, executed.robot_ids)
+        for k, (activation, other) in enumerate(zip(executed, candidates)):
+            target[k], realized[k], seen[k] = self._decide_move(
+                activation.robot_id, look_time, other, activation
+            )
         return target, realized, seen
 
     def _round_batch_ready(self, committed: np.ndarray) -> bool:
@@ -362,7 +400,7 @@ class ContinuousKernel:
         return False
 
     def _round_decide_batch(
-        self, look_time: float, committed: np.ndarray, shard, executed: RoundBatch
+        self, look_time: float, committed: np.ndarray, pairs, executed: RoundBatch
     ):
         """All of one round's decides in a single call (subclasses implement).
 
@@ -459,12 +497,12 @@ class ContinuousKernel:
         if not len(executed):
             return
         committed = self._arrays.position
-        shard = self._round_shard(committed)
+        pairs = self._round_pairs(committed)
         if self._round_batch_ready(committed):
             decide = self._round_decide_batch
         else:
             decide = self._round_decide_rows
-        target, realized, seen = decide(batch.look_time, committed, shard, executed)
+        target, realized, seen = decide(batch.look_time, committed, pairs, executed)
         self._commit_round(executed, target, realized, seen, run)
 
     def _push(self, activation: Activation) -> None:
@@ -667,8 +705,10 @@ class ContinuousKernel:
         """Let every in-flight move finish, then take the final full sample.
 
         ``observe`` stands in for ``run.metrics.observe``, as in
-        :meth:`_sample_round`.
+        :meth:`_sample_round`.  No round follows, so the run's visible
+        pairs are released before the sample.
         """
+        self._pairs = None
         final_time = self._settle_moves()
         final_positions = self._arrays.position
         sample = (observe or run.metrics.observe)(

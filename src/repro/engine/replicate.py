@@ -11,8 +11,9 @@ reads (swarm size, visibility range, perception, frames, reflection,
 motion xi and the KKNPS constants).  Each lane takes its round's samples
 through :meth:`~repro.engine.kernel.ContinuousKernel._sample_round`; then
 the group's committed positions stack into one ``(lanes, n, 2)`` tensor,
-one :meth:`ShardedGridIndex.from_replicates` grid bins it, and all of the
-group's activations go through one
+a fresh :class:`~repro.geometry.pairs.VisiblePairs` with run-isolated
+keys pairs it (the stack is formed anew each round, so nothing carries
+over), and all of the group's activations go through one
 :func:`~repro.engine.decide_batch.decide_round_flat` pass — the same
 pipeline a single run's round takes — with
 :func:`~repro.algorithms.kknps.kknps_destinations_all` as its core.
@@ -53,14 +54,13 @@ import numpy as np
 
 from ..algorithms.kknps import kknps_destinations_all
 from ..geometry.hull import point_set_diameter
+from ..geometry.pairs import VisiblePairs
 from ..geometry.sec import smallest_enclosing_circle
-from ..geometry.tolerances import EPS
 from ..model.types import RoundBatch
 from .decide_batch import collapse_hazard_lanes, decide_round_flat
 from .kernel import KernelRun
 from .metrics import MetricsCollector, MetricsSample
 from .simulator import SimulationConfig, SimulationResult, Simulator
-from .spatial_index import ShardedGridIndex
 
 #: One bundle member: a zero-argument factory producing the
 #: ``(initial_positions, algorithm, scheduler, config)`` of that run.
@@ -195,7 +195,7 @@ def _sampler(lane: _Lane, geometry_cache: Optional[dict] = None):
 
 def _advance_group(
     members: List[Tuple[_Lane, RoundBatch, int]],
-    grid: ShardedGridIndex,
+    pairs: VisiblePairs,
     flat_xy: np.ndarray,
 ) -> None:
     """One round of every lane of one homogeneous group, one flat decide."""
@@ -219,7 +219,7 @@ def _advance_group(
             px, py, starts, ends, consts
         ),
         flat_xy,
-        grid,
+        pairs,
         np.concatenate(
             [executed.robot_ids + slot * n for _, executed, slot in sampled]
         ),
@@ -260,7 +260,7 @@ def _drive(lanes: List[_Lane]) -> None:
                 lane.sim._process_round(batch, lane.run)
             else:
                 groups.setdefault(lane.group, []).append((lane, batch))
-        for (n, effective, *_), members in groups.items():
+        for (n, *_), members in groups.items():
             tensor = np.stack(
                 [lane.sim._arrays.position for lane, _ in members]
             )
@@ -275,8 +275,9 @@ def _drive(lanes: List[_Lane]) -> None:
                 else:
                     vector.append((lane, batch, slot))
             if vector:
-                grid = ShardedGridIndex.from_replicates(tensor, effective + 2.0 * EPS)
-                _advance_group(vector, grid, flat_xy)
+                lead = vector[0][0].sim
+                pairs = VisiblePairs(*lead._pair_rule(), runs=len(members))
+                _advance_group(vector, pairs.refresh(flat_xy), flat_xy)
 
 
 def run_replicated_simulations(

@@ -40,11 +40,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..geometry.point import Point, PointLike, array_to_points
+from ..geometry.tolerances import EPS
 from ..geometry.transforms import LocalFrame, random_frame
 from ..model.configuration import Configuration
 from ..model.errors import MotionModel, PerceptionModel
 from ..model.robot import KinematicArrays
-from ..model.snapshot import build_snapshot
+from ..model.snapshot import build_snapshot, visible_mask
 from ..model.types import Activation, RoundBatch
 from ..algorithms.base import ConvergenceAlgorithm
 from ..algorithms.kknps import KKNPSAlgorithm
@@ -206,6 +207,11 @@ class Simulator(ContinuousKernel):
     def _make_record_log(self) -> RecordLog:
         return RecordLog()
 
+    def _pair_rule(self):
+        """:func:`build_snapshot`'s distance filter (:func:`visible_mask`) as a pair predicate."""
+        limit = self._effective_range()
+        return limit + EPS, lambda dx, dy: visible_mask(dx, dy, limit)
+
     def _decide_move(
         self,
         robot_id: int,
@@ -281,7 +287,7 @@ class Simulator(ContinuousKernel):
         return not bool(collapse_hazard_lanes(committed, 1, self.n_robots)[0])
 
     def _round_decide_batch(
-        self, look_time: float, committed: np.ndarray, shard, executed: RoundBatch
+        self, look_time: float, committed: np.ndarray, pairs, executed: RoundBatch
     ):
         """One round's decides as one lane of :func:`decide_round_flat`.
 
@@ -294,7 +300,7 @@ class Simulator(ContinuousKernel):
             self._effective_range(),
             self.algorithm.compute_array_rounds,
             committed,
-            shard,
+            pairs,
             executed.robot_ids,
             executed.progress,
             [(self.rng, len(executed))],

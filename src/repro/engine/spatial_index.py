@@ -23,7 +23,8 @@ same bucketing, same exactness argument, same incremental maintenance.
 Both engines fall back to the dense path for small swarms (the
 constant-factor bookkeeping beats the O(n) scan only once n is large
 enough) and for unlimited-visibility algorithms (``V = inf`` cannot be
-bucketed).
+bucketed); a planar per-activation run uses the grid only when
+``spatial_index=True`` forces it (:func:`grid_auto_threshold`).
 """
 
 from __future__ import annotations
@@ -39,22 +40,35 @@ from ..geometry.tolerances import EPS
 
 Cell = Tuple[int, ...]
 
-# Below this swarm size the dense vectorized O(n) scan wins (a single
-# numpy interpolation pass is cheap; the grid's per-Look bucket unions
-# only pay off once n is well into the hundreds).  The planar engines
-# auto-enable the grid at GRID_MIN_ROBOTS; 3D runs pay for 27 bucket
-# lookups per Look instead of 9, which pushes the measured crossover to
-# around n ~ 2000 (see benchmarks/bench_grid_threshold.py and
-# docs/engine-performance.md), hence the separate 3D threshold.  Both are
-# measured on one machine — override per run with
+# Below these swarm sizes the dense vectorized O(n) scan wins (a single
+# numpy interpolation pass is cheap; a grid only pays off once n is well
+# into the hundreds).  Planar round runs read their carried visible
+# pairs from GRID_MIN_ROBOTS on.  3D runs pay for 27 bucket lookups per
+# Look instead of 9, which pushes the measured crossover to around
+# n ~ 2000, hence the separate 3D threshold.  Planar per-activation runs
+# (k-async, k-NestA, async) never enable their incremental grid on their
+# own: with a sample per activation, as execute_run and the CLI take,
+# the dense Look's interpolation also serves the sample, and the grid
+# won 4 of 5 alternating pairs on both the random and the grid workload
+# at none of n = 512, 10^3, 4·10^3 and 10^4.  All are measured on one
+# machine (benchmarks/bench_grid_threshold.py,
+# docs/engine-performance.md) — override per run with
 # ``SimulationConfig.spatial_index`` / ``Simulation3Config.spatial_index``.
 GRID_MIN_ROBOTS = 512
 GRID_MIN_ROBOTS_3D = 2048
 
 
-def grid_auto_threshold(dim: int) -> int:
-    """The swarm size at which a ``dim``-dimensional run auto-enables the grid."""
-    return GRID_MIN_ROBOTS if dim <= 2 else GRID_MIN_ROBOTS_3D
+def grid_auto_threshold(dim: int, rounds: bool = True) -> Optional[int]:
+    """The swarm size at which a ``dim``-dimensional run auto-enables its grid.
+
+    ``rounds`` picks the round path's structure (the carried visible
+    pairs) over the per-activation incremental grid; the two share one
+    threshold in 3-space.  None for a planar per-activation run: its
+    grid is only ever forced on.
+    """
+    if dim > 2:
+        return GRID_MIN_ROBOTS_3D
+    return GRID_MIN_ROBOTS if rounds else None
 
 
 class UniformGridIndex:

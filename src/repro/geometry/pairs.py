@@ -13,34 +13,36 @@ are the dense matrix's bit for bit:
   the metrics collector's initial edges and the 3D configurations take
   their edges from it;
 * :func:`min_pairwise_distance_grid` and :func:`rows_diameter` — the
-  extreme separations.
+  extreme separations;
+* :class:`VisiblePairs` — the engine's round Looks: every pair a Look
+  predicate keeps, carried from round to round and re-paired only
+  around the rows that changed (a swarm too crowded to hold them
+  enumerates them chunk by chunk each round instead).
 
-The engine's round decide also reads the grid's block-local candidate
-arrays.  Nothing here imports :mod:`repro.engine`, so the model layer
-uses it too.
+Nothing here imports :mod:`repro.engine`, so the model layer uses it too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .hull import point_set_diameter
 
-# Side length of a sharded-grid block, in cells.  Two cells per axis keeps
-# a block's 3^d-adjacent candidate array within one cache-sized chunk for
-# the densities the mega-swarm workloads produce (a handful of robots per
-# cell) while still amortizing the candidate-array build over all robots
-# of the block.
-BLOCK_CELLS = 2
-
 #: Exclusive bound on ``runs * prod(span)``: every in-range cell's folded
 #: key then fits an ``int64`` (an out-of-range neighbour key may wrap, but
 #: it is masked out before it is compared).
 _KEY_LIMIT = 2**63
+
+#: Most candidate pairs :meth:`ShardedGridIndex.warm_candidates` holds at
+#: once before its filters run.
+_PAIR_BLOCK = 1 << 17
+
+#: ``keep(i, j)``: which of the candidate pairs ``(i[k], j[k])`` to keep.
+PairFilter = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def covering_cell(positions: np.ndarray, reach: float) -> float:
@@ -62,41 +64,25 @@ def covering_cell(positions: np.ndarray, reach: float) -> float:
 
 
 class ShardedGridIndex:
-    """A batch-built uniform grid: cell-granular pairs, block-sharded candidates.
+    """A batch-built uniform grid whose one query pairs the rows of adjacent cells.
 
     :class:`~repro.engine.spatial_index.UniformGridIndex` is incremental:
     robots settle and begin moves one at a time, and every Look pays a
-    3^d dict-bucket union.  The round fast path has no use for that — all
+    3^d dict-bucket union.  The round path has no use for that — all
     robots of a round Look at the *same* committed positions — so this
     index bins the ``(n, d)`` committed array into cells
-    ``floor(p / cell_size)`` in one vectorized pass and serves two kinds
-    of query from it:
+    ``floor(p / cell_size)`` in one vectorized pass.  Its enumerator,
+    :meth:`warm_candidates`, pairs the robots of the same or adjacent
+    cells (the 3^d cell neighbourhood) that touch a given set of rows;
+    :meth:`neighbour_pairs` is its every-row case, which
+    :func:`grid_edges` and :func:`min_pairwise_distance_grid` consume,
+    and :class:`VisiblePairs` re-pairs the rows that moved through it.
 
-    * :meth:`neighbour_pairs` pairs robots of the same or adjacent
-      *cells* (the 3^d cell neighbourhood), which is what
-      :func:`grid_edges` and :func:`min_pairwise_distance_grid` consume;
-    * :meth:`candidates` / :meth:`warm_candidates` serve *block-local
-      candidate arrays* in the PANDA style: cells are grouped into
-      contiguous ``BLOCK_CELLS``-wide blocks, every robot of a block
-      shares one candidate array (the members of the 3^d adjacent
-      blocks, ascending), and query batches therefore touch cache-sized
-      chunks instead of per-robot set unions.  The block structures are
-      built on the first such call, so a pairs-only index never pays
-      for them.
-
-    Candidate exactness: a robot in block ``b`` occupies cells in
-    ``[2b, 2b + 1]`` per axis, so the 3^1 cell window of any of its cells
-    lies within ``[2b - 1, 2b + 2]`` — covered by blocks ``b - 1 .. b + 1``.
-    The 3^d adjacent *blocks* therefore contain every robot within
-    ``cell_size`` of any member (with a whole cell of slack for float
-    rounding at cell boundaries), and the caller's exact distance filter
-    (which also drops the member itself at distance zero) does the rest.
-
-    Cell and block keys fold the run id and the per-axis cell offsets
-    into one ``int64``; a cell size so small against the extent that the
-    fold could wrap raises :class:`OverflowError` (callers floor their
-    search cells at 1e-6 of the extent, which bounds 3-space folds below
-    ``(10^6 + 2)^3``).
+    Cell keys fold the run id and the per-axis cell offsets into one
+    ``int64``; a cell size so small against the extent that the fold
+    could wrap raises :class:`OverflowError` (callers floor their search
+    cells at 1e-6 of the extent with :func:`search_radius_floor`, which
+    bounds 3-space folds below ``(10^6 + 2)^3``).
 
     The ``(runs, n, d)`` replicate-batching mode (:meth:`from_replicates`)
     bins many same-shape replicates in the *same* vectorized pass with
@@ -104,17 +90,7 @@ class ShardedGridIndex:
     the binning into a single tensor step.
     """
 
-    __slots__ = (
-        "cell_size",
-        "dim",
-        "n",
-        "runs",
-        "_cells",
-        "_run_ids",
-        "_blocks",
-        "_slot_of_robot",
-        "_candidates",
-    )
+    __slots__ = ("cell_size", "dim", "n", "runs", "_cells", "_run_ids", "_slots")
 
     def __init__(
         self,
@@ -134,15 +110,13 @@ class ShardedGridIndex:
         self.n = int(arr.shape[0])
         self.runs = int(runs)
         self._run_ids = None if run_ids is None else np.asarray(run_ids, dtype=np.int64)
-        self._blocks: Optional[tuple] = None
-        self._slot_of_robot: Optional[np.ndarray] = None
-        self._candidates: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._slots: Optional[tuple] = None
         if self.n == 0:
             self._cells = np.empty((0, self.dim), dtype=np.int64)
             return
         scaled = np.floor(arr / self.cell_size)
-        low = scaled.min(axis=0)
-        span = scaled.max(axis=0) - low + 1.0
+        low, high = _column_bounds(scaled)
+        span = high - low + 1.0
         if self.runs * math.prod(span.tolist()) >= _KEY_LIMIT:
             raise OverflowError(
                 f"cell size {self.cell_size!r} is too small for the extent: "
@@ -157,9 +131,8 @@ class ShardedGridIndex:
         """Bin a ``(runs, n, d)`` replicate tensor in one vectorized pass.
 
         Robots are addressed by their *flat* index ``run * n + i``; cell
-        and block keys carry the run id, so candidate arrays and
-        neighbour pairs never cross replicate boundaries even when two
-        runs' positions coincide spatially.
+        keys carry the run id, so pairs never cross replicate boundaries
+        even when two runs' positions coincide spatially.
         """
         arr = np.asarray(positions, dtype=float)
         if arr.ndim != 3:
@@ -169,8 +142,8 @@ class ShardedGridIndex:
         run_ids = np.repeat(np.arange(runs, dtype=np.int64), n)
         return cls(flat, cell_size, run_ids=run_ids, runs=runs)
 
-    def _group(self, coords: np.ndarray) -> tuple:
-        """Bin robots by run and the non-negative integer ``coords`` rows.
+    def _group(self) -> tuple:
+        """Bin robots by run and cell, once.
 
         Returns ``(order, bounds, keys, slot_coords, span)``: slot ``s``
         holds the robots ``order[bounds[s]:bounds[s + 1]]`` (ascending —
@@ -178,7 +151,10 @@ class ShardedGridIndex:
         (ascending over slots) and its ``(run, coord...)`` row
         ``slot_coords[s]``; ``span`` is the per-axis fold radix.
         """
-        span = [int(s) + 1 for s in coords.max(axis=0, initial=0)]
+        if self._slots is not None:
+            return self._slots
+        coords = self._cells
+        span = [int(coords[:, axis].max(initial=0)) + 1 for axis in range(self.dim)]
         runs = self._run_ids
         key = np.zeros(self.n, dtype=np.int64) if runs is None else runs.copy()
         for axis in range(self.dim):
@@ -192,94 +168,133 @@ class ShardedGridIndex:
         slot_coords = np.empty((len(first), self.dim + 1), dtype=np.int64)
         slot_coords[:, 0] = 0 if runs is None else runs[head]
         slot_coords[:, 1:] = coords[head]
-        return order, bounds, sorted_keys[first], slot_coords, span
+        self._slots = (order, bounds, sorted_keys[first], slot_coords, span)
+        return self._slots
 
-    def _block_slots(self) -> tuple:
-        """The block grouping of :meth:`_group`, built on first use."""
-        if self._blocks is None:
-            self._blocks = self._group(self._cells // BLOCK_CELLS)
-            order, bounds = self._blocks[:2]
-            slot_of_robot = np.empty(self.n, dtype=np.intp)
-            slot_of_robot[order] = np.repeat(
-                np.arange(len(bounds) - 1, dtype=np.intp), np.diff(bounds)
-            )
-            self._slot_of_robot = slot_of_robot
-        return self._blocks
+    def same_cell_pairs(self) -> int:
+        """How many pairs of robots share a cell (and a run)."""
+        sizes = np.diff(self._group()[1])
+        return int(np.dot(sizes, sizes - 1)) // 2
 
-    def candidates(self, robot_id: int) -> np.ndarray:
-        """Ascending ids of every robot in the 3^d blocks around ``robot_id``.
+    def neighbourhood_sizes(self, rows: np.ndarray) -> np.ndarray:
+        """How many robots the 3^d cells around each of ``rows`` hold, itself included.
 
-        A superset of all robots within ``cell_size`` — *including the
-        robot itself*, which the caller's coincidence filter drops at
-        distance zero (the round fast path filters exactly as the dense
-        snapshot build does).
+        A bound on the pairs :meth:`warm_candidates` emits for the row.
         """
-        ids, bounds = self.warm_candidates()
-        slot = int(self._slot_of_robot[robot_id])
-        return ids[bounds[slot] : bounds[slot + 1]]
-
-    def warm_candidates(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every block's candidate array as CSR ``(ids, bounds)``, built once.
-
-        Slot ``s``'s candidates are ``ids[bounds[s]:bounds[s + 1]]`` and
-        ``_slot_of_robot`` maps a robot to its slot, so a bulk consumer (a
-        round's decide) gathers chunks of lists with plain array operations.
-        Block adjacency for all slots resolves through one ``searchsorted``
-        per offset, and one sort of ``(slot, robot)`` keys orders every
-        slot's candidates by ascending robot id.
-        """
-        if self._candidates is not None:
-            return self._candidates
-        order, bounds, keys, slot_coords, span = self._block_slots()
-        n_slots = len(keys)
-        owners, sources = _adjacent(
+        order, bounds, keys, slot_coords, span = self._group()
+        sizes = np.diff(bounds)
+        owners, neighbours = _adjacent(
             keys, slot_coords, span, itertools.product((-1, 0, 1), repeat=self.dim)
         )
-        elements, entry = _members_of(order, bounds, sources)
-        slot_tag = owners[entry]
-        slot_bounds = np.zeros(n_slots + 1, dtype=np.int64)
-        np.cumsum(np.bincount(slot_tag, minlength=n_slots), out=slot_bounds[1:])
-        # A robot sits in one block, so no slot lists it twice: the keys
-        # are distinct and sorting them orders each slot's robots.
-        self._candidates = (np.sort(slot_tag * self.n + elements) % self.n, slot_bounds)
-        return self._candidates
+        around = np.bincount(owners, weights=sizes[neighbours], minlength=len(sizes))
+        slot_of = np.empty(self.n, dtype=np.int64)
+        slot_of[order] = np.repeat(np.arange(len(sizes)), sizes)
+        return around.astype(np.int64)[slot_of[rows]]
 
-    def neighbour_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+    def warm_candidates(
+        self,
+        rows: Optional[np.ndarray] = None,
+        keep: Optional[PairFilter] = None,
+        *,
+        directed: bool = False,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """All pairs ``(i, j)``, ``i < j``, of adjacent cells with an endpoint in ``rows``.
+
+        ``rows`` are distinct robot ids (flat ids under replicate
+        batching); None stands for every robot.  Emits every pair of one
+        run whose cells ``floor(p / cell_size)`` differ by at most one on
+        every axis and of which at least one robot is in ``rows``, each
+        exactly once and never across runs — so every such pair at
+        distance ``<= cell_size`` (up to the float rounding band
+        :func:`covering_cell` widens a cell by).  ``keep`` filters the
+        pairs as they are enumerated, a block of at most
+        :data:`_PAIR_BLOCK` at a time, so only kept pairs are ever held
+        together.  ``directed`` (with ``rows`` given) emits each row
+        ``i`` with every other robot ``j`` of its 3^d cells instead, so a
+        pair of two rows comes once from each end.
+
+        Cell adjacency is resolved for all cells at once, one
+        ``searchsorted`` over the sorted cell keys per offset of the 3^d
+        neighbourhood.  Over every robot, each lexicographically positive
+        offset pairs every cell with its neighbour there, so each
+        unordered cell pair is visited once, and same-cell pairs come
+        from each multi-robot cell.  With ``rows`` given, each of them is
+        paired with every robot of its 3^d cells, and a pair of two rows
+        is kept from its lower end only.
+        """
+        if rows is not None and len(rows) == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        order, bounds, keys, slot_coords, span = self._group()
+        members = (order, bounds)
+        chosen = None
+        if rows is None:
+            # Half neighbourhood: of an unordered pair of distinct adjacent
+            # cells, exactly one of its two offsets is lexicographically positive.
+            zero = (0,) * self.dim
+            half = [
+                offset
+                for offset in itertools.product((-1, 0, 1), repeat=self.dim)
+                if offset > zero
+            ]
+            crowded = np.flatnonzero(np.diff(bounds) > 1)
+            passes = (
+                ("cells", members, *_adjacent(keys, slot_coords, span, half)),
+                ("same", members, crowded, crowded),
+            )
+        else:
+            chosen = np.zeros(self.n, dtype=bool)
+            chosen[rows] = True
+            picked = chosen[order]
+            counts = np.add.reduceat(picked, bounds[:-1], dtype=np.int64)
+            rows_by_cell = (order[picked], np.concatenate(([0], np.cumsum(counts))))
+            owners = np.flatnonzero(counts)
+            offsets = itertools.product((-1, 0, 1), repeat=self.dim)
+            passes = (
+                ("rows", rows_by_cell, *_adjacent(keys, slot_coords, span, offsets, owners)),
+            )
+        lower: List[np.ndarray] = []
+        upper: List[np.ndarray] = []
+        for kind, left, ls, rs in passes:
+            for first, second in _product_blocks(left, members, ls, rs):
+                if kind == "same":
+                    # A cell paired with itself yields each pair in both
+                    # orders (and every robot with itself): keep ``i < j``.
+                    ordered = first < second
+                    first, second = first[ordered], second[ordered]
+                elif directed:
+                    other = first != second
+                    first, second = first[other], second[other]
+                elif kind == "rows":
+                    # Not the row itself, and a pair of two rows once.
+                    once = ~chosen[second] | (first < second)
+                    first, second = first[once], second[once]
+                if directed:
+                    i, j = first, second
+                else:
+                    i, j = np.minimum(first, second), np.maximum(first, second)
+                if keep is not None:
+                    kept = keep(i, j)
+                    i, j = i[kept], j[kept]
+                lower.append(i)
+                upper.append(j)
+        if len(lower) < 2:
+            empty = np.empty(0, dtype=np.int64)
+            return (lower[0], upper[0]) if lower else (empty, empty)
+        return np.concatenate(lower), np.concatenate(upper)
+
+    def neighbour_pairs(
+        self, keep: Optional[PairFilter] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """All pairs ``(i, j)``, ``i < j``, whose cells are the same or adjacent.
 
-        Emits every pair of one run whose cells ``floor(p / cell_size)``
-        differ by at most one on every axis, each exactly once and never
-        across runs — so every pair at distance ``<= cell_size`` (up to
-        the float rounding band :func:`covering_cell` widens a cell by).
-        Cell adjacency is resolved for *all* cells at once: each
-        lexicographically positive offset of the 3^d neighbourhood pairs
-        every cell with its neighbour at that offset via one
-        ``searchsorted`` over the sorted cell keys, so each unordered cell
-        pair is visited once, and same-cell pairs come from each
-        multi-robot cell.  Callers computing a minimum must verify the
-        found minimum is within the covered reach and widen the search
-        otherwise (see :func:`repro.geometry.pairs.min_pairwise_distance_grid`).
+        :meth:`warm_candidates` over every robot: each pair at distance
+        ``<= cell_size`` (up to :func:`covering_cell`'s band) exactly
+        once, never across runs, filtered by ``keep`` as it goes.
+        Callers computing a minimum must verify the found minimum is
+        within the covered reach and widen the search otherwise (see
+        :func:`min_pairwise_distance_grid`).
         """
-        order, bounds, keys, slot_coords, span = self._group(self._cells)
-        # Half neighbourhood: of an unordered cell pair's two offsets
-        # exactly one is lexicographically positive.
-        zero = (0,) * self.dim
-        half = [
-            offset
-            for offset in itertools.product((-1, 0, 1), repeat=self.dim)
-            if offset > zero
-        ]
-        ls, rs = _adjacent(keys, slot_coords, span, half)
-        left, right = _slot_products(order, bounds, ls, rs)
-        crowded = np.flatnonzero(np.diff(bounds) > 1)
-        first, second = _slot_products(order, bounds, crowded, crowded)
-        # A cell paired with itself yields each pair in both orders (and
-        # every robot with itself): keep the ``i < j`` one.
-        keep = first < second
-        return (
-            np.concatenate((np.minimum(left, right), first[keep])),
-            np.concatenate((np.maximum(left, right), second[keep])),
-        )
+        return self.warm_candidates(keep=keep)
 
 
 def _members_of(
@@ -299,44 +314,69 @@ def _members_of(
     return order[bounds[slots][entry] + local], entry
 
 
-def _slot_products(
-    order: np.ndarray, bounds: np.ndarray, ls: np.ndarray, rs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Every ``(member of ls[k], member of rs[k])`` robot pair, over all ``k``."""
-    first, entry = _members_of(order, bounds, ls)
-    second, pick = _members_of(order, bounds, rs[entry])
-    return first[pick], second
+def _product_blocks(
+    left: Tuple[np.ndarray, np.ndarray],
+    right: Tuple[np.ndarray, np.ndarray],
+    ls: np.ndarray,
+    rs: np.ndarray,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every ``(left member of ls[k], right member of rs[k])`` pair, over all ``k``, in blocks.
+
+    ``left`` and ``right`` are ``(order, bounds)`` slot memberships
+    (:meth:`ShardedGridIndex._group`).  A block pairs consecutive left
+    members with their whole ``rs`` slot and holds at most
+    :data:`_PAIR_BLOCK` pairs (or one member's pairs, if more), so a
+    crowded cell's pairs never land in one array.
+    """
+    first, entry = _members_of(*left, ls)
+    right_slots = rs[entry]
+    right_bounds = right[1]
+    ends = np.cumsum(right_bounds[right_slots + 1] - right_bounds[right_slots])
+    lo = 0
+    while lo < len(first):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+        second, pick = _members_of(*right, right_slots[lo:hi])
+        yield first[lo:hi][pick], second
+        lo = hi
 
 
 def _adjacent(
-    keys: np.ndarray, slot_coords: np.ndarray, span: List[int], offsets
+    keys: np.ndarray,
+    slot_coords: np.ndarray,
+    span: List[int],
+    offsets,
+    owners: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(owner, neighbour)`` slot pairs for every given offset that is occupied.
 
-    One ``searchsorted`` over the ascending slot keys per offset; a
-    shifted coordinate outside ``[0, span)`` is masked out before the
-    key comparison, since its fold would alias a key of another row or
-    run.
+    ``owners`` restricts the owner slots (None: every slot).  One
+    ``searchsorted`` over the ascending slot keys per offset; a shifted
+    coordinate outside ``[0, span)`` is masked out before the key
+    comparison, since its fold would alias a key of another row or run.
     """
     n_slots = len(keys)
-    owners: List[np.ndarray] = []
+    if owners is None:
+        owners = np.arange(n_slots)
+    coords = slot_coords[owners]
+    found_owners: List[np.ndarray] = []
     neighbours: List[np.ndarray] = []
     for offset in offsets:
-        valid = np.ones(n_slots, dtype=bool)
-        neighbour_key = slot_coords[:, 0].copy()
+        valid = np.ones(len(owners), dtype=bool)
+        neighbour_key = coords[:, 0].copy()
         for axis, step in enumerate(offset):
-            shifted = slot_coords[:, axis + 1] + step
+            shifted = coords[:, axis + 1] + step
             valid &= (shifted >= 0) & (shifted < span[axis])
             neighbour_key = neighbour_key * span[axis] + shifted
         idx = np.searchsorted(keys, neighbour_key)
         idx[idx >= n_slots] = 0
         found = valid & (keys[idx] == neighbour_key)
-        owners.append(np.flatnonzero(found))
+        found_owners.append(owners[found])
         neighbours.append(idx[found])
-    if not owners:
+    if not found_owners:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    return np.concatenate(owners), np.concatenate(neighbours)
+    return np.concatenate(found_owners), np.concatenate(neighbours)
 
 
 #: Up to this many robots a 3D diameter pairs every row, above it only the
@@ -471,10 +511,12 @@ def grid_edges(arr: np.ndarray, reach: float) -> "tuple[np.ndarray, np.ndarray]"
     if n < 2:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     cell = covering_cell(arr, search_radius_floor(arr, reach))
-    i, j = ShardedGridIndex(arr, cell).neighbour_pairs()
-    keep = pair_distances(arr, i, j) <= reach
+    columns = _columns(arr)
+    i, j = ShardedGridIndex(arr, cell).neighbour_pairs(
+        keep=lambda i, j: np.sqrt(_pair_squared(columns, i, j)) <= reach
+    )
     # One sort of the pair keys ``i * n + j`` puts the pairs in (i, j) order.
-    key = i[keep] * n + j[keep]
+    key = i * n + j
     key.sort()
     return np.divmod(key, n)
 
@@ -490,5 +532,257 @@ def search_radius_floor(arr: np.ndarray, radius: float) -> float:
     """
     if not math.isfinite(radius) or radius <= 0.0:
         radius = 1.0
-    extent = float((arr.max(axis=0) - arr.min(axis=0)).max())
+    low, high = _column_bounds(arr)
+    extent = float((high - low).max())
     return max(radius, 1e-6 * extent)
+
+
+def _column_bounds(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-axis minima and maxima of non-empty ``(n, d)`` rows.
+
+    Reduced one column at a time: numpy's axis-0 reduction over rows of
+    two or three floats is some ten times slower.
+    """
+    columns = [arr[:, axis] for axis in range(arr.shape[1])]
+    return (
+        np.array([column.min() for column in columns]),
+        np.array([column.max() for column in columns]),
+    )
+
+
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
+#: Most ids one chunk of a round's Looks gathers (a chunk holds at least
+#: one owner): visible ids with a grid (:meth:`VisiblePairs.chunks`), every
+#: row without one.  Every row array of a round's decide spans one chunk,
+#: so a round's peak memory is O(chunk), not O(round).
+ROW_BUDGET = 1 << 17
+
+#: A :class:`VisiblePairs` holds its keys while at most this many pairs of
+#: rows per row share a grid cell; past it the set holds no keys, and each
+#: round enumerates its owners' pairs chunk by chunk instead.  The bound
+#: caps the held keys at O(n): the visible pairs are among the pairs of
+#: the same or adjacent cells, at most ``3^d S + (3^d - 1) n / 2`` for
+#: ``S`` shared-cell pairs (a cell pair's product is at most the mean of
+#: its two squares), so at most 148 pairs a row (2.4 KB) in the plane.
+#: Holding was faster at every density measured, so the bound caps memory
+#: rather than marking a crossover (``round_pairs`` square rows of
+#: ``BENCH_layers.json``, n = 2·10^4 uniform in a square, kknps × ssync,
+#: 2n activations): at S = 7.9 holding ran 1.43x faster than enumerating
+#: for 14% more peak RSS, at S = 31.3 1.23x faster for 41% more, and at
+#: S = 200 (4·10^4 robots in a 10 x 10 square) 1.68x faster for 26% more.
+CARRY_CELL_PAIRS_PER_ROW = 16
+
+
+def budget_chunks(counts: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``[lo, hi)`` slices of ``counts`` summing to at most ``budget``.
+
+    Every slice holds at least one entry, so an entry past the budget
+    gets a slice of its own.
+    """
+    segment = np.concatenate(([0], np.cumsum(counts)))
+    lo = 0
+    while lo < len(counts):
+        hi = int(np.searchsorted(segment, segment[lo] + budget, side="right")) - 1
+        hi = min(len(counts), max(lo + 1, hi))
+        yield lo, hi
+        lo = hi
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(starts[k], starts[k] + counts[k])`` over every ``k``, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
+
+
+class VisiblePairs:
+    """The visible pairs of ``(N, d)`` rows, refreshed only where the rows changed.
+
+    A pair ``i < j`` is visible when ``keeps`` — the front end's Look
+    predicate, taking the per-axis components of ``p_j - p_i`` — keeps
+    it; ``reach`` bounds every distance it keeps.  Both Looks of a pair
+    take one verdict: ``a - b`` is exactly ``-(b - a)``, and the Look
+    distances (``hypot``, sums of squares) ignore signs.
+
+    The pairs are held as two sorted ``int64`` key arrays, ``forward``
+    (``i * N + j``) and ``backward`` (``j * N + i``), 16 bytes a pair
+    and nothing else.  Robot ``o``'s visible rows are its run
+    ``[o * N, (o + 1) * N)`` of ``backward`` (ascending ``i < o``)
+    followed by its run of ``forward`` (ascending ``j > o``): ascending
+    ids, as a dense Look lists them, with no per-query sort.
+
+    :meth:`refresh` keeps the set equal to a full enumeration of the
+    current rows.  Two unchanged rows keep their floats, so their pair
+    keeps its verdict; every pair that touches a changed row is found
+    again by a grid whose cell covers ``reach`` at any coordinate
+    magnitude, and judged again.  With ``runs > 1`` the rows are that
+    many stacked replicates of equal size, and no pair crosses two.
+
+    A swarm so crowded that more than :data:`CARRY_CELL_PAIRS_PER_ROW`
+    pairs per row share a grid cell holds no keys: ``grid`` then keeps
+    the refresh's grid, and :meth:`chunks` enumerates the pairs of each
+    chunk of owners through it, so memory stays O(n + ROW_BUDGET).
+    """
+
+    __slots__ = ("reach", "keeps", "runs", "rows", "forward", "backward", "grid")
+
+    def __init__(
+        self,
+        reach: float,
+        keeps: Callable[..., np.ndarray],
+        *,
+        runs: int = 1,
+    ) -> None:
+        self.reach = float(reach)
+        self.keeps = keeps
+        self.runs = int(runs)
+        #: The rows the pairs were last refreshed to (a private copy).
+        self.rows: Optional[np.ndarray] = None
+        self.forward = _NO_KEYS
+        self.backward = _NO_KEYS
+        #: The grid of ``rows`` while the set is too crowded to hold keys.
+        self.grid: Optional[ShardedGridIndex] = None
+
+    def refresh(self, rows: np.ndarray) -> "VisiblePairs":
+        """Bring the pairs up to ``rows``; returns ``self``.
+
+        A row changed when any of its bit patterns differs from the held
+        row's (so ``-0.0`` against ``0.0`` counts), whatever moved it; on
+        first use, or when the shape changes, every row has.  No change
+        costs one comparison and builds no grid.  Otherwise one grid is
+        built over the current rows (cell :func:`covering_cell` of
+        ``reach``, floored with :func:`search_radius_floor` like
+        :func:`grid_edges`).  If it is too crowded to carry keys
+        (:data:`CARRY_CELL_PAIRS_PER_ROW`) the keys are released and the
+        grid kept.  Else every key with a changed endpoint is dropped,
+        the grid enumerates every pair that touches a changed row, and
+        the pairs ``keeps`` keeps are merged into both orders; the held
+        keys are released first when every row changed, or when the set
+        held none.
+        """
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        held = self.rows
+        changed = None
+        if held is not None and held.shape == rows.shape:
+            differs = np.flatnonzero(held.view(np.uint64).ravel() != rows.view(np.uint64).ravel())
+            if not len(differs):
+                return self
+            if self.grid is None:
+                changed = np.unique(differs // rows.shape[1])
+                if len(changed) == len(rows):
+                    changed = None
+        if changed is None:
+            self.forward = self.backward = _NO_KEYS
+        self.grid = None
+        n, dim = rows.shape
+        grid = None
+        if n >= 2:
+            cell = covering_cell(rows, search_radius_floor(rows, self.reach))
+            if self.runs > 1:
+                grid = ShardedGridIndex.from_replicates(rows.reshape(self.runs, -1, dim), cell)
+            else:
+                grid = ShardedGridIndex(rows, cell)
+        self.rows = rows.copy()
+        if grid is not None and grid.same_cell_pairs() > CARRY_CELL_PAIRS_PER_ROW * n:
+            self.grid = grid
+            self.forward = self.backward = _NO_KEYS
+            return self
+        if changed is not None:
+            self._drop(changed)
+        i, j = (_NO_KEYS, _NO_KEYS) if grid is None else grid.warm_candidates(changed, self._keep())
+        forward = i * n + j
+        backward = j * n + i
+        if changed is None:
+            forward.sort()
+            backward.sort()
+        else:
+            # Two sorted runs: the stable sort merges them in linear time.
+            forward = np.concatenate((self.forward, np.sort(forward)))
+            backward = np.concatenate((self.backward, np.sort(backward)))
+            forward.sort(kind="stable")
+            backward.sort(kind="stable")
+        self.forward, self.backward = forward, backward
+        return self
+
+    def _keep(self) -> PairFilter:
+        """``keeps`` as a filter of candidate pairs of the held rows."""
+        columns = _columns(self.rows)
+        return lambda i, j: self.keeps(*(column[j] - column[i] for column in columns))
+
+    def _drop(self, changed: np.ndarray) -> None:
+        """Remove every pair with an endpoint in ``changed`` from both orders."""
+        n = len(self.rows)
+        back_start, back_count, fwd_start, fwd_count = self._spans(changed)
+        back_at = _ranges(back_start, back_count)
+        fwd_at = _ranges(fwd_start, fwd_count)
+        back_owner = np.repeat(changed, back_count)
+        fwd_owner = np.repeat(changed, fwd_count)
+        # A changed row's backward run holds its pairs (i, c), its forward
+        # run its pairs (c, j); each pair also sits in the other order.
+        lower = self.backward[back_at] - back_owner * n
+        upper = self.forward[fwd_at] - fwd_owner * n
+        forward_drop = np.concatenate(
+            (fwd_at, np.searchsorted(self.forward, lower * n + back_owner))
+        )
+        backward_drop = np.concatenate(
+            (back_at, np.searchsorted(self.backward, upper * n + fwd_owner))
+        )
+        self.forward = np.delete(self.forward, forward_drop)
+        self.backward = np.delete(self.backward, backward_drop)
+
+    def _spans(self, owners: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Each owner's key runs: ``(backward start, count, forward start, count)``."""
+        n = len(self.rows)
+        base = owners * n
+        back = np.searchsorted(self.backward, np.concatenate((base, base + n)))
+        fwd = np.searchsorted(self.forward, np.concatenate((base, base + n)))
+        m = len(base)
+        return back[:m], back[m:] - back[:m], fwd[:m], fwd[m:] - fwd[:m]
+
+    def chunks(
+        self, owners: np.ndarray, budget: int = ROW_BUDGET
+    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """The visible ids of ``owners``, a chunk of consecutive owners at a time.
+
+        Yields ``(lo, hi, ids, counts)``: ``counts[k]`` ids for each of
+        ``owners[lo:hi]``, concatenated in owner order, each owner's
+        ascending and without the owner — the rows its Look keeps.  A
+        chunk holds at most ``budget`` ids, or one owner's if more.
+        Owners are distinct.  Held keys are read from each owner's two
+        key runs; a set holding none enumerates each chunk's pairs
+        through its grid, and sorts them.
+        """
+        owners = np.asarray(owners, dtype=np.int64)
+        if self.grid is None:
+            spans = self._spans(owners)
+            counts = spans[1] + spans[3]
+            for lo, hi in budget_chunks(counts, budget):
+                yield lo, hi, self._gather(owners[lo:hi], [s[lo:hi] for s in spans]), counts[lo:hi]
+            return
+        n = len(self.rows)
+        keep = self._keep()
+        local = np.empty(n, dtype=np.int64)
+        for lo, hi in budget_chunks(self.grid.neighbourhood_sizes(owners), budget):
+            chosen = owners[lo:hi]
+            seer, seen = self.grid.warm_candidates(chosen, keep, directed=True)
+            local[chosen] = np.arange(hi - lo)
+            seer = local[seer]
+            counts = np.bincount(seer, minlength=hi - lo)
+            keys = seer * n + seen
+            # A row's pairs come as one ascending run per cell around it.
+            keys.sort(kind="stable")
+            yield lo, hi, keys - np.repeat(np.arange(hi - lo) * n, counts), counts
+
+    def _gather(self, owners: np.ndarray, spans: List[np.ndarray]) -> np.ndarray:
+        """The owners' held visible ids, concatenated, each owner's ascending."""
+        back_start, back_count, fwd_start, fwd_count = spans
+        counts = back_count + fwd_count
+        from_back = np.repeat(
+            np.tile(np.array((True, False)), len(counts)),
+            np.column_stack((back_count, fwd_count)).ravel(),
+        )
+        keys = np.empty(len(from_back), dtype=np.int64)
+        keys[from_back] = self.backward[_ranges(back_start, back_count)]
+        keys[~from_back] = self.forward[_ranges(fwd_start, fwd_count)]
+        return keys - np.repeat(owners * len(self.rows), counts)

@@ -295,6 +295,25 @@ def _collapse_coincident_scan(
     return visible[firsts[kept]], np.asarray(counts, dtype=np.int64)
 
 
+def visible_mask(
+    dx: np.ndarray,
+    dy: np.ndarray,
+    visibility_range: float,
+    coincidence_eps: float = 1e-12,
+) -> np.ndarray:
+    """The planar Look's distance filter over offsets ``(dx, dy)`` from the observer.
+
+    Keeps a robot farther than ``coincidence_eps`` and at most
+    ``visibility_range + EPS`` away (``np.hypot`` of the offsets).  The
+    verdict ignores the offsets' signs, so it also decides a pair of
+    robots from either end: the round path's
+    :class:`~repro.geometry.pairs.VisiblePairs` judges each pair once
+    with it.
+    """
+    distance = np.hypot(dx, dy)
+    return (distance > coincidence_eps) & (distance <= visibility_range + EPS)
+
+
 def build_snapshot(
     observer_position: PointLike,
     others: Sequence[PointLike],
@@ -332,8 +351,9 @@ def build_snapshot(
     others = _others_as_array(others)
     if len(others):
         relative = others - np.array((observer.x, observer.y), dtype=float)
-        distance = np.hypot(relative[:, 0], relative[:, 1])
-        keep = (distance > coincidence_eps) & (distance <= visibility_range + EPS)
+        keep = visible_mask(
+            relative[:, 0], relative[:, 1], visibility_range, coincidence_eps
+        )
         visible = relative[keep]
     else:
         visible = np.zeros((0, 2), dtype=float)

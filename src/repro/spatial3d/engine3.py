@@ -100,12 +100,19 @@ def visible_relative3(
     """
     pool = np.asarray(pool, dtype=float).reshape(-1, 3)
     delta = pool - observer
-    distances = np.sqrt(
-        delta[:, 0] * delta[:, 0]
-        + delta[:, 1] * delta[:, 1]
-        + delta[:, 2] * delta[:, 2]
-    )
-    return delta[(distances <= visibility_range + VIS_EPS) & (distances > VIS_EPS)]
+    return delta[visible_mask3(delta[:, 0], delta[:, 1], delta[:, 2], visibility_range)]
+
+
+def visible_mask3(
+    dx: np.ndarray, dy: np.ndarray, dz: np.ndarray, visibility_range: float
+) -> np.ndarray:
+    """The 3D Look filter over offsets ``(dx, dy, dz)``: ``(VIS_EPS, V + VIS_EPS]``.
+
+    The verdict ignores the offsets' signs, so it also decides a pair of
+    robots from either end (:class:`~repro.geometry.pairs.VisiblePairs`).
+    """
+    distances = np.sqrt(dx * dx + dy * dy + dz * dz)
+    return (distances <= visibility_range + VIS_EPS) & (distances > VIS_EPS)
 
 
 def rotate_back3(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -275,6 +282,11 @@ class _RoundKernel3(ContinuousKernel):
 
     def _make_metrics(self) -> MetricsCollector:
         return self.scheduler.metrics
+
+    def _pair_rule(self):
+        """:func:`visible_relative3`'s filter at the visibility range, for pairs."""
+        limit = self.config.visibility_range
+        return limit + VIS_EPS, lambda dx, dy, dz: visible_mask3(dx, dy, dz, limit)
 
     def _decide_move(
         self,

@@ -38,9 +38,11 @@ from ..model.types import Activation
 from ..schedulers.base import Scheduler
 from ..schedulers.kasync import KAsyncScheduler
 from .engine3 import (
+    VIS_EPS,
     random_rotation3,
     rotate_back3,
     rotate_rows3,
+    visible_mask3,
     visible_relative3,
 )
 from .kknps3 import KKNPS3Algorithm
@@ -140,6 +142,11 @@ class Kernel3(ContinuousKernel):
         if not self.config.rotate_frames:
             return None
         return random_rotation3(self.rng)
+
+    def _pair_rule(self):
+        """:func:`visible_relative3`'s filter at the effective range, for pairs."""
+        limit = self._effective_range()
+        return limit + VIS_EPS, lambda dx, dy, dz: visible_mask3(dx, dy, dz, limit)
 
     def _decide_move(
         self,

@@ -11,16 +11,20 @@ schedulers never produce, so the rigidity constant ``xi`` is exercised
 too.  The pipeline's helpers (flat perception, per-lane frame draws,
 the collapse guard) are pinned against their scalar counterparts, and
 the row-budget chunking must change no output and bound a round's peak
-memory.
+memory, as must a refresh of the visible pairs at the same size and a
+round of a swarm too crowded to hold its pairs.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import KKNPSAlgorithm
 from repro.algorithms.kknps import kknps_destinations_all
@@ -33,15 +37,15 @@ from repro.engine.decide_batch import (
     decide_round_flat,
     perceive_flat,
 )
-from repro.engine.spatial_index import ShardedGridIndex
-from repro.geometry.tolerances import EPS
+from repro.geometry import pairs as pairs_module
+from repro.geometry.pairs import VisiblePairs
 from repro.geometry.transforms import SymmetricDistortion, random_frame
 from repro.model.errors import MotionModel, PerceptionModel
 from repro.model.types import RoundBatch
 from repro.schedulers import SSyncScheduler
 from repro.sweeps import RunSpec
 from repro.sweeps.runner import planar_setup
-from repro.workloads import random_connected_configuration
+from repro.workloads import random_connected_configuration, truncated_grid_configuration
 
 DISTORTION = SymmetricDistortion(amplitude=0.1, frequency=2)
 PERCEPTION = {
@@ -88,10 +92,15 @@ def _round(n, seed, *, every_robot, partial_progress):
     return RoundBatch(ids, 0.0, progress=progress)
 
 
-def _shard(sim, committed, grid):
+def _pairs(sim, committed, grid):
     if not grid:
         return None
-    return ShardedGridIndex(committed, sim._effective_range() + 2.0 * EPS)
+    return VisiblePairs(*sim._pair_rule()).refresh(committed)
+
+
+def _group_pairs(sims, tensor):
+    """A replicate group's visible pairs, run-isolated, as the lanes build them."""
+    return VisiblePairs(*sims[0]._pair_rule(), runs=len(sims)).refresh(tensor.reshape(-1, 2))
 
 
 def _assert_rows_equal(got, expected):
@@ -194,6 +203,36 @@ class TestCollapseHazardLanes:
         assert collapse_hazard_lanes(flat, 2, 16).tolist() == [False, True]
 
 
+    @pytest.mark.parametrize("offset", [1e7, 1e8, 1e9, 1e12])
+    def test_far_lanes_are_clear_without_cast_warnings(self, offset):
+        """Far from the origin a spaced lattice is not flagged, and no cast overflows."""
+        configuration = truncated_grid_configuration(600)
+        flat = np.array([(p.x, p.y) for p in configuration.positions]) + offset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not collapse_hazard_lanes(flat, 1, 600).any()
+            assert not collapse_hazard_lanes(np.concatenate((flat, -flat)), 2, 600).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        offset=st.sampled_from([0.0, 1e3, 1e8, 1e9, -1e9, 1e12, -1e12]),
+        robots=st.tuples(st.integers(0, 23), st.integers(0, 23)).filter(lambda p: p[0] != p[1]),
+        delta=st.tuples(
+            st.floats(min_value=-2.8e-12, max_value=2.8e-12),
+            st.floats(min_value=-2.8e-12, max_value=2.8e-12),
+        ),
+        lane=st.integers(0, 1),
+    )
+    def test_guard_close_pairs_are_flagged_at_any_offset(self, offset, robots, delta, lane):
+        flat = self._lanes(2, 24, seed=3) * 50.0 + offset
+        a, b = (lane * 24 + robot for robot in robots)
+        flat[b] = flat[a] + np.asarray(delta)
+        # Adding the offset rounds the gap; only pairs still within the guard count.
+        assume(math.dist(flat[a], flat[b]) < COLLAPSE_GUARD_DIST)
+        flags = collapse_hazard_lanes(flat, 2, 24)
+        assert flags[lane]
+
+
 #: (perception, frames, reflection, xi, partial progress, every robot, grid, k)
 ONE_LANE_CASES = [
     pytest.param("exact", True, True, 1.0, False, True, True, 1,
@@ -230,12 +269,12 @@ class TestDecideRoundFlat:
         assert len(executed)
         start = sim.rng.bit_generator.state
         flat = sim._round_decide_batch(
-            0.0, committed, _shard(sim, committed, grid), executed
+            0.0, committed, _pairs(sim, committed, grid), executed
         )
         flat_state = sim.rng.bit_generator.state
         sim.rng.bit_generator.state = start
         reference = sim._round_decide_rows(
-            0.0, committed, _shard(sim, committed, grid), executed
+            0.0, committed, _pairs(sim, committed, grid), executed
         )
         _assert_rows_equal(flat, reference)
         assert flat_state == sim.rng.bit_generator.state
@@ -277,7 +316,7 @@ class TestDecideRoundFlat:
             effective,
             lambda px, py, s, e: kknps_destinations_all(px, py, s, e, consts),
             tensor.reshape(-1, 2),
-            ShardedGridIndex.from_replicates(tensor, effective + 2.0 * EPS),
+            _group_pairs(sims, tensor),
             np.concatenate(
                 [batch.robot_ids + slot * n for slot, batch in enumerate(batches)]
             ),
@@ -314,7 +353,7 @@ class TestDecideRoundFlat:
             effective,
             lambda px, py, s, e: kknps_destinations_all(px, py, s, e, consts),
             tensor.reshape(-1, 2),
-            ShardedGridIndex.from_replicates(tensor, effective + 2.0 * EPS),
+            _group_pairs(sims, tensor),
             np.arange(3 * n),
             np.ones(3 * n),
             [(sim.rng, n) for sim in sims],
@@ -351,11 +390,17 @@ class TestRowBudget:
     """Chunking the row stages by ``ROW_BUDGET`` changes no output."""
 
     @pytest.mark.parametrize("budget", [1, 7, 64, None])
-    @pytest.mark.parametrize("lanes,grid", [(1, True), (1, False), (3, True)],
-                             ids=["grid-1-lane", "dense-1-lane", "grid-3-lanes"])
+    @pytest.mark.parametrize(
+        "lanes,grid",
+        [(1, True), (1, False), (3, True), (1, "crowded"), (3, "crowded")],
+        ids=["grid-1-lane", "dense-1-lane", "grid-3-lanes", "crowded-1-lane", "crowded-3-lanes"],
+    )
     def test_rows_equal_per_robot_at_any_budget(self, monkeypatch, budget, lanes, grid):
         if budget is not None:
             monkeypatch.setattr(decide_batch, "ROW_BUDGET", budget)
+        if grid == "crowded":
+            # Every swarm counts as too crowded to hold its pair keys.
+            monkeypatch.setattr(pairs_module, "CARRY_CELL_PAIRS_PER_ROW", -1)
         n = 30
         sims = [_sim(n, seed, visibility_range=1.0) for seed in range(8, 8 + lanes)]
         batches = [
@@ -366,17 +411,14 @@ class TestRowBudget:
         tensor = np.stack([sim._arrays.position for sim in sims])
         effective = sims[0]._effective_range()
         consts = sims[0].algorithm.decide_consts()
-        shard = (
-            ShardedGridIndex.from_replicates(tensor, effective + 2.0 * EPS)
-            if grid
-            else None
-        )
+        pairs = _group_pairs(sims, tensor) if grid else None
+        assert grid != "crowded" or pairs.grid is not None
         target, realized, seen = decide_round_flat(
             sims[0].config,
             effective,
             lambda px, py, s, e: kknps_destinations_all(px, py, s, e, consts),
             tensor.reshape(-1, 2),
-            shard,
+            pairs,
             np.concatenate(
                 [batch.robot_ids + slot * n for slot, batch in enumerate(batches)]
             ),
@@ -396,19 +438,71 @@ class TestRowBudget:
             offset += len(batch)
         assert offset == len(target)
 
-    def test_grid_round_peak_memory_is_bounded(self):
-        """One 20k-activation round at n = 4·10^4 stays under 40 MiB."""
+    @staticmethod
+    def _mega_round_sim():
         spec = RunSpec("kknps", "ssync", "grid", 40_000, seed=1, max_activations=40_000)
         configuration, algorithm, scheduler, config = planar_setup(spec)
-        sim = Simulator(configuration.positions, algorithm, scheduler, config)
+        return Simulator(configuration.positions, algorithm, scheduler, config)
+
+    def test_grid_round_peak_memory_is_bounded(self):
+        """One 20k-activation round at n = 4·10^4 stays under 40 MiB."""
+        sim = self._mega_round_sim()
         committed = sim._arrays.position
-        shard = sim._round_shard(committed)
-        assert shard is not None
+        pairs = sim._round_pairs(committed)
+        assert pairs is not None
         executed = RoundBatch(np.arange(0, 40_000, 2), 0.0)
         tracemalloc.start()
         try:
-            sim._round_decide_batch(0.0, committed, shard, executed)
+            sim._round_decide_batch(0.0, committed, pairs, executed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
+
+    def test_crowded_round_peak_memory_is_bounded(self):
+        """A swarm too crowded to hold its pairs refreshes and decides under 20 MiB.
+
+        3,000 robots in a 3 x 3 square see ~750 robots each: held as
+        keys, their ~1.1·10^6 pairs alone take 17 MiB, and the refresh
+        that enumerates them all peaks at 36 MiB.  The set holds none,
+        so the refresh and a 1,500-activation round stay bounded by the
+        row budget (0.2 and 13 MiB).
+        """
+        positions = np.random.default_rng(2).random((3000, 2)) * 3.0
+        sim = Simulator(
+            positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
+            SimulationConfig(visibility_range=1.0, seed=2, spatial_index=True),
+        )
+        committed = sim._arrays.position
+        executed = RoundBatch(np.arange(0, 3000, 2), 0.0)
+        tracemalloc.start()
+        try:
+            pairs = sim._round_pairs(committed)
+            _, refreshed = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _, _, seen = sim._round_decide_batch(0.0, committed, pairs, executed)
+            _, decided = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs.grid is not None and not len(pairs.forward)
+        assert seen.sum() > 1e6
+        assert refreshed < 20 * 2**20 and decided < 20 * 2**20
+
+    def test_pairs_refresh_peak_memory_is_bounded(self):
+        """Refreshing the visible pairs at n = 4·10^4 stays under 40 MiB.
+
+        Both the first, full enumeration and a refresh after every other
+        robot moved (the held keys stay, the moved rows re-pair).
+        """
+        sim = self._mega_round_sim()
+        committed = sim._arrays.position.copy()
+        moved = committed.copy()
+        moved[::2] += 0.25
+        for rows in (committed, moved):
+            tracemalloc.start()
+            try:
+                sim._round_pairs(rows)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 40 * 2**20

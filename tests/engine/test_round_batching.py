@@ -18,6 +18,7 @@ import pytest
 from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
 from repro.engine import SimulationConfig, Simulator, run_simulation
 from repro.engine.metrics import METRICS_DENSE_MAX
+from repro.geometry.pairs import VisiblePairs
 from repro.model.errors import MotionModel, PerceptionModel
 from repro.schedulers import FSyncScheduler, KAsyncScheduler, SSyncScheduler
 from repro.workloads import random_connected_configuration, truncated_grid_configuration
@@ -270,3 +271,132 @@ class TestWorkloadMatrix:
         assert paths.count("_round_decide_batch") == 3
         assert "_round_decide_rows" not in paths
         _assert_identical(*results)
+
+
+class _AlternatingSSync(SSyncScheduler):
+    """SSync whose every other round comes as plain activations, heaped one by one."""
+
+    def next_batch(self, view=None):
+        batch = super().next_batch(view)
+        self.issued = getattr(self, "issued", 0) + 1
+        return list(batch) if self.issued % 2 == 0 else batch
+
+
+def _record_decides(monkeypatch):
+    """The round decide each processed round took, in order."""
+    paths = []
+    for name in ("_round_decide_batch", "_round_decide_rows"):
+        decide = getattr(Simulator, name)
+        monkeypatch.setattr(
+            Simulator, name,
+            lambda *args, name=name, decide=decide: paths.append(name) or decide(*args),
+        )
+    return paths
+
+
+class TestCarriedPairs:
+    """The run's visible pairs carry across rounds and stay exact."""
+
+    @pytest.mark.parametrize("offset", [1e9, 1e12])
+    def test_offset_grid_rounds_equal_dense_and_decide_flat(self, monkeypatch, offset):
+        """Far from the origin the grid rounds equal the dense ones, batched."""
+        configuration = truncated_grid_configuration(120, spacing=0.7)
+        positions = [(p.x + offset, p.y - offset) for p in configuration.positions]
+        paths = _record_decides(monkeypatch)
+        results = []
+        for spatial_index in (True, False):
+            results.append(
+                _run(
+                    positions,
+                    KKNPSAlgorithm(k=1),
+                    SSyncScheduler(),
+                    SimulationConfig(
+                        seed=5, max_activations=400, record_every=40,
+                        stop_at_convergence=False, spatial_index=spatial_index,
+                    ),
+                )
+            )
+        _assert_identical(*results)
+        assert paths and set(paths) == {"_round_decide_batch"}
+        # Some robots did move, so later rounds re-paired changed rows.
+        assert results[0][1].any()
+
+    def test_wide_extent_round_completes_and_equals_dense(self):
+        """A 4·10^9 extent at n = 600 (grid on by default) pairs without overflow."""
+        positions = [(0.7 * i, 0.0) for i in range(599)] + [(4e9, 4e9)]
+        results = []
+        for spatial_index in (None, False):
+            results.append(
+                _run(
+                    positions,
+                    KKNPSAlgorithm(k=1),
+                    SSyncScheduler(),
+                    SimulationConfig(
+                        seed=2, max_activations=1200, record_every=200,
+                        stop_at_convergence=False, spatial_index=spatial_index,
+                    ),
+                )
+            )
+        _assert_identical(*results)
+
+    def test_contracted_swarm_holds_no_keys_and_equals_dense(self):
+        """A swarm inside one visibility range holds no pair keys, and stays exact."""
+        rng = np.random.default_rng(4)
+        radius = 0.45 * np.sqrt(rng.random(1100))
+        angle = 2.0 * np.pi * rng.random(1100)
+        positions = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
+        results = []
+        for spatial_index in (True, False):
+            config = SimulationConfig(
+                seed=4, max_activations=1200, record_every=300,
+                stop_at_convergence=False, spatial_index=spatial_index,
+            )
+            sim = Simulator(positions, KKNPSAlgorithm(k=1), SSyncScheduler(), config)
+            if spatial_index:
+                pairs = sim._round_pairs(sim._arrays.position)
+                assert pairs.grid is not None and not len(pairs.forward)
+            results.append((sim.run(), sim._arrays.total_distance.copy()))
+        _assert_identical(*results)
+
+    def test_kernel_pairs_follow_rows_no_round_moved(self):
+        """The carried pairs follow the committed rows, whatever moved them.
+
+        A heaped activation's move or a replicate lane's own round
+        changes committed rows that no batched round committed; the next
+        refresh must still equal a fresh enumeration.
+        """
+        configuration = truncated_grid_configuration(64, spacing=0.7)
+        sim = Simulator(
+            configuration.positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
+            SimulationConfig(spatial_index=True),
+        )
+        committed = sim._arrays.position
+        before = sim._round_pairs(committed).forward.copy()
+        committed[5] += (0.7, 0.35)
+        committed[8, 0] = -committed[8, 0]  # 0.0 -> -0.0: a bit change only
+        carried = sim._round_pairs(committed)
+        fresh = VisiblePairs(*sim._pair_rule()).refresh(committed)
+        assert not np.array_equal(before, fresh.forward)
+        assert np.array_equal(carried.forward, fresh.forward)
+        assert np.array_equal(carried.backward, fresh.backward)
+        assert np.array_equal(carried.rows.view(np.uint64), committed.view(np.uint64))
+
+    def test_heaped_rounds_between_batched_ones_resync_the_pairs(self, monkeypatch):
+        """Moves begun by heaped activations change rows no round committed."""
+        configuration = truncated_grid_configuration(64, spacing=0.7)
+        paths = _record_decides(monkeypatch)
+        results = []
+        for round_batching, spatial_index in ((None, True), (False, False)):
+            results.append(
+                _run(
+                    configuration.positions,
+                    KKNPSAlgorithm(k=1),
+                    _AlternatingSSync(),
+                    SimulationConfig(
+                        seed=9, max_activations=600, stop_at_convergence=False,
+                        round_batching=round_batching, spatial_index=spatial_index,
+                    ),
+                )
+            )
+        _assert_identical(*results)
+        assert paths.count("_round_decide_batch") >= 3

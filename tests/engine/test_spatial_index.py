@@ -12,7 +12,7 @@ from repro.algorithms import KKNPSAlgorithm
 from repro.engine import SimulationConfig, Simulator, UniformGridIndex, run_simulation
 from repro.model import KinematicArrays
 from repro.schedulers import KAsyncScheduler, SSyncScheduler
-from repro.workloads import random_connected_configuration
+from repro.workloads import random_connected_configuration, truncated_grid_configuration
 
 
 class TestGridMaintenance:
@@ -179,10 +179,34 @@ class TestGridExactness:
         )
         assert disabled._grid is None
 
+    def test_auto_grid_at_512_serves_rounds_only(self):
+        """At n = 512 an ssync run carries visible pairs; a k-async run builds no grid.
+
+        The planar incremental grid is never enabled on its own, however
+        large the swarm; ``spatial_index=True`` still forces it.
+        """
+        positions = truncated_grid_configuration(512, spacing=0.7).positions
+        rounds = Simulator(positions, KKNPSAlgorithm(k=1), SSyncScheduler(), SimulationConfig())
+        assert rounds._round_batching and rounds._grid is None
+        pairs = rounds._round_pairs(rounds._arrays.position)
+        assert pairs is not None and len(pairs.forward) > 0
+        for n in (512, 20_000):
+            positions = truncated_grid_configuration(n, spacing=0.7).positions
+            per_activation = Simulator(
+                positions, KKNPSAlgorithm(k=2), KAsyncScheduler(k=2), SimulationConfig()
+            )
+            assert per_activation._grid is None
+        forced = Simulator(
+            positions, KKNPSAlgorithm(k=2), KAsyncScheduler(k=2),
+            SimulationConfig(spatial_index=True),
+        )
+        assert forced._grid is not None and len(forced._grid) == 20_000
+
     def test_round_batching_replaces_incremental_grid(self):
         # Under a round-structured scheduler the batched fast path owns
-        # spatial lookups (a sharded grid per round), so the incremental
-        # index is skipped; per-activation schedulers still build it.
+        # spatial lookups (the run's carried visible pairs), so the
+        # incremental index is skipped; per-activation schedulers still
+        # build it.
         configuration = random_connected_configuration(10, seed=0)
         batched = Simulator(
             configuration.positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
@@ -259,11 +283,12 @@ class TestGrid3D:
 
 
 class TestShardedGridIndex:
-    """The batch-built block-sharded grid: exactness and replicate isolation."""
+    """The batch-built grid's one enumerator: exactness and replicate isolation."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_candidates_cover_all_within_cell_size(self, dim, seed):
+        """``warm_candidates(rows)`` covers every close pair touching ``rows``, once."""
         from repro.engine.spatial_index import ShardedGridIndex
 
         rng = np.random.default_rng(seed)
@@ -272,13 +297,24 @@ class TestShardedGridIndex:
         shard = ShardedGridIndex(positions, cell)
         deltas = positions[:, None, :] - positions[None, :, :]
         distances = np.sqrt((deltas * deltas).sum(axis=-1))
-        for robot in range(n):
-            candidates = shard.candidates(robot)
-            # Ascending, includes the robot itself (callers drop it at d=0).
-            assert robot in candidates.tolist()
-            assert np.all(np.diff(candidates) > 0)
-            within = set(np.flatnonzero(distances[robot] <= cell).tolist())
-            assert within <= set(candidates.tolist())
+        rows = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        chosen = set(rows.tolist())
+        i, j = shard.warm_candidates(rows)
+        assert np.all(i < j)
+        pairs = list(zip(i.tolist(), j.tolist()))
+        assert len(pairs) == len(set(pairs))  # each pair at most once
+        # Every pair touches a row; every close pair touching one is there.
+        assert all(a in chosen or b in chosen for a, b in pairs)
+        close = {
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if distances[a, b] <= cell and (a in chosen or b in chosen)
+        }
+        assert close <= set(pairs)
+        # The rows' pairs are exactly the every-row pairs that touch them.
+        every = set(zip(*(side.tolist() for side in shard.neighbour_pairs())))
+        assert set(pairs) == {(a, b) for a, b in every if a in chosen or b in chosen}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_neighbour_pairs_cover_close_pairs_exactly_once(self, seed):
@@ -307,8 +343,8 @@ class TestShardedGridIndex:
 
         rng = np.random.default_rng(9)
         runs, n = 3, 40
-        # Identical coordinates in every run: without run-keyed blocks the
-        # replicates would alias into shared candidate sets.
+        # Identical coordinates in every run: without run-keyed cells the
+        # replicates would alias into shared pairs.
         base = rng.uniform(-2.0, 2.0, size=(n, 2))
         tensor = np.broadcast_to(base, (runs, n, 2))
         shard = ShardedGridIndex.from_replicates(tensor, 0.9)
@@ -316,9 +352,10 @@ class TestShardedGridIndex:
         for run in range(runs):
             offset = run * n
             for robot in range(n):
-                flat = shard.candidates(offset + robot)
-                assert np.all(flat >= offset) and np.all(flat < offset + n)
-                assert np.array_equal(flat - offset, single.candidates(robot))
+                i, j = shard.warm_candidates(np.array([offset + robot]))
+                assert np.all(i >= offset) and np.all(j < offset + n)
+                ref_i, ref_j = single.warm_candidates(np.array([robot]))
+                assert sorted(zip(i - offset, j - offset)) == sorted(zip(ref_i, ref_j))
         i, j = shard.neighbour_pairs()
         assert np.array_equal(i // n, j // n)  # no pair crosses runs
 
