@@ -290,7 +290,7 @@ def _schedulers():
 def _config(
     max_activations: int,
     k: int,
-    round_batching: Optional[bool] = None,
+    round_batching: bool = True,
 ) -> SimulationConfig:
     return SimulationConfig(
         seed=SEED,

@@ -11,12 +11,7 @@ from .convergence import (
 from .metrics import MetricsCollector, MetricsSample
 from .recorder import TrajectoryRecorder
 from .simulator import SimulationConfig, SimulationResult, Simulator, run_simulation
-from .spatial_index import (
-    GRID_MIN_ROBOTS,
-    GRID_MIN_ROBOTS_3D,
-    UniformGridIndex,
-    grid_auto_threshold,
-)
+from .spatial_index import GRID_MIN_ROBOTS, GRID_MIN_ROBOTS_3D, grid_auto_threshold
 
 __all__ = [
     "ConvergenceSummary",
@@ -29,7 +24,6 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "TrajectoryRecorder",
-    "UniformGridIndex",
     "epochs",
     "epochs_to_converge",
     "rounds_to_halve",

@@ -3,12 +3,13 @@
 This module owns the event-driven activation pipeline that both engines
 share: scheduler batches feeding a global ``look_time``-ordered heap,
 instantaneous Looks over interpolated ``(n, d)`` kinematic state, phase
-transitions on the structure-of-arrays store, spatial-index maintenance,
-metrics sampling cadence, and the convergence / horizon stopping rules.
-Nothing in here knows the spatial dimension: every position is a row of a
-:class:`~repro.model.robot.KinematicArrays` store, every transition is a
-row-level operation, and the grid is the dimension-generic
-:class:`~repro.engine.spatial_index.UniformGridIndex`.
+transitions on the structure-of-arrays store, metrics sampling cadence,
+and the convergence / horizon stopping rules.  Nothing in here knows the
+spatial dimension: every position is a row of a
+:class:`~repro.model.robot.KinematicArrays` store and every transition
+is a row-level operation.  A heaped activation's Look reads the dense
+interpolation of every robot at its instant, which the same instant's
+metrics sample reuses.
 
 What *does* depend on the dimension is factored into a handful of hooks a
 subclass provides:
@@ -48,8 +49,8 @@ as arrays, one shared look instant and phase durations.  On the batched
 round path the kernel holds that batch whole instead of heaping its
 activations: the round's decisions come back as row arrays, one
 index-array transition on the kinematic store begins every move, and the
-round's records and metrics samples are appended as columns.  With a
-grid on, every round's Looks read one
+round's records and metrics samples are appended as columns.  With
+``spatial_index`` on, every round's Looks read one
 :class:`~repro.geometry.pairs.VisiblePairs` the kernel keeps for the
 whole run: each round refreshes it against the committed rows, which
 re-pairs only the rows whose bits changed since the last refresh (under
@@ -61,7 +62,9 @@ The required configuration attributes (duck-typed; satisfied by
 ``SimulationConfig`` and the 3D config types) are: ``visibility_range``,
 ``seed``, ``max_activations``, ``max_time``, ``convergence_epsilon``,
 ``stop_at_convergence``, ``record_every``, ``crashed_robots`` and
-``spatial_index``.
+``spatial_index`` (it selects only the round path's carried pairs); an
+optional ``round_batching`` (default True) set False heaps every round,
+the per-activation reference path.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from ..model.types import Activation, RoundBatch
 from ..schedulers.base import Scheduler
 from .logs import EndTimeLog, RecordLog
 from .metrics import MetricsCollector
-from .spatial_index import UniformGridIndex, grid_auto_threshold
+from .spatial_index import grid_auto_threshold
 
 #: What one Look/Compute/Move decision produced: the target the algorithm
 #: chose and the endpoint the motion model realises (global coordinate
@@ -198,11 +201,9 @@ class ContinuousKernel:
         #: path (only ever set while the heap is empty).
         self._round: Optional[RoundBatch] = None
         self._sequence = 0
-        self._round_batching = self._round_batching_enabled()
-        # The batched round path reads the visible pairs of the committed
-        # positions, so the incrementally maintained index would only be
-        # dead weight there.
-        self._grid = None if self._round_batching else self._build_grid()
+        #: Whether a :class:`RoundBatch` is held whole (only fsync, ssync
+        #: and the 3D round adapter issue one); False heaps every round.
+        self._round_batching = getattr(config, "round_batching", True)
         #: The run's visible pairs, built by the first gridded round.
         self._pairs: Optional[VisiblePairs] = None
 
@@ -293,70 +294,28 @@ class ContinuousKernel:
             return look_all_positions
         return self.positions_array(look_time)
 
-    # -- internals ---------------------------------------------------------------------
-    def _grid_range(self, rounds: bool) -> Optional[float]:
-        """The range a Look grid bins by, or None when Looks stay dense.
-
-        The one enablement rule of both grids (the incremental
-        :meth:`_build_grid` and, with ``rounds``, the round path's
-        :meth:`_round_pairs`): a grid needs a finite, positive visibility
-        range; ``spatial_index=False`` always forces the dense path,
-        ``True`` forces the grid, and the default (None) enables it only
-        for a swarm big enough for the bookkeeping to pay off
-        (:func:`~repro.engine.spatial_index.grid_auto_threshold`; never
-        for the planar incremental grid).
-        """
-        effective = self._effective_range()
-        if not (math.isfinite(effective) and effective > 0.0):
-            return None
-        enabled = self.config.spatial_index
-        if enabled is None:
-            threshold = grid_auto_threshold(self.dim, rounds)
-            enabled = threshold is not None and self.n_robots >= threshold
-        return effective if enabled else None
-
-    def _build_grid(self) -> Optional[UniformGridIndex]:
-        """The incrementally maintained spatial hash index, or None for dense Looks."""
-        effective = self._grid_range(rounds=False)
-        if effective is None:
-            return None
-        grid = UniformGridIndex(effective, dim=self.dim)
-        committed = self._arrays.position
-        for i in range(self.n_robots):
-            grid.settle(i, *committed[i])
-        return grid
-
     # -- batched round fast path ---------------------------------------------------------
-    def _round_batching_enabled(self) -> bool:
-        """Whether the scheduler's :class:`RoundBatch` es run as whole rounds.
-
-        ``config.round_batching`` (duck-typed, default None) forces the
-        answer either way; on auto, the fast path engages exactly when the
-        scheduler declares itself round-structured (``round_structured =
-        True`` — fsync, ssync and the 3D round adapter).  Only a batch the
-        scheduler issues as a :class:`RoundBatch` is ever advanced as a
-        round; any other batch goes through the per-activation heap, so
-        forcing the path on under a non-round scheduler changes nothing
-        but the Look index.
-        """
-        setting = getattr(self.config, "round_batching", None)
-        if setting is False:
-            return False
-        if setting is None:
-            return bool(getattr(self.scheduler, "round_structured", False))
-        return True
-
     def _round_pairs(self, committed: np.ndarray) -> Optional[VisiblePairs]:
-        """The visible pairs of the committed rows, or None for dense Looks.
+        """The visible pairs of the committed rows, or None for a dense round.
 
-        Enabled by :meth:`_grid_range`'s rule, like :meth:`_build_grid`.
+        The pairs need a finite, positive visibility range;
+        ``spatial_index=False`` always gathers densely, ``True`` forces
+        the pairs, and the default (None) carries them only for a swarm
+        big enough for them to pay off
+        (:func:`~repro.engine.spatial_index.grid_auto_threshold`).
         The run keeps one :class:`~repro.geometry.pairs.VisiblePairs`,
         under the front end's :meth:`_pair_rule`, and refreshes it here
         against the rows themselves, not against the moves the kernel
         began: a crash, heaped activations between rounds or a replicate
         lane's own round cannot leave it stale.
         """
-        if self._grid_range(rounds=True) is None:
+        effective = self._effective_range()
+        if not (math.isfinite(effective) and effective > 0.0):
+            return None
+        enabled = self.config.spatial_index
+        if enabled is None:
+            enabled = self.n_robots >= grid_auto_threshold(self.dim)
+        if not enabled:
             return None
         if self._pairs is None:
             self._pairs = VisiblePairs(*self._pair_rule())
@@ -445,12 +404,11 @@ class ContinuousKernel:
         decides.  A convergence stop truncates the round exactly where the
         per-activation loop would have broken: the skipped activations
         never decide, so their draws never happen and the RNG stream
-        matches byte for byte.  Boundaries after the first replicate its
-        sample when the collector declares that safe
-        (``supports_replicated_samples``), else re-observe with the same
-        arguments.  ``observe`` stands in for ``run.metrics.observe`` at
-        the first boundary (the replicate lanes pass their batched
-        sampler).
+        matches byte for byte.  Boundaries after the first repeat its
+        sample (:meth:`~repro.engine.metrics.SampleLog.repeat_last`: only
+        ``activations_processed`` differs).  ``observe`` stands in for
+        ``run.metrics.observe`` at the first boundary (the replicate lanes
+        pass their batched sampler).
         """
         cfg = self.config
         arrays = self._arrays
@@ -475,11 +433,7 @@ class ContinuousKernel:
                 return executed.take(slice(0, n_executed))
         if boundaries > 1:
             repeats = boundaries - 1
-            if getattr(metrics, "supports_replicated_samples", False):
-                metrics.samples.repeat_last(repeats, cfg.record_every)
-            else:
-                for k in range(1, boundaries):
-                    metrics.observe(look_time, committed, first[1] + k * cfg.record_every)
+            metrics.samples.repeat_last(repeats, cfg.record_every)
             if recorder is not None:
                 for _ in range(repeats):
                     recorder.record_all(look_time, committed)
@@ -529,21 +483,10 @@ class ContinuousKernel:
         schedulers, whose cycles end inside the round) means the committed
         rows are not what the round's Looks would see.
         """
-        self._time = batch.look_time
-        self._finalize_completed_moves(batch.look_time)
-        return not self._arrays.any_moving()
-
-    def _finalize_completed_moves(self, now: float) -> None:
-        completed = self._arrays.completed_movers(now)
-        if len(completed) == 0:
-            return
         arrays = self._arrays
-        arrays.finish_moves(completed)
-        grid = self._grid
-        if grid is not None:
-            committed = arrays.position
-            for i in completed.tolist():
-                grid.settle(i, *committed[i])
+        self._time = batch.look_time
+        arrays.finish_moves(arrays.completed_movers(batch.look_time))
+        return not arrays.any_moving()
 
     def _settle_moves(self) -> float:
         """Let every in-flight move finish; returns the final time."""
@@ -554,30 +497,15 @@ class ContinuousKernel:
             arrays.finish_moves(moving)
         return self._time
 
-    def _begin_move(
-        self, robot_id: int, origin: np.ndarray, destination,
-        start: float, end: float,
-    ) -> None:
-        self._arrays.begin_move_at(robot_id, origin, destination, start, end)
-        if self._grid is not None:
-            self._grid.begin_move(robot_id, *origin, *destination)
-
     def _look_positions(self, robot_id: int, look_time: float):
         """What the observing robot can be shown: candidate positions for its Look.
 
-        An ``(m, d)`` array of interpolated positions — all other robots
-        on the dense path, only the robots in the observer's 3^d grid
-        neighbourhood when the spatial index is active (an exact superset
-        of the visible set; the Look's distance filter is unchanged).
-
-        Returns ``(others, all_positions)`` where ``all_positions`` is the
-        full ``(n, d)`` interpolation when the dense path computed one
-        (reused for the metrics sample of the same instant), else None.
+        Returns ``(others, all_positions)``: every other robot's position
+        interpolated at ``look_time`` as an ``(n - 1, d)`` array (the
+        Look's distance filter picks the visible ones), and the full
+        ``(n, d)`` interpolation it was cut from, which the metrics sample
+        of the same instant reuses.
         """
-        if self._grid is not None:
-            observer = self._arrays.position[robot_id]
-            candidates = self._grid.candidates(*observer, exclude=robot_id)
-            return self._arrays.positions_at(look_time, candidates), None
         all_positions = self._arrays.positions_at(look_time)
         return np.delete(all_positions, robot_id, axis=0), all_positions
 
@@ -648,7 +576,7 @@ class ContinuousKernel:
             return
         self._time = look_time
         robot_id = activation.robot_id
-        self._finalize_completed_moves(look_time)
+        arrays.finish_moves(arrays.completed_movers(look_time))
         if arrays.crashed[robot_id]:
             return
         if arrays.phase[robot_id] == PHASE_MOVING:
@@ -668,7 +596,7 @@ class ContinuousKernel:
         move_start = activation.move_start_time
         move_end = activation.end_time
         origin_row = arrays.position[robot_id].copy()
-        self._begin_move(robot_id, origin_row, realized, move_start, move_end)
+        arrays.begin_move_at(robot_id, origin_row, realized, move_start, move_end)
         run.end_times.append(robot_id, move_end)
         if move_end <= look_time:
             # A zero-duration move completes at the look instant itself:

@@ -115,15 +115,6 @@ class MetricsCollector:
     samples: SampleLog = field(default_factory=SampleLog)
     cohesion_ever_violated: bool = False
 
-    #: Samples taken at distinct record boundaries of one synchronous
-    #: round see identical geometry; the kernel's batched round path may
-    #: therefore compute one sample and replicate it (adjusting only
-    #: ``activations_processed``, see :meth:`SampleLog.repeat_last`)
-    #: instead of re-observing.  A subclass whose ``observe`` carries
-    #: extra per-call state should set this False to force one observe
-    #: per boundary.
-    supports_replicated_samples = True
-
     def __post_init__(self) -> None:
         if not isinstance(self.samples, SampleLog):
             self.samples = SampleLog(self.samples)

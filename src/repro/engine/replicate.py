@@ -118,7 +118,6 @@ def _prepare_lane(sim: Simulator, setup_cache: Optional[dict] = None) -> _Lane:
         and math.isfinite(effective)
         and effective > 0.0
         and run.recorder is None
-        and getattr(run.metrics, "supports_replicated_samples", False)
     )
     return _Lane(
         sim,

@@ -2,11 +2,10 @@
 
 The event-driven activation pipeline itself — scheduler batches consumed
 in global ``look_time`` order, instantaneous Looks over interpolated
-kinematic state, phase transitions, spatial-index maintenance, metrics
-cadence and stopping rules — lives dimension-generically in
-:mod:`repro.engine.kernel`.  This module supplies the planar pieces the
-kernel leaves open, realising exactly the semantics the paper's proofs
-reason about:
+kinematic state, phase transitions, metrics cadence and stopping rules —
+lives dimension-generically in :mod:`repro.engine.kernel`.  This module
+supplies the planar pieces the kernel leaves open, realising exactly the
+semantics the paper's proofs reason about:
 
 * the Look phase snapshots the positions of all robots within the
   visibility range *at that instant* (robots mid-move are interpolated
@@ -76,11 +75,13 @@ class SimulationConfig:
     record_every: int = 1
     record_trajectories: bool = False
     crashed_robots: tuple = ()
+    #: Whether a round's Looks read the run's carried visible pairs: None
+    #: from ``grid_auto_threshold`` robots on, True always, False never
+    #: (a dense gather).  Per-activation Looks are always dense.
     spatial_index: Optional[bool] = None
-    #: Batched round fast path: None auto-enables it for round-structured
-    #: schedulers, True forces the attempt (each batch is still
-    #: validated), False always uses the per-activation path.
-    round_batching: Optional[bool] = None
+    #: Whether a scheduler's whole rounds (fsync, ssync) take the batched
+    #: round path; False heaps them, the per-activation reference path.
+    round_batching: bool = True
 
     def __post_init__(self) -> None:
         if self.visibility_range <= 0.0:

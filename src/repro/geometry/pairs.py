@@ -66,12 +66,10 @@ def covering_cell(positions: np.ndarray, reach: float) -> float:
 class ShardedGridIndex:
     """A batch-built uniform grid whose one query pairs the rows of adjacent cells.
 
-    :class:`~repro.engine.spatial_index.UniformGridIndex` is incremental:
-    robots settle and begin moves one at a time, and every Look pays a
-    3^d dict-bucket union.  The round path has no use for that — all
-    robots of a round Look at the *same* committed positions — so this
-    index bins the ``(n, d)`` committed array into cells
-    ``floor(p / cell_size)`` in one vectorized pass.  Its enumerator,
+    All robots of a round Look at the *same* committed positions, so
+    this index bins the ``(n, d)`` committed array into cells
+    ``floor(p / cell_size)`` in one vectorized pass and answers the whole
+    round's neighbour queries as one batch.  Its enumerator,
     :meth:`warm_candidates`, pairs the robots of the same or adjacent
     cells (the 3^d cell neighbourhood) that touch a given set of rows;
     :meth:`neighbour_pairs` is its every-row case, which

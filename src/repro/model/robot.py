@@ -20,7 +20,7 @@ the moves that have completed) run as single numpy expressions.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,27 +95,17 @@ class KinematicArrays:
         return arrays
 
     # -- vectorized queries ------------------------------------------------------
-    def positions_at(self, time: float, indices: Optional[np.ndarray] = None) -> np.ndarray:
-        """Interpolated positions at global ``time`` as an ``(m, 2)`` array.
-
-        With ``indices`` given, only those rows are evaluated (in the given
-        order); otherwise all ``n`` robots are.
-        """
-        if indices is None:
-            out = self.position.copy()
-            phase = self.phase
-        else:
-            out = self.position[indices]
-            phase = self.phase[indices]
-        moving = phase == PHASE_MOVING
+    def positions_at(self, time: float) -> np.ndarray:
+        """Every robot's interpolated position at global ``time``, as fresh ``(n, d)`` rows."""
+        out = self.position.copy()
+        moving = self.phase == PHASE_MOVING
         if not moving.any():
             return out
         rows = np.flatnonzero(moving)
-        sub = indices[rows] if indices is not None else rows
-        start = self.move_start[sub]
-        end = self.move_end[sub]
-        origin = self.move_origin[sub]
-        destination = self.move_destination[sub]
+        start = self.move_start[rows]
+        end = self.move_end[rows]
+        origin = self.move_origin[rows]
+        destination = self.move_destination[rows]
         span = end - start
         # Endpoint once the move is over (or the span is degenerate), origin
         # before it starts, linear interpolation in between.

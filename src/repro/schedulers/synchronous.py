@@ -22,10 +22,6 @@ class FSyncScheduler(Scheduler):
     """Every robot is activated in every round."""
 
     scheduler_class = SchedulerClass.FSYNC
-    #: Every batch is one simultaneous round: the kernel may advance it
-    #: through the batched fast path.
-    round_structured = True
-
     def __init__(self, *, move_duration: float = 0.5) -> None:
         super().__init__()
         if not 0.0 < move_duration < 1.0:
@@ -60,10 +56,6 @@ class SSyncScheduler(Scheduler):
     """
 
     scheduler_class = SchedulerClass.SSYNC
-    #: Every batch is one simultaneous round: the kernel may advance it
-    #: through the batched fast path.
-    round_structured = True
-
     def __init__(
         self,
         *,

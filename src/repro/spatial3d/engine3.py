@@ -6,9 +6,9 @@ the round semantics live in :class:`Round3Scheduler` (one simultaneous
 batch per round, per-round measurement and stopping at round boundaries)
 and :class:`_RoundKernel3` (the historical Look filter, frame rotation
 and ``uniform(xi, 1)`` fraction draws, in the historical RNG order),
-while the activation pipeline itself — heap consumption, ``(n, 3)``
-interpolation, phase transitions, grid maintenance — is the same kernel
-that runs planar and continuous-time 3D simulations.
+while the activation pipeline itself — round consumption, the round's
+carried visible pairs, phase transitions — is the same kernel that runs
+planar and continuous-time 3D simulations.
 
 Its outcomes are **bit-identical** to the historical per-robot
 :class:`~repro.spatial3d.vector3.Vector3` loop, which
@@ -209,10 +209,6 @@ class Round3Scheduler(Scheduler):
     """
 
     scheduler_class = SchedulerClass.SSYNC
-    #: Every batch is one simultaneous round: the kernel may advance it
-    #: through the batched fast path.
-    round_structured = True
-
     def __init__(
         self,
         *,
@@ -329,8 +325,8 @@ def run_rounds_array(
     The round semantics live in :class:`Round3Scheduler` (simultaneous
     round batches, per-round measurement and stopping) and
     :class:`_RoundKernel3` (the historical Look filter and RNG draws);
-    the activation pipeline itself — round consumption, interpolation,
-    phase transitions, grid maintenance — is the shared
+    the activation pipeline itself — round consumption, the carried
+    visible pairs, phase transitions — is the shared
     :class:`~repro.engine.kernel.ContinuousKernel`.  The cohesion
     baseline is the visibility edges of ``positions``, which the
     collector binds.  The outcome is bit-identical to the historical

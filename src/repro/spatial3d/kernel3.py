@@ -70,11 +70,12 @@ class AsyncSimulation3Config:
     rotate_frames: bool = True
     record_every: int = 1
     crashed_robots: tuple = ()
+    #: Whether a round's Looks read the run's carried visible pairs (as
+    #: in the planar config); per-activation Looks are always dense.
     spatial_index: Optional[bool] = None
-    #: Batched round fast path: None auto-enables it for round-structured
-    #: schedulers, True forces the attempt (still validated per batch),
-    #: False always uses the per-activation path.
-    round_batching: Optional[bool] = None
+    #: Whether fsync/ssync rounds take the batched round path; False
+    #: heaps them, the per-activation reference path.
+    round_batching: bool = True
 
     def __post_init__(self) -> None:
         if self.visibility_range <= 0.0:

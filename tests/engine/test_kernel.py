@@ -17,7 +17,7 @@ from repro.engine import SimulationConfig, Simulator
 from repro.engine.kernel import ContinuousKernel
 from repro.engine.metrics import MetricsCollector
 from repro.model import KinematicArrays
-from repro.schedulers import FSyncScheduler, KAsyncScheduler
+from repro.schedulers import FSyncScheduler, KAsyncScheduler, SSyncScheduler
 from repro.spatial3d import (
     AsyncSimulation3Config,
     KKNPS3Algorithm,
@@ -137,6 +137,7 @@ class TestKernel3Semantics:
             )
 
     def test_grid_equals_dense_in_continuous_3d(self):
+        """The 3D kernel's rounds read the carried pairs or gather densely, alike."""
         configuration = random_connected_configuration3(24, seed=6)
         results = []
         for spatial_index in (True, False):
@@ -144,7 +145,7 @@ class TestKernel3Semantics:
                 run_simulation3_async(
                     configuration.positions,
                     KKNPS3Algorithm(k=2),
-                    KAsyncScheduler(k=2),
+                    SSyncScheduler(),
                     AsyncSimulation3Config(
                         visibility_range=configuration.visibility_range,
                         seed=6,

@@ -423,7 +423,7 @@ class TestFullSamplesAtTheEnds:
 
         make = (lambda: KAsyncScheduler(k=2)) if scheduler == "k-async" else SSyncScheduler
         sim = Simulator(*self._factory(make, seed=4)())
-        assert sim._round_batching == (scheduler == "ssync")
+        assert sim._round_batching  # the default: only ssync's rounds are held whole
         self._assert_full_only_at_the_ends(sim.run())
 
     def test_replicate_lanes(self):

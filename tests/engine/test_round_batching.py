@@ -35,7 +35,7 @@ def _pair(algorithm_factory, scheduler_factory, n=40, seed=11, **config_kw):
     """Run fast-path and reference simulations of the same scenario."""
     configuration = random_connected_configuration(n, seed=seed)
     runs = []
-    for round_batching in (None, False):
+    for round_batching in (True, False):
         config_kw["round_batching"] = round_batching
         config_kw.setdefault("seed", seed)
         config_kw.setdefault("max_activations", 160)
@@ -124,28 +124,25 @@ class TestRoundBatchingPins:
         )
         _assert_identical(fast, reference)
 
-    def test_forced_on_async_scheduler_is_safe(self):
-        """round_batching=True under k-async: per-batch validation rejects
-        batches that are not simultaneous rounds, so the run falls back to
-        the per-activation path and stays bit-identical."""
-        configuration = random_connected_configuration(30, seed=5)
-        results = []
-        for round_batching in (True, False):
-            results.append(
-                _run(
-                    configuration.positions,
-                    KKNPSAlgorithm(k=2),
-                    KAsyncScheduler(k=2),
-                    SimulationConfig(
-                        seed=5,
-                        max_activations=200,
-                        stop_at_convergence=False,
-                        k_bound=2,
-                        round_batching=round_batching,
-                    ),
-                )
+    def test_only_round_batches_are_held_whole(self):
+        """``round_batching=True`` (the default) holds a scheduler's
+        :class:`RoundBatch` whole and heaps any other batch; ``False``
+        heaps every batch."""
+        positions = random_connected_configuration(12, seed=5).positions
+        for scheduler, round_batching, held in (
+            (SSyncScheduler(), True, True),
+            (FSyncScheduler(), True, True),
+            (KAsyncScheduler(k=2), True, False),
+            (SSyncScheduler(), False, False),
+        ):
+            sim = Simulator(
+                positions, KKNPSAlgorithm(k=1), scheduler,
+                SimulationConfig(round_batching=round_batching),
             )
-        _assert_identical(*results)
+            scheduler.reset(sim.n_robots, sim.rng)
+            assert sim._refill()
+            assert (sim._round is not None) is held
+            assert bool(sim._pending) is not held
 
     def test_overlapping_rounds_take_the_per_activation_path(self):
         """A round issued while robots are still mid-move is not batched: its
@@ -153,7 +150,7 @@ class TestRoundBatchingPins:
         scheduler bug with the same error either way."""
         configuration = random_connected_configuration(8, seed=2)
         messages = []
-        for round_batching in (None, False):
+        for round_batching in (True, False):
             scheduler = FSyncScheduler()
             scheduler.move_duration = 1.5  # cycles now overlap the next round
             with pytest.raises(RuntimeError) as error:
@@ -184,7 +181,7 @@ class TestWorkloadMatrix:
                 xi=0.6, deviation="linear", coefficient=0.05
             )
         results = []
-        for round_batching in (None, False):
+        for round_batching in (True, False):
             results.append(
                 _run(
                     configuration.positions,
@@ -210,7 +207,7 @@ class TestWorkloadMatrix:
                 xi=0.6, deviation="linear", coefficient=0.05
             )
         results = []
-        for round_batching in (None, False):
+        for round_batching in (True, False):
             results.append(
                 _run(
                     configuration.positions,
@@ -230,7 +227,7 @@ class TestWorkloadMatrix:
             seed=3, max_activations=3000, record_every=250, stop_at_convergence=False
         )
         results = []
-        for round_batching in (None, False):
+        for round_batching in (True, False):
             results.append(
                 _run(
                     configuration.positions,
@@ -259,7 +256,7 @@ class TestWorkloadMatrix:
             spatial_index=False,
         )
         results = []
-        for round_batching in (None, False):
+        for round_batching in (True, False):
             results.append(
                 _run(
                     configuration.positions,
@@ -386,7 +383,7 @@ class TestCarriedPairs:
         configuration = truncated_grid_configuration(64, spacing=0.7)
         paths = _record_decides(monkeypatch)
         results = []
-        for round_batching, spatial_index in ((None, True), (False, False)):
+        for round_batching, spatial_index in ((True, True), (False, False)):
             results.append(
                 _run(
                     configuration.positions,

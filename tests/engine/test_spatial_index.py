@@ -1,4 +1,9 @@
-"""Tests for the uniform spatial hash grid and its exactness guarantee."""
+"""Per-activation Looks read the dense interpolation; rounds read the carried pairs.
+
+``spatial_index`` selects only a round's carried visible pairs
+(:meth:`ContinuousKernel._round_pairs`); every heaped activation's Look
+sees every other robot interpolated at its instant.
+"""
 
 from __future__ import annotations
 
@@ -6,106 +11,187 @@ import math
 
 import numpy as np
 import pytest
-from reference.object_engine import Robot
+from reference.object_engine import ObjectSimulator, Robot
 
 from repro.algorithms import KKNPSAlgorithm
-from repro.engine import SimulationConfig, Simulator, UniformGridIndex, run_simulation
+from repro.engine import (
+    GRID_MIN_ROBOTS,
+    GRID_MIN_ROBOTS_3D,
+    SimulationConfig,
+    Simulator,
+    grid_auto_threshold,
+    run_simulation,
+)
+from repro.geometry.pairs import VisiblePairs
+from repro.geometry.tolerances import EPS
 from repro.model import KinematicArrays
-from repro.schedulers import KAsyncScheduler, SSyncScheduler
-from repro.workloads import random_connected_configuration, truncated_grid_configuration
+from repro.model.robot import PHASE_MOVING
+from repro.schedulers import (
+    AsyncScheduler,
+    KAsyncScheduler,
+    KNestAScheduler,
+    SSyncScheduler,
+)
+from repro.spatial3d import (
+    AsyncSimulation3Config,
+    KKNPS3Algorithm,
+    Kernel3,
+    positions_as_array3,
+    random_connected_configuration3,
+)
+from repro.workloads import random_connected_configuration
 
 
-class TestGridMaintenance:
-    def test_requires_finite_positive_range(self):
-        with pytest.raises(ValueError):
-            UniformGridIndex(0.0)
-        with pytest.raises(ValueError):
-            UniformGridIndex(math.inf)
+def _mix_phases(arrays: KinematicArrays, rng: np.random.Generator, reach: float) -> float:
+    """Begin moves for a third of the robots; returns a Look instant among them.
 
-    def test_settle_and_candidates(self):
-        grid = UniformGridIndex(1.0)
-        grid.settle(0, 0.5, 0.5)
-        grid.settle(1, 1.5, 0.5)   # adjacent cell
-        grid.settle(2, 3.5, 0.5)   # two cells away in x: out of the 3x3 block
-        assert grid.candidates(0.5, 0.5).tolist() == [0, 1]
-        assert grid.candidates(0.5, 0.5, exclude=0).tolist() == [1]
-
-    def test_moving_robot_spans_segment_bbox(self):
-        grid = UniformGridIndex(1.0)
-        grid.begin_move(7, 0.5, 0.5, 2.5, 0.5)
-        # The mover is discoverable from every cell its segment crosses.
-        for x in (0.5, 1.5, 2.5):
-            assert 7 in grid.candidates(x, 0.5).tolist()
-        grid.settle(7, 2.5, 0.5)
-        assert 7 not in grid.candidates(0.5, 0.5, ).tolist()
-        assert 7 in grid.candidates(2.5, 0.5).tolist()
-        assert len(grid.cells_of(7)) == 1
-
-    def test_remove(self):
-        grid = UniformGridIndex(1.0)
-        grid.settle(3, 0.0, 0.0)
-        grid.remove(3)
-        assert grid.candidates(0.0, 0.0).size == 0
-        assert len(grid) == 0
-
-    def test_boundary_of_cell_points(self):
-        """Points exactly on cell edges stay discoverable from both sides."""
-        grid = UniformGridIndex(1.0)
-        side = grid.cell_size
-        grid.settle(0, side, 0.0)          # exactly on the x-boundary
-        grid.settle(1, side, side)         # exactly on a corner
-        grid.settle(2, 2 * side, 2 * side)
-        # Observers just left/below the boundary still see them in the block.
-        eps = 1e-9
-        assert 0 in grid.candidates(side - eps, 0.0).tolist()
-        assert 0 in grid.candidates(side + eps, 0.0).tolist()
-        assert 1 in grid.candidates(side - eps, side - eps).tolist()
-        assert 1 in grid.candidates(side + eps, side + eps).tolist()
-
-    def test_negative_coordinates(self):
-        grid = UniformGridIndex(1.0)
-        grid.settle(0, -0.5, -0.5)
-        grid.settle(1, 0.5, 0.5)
-        assert grid.candidates(-0.1, -0.1).tolist() == [0, 1]
+    Moves start one time unit apart, so at the instant some have not
+    started, one is in flight and some have ended unfinalised; every
+    fourth move has a zero span.
+    """
+    n = arrays.n
+    movers = rng.choice(n, size=n // 3, replace=False)
+    for j, i in enumerate(movers.tolist()):
+        start = float(j)
+        arrays.begin_activation_at(i, start)
+        target = arrays.position[i] + rng.uniform(-reach, reach, size=arrays.dim)
+        end = start if j % 4 == 3 else start + 1.0
+        arrays.begin_move_at(i, arrays.position[i].copy(), target, start, end)
+    return float(rng.uniform(0.0, n // 3 + 1.0))
 
 
-class TestGridExactness:
-    """Grid candidates must always cover the true visible set."""
+def _position_at3(arrays: KinematicArrays, i: int, time: float) -> tuple:
+    """One robot's position at ``time``, coordinate by coordinate (the scalar oracle)."""
+    if arrays.phase[i] != PHASE_MOVING:
+        return tuple(float(c) for c in arrays.position[i])
+    start, end = float(arrays.move_start[i]), float(arrays.move_end[i])
+    origin = [float(c) for c in arrays.move_origin[i]]
+    destination = [float(c) for c in arrays.move_destination[i]]
+    if time >= end or (time > start and end - start <= EPS):
+        return tuple(destination)
+    if time <= start:
+        return tuple(origin)
+    t = (time - start) / (end - start)
+    return tuple(o + (d - o) * t for o, d in zip(origin, destination))
+
+
+def _per_activation_kernel(dim, scheduler, *, seed, spatial_index=None):
+    """kknps(k=2) on 30 robots under ``scheduler``: 90 activations, sampled each time."""
+    settings = dict(
+        seed=seed, max_activations=90, stop_at_convergence=False, spatial_index=spatial_index
+    )
+    if dim == 2:
+        configuration = random_connected_configuration(30, seed=seed)
+        return Simulator(
+            configuration.positions, KKNPSAlgorithm(k=2), scheduler,
+            SimulationConfig(**settings),
+        )
+    configuration = random_connected_configuration3(30, seed=seed)
+    return Kernel3(
+        KinematicArrays.from_array(positions_as_array3(configuration.positions)),
+        KKNPS3Algorithm(k=2), scheduler, AsyncSimulation3Config(**settings),
+    )
+
+
+class TestDenseLooks:
+    """A heaped activation's Look sees every other robot where it is at that instant."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_candidates_superset_of_visible(self, seed):
+    def test_look_reads_every_other_robot_interpolated(self, seed):
         rng = np.random.default_rng(seed)
-        n, v = 60, 1.0
+        n = 60
         positions = rng.uniform(-4.0, 4.0, size=(n, 2))
-        arrays = KinematicArrays.from_positions(positions)
-        grid = UniformGridIndex(v)
-        for i in range(n):
-            grid.settle(i, positions[i, 0], positions[i, 1])
-        # Start some moves and finish others to mix phases.
-        movers = rng.choice(n, size=n // 3, replace=False)
-        for j, i in enumerate(movers):
-            robot = Robot.view(arrays, int(i))
-            robot.begin_activation(float(j))
-            target = positions[i] + rng.uniform(-v / 8, v / 8, size=2)
-            robot.begin_move(positions[i], target, float(j), float(j) + 1.0)
-            grid.begin_move(int(i), positions[i, 0], positions[i, 1], target[0], target[1])
-        look_time = float(rng.uniform(0.0, n // 3 + 1.0))
-        interpolated = arrays.positions_at(look_time)
+        sim = Simulator(
+            positions, KKNPSAlgorithm(k=2), KAsyncScheduler(k=2),
+            SimulationConfig(spatial_index=True),
+        )
+        arrays = sim._arrays
+        look_time = _mix_phases(arrays, rng, 1.0 / 8)
+        robots = [Robot.view(arrays, i) for i in range(n)]
+        expected = [(p.x, p.y) for p in (r.position_at(look_time) for r in robots)]
         for observer in range(0, n, 7):
-            if Robot.view(arrays, observer).is_motile():
-                continue
-            ox, oy = positions[observer]
-            candidates = set(grid.candidates(ox, oy, exclude=observer).tolist())
-            for other in range(n):
-                if other == observer:
-                    continue
-                d = math.hypot(
-                    interpolated[other, 0] - ox, interpolated[other, 1] - oy
-                )
-                if d <= v + 1e-9:
-                    assert other in candidates, (
-                        f"robot {other} visible at d={d} but not a grid candidate"
-                    )
+            others, every = sim._look_positions(observer, look_time)
+            assert [tuple(row) for row in every.tolist()] == expected
+            assert [tuple(row) for row in others.tolist()] == (
+                expected[:observer] + expected[observer + 1:]
+            )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_look_reads_every_other_robot_interpolated_3d(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        kernel = Kernel3(
+            KinematicArrays.from_array(rng.uniform(-3.0, 3.0, size=(n, 3))),
+            KKNPS3Algorithm(k=2), KAsyncScheduler(k=2),
+            AsyncSimulation3Config(spatial_index=True),
+        )
+        arrays = kernel._arrays
+        look_time = _mix_phases(arrays, rng, 1.0 / 8)
+        expected = [_position_at3(arrays, i, look_time) for i in range(n)]
+        for observer in range(0, n, 5):
+            others, every = kernel._look_positions(observer, look_time)
+            assert [tuple(row) for row in every.tolist()] == expected
+            assert [tuple(row) for row in others.tolist()] == (
+                expected[:observer] + expected[observer + 1:]
+            )
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sample_reuses_the_look_interpolation(self, monkeypatch, dim):
+        """One interpolation pass per sampled activation, plus the t=0 sample's."""
+        calls = []
+        interpolate = KinematicArrays.positions_at
+        monkeypatch.setattr(
+            KinematicArrays, "positions_at",
+            lambda self, time: calls.append(time) or interpolate(self, time),
+        )
+        kernel = _per_activation_kernel(dim, KAsyncScheduler(k=2), seed=3)
+        assert kernel.run_kernel().processed == 90
+        assert len(calls) == 1 + 90
+
+    def test_midmove_looks_match_the_object_engine(self):
+        """k-async interleavings make robots look while others are mid-move."""
+        configuration = random_connected_configuration(50, seed=4)
+        runs = []
+        for engine in (Simulator, ObjectSimulator):
+            config = SimulationConfig(
+                seed=4, max_activations=250, stop_at_convergence=False,
+                spatial_index=True, k_bound=2,
+            )
+            runs.append(
+                engine(
+                    configuration.positions, KKNPSAlgorithm(k=2), KAsyncScheduler(k=2),
+                    config,
+                ).run()
+            )
+        array_run, object_run = runs
+        assert array_run.final_positions.tobytes() == object_run.final_positions.tobytes()
+        assert array_run.metrics.samples == object_run.metrics.samples
+        assert array_run.records == object_run.records
+
+
+class TestPerActivationIgnoresSpatialIndex:
+    """``spatial_index=True`` never builds pairs for a per-activation run."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "scheduler",
+        [lambda: KAsyncScheduler(k=2), lambda: KNestAScheduler(k=2), AsyncScheduler],
+        ids=["kasync", "knesta", "async"],
+    )
+    def test_no_pairs_are_refreshed(self, monkeypatch, scheduler, dim):
+        refreshed = []
+        refresh = VisiblePairs.refresh
+        monkeypatch.setattr(
+            VisiblePairs, "refresh",
+            lambda self, rows: refreshed.append(len(rows)) or refresh(self, rows),
+        )
+        kernel = _per_activation_kernel(dim, scheduler(), seed=1, spatial_index=True)
+        assert kernel.run_kernel().processed == 90
+        assert refreshed == []
+
+
+class TestRoundPairs:
+    """``spatial_index`` selects a round's carried pairs, exactly."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_grid_and_dense_runs_bit_identical(self, seed):
@@ -135,89 +221,37 @@ class TestGridExactness:
             assert a.destination == b.destination
             assert a.neighbours_seen == b.neighbours_seen
 
-    def test_grid_and_dense_with_midmove_looks(self):
-        """k-async interleavings make robots look while others are mid-move."""
-        configuration = random_connected_configuration(50, seed=4)
-        results = []
-        for spatial in (True, False):
-            config = SimulationConfig(
-                seed=4,
-                max_activations=250,
-                stop_at_convergence=False,
-                spatial_index=spatial,
-                k_bound=2,
+    def test_pairs_only_when_worthwhile(self):
+        positions = random_connected_configuration(10, seed=0).positions
+        for spatial_index, carried in ((None, False), (True, True), (False, False)):
+            sim = Simulator(
+                positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
+                SimulationConfig(spatial_index=spatial_index),
             )
-            results.append(
-                run_simulation(
-                    configuration.positions,
-                    KKNPSAlgorithm(k=2),
-                    KAsyncScheduler(k=2),
-                    config,
+            pairs = sim._round_pairs(sim._arrays.position)
+            assert (pairs is not None) is carried
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_auto_pairs_from_the_threshold(self, dim):
+        """A round carries its pairs from ``grid_auto_threshold(dim)`` robots on."""
+        threshold = grid_auto_threshold(dim)
+        assert threshold == (GRID_MIN_ROBOTS if dim == 2 else GRID_MIN_ROBOTS_3D)
+        rng = np.random.default_rng(dim)
+        for n in (threshold - 1, threshold):
+            side = 0.6 * n ** (1.0 / dim)
+            rows = rng.uniform(0.0, side, size=(n, dim))
+            if dim == 2:
+                sim = Simulator(rows, KKNPSAlgorithm(k=1), SSyncScheduler(), SimulationConfig())
+            else:
+                sim = Kernel3(
+                    KinematicArrays.from_array(rows), KKNPS3Algorithm(k=1), SSyncScheduler(),
+                    AsyncSimulation3Config(),
                 )
-            )
-        grid_run, dense_run = results
-        assert tuple(grid_run.final_configuration.positions) == tuple(
-            dense_run.final_configuration.positions
-        )
-        assert grid_run.metrics.samples == dense_run.metrics.samples
-
-    def test_simulator_builds_grid_only_when_worthwhile(self):
-        configuration = random_connected_configuration(10, seed=0)
-        auto = Simulator(
-            configuration.positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            SimulationConfig(round_batching=False),
-        )
-        assert auto._grid is None  # small n: dense fallback
-        forced = Simulator(
-            configuration.positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            SimulationConfig(spatial_index=True, round_batching=False),
-        )
-        assert forced._grid is not None
-        disabled = Simulator(
-            configuration.positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            SimulationConfig(spatial_index=False, round_batching=False),
-        )
-        assert disabled._grid is None
-
-    def test_auto_grid_at_512_serves_rounds_only(self):
-        """At n = 512 an ssync run carries visible pairs; a k-async run builds no grid.
-
-        The planar incremental grid is never enabled on its own, however
-        large the swarm; ``spatial_index=True`` still forces it.
-        """
-        positions = truncated_grid_configuration(512, spacing=0.7).positions
-        rounds = Simulator(positions, KKNPSAlgorithm(k=1), SSyncScheduler(), SimulationConfig())
-        assert rounds._round_batching and rounds._grid is None
-        pairs = rounds._round_pairs(rounds._arrays.position)
-        assert pairs is not None and len(pairs.forward) > 0
-        for n in (512, 20_000):
-            positions = truncated_grid_configuration(n, spacing=0.7).positions
-            per_activation = Simulator(
-                positions, KKNPSAlgorithm(k=2), KAsyncScheduler(k=2), SimulationConfig()
-            )
-            assert per_activation._grid is None
-        forced = Simulator(
-            positions, KKNPSAlgorithm(k=2), KAsyncScheduler(k=2),
-            SimulationConfig(spatial_index=True),
-        )
-        assert forced._grid is not None and len(forced._grid) == 20_000
-
-    def test_round_batching_replaces_incremental_grid(self):
-        # Under a round-structured scheduler the batched fast path owns
-        # spatial lookups (the run's carried visible pairs), so the
-        # incremental index is skipped; per-activation schedulers still
-        # build it.
-        configuration = random_connected_configuration(10, seed=0)
-        batched = Simulator(
-            configuration.positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            SimulationConfig(spatial_index=True),
-        )
-        assert batched._round_batching and batched._grid is None
-        asynchronous = Simulator(
-            configuration.positions, KKNPSAlgorithm(k=2), KAsyncScheduler(k=2),
-            SimulationConfig(spatial_index=True),
-        )
-        assert not asynchronous._round_batching and asynchronous._grid is not None
+            pairs = sim._round_pairs(sim._arrays.position)
+            assert (pairs is not None) is (n >= threshold)
+            if pairs is not None:
+                fresh = VisiblePairs(*sim._pair_rule()).refresh(rows)
+                assert len(pairs.forward) and np.array_equal(pairs.forward, fresh.forward)
 
     def test_unlimited_visibility_forces_dense(self):
         from repro.algorithms import CenterOfGravityAlgorithm
@@ -229,57 +263,8 @@ class TestGridExactness:
             SSyncScheduler(),
             SimulationConfig(spatial_index=True),
         )
-        assert simulator._grid is None
-
-
-class TestGrid3D:
-    """The dimension-generic grid in 3-space: 3x3x3 blocks, same exactness."""
-
-    def test_settle_and_candidates_3d(self):
-        grid = UniformGridIndex(1.0, dim=3)
-        grid.settle(0, 0.5, 0.5, 0.5)
-        grid.settle(1, 1.5, 0.5, 0.5)   # adjacent cell in x
-        grid.settle(2, 0.5, 0.5, 1.5)   # adjacent cell in z
-        grid.settle(3, 3.5, 0.5, 0.5)   # out of the 3x3x3 block
-        assert grid.candidates(0.5, 0.5, 0.5).tolist() == [0, 1, 2]
-        assert grid.candidates(0.5, 0.5, 0.5, exclude=0).tolist() == [1, 2]
-
-    def test_moving_robot_spans_segment_bbox_3d(self):
-        grid = UniformGridIndex(1.0, dim=3)
-        grid.begin_move(7, 0.5, 0.5, 0.5, 2.5, 0.5, 2.5)
-        for x, z in ((0.5, 0.5), (1.5, 1.5), (2.5, 2.5)):
-            assert 7 in grid.candidates(x, 0.5, z).tolist()
-        grid.settle(7, 2.5, 0.5, 2.5)
-        assert 7 not in grid.candidates(0.5, 0.5, 0.5).tolist()
-        assert len(grid.cells_of(7)) == 1
-
-    def test_coordinate_arity_enforced(self):
-        grid = UniformGridIndex(1.0, dim=3)
-        with pytest.raises(ValueError):
-            grid.settle(0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            grid.begin_move(0, 0.0, 0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            grid.candidates(0.0, 0.0)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_candidates_superset_of_visible_3d(self, seed):
-        rng = np.random.default_rng(seed)
-        n, v = 80, 1.0
-        positions = rng.uniform(-3.0, 3.0, size=(n, 3))
-        grid = UniformGridIndex(v, dim=3)
-        for i in range(n):
-            grid.settle(i, positions[i, 0], positions[i, 1], positions[i, 2])
-        for observer in range(0, n, 5):
-            ox, oy, oz = positions[observer]
-            candidates = set(
-                grid.candidates(ox, oy, oz, exclude=observer).tolist()
-            )
-            deltas = positions - positions[observer]
-            distances = np.sqrt((deltas * deltas).sum(axis=1))
-            for other in range(n):
-                if other != observer and distances[other] <= v + 1e-9:
-                    assert other in candidates
+        assert math.isinf(simulator._effective_range())
+        assert simulator._round_pairs(simulator._arrays.position) is None
 
 
 class TestShardedGridIndex:

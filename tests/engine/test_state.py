@@ -57,10 +57,19 @@ class TestKinematicArrays:
                 scalar = robot.position_at(t)
                 assert batch[i, 0] == scalar.x and batch[i, 1] == scalar.y
 
-    def test_positions_at_subset_ordering(self):
+    def test_positions_at_returns_fresh_rows(self):
+        """A Look's interpolation is kept by the sample and the recorder, so it
+        never aliases the committed rows, whether or not a robot is moving."""
         arrays = KinematicArrays.from_positions([(float(i), 0.0) for i in range(6)])
-        subset = arrays.positions_at(0.0, np.array([4, 1, 3]))
-        assert subset[:, 0].tolist() == [4.0, 1.0, 3.0]
+        committed = arrays.position.copy()
+        for moving in (False, True):
+            if moving:
+                arrays.begin_activation_at(2, 0.0)
+                arrays.begin_move_at(2, arrays.position[2].copy(), (2.0, 4.0), 0.0, 2.0)
+            rows = arrays.positions_at(1.0)
+            assert not np.shares_memory(rows, arrays.position)
+            rows[:] = -1.0
+            assert arrays.position.tobytes() == committed.tobytes()
 
     def test_completed_movers(self):
         arrays = KinematicArrays.from_positions([(0.0, 0.0), (1.0, 0.0)])

@@ -5,17 +5,18 @@ A planar round is decided either per robot or by
 single run (``Simulator.run`` with round batching on, one lane) and the
 replicate engine (``run_replicated_simulations``, a group of lanes).
 Hypothesis draws a bundle of one to three lanes, each with its own seed,
-size, scheduler (round-structured, k-async, or two whole rounds and then
-plain activation lists, so a lane leaves the round path mid-run),
-algorithm, error models, frames, crashes, recording cadence and grid
-setting.  A later lane may
+size, scheduler (round-structured; k-async, k-NestA or async, whose
+per-activation Looks read the dense interpolation; or two whole rounds
+and then plain activation lists, so a lane leaves the round path
+mid-run), algorithm, error models, frames, crashes, recording cadence
+and grid setting.  A later lane may
 copy the first lane's configuration (one multi-lane group), differ from
 it in one value (a neighbouring group) or draw its own, so one bundle can
 mix lane groups.  Every lane's result must be the same from all four
 entry points:
 
 * ``run_replicated_simulations`` over the whole bundle;
-* ``Simulator.run`` with ``round_batching=None`` (the flat decide where
+* ``Simulator.run`` with ``round_batching=True`` (the flat decide where
   eligible);
 * ``Simulator.run`` with ``round_batching=False`` (the per-activation
   path);
@@ -39,7 +40,13 @@ from repro.engine import SimulationConfig, Simulator
 from repro.engine.replicate import run_replicated_simulations
 from repro.geometry.transforms import SymmetricDistortion
 from repro.model.errors import MotionModel, PerceptionModel
-from repro.schedulers import FSyncScheduler, KAsyncScheduler, SSyncScheduler
+from repro.schedulers import (
+    AsyncScheduler,
+    FSyncScheduler,
+    KAsyncScheduler,
+    KNestAScheduler,
+    SSyncScheduler,
+)
 from repro.workloads import random_connected_configuration
 
 
@@ -64,6 +71,8 @@ SCHEDULERS = {
     "fsync": FSyncScheduler,
     "ssync": SSyncScheduler,
     "kasync2": lambda: KAsyncScheduler(k=2),
+    "knesta2": lambda: KNestAScheduler(k=2),
+    "async": AsyncScheduler,
     "rounds2-lists": RoundsThenListsScheduler,
 }
 ALGORITHMS = {
@@ -228,5 +237,5 @@ class TestFlatDecideCallersAgree:
         for factory, lane in zip(factories, replicated):
             expected = _fingerprint(_run_object(factory))
             assert _fingerprint(_run(factory, False)) == expected
-            assert _fingerprint(_run(factory, None)) == expected
+            assert _fingerprint(_run(factory, True)) == expected
             assert _fingerprint(lane) == expected

@@ -68,7 +68,7 @@ def test_other_bit_generators_keep_the_per_robot_round():
     configuration = truncated_grid_configuration(600, spacing=0.7)
     results = []
     paths = []
-    for round_batching in (None, False):
+    for round_batching in (True, False):
         sim = Simulator(
             configuration.positions,
             KKNPSAlgorithm(k=1),

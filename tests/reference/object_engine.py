@@ -14,9 +14,9 @@ behaviour, as a reference:
   per-vector frame and perception transforms;
 * :class:`ObjectSimulator` — :class:`~repro.engine.simulator.Simulator`
   with per-``Point`` Looks over :class:`Robot` views, the object
-  snapshot, the ``Point``-form rules of :mod:`reference.rules`, dense
-  Looks (``spatial_index=False``) and the per-activation path
-  (``round_batching=False``).
+  snapshot, the ``Point``-form rules of :mod:`reference.rules`, and
+  the per-activation path (``round_batching=False``) for every
+  activation.
 
 The array engine must match it bit for bit: positions, metrics samples,
 records and RNG consumption (``tests/engine/test_engine_modes.py``,
@@ -318,9 +318,9 @@ def build_snapshot_objects(
 class ObjectSimulator(Simulator):
     """The object engine: per-Point Looks, snapshots and rules, dense, per activation.
 
-    The run's configuration is taken as given except that Looks stay
-    dense (``spatial_index=False``) and every activation takes the
-    per-activation path (``round_batching=False``).
+    The run's configuration is taken as given except that every
+    activation takes the per-activation path (``round_batching=False``),
+    so ``spatial_index`` has nothing to select.
     """
 
     def __init__(
@@ -330,9 +330,7 @@ class ObjectSimulator(Simulator):
         scheduler,
         config: Optional[SimulationConfig] = None,
     ) -> None:
-        config = replace(
-            config or SimulationConfig(), spatial_index=False, round_batching=False
-        )
+        config = replace(config or SimulationConfig(), round_batching=False)
         super().__init__(initial_positions, algorithm, scheduler, config)
         arrays = self._arrays
         self.robots: List[Robot] = [Robot.view(arrays, i) for i in range(arrays.n)]

@@ -31,7 +31,7 @@ from repro.spatial3d.kernel3 import Kernel3
 def _pair(scheduler_factory, n=30, seed=2, **config_kw):
     configuration = random_connected_configuration3(n, seed=seed)
     results = []
-    for round_batching in (None, False):
+    for round_batching in (True, False):
         config_kw["round_batching"] = round_batching
         config_kw.setdefault("seed", seed)
         config_kw.setdefault("max_activations", 120)
@@ -93,7 +93,7 @@ class TestRoundBatching3Pins:
         replicated samples of a round equal the per-boundary observations."""
         positions = positions_as_array3(random_connected_configuration3(30, seed=6).positions)
         outcomes = []
-        for round_batching in (None, False):
+        for round_batching in (True, False):
             kernel = Kernel3(
                 KinematicArrays.from_array(positions),
                 KKNPS3Algorithm(k=1),

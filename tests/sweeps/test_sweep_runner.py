@@ -78,7 +78,8 @@ class TestSweepRunner:
         run_sweep(SMALL_SPEC.expand()[:3], jsonl_path=jsonl)
         with jsonl.open("a", encoding="utf-8") as handle:
             handle.write('{"run_key": "truncated-by-a-cr')  # killed mid-write
-        result = run_sweep(SMALL_SPEC.expand()[:4], jsonl_path=jsonl)
+        with pytest.warns(UserWarning, match="dropping truncated trailing JSONL line"):
+            result = run_sweep(SMALL_SPEC.expand()[:4], jsonl_path=jsonl)
         assert (result.executed, result.resumed) == (1, 3)
 
     def test_skip_warning_is_one_shot_across_resumes(self, tmp_path):
