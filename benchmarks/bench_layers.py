@@ -302,7 +302,7 @@ def contracted_configuration(n: int):
 
 
 def measure_contracted(n: int) -> dict:
-    """One ``round_pairs`` contracted-swarm row: kknps × ssync, grid on, 3n activations."""
+    """One ``round_pairs`` contracted-swarm row: kknps × ssync, 3n activations."""
     import numpy as np
 
     from repro.algorithms import KKNPSAlgorithm
@@ -316,7 +316,7 @@ def measure_contracted(n: int) -> dict:
         SSyncScheduler(),
         SimulationConfig(
             visibility_range=1.0, seed=SEED, max_activations=3 * n,
-            stop_at_convergence=False, spatial_index=True,
+            stop_at_convergence=False,
         ),
     )
     result = sim.run()
@@ -342,7 +342,7 @@ def square_configuration(n: int, shared: float):
 
 
 def measure_square(n: int, shared: float, branch: str) -> dict:
-    """One ``round_pairs`` crowding row: kknps × ssync, grid on, 2n activations.
+    """One ``round_pairs`` crowding row: kknps × ssync, 2n activations.
 
     ``branch`` "held" or "crowded" moves the carry bound so the pair set
     holds its keys, or holds none, whatever the density; "auto" keeps it.
@@ -364,7 +364,7 @@ def measure_square(n: int, shared: float, branch: str) -> dict:
         SSyncScheduler(),
         SimulationConfig(
             visibility_range=1.0, seed=SEED, max_activations=2 * n,
-            stop_at_convergence=False, spatial_index=True,
+            stop_at_convergence=False,
         ),
     )
     result = sim.run()

@@ -11,13 +11,9 @@ from .convergence import (
 from .metrics import MetricsCollector, MetricsSample
 from .recorder import TrajectoryRecorder
 from .simulator import SimulationConfig, SimulationResult, Simulator, run_simulation
-from .spatial_index import GRID_MIN_ROBOTS, GRID_MIN_ROBOTS_3D, grid_auto_threshold
 
 __all__ = [
     "ConvergenceSummary",
-    "GRID_MIN_ROBOTS",
-    "GRID_MIN_ROBOTS_3D",
-    "grid_auto_threshold",
     "MetricsCollector",
     "MetricsSample",
     "SimulationConfig",

@@ -7,8 +7,9 @@ flat activation axis:
 :func:`decide_round_flat` gathers every activation's visible rows a
 chunk at a time (from the round's
 :class:`~repro.geometry.pairs.VisiblePairs`, which already applied the
-Look's distance filter; or every row, filtered here, when the grid is
-off), pre-draws the private frames per lane in activation
+Look's distance filter; or every row, filtered here, for a swarm below
+:data:`~repro.engine.spatial_index.GRID_MIN_ROBOTS` or an unlimited
+range), pre-draws the private frames per lane in activation
 order, perceives, runs one KKNPS batch core and maps the destinations
 back through the frames and the zero-deviation motion model.  It has
 exactly two callers: a single run's round

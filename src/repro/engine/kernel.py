@@ -49,20 +49,19 @@ as arrays, one shared look instant and phase durations.  On the batched
 round path the kernel holds that batch whole instead of heaping its
 activations: the round's decisions come back as row arrays, one
 index-array transition on the kinematic store begins every move, and the
-round's records and metrics samples are appended as columns.  With
-``spatial_index`` on, every round's Looks read one
-:class:`~repro.geometry.pairs.VisiblePairs` the kernel keeps for the
-whole run: each round refreshes it against the committed rows, which
-re-pairs only the rows whose bits changed since the last refresh (under
-KKNPS a surrounded robot stays put, so most rounds change a handful),
-and both the flat and the per-robot round decides read it a chunk of
-the round's robots at a time.
+round's records and metrics samples are appended as columns.  From
+:data:`~repro.engine.spatial_index.GRID_MIN_ROBOTS` robots on, every
+round's Looks read one :class:`~repro.geometry.pairs.VisiblePairs` the
+kernel keeps for the whole run: each round refreshes it against the
+committed rows, which re-pairs only the rows whose bits changed since
+the last refresh (under KKNPS a surrounded robot stays put, so most
+rounds change a handful), and both the flat and the per-robot round
+decides read it a chunk of the round's robots at a time.
 
 The required configuration attributes (duck-typed; satisfied by
 ``SimulationConfig`` and the 3D config types) are: ``visibility_range``,
 ``seed``, ``max_activations``, ``max_time``, ``convergence_epsilon``,
-``stop_at_convergence``, ``record_every``, ``crashed_robots`` and
-``spatial_index`` (it selects only the round path's carried pairs); an
+``stop_at_convergence``, ``record_every`` and ``crashed_robots``; an
 optional ``round_batching`` (default True) set False heaps every round,
 the per-activation reference path.
 """
@@ -83,7 +82,7 @@ from ..model.types import Activation, RoundBatch
 from ..schedulers.base import Scheduler
 from .logs import EndTimeLog, RecordLog
 from .metrics import MetricsCollector
-from .spatial_index import grid_auto_threshold
+from . import spatial_index
 
 #: What one Look/Compute/Move decision produced: the target the algorithm
 #: chose and the endpoint the motion model realises (global coordinate
@@ -298,12 +297,9 @@ class ContinuousKernel:
     def _round_pairs(self, committed: np.ndarray) -> Optional[VisiblePairs]:
         """The visible pairs of the committed rows, or None for a dense round.
 
-        The pairs need a finite, positive visibility range;
-        ``spatial_index=False`` always gathers densely, ``True`` forces
-        the pairs, and the default (None) carries them only for a swarm
-        big enough for them to pay off
-        (:func:`~repro.engine.spatial_index.grid_auto_threshold`).
-        The run keeps one :class:`~repro.geometry.pairs.VisiblePairs`,
+        The pairs need a finite, positive visibility range and at least
+        :data:`~repro.engine.spatial_index.GRID_MIN_ROBOTS` robots.  The
+        run keeps one :class:`~repro.geometry.pairs.VisiblePairs`,
         under the front end's :meth:`_pair_rule`, and refreshes it here
         against the rows themselves, not against the moves the kernel
         began: a crash, heaped activations between rounds or a replicate
@@ -312,10 +308,7 @@ class ContinuousKernel:
         effective = self._effective_range()
         if not (math.isfinite(effective) and effective > 0.0):
             return None
-        enabled = self.config.spatial_index
-        if enabled is None:
-            enabled = self.n_robots >= grid_auto_threshold(self.dim)
-        if not enabled:
+        if self.n_robots < spatial_index.GRID_MIN_ROBOTS:
             return None
         if self._pairs is None:
             self._pairs = VisiblePairs(*self._pair_rule())

@@ -75,10 +75,6 @@ class SimulationConfig:
     record_every: int = 1
     record_trajectories: bool = False
     crashed_robots: tuple = ()
-    #: Whether a round's Looks read the run's carried visible pairs: None
-    #: from ``grid_auto_threshold`` robots on, True always, False never
-    #: (a dense gather).  Per-activation Looks are always dense.
-    spatial_index: Optional[bool] = None
     #: Whether a scheduler's whole rounds (fsync, ssync) take the batched
     #: round path; False heaps them, the per-activation reference path.
     round_batching: bool = True

@@ -71,10 +71,11 @@ class ShardedGridIndex:
     ``floor(p / cell_size)`` in one vectorized pass and answers the whole
     round's neighbour queries as one batch.  Its enumerator,
     :meth:`warm_candidates`, pairs the robots of the same or adjacent
-    cells (the 3^d cell neighbourhood) that touch a given set of rows;
-    :meth:`neighbour_pairs` is its every-row case, which
-    :func:`grid_edges` and :func:`min_pairwise_distance_grid` consume,
-    and :class:`VisiblePairs` re-pairs the rows that moved through it.
+    cells (the 3^d cell neighbourhood): every such pair once, which
+    :meth:`neighbour_pairs` returns to :func:`grid_edges` and
+    :func:`min_pairwise_distance_grid`, or each of a set of rows with
+    its neighbours, through which :class:`VisiblePairs` re-pairs the
+    rows that moved.
 
     Cell keys fold the run id and the per-axis cell offsets into one
     ``int64``; a cell size so small against the extent that the fold
@@ -193,23 +194,20 @@ class ShardedGridIndex:
         self,
         rows: Optional[np.ndarray] = None,
         keep: Optional[PairFilter] = None,
-        *,
-        directed: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """All pairs ``(i, j)``, ``i < j``, of adjacent cells with an endpoint in ``rows``.
+        """The pairs ``(i, j)`` of one run whose cells are the same or adjacent.
 
-        ``rows`` are distinct robot ids (flat ids under replicate
-        batching); None stands for every robot.  Emits every pair of one
-        run whose cells ``floor(p / cell_size)`` differ by at most one on
-        every axis and of which at least one robot is in ``rows``, each
-        exactly once and never across runs — so every such pair at
-        distance ``<= cell_size`` (up to the float rounding band
-        :func:`covering_cell` widens a cell by).  ``keep`` filters the
-        pairs as they are enumerated, a block of at most
-        :data:`_PAIR_BLOCK` at a time, so only kept pairs are ever held
-        together.  ``directed`` (with ``rows`` given) emits each row
-        ``i`` with every other robot ``j`` of its 3^d cells instead, so a
-        pair of two rows comes once from each end.
+        Cells ``floor(p / cell_size)`` are adjacent when they differ by at
+        most one on every axis, so every pair at distance ``<= cell_size``
+        (up to the float rounding band :func:`covering_cell` widens a
+        cell by) is among them; no pair crosses two runs.  With ``rows``
+        None every such pair comes exactly once, as ``i < j``.  With
+        ``rows`` (distinct robot ids, flat ids under replicate batching)
+        each row ``i`` comes with every other robot ``j`` of its 3^d
+        cells, as ``(i, j)``, so a pair of two rows comes once from each
+        end.  ``keep`` filters the pairs as they are enumerated, a block
+        of at most :data:`_PAIR_BLOCK` at a time, so only kept pairs are
+        ever held together.
 
         Cell adjacency is resolved for all cells at once, one
         ``searchsorted`` over the sorted cell keys per offset of the 3^d
@@ -217,14 +215,12 @@ class ShardedGridIndex:
         offset pairs every cell with its neighbour there, so each
         unordered cell pair is visited once, and same-cell pairs come
         from each multi-robot cell.  With ``rows`` given, each of them is
-        paired with every robot of its 3^d cells, and a pair of two rows
-        is kept from its lower end only.
+        paired with every robot of its 3^d cells.
         """
         if rows is not None and len(rows) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         order, bounds, keys, slot_coords, span = self._group()
         members = (order, bounds)
-        chosen = None
         if rows is None:
             # Half neighbourhood: of an unordered pair of distinct adjacent
             # cells, exactly one of its two offsets is lexicographically positive.
@@ -254,22 +250,13 @@ class ShardedGridIndex:
         upper: List[np.ndarray] = []
         for kind, left, ls, rs in passes:
             for first, second in _product_blocks(left, members, ls, rs):
-                if kind == "same":
-                    # A cell paired with itself yields each pair in both
-                    # orders (and every robot with itself): keep ``i < j``.
-                    ordered = first < second
-                    first, second = first[ordered], second[ordered]
-                elif directed:
-                    other = first != second
-                    first, second = first[other], second[other]
-                elif kind == "rows":
-                    # Not the row itself, and a pair of two rows once.
-                    once = ~chosen[second] | (first < second)
-                    first, second = first[once], second[once]
-                if directed:
-                    i, j = first, second
-                else:
+                if kind == "cells":
                     i, j = np.minimum(first, second), np.maximum(first, second)
+                else:
+                    # A row meets itself in its own cell; a cell paired with
+                    # itself yields each pair in both orders: keep ``i < j``.
+                    kept = first != second if kind == "rows" else first < second
+                    i, j = first[kept], second[kept]
                 if keep is not None:
                     kept = keep(i, j)
                     i, j = i[kept], j[kept]
@@ -603,12 +590,11 @@ class VisiblePairs:
     take one verdict: ``a - b`` is exactly ``-(b - a)``, and the Look
     distances (``hypot``, sums of squares) ignore signs.
 
-    The pairs are held as two sorted ``int64`` key arrays, ``forward``
-    (``i * N + j``) and ``backward`` (``j * N + i``), 16 bytes a pair
-    and nothing else.  Robot ``o``'s visible rows are its run
-    ``[o * N, (o + 1) * N)`` of ``backward`` (ascending ``i < o``)
-    followed by its run of ``forward`` (ascending ``j > o``): ascending
-    ids, as a dense Look lists them, with no per-query sort.
+    The pairs are held as one sorted ``int64`` array of directed keys,
+    ``i * N + j`` and ``j * N + i`` for every visible pair, 16 bytes a
+    pair and nothing else.  Robot ``o``'s visible rows are its one run
+    ``[o * N, (o + 1) * N)`` of ``keys``: ascending ids, as a dense Look
+    lists them, with no per-query sort.
 
     :meth:`refresh` keeps the set equal to a full enumeration of the
     current rows.  Two unchanged rows keep their floats, so their pair
@@ -623,7 +609,7 @@ class VisiblePairs:
     chunk of owners through it, so memory stays O(n + ROW_BUDGET).
     """
 
-    __slots__ = ("reach", "keeps", "runs", "rows", "forward", "backward", "grid")
+    __slots__ = ("reach", "keeps", "runs", "rows", "keys", "grid")
 
     def __init__(
         self,
@@ -637,8 +623,7 @@ class VisiblePairs:
         self.runs = int(runs)
         #: The rows the pairs were last refreshed to (a private copy).
         self.rows: Optional[np.ndarray] = None
-        self.forward = _NO_KEYS
-        self.backward = _NO_KEYS
+        self.keys = _NO_KEYS
         #: The grid of ``rows`` while the set is too crowded to hold keys.
         self.grid: Optional[ShardedGridIndex] = None
 
@@ -653,11 +638,13 @@ class VisiblePairs:
         ``reach``, floored with :func:`search_radius_floor` like
         :func:`grid_edges`).  If it is too crowded to carry keys
         (:data:`CARRY_CELL_PAIRS_PER_ROW`) the keys are released and the
-        grid kept.  Else every key with a changed endpoint is dropped,
-        the grid enumerates every pair that touches a changed row, and
-        the pairs ``keeps`` keeps are merged into both orders; the held
-        keys are released first when every row changed, or when the set
-        held none.
+        grid kept.  When every row changed, or the set held no keys, the
+        grid's every pair is judged and the kept ones stored from both
+        ends.  Else every key with a changed endpoint is dropped, the
+        grid pairs each changed row with its neighbours, and the kept
+        pairs are merged in, with the mirror key of each pair whose
+        other end did not change (a pair of two changed rows comes from
+        both ends already).
         """
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         held = self.rows
@@ -671,36 +658,43 @@ class VisiblePairs:
                 if len(changed) == len(rows):
                     changed = None
         if changed is None:
-            self.forward = self.backward = _NO_KEYS
+            self.keys = _NO_KEYS
         self.grid = None
-        n, dim = rows.shape
-        grid = None
-        if n >= 2:
-            cell = covering_cell(rows, search_radius_floor(rows, self.reach))
-            if self.runs > 1:
-                grid = ShardedGridIndex.from_replicates(rows.reshape(self.runs, -1, dim), cell)
-            else:
-                grid = ShardedGridIndex(rows, cell)
         self.rows = rows.copy()
-        if grid is not None and grid.same_cell_pairs() > CARRY_CELL_PAIRS_PER_ROW * n:
-            self.grid = grid
-            self.forward = self.backward = _NO_KEYS
+        n, dim = rows.shape
+        if n < 2:
             return self
-        if changed is not None:
-            self._drop(changed)
-        i, j = (_NO_KEYS, _NO_KEYS) if grid is None else grid.warm_candidates(changed, self._keep())
-        forward = i * n + j
-        backward = j * n + i
-        if changed is None:
-            forward.sort()
-            backward.sort()
+        cell = covering_cell(rows, search_radius_floor(rows, self.reach))
+        if self.runs > 1:
+            grid = ShardedGridIndex.from_replicates(rows.reshape(self.runs, -1, dim), cell)
         else:
+            grid = ShardedGridIndex(rows, cell)
+        if grid.same_cell_pairs() > CARRY_CELL_PAIRS_PER_ROW * n:
+            self.grid = grid
+            self.keys = _NO_KEYS
+            return self
+        if changed is None:
+            i, j = grid.warm_candidates(keep=self._keep())
+            # Both halves written in place: four words a pair at the peak.
+            m = len(i)
+            keys = np.empty(2 * m, dtype=np.int64)
+            np.multiply(i, n, out=keys[:m])
+            keys[:m] += j
+            np.multiply(j, n, out=keys[m:])
+            keys[m:] += i
+            del i, j
+            keys.sort()
+        else:
+            self._drop(changed)
+            seer, seen = grid.warm_candidates(changed, self._keep())
+            moved = np.zeros(n, dtype=bool)
+            moved[changed] = True
+            still = ~moved[seen]
+            fresh = np.sort(np.concatenate((seer * n + seen, seen[still] * n + seer[still])))
             # Two sorted runs: the stable sort merges them in linear time.
-            forward = np.concatenate((self.forward, np.sort(forward)))
-            backward = np.concatenate((self.backward, np.sort(backward)))
-            forward.sort(kind="stable")
-            backward.sort(kind="stable")
-        self.forward, self.backward = forward, backward
+            keys = np.concatenate((self.keys, fresh))
+            keys.sort(kind="stable")
+        self.keys = keys
         return self
 
     def _keep(self) -> PairFilter:
@@ -709,34 +703,20 @@ class VisiblePairs:
         return lambda i, j: self.keeps(*(column[j] - column[i] for column in columns))
 
     def _drop(self, changed: np.ndarray) -> None:
-        """Remove every pair with an endpoint in ``changed`` from both orders."""
+        """Remove every key with an endpoint in ``changed``: their runs and the mirrors."""
         n = len(self.rows)
-        back_start, back_count, fwd_start, fwd_count = self._spans(changed)
-        back_at = _ranges(back_start, back_count)
-        fwd_at = _ranges(fwd_start, fwd_count)
-        back_owner = np.repeat(changed, back_count)
-        fwd_owner = np.repeat(changed, fwd_count)
-        # A changed row's backward run holds its pairs (i, c), its forward
-        # run its pairs (c, j); each pair also sits in the other order.
-        lower = self.backward[back_at] - back_owner * n
-        upper = self.forward[fwd_at] - fwd_owner * n
-        forward_drop = np.concatenate(
-            (fwd_at, np.searchsorted(self.forward, lower * n + back_owner))
-        )
-        backward_drop = np.concatenate(
-            (back_at, np.searchsorted(self.backward, upper * n + fwd_owner))
-        )
-        self.forward = np.delete(self.forward, forward_drop)
-        self.backward = np.delete(self.backward, backward_drop)
+        at = _ranges(*self._spans(changed))
+        owner, partner = np.divmod(self.keys[at], n)
+        mirror = np.searchsorted(self.keys, partner * n + owner)
+        self.keys = np.delete(self.keys, np.concatenate((at, mirror)))
 
-    def _spans(self, owners: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Each owner's key runs: ``(backward start, count, forward start, count)``."""
+    def _spans(self, owners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each owner's key run: ``(start, count)``."""
         n = len(self.rows)
         base = owners * n
-        back = np.searchsorted(self.backward, np.concatenate((base, base + n)))
-        fwd = np.searchsorted(self.forward, np.concatenate((base, base + n)))
+        bounds = np.searchsorted(self.keys, np.concatenate((base, base + n)))
         m = len(base)
-        return back[:m], back[m:] - back[:m], fwd[:m], fwd[m:] - fwd[:m]
+        return bounds[:m], bounds[m:] - bounds[:m]
 
     def chunks(
         self, owners: np.ndarray, budget: int = ROW_BUDGET
@@ -747,40 +727,26 @@ class VisiblePairs:
         ``owners[lo:hi]``, concatenated in owner order, each owner's
         ascending and without the owner — the rows its Look keeps.  A
         chunk holds at most ``budget`` ids, or one owner's if more.
-        Owners are distinct.  Held keys are read from each owner's two
-        key runs; a set holding none enumerates each chunk's pairs
-        through its grid, and sorts them.
+        Owners are distinct.  Held keys are read from each owner's key
+        run; a set holding none enumerates each chunk's pairs through
+        its grid, and sorts them.
         """
         owners = np.asarray(owners, dtype=np.int64)
-        if self.grid is None:
-            spans = self._spans(owners)
-            counts = spans[1] + spans[3]
-            for lo, hi in budget_chunks(counts, budget):
-                yield lo, hi, self._gather(owners[lo:hi], [s[lo:hi] for s in spans]), counts[lo:hi]
-            return
         n = len(self.rows)
+        if self.grid is None:
+            start, counts = self._spans(owners)
+            for lo, hi in budget_chunks(counts, budget):
+                yield lo, hi, self.keys[_ranges(start[lo:hi], counts[lo:hi])] % n, counts[lo:hi]
+            return
         keep = self._keep()
         local = np.empty(n, dtype=np.int64)
         for lo, hi in budget_chunks(self.grid.neighbourhood_sizes(owners), budget):
             chosen = owners[lo:hi]
-            seer, seen = self.grid.warm_candidates(chosen, keep, directed=True)
+            seer, seen = self.grid.warm_candidates(chosen, keep)
             local[chosen] = np.arange(hi - lo)
             seer = local[seer]
             counts = np.bincount(seer, minlength=hi - lo)
             keys = seer * n + seen
             # A row's pairs come as one ascending run per cell around it.
             keys.sort(kind="stable")
-            yield lo, hi, keys - np.repeat(np.arange(hi - lo) * n, counts), counts
-
-    def _gather(self, owners: np.ndarray, spans: List[np.ndarray]) -> np.ndarray:
-        """The owners' held visible ids, concatenated, each owner's ascending."""
-        back_start, back_count, fwd_start, fwd_count = spans
-        counts = back_count + fwd_count
-        from_back = np.repeat(
-            np.tile(np.array((True, False)), len(counts)),
-            np.column_stack((back_count, fwd_count)).ravel(),
-        )
-        keys = np.empty(len(from_back), dtype=np.int64)
-        keys[from_back] = self.backward[_ranges(back_start, back_count)]
-        keys[~from_back] = self.forward[_ranges(fwd_start, fwd_count)]
-        return keys - np.repeat(owners * len(self.rows), counts)
+            yield lo, hi, keys % n, counts

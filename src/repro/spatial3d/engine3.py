@@ -166,16 +166,15 @@ class _RoundKernelConfig:
     """The duck-typed kernel configuration of one round-adapter run."""
 
     __slots__ = (
-        "visibility_range", "xi", "rotate_frames", "spatial_index", "seed",
+        "visibility_range", "xi", "rotate_frames", "seed",
         "max_activations", "max_time", "convergence_epsilon",
         "stop_at_convergence", "record_every", "crashed_robots",
     )
 
-    def __init__(self, *, visibility_range, xi, rotate_frames, spatial_index, max_rounds, n):
+    def __init__(self, *, visibility_range, xi, rotate_frames, max_rounds, n):
         self.visibility_range = visibility_range
         self.xi = xi
         self.rotate_frames = rotate_frames
-        self.spatial_index = spatial_index
         self.seed = 0  # unused: the adapter injects the caller's generator
         # Bound generously: the scheduler exhausts after max_rounds rounds.
         self.max_activations = max_rounds * max(n, 1) + 1
@@ -318,7 +317,6 @@ def run_rounds_array(
     xi: float,
     rng: np.random.Generator,
     rotate_frames: bool,
-    spatial_index: Optional[bool] = None,
 ) -> RoundOutcome:
     """The round loop as a thin adapter over the continuous-time kernel.
 
@@ -346,7 +344,6 @@ def run_rounds_array(
         visibility_range=visibility_range,
         xi=xi,
         rotate_frames=rotate_frames,
-        spatial_index=spatial_index,
         max_rounds=max_rounds,
         n=n,
     )

@@ -70,9 +70,6 @@ class AsyncSimulation3Config:
     rotate_frames: bool = True
     record_every: int = 1
     crashed_robots: tuple = ()
-    #: Whether a round's Looks read the run's carried visible pairs (as
-    #: in the planar config); per-activation Looks are always dense.
-    spatial_index: Optional[bool] = None
     #: Whether fsync/ssync rounds take the batched round path; False
     #: heaps them, the per-activation reference path.
     round_batching: bool = True

@@ -36,7 +36,6 @@ class Simulation3Config:
     xi: float = 1.0
     seed: int = 0
     rotate_frames: bool = True
-    spatial_index: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.visibility_range <= 0.0:
@@ -97,7 +96,6 @@ def run_simulation3(
         xi=config.xi,
         rng=rng,
         rotate_frames=config.rotate_frames,
-        spatial_index=config.spatial_index,
     )
 
     return Simulation3Result(

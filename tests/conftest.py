@@ -26,6 +26,18 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def pairs_from(monkeypatch):
+    """``pairs_from(t)``: a round reads the carried visible pairs from ``t`` robots on.
+
+    Sets :data:`repro.engine.spatial_index.GRID_MIN_ROBOTS` for the test:
+    0 takes the pairs at any size, ``math.inf`` the dense gather.
+    """
+    from repro.engine import spatial_index
+
+    return lambda threshold: monkeypatch.setattr(spatial_index, "GRID_MIN_ROBOTS", threshold)
+
+
+@pytest.fixture
 def triangle_points() -> list:
     """Three non-collinear points used by several geometry tests."""
     return [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 1.0)]

@@ -459,7 +459,7 @@ class TestRowBudget:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
-    def test_crowded_round_peak_memory_is_bounded(self):
+    def test_crowded_round_peak_memory_is_bounded(self, pairs_from):
         """A swarm too crowded to hold its pairs refreshes and decides under 20 MiB.
 
         3,000 robots in a 3 x 3 square see ~750 robots each: held as
@@ -468,10 +468,11 @@ class TestRowBudget:
         so the refresh and a 1,500-activation round stay bounded by the
         row budget (0.2 and 13 MiB).
         """
+        pairs_from(0)
         positions = np.random.default_rng(2).random((3000, 2)) * 3.0
         sim = Simulator(
             positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            SimulationConfig(visibility_range=1.0, seed=2, spatial_index=True),
+            SimulationConfig(visibility_range=1.0, seed=2),
         )
         committed = sim._arrays.position
         executed = RoundBatch(np.arange(0, 3000, 2), 0.0)
@@ -484,7 +485,7 @@ class TestRowBudget:
             _, decided = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert pairs.grid is not None and not len(pairs.forward)
+        assert pairs.grid is not None and not len(pairs.keys)
         assert seen.sum() > 1e6
         assert refreshed < 20 * 2**20 and decided < 20 * 2**20
 

@@ -10,6 +10,8 @@ kernel on every run.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -136,11 +138,12 @@ class TestKernel3Semantics:
                 )
             )
 
-    def test_grid_equals_dense_in_continuous_3d(self):
+    def test_grid_equals_dense_in_continuous_3d(self, pairs_from):
         """The 3D kernel's rounds read the carried pairs or gather densely, alike."""
         configuration = random_connected_configuration3(24, seed=6)
         results = []
-        for spatial_index in (True, False):
+        for threshold in (0, math.inf):
+            pairs_from(threshold)
             results.append(
                 run_simulation3_async(
                     configuration.positions,
@@ -151,7 +154,6 @@ class TestKernel3Semantics:
                         seed=6,
                         max_activations=300,
                         stop_at_convergence=False,
-                        spatial_index=spatial_index,
                     ),
                 )
             )

@@ -12,11 +12,13 @@ times.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
-from repro.engine import SimulationConfig, Simulator, run_simulation
+from repro.engine import SimulationConfig, Simulator, run_simulation, spatial_index
 from repro.engine.metrics import METRICS_DENSE_MAX
 from repro.geometry.pairs import VisiblePairs
 from repro.model.errors import MotionModel, PerceptionModel
@@ -81,9 +83,12 @@ ALGORITHMS = (
 class TestRoundBatchingPins:
     @pytest.mark.parametrize("sched_name,scheduler", SCHEDULERS)
     @pytest.mark.parametrize("algo_name,algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("spatial", [True, False])
-    def test_exact_models(self, sched_name, scheduler, algo_name, algorithm, spatial):
-        fast, reference = _pair(algorithm, scheduler, spatial_index=spatial)
+    @pytest.mark.parametrize("threshold", [0, math.inf], ids=["pairs", "dense"])
+    def test_exact_models(
+        self, sched_name, scheduler, algo_name, algorithm, threshold, pairs_from
+    ):
+        pairs_from(threshold)
+        fast, reference = _pair(algorithm, scheduler)
         _assert_identical(fast, reference)
 
     @pytest.mark.parametrize("sched_name,scheduler", SCHEDULERS)
@@ -241,8 +246,9 @@ class TestWorkloadMatrix:
         assert fast.activations_processed == 3000
         assert len(fast.metrics.samples) == 3000 // 250 + 2
 
-    def test_dense_rounds_past_the_old_gather_cap_decide_batched(self, monkeypatch):
+    def test_dense_rounds_past_the_old_gather_cap_decide_batched(self, monkeypatch, pairs_from):
         """A dense n=2,500 run batches every round (~2,000 activations x 2,499 rows)."""
+        pairs_from(math.inf)
         configuration = truncated_grid_configuration(2500, spacing=0.7)
         paths = []
         for name in ("_round_decide_batch", "_round_decide_rows"):
@@ -253,7 +259,6 @@ class TestWorkloadMatrix:
             )
         config_kw = dict(
             seed=6, max_activations=5000, record_every=500, stop_at_convergence=False,
-            spatial_index=False,
         )
         results = []
         for round_batching in (True, False):
@@ -295,13 +300,14 @@ class TestCarriedPairs:
     """The run's visible pairs carry across rounds and stay exact."""
 
     @pytest.mark.parametrize("offset", [1e9, 1e12])
-    def test_offset_grid_rounds_equal_dense_and_decide_flat(self, monkeypatch, offset):
+    def test_offset_grid_rounds_equal_dense_and_decide_flat(self, monkeypatch, pairs_from, offset):
         """Far from the origin the grid rounds equal the dense ones, batched."""
         configuration = truncated_grid_configuration(120, spacing=0.7)
         positions = [(p.x + offset, p.y - offset) for p in configuration.positions]
         paths = _record_decides(monkeypatch)
         results = []
-        for spatial_index in (True, False):
+        for threshold in (0, math.inf):
+            pairs_from(threshold)
             results.append(
                 _run(
                     positions,
@@ -309,7 +315,7 @@ class TestCarriedPairs:
                     SSyncScheduler(),
                     SimulationConfig(
                         seed=5, max_activations=400, record_every=40,
-                        stop_at_convergence=False, spatial_index=spatial_index,
+                        stop_at_convergence=False,
                     ),
                 )
             )
@@ -318,11 +324,12 @@ class TestCarriedPairs:
         # Some robots did move, so later rounds re-paired changed rows.
         assert results[0][1].any()
 
-    def test_wide_extent_round_completes_and_equals_dense(self):
-        """A 4·10^9 extent at n = 600 (grid on by default) pairs without overflow."""
+    def test_wide_extent_round_completes_and_equals_dense(self, pairs_from):
+        """A 4·10^9 extent at n = 600 (pairs by default) pairs without overflow."""
         positions = [(0.7 * i, 0.0) for i in range(599)] + [(4e9, 4e9)]
         results = []
-        for spatial_index in (None, False):
+        for threshold in (spatial_index.GRID_MIN_ROBOTS, math.inf):
+            pairs_from(threshold)
             results.append(
                 _run(
                     positions,
@@ -330,60 +337,61 @@ class TestCarriedPairs:
                     SSyncScheduler(),
                     SimulationConfig(
                         seed=2, max_activations=1200, record_every=200,
-                        stop_at_convergence=False, spatial_index=spatial_index,
+                        stop_at_convergence=False,
                     ),
                 )
             )
         _assert_identical(*results)
 
-    def test_contracted_swarm_holds_no_keys_and_equals_dense(self):
+    def test_contracted_swarm_holds_no_keys_and_equals_dense(self, pairs_from):
         """A swarm inside one visibility range holds no pair keys, and stays exact."""
         rng = np.random.default_rng(4)
         radius = 0.45 * np.sqrt(rng.random(1100))
         angle = 2.0 * np.pi * rng.random(1100)
         positions = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
         results = []
-        for spatial_index in (True, False):
+        for threshold in (0, math.inf):
+            pairs_from(threshold)
             config = SimulationConfig(
                 seed=4, max_activations=1200, record_every=300,
-                stop_at_convergence=False, spatial_index=spatial_index,
+                stop_at_convergence=False,
             )
             sim = Simulator(positions, KKNPSAlgorithm(k=1), SSyncScheduler(), config)
-            if spatial_index:
+            if threshold == 0:
                 pairs = sim._round_pairs(sim._arrays.position)
-                assert pairs.grid is not None and not len(pairs.forward)
+                assert pairs.grid is not None and not len(pairs.keys)
             results.append((sim.run(), sim._arrays.total_distance.copy()))
         _assert_identical(*results)
 
-    def test_kernel_pairs_follow_rows_no_round_moved(self):
+    def test_kernel_pairs_follow_rows_no_round_moved(self, pairs_from):
         """The carried pairs follow the committed rows, whatever moved them.
 
         A heaped activation's move or a replicate lane's own round
         changes committed rows that no batched round committed; the next
         refresh must still equal a fresh enumeration.
         """
+        pairs_from(0)
         configuration = truncated_grid_configuration(64, spacing=0.7)
         sim = Simulator(
-            configuration.positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-            SimulationConfig(spatial_index=True),
+            configuration.positions, KKNPSAlgorithm(k=1), SSyncScheduler(), SimulationConfig()
         )
         committed = sim._arrays.position
-        before = sim._round_pairs(committed).forward.copy()
+        before = sim._round_pairs(committed).keys.copy()
         committed[5] += (0.7, 0.35)
         committed[8, 0] = -committed[8, 0]  # 0.0 -> -0.0: a bit change only
         carried = sim._round_pairs(committed)
         fresh = VisiblePairs(*sim._pair_rule()).refresh(committed)
-        assert not np.array_equal(before, fresh.forward)
-        assert np.array_equal(carried.forward, fresh.forward)
-        assert np.array_equal(carried.backward, fresh.backward)
+        assert not np.array_equal(before, fresh.keys)
+        assert carried.keys.tobytes() == fresh.keys.tobytes()
         assert np.array_equal(carried.rows.view(np.uint64), committed.view(np.uint64))
 
-    def test_heaped_rounds_between_batched_ones_resync_the_pairs(self, monkeypatch):
+    def test_heaped_rounds_between_batched_ones_resync_the_pairs(self, monkeypatch, pairs_from):
         """Moves begun by heaped activations change rows no round committed."""
         configuration = truncated_grid_configuration(64, spacing=0.7)
         paths = _record_decides(monkeypatch)
         results = []
-        for round_batching, spatial_index in ((True, True), (False, False)):
+        for round_batching, threshold in ((True, 0), (False, math.inf)):
+            pairs_from(threshold)
             results.append(
                 _run(
                     configuration.positions,
@@ -391,7 +399,7 @@ class TestCarriedPairs:
                     _AlternatingSSync(),
                     SimulationConfig(
                         seed=9, max_activations=600, stop_at_convergence=False,
-                        round_batching=round_batching, spatial_index=spatial_index,
+                        round_batching=round_batching,
                     ),
                 )
             )

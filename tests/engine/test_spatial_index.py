@@ -1,27 +1,23 @@
 """Per-activation Looks read the dense interpolation; rounds read the carried pairs.
 
-``spatial_index`` selects only a round's carried visible pairs
+A round reads the carried visible pairs from
+:data:`repro.engine.spatial_index.GRID_MIN_ROBOTS` robots on
 (:meth:`ContinuousKernel._round_pairs`); every heaped activation's Look
-sees every other robot interpolated at its instant.
+sees every other robot interpolated at its instant, whatever the size.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from reference.object_engine import ObjectSimulator, Robot
 
 from repro.algorithms import KKNPSAlgorithm
-from repro.engine import (
-    GRID_MIN_ROBOTS,
-    GRID_MIN_ROBOTS_3D,
-    SimulationConfig,
-    Simulator,
-    grid_auto_threshold,
-    run_simulation,
-)
+from repro.engine import SimulationConfig, Simulator, run_simulation, spatial_index
 from repro.geometry.pairs import VisiblePairs
 from repro.geometry.tolerances import EPS
 from repro.model import KinematicArrays
@@ -36,8 +32,10 @@ from repro.spatial3d import (
     AsyncSimulation3Config,
     KKNPS3Algorithm,
     Kernel3,
+    Simulation3Config,
     positions_as_array3,
     random_connected_configuration3,
+    run_simulation3,
 )
 from repro.workloads import random_connected_configuration
 
@@ -75,11 +73,9 @@ def _position_at3(arrays: KinematicArrays, i: int, time: float) -> tuple:
     return tuple(o + (d - o) * t for o, d in zip(origin, destination))
 
 
-def _per_activation_kernel(dim, scheduler, *, seed, spatial_index=None):
+def _per_activation_kernel(dim, scheduler, *, seed):
     """kknps(k=2) on 30 robots under ``scheduler``: 90 activations, sampled each time."""
-    settings = dict(
-        seed=seed, max_activations=90, stop_at_convergence=False, spatial_index=spatial_index
-    )
+    settings = dict(seed=seed, max_activations=90, stop_at_convergence=False)
     if dim == 2:
         configuration = random_connected_configuration(30, seed=seed)
         return Simulator(
@@ -97,13 +93,13 @@ class TestDenseLooks:
     """A heaped activation's Look sees every other robot where it is at that instant."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_look_reads_every_other_robot_interpolated(self, seed):
+    def test_look_reads_every_other_robot_interpolated(self, seed, pairs_from):
+        pairs_from(0)
         rng = np.random.default_rng(seed)
         n = 60
         positions = rng.uniform(-4.0, 4.0, size=(n, 2))
         sim = Simulator(
-            positions, KKNPSAlgorithm(k=2), KAsyncScheduler(k=2),
-            SimulationConfig(spatial_index=True),
+            positions, KKNPSAlgorithm(k=2), KAsyncScheduler(k=2), SimulationConfig()
         )
         arrays = sim._arrays
         look_time = _mix_phases(arrays, rng, 1.0 / 8)
@@ -117,13 +113,13 @@ class TestDenseLooks:
             )
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_look_reads_every_other_robot_interpolated_3d(self, seed):
+    def test_look_reads_every_other_robot_interpolated_3d(self, seed, pairs_from):
+        pairs_from(0)
         rng = np.random.default_rng(seed)
         n = 80
         kernel = Kernel3(
             KinematicArrays.from_array(rng.uniform(-3.0, 3.0, size=(n, 3))),
-            KKNPS3Algorithm(k=2), KAsyncScheduler(k=2),
-            AsyncSimulation3Config(spatial_index=True),
+            KKNPS3Algorithm(k=2), KAsyncScheduler(k=2), AsyncSimulation3Config(),
         )
         arrays = kernel._arrays
         look_time = _mix_phases(arrays, rng, 1.0 / 8)
@@ -148,14 +144,14 @@ class TestDenseLooks:
         assert kernel.run_kernel().processed == 90
         assert len(calls) == 1 + 90
 
-    def test_midmove_looks_match_the_object_engine(self):
+    def test_midmove_looks_match_the_object_engine(self, pairs_from):
         """k-async interleavings make robots look while others are mid-move."""
+        pairs_from(0)
         configuration = random_connected_configuration(50, seed=4)
         runs = []
         for engine in (Simulator, ObjectSimulator):
             config = SimulationConfig(
-                seed=4, max_activations=250, stop_at_convergence=False,
-                spatial_index=True, k_bound=2,
+                seed=4, max_activations=250, stop_at_convergence=False, k_bound=2,
             )
             runs.append(
                 engine(
@@ -169,8 +165,19 @@ class TestDenseLooks:
         assert array_run.records == object_run.records
 
 
-class TestPerActivationIgnoresSpatialIndex:
-    """``spatial_index=True`` never builds pairs for a per-activation run."""
+def _refresh_spy(monkeypatch) -> list:
+    """Every pair set a ``VisiblePairs.refresh`` call refreshed, in call order."""
+    refreshed = []
+    refresh = VisiblePairs.refresh
+    monkeypatch.setattr(
+        VisiblePairs, "refresh",
+        lambda self, rows: refreshed.append(self) or refresh(self, rows),
+    )
+    return refreshed
+
+
+class TestPerActivationIgnoresThreshold:
+    """A per-activation run builds no pairs, even with the threshold at 0."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize(
@@ -178,31 +185,49 @@ class TestPerActivationIgnoresSpatialIndex:
         [lambda: KAsyncScheduler(k=2), lambda: KNestAScheduler(k=2), AsyncScheduler],
         ids=["kasync", "knesta", "async"],
     )
-    def test_no_pairs_are_refreshed(self, monkeypatch, scheduler, dim):
-        refreshed = []
-        refresh = VisiblePairs.refresh
-        monkeypatch.setattr(
-            VisiblePairs, "refresh",
-            lambda self, rows: refreshed.append(len(rows)) or refresh(self, rows),
-        )
-        kernel = _per_activation_kernel(dim, scheduler(), seed=1, spatial_index=True)
+    def test_no_pairs_are_refreshed(self, monkeypatch, pairs_from, scheduler, dim):
+        pairs_from(0)
+        refreshed = _refresh_spy(monkeypatch)
+        kernel = _per_activation_kernel(dim, scheduler(), seed=1)
         assert kernel.run_kernel().processed == 90
         assert refreshed == []
 
 
+def _uniform_rows(n: int, dim: int) -> np.ndarray:
+    """``n`` robots uniform in a cube of side ``0.6 n^(1/d)``: a few within V = 1 each."""
+    side = 0.6 * n ** (1.0 / dim)
+    return np.random.default_rng(n).uniform(0.0, side, size=(n, dim))
+
+
+#: One round-structured run of ``rows`` through each entry point.
+ROUND_ENTRIES = {
+    "Simulator": lambda rows: Simulator(
+        rows, KKNPSAlgorithm(k=1), SSyncScheduler(),
+        SimulationConfig(max_activations=len(rows), stop_at_convergence=False),
+    ).run(),
+    "Kernel3": lambda rows: Kernel3(
+        KinematicArrays.from_array(rows), KKNPS3Algorithm(k=1), SSyncScheduler(),
+        AsyncSimulation3Config(max_activations=len(rows), stop_at_convergence=False),
+    ).run_kernel(),
+    "run_simulation3": lambda rows: run_simulation3(
+        rows, KKNPS3Algorithm(k=1), Simulation3Config(max_rounds=2)
+    ),
+}
+
+
 class TestRoundPairs:
-    """``spatial_index`` selects a round's carried pairs, exactly."""
+    """A round reads the carried pairs from ``GRID_MIN_ROBOTS`` robots on, exactly."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_grid_and_dense_runs_bit_identical(self, seed):
+    def test_grid_and_dense_runs_bit_identical(self, seed, pairs_from):
         configuration = random_connected_configuration(60, seed=seed)
         results = []
-        for spatial in (True, False):
+        for threshold in (0, math.inf):
+            pairs_from(threshold)
             config = SimulationConfig(
                 seed=seed,
                 max_activations=250,
                 stop_at_convergence=False,
-                spatial_index=spatial,
             )
             results.append(
                 run_simulation(
@@ -221,47 +246,75 @@ class TestRoundPairs:
             assert a.destination == b.destination
             assert a.neighbours_seen == b.neighbours_seen
 
-    def test_pairs_only_when_worthwhile(self):
+    def test_pairs_only_when_worthwhile(self, pairs_from):
         positions = random_connected_configuration(10, seed=0).positions
-        for spatial_index, carried in ((None, False), (True, True), (False, False)):
+        default = spatial_index.GRID_MIN_ROBOTS
+        for threshold, carried in ((default, False), (0, True), (10, True), (11, False)):
+            pairs_from(threshold)
             sim = Simulator(
-                positions, KKNPSAlgorithm(k=1), SSyncScheduler(),
-                SimulationConfig(spatial_index=spatial_index),
+                positions, KKNPSAlgorithm(k=1), SSyncScheduler(), SimulationConfig()
             )
             pairs = sim._round_pairs(sim._arrays.position)
             assert (pairs is not None) is carried
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_auto_pairs_from_the_threshold(self, dim):
-        """A round carries its pairs from ``grid_auto_threshold(dim)`` robots on."""
-        threshold = grid_auto_threshold(dim)
-        assert threshold == (GRID_MIN_ROBOTS if dim == 2 else GRID_MIN_ROBOTS_3D)
-        rng = np.random.default_rng(dim)
-        for n in (threshold - 1, threshold):
-            side = 0.6 * n ** (1.0 / dim)
-            rows = rng.uniform(0.0, side, size=(n, dim))
-            if dim == 2:
-                sim = Simulator(rows, KKNPSAlgorithm(k=1), SSyncScheduler(), SimulationConfig())
-            else:
-                sim = Kernel3(
-                    KinematicArrays.from_array(rows), KKNPS3Algorithm(k=1), SSyncScheduler(),
-                    AsyncSimulation3Config(),
-                )
-            pairs = sim._round_pairs(sim._arrays.position)
-            assert (pairs is not None) is (n >= threshold)
-            if pairs is not None:
-                fresh = VisiblePairs(*sim._pair_rule()).refresh(rows)
-                assert len(pairs.forward) and np.array_equal(pairs.forward, fresh.forward)
+    @pytest.mark.parametrize("entry", sorted(ROUND_ENTRIES))
+    @pytest.mark.parametrize("short", [1, 0], ids=["threshold-1", "threshold"])
+    def test_pairs_from_the_threshold(self, monkeypatch, entry, short):
+        """One size threshold, planar and 3D: ``GRID_MIN_ROBOTS - 1`` gathers densely."""
+        n = spatial_index.GRID_MIN_ROBOTS - short
+        refreshed = _refresh_spy(monkeypatch)
+        ROUND_ENTRIES[entry](_uniform_rows(n, 2 if entry == "Simulator" else 3))
+        assert bool(refreshed) is (short == 0)
+        if refreshed:
+            carried = refreshed[-1]
+            fresh = VisiblePairs(carried.reach, carried.keeps).refresh(carried.rows)
+            assert len(carried.keys) and carried.keys.tobytes() == fresh.keys.tobytes()
 
-    def test_unlimited_visibility_forces_dense(self):
+    def test_threshold_is_the_recorded_crossover(self):
+        """``GRID_MIN_ROBOTS`` is the smallest recorded planar size from which the pairs win.
+
+        An arm wins a row of ``BENCH_grid_threshold.json`` when it was
+        faster in at least 9 in 10 alternating pairs and its median is
+        ahead by more than the other arm's IQR.  The pairs must win the
+        planar row at that size and every larger one, and no 3D row at
+        or above it may be won by the dense gather.
+        """
+        bench = Path(__file__).resolve().parents[2] / "BENCH_grid_threshold.json"
+        recorded = json.loads(bench.read_text())
+
+        def winner(row):
+            grid, dense = row["grid_s"], row["dense_s"]
+            ahead = dense["median"] - grid["median"]
+            if 10 * row["grid_wins"] >= 9 * row["pairs"] and ahead > dense["iqr"]:
+                return "grid"
+            if 10 * (row["pairs"] - row["grid_wins"]) >= 9 * row["pairs"] and -ahead > grid["iqr"]:
+                return "dense"
+            return None
+
+        spatial = recorded["round_shard_3d"]
+        assert [row["won_by"] for row in recorded["round_shard_planar"] + spatial] == [
+            winner(row) for row in recorded["round_shard_planar"] + spatial
+        ]
+        rows = sorted(recorded["round_shard_planar"], key=lambda row: row["n"])
+        wins = [winner(row) == "grid" for row in rows]
+        first = next(k for k in range(len(rows)) if all(wins[k:]))
+        threshold = spatial_index.GRID_MIN_ROBOTS
+        assert rows[first]["n"] == recorded["pairs_win_from"] == threshold
+        assert recorded["grid_min_robots"] == threshold
+        dense_wins = [row["n"] for row in spatial if winner(row) == "dense"]
+        assert recorded["dense_wins_3d"] == dense_wins
+        assert all(n < threshold for n in dense_wins)
+
+    def test_unlimited_visibility_forces_dense(self, pairs_from):
         from repro.algorithms import CenterOfGravityAlgorithm
 
+        pairs_from(0)
         configuration = random_connected_configuration(40, seed=0)
         simulator = Simulator(
             configuration.positions,
             CenterOfGravityAlgorithm(),
             SSyncScheduler(),
-            SimulationConfig(spatial_index=True),
+            SimulationConfig(),
         )
         assert math.isinf(simulator._effective_range())
         assert simulator._round_pairs(simulator._arrays.position) is None
@@ -272,34 +325,40 @@ class TestShardedGridIndex:
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("seed", range(4))
-    def test_candidates_cover_all_within_cell_size(self, dim, seed):
-        """``warm_candidates(rows)`` covers every close pair touching ``rows``, once."""
+    def test_row_candidates_are_each_rows_cell_neighbours(self, dim, seed):
+        """``warm_candidates(rows)``: each row with every other robot of its 3^d cells."""
         from repro.engine.spatial_index import ShardedGridIndex
 
         rng = np.random.default_rng(seed)
         n, cell = 80, 0.9
         positions = rng.uniform(-3.0, 3.0, size=(n, dim))
         shard = ShardedGridIndex(positions, cell)
+        cells = np.floor(positions / cell)
         deltas = positions[:, None, :] - positions[None, :, :]
         distances = np.sqrt((deltas * deltas).sum(axis=-1))
         rows = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         chosen = set(rows.tolist())
         i, j = shard.warm_candidates(rows)
-        assert np.all(i < j)
         pairs = list(zip(i.tolist(), j.tolist()))
-        assert len(pairs) == len(set(pairs))  # each pair at most once
-        # Every pair touches a row; every close pair touching one is there.
-        assert all(a in chosen or b in chosen for a, b in pairs)
-        close = {
+        assert len(pairs) == len(set(pairs))  # each directed pair at most once
+        assert set(pairs) == {
             (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if distances[a, b] <= cell and (a in chosen or b in chosen)
+            for a in sorted(chosen)
+            for b in range(n)
+            if b != a and np.abs(cells[a] - cells[b]).max() <= 1
         }
-        assert close <= set(pairs)
-        # The rows' pairs are exactly the every-row pairs that touch them.
+        # So every close pair comes from each of its ends that is a row,
+        assert {
+            (a, b) for a in sorted(chosen) for b in range(n) if b != a and distances[a, b] <= cell
+        } <= set(pairs)
+        # and a pair of two rows comes once from each end.
+        both = {(a, b) for a, b in pairs if b in chosen}
+        assert both == {(b, a) for a, b in both}
+        # The rows' pairs are the every-row pairs that touch them, from the rows' ends.
         every = set(zip(*(side.tolist() for side in shard.neighbour_pairs())))
-        assert set(pairs) == {(a, b) for a, b in every if a in chosen or b in chosen}
+        assert set(pairs) == (
+            {(a, b) for a, b in every if a in chosen} | {(b, a) for a, b in every if b in chosen}
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_neighbour_pairs_cover_close_pairs_exactly_once(self, seed):
@@ -338,9 +397,12 @@ class TestShardedGridIndex:
             offset = run * n
             for robot in range(n):
                 i, j = shard.warm_candidates(np.array([offset + robot]))
-                assert np.all(i >= offset) and np.all(j < offset + n)
+                assert np.all(i == offset + robot) and np.all(j // n == run)
                 ref_i, ref_j = single.warm_candidates(np.array([robot]))
                 assert sorted(zip(i - offset, j - offset)) == sorted(zip(ref_i, ref_j))
+        # Rows of every run at once: still no pair crosses two runs.
+        i, j = shard.warm_candidates(np.arange(0, runs * n, 3))
+        assert len(i) and np.array_equal(i // n, j // n)
         i, j = shard.neighbour_pairs()
         assert np.array_equal(i // n, j // n)  # no pair crosses runs
 

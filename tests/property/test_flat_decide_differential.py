@@ -8,12 +8,16 @@ Hypothesis draws a bundle of one to three lanes, each with its own seed,
 size, scheduler (round-structured; k-async, k-NestA or async, whose
 per-activation Looks read the dense interpolation; or two whole rounds
 and then plain activation lists, so a lane leaves the round path
-mid-run), algorithm, error models, frames, crashes, recording cadence
-and grid setting.  A later lane may
+mid-run), algorithm, error models, frames, crashes and recording
+cadence.  A later lane may
 copy the first lane's configuration (one multi-lane group), differ from
 it in one value (a neighbouring group) or draw its own, so one bundle can
-mix lane groups.  Every lane's result must be the same from all four
-entry points:
+mix lane groups.  The swarm size from which a round reads the carried
+visible pairs (:data:`repro.engine.spatial_index.GRID_MIN_ROBOTS`) is
+drawn per bundle: 0 (every round), 12 (inside the lane sizes, so one
+bundle can hold lanes on both sides of it), or past every lane's size (a
+dense gather).  Every lane's result must be the same from all four entry
+points:
 
 * ``run_replicated_simulations`` over the whole bundle;
 * ``Simulator.run`` with ``round_batching=True`` (the flat decide where
@@ -29,14 +33,16 @@ whichever path the lane takes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference.object_engine import ObjectSimulator
 
 from repro.algorithms import AndoAlgorithm, KKNPSAlgorithm
-from repro.engine import SimulationConfig, Simulator
+from repro.engine import SimulationConfig, Simulator, spatial_index
 from repro.engine.replicate import run_replicated_simulations
 from repro.geometry.transforms import SymmetricDistortion
 from repro.model.errors import MotionModel, PerceptionModel
@@ -108,8 +114,11 @@ FIELDS = {
         st.integers(0, n - 1), max_size=2, unique=True
     ).map(tuple),
     "record_every": lambda n: st.sampled_from([1, 3, 7]),
-    "spatial_index": lambda n: st.sampled_from([None, True, False]),
 }
+
+#: Swarm sizes from which a round reads the carried pairs: always, from
+#: inside the lane sizes (3 to 24 robots), never.
+THRESHOLDS = (0, 12, math.inf)
 
 
 def _draw_spec(draw, n):
@@ -159,7 +168,6 @@ def _factory(spec, seed):
             allow_reflection=spec["allow_reflection"],
             crashed_robots=spec["crashed_robots"],
             record_every=spec["record_every"],
-            spatial_index=spec["spatial_index"],
         )
         return (
             configuration.positions,
@@ -202,40 +210,41 @@ BASE = {
     "allow_reflection": True,
     "crashed_robots": (),
     "record_every": 3,
-    "spatial_index": None,
 }
 
 
 class TestFlatDecideCallersAgree:
-    @given(bundles())
+    @given(bundles(), st.sampled_from(THRESHOLDS))
     @settings(max_examples=40, deadline=None)
     # Neighbouring lane groups: each lane differs from its peers in one
     # value the flat decide reads, so a grouping that ignored it would
     # decide one lane with another's configuration.
     @example([(BASE, 1), ({**BASE, "perception": "over-5"}, 2),
-              ({**BASE, "algorithm": "kknps2"}, 3)])
+              ({**BASE, "algorithm": "kknps2"}, 3)], 0)
     @example([(BASE, 4), ({**BASE, "use_random_frames": False}, 5),
-              ({**BASE, "allow_reflection": False}, 6)])
-    @example([(BASE, 7), (BASE, 8), ({**BASE, "n": 9}, 9)])
+              ({**BASE, "allow_reflection": False}, 6)], math.inf)
+    # Two lanes at the threshold beside one below it.
+    @example([(BASE, 7), (BASE, 8), ({**BASE, "n": 9}, 9)], 12)
     # A lane that leaves the round path after two rounds, grouped with a
     # lane that stays on it, next to a lane that never takes it.
     @example([({**BASE, "scheduler": "rounds2-lists"}, 10), (BASE, 11),
-              ({**BASE, "scheduler": "kasync2"}, 12)])
-    def test_bundle_single_run_and_per_activation_agree(self, bundle):
-        factories = [_factory(spec, seed) for spec, seed in bundle]
-        calls = []
+              ({**BASE, "scheduler": "kasync2"}, 12)], 0)
+    def test_bundle_single_run_and_per_activation_agree(self, bundle, threshold):
+        with mock.patch.object(spatial_index, "GRID_MIN_ROBOTS", threshold):
+            factories = [_factory(spec, seed) for spec, seed in bundle]
+            calls = []
 
-        def counted(factory):
-            def call():
-                calls.append(factory)
-                return factory()
+            def counted(factory):
+                def call():
+                    calls.append(factory)
+                    return factory()
 
-            return call
+                return call
 
-        replicated = run_replicated_simulations([counted(f) for f in factories])
-        assert calls == factories
-        for factory, lane in zip(factories, replicated):
-            expected = _fingerprint(_run_object(factory))
-            assert _fingerprint(_run(factory, False)) == expected
-            assert _fingerprint(_run(factory, True)) == expected
-            assert _fingerprint(lane) == expected
+            replicated = run_replicated_simulations([counted(f) for f in factories])
+            assert calls == factories
+            for factory, lane in zip(factories, replicated):
+                expected = _fingerprint(_run_object(factory))
+                assert _fingerprint(_run(factory, False)) == expected
+                assert _fingerprint(_run(factory, True)) == expected
+                assert _fingerprint(lane) == expected

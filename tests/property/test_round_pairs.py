@@ -11,11 +11,12 @@ offset by 1e9 and 1e12, and 3D rows under the 3D Look.  Each refresh
 holds keys, or is made to count the swarm as too crowded to hold them
 (``CARRY_CELL_PAIRS_PER_ROW`` patched below zero), so each chunk
 enumerates its owners' pairs; a sequence may switch between the two at
-any refresh.  After every refresh a held set must equal the dense
-oracle (:func:`reference.pairs.dense_visible_pairs`) with both key
-orders strictly ascending, a crowded one must hold no keys, and every
-robot's chunked rows, at any budget and for owners in any order, must
-be its visible ids in ascending order.
+any refresh.  After every refresh a held set's key array must be
+strictly ascending and byte-equal to the dense directed oracle
+(:func:`reference.pairs.dense_directed_keys`: both ends of every pair of
+:func:`reference.pairs.dense_visible_pairs`), a crowded one must hold
+no keys, and every robot's chunked rows, at any budget and for owners
+in any order, must be its visible ids in ascending order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference.pairs import dense_neighbours, dense_visible_pairs
+from reference.pairs import dense_directed_keys, dense_neighbours, dense_visible_pairs
 from repro.geometry import pairs as pairs_module
 from repro.geometry.pairs import VisiblePairs
 from repro.geometry.tolerances import EPS
@@ -49,18 +50,6 @@ def _pair_set(dim: int, visibility_range: float, runs: int = 1) -> VisiblePairs:
         lambda dx, dy, dz: visible_mask3(dx, dy, dz, visibility_range),
         runs=runs,
     )
-
-
-def _held(pairs: VisiblePairs):
-    """The held pairs from each key order, after checking both are ascending."""
-    n = len(pairs.rows)
-    assert np.all(np.diff(pairs.forward) > 0)
-    assert np.all(np.diff(pairs.backward) > 0)
-    lower, upper = np.divmod(pairs.forward, n)
-    forward = set(zip(lower.tolist(), upper.tolist()))
-    upper, lower = np.divmod(pairs.backward, n)
-    backward = set(zip(lower.tolist(), upper.tolist()))
-    return forward, backward
 
 
 def _chunked(pairs: VisiblePairs, owners: np.ndarray, budget: int) -> dict:
@@ -88,12 +77,11 @@ def _check(
 ):
     expected = dense_visible_pairs(rows, visibility_range, runs)
     if pairs.grid is None:
-        forward, backward = _held(pairs)
-        assert forward == expected
-        assert backward == expected
-        assert all(i < j for i, j in forward)
+        assert pairs.keys.dtype == np.int64
+        assert np.all(np.diff(pairs.keys) > 0)
+        assert pairs.keys.tobytes() == dense_directed_keys(expected, len(rows)).tobytes()
     else:
-        assert not len(pairs.forward) and not len(pairs.backward)
+        assert not len(pairs.keys)
     owners = np.arange(len(rows))[::-1]
     seen = _chunked(pairs, owners, budget)
     for owner in owners.tolist():
@@ -207,10 +195,10 @@ def test_unchanged_rows_build_no_grid(monkeypatch):
     rng = np.random.default_rng(3)
     rows = rng.uniform(-3.0, 3.0, size=(50, 2))
     pairs = _pair_set(2, 1.0).refresh(rows)
-    forward = pairs.forward
+    keys = pairs.keys
 
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was built for unchanged rows")
 
     monkeypatch.setattr(pairs_module.ShardedGridIndex, "__init__", refuse)
-    assert pairs.refresh(rows.copy()).forward is forward
+    assert pairs.refresh(rows.copy()).keys is keys

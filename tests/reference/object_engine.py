@@ -320,7 +320,7 @@ class ObjectSimulator(Simulator):
 
     The run's configuration is taken as given except that every
     activation takes the per-activation path (``round_batching=False``),
-    so ``spatial_index`` has nothing to select.
+    whose Looks read every robot, whatever the swarm size.
     """
 
     def __init__(

@@ -116,7 +116,7 @@ def run_simulation3_object(
 ) -> Simulation3Result:
     """:func:`repro.spatial3d.run_simulation3` on the per-robot loop.
 
-    ``config.spatial_index`` is ignored: the loop always scans densely.
+    The loop always scans densely, whatever the swarm size.
     """
     config = config or Simulation3Config()
     algorithm = algorithm or KKNPS3Algorithm(k=1)

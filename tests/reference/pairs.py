@@ -14,6 +14,8 @@ with each front end's own Look expression written out: the offsets
 A pair is listed when the lower-id robot's Look keeps the higher one;
 :func:`dense_visible_pairs` also checks that the higher one's Look
 returns the same verdict, which the pair set relies on.
+:func:`dense_directed_keys` lists the same pairs from both ends, as the
+pair set holds them.
 """
 
 from __future__ import annotations
@@ -64,6 +66,12 @@ def dense_visible_pairs(
             if i < j:
                 pairs.add((i, j))
     return pairs
+
+
+def dense_directed_keys(pairs: Set[Tuple[int, int]], n: int) -> np.ndarray:
+    """Both ends of every pair as sorted ``int64`` keys ``i * n + j`` and ``j * n + i``."""
+    ends = sorted([i * n + j for i, j in pairs] + [j * n + i for i, j in pairs])
+    return np.array(ends, dtype=np.int64)
 
 
 def dense_neighbours(pairs: Set[Tuple[int, int]], owner: int) -> List[int]:

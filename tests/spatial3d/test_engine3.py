@@ -10,6 +10,8 @@ and both neighbour-query paths (grid and dense).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from reference.object_engine3 import run_simulation3_object
@@ -117,7 +119,7 @@ class TestArrayObjectParity:
 
 class TestGridDenseEquivalence3D:
     @pytest.mark.parametrize("seed", range(4))
-    def test_grid_equals_dense_bit_identical(self, seed):
+    def test_grid_equals_dense_bit_identical(self, seed, pairs_from):
         configuration = random_connected_configuration3(30, seed=seed)
         base = dict(
             visibility_range=configuration.visibility_range,
@@ -127,13 +129,13 @@ class TestGridDenseEquivalence3D:
             xi=0.5,
             seed=seed,
         )
-        grid = _run(configuration.positions, KKNPS3Algorithm(k=1),
-                    spatial_index=True, **base)
-        dense = _run(configuration.positions, KKNPS3Algorithm(k=1),
-                     spatial_index=False, **base)
+        pairs_from(0)
+        grid = _run(configuration.positions, KKNPS3Algorithm(k=1), **base)
+        pairs_from(math.inf)
+        dense = _run(configuration.positions, KKNPS3Algorithm(k=1), **base)
         assert_runs_identical(grid, dense)
 
-    def test_grid_object_and_dense_all_agree(self):
+    def test_grid_object_and_dense_all_agree(self, pairs_from):
         configuration = random_connected_configuration3(25, seed=17)
         base = dict(
             visibility_range=configuration.visibility_range,
@@ -143,8 +145,8 @@ class TestGridDenseEquivalence3D:
             xi=0.5,
             seed=17,
         )
-        grid = _run(configuration.positions, KKNPS3Algorithm(k=2),
-                    spatial_index=True, **base)
+        pairs_from(0)
+        grid = _run(configuration.positions, KKNPS3Algorithm(k=2), **base)
         obj = _run_object(configuration.positions, KKNPS3Algorithm(k=2), **base)
         assert_runs_identical(grid, obj)
 

@@ -12,6 +12,8 @@ distance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,9 +65,10 @@ def _assert_identical(fast, reference):
 
 class TestRoundBatching3Pins:
     @pytest.mark.parametrize("scheduler", [FSyncScheduler, SSyncScheduler])
-    @pytest.mark.parametrize("spatial", [True, False])
-    def test_exact_models(self, scheduler, spatial):
-        fast, reference = _pair(scheduler, spatial_index=spatial)
+    @pytest.mark.parametrize("threshold", [0, math.inf], ids=["pairs", "dense"])
+    def test_exact_models(self, scheduler, threshold, pairs_from):
+        pairs_from(threshold)
+        fast, reference = _pair(scheduler)
         _assert_identical(fast, reference)
 
     @pytest.mark.parametrize("scheduler", [FSyncScheduler, SSyncScheduler])
