@@ -112,6 +112,12 @@ SQUARE_ROWS = ((20_000, 8), (20_000, 32), (40_000, 200))
 SMOKE_SQUARE_ROWS = ((2_000, 8), (2_000, 32))
 OBSERVE_BLOCKS = 7
 SMOKE_OBSERVE_BLOCKS = 3
+#: ``enumeration`` rows: ``(n, repeats)`` of the ladder's ``grid`` start,
+#: and the rows a final full sample sees: the ladder run's own final rows
+#: ("run"), or the start with this share of rows jittered.
+ENUMERATION_ROWS = ((100_000, 7),)
+SMOKE_ENUMERATION_ROWS = ((10_000, 3),)
+FINAL_MOVED = ("run", 0.01, 0.05, 0.1, 0.3)
 
 
 def _cpu_model() -> str:
@@ -289,6 +295,104 @@ def measure_refresh(n: int, moved, repeats: int) -> dict:
         # The rows refreshed to: the same in every checkout.
         "output_digest": hashlib.sha256(after.tobytes()).hexdigest(),
     }
+
+
+def measure_t0_pass(n: int, repeats: int) -> dict:
+    """One ``enumeration`` row: a run's t=0 neighbour work, in µs.
+
+    Binding the metrics collector (its initial edges) and the first
+    round's pair refresh at the start rows, as the checkout does them:
+    one enumeration for both, or (a baseline) one each.  The digest
+    covers the edges and the held pair keys.
+    """
+    import numpy as np
+
+    start = _ladder_start(n)._arrays.position.copy()
+    timings, digests = [], set()
+    for _ in range(repeats):
+        sim = _ladder_start(n)
+        metrics = sim._make_metrics()
+        started = time.perf_counter()
+        sim._bind_metrics(metrics)
+        pairs = _round_structure(sim, start)
+        timings.append((time.perf_counter() - started) * 1e6)
+        payload = b"".join(
+            np.asarray(side, dtype=np.int64).tobytes()
+            for side in (metrics._edge_i, metrics._edge_j, pairs.keys)
+        )
+        digests.add(hashlib.sha256(payload).hexdigest())
+        del sim, metrics, pairs
+    if len(digests) != 1:
+        raise RuntimeError(f"t0 n={n}: repeats disagree on the output digest")
+    return {
+        "layer": "enumeration",
+        "kind": "t0_pass",
+        "workload": "grid",
+        "n": n,
+        "repeats": repeats,
+        "t0_us": _spread(timings),
+        "peak_rss_mb": _peak_rss_mb(),
+        "output_digest": digests.pop(),
+    }
+
+
+def measure_final_sample(n: int, moved: str, repeats: int) -> dict:
+    """One ``enumeration`` row: µs per final full sample of the ladder's start.
+
+    ``moved`` "run" samples the ladder run's own final rows; a share
+    jitters that share of the start's rows by up to 0.2 on each axis.  A
+    checkout whose full sample can pair only the moved rows also times
+    the search over every pair on the same rows (``search_us``).
+    """
+    import numpy as np
+
+    from repro.engine import metrics as metrics_module
+
+    sim = _ladder_start(n)
+    start = sim._arrays.position.copy()
+    if moved == "run":
+        sim.run()
+        rows = sim._arrays.position.copy()
+    else:
+        rng = np.random.default_rng(SEED)
+        rows = start.copy()
+        picked = rng.choice(n, size=max(1, int(float(moved) * n)), replace=False)
+        rows[picked] += rng.uniform(-0.2, 0.2, size=(len(picked), 2))
+    collector = metrics_module.MetricsCollector(visibility_range=sim.config.visibility_range)
+    collector.bind_initial(start)
+    collector.observe(0.0, start, 0, full=True)
+
+    def timed() -> tuple:
+        per_call, samples = [], set()
+        for k in range(repeats):
+            started = time.perf_counter()
+            sample = collector.observe(1.0, rows, k, full=True)
+            per_call.append((time.perf_counter() - started) * 1e6)
+            samples.add(repr((sample.hull_diameter, sample.hull_perimeter, sample.hull_radius,
+                              sample.min_pairwise_distance, sample.broken_edge_count)))
+        if len(samples) != 1:
+            raise RuntimeError(f"final n={n} moved={moved}: samples disagree")
+        return _spread(per_call), samples.pop()
+
+    sample_us, fields = timed()
+    row = {
+        "layer": "enumeration",
+        "kind": "final_sample",
+        "workload": "grid",
+        "n": n,
+        "moved": moved,
+        "moved_rows": int(np.count_nonzero((rows != start).any(axis=1))),
+        "repeats": repeats,
+        "sample_us": sample_us,
+        "peak_rss_mb": _peak_rss_mb(),
+        "output_digest": hashlib.sha256(fields.encode()).hexdigest(),
+    }
+    if hasattr(metrics_module, "MOVED_SEPARATION_SHARE"):
+        metrics_module.MOVED_SEPARATION_SHARE = -1.0
+        row["search_us"], searched = timed()
+        if searched != fields:
+            raise RuntimeError(f"final n={n} moved={moved}: the search disagrees")
+    return row
 
 
 def contracted_configuration(n: int):
@@ -483,7 +587,7 @@ def _measured(request: list, baseline_src) -> dict:
             key: base[key]
             for key in (
                 "setup_s", "run_s", "activations_per_s", "refresh_us", "wall_s",
-                "peak_rss_mb",
+                "t0_us", "sample_us", "peak_rss_mb",
             )
             if key in base
         }
@@ -504,6 +608,10 @@ def _baseline_note(row: dict) -> str:
         return ""
     if "refresh_us" in base:
         spent = f"refresh {base['refresh_us']['median']:10.0f} us"
+    elif "t0_us" in base:
+        spent = f"t0 {base['t0_us']['median']:10.0f} us"
+    elif "sample_us" in base:
+        spent = f"sample {base['sample_us']['median']:10.0f} us"
     elif "wall_s" in base:
         spent = f"wall {base['wall_s']:7.3f}s"
     else:
@@ -540,6 +648,29 @@ def run_workloads(n: int, repeats: int, baseline_src=None) -> list:
             f"(IQR {row['setup_s']['iqr']:.3f}, k={repeats})  "
             f"peak {row['peak_rss_mb']:7.1f} MB" + _baseline_note(row)
         )
+    return out
+
+
+def run_enumeration(rows, baseline_src=None) -> list:
+    """The ``enumeration`` rows, each in a fresh interpreter."""
+    out = []
+    for n, repeats in rows:
+        row = _measured(["--t0", str(n), str(repeats)], baseline_src)
+        out.append(row)
+        print(
+            f"t0 pass n={n:<7} {row['t0_us']['median']:10.0f} us "
+            f"(IQR {row['t0_us']['iqr']:.0f}, k={repeats})  "
+            f"peak {row['peak_rss_mb']:7.1f} MB" + _baseline_note(row)
+        )
+        for moved in FINAL_MOVED:
+            row = _measured(["--final", str(n), str(moved), str(repeats)], baseline_src)
+            out.append(row)
+            search = row.get("search_us", {}).get("median", math.nan)
+            print(
+                f"final sample n={n:<7} moved {moved!s:>5} ({row['moved_rows']} rows)  "
+                f"{row['sample_us']['median']:10.0f} us (search {search:.0f} us)"
+                + _baseline_note(row)
+            )
     return out
 
 
@@ -625,8 +756,12 @@ def main(argv=None) -> int:
     parser.add_argument("--refresh", nargs=3, help=argparse.SUPPRESS)
     parser.add_argument("--contracted", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--square", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--t0", nargs=2, type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--final", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.row or args.workload or args.refresh or args.contracted or args.square:
+    internal = (args.row, args.workload, args.refresh, args.contracted, args.square, args.t0,
+                args.final)
+    if any(internal):
         sys.path.insert(0, str(args.src.resolve()))
         if args.row:
             row = measure_row(*args.row)
@@ -639,6 +774,11 @@ def main(argv=None) -> int:
         elif args.square:
             n, shared, branch = args.square
             row = measure_square(int(n), float(shared), branch)
+        elif args.t0:
+            row = measure_t0_pass(*args.t0)
+        elif args.final:
+            n, moved, repeats = args.final
+            row = measure_final_sample(int(n), moved, int(repeats))
         else:
             row = measure_contracted(args.contracted)
         print(json.dumps(row))
@@ -654,6 +794,7 @@ def main(argv=None) -> int:
         SMOKE_SQUARE_ROWS if args.smoke else SQUARE_ROWS,
         baseline,
     )
+    rows += run_enumeration(SMOKE_ENUMERATION_ROWS if args.smoke else ENUMERATION_ROWS, baseline)
     rows += run_observe(SMOKE_OBSERVE_BLOCKS if args.smoke else OBSERVE_BLOCKS)
     payload = {"host": host(), "smoke": bool(args.smoke), "rows": rows}
     if baseline is not None:
@@ -665,11 +806,16 @@ def main(argv=None) -> int:
     parsed = json.loads(args.output.read_text())
     layers = {row["layer"] for row in parsed["rows"]}
     assert layers == {
-        "round_mega_ladder", "workload_setup", "round_pairs", "metrics_observe"
+        "round_mega_ladder", "workload_setup", "round_pairs", "enumeration", "metrics_observe"
     }, layers
     for row in parsed["rows"]:
         if row["layer"] == "metrics_observe":
             assert 0 < row["step_us"]["median"] and 0 < row["full_us"]["median"]
+            continue
+        if row["layer"] == "enumeration":
+            assert row["peak_rss_mb"] > 0 and len(row["output_digest"]) == 64
+            timed = row["t0_us"] if row["kind"] == "t0_pass" else row["sample_us"]
+            assert timed["median"] > 0
             continue
         if row["layer"] == "round_pairs":
             assert row["peak_rss_mb"] > 0 and len(row["output_digest"]) == 64

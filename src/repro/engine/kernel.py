@@ -52,11 +52,14 @@ index-array transition on the kinematic store begins every move, and the
 round's records and metrics samples are appended as columns.  From
 :data:`~repro.engine.spatial_index.GRID_MIN_ROBOTS` robots on, every
 round's Looks read one :class:`~repro.geometry.pairs.VisiblePairs` the
-kernel keeps for the whole run: each round refreshes it against the
-committed rows, which re-pairs only the rows whose bits changed since
-the last refresh (under KKNPS a surrounded robot stays put, so most
-rounds change a handful), and both the flat and the per-robot round
-decides read it a chunk of the round's robots at a time.
+kernel keeps for the whole run: binding the metrics at t=0 sets it up
+from the same enumeration that finds the initial edges, each round
+refreshes it against the committed rows, which re-pairs only the rows
+whose bits changed since the last refresh (under KKNPS a surrounded
+robot stays put, so the first round finds none and most later rounds
+a handful), and both the flat and the per-robot round decides read it
+a chunk of the round's robots at a time.  Each instant of a run thus
+enumerates its neighbour pairs at most once.
 
 The required configuration attributes (duck-typed; satisfied by
 ``SimulationConfig`` and the 3D config types) are: ``visibility_range``,
@@ -78,11 +81,14 @@ import numpy as np
 
 from ..geometry.pairs import VisiblePairs
 from ..model.robot import PHASE_MOVING, KinematicArrays
-from ..model.types import Activation, RoundBatch
+from ..model.types import Activation, RoundBatch, SchedulerClass
 from ..schedulers.base import Scheduler
 from .logs import EndTimeLog, RecordLog
 from .metrics import MetricsCollector
 from . import spatial_index
+
+#: The synchronisation models whose schedulers hand out whole rounds.
+_ROUND_CLASSES = frozenset((SchedulerClass.FSYNC, SchedulerClass.SSYNC))
 
 #: What one Look/Compute/Move decision produced: the target the algorithm
 #: chose and the endpoint the motion model realises (global coordinate
@@ -251,8 +257,17 @@ class ContinuousKernel:
         return MetricsCollector(visibility_range=self.config.visibility_range)
 
     def _bind_metrics(self, metrics: MetricsCollector) -> None:
-        """Bind the collector to the initial configuration (cohesion baseline)."""
-        metrics.bind_initial(self._arrays.position)
+        """Bind the collector to the initial configuration (cohesion baseline).
+
+        When the run's rounds would read carried pairs — its scheduler
+        hands out whole rounds (fsync, ssync), the kernel holds them whole,
+        and :meth:`_carried_pairs` has pairs — the one enumeration that
+        finds the initial edges also sets the pairs up at these rows, so
+        the first round's refresh finds no changed row.  A
+        per-activation run builds no pairs.
+        """
+        rounds = self._round_batching and self.scheduler.scheduler_class in _ROUND_CLASSES
+        metrics.bind_initial(self._arrays.position, self._carried_pairs() if rounds else None)
 
     def _make_recorder(self):
         """The trajectory recorder, or None (base: no recording)."""
@@ -294,16 +309,13 @@ class ContinuousKernel:
         return self.positions_array(look_time)
 
     # -- batched round fast path ---------------------------------------------------------
-    def _round_pairs(self, committed: np.ndarray) -> Optional[VisiblePairs]:
-        """The visible pairs of the committed rows, or None for a dense round.
+    def _carried_pairs(self) -> Optional[VisiblePairs]:
+        """The run's visible pairs, or None when its rounds gather densely.
 
         The pairs need a finite, positive visibility range and at least
         :data:`~repro.engine.spatial_index.GRID_MIN_ROBOTS` robots.  The
-        run keeps one :class:`~repro.geometry.pairs.VisiblePairs`,
-        under the front end's :meth:`_pair_rule`, and refreshes it here
-        against the rows themselves, not against the moves the kernel
-        began: a crash, heaped activations between rounds or a replicate
-        lane's own round cannot leave it stale.
+        run keeps one :class:`~repro.geometry.pairs.VisiblePairs`, under
+        the front end's :meth:`_pair_rule`, created on first use.
         """
         effective = self._effective_range()
         if not (math.isfinite(effective) and effective > 0.0):
@@ -312,7 +324,18 @@ class ContinuousKernel:
             return None
         if self._pairs is None:
             self._pairs = VisiblePairs(*self._pair_rule())
-        return self._pairs.refresh(committed)
+        return self._pairs
+
+    def _round_pairs(self, committed: np.ndarray) -> Optional[VisiblePairs]:
+        """The visible pairs of the committed rows, or None for a dense round.
+
+        The run's :meth:`_carried_pairs`, refreshed here against the rows
+        themselves, not against the moves the kernel began: a crash,
+        heaped activations between rounds or a replicate lane's own
+        round cannot leave them stale.
+        """
+        pairs = self._carried_pairs()
+        return None if pairs is None else pairs.refresh(committed)
 
     def _round_decide_rows(
         self, look_time: float, committed: np.ndarray, pairs, executed: RoundBatch

@@ -16,6 +16,12 @@ the plane).  Positions are ``(n, d)`` rows; only the diameter scan
 (:func:`~repro.geometry.pairs.rows_diameter`) and a full sample's hull
 perimeter and radius depend on ``d``.  The pair readers it samples with
 (edges, diameter, minimum separation) live in :mod:`repro.geometry.pairs`.
+
+What t=0 measured is reused rather than measured again: the initial
+edges come from the enumeration that also sets up a round run's carried
+pairs, a full sample's minimum separation pairs only the rows that
+moved since t=0 (the shortest unmoved edge bounds the rest), and a
+round run's first step sample, at the t=0 rows, repeats the t=0 sample.
 """
 
 from __future__ import annotations
@@ -28,7 +34,10 @@ import numpy as np
 from ..geometry.hull import ConvexHull
 from ..geometry.pairs import (
     METRICS_DENSE_MAX,
+    VisiblePairs,
+    changed_rows,
     grid_edges,
+    min_distance_from,
     min_pairwise_distance_grid,
     pair_distances,
     rows_diameter,
@@ -40,27 +49,16 @@ from ..model.visibility import Edge
 from .logs import SampleLog
 
 
-def min_separation(
-    arr: np.ndarray, edge_lengths: np.ndarray, visibility_range: float
-) -> float:
-    """Minimum pairwise distance of ``(n, d)`` rows, for a full sample.
-
-    ``edge_lengths`` are the initial visibility edges' lengths at ``arr``
-    (the cohesion check's gather).  The shortest is one pair's distance,
-    an exact upper bound on the minimum, so a grid search started there
-    (:func:`min_pairwise_distance_grid`) covers the closest pair at once
-    and its cells shrink with the swarm; with no initial edge the search
-    starts at the visibility range, and a zero-length edge is a
-    coincident pair.  The float is the dense matrix's.
-    """
-    if len(arr) < 2:
-        return 0.0
-    start = visibility_range
-    if len(edge_lengths):
-        start = float(edge_lengths.min())
-        if start == 0.0:
-            return 0.0
-    return min_pairwise_distance_grid(arr, start)
+#: A full sample whose rows moved since :meth:`MetricsCollector.bind_initial`
+#: in at most this share of rows pairs only the moved rows for its minimum
+#: separation; past it, or with no unmoved initial edge left, it searches
+#: every pair (:meth:`MetricsCollector._separation`).  Measured on the
+#: ``grid`` start with a random share of rows jittered (the ``enumeration``
+#: rows of ``BENCH_layers.json``): pairing the moved rows and the search
+#: break even near 10% at n = 10^4 and 10^5 and near 1-2% at n = 10^3; at
+#: 5% the moved rows win by a third at the larger sizes and lose 0.15 ms
+#: at n = 10^3.
+MOVED_SEPARATION_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -119,24 +117,32 @@ class MetricsCollector:
         if not isinstance(self.samples, SampleLog):
             self.samples = SampleLog(self.samples)
 
-    def bind_initial(self, positions: Sequence[PointLike]) -> None:
+    def bind_initial(
+        self, positions: Sequence[PointLike], pairs: Optional[VisiblePairs] = None
+    ) -> None:
         """Record the initial visibility edges the cohesion predicate refers to.
 
-        The edge set is also cached as a ``(|E|, 2)`` index array so every
-        subsequent observation checks cohesion with one fancy-indexed
-        gather instead of rebuilding an edge list.  The edges come from
-        :func:`grid_edges` (O(n + |E|) at a finite range).  Past
-        ``METRICS_DENSE_MAX`` robots only the index arrays are
-        materialised: ``initial_edges`` stays empty at that scale, as a
-        set with tens of millions of tuples would dwarf the simulation
-        state itself.  A copy of the rows is kept too, so a full sample
-        can tell when it sees them (:meth:`full_sample`).
+        The edge set is also cached as two endpoint index arrays
+        (``int32`` below 2^31 robots) so every subsequent observation
+        checks cohesion with one fancy-indexed gather instead of
+        rebuilding an edge list.  The edges come from :func:`grid_edges`
+        (O(n + |E|) at a finite range); given a run's carried ``pairs``,
+        the same enumeration also sets them up at these rows
+        (:meth:`~repro.geometry.pairs.VisiblePairs.seed`), so the run's
+        first round finds them current.  Past ``METRICS_DENSE_MAX``
+        robots only the index arrays are materialised: ``initial_edges``
+        stays empty at that scale, as a set with tens of millions of
+        tuples would dwarf the simulation state itself.  A copy of the
+        rows is kept too, so a full sample can tell which rows moved
+        since (:meth:`full_sample`).
         """
-        arr = _rows(positions)
-        i, j = grid_edges(arr, self.visibility_range + EPS)
+        arr = np.ascontiguousarray(_rows(positions), dtype=np.float64)
+        reach = self.visibility_range + EPS
+        i, j = grid_edges(arr, reach) if pairs is None else pairs.seed(arr, reach)
         self._bound_rows = arr.copy()
-        self._edge_i = np.ascontiguousarray(i)
-        self._edge_j = np.ascontiguousarray(j)
+        self._bound_geometry = None
+        self._edge_i = i
+        self._edge_j = j
         self.initial_edges = (
             set(zip(i.tolist(), j.tolist())) if len(arr) <= METRICS_DENSE_MAX else set()
         )
@@ -168,7 +174,8 @@ class MetricsCollector:
         A step sample measures the diameter (:func:`rows_diameter`; for
         planar rows the octagon prune, then the dense maximum over its
         survivors) and counts the broken initial edges (a gather of the
-        cached edge endpoints).  The kernel asks for a full sample
+        cached edge endpoints), unless it repeats the t=0 sample
+        (:meth:`_step_geometry`).  The kernel asks for a full sample
         (:meth:`full_sample`) at t=0 and at the end of a run.  No
         ``(n, n)`` matrix is built, and every reported float is
         bit-identical to the dense matrix's.
@@ -177,29 +184,49 @@ class MetricsCollector:
         if full:
             sample = self.full_sample(time, arr, activations_processed, smallest_enclosing_circle)
         else:
-            sample = MetricsSample(
-                time, rows_diameter(arr), self._broken_edge_count(arr), activations_processed
-            )
+            sample = MetricsSample(time, *self._step_geometry(arr), activations_processed)
         return self.record(sample)
+
+    def _step_geometry(self, arr: np.ndarray) -> tuple:
+        """A step sample's ``(hull_diameter, broken_edge_count)``.
+
+        The first step sample after a full sample at the bound rows (a
+        round run's first round, at the t=0 rows) compares its rows once:
+        bit for bit the bound rows, it repeats that sample's two fields.
+        """
+        repeat = getattr(self, "_bound_geometry", None)
+        if repeat is not None:
+            self._bound_geometry = None
+            moved = self._moved(arr)
+            if moved is not None and not len(moved):
+                return repeat
+        return rows_diameter(arr), self._broken_edge_count(arr)
+
+    def _moved(self, arr: np.ndarray) -> Optional[np.ndarray]:
+        """The rows of ``arr`` whose bits differ from the bound rows.
+
+        None when no rows of ``arr``'s shape were bound.
+        """
+        bound = getattr(self, "_bound_rows", None)
+        if bound is None or bound.shape != arr.shape:
+            return None
+        return changed_rows(bound, np.ascontiguousarray(arr, dtype=np.float64))
 
     def full_sample(
         self, time: float, arr: np.ndarray, activations_processed: int, enclosing_circle
     ) -> MetricsSample:
         """The full sample of the ``(n, d)`` rows ``arr`` (not yet recorded).
 
-        The diameter is the step sample's (:func:`rows_diameter`).  At
-        the rows :meth:`bind_initial` saw, every pair within the range is
-        an initial edge, so with any edge the closest pair is the shortest
-        one, the float a search would return (both are the square root of
-        the same pair's squared distance); elsewhere the minimum separation
-        is searched from the shortest initial edge
-        (:func:`min_separation`).  Planar rows also measure the hull
+        The diameter is the step sample's (:func:`rows_diameter`).  The
+        minimum separation starts from what :meth:`bind_initial` saw
+        (:meth:`_separation`).  Planar rows also measure the hull
         perimeter and the bounding circle, which runs on the hull
         vertices only (the SEC of a point set equals the SEC of its
         convex hull); 3D samples leave both None.  ``enclosing_circle``
         is :func:`smallest_enclosing_circle` as the calling module looks
         it up, so each engine's calls stay at its own lookup site (where
-        a profiler patches them).
+        a profiler patches them).  A sample at the bound rows is kept for
+        the next step sample (:meth:`_step_geometry`).
         """
         n, dim = arr.shape
         perimeter = radius = None
@@ -209,20 +236,62 @@ class MetricsCollector:
             radius = enclosing_circle(hull.vertices).radius if n else 0.0
         lengths = self.initial_edge_lengths(arr) if n >= 2 else np.empty(0)
         broken_count = int(np.count_nonzero(lengths > self.visibility_range + EPS))
-        bound = getattr(self, "_bound_rows", None)
-        if len(lengths) and bound is not None and np.array_equal(arr, bound):
-            separation = float(lengths.min())
-        else:
-            separation = min_separation(arr, lengths, self.visibility_range)
+        diameter = rows_diameter(arr)
+        moved = self._moved(arr)
+        if moved is not None and not len(moved):
+            self._bound_geometry = (diameter, broken_count)
         return MetricsSample(
             time=time,
-            hull_diameter=rows_diameter(arr),
+            hull_diameter=diameter,
             broken_edge_count=broken_count,
             activations_processed=activations_processed,
             hull_perimeter=perimeter,
             hull_radius=radius,
-            min_pairwise_distance=separation,
+            min_pairwise_distance=self._separation(arr, lengths, moved),
         )
+
+    def _separation(
+        self, arr: np.ndarray, lengths: np.ndarray, moved: Optional[np.ndarray]
+    ) -> float:
+        """The minimum pairwise distance of ``arr``, whose initial edges measure ``lengths``.
+
+        Two rows that kept their bound bits and lie within the range were
+        within it at :meth:`bind_initial`, so they form an initial edge:
+        the shortest unmoved edge is the closest pair of unmoved rows
+        (every other unmoved pair lies beyond the range).  Only the pairs
+        that touch a moved row are then measured, on a grid covering that
+        edge (:func:`~repro.geometry.pairs.min_distance_from`); with no
+        row moved the shortest edge is the answer.
+
+        Rows not bound here, no unmoved edge left, or more than
+        :data:`MOVED_SEPARATION_SHARE` of the rows moved: a grid search
+        over every pair (:func:`min_pairwise_distance_grid`) started at
+        the shortest initial edge, one pair's distance and so an exact
+        upper bound on the minimum, which covers the closest pair at once
+        and shrinks with the swarm (with no initial edge, at the
+        visibility range; a zero-length edge is a coincident pair).
+        Every path returns the dense matrix's float.
+        """
+        n = len(arr)
+        if n < 2:
+            return 0.0
+        start = self.visibility_range
+        if len(lengths):
+            if moved is not None and len(moved) <= MOVED_SEPARATION_SHARE * n:
+                unmoved = lengths
+                if len(moved):
+                    still = np.ones(n, dtype=bool)
+                    still[moved] = False
+                    unmoved = lengths[still[self._edge_i] & still[self._edge_j]]
+                if len(unmoved):
+                    shortest = float(unmoved.min())
+                    if shortest == 0.0 or not len(moved):
+                        return shortest
+                    return min(shortest, min_distance_from(arr, moved, shortest))
+            start = float(lengths.min())
+            if start == 0.0:
+                return 0.0
+        return min_pairwise_distance_grid(arr, start)
 
     def record(self, sample: MetricsSample) -> MetricsSample:
         """Append ``sample`` and let the cohesion flag follow it.

@@ -92,7 +92,7 @@ def _prepare_lane(sim: Simulator, setup_cache: Optional[dict] = None) -> _Lane:
     ``setup_cache`` is given, they therefore run once per distinct
     initial configuration and the result is replayed into every further
     lane's collector: the edge set is copied, the (read-only) edge index
-    arrays and the frozen t=0 sample are shared.  The lane's RNG stream
+    arrays, bound rows and frozen t=0 sample are shared.  The lane's RNG stream
     is untouched either way, so the replay is bit-invisible.
     """
     metrics = sim._make_metrics()
@@ -108,6 +108,7 @@ def _prepare_lane(sim: Simulator, setup_cache: Optional[dict] = None) -> _Lane:
             metrics.initial_edges = set(template.initial_edges)
             metrics._edge_i = template._edge_i
             metrics._edge_j = template._edge_j
+            metrics._bound_rows = template._bound_rows
             metrics.record(template.samples[0])
         run = sim._begin_run(metrics)
     else:

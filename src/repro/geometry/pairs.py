@@ -11,13 +11,24 @@ are the dense matrix's bit for bit:
 * :func:`grid_edges` — the one edge builder, every pair within a reach
   in O(n + |E|): the visibility graph (:mod:`repro.model.visibility`),
   the metrics collector's initial edges and the 3D configurations take
-  their edges from it;
-* :func:`min_pairwise_distance_grid` and :func:`rows_diameter` — the
+  their edges from it, and :func:`grid_connected` decides the graph's
+  connectivity block by block without holding them;
+* :func:`min_pairwise_distance_grid`, :func:`min_distance_from` (the
+  closest pair touching given rows) and :func:`rows_diameter` — the
   extreme separations;
 * :class:`VisiblePairs` — the engine's round Looks: every pair a Look
-  predicate keeps, carried from round to round and re-paired only
-  around the rows that changed (a swarm too crowded to hold them
-  enumerates them chunk by chunk each round instead).
+  predicate keeps, set up at t=0 by the same enumeration that finds the
+  initial edges (:meth:`VisiblePairs.seed`), carried from round to
+  round and re-paired only around the rows that changed (a swarm too
+  crowded to hold them enumerates them chunk by chunk each round
+  instead).
+
+Each instant of a run enumerates its pairs at most once: one pass at
+t=0 for the edges and the carried pairs, the changed rows' cells at a
+round, the moved rows' cells at the final sample.  A grid asked about a
+few rows finds their cells' robots through a table indexed by cell key
+when its keys span few cells (:meth:`ShardedGridIndex.pair_blocks`),
+so it never sorts every robot's key.
 
 Nothing here imports :mod:`repro.engine`, so the model layer uses it too.
 """
@@ -40,6 +51,11 @@ _KEY_LIMIT = 2**63
 #: Most candidate pairs :meth:`ShardedGridIndex.warm_candidates` holds at
 #: once before its filters run.
 _PAIR_BLOCK = 1 << 17
+
+#: A grid whose cell keys range over at most this many cells a robot finds
+#: the robots around a few rows, and counts its shared-cell pairs, through
+#: a table indexed by cell key (O(n) reads) instead of sorting all n keys.
+_TABLE_CELLS_PER_ROBOT = 4
 
 #: ``keep(i, j)``: which of the candidate pairs ``(i[k], j[k])`` to keep.
 PairFilter = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -72,10 +88,12 @@ class ShardedGridIndex:
     round's neighbour queries as one batch.  Its enumerator,
     :meth:`warm_candidates`, pairs the robots of the same or adjacent
     cells (the 3^d cell neighbourhood): every such pair once, which
-    :meth:`neighbour_pairs` returns to :func:`grid_edges` and
-    :func:`min_pairwise_distance_grid`, or each of a set of rows with
-    its neighbours, through which :class:`VisiblePairs` re-pairs the
-    rows that moved.
+    :meth:`neighbour_pairs` returns to :func:`grid_edges`,
+    :meth:`VisiblePairs.seed` and :func:`min_pairwise_distance_grid`,
+    or each of a set of rows with its neighbours, through which
+    :class:`VisiblePairs` re-pairs the rows that moved and
+    :func:`min_distance_from` measures them.  :meth:`pair_blocks` yields
+    the same pairs unfiltered, a block at a time.
 
     Cell keys fold the run id and the per-axis cell offsets into one
     ``int64``; a cell size so small against the extent that the fold
@@ -89,7 +107,9 @@ class ShardedGridIndex:
     the binning into a single tensor step.
     """
 
-    __slots__ = ("cell_size", "dim", "n", "runs", "_cells", "_run_ids", "_slots")
+    __slots__ = (
+        "cell_size", "dim", "n", "runs", "_cells", "_span", "_run_ids", "_folded", "_slots"
+    )
 
     def __init__(
         self,
@@ -109,11 +129,14 @@ class ShardedGridIndex:
         self.n = int(arr.shape[0])
         self.runs = int(runs)
         self._run_ids = None if run_ids is None else np.asarray(run_ids, dtype=np.int64)
+        self._folded: Optional[tuple] = None
         self._slots: Optional[tuple] = None
         if self.n == 0:
             self._cells = np.empty((0, self.dim), dtype=np.int64)
+            self._span = [1] * self.dim
             return
-        scaled = np.floor(arr / self.cell_size)
+        scaled = arr / self.cell_size
+        np.floor(scaled, out=scaled)
         low, high = _column_bounds(scaled)
         span = high - low + 1.0
         if self.runs * math.prod(span.tolist()) >= _KEY_LIMIT:
@@ -122,8 +145,12 @@ class ShardedGridIndex:
                 "the grid's integer cell keys would overflow"
             )
         # Cells relative to the lowest occupied one: small non-negative
-        # offsets, whatever the absolute coordinates.
-        self._cells = (scaled - low).astype(np.int64)
+        # offsets, whatever the absolute coordinates.  Column by column:
+        # broadcasting a row of d floats over n rows is far slower.
+        for axis in range(self.dim):
+            scaled[:, axis] -= low[axis]
+        self._cells = scaled.astype(np.int64)
+        self._span = [int(extent) + 1 for extent in (high - low).tolist()]
 
     @classmethod
     def from_replicates(cls, positions: np.ndarray, cell_size: float) -> "ShardedGridIndex":
@@ -141,38 +168,85 @@ class ShardedGridIndex:
         run_ids = np.repeat(np.arange(runs, dtype=np.int64), n)
         return cls(flat, cell_size, run_ids=run_ids, runs=runs)
 
-    def _group(self) -> tuple:
-        """Bin robots by run and cell, once.
+    def _fold(self) -> Tuple[np.ndarray, List[int]]:
+        """Every robot's cell key and the per-axis fold radix ``span``, once.
+
+        A key folds the run id and the cell offsets into one ``int64``
+        below ``runs * prod(span)``.
+        """
+        if self._folded is None:
+            span = self._span
+            runs = self._run_ids
+            key = np.zeros(self.n, dtype=np.int64) if runs is None else runs.copy()
+            for axis in range(self.dim):
+                key *= span[axis]
+                key += self._cells[:, axis]
+            self._folded = (key, span)
+        return self._folded
+
+    def _tabled(self) -> bool:
+        """Whether a table indexed by cell key stays within ``_TABLE_CELLS_PER_ROBOT`` a robot."""
+        span = self._fold()[1]
+        return self.runs * math.prod(span) <= _TABLE_CELLS_PER_ROBOT * self.n
+
+    def _group(self, members: Optional[np.ndarray] = None) -> tuple:
+        """Bin robots by run and cell: every robot once, or only ``members``.
 
         Returns ``(order, bounds, keys, slot_coords, span)``: slot ``s``
         holds the robots ``order[bounds[s]:bounds[s + 1]]`` (ascending —
         the stable sort keeps robot order), its fold key ``keys[s]``
         (ascending over slots) and its ``(run, coord...)`` row
-        ``slot_coords[s]``; ``span`` is the per-axis fold radix.
+        ``slot_coords[s]``; ``span`` is the per-axis fold radix.  Given
+        ``members`` (ascending ids holding every robot of each cell they
+        touch), only those are sorted, and nothing is cached.
         """
-        if self._slots is not None:
+        if members is None and self._slots is not None:
             return self._slots
-        coords = self._cells
-        span = [int(coords[:, axis].max(initial=0)) + 1 for axis in range(self.dim)]
-        runs = self._run_ids
-        key = np.zeros(self.n, dtype=np.int64) if runs is None else runs.copy()
-        for axis in range(self.dim):
-            key = key * span[axis] + coords[:, axis]
-        order = np.argsort(key, kind="stable")
+        key, span = self._fold()
+        if members is None:
+            order = np.argsort(key, kind="stable")
+        else:
+            order = members[np.argsort(key[members], kind="stable")]
         sorted_keys = key[order]
         # Keys are non-negative, so -1 starts a slot at the first robot.
         first = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-        bounds = np.append(first, self.n)
+        bounds = np.append(first, len(order))
         head = order[first]
         slot_coords = np.empty((len(first), self.dim + 1), dtype=np.int64)
-        slot_coords[:, 0] = 0 if runs is None else runs[head]
-        slot_coords[:, 1:] = coords[head]
-        self._slots = (order, bounds, sorted_keys[first], slot_coords, span)
-        return self._slots
+        slot_coords[:, 0] = 0 if self._run_ids is None else self._run_ids[head]
+        slot_coords[:, 1:] = self._cells[head]
+        slots = (order, bounds, sorted_keys[first], slot_coords, span)
+        if members is None:
+            self._slots = slots
+        return slots
+
+    def _around(self, rows: np.ndarray) -> np.ndarray:
+        """Every robot of the 3^d cells around ``rows``, ascending, without a sort.
+
+        The rows' neighbour cells are marked in a table indexed by cell
+        key, which every robot's key then reads: O(n + runs * prod(span))
+        (callers check :meth:`_tabled`).
+        """
+        key, span = self._fold()
+        coords = np.empty((len(rows), self.dim + 1), dtype=np.int64)
+        coords[:, 0] = 0 if self._run_ids is None else self._run_ids[rows]
+        coords[:, 1:] = self._cells[rows]
+        table = np.zeros(self.runs * math.prod(span), dtype=bool)
+        for offset in itertools.product((-1, 0, 1), repeat=self.dim):
+            valid, neighbour_key = _shifted_keys(coords, span, offset)
+            table[neighbour_key[valid]] = True
+        return np.flatnonzero(table[key])
 
     def same_cell_pairs(self) -> int:
-        """How many pairs of robots share a cell (and a run)."""
-        sizes = np.diff(self._group()[1])
+        """How many pairs of robots share a cell (and a run).
+
+        Counted through a table of cell keys when :meth:`_tabled`, so a
+        grid asked only about a few rows is never sorted.
+        """
+        if self._slots is None and self._tabled():
+            sizes = np.bincount(self._fold()[0])
+        else:
+            sizes = np.diff(self._group()[1])
         return int(np.dot(sizes, sizes - 1)) // 2
 
     def neighbourhood_sizes(self, rows: np.ndarray) -> np.ndarray:
@@ -190,12 +264,10 @@ class ShardedGridIndex:
         slot_of[order] = np.repeat(np.arange(len(sizes)), sizes)
         return around.astype(np.int64)[slot_of[rows]]
 
-    def warm_candidates(
-        self,
-        rows: Optional[np.ndarray] = None,
-        keep: Optional[PairFilter] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The pairs ``(i, j)`` of one run whose cells are the same or adjacent.
+    def pair_blocks(
+        self, rows: Optional[np.ndarray] = None
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The pairs ``(i, j)`` of one run whose cells are the same or adjacent, in blocks.
 
         Cells ``floor(p / cell_size)`` are adjacent when they differ by at
         most one on every axis, so every pair at distance ``<= cell_size``
@@ -205,9 +277,8 @@ class ShardedGridIndex:
         ``rows`` (distinct robot ids, flat ids under replicate batching)
         each row ``i`` comes with every other robot ``j`` of its 3^d
         cells, as ``(i, j)``, so a pair of two rows comes once from each
-        end.  ``keep`` filters the pairs as they are enumerated, a block
-        of at most :data:`_PAIR_BLOCK` at a time, so only kept pairs are
-        ever held together.
+        end.  A block holds at most :data:`_PAIR_BLOCK` pairs (or one
+        robot's, if more).
 
         Cell adjacency is resolved for all cells at once, one
         ``searchsorted`` over the sorted cell keys per offset of the 3^d
@@ -215,11 +286,19 @@ class ShardedGridIndex:
         offset pairs every cell with its neighbour there, so each
         unordered cell pair is visited once, and same-cell pairs come
         from each multi-robot cell.  With ``rows`` given, each of them is
-        paired with every robot of its 3^d cells.
+        paired with every robot of its 3^d cells; on a grid compact
+        enough for a table of its cell keys (:meth:`_tabled`), only the
+        robots around the rows are sorted (:meth:`_around`), so a few
+        rows cost O(n) reads and no sort of every robot's key.
         """
         if rows is not None and len(rows) == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        order, bounds, keys, slot_coords, span = self._group()
+            return
+        if rows is None or self._slots is not None or not self._tabled():
+            grouped = self._group()
+        else:
+            # Rows on a compact grid: only the robots around them are sorted.
+            grouped = self._group(self._around(rows))
+        order, bounds, keys, slot_coords, span = grouped
         members = (order, bounds)
         if rows is None:
             # Half neighbourhood: of an unordered pair of distinct adjacent
@@ -246,22 +325,34 @@ class ShardedGridIndex:
             passes = (
                 ("rows", rows_by_cell, *_adjacent(keys, slot_coords, span, offsets, owners)),
             )
-        lower: List[np.ndarray] = []
-        upper: List[np.ndarray] = []
         for kind, left, ls, rs in passes:
             for first, second in _product_blocks(left, members, ls, rs):
                 if kind == "cells":
-                    i, j = np.minimum(first, second), np.maximum(first, second)
+                    yield np.minimum(first, second), np.maximum(first, second)
                 else:
                     # A row meets itself in its own cell; a cell paired with
                     # itself yields each pair in both orders: keep ``i < j``.
                     kept = first != second if kind == "rows" else first < second
-                    i, j = first[kept], second[kept]
-                if keep is not None:
-                    kept = keep(i, j)
-                    i, j = i[kept], j[kept]
-                lower.append(i)
-                upper.append(j)
+                    yield first[kept], second[kept]
+
+    def warm_candidates(
+        self,
+        rows: Optional[np.ndarray] = None,
+        keep: Optional[PairFilter] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every pair of :meth:`pair_blocks` that ``keep`` keeps, in two index arrays.
+
+        ``keep`` filters the pairs as they are enumerated, a block at a
+        time, so only kept pairs are ever held together.
+        """
+        lower: List[np.ndarray] = []
+        upper: List[np.ndarray] = []
+        for i, j in self.pair_blocks(rows):
+            if keep is not None:
+                kept = keep(i, j)
+                i, j = i[kept], j[kept]
+            lower.append(i)
+            upper.append(j)
         if len(lower) < 2:
             empty = np.empty(0, dtype=np.int64)
             return (lower[0], upper[0]) if lower else (empty, empty)
@@ -347,12 +438,7 @@ def _adjacent(
     found_owners: List[np.ndarray] = []
     neighbours: List[np.ndarray] = []
     for offset in offsets:
-        valid = np.ones(len(owners), dtype=bool)
-        neighbour_key = coords[:, 0].copy()
-        for axis, step in enumerate(offset):
-            shifted = coords[:, axis + 1] + step
-            valid &= (shifted >= 0) & (shifted < span[axis])
-            neighbour_key = neighbour_key * span[axis] + shifted
+        valid, neighbour_key = _shifted_keys(coords, span, offset)
         idx = np.searchsorted(keys, neighbour_key)
         idx[idx >= n_slots] = 0
         found = valid & (keys[idx] == neighbour_key)
@@ -362,6 +448,23 @@ def _adjacent(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     return np.concatenate(found_owners), np.concatenate(neighbours)
+
+
+def _shifted_keys(
+    coords: np.ndarray, span: List[int], offset
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The fold keys of the cells ``offset`` away from ``(run, coord...)`` rows.
+
+    Returns ``(valid, keys)``: a shifted coordinate outside ``[0, span)``
+    is not valid, and its key may alias another cell's or wrap.
+    """
+    valid = np.ones(len(coords), dtype=bool)
+    neighbour_key = coords[:, 0].copy()
+    for axis, step in enumerate(offset):
+        shifted = coords[:, axis + 1] + step
+        valid &= (shifted >= 0) & (shifted < span[axis])
+        neighbour_key = neighbour_key * span[axis] + shifted
+    return valid, neighbour_key
 
 
 #: Up to this many robots a 3D diameter pairs every row, above it only the
@@ -385,9 +488,10 @@ def min_pairwise_distance_grid(arr: np.ndarray, radius: float) -> float:
     :func:`covering_cell` of the radius), so a found minimum no larger
     than the radius is the true global minimum (any pair left out is
     farther); otherwise the radius doubles and the search reruns.  Any
-    positive start is exact: a start near the true minimum (see
-    :func:`repro.engine.metrics.min_separation`) keeps the pair count linear, a start far
-    above it costs pairs, one far below it costs doublings.  The start is
+    positive start is exact: a start near the true minimum (the metrics
+    collector starts at the shortest initial edge) keeps the pair count
+    linear, a start far above it costs pairs, one far below it costs
+    doublings.  The start is
     floored at 1e-6 of the largest per-axis extent, which also bounds
     the grid's integer cell keys.  The per-pair arithmetic (``dx*dx +
     dy*dy``, one square root after the reduction) matches the dense
@@ -430,9 +534,31 @@ def _pair_squared(columns: List[np.ndarray], i, j) -> np.ndarray:
     return squared
 
 
+def _squared(deltas: List[np.ndarray]) -> np.ndarray:
+    """:func:`_pair_squared` of per-axis offsets already gathered (either sign)."""
+    squared = None
+    for delta in deltas:
+        term = delta * delta
+        squared = term if squared is None else squared + term
+    return squared
+
+
 def pair_distances(arr: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances of the row pairs ``(i[k], j[k])``, each the dense matrix's float."""
-    return np.sqrt(_pair_squared(_columns(arr), i, j))
+    """Distances of the row pairs ``(i[k], j[k])``, each the dense matrix's float.
+
+    Gathers index fastest with ``intp``: narrower indices (the metrics
+    collector's ``int32`` edges) are widened a block of at most
+    :data:`_PAIR_BLOCK` at a time, so no wide copy of them all is held.
+    """
+    columns = _columns(arr)
+    if len(i) <= _PAIR_BLOCK:
+        return np.sqrt(_pair_squared(columns, i.astype(np.intp), j.astype(np.intp)))
+    distances = np.empty(len(i))
+    for start in range(0, len(i), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        lower, upper = i[block].astype(np.intp), j[block].astype(np.intp)
+        distances[block] = np.sqrt(_pair_squared(columns, lower, upper))
+    return distances
 
 
 def dense_diameter(arr: np.ndarray) -> float:
@@ -483,27 +609,103 @@ def grid_edges(arr: np.ndarray, reach: float) -> "tuple[np.ndarray, np.ndarray]"
     """All pairs ``i < j`` of the ``(n, d)`` rows at distance ``<= reach``.
 
     Returned as two index arrays in lexicographic order, the order of a
-    sorted edge set.  At a finite reach the pairs come from a grid whose
-    cell covers ``reach`` (floored with :func:`search_radius_floor`, which
-    bounds the cell keys however small the reach), in O(n + |E|); each
-    pair's distance is the dense matrix's (:func:`pair_distances`), so
-    the ``<= reach`` predicate decides every pair as the dense edge
-    builders do.  An infinite reach pairs every two rows.
+    sorted edge set, ``int32`` below 2^31 rows.  At a finite reach the
+    pairs come from a grid whose cell covers ``reach`` (floored with
+    :func:`search_radius_floor`, which bounds the cell keys however
+    small the reach), in O(n + |E|); each pair's distance is the dense
+    matrix's (:func:`pair_distances`), so the ``<= reach`` predicate
+    decides every pair as the dense edge builders do.  An infinite reach
+    pairs every two rows.
     """
     n = len(arr)
     if not math.isfinite(reach):
-        return np.triu_indices(n, k=1)
+        return tuple(side.astype(_index_dtype(n)) for side in np.triu_indices(n, k=1))
     if n < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    cell = covering_cell(arr, search_radius_floor(arr, reach))
-    columns = _columns(arr)
-    i, j = ShardedGridIndex(arr, cell).neighbour_pairs(
-        keep=lambda i, j: np.sqrt(_pair_squared(columns, i, j)) <= reach
-    )
-    # One sort of the pair keys ``i * n + j`` puts the pairs in (i, j) order.
-    key = i * n + j
+        empty = np.empty(0, dtype=_index_dtype(n))
+        return empty, empty
+    grid = ShardedGridIndex(arr, _cell_for(arr, reach))
+    return _edge_arrays(grid, _within(_columns(arr), reach), n)
+
+
+def grid_connected(arr: np.ndarray, reach: float) -> bool:
+    """Whether the graph of the ``(n, d)`` rows' pairs within ``reach`` is connected.
+
+    The graph of :func:`grid_edges`, never held: each block of the
+    grid's kept pairs merges the components it joins into one label
+    array (one ``scipy`` labelling over the current labels), and the
+    enumeration stops once a single component is left.  O(n + block)
+    memory; an infinite reach joins every two rows.
+    """
+    n = len(arr)
+    if n <= 1 or not math.isfinite(reach):
+        return True
+    from scipy.sparse import coo_matrix, csgraph
+
+    within = _within(_columns(arr), reach)
+    labels = np.arange(n)
+    count = n
+    for i, j in ShardedGridIndex(arr, _cell_for(arr, reach)).pair_blocks():
+        kept = within(i, j)
+        a, b = labels[i[kept]], labels[j[kept]]
+        joins = a != b
+        if not joins.any():
+            continue
+        graph = coo_matrix(
+            (np.ones(int(joins.sum()), dtype=np.int8), (a[joins], b[joins])), shape=(count, count)
+        )
+        count, merged = csgraph.connected_components(graph, directed=False)
+        labels = merged[labels]
+        if count == 1:
+            return True
+    return False
+
+
+def _index_dtype(n: int):
+    """The narrowest of ``int32`` and ``int64`` that indexes ``n`` rows."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _within(columns: List[np.ndarray], reach: float) -> PairFilter:
+    """Keep the pairs at a distance of at most ``reach`` (the dense matrix's float)."""
+    return lambda i, j: np.sqrt(_pair_squared(columns, i, j)) <= reach
+
+
+def _edge_arrays(
+    grid: "ShardedGridIndex", keep: PairFilter, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs ``grid.neighbour_pairs(keep)`` keeps, in ``(i, j)`` order.
+
+    One sort of the pair keys ``i * n + j`` orders them; the keys are
+    then split a block at a time into :func:`_index_dtype` arrays, so
+    the split holds no two ``int64`` arrays of every pair.
+    """
+    i, j = grid.neighbour_pairs(keep)
+    key = np.multiply(i, n)
+    key += j
+    del i, j
     key.sort()
-    return np.divmod(key, n)
+    dtype = _index_dtype(n)
+    lower = np.empty(len(key), dtype=dtype)
+    upper = np.empty(len(key), dtype=dtype)
+    for start in range(0, len(key), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        lower[block], upper[block] = np.divmod(key[block], n)
+    return lower, upper
+
+
+def min_distance_from(arr: np.ndarray, rows: np.ndarray, reach: float) -> float:
+    """The smallest distance between one of ``rows`` and any other row, if at most ``reach``.
+
+    Pairs each of ``rows`` with the robots of its cells on a grid that
+    covers ``reach`` (floored with :func:`search_radius_floor`): a
+    returned value no larger than ``reach`` is the exact minimum, the
+    dense matrix's float; a larger one (or ``inf`` with no candidate)
+    says only that none lies within ``reach``.
+    """
+    i, j = ShardedGridIndex(arr, _cell_for(arr, reach)).warm_candidates(rows)
+    if not len(i):
+        return math.inf
+    return float(math.sqrt(_pair_squared(_columns(arr), i, j).min()))
 
 
 def search_radius_floor(arr: np.ndarray, radius: float) -> float:
@@ -559,6 +761,73 @@ ROW_BUDGET = 1 << 17
 CARRY_CELL_PAIRS_PER_ROW = 16
 
 
+#: :func:`_merged` splices its changes into the held keys while they number
+#: at most one per this many keys; past it one stable sort merges them.
+#: Measured on random sorted keys (8·10^3, 8·10^4 and 8·10^5 of them), the
+#: splice wins up to about one change per 350 keys, by 3.7x at one per 4,096.
+_SPLICE_EVERY = 512
+
+
+def changed_rows(held: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The ascending ids of the rows whose bits differ between two equal-shape arrays.
+
+    Both are C-contiguous ``float64``; a bit counts whatever its value,
+    so ``-0.0`` against ``0.0`` is a change.
+    """
+    differs = np.flatnonzero(held.view(np.uint64).ravel() != rows.view(np.uint64).ravel())
+    return np.unique(differs // rows.shape[1])
+
+
+def _cell_for(arr: np.ndarray, reach: float) -> float:
+    """The covering cell of ``reach`` over ``arr``, floored with :func:`search_radius_floor`."""
+    return covering_cell(arr, search_radius_floor(arr, reach))
+
+
+def _both_ends(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """The directed keys ``i * n + j`` and ``j * n + i`` of the pairs ``(i, j)``, unsorted.
+
+    Both halves are written in place: with the pairs, four words a pair
+    at the peak.
+    """
+    m = len(i)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(i, n, out=keys[:m])
+    keys[:m] += j
+    np.multiply(j, n, out=keys[m:])
+    keys[m:] += i
+    return keys
+
+
+def _merged(keys: np.ndarray, drop: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The sorted ``keys`` without the positions ``drop``, with the sorted ``fresh`` merged in.
+
+    A fresh key never equals a kept one.  A handful of changes (at most
+    one per :data:`_SPLICE_EVERY` keys) splice the kept runs and the
+    fresh keys together in one copy, a fresh key placed before the held
+    key it sorts below; more go through one stable sort of the two
+    sorted runs, which merges them in linear time.
+    """
+    if (len(drop) + len(fresh)) * _SPLICE_EVERY > len(keys):
+        merged = np.concatenate((np.delete(keys, drop), fresh))
+        merged.sort(kind="stable")
+        return merged
+    at = np.searchsorted(keys, fresh)
+    places = np.concatenate((at, drop))
+    # At one place, the fresh keys (in order) come before the dropped key.
+    events = np.lexsort((np.arange(len(places)), places)).tolist()
+    pieces = []
+    start = 0
+    for event, place in zip(events, places[events].tolist()):
+        pieces.append(keys[start:place])
+        if event < len(fresh):
+            pieces.append(fresh[event : event + 1])
+            start = place
+        else:
+            start = place + 1
+    pieces.append(keys[start:])
+    return np.concatenate(pieces)
+
+
 def budget_chunks(counts: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
     """Consecutive ``[lo, hi)`` slices of ``counts`` summing to at most ``budget``.
 
@@ -600,8 +869,10 @@ class VisiblePairs:
     current rows.  Two unchanged rows keep their floats, so their pair
     keeps its verdict; every pair that touches a changed row is found
     again by a grid whose cell covers ``reach`` at any coordinate
-    magnitude, and judged again.  With ``runs > 1`` the rows are that
-    many stacked replicates of equal size, and no pair crosses two.
+    magnitude, and judged again.  :meth:`seed` leaves the set as a
+    first refresh would, from the enumeration that finds a run's
+    initial edges.  With ``runs > 1`` the rows are that many stacked
+    replicates of equal size, and no pair crosses two.
 
     A swarm so crowded that more than :data:`CARRY_CELL_PAIRS_PER_ROW`
     pairs per row share a grid cell holds no keys: ``grid`` then keeps
@@ -631,40 +902,41 @@ class VisiblePairs:
         """Bring the pairs up to ``rows``; returns ``self``.
 
         A row changed when any of its bit patterns differs from the held
-        row's (so ``-0.0`` against ``0.0`` counts), whatever moved it; on
-        first use, or when the shape changes, every row has.  No change
-        costs one comparison and builds no grid.  Otherwise one grid is
-        built over the current rows (cell :func:`covering_cell` of
-        ``reach``, floored with :func:`search_radius_floor` like
-        :func:`grid_edges`).  If it is too crowded to carry keys
+        row's (:func:`changed_rows`), whatever moved it; on first use, or
+        when the shape changes, every row has.  No change costs one
+        comparison and builds no grid.  Otherwise one grid is built over
+        the current rows (cell :func:`covering_cell` of ``reach``,
+        floored with :func:`search_radius_floor` like :func:`grid_edges`).
+        If it is too crowded to carry keys
         (:data:`CARRY_CELL_PAIRS_PER_ROW`) the keys are released and the
         grid kept.  When every row changed, or the set held no keys, the
         grid's every pair is judged and the kept ones stored from both
-        ends.  Else every key with a changed endpoint is dropped, the
-        grid pairs each changed row with its neighbours, and the kept
-        pairs are merged in, with the mirror key of each pair whose
-        other end did not change (a pair of two changed rows comes from
-        both ends already).
+        ends.  Else the grid pairs each changed row with its neighbours
+        (on a compact grid without sorting every row's cell key), and
+        the kept pairs replace every held key with a changed endpoint,
+        merged into the sorted keys (:func:`_merged`), with the mirror
+        key of each pair whose other end did not change (a pair of two
+        changed rows comes from both ends already).
         """
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         held = self.rows
         changed = None
         if held is not None and held.shape == rows.shape:
-            differs = np.flatnonzero(held.view(np.uint64).ravel() != rows.view(np.uint64).ravel())
-            if not len(differs):
+            changed = changed_rows(held, rows)
+            if not len(changed):
                 return self
-            if self.grid is None:
-                changed = np.unique(differs // rows.shape[1])
-                if len(changed) == len(rows):
-                    changed = None
+            if self.grid is not None or len(changed) == len(rows):
+                changed = None
         if changed is None:
             self.keys = _NO_KEYS
+            self.rows = rows.copy()
+        else:
+            held[changed] = rows[changed]
         self.grid = None
-        self.rows = rows.copy()
         n, dim = rows.shape
         if n < 2:
             return self
-        cell = covering_cell(rows, search_radius_floor(rows, self.reach))
+        cell = _cell_for(rows, self.reach)
         if self.runs > 1:
             grid = ShardedGridIndex.from_replicates(rows.reshape(self.runs, -1, dim), cell)
         else:
@@ -674,41 +946,83 @@ class VisiblePairs:
             self.keys = _NO_KEYS
             return self
         if changed is None:
-            i, j = grid.warm_candidates(keep=self._keep())
-            # Both halves written in place: four words a pair at the peak.
-            m = len(i)
-            keys = np.empty(2 * m, dtype=np.int64)
-            np.multiply(i, n, out=keys[:m])
-            keys[:m] += j
-            np.multiply(j, n, out=keys[m:])
-            keys[m:] += i
-            del i, j
+            keys = _both_ends(*grid.warm_candidates(keep=self._keep()), n)
             keys.sort()
         else:
-            self._drop(changed)
             seer, seen = grid.warm_candidates(changed, self._keep())
             moved = np.zeros(n, dtype=bool)
             moved[changed] = True
             still = ~moved[seen]
             fresh = np.sort(np.concatenate((seer * n + seen, seen[still] * n + seer[still])))
-            # Two sorted runs: the stable sort merges them in linear time.
-            keys = np.concatenate((self.keys, fresh))
-            keys.sort(kind="stable")
+            keys = _merged(self.keys, self._held_by(changed), fresh)
         self.keys = keys
         return self
+
+    def seed(self, rows: np.ndarray, edge_reach: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Set the pairs up at ``rows``; returns the rows' edges within ``edge_reach``.
+
+        One enumeration serves both: the edges are :func:`grid_edges`'s
+        at ``edge_reach`` (the metrics collector's initial edges), and
+        the pairs are left as a first :meth:`refresh` to ``rows`` leaves
+        them.  A grid whose cell covers both reaches is enumerated once
+        (:meth:`ShardedGridIndex.neighbour_pairs`) and each block of its
+        pairs is judged by both predicates.  The crowding verdict is
+        taken on the grid a refresh would build (the same one when the
+        two reaches give one cell); a crowded set keeps that grid and
+        judges no Look.  A run of stacked replicates, fewer than two
+        rows or an infinite edge reach take a refresh and
+        :func:`grid_edges` instead.
+        """
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        n = len(rows)
+        if self.runs > 1 or n < 2 or not math.isfinite(edge_reach):
+            self.rows = None
+            self.refresh(rows)
+            return grid_edges(rows, edge_reach)
+        self.rows = rows.copy()
+        self.keys = _NO_KEYS
+        self.grid = None
+        look_cell = _cell_for(rows, self.reach)
+        cell = max(look_cell, _cell_for(rows, edge_reach))
+        grid = ShardedGridIndex(rows, cell)
+        look_grid = grid if cell == look_cell else ShardedGridIndex(rows, look_cell)
+        columns = _columns(rows)
+        if look_grid.same_cell_pairs() > CARRY_CELL_PAIRS_PER_ROW * n:
+            self.grid = look_grid
+            return _edge_arrays(grid, _within(columns, edge_reach), n)
+        blocks: List[np.ndarray] = []
+
+        def keep(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            # One gather per axis serves both predicates: a square, and
+            # the Look's verdict, ignore the offset's sign.
+            deltas = [column[j] - column[i] for column in columns]
+            seen = self.keeps(*deltas)
+            blocks.append(_both_ends(i[seen], j[seen], n))
+            return np.sqrt(_squared(deltas)) <= edge_reach
+
+        edges = _edge_arrays(grid, keep, n)
+        keys = np.concatenate((_NO_KEYS, *blocks))
+        del blocks[:]
+        keys.sort()
+        self.keys = keys
+        return edges
 
     def _keep(self) -> PairFilter:
         """``keeps`` as a filter of candidate pairs of the held rows."""
         columns = _columns(self.rows)
         return lambda i, j: self.keeps(*(column[j] - column[i] for column in columns))
 
-    def _drop(self, changed: np.ndarray) -> None:
-        """Remove every key with an endpoint in ``changed``: their runs and the mirrors."""
+    def _held_by(self, changed: np.ndarray) -> np.ndarray:
+        """The ascending positions of every key with an endpoint in ``changed``.
+
+        Their own runs and, through each key's mirror, the keys that
+        point at them.
+        """
         n = len(self.rows)
         at = _ranges(*self._spans(changed))
         owner, partner = np.divmod(self.keys[at], n)
         mirror = np.searchsorted(self.keys, partner * n + owner)
-        self.keys = np.delete(self.keys, np.concatenate((at, mirror)))
+        return np.unique(np.concatenate((at, mirror)))
 
     def _spans(self, owners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Each owner's key run: ``(start, count)``."""

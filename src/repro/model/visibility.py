@@ -16,7 +16,7 @@ from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..geometry.pairs import grid_edges
+from ..geometry.pairs import grid_connected, grid_edges
 from ..geometry.point import PointLike, points_to_array
 from ..geometry.tolerances import EPS
 
@@ -72,12 +72,12 @@ def connected_components(n: int, edges: Iterable[Edge]) -> List[Set[int]]:
 def is_connected(
     positions: Sequence[PointLike], visibility_range: float, *, eps: float = EPS
 ) -> bool:
-    """True when the visibility graph of ``positions`` is connected."""
-    arr = points_to_array(positions)
-    if len(arr) <= 1:
-        return True
-    i, j = grid_edges(arr, visibility_range + eps)
-    return component_labels(len(arr), i, j)[0] == 1
+    """True when the visibility graph of ``positions`` is connected.
+
+    Decided as the grid enumerates the edges, none of them held
+    (:func:`~repro.geometry.pairs.grid_connected`).
+    """
+    return grid_connected(points_to_array(positions), visibility_range + eps)
 
 
 def edges_preserved(

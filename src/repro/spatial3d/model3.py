@@ -13,9 +13,8 @@ from typing import List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..geometry.pairs import grid_edges, rows_diameter
+from ..geometry.pairs import grid_connected, grid_edges, rows_diameter
 from ..geometry.tolerances import EPS
-from ..model.visibility import component_labels
 from .vector3 import Vector3, Vector3Like, centroid3
 
 Edge = Tuple[int, int]
@@ -47,12 +46,8 @@ def visibility_edges3(
 def is_connected3(
     positions: Sequence[Vector3Like], visibility_range: float, *, eps: float = EPS
 ) -> bool:
-    """Connectivity of the 3D visibility graph."""
-    n = len(positions)
-    if n <= 1:
-        return True
-    i, j = grid_edges(positions_as_array3(positions), visibility_range + eps)
-    return component_labels(n, i, j)[0] == 1
+    """Connectivity of the 3D visibility graph, decided without holding its edges."""
+    return grid_connected(positions_as_array3(positions), visibility_range + eps)
 
 
 def edges_preserved3(

@@ -191,6 +191,7 @@ class TestPerActivationIgnoresThreshold:
         kernel = _per_activation_kernel(dim, scheduler(), seed=1)
         assert kernel.run_kernel().processed == 90
         assert refreshed == []
+        assert kernel._pairs is None  # nor set any up at t=0
 
 
 def _uniform_rows(n: int, dim: int) -> np.ndarray:

@@ -16,6 +16,12 @@ A pair is listed when the lower-id robot's Look keeps the higher one;
 returns the same verdict, which the pair set relies on.
 :func:`dense_directed_keys` lists the same pairs from both ends, as the
 pair set holds them.
+
+The metrics collector's pair readers have dense oracles here too, in
+any dimension, from the full ``(n, n)`` matrix of squared distances
+(per-axis squares summed left to right, one square root per entry):
+:func:`dense_edges` (every pair within a reach) and
+:func:`dense_min_separation`.
 """
 
 from __future__ import annotations
@@ -77,3 +83,29 @@ def dense_directed_keys(pairs: Set[Tuple[int, int]], n: int) -> np.ndarray:
 def dense_neighbours(pairs: Set[Tuple[int, int]], owner: int) -> List[int]:
     """The owner's visible ids in ascending order, from a pair list."""
     return sorted([j for i, j in pairs if i == owner] + [i for i, j in pairs if j == owner])
+
+
+def _dense_distances(rows: np.ndarray) -> np.ndarray:
+    """The ``(n, n)`` distance matrix of ``(n, d)`` rows, the dense arithmetic."""
+    squared = np.zeros((len(rows), len(rows)))
+    for axis in range(rows.shape[1]):
+        delta = rows[:, axis, None] - rows[None, :, axis]
+        squared = squared + delta * delta
+    return np.sqrt(squared)
+
+
+def dense_edges(rows: np.ndarray, reach: float) -> Set[Tuple[int, int]]:
+    """Every pair ``(i, j)``, ``i < j``, at a distance of at most ``reach``."""
+    rows = np.asarray(rows, dtype=float)
+    i, j = np.nonzero(np.triu(_dense_distances(rows) <= reach, 1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def dense_min_separation(rows: np.ndarray) -> float:
+    """The smallest distance between two rows (0 below two rows)."""
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) < 2:
+        return 0.0
+    distances = _dense_distances(rows)
+    np.fill_diagonal(distances, np.inf)
+    return float(distances.min())
