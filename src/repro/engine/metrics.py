@@ -53,11 +53,13 @@ from .logs import SampleLog
 #: in at most this share of rows pairs only the moved rows for its minimum
 #: separation; past it, or with no unmoved initial edge left, it searches
 #: every pair (:meth:`MetricsCollector._separation`).  Measured on the
-#: ``grid`` start with a random share of rows jittered (the ``enumeration``
-#: rows of ``BENCH_layers.json``): pairing the moved rows and the search
-#: break even near 10% at n = 10^4 and 10^5 and near 1-2% at n = 10^3; at
-#: 5% the moved rows win by a third at the larger sizes and lose 0.15 ms
-#: at n = 10^3.
+#: ``grid`` start with a random share of rows jittered (whole full samples,
+#: the two ways alternating call by call, as in the ``enumeration`` rows
+#: of ``BENCH_layers.json``): pairing the moved rows and the search break
+#: even between 5% and 10% at n = 10^4 and 10^5 and between 3% and 5% at
+#: n = 10^3; at 5% the moved rows win by 6-16% at the larger sizes and
+#: lose 4% (0.04 ms) at n = 10^3.  A grid run's final rows have moved in
+#: under 1% of rows.
 MOVED_SEPARATION_SHARE = 0.05
 
 

@@ -93,7 +93,10 @@ def _prepare_lane(sim: Simulator, setup_cache: Optional[dict] = None) -> _Lane:
     initial configuration and the result is replayed into every further
     lane's collector: the edge set is copied, the (read-only) edge index
     arrays, bound rows and frozen t=0 sample are shared.  The lane's RNG stream
-    is untouched either way, so the replay is bit-invisible.
+    is untouched either way, so the replay is bit-invisible.  Binding sets
+    up no carried pairs: a group's lanes read a set of pairs built for the
+    group each round, and a lane that leaves its group pairs its rows in
+    full on its first own round.
     """
     metrics = sim._make_metrics()
     if setup_cache is not None and type(metrics) is MetricsCollector:
@@ -101,7 +104,7 @@ def _prepare_lane(sim: Simulator, setup_cache: Optional[dict] = None) -> _Lane:
         key = (sim.n_robots, sim.config.visibility_range, positions.tobytes())
         template = setup_cache.get(key)
         if template is None:
-            sim._bind_metrics(metrics)
+            metrics.bind_initial(sim._arrays.position)
             metrics.observe(0.0, positions, 0, full=True)
             setup_cache[key] = metrics
         else:

@@ -25,10 +25,7 @@ are the dense matrix's bit for bit:
 
 Each instant of a run enumerates its pairs at most once: one pass at
 t=0 for the edges and the carried pairs, the changed rows' cells at a
-round, the moved rows' cells at the final sample.  A grid asked about a
-few rows finds their cells' robots through a table indexed by cell key
-when its keys span few cells (:meth:`ShardedGridIndex.pair_blocks`),
-so it never sorts every robot's key.
+round, the moved rows' cells at the final sample.
 
 Nothing here imports :mod:`repro.engine`, so the model layer uses it too.
 """
@@ -51,11 +48,6 @@ _KEY_LIMIT = 2**63
 #: Most candidate pairs :meth:`ShardedGridIndex.warm_candidates` holds at
 #: once before its filters run.
 _PAIR_BLOCK = 1 << 17
-
-#: A grid whose cell keys range over at most this many cells a robot finds
-#: the robots around a few rows, and counts its shared-cell pairs, through
-#: a table indexed by cell key (O(n) reads) instead of sorting all n keys.
-_TABLE_CELLS_PER_ROBOT = 4
 
 #: ``keep(i, j)``: which of the candidate pairs ``(i[k], j[k])`` to keep.
 PairFilter = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -107,9 +99,7 @@ class ShardedGridIndex:
     the binning into a single tensor step.
     """
 
-    __slots__ = (
-        "cell_size", "dim", "n", "runs", "_cells", "_span", "_run_ids", "_folded", "_slots"
-    )
+    __slots__ = ("cell_size", "dim", "n", "runs", "_cells", "_span", "_run_ids", "_slots")
 
     def __init__(
         self,
@@ -129,7 +119,6 @@ class ShardedGridIndex:
         self.n = int(arr.shape[0])
         self.runs = int(runs)
         self._run_ids = None if run_ids is None else np.asarray(run_ids, dtype=np.int64)
-        self._folded: Optional[tuple] = None
         self._slots: Optional[tuple] = None
         if self.n == 0:
             self._cells = np.empty((0, self.dim), dtype=np.int64)
@@ -168,85 +157,39 @@ class ShardedGridIndex:
         run_ids = np.repeat(np.arange(runs, dtype=np.int64), n)
         return cls(flat, cell_size, run_ids=run_ids, runs=runs)
 
-    def _fold(self) -> Tuple[np.ndarray, List[int]]:
-        """Every robot's cell key and the per-axis fold radix ``span``, once.
-
-        A key folds the run id and the cell offsets into one ``int64``
-        below ``runs * prod(span)``.
-        """
-        if self._folded is None:
-            span = self._span
-            runs = self._run_ids
-            key = np.zeros(self.n, dtype=np.int64) if runs is None else runs.copy()
-            for axis in range(self.dim):
-                key *= span[axis]
-                key += self._cells[:, axis]
-            self._folded = (key, span)
-        return self._folded
-
-    def _tabled(self) -> bool:
-        """Whether a table indexed by cell key stays within ``_TABLE_CELLS_PER_ROBOT`` a robot."""
-        span = self._fold()[1]
-        return self.runs * math.prod(span) <= _TABLE_CELLS_PER_ROBOT * self.n
-
-    def _group(self, members: Optional[np.ndarray] = None) -> tuple:
-        """Bin robots by run and cell: every robot once, or only ``members``.
+    def _group(self) -> tuple:
+        """Bin robots by run and cell, once.
 
         Returns ``(order, bounds, keys, slot_coords, span)``: slot ``s``
         holds the robots ``order[bounds[s]:bounds[s + 1]]`` (ascending —
         the stable sort keeps robot order), its fold key ``keys[s]``
         (ascending over slots) and its ``(run, coord...)`` row
-        ``slot_coords[s]``; ``span`` is the per-axis fold radix.  Given
-        ``members`` (ascending ids holding every robot of each cell they
-        touch), only those are sorted, and nothing is cached.
+        ``slot_coords[s]``; ``span`` is the per-axis fold radix.
         """
-        if members is None and self._slots is not None:
+        if self._slots is not None:
             return self._slots
-        key, span = self._fold()
-        if members is None:
-            order = np.argsort(key, kind="stable")
-        else:
-            order = members[np.argsort(key[members], kind="stable")]
+        coords = self._cells
+        span = self._span
+        runs = self._run_ids
+        key = np.zeros(self.n, dtype=np.int64) if runs is None else runs.copy()
+        for axis in range(self.dim):
+            key *= span[axis]
+            key += coords[:, axis]
+        order = np.argsort(key, kind="stable")
         sorted_keys = key[order]
         # Keys are non-negative, so -1 starts a slot at the first robot.
         first = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-        bounds = np.append(first, len(order))
+        bounds = np.append(first, self.n)
         head = order[first]
         slot_coords = np.empty((len(first), self.dim + 1), dtype=np.int64)
-        slot_coords[:, 0] = 0 if self._run_ids is None else self._run_ids[head]
-        slot_coords[:, 1:] = self._cells[head]
-        slots = (order, bounds, sorted_keys[first], slot_coords, span)
-        if members is None:
-            self._slots = slots
-        return slots
-
-    def _around(self, rows: np.ndarray) -> np.ndarray:
-        """Every robot of the 3^d cells around ``rows``, ascending, without a sort.
-
-        The rows' neighbour cells are marked in a table indexed by cell
-        key, which every robot's key then reads: O(n + runs * prod(span))
-        (callers check :meth:`_tabled`).
-        """
-        key, span = self._fold()
-        coords = np.empty((len(rows), self.dim + 1), dtype=np.int64)
-        coords[:, 0] = 0 if self._run_ids is None else self._run_ids[rows]
-        coords[:, 1:] = self._cells[rows]
-        table = np.zeros(self.runs * math.prod(span), dtype=bool)
-        for offset in itertools.product((-1, 0, 1), repeat=self.dim):
-            valid, neighbour_key = _shifted_keys(coords, span, offset)
-            table[neighbour_key[valid]] = True
-        return np.flatnonzero(table[key])
+        slot_coords[:, 0] = 0 if runs is None else runs[head]
+        slot_coords[:, 1:] = coords[head]
+        self._slots = (order, bounds, sorted_keys[first], slot_coords, span)
+        return self._slots
 
     def same_cell_pairs(self) -> int:
-        """How many pairs of robots share a cell (and a run).
-
-        Counted through a table of cell keys when :meth:`_tabled`, so a
-        grid asked only about a few rows is never sorted.
-        """
-        if self._slots is None and self._tabled():
-            sizes = np.bincount(self._fold()[0])
-        else:
-            sizes = np.diff(self._group()[1])
+        """How many pairs of robots share a cell (and a run)."""
+        sizes = np.diff(self._group()[1])
         return int(np.dot(sizes, sizes - 1)) // 2
 
     def neighbourhood_sizes(self, rows: np.ndarray) -> np.ndarray:
@@ -286,19 +229,11 @@ class ShardedGridIndex:
         offset pairs every cell with its neighbour there, so each
         unordered cell pair is visited once, and same-cell pairs come
         from each multi-robot cell.  With ``rows`` given, each of them is
-        paired with every robot of its 3^d cells; on a grid compact
-        enough for a table of its cell keys (:meth:`_tabled`), only the
-        robots around the rows are sorted (:meth:`_around`), so a few
-        rows cost O(n) reads and no sort of every robot's key.
+        paired with every robot of its 3^d cells.
         """
         if rows is not None and len(rows) == 0:
             return
-        if rows is None or self._slots is not None or not self._tabled():
-            grouped = self._group()
-        else:
-            # Rows on a compact grid: only the robots around them are sorted.
-            grouped = self._group(self._around(rows))
-        order, bounds, keys, slot_coords, span = grouped
+        order, bounds, keys, slot_coords, span = self._group()
         members = (order, bounds)
         if rows is None:
             # Half neighbourhood: of an unordered pair of distinct adjacent
@@ -438,7 +373,12 @@ def _adjacent(
     found_owners: List[np.ndarray] = []
     neighbours: List[np.ndarray] = []
     for offset in offsets:
-        valid, neighbour_key = _shifted_keys(coords, span, offset)
+        valid = np.ones(len(owners), dtype=bool)
+        neighbour_key = coords[:, 0].copy()
+        for axis, step in enumerate(offset):
+            shifted = coords[:, axis + 1] + step
+            valid &= (shifted >= 0) & (shifted < span[axis])
+            neighbour_key = neighbour_key * span[axis] + shifted
         idx = np.searchsorted(keys, neighbour_key)
         idx[idx >= n_slots] = 0
         found = valid & (keys[idx] == neighbour_key)
@@ -448,23 +388,6 @@ def _adjacent(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     return np.concatenate(found_owners), np.concatenate(neighbours)
-
-
-def _shifted_keys(
-    coords: np.ndarray, span: List[int], offset
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The fold keys of the cells ``offset`` away from ``(run, coord...)`` rows.
-
-    Returns ``(valid, keys)``: a shifted coordinate outside ``[0, span)``
-    is not valid, and its key may alias another cell's or wrap.
-    """
-    valid = np.ones(len(coords), dtype=bool)
-    neighbour_key = coords[:, 0].copy()
-    for axis, step in enumerate(offset):
-        shifted = coords[:, axis + 1] + step
-        valid &= (shifted >= 0) & (shifted < span[axis])
-        neighbour_key = neighbour_key * span[axis] + shifted
-    return valid, neighbour_key
 
 
 #: Up to this many robots a 3D diameter pairs every row, above it only the
@@ -755,17 +678,10 @@ ROW_BUDGET = 1 << 17
 #: Holding was faster at every density measured, so the bound caps memory
 #: rather than marking a crossover (``round_pairs`` square rows of
 #: ``BENCH_layers.json``, n = 2·10^4 uniform in a square, kknps × ssync,
-#: 2n activations): at S = 7.9 holding ran 1.43x faster than enumerating
-#: for 14% more peak RSS, at S = 31.3 1.23x faster for 41% more, and at
-#: S = 200 (4·10^4 robots in a 10 x 10 square) 1.68x faster for 26% more.
+#: 2n activations): at S = 7.9 holding ran 1.64x faster than enumerating
+#: for 21% more peak RSS, at S = 31.3 1.49x faster for 34% more, and at
+#: S = 200 (4·10^4 robots in a 10 x 10 square) 1.86x faster for 50% more.
 CARRY_CELL_PAIRS_PER_ROW = 16
-
-
-#: :func:`_merged` splices its changes into the held keys while they number
-#: at most one per this many keys; past it one stable sort merges them.
-#: Measured on random sorted keys (8·10^3, 8·10^4 and 8·10^5 of them), the
-#: splice wins up to about one change per 350 keys, by 3.7x at one per 4,096.
-_SPLICE_EVERY = 512
 
 
 def changed_rows(held: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -775,7 +691,9 @@ def changed_rows(held: np.ndarray, rows: np.ndarray) -> np.ndarray:
     so ``-0.0`` against ``0.0`` is a change.
     """
     differs = np.flatnonzero(held.view(np.uint64).ravel() != rows.view(np.uint64).ravel())
-    return np.unique(differs // rows.shape[1])
+    # Ascending: a row's differing words are consecutive, keep its first.
+    row_ids = differs // rows.shape[1]
+    return row_ids[np.diff(row_ids, prepend=-1) != 0]
 
 
 def _cell_for(arr: np.ndarray, reach: float) -> float:
@@ -796,36 +714,6 @@ def _both_ends(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     np.multiply(j, n, out=keys[m:])
     keys[m:] += i
     return keys
-
-
-def _merged(keys: np.ndarray, drop: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """The sorted ``keys`` without the positions ``drop``, with the sorted ``fresh`` merged in.
-
-    A fresh key never equals a kept one.  A handful of changes (at most
-    one per :data:`_SPLICE_EVERY` keys) splice the kept runs and the
-    fresh keys together in one copy, a fresh key placed before the held
-    key it sorts below; more go through one stable sort of the two
-    sorted runs, which merges them in linear time.
-    """
-    if (len(drop) + len(fresh)) * _SPLICE_EVERY > len(keys):
-        merged = np.concatenate((np.delete(keys, drop), fresh))
-        merged.sort(kind="stable")
-        return merged
-    at = np.searchsorted(keys, fresh)
-    places = np.concatenate((at, drop))
-    # At one place, the fresh keys (in order) come before the dropped key.
-    events = np.lexsort((np.arange(len(places)), places)).tolist()
-    pieces = []
-    start = 0
-    for event, place in zip(events, places[events].tolist()):
-        pieces.append(keys[start:place])
-        if event < len(fresh):
-            pieces.append(fresh[event : event + 1])
-            start = place
-        else:
-            start = place + 1
-    pieces.append(keys[start:])
-    return np.concatenate(pieces)
 
 
 def budget_chunks(counts: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
@@ -911,12 +799,11 @@ class VisiblePairs:
         (:data:`CARRY_CELL_PAIRS_PER_ROW`) the keys are released and the
         grid kept.  When every row changed, or the set held no keys, the
         grid's every pair is judged and the kept ones stored from both
-        ends.  Else the grid pairs each changed row with its neighbours
-        (on a compact grid without sorting every row's cell key), and
-        the kept pairs replace every held key with a changed endpoint,
-        merged into the sorted keys (:func:`_merged`), with the mirror
-        key of each pair whose other end did not change (a pair of two
-        changed rows comes from both ends already).
+        ends.  Else every key with a changed endpoint is dropped, the
+        grid pairs each changed row with its neighbours, and the kept
+        pairs are merged in, with the mirror key of each pair whose
+        other end did not change (a pair of two changed rows comes from
+        both ends already).
         """
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         held = self.rows
@@ -929,10 +816,8 @@ class VisiblePairs:
                 changed = None
         if changed is None:
             self.keys = _NO_KEYS
-            self.rows = rows.copy()
-        else:
-            held[changed] = rows[changed]
         self.grid = None
+        self.rows = rows.copy()
         n, dim = rows.shape
         if n < 2:
             return self
@@ -949,12 +834,15 @@ class VisiblePairs:
             keys = _both_ends(*grid.warm_candidates(keep=self._keep()), n)
             keys.sort()
         else:
+            self._drop(changed)
             seer, seen = grid.warm_candidates(changed, self._keep())
             moved = np.zeros(n, dtype=bool)
             moved[changed] = True
             still = ~moved[seen]
             fresh = np.sort(np.concatenate((seer * n + seen, seen[still] * n + seer[still])))
-            keys = _merged(self.keys, self._held_by(changed), fresh)
+            # Two sorted runs: the stable sort merges them in linear time.
+            keys = np.concatenate((self.keys, fresh))
+            keys.sort(kind="stable")
         self.keys = keys
         return self
 
@@ -969,13 +857,13 @@ class VisiblePairs:
         pairs is judged by both predicates.  The crowding verdict is
         taken on the grid a refresh would build (the same one when the
         two reaches give one cell); a crowded set keeps that grid and
-        judges no Look.  A run of stacked replicates, fewer than two
-        rows or an infinite edge reach take a refresh and
-        :func:`grid_edges` instead.
+        judges no Look.  The set holds one run, and ``edge_reach`` is
+        finite.
         """
+        assert self.runs == 1 and math.isfinite(edge_reach)
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         n = len(rows)
-        if self.runs > 1 or n < 2 or not math.isfinite(edge_reach):
+        if n < 2:
             self.rows = None
             self.refresh(rows)
             return grid_edges(rows, edge_reach)
@@ -1012,17 +900,13 @@ class VisiblePairs:
         columns = _columns(self.rows)
         return lambda i, j: self.keeps(*(column[j] - column[i] for column in columns))
 
-    def _held_by(self, changed: np.ndarray) -> np.ndarray:
-        """The ascending positions of every key with an endpoint in ``changed``.
-
-        Their own runs and, through each key's mirror, the keys that
-        point at them.
-        """
+    def _drop(self, changed: np.ndarray) -> None:
+        """Remove every key with an endpoint in ``changed``: their runs and the mirrors."""
         n = len(self.rows)
         at = _ranges(*self._spans(changed))
         owner, partner = np.divmod(self.keys[at], n)
         mirror = np.searchsorted(self.keys, partner * n + owner)
-        return np.unique(np.concatenate((at, mirror)))
+        self.keys = np.delete(self.keys, np.concatenate((at, mirror)))
 
     def _spans(self, owners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Each owner's key run: ``(start, count)``."""

@@ -22,8 +22,8 @@ A run enumerates its neighbour pairs at most once per instant:
   that sample's diameter and broken-edge count, only for rows bit-equal
   to the bound rows: one ulp or one ``+-0.0`` flip away, it measures.
 
-Partial refreshes are pinned by ``test_round_pairs.py``, which draws the
-table and splice arms of the refresh alongside the crowding.
+Partial refreshes are pinned by ``test_round_pairs.py``, through its
+crowding transitions.
 """
 
 from __future__ import annotations
@@ -322,3 +322,17 @@ def test_a_round_run_enumerates_once_at_t0(monkeypatch, n):
     assert (step.hull_diameter, step.broken_edge_count) == (
         first.hull_diameter, first.broken_edge_count
     )
+
+
+def test_replicate_lanes_bind_without_carried_pairs(monkeypatch):
+    """A lane's t=0 bind sets up no pairs: its group pairs the stacked rows each round."""
+    monkeypatch.setattr(spatial_index, "GRID_MIN_ROBOTS", 256)
+    rows = 0.7 * np.stack(np.unravel_index(np.arange(300), (18, 18)), axis=1).astype(float)
+    config = SimulationConfig(max_activations=300)
+    setup_cache: dict = {}
+    lanes = [
+        _prepare_lane(Simulator(rows, KKNPSAlgorithm(k=1), SSyncScheduler(), config), setup_cache)
+        for _ in range(2)
+    ]
+    assert len(lanes[0].run.metrics._edge_i)
+    assert all(lane.sim._pairs is None for lane in lanes)

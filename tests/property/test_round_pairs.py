@@ -11,13 +11,7 @@ offset by 1e9 and 1e12, and 3D rows under the 3D Look.  Each refresh
 holds keys, or is made to count the swarm as too crowded to hold them
 (``CARRY_CELL_PAIRS_PER_ROW`` patched below zero), so each chunk
 enumerates its owners' pairs; a sequence may switch between the two at
-any refresh.  Each sequence also takes one arm of the partial refresh's
-two crossovers, or their defaults: every grid found a few rows' cells
-by sorting all of its cell keys and the held keys took each change by
-one sort, or every grid of up to 4,096 cells a row found them through
-its table of cell keys and the held keys took each change spliced in
-place (``_TABLE_CELLS_PER_ROBOT`` patched to 0 or 4,096,
-``_SPLICE_EVERY`` to infinity or 0).  After every refresh a held set's key array must be
+any refresh.  After every refresh a held set's key array must be
 strictly ascending and byte-equal to the dense directed oracle
 (:func:`reference.pairs.dense_directed_keys`: both ends of every pair of
 :func:`reference.pairs.dense_visible_pairs`), a crowded one must hold
@@ -27,7 +21,6 @@ in any order, must be its visible ids in ascending order.
 
 from __future__ import annotations
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -170,34 +163,16 @@ def refresh_sequences(draw):
     return dim, visibility_range, sequence
 
 
-#: ``(_TABLE_CELLS_PER_ROBOT, _SPLICE_EVERY)``: sorted grids and sorted merges,
-#: tabled grids (all but the widest) and spliced merges, or the defaults.
-ARMS = (
-    (0, math.inf),
-    (4096, 0),
-    (pairs_module._TABLE_CELLS_PER_ROBOT, pairs_module._SPLICE_EVERY),
-)
-
-
 @settings(max_examples=150, deadline=None)
-@given(
-    refresh_sequences(),
-    st.integers(0, 2**7 - 1),
-    st.sampled_from([1, 4, 1 << 17]),
-    st.sampled_from(ARMS),
-)
-def test_every_refresh_equals_the_dense_oracle(drawn, crowded_steps, budget, arms):
+@given(refresh_sequences(), st.integers(0, 2**7 - 1), st.sampled_from([1, 4, 1 << 17]))
+def test_every_refresh_equals_the_dense_oracle(drawn, crowded_steps, budget):
     """Bit ``k`` of ``crowded_steps`` makes refresh ``k`` count the swarm as crowded."""
     dim, visibility_range, sequence = drawn
-    tabled, splice = arms
     pairs = _pair_set(dim, visibility_range)
-    with mock.patch.object(pairs_module, "_TABLE_CELLS_PER_ROBOT", tabled), mock.patch.object(
-        pairs_module, "_SPLICE_EVERY", splice
-    ):
-        for step, rows in enumerate(sequence):
-            with _crowded(bool(crowded_steps >> step & 1)):
-                assert pairs.refresh(rows) is pairs
-            _check(pairs, rows, visibility_range, budget=budget)
+    for step, rows in enumerate(sequence):
+        with _crowded(bool(crowded_steps >> step & 1)):
+            assert pairs.refresh(rows) is pairs
+        _check(pairs, rows, visibility_range, budget=budget)
 
 
 @settings(max_examples=40, deadline=None)
