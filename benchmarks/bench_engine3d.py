@@ -29,6 +29,13 @@ kernel path (``round_batching`` off), and at the larger sizes its wall
 clock is recorded alone.  Results are written to
 ``BENCH_engine3d.json``; ``--smoke`` shrinks the grid and budget so the
 script (and its JSON contract) is exercised on every CI push.
+
+Each row times its two arms (array and object; fast path and
+per-activation kernel) in alternating pairs, the order flipping pair by
+pair as ``bench_grid_threshold.py`` does, and records each arm's median
+and interquartile range, the speedup of the medians and the pairs the
+faster design won; a mega row with one arm records its median and IQR
+over as many runs.
 """
 
 from __future__ import annotations
@@ -41,11 +48,12 @@ import time
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-for _path in (_ROOT / "tests", _ROOT / "src"):
+for _path in (_ROOT / "benchmarks", _ROOT / "tests", _ROOT / "src"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
 import numpy as np
+from bench_layers import _spread
 from reference.object_engine3 import run_simulation3_object
 
 from repro.schedulers import SSyncScheduler
@@ -65,10 +73,11 @@ FULL_SIZES = (25, 50, 100, 200, 400)
 SMOKE_SIZES = (8, 16)
 FULL_ROUNDS = 30
 SMOKE_ROUNDS = 4
-#: Timed repetitions per (mode, cell); the minimum is reported, which is
-#: the standard way to suppress scheduler/load noise in wall-time benches.
-FULL_REPEATS = 3
-SMOKE_REPEATS = 1
+#: Alternating pairs per grid row, and per mega row (whose per-activation
+#: arm takes ~100 s at n = 1000).
+FULL_PAIRS = 5
+MEGA_PAIRS = 3
+SMOKE_PAIRS = 1
 SEED = 3
 K_VALUES = (1, 2)
 
@@ -112,36 +121,54 @@ def _run_once(positions, k: int, engine: str, max_rounds: int) -> float:
     return time.perf_counter() - started
 
 
-def _best_of(repeats: int, positions, k: int, engine: str, max_rounds: int) -> float:
-    return min(_run_once(positions, k, engine, max_rounds) for _ in range(repeats))
+def _alternating(first, second, pairs: int):
+    """``pairs`` timings of two zero-argument timers, even pairs timing ``first`` first."""
+    a, b = [], []
+    for pair in range(pairs):
+        order = ((first, a), (second, b)) if pair % 2 == 0 else ((second, b), (first, a))
+        for timer, seconds in order:
+            seconds.append(timer())
+    return a, b
 
 
-def run_grid(sizes, max_rounds: int, repeats: int, *, verbose: bool = True) -> dict:
+def _arms(fast: str, slow: str, fast_seconds, slow_seconds) -> dict:
+    """Both arms' median and IQR, the speedup of the medians and the pairs ``fast`` won."""
+    fast_s, slow_s = _spread(fast_seconds), _spread(slow_seconds)
+    return {
+        "pairs": len(fast_seconds),
+        f"{fast}_s": fast_s,
+        f"{slow}_s": slow_s,
+        "speedup": round(slow_s["median"] / fast_s["median"], 3),
+        f"{fast}_wins": sum(f < s for f, s in zip(fast_seconds, slow_seconds)),
+    }
+
+
+def run_grid(sizes, max_rounds: int, pairs: int, *, verbose: bool = True) -> dict:
     results = []
     for k in K_VALUES:
         for n in sizes:
             configuration = random_connected_configuration3(n, seed=SEED)
             positions = list(configuration.positions)
-            array_seconds = _best_of(repeats, positions, k, "array", max_rounds)
-            object_seconds = _best_of(repeats, positions, k, "object", max_rounds)
-            speedup = object_seconds / array_seconds if array_seconds > 0 else math.inf
-            results.append(
-                {
-                    "algorithm": f"kknps3(k={k})",
-                    "workload": "random3",
-                    "n": n,
-                    "rounds": max_rounds,
-                    "seed": SEED,
-                    "seconds_array": round(array_seconds, 6),
-                    "seconds_object": round(object_seconds, 6),
-                    "speedup": round(speedup, 3),
-                }
+            array_seconds, object_seconds = _alternating(
+                lambda: _run_once(positions, k, "array", max_rounds),
+                lambda: _run_once(positions, k, "object", max_rounds),
+                pairs,
             )
+            row = {
+                "algorithm": f"kknps3(k={k})",
+                "workload": "random3",
+                "n": n,
+                "rounds": max_rounds,
+                "seed": SEED,
+                **_arms("array", "object", array_seconds, object_seconds),
+            }
+            results.append(row)
             if verbose:
                 print(
                     f"kknps3(k={k}) n={n:<4} "
-                    f"array {array_seconds:8.3f}s   object {object_seconds:8.3f}s   "
-                    f"speedup {speedup:6.2f}x"
+                    f"array {row['array_s']['median']:8.3f}s (IQR {row['array_s']['iqr']:.3f})  "
+                    f"object {row['object_s']['median']:8.3f}s (IQR {row['object_s']['iqr']:.3f})  "
+                    f"speedup {row['speedup']:6.2f}x  array won {row['array_wins']}/{pairs}"
                 )
     headline = [r for r in results if r["algorithm"] == "kknps3(k=1)" and r["n"] == 200]
     return {
@@ -149,11 +176,12 @@ def run_grid(sizes, max_rounds: int, repeats: int, *, verbose: bool = True) -> d
         "description": (
             "3D round engine wall time: array mode (SoA positions, batched "
             "Look + vectorized destination rule) vs the retained object "
-            "reference loop, bit-identical work on both sides."
+            "reference loop, bit-identical work on both sides, timed in "
+            "alternating pairs."
         ),
         "sizes": list(sizes),
         "rounds": max_rounds,
-        "repeats": repeats,
+        "pairs": pairs,
         "results": results,
         "headline_speedup_n200": headline[0]["speedup"] if headline else None,
     }
@@ -180,20 +208,24 @@ def _mega_once(positions, max_activations: int, round_batching) -> float:
     return time.perf_counter() - started
 
 
-def run_mega(sides, *, smoke: bool, verbose: bool = True) -> dict:
+def run_mega(sides, *, smoke: bool, pairs: int, verbose: bool = True) -> dict:
     """The 3D mega-swarm axis through the continuous-time kernel.
 
     Lattice sizes up to :data:`MEGA_REFERENCE_MAX` also run the
     per-activation kernel path (``round_batching=False`` — the pinned
-    bit-identical reference) and report the fast-path speedup over it;
-    larger lattices record the fast path's end-to-end wall clock.
+    bit-identical reference), in alternating pairs with the fast path,
+    and report the fast-path speedup over it; larger lattices record the
+    fast path's wall clock alone, the median and IQR of ``pairs`` runs.
     """
     rows = []
     for side in sides:
         n = side ** 3
         activations = _mega_activations(n, smoke)
         positions = list(lattice_configuration3(side, spacing=0.55).positions)
-        fast_seconds = _mega_once(positions, activations, True)
+
+        def fast():
+            return _mega_once(positions, activations, True)
+
         row = {
             "algorithm": "kknps3(k=1)",
             "scheduler": "ssync",
@@ -201,27 +233,26 @@ def run_mega(sides, *, smoke: bool, verbose: bool = True) -> dict:
             "n": n,
             "activations": activations,
             "seed": SEED,
-            "seconds_fast": round(fast_seconds, 6),
         }
         if n <= MEGA_REFERENCE_MAX:
-            reference_seconds = _mega_once(positions, activations, False)
-            row["seconds_per_activation"] = round(reference_seconds, 6)
-            row["speedup_round_batching"] = round(
-                reference_seconds / fast_seconds if fast_seconds > 0 else math.inf, 3
+            fast_seconds, reference_seconds = _alternating(
+                fast, lambda: _mega_once(positions, activations, False), pairs
             )
+            row.update(_arms("fast", "per_activation", fast_seconds, reference_seconds))
+            suffix = (
+                f"per-activation {row['per_activation_s']['median']:8.3f}s   "
+                f"speedup {row['speedup']:6.2f}x  fast won {row['fast_wins']}/{pairs}"
+            )
+        else:
+            row.update(pairs=pairs, fast_s=_spread([fast() for _ in range(pairs)]))
+            suffix = "(fast path only)"
         rows.append(row)
         if verbose:
-            reference = row.get("seconds_per_activation")
-            suffix = (
-                f"per-activation {reference:8.3f}s   "
-                f"speedup {row['speedup_round_batching']:6.2f}x"
-                if reference is not None
-                else "(fast path only)"
+            print(
+                f"kknps3(k=1) x ssync n={n:<7} fast {row['fast_s']['median']:8.3f}s "
+                f"(IQR {row['fast_s']['iqr']:.3f})   {suffix}"
             )
-            print(f"kknps3(k=1) x ssync n={n:<7} fast {fast_seconds:8.3f}s   {suffix}")
-    speedup_n1000 = next(
-        (r["speedup_round_batching"] for r in rows if r["n"] == 1_000), None
-    )
+    speedup_n1000 = next((r["speedup"] for r in rows if r["n"] == 1_000), None)
     return {
         "workload": "lattice3(spacing=0.55)",
         "reference_max_n": MEGA_REFERENCE_MAX,
@@ -247,10 +278,11 @@ def main(argv=None) -> int:
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     max_rounds = SMOKE_ROUNDS if args.smoke else FULL_ROUNDS
-    repeats = SMOKE_REPEATS if args.smoke else FULL_REPEATS
-    payload = run_grid(sizes, max_rounds, repeats)
+    payload = run_grid(sizes, max_rounds, SMOKE_PAIRS if args.smoke else FULL_PAIRS)
     payload["mega"] = run_mega(
-        SMOKE_MEGA_SIDES if args.smoke else MEGA_SIDES, smoke=args.smoke
+        SMOKE_MEGA_SIDES if args.smoke else MEGA_SIDES,
+        smoke=args.smoke,
+        pairs=SMOKE_PAIRS if args.smoke else MEGA_PAIRS,
     )
     payload["smoke"] = bool(args.smoke)
 
@@ -261,10 +293,11 @@ def main(argv=None) -> int:
     parsed = json.loads(args.output.read_text())
     assert parsed["results"], "bench produced no results"
     for row in parsed["results"]:
-        assert row["seconds_array"] > 0 and row["seconds_object"] > 0
+        assert row["array_s"]["median"] > 0 and row["object_s"]["median"] > 0
+        assert 0 <= row["array_wins"] <= row["pairs"]
     assert parsed["mega"]["results"], "bench produced no mega rows"
     for row in parsed["mega"]["results"]:
-        assert row["seconds_fast"] > 0
+        assert row["fast_s"]["median"] > 0
     if not args.smoke:
         headline = parsed["headline_speedup_n200"]
         print(f"headline (kknps3 k=1, n=200): {headline}x")

@@ -45,6 +45,19 @@ interquartile range over blocks of calls.  Its rows are the n=200
 ``random_connected_configuration(200, seed=3)`` of the per-activation
 path and the n=10^4 ``grid`` start of the ladder.
 
+The ``replicate`` layer runs one 32-seed kknps × ssync bundle through
+``execute_bundle`` end to end: the ``grid`` start at n = 10^3 (the
+``perfbench`` ``seed_sweep_cached`` cold unit without its store) and
+seed-dependent ``random`` starts at n = 200 and 10^3.  Each row is
+measured in fresh interpreters, alternating with the baseline's when
+there is one: the median and IQR of the bundle's wall seconds, each
+group round's refresh of the stacked visible pairs in ms (the median
+over the interpreters), the median peak RSS and the pairs this tree
+won.  The ``diameter`` layer times ``point_set_diameter`` and
+``ConvexHull.of_array`` in µs per call on the ``grid`` start at
+n = 10^3 and 10^5, on a lattice whose corners moved and on a uniform
+disk, the same way.
+
 ``--baseline-src`` also measures every subprocess row (ladder and
 workload) on another checkout's ``src`` directory, e.g. the parent
 commit's, and records it as the row's ``baseline`` (the checkout's commit
@@ -118,6 +131,20 @@ SMOKE_OBSERVE_BLOCKS = 3
 ENUMERATION_ROWS = ((100_000, 7),)
 SMOKE_ENUMERATION_ROWS = ((10_000, 3),)
 FINAL_MOVED = ("run", 0.01, 0.05, 0.1, 0.3)
+#: ``replicate`` rows: ``(workload, n, activations)`` of one 32-seed
+#: kknps x ssync bundle (``grid`` at n = 10^3 is ``perfbench``'s
+#: ``seed_sweep_cached`` cold unit without the store), and the
+#: alternating pairs of fresh interpreters each row takes.
+REPLICATE_ROWS = (("grid", 1_000, 1_000), ("random", 200, 2_000), ("random", 1_000, 1_000))
+SMOKE_REPLICATE_ROWS = (("grid", 1_000, 1_000), ("random", 200, 200))
+REPLICATE_PAIRS = 7
+#: ``diameter`` rows: ``(shape, n)`` of the rows a planar diameter and
+#: hull are taken of, the pairs of interpreters each row takes, and the
+#: blocks of calls each interpreter times.
+DIAMETER_ROWS = (("grid", 1_000), ("grid", 100_000), ("moved corners", 10_000), ("disk", 10_000))
+SMOKE_DIAMETER_ROWS = (("grid", 1_000), ("disk", 10_000))
+DIAMETER_PAIRS = 7
+DIAMETER_BLOCKS = 7
 
 
 def _cpu_model() -> str:
@@ -395,6 +422,120 @@ def measure_final_sample(n: int, moved: str, repeats: int) -> dict:
     return row
 
 
+def _bundle(workload: str, n: int, activations: int, seeds):
+    """The one replicate bundle of a kknps x ssync seed axis."""
+    from repro.sweeps.replicate import plan_replicate_bundles
+    from repro.sweeps.spec import SweepSpec
+
+    spec = SweepSpec(
+        algorithms=("kknps",), schedulers=("ssync",), workloads=(workload,),
+        n_robots=(n,), seeds=tuple(seeds), max_activations=activations,
+    )
+    (bundle,) = plan_replicate_bundles(spec.expand())
+    return bundle
+
+
+def measure_replicate(workload: str, n: int, activations: int) -> dict:
+    """One ``replicate`` row, once: a 32-seed bundle end to end, and its group refreshes.
+
+    ``execute_bundle`` is timed after a two-seed warm-up bundle; every
+    refresh of a group's stacked pairs (``runs > 1``) is timed in ms, in
+    call order (one per group round).  The digest covers the bundle's
+    rows without their timing fields.
+    """
+    from repro.geometry import pairs
+    from repro.sweeps.replicate import execute_bundle
+    from repro.sweeps.runner import TIMING_FIELDS
+
+    execute_bundle(_bundle(workload, 16, 16, (0, 1)))
+    refresh_ms = []
+    refresh = pairs.VisiblePairs.refresh
+
+    def timed(self, rows):
+        started = time.perf_counter()
+        out = refresh(self, rows)
+        if self.runs > 1:
+            refresh_ms.append((time.perf_counter() - started) * 1e3)
+        return out
+
+    pairs.VisiblePairs.refresh = timed
+    bundle = _bundle(workload, n, activations, range(SEED * 32, SEED * 32 + 32))
+    started = time.perf_counter()
+    rows = execute_bundle(bundle)
+    wall = time.perf_counter() - started
+    stripped = [{k: v for k, v in row.items() if k not in TIMING_FIELDS} for row in rows]
+    return {
+        "layer": "replicate",
+        "workload": workload,
+        "n": n,
+        "lanes": len(rows),
+        "activations": activations,
+        "wall_s": wall,
+        "refresh_ms": refresh_ms,
+        "peak_rss_mb": _peak_rss_mb(),
+        "output_digest": hashlib.sha256(
+            json.dumps(stripped, sort_keys=True, default=repr).encode()
+        ).hexdigest(),
+    }
+
+
+def diameter_shape(shape: str, n: int):
+    """The ``(n, 2)`` rows of one ``diameter`` row.
+
+    ``grid`` is the ladder's start; ``moved corners`` a square lattice of
+    unit spacing whose four corners moved by up to 1.5 on each axis (so
+    the extreme rows need not end the farthest pair); ``disk`` rows
+    uniform in a disk of the lattice's extent.
+    """
+    import numpy as np
+
+    if shape == "grid":
+        return _ladder_start(n)._arrays.position.copy()
+    rng = np.random.default_rng(SEED)
+    side = int(math.ceil(math.sqrt(n)))
+    if shape == "moved corners":
+        rows = np.stack(np.unravel_index(np.arange(n), (side, side)), axis=1).astype(float)
+        low, high = rows.min(axis=0), rows.max(axis=0)
+        corners = np.flatnonzero(((rows == low) | (rows == high)).all(axis=1))
+        rows[corners] += rng.uniform(-1.5, 1.5, size=(len(corners), 2))
+        return rows
+    radius = 0.5 * side * np.sqrt(rng.random(n))
+    angle = 2.0 * np.pi * rng.random(n)
+    return np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
+
+
+def measure_diameter(shape: str, n: int) -> dict:
+    """One ``diameter`` row, once: µs per ``point_set_diameter`` and per ``ConvexHull.of_array``.
+
+    Each is timed over :data:`DIAMETER_BLOCKS` blocks of calls (median
+    and IQR of the per-call time); the digest covers the diameter and
+    the hull's vertices.
+    """
+    from repro.geometry.hull import ConvexHull, point_set_diameter
+
+    rows = diameter_shape(shape, n)
+    calls = max(5, 200_000 // n)
+    timings = {}
+    for name, call in (("diameter_us", point_set_diameter), ("hull_us", ConvexHull.of_array)):
+        per_call = []
+        for _ in range(DIAMETER_BLOCKS):
+            started = time.perf_counter()
+            for _ in range(calls):
+                call(rows)
+            per_call.append((time.perf_counter() - started) / calls * 1e6)
+        timings[name] = _spread(per_call)["median"]
+    payload = repr((point_set_diameter(rows), ConvexHull.of_array(rows).vertices))
+    return {
+        "layer": "diameter",
+        "shape": shape,
+        "n": n,
+        "calls": calls,
+        "blocks": DIAMETER_BLOCKS,
+        **timings,
+        "output_digest": hashlib.sha256(payload.encode()).hexdigest(),
+    }
+
+
 def contracted_configuration(n: int):
     """``n`` robots uniform in a disk of radius 0.45: every pair within V=1."""
     import numpy as np
@@ -634,6 +775,97 @@ def run_ladder(rows, baseline_src=None) -> list:
     return out
 
 
+def _paired(request: list, baseline_src, pairs: int) -> tuple:
+    """``pairs`` alternating measurements of one row: this tree's, and the baseline's or none.
+
+    Each measurement is one fresh interpreter; a digest that differs
+    fails the bench.
+    """
+    mine, theirs = [], []
+    for _ in range(pairs):
+        mine.append(_child(request, ROOT / "src"))
+        if baseline_src is not None:
+            theirs.append(_child(request, baseline_src))
+    if len({row["output_digest"] for row in mine + theirs}) != 1:
+        raise RuntimeError(f"{request}: the output digests differ")
+    return mine, theirs
+
+
+def _summary(rows: list, fields) -> dict:
+    """Per field, the median and IQR over the measurements, their values as ``runs``."""
+    summary = {}
+    for field in fields:
+        values = [row[field] for row in rows]
+        summary[field] = {**_spread(values), "runs": values}
+    return summary
+
+
+def _won(mine: list, theirs: list, field: str) -> int:
+    """The pairs in which this tree's ``field`` was the lower."""
+    return sum(a[field] < b[field] for a, b in zip(mine, theirs))
+
+
+def _replicate_summary(rows: list) -> dict:
+    """Wall seconds, each group round's median refresh ms and the median peak RSS."""
+    return {
+        **_summary(rows, ("wall_s",)),
+        "refresh_ms": [
+            round(statistics.median(spent), 3) for spent in zip(*(row["refresh_ms"] for row in rows))
+        ],
+        "peak_rss_mb": statistics.median(row["peak_rss_mb"] for row in rows),
+    }
+
+
+def run_replicate(rows, pairs: int, baseline_src=None) -> list:
+    """The ``replicate`` rows: bundles timed in alternating fresh interpreters."""
+    out = []
+    for workload, n, activations in rows:
+        mine, theirs = _paired(
+            ["--replicate", workload, str(n), str(activations)], baseline_src, pairs
+        )
+        row = {**mine[0], "pairs": pairs, **_replicate_summary(mine)}
+        note = ""
+        if theirs:
+            base = row["baseline"] = _replicate_summary(theirs)
+            row["pairs_won"] = _won(mine, theirs, "wall_s")
+            note = (
+                f"  [baseline {base['wall_s']['median']:7.3f}s (IQR {base['wall_s']['iqr']:.3f}),"
+                f" refreshes {sum(base['refresh_ms']):7.1f} ms; won {row['pairs_won']}/{pairs}]"
+            )
+        out.append(row)
+        print(
+            f"replicate {workload:<7} n={n:<6} wall {row['wall_s']['median']:7.3f}s "
+            f"(IQR {row['wall_s']['iqr']:.3f}), {len(row['refresh_ms'])} refreshes "
+            f"{sum(row['refresh_ms']):7.1f} ms" + note
+        )
+    return out
+
+
+def run_diameter(rows, pairs: int, baseline_src=None) -> list:
+    """The ``diameter`` rows: µs per call, timed in alternating fresh interpreters."""
+    fields = ("diameter_us", "hull_us")
+    out = []
+    for shape, n in rows:
+        mine, theirs = _paired(["--diameter", shape, str(n)], baseline_src, pairs)
+        row = {**mine[0], "pairs": pairs, **_summary(mine, fields)}
+        note = ""
+        if theirs:
+            base = row["baseline"] = _summary(theirs, fields)
+            row["pairs_won"] = {field: _won(mine, theirs, field) for field in fields}
+            note = (
+                f"  [baseline {base['diameter_us']['median']:9.1f} / "
+                f"{base['hull_us']['median']:9.1f} us; won {row['pairs_won']['diameter_us']}"
+                f" / {row['pairs_won']['hull_us']} of {pairs}]"
+            )
+        out.append(row)
+        print(
+            f"diameter {shape:<13} n={n:<7} point_set_diameter "
+            f"{row['diameter_us']['median']:9.1f} us  ConvexHull.of_array "
+            f"{row['hull_us']['median']:9.1f} us" + note
+        )
+    return out
+
+
 def run_workloads(n: int, repeats: int, baseline_src=None) -> list:
     """Every planar registry workload generated in a fresh interpreter."""
     sys.path.insert(0, str(ROOT / "src"))
@@ -758,9 +990,11 @@ def main(argv=None) -> int:
     parser.add_argument("--square", nargs=3, help=argparse.SUPPRESS)
     parser.add_argument("--t0", nargs=2, type=int, help=argparse.SUPPRESS)
     parser.add_argument("--final", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--replicate", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--diameter", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     internal = (args.row, args.workload, args.refresh, args.contracted, args.square, args.t0,
-                args.final)
+                args.final, args.replicate, args.diameter)
     if any(internal):
         sys.path.insert(0, str(args.src.resolve()))
         if args.row:
@@ -779,6 +1013,12 @@ def main(argv=None) -> int:
         elif args.final:
             n, moved, repeats = args.final
             row = measure_final_sample(int(n), moved, int(repeats))
+        elif args.replicate:
+            workload, n, activations = args.replicate
+            row = measure_replicate(workload, int(n), int(activations))
+        elif args.diameter:
+            shape, n = args.diameter
+            row = measure_diameter(shape, int(n))
         else:
             row = measure_contracted(args.contracted)
         print(json.dumps(row))
@@ -796,6 +1036,16 @@ def main(argv=None) -> int:
     )
     rows += run_enumeration(SMOKE_ENUMERATION_ROWS if args.smoke else ENUMERATION_ROWS, baseline)
     rows += run_observe(SMOKE_OBSERVE_BLOCKS if args.smoke else OBSERVE_BLOCKS)
+    rows += run_replicate(
+        SMOKE_REPLICATE_ROWS if args.smoke else REPLICATE_ROWS,
+        1 if args.smoke else REPLICATE_PAIRS,
+        baseline,
+    )
+    rows += run_diameter(
+        SMOKE_DIAMETER_ROWS if args.smoke else DIAMETER_ROWS,
+        1 if args.smoke else DIAMETER_PAIRS,
+        baseline,
+    )
     payload = {"host": host(), "smoke": bool(args.smoke), "rows": rows}
     if baseline is not None:
         payload["baseline_commit"] = _commit_of(baseline)
@@ -806,9 +1056,18 @@ def main(argv=None) -> int:
     parsed = json.loads(args.output.read_text())
     layers = {row["layer"] for row in parsed["rows"]}
     assert layers == {
-        "round_mega_ladder", "workload_setup", "round_pairs", "enumeration", "metrics_observe"
+        "round_mega_ladder", "workload_setup", "round_pairs", "enumeration", "metrics_observe",
+        "replicate", "diameter",
     }, layers
     for row in parsed["rows"]:
+        if row["layer"] == "replicate":
+            assert row["wall_s"]["median"] > 0 and len(row["output_digest"]) == 64
+            assert row["lanes"] == 32 and row["refresh_ms"]
+            continue
+        if row["layer"] == "diameter":
+            assert 0 < row["diameter_us"]["median"] and 0 < row["hull_us"]["median"]
+            assert len(row["output_digest"]) == 64
+            continue
         if row["layer"] == "metrics_observe":
             assert 0 < row["step_us"]["median"] and 0 < row["full_us"]["median"]
             continue

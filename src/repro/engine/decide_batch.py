@@ -16,10 +16,10 @@ exactly two callers: a single run's round
 (:meth:`repro.engine.simulator.Simulator._round_decide_batch`, one lane,
 with the run's carried pairs) and a replicate bundle's group of lanes
 (:func:`repro.engine.replicate._advance_group`), whose committed rows
-stack into one ``(lanes * n, 2)`` array with pairs enumerated afresh
-each round.  Every lane of a group shares each configuration value the
-pipeline reads, so one ``config`` describes them all; only the RNG
-streams stay per lane.
+stack into one ``(lanes * n, 2)`` array, each lane in its fixed slot,
+with the pairs the group holds across rounds.  Every lane of a group
+shares each configuration value the pipeline reads, so one ``config``
+describes them all; only the RNG streams stay per lane.
 
 Each stage is an elementwise transcription of the per-robot decide's
 arithmetic (:func:`~repro.model.snapshot.build_snapshot`, then

@@ -35,6 +35,7 @@ from ..geometry.hull import ConvexHull
 from ..geometry.pairs import (
     METRICS_DENSE_MAX,
     VisiblePairs,
+    both_in,
     changed_rows,
     grid_edges,
     min_distance_from,
@@ -284,7 +285,7 @@ class MetricsCollector:
                 if len(moved):
                     still = np.ones(n, dtype=bool)
                     still[moved] = False
-                    unmoved = lengths[still[self._edge_i] & still[self._edge_j]]
+                    unmoved = lengths[both_in(still, self._edge_i, self._edge_j)]
                 if len(unmoved):
                     shortest = float(unmoved.min())
                     if shortest == 0.0 or not len(moved):

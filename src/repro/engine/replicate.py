@@ -10,11 +10,15 @@ groups the lanes by every configuration value the flat round decide
 reads (swarm size, visibility range, perception, frames, reflection,
 motion xi and the KKNPS constants).  Each lane takes its round's samples
 through :meth:`~repro.engine.kernel.ContinuousKernel._sample_round`; then
-the group's committed positions stack into one ``(lanes, n, 2)`` tensor,
-a fresh :class:`~repro.geometry.pairs.VisiblePairs` with run-isolated
-keys pairs it (the stack is formed anew each round, so nothing carries
-over), and all of the group's activations go through one
-:func:`~repro.engine.decide_batch.decide_round_flat` pass — the same
+each member's committed positions are written into its slot of the
+group's ``(lanes, n, 2)`` stack (lane ``s`` of the group owns rows
+``[s * n, (s + 1) * n)`` for the bundle's life; a lane that left keeps
+its last rows there), the group's one
+:class:`~repro.geometry.pairs.VisiblePairs` with run-isolated keys is
+refreshed over the stack — only the rows whose bits changed are
+re-paired, and a first refresh over bit-identical lanes enumerates one
+lane and tiles its keys — and all of the group's activations go through
+one :func:`~repro.engine.decide_batch.decide_round_flat` pass — the same
 pipeline a single run's round takes — with
 :func:`~repro.algorithms.kknps.kknps_destinations_all` as its core.
 
@@ -94,8 +98,8 @@ def _prepare_lane(sim: Simulator, setup_cache: Optional[dict] = None) -> _Lane:
     lane's collector: the edge set is copied, the (read-only) edge index
     arrays, bound rows and frozen t=0 sample are shared.  The lane's RNG stream
     is untouched either way, so the replay is bit-invisible.  Binding sets
-    up no carried pairs: a group's lanes read a set of pairs built for the
-    group each round, and a lane that leaves its group pairs its rows in
+    up no carried pairs: a group's lanes read the pairs their group holds
+    (:class:`_Slots`), and a lane that leaves its group pairs its rows in
     full on its first own round.
     """
     metrics = sim._make_metrics()
@@ -135,7 +139,7 @@ def _group_key(sim: Simulator) -> tuple:
     """Every value of a lane's run the flat round decide reads.
 
     Lanes with equal keys advance as one group: one grid (swarm size and
-    visibility range first, so ``_drive`` can unpack them), one
+    visibility range first, so :func:`_advance_group` can unpack them), one
     perception model (a frozen dataclass, equal field by field), one
     frame rule, one motion xi and one set of KKNPS constants.  Only the
     RNG streams differ between them.
@@ -242,8 +246,55 @@ def _advance_group(
         offset += count
 
 
+class _Slots:
+    """One flat-decide group's stacked rows, in lane slots fixed for the bundle's life.
+
+    Lane ``s`` of the group (in bundle order) owns ``rows[s]``, the flat
+    rows ``[s * n, (s + 1) * n)``; ``pairs`` is the group's one
+    :class:`VisiblePairs` over the stack, held across rounds.
+    """
+
+    __slots__ = ("slot", "rows", "pairs")
+
+    def __init__(self, lanes: List[_Lane]) -> None:
+        self.slot = {id(lane.sim): s for s, lane in enumerate(lanes)}
+        self.rows = np.stack([lane.sim._arrays.position for lane in lanes])
+        self.pairs = VisiblePairs(*lanes[0].sim._pair_rule(), runs=len(lanes))
+
+
+def _group_round(held: _Slots, members: List[Tuple[_Lane, RoundBatch]]) -> None:
+    """One round of a group's members, one flat decide over the held stack.
+
+    Only the members' committed rows are written into their slots; a
+    lane that left keeps its last rows, which no member reads.  The
+    collapse guard reads the members' slots, and the refresh re-pairs
+    only the rows whose bits changed since the group's last round.
+    """
+    n = held.rows.shape[1]
+    slots = [held.slot[id(lane.sim)] for lane, _ in members]
+    for (lane, _), slot in zip(members, slots):
+        held.rows[slot] = lane.sim._arrays.position
+    hazard = collapse_hazard_lanes(held.rows[slots].reshape(-1, 2), len(slots), n)
+    vector = []
+    for flagged, slot, (lane, batch) in zip(hazard, slots, members):
+        if flagged:
+            # A (near-)coincident pair: the coincidence collapse may
+            # engage, so the lane's own round step decides.
+            lane.sim._process_round(batch, lane.run)
+        else:
+            vector.append((lane, batch, slot))
+    if vector:
+        flat_xy = held.rows.reshape(-1, 2)
+        _advance_group(vector, held.pairs.refresh(flat_xy), flat_xy)
+
+
 def _drive(lanes: List[_Lane]) -> None:
     """The global iteration loop: one kernel step per active lane."""
+    grouped: Dict[tuple, List[_Lane]] = {}
+    for lane in lanes:
+        if lane.group is not None:
+            grouped.setdefault(lane.group, []).append(lane)
+    held = {key: _Slots(members) for key, members in grouped.items()}
     active = lanes
     while active:
         rounds: List[Tuple[_Lane, RoundBatch]] = []
@@ -263,24 +314,8 @@ def _drive(lanes: List[_Lane]) -> None:
                 lane.sim._process_round(batch, lane.run)
             else:
                 groups.setdefault(lane.group, []).append((lane, batch))
-        for (n, *_), members in groups.items():
-            tensor = np.stack(
-                [lane.sim._arrays.position for lane, _ in members]
-            )
-            flat_xy = tensor.reshape(-1, 2)
-            hazard = collapse_hazard_lanes(flat_xy, len(members), n)
-            vector = []
-            for slot, (lane, batch) in enumerate(members):
-                if hazard[slot]:
-                    # A (near-)coincident pair: the coincidence collapse
-                    # may engage, so the lane's own round step decides.
-                    lane.sim._process_round(batch, lane.run)
-                else:
-                    vector.append((lane, batch, slot))
-            if vector:
-                lead = vector[0][0].sim
-                pairs = VisiblePairs(*lead._pair_rule(), runs=len(members))
-                _advance_group(vector, pairs.refresh(flat_xy), flat_xy)
+        for key, members in groups.items():
+            _group_round(held[key], members)
 
 
 def run_replicated_simulations(

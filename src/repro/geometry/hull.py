@@ -159,32 +159,56 @@ def _max_squared_distance(rows: np.ndarray) -> float:
     return best
 
 
+def _extremes(rows: np.ndarray) -> np.ndarray:
+    """The rows of least and greatest ``x``, ``y``, ``x + y`` and ``x - y`` (with repeats)."""
+    x, y = rows[:, 0], rows[:, 1]
+    picked = []
+    for key in (x, y, x + y, x - y):
+        picked += [key.argmin(), key.argmax()]
+    return rows[picked]
+
+
+def _far_rows(rows: np.ndarray, least: float) -> np.ndarray:
+    """The rows whose farthest bounding-box corner lies at least ``least`` (squared) away.
+
+    A row ends no pair of squared distance ``>= least`` unless it is
+    kept: each of the pair's offsets is at most the row's to the far box
+    side, and rounding is monotone.
+    """
+    x, y = rows[:, 0], rows[:, 1]
+    fx = np.maximum(x - x.min(), x.max() - x)
+    fy = np.maximum(y - y.min(), y.max() - y)
+    return rows[fx * fx + fy * fy >= least]
+
+
 def point_set_diameter(array: np.ndarray) -> float:
     """Largest distance between two rows of an ``(n, 2)`` array, as the dense matrix gives it.
 
     The rows are pruned once by the octagon prefilter, and up to
     ``_DENSE_CANDIDATES`` survivors are paired as they are.  Past that,
-    the monotone chain runs on the survivors and they are pruned again
-    against the hull polygon: for every other row, a row interior by the
-    margin (``1e-6`` of the extent) has a survivor the margin farther
-    away, a gap no rounding of ``dx*dx + dy*dy`` closes, so survivor
-    pairs suffice.  A survivor whose farthest bounding-box corner is
-    nearer than the farthest vertex pair ends no farthest pair (rounding
-    is monotone) and is dropped before pairing.  Unlike the vertex
-    diameter, rows within the chain's collinearity tolerance count.
+    the largest square among the survivors' eight extreme rows (least
+    and greatest ``x``, ``y``, ``x + y``, ``x - y``) bounds the answer
+    from below: it is a realised pair's, so a survivor whose farthest
+    bounding-box corner is nearer ends no farthest pair (rounding is
+    monotone) and is dropped (:func:`_far_rows`).  Only if more than
+    ``_DENSE_CANDIDATES`` rows remain does the monotone chain run on
+    them; they are then pruned again against the hull polygon (for every
+    other row, a row interior by the margin, ``1e-6`` of the extent, has
+    a survivor the margin farther away, a gap no rounding of ``dx*dx +
+    dy*dy`` closes, so survivor pairs suffice) and by the farthest
+    vertex pair's square.  Unlike the vertex diameter, rows within the
+    chain's collinearity tolerance count.
     """
     rows, margin = _pruned(array)
+    if len(rows) > _DENSE_CANDIDATES:
+        rows = _far_rows(rows, _max_squared_distance(_extremes(rows)))
     if len(rows) > _DENSE_CANDIDATES:
         rows, vertices = _chain_rows(rows)
         if margin is not None and len(rows) > _DENSE_CANDIDATES and len(vertices) >= 3:
             x, y = rows[:, 0], rows[:, 1]
             rows = rows[~_interior(x, y, vertices[:, 0], vertices[:, 1], margin)]
         if len(rows) > _DENSE_CANDIDATES:
-            least = _max_squared_distance(vertices)
-            x, y = rows[:, 0], rows[:, 1]
-            fx = np.maximum(x - x.min(), x.max() - x)
-            fy = np.maximum(y - y.min(), y.max() - y)
-            rows = rows[fx * fx + fy * fy >= least]
+            rows = _far_rows(rows, _max_squared_distance(vertices))
     return math.sqrt(_max_squared_distance(rows)) if len(rows) > 1 else 0.0
 
 

@@ -466,22 +466,38 @@ def _squared(deltas: List[np.ndarray]) -> np.ndarray:
     return squared
 
 
+def _intp_blocks(i: np.ndarray, j: np.ndarray):
+    """``(block, i[block], j[block])`` over slices of at most :data:`_PAIR_BLOCK` pairs.
+
+    Gathers index fastest with ``intp``: narrower indices (the metrics
+    collector's ``int32`` edges) are widened a block at a time, so no
+    wide copy of them all is held.
+    """
+    for start in range(0, len(i), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        yield block, i[block].astype(np.intp), j[block].astype(np.intp)
+
+
 def pair_distances(arr: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Distances of the row pairs ``(i[k], j[k])``, each the dense matrix's float.
 
-    Gathers index fastest with ``intp``: narrower indices (the metrics
-    collector's ``int32`` edges) are widened a block of at most
-    :data:`_PAIR_BLOCK` at a time, so no wide copy of them all is held.
+    Gathered with ``intp`` indices (:func:`_intp_blocks`).
     """
     columns = _columns(arr)
     if len(i) <= _PAIR_BLOCK:
         return np.sqrt(_pair_squared(columns, i.astype(np.intp), j.astype(np.intp)))
     distances = np.empty(len(i))
-    for start in range(0, len(i), _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        lower, upper = i[block].astype(np.intp), j[block].astype(np.intp)
+    for block, lower, upper in _intp_blocks(i, j):
         distances[block] = np.sqrt(_pair_squared(columns, lower, upper))
     return distances
+
+
+def both_in(mask: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``mask[i] & mask[j]``, gathered with ``intp`` indices (:func:`_intp_blocks`)."""
+    kept = np.empty(len(i), dtype=bool)
+    for block, lower, upper in _intp_blocks(i, j):
+        kept[block] = mask[lower] & mask[upper]
+    return kept
 
 
 def dense_diameter(arr: np.ndarray) -> float:
@@ -803,7 +819,8 @@ class VisiblePairs:
         grid pairs each changed row with its neighbours, and the kept
         pairs are merged in, with the mirror key of each pair whose
         other end did not change (a pair of two changed rows comes from
-        both ends already).
+        both ends already).  A full refresh over ``runs > 1`` runs that
+        agree bit for bit enumerates run 0 alone (:meth:`_tile`).
         """
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         held = self.rows
@@ -819,7 +836,7 @@ class VisiblePairs:
         self.grid = None
         self.rows = rows.copy()
         n, dim = rows.shape
-        if n < 2:
+        if n < 2 or (changed is None and self.runs > 1 and self._tile(rows)):
             return self
         cell = _cell_for(rows, self.reach)
         if self.runs > 1:
@@ -845,6 +862,31 @@ class VisiblePairs:
             keys.sort(kind="stable")
         self.keys = keys
         return self
+
+    def _tile(self, rows: np.ndarray) -> bool:
+        """Hold the keys of bit-identical runs from one enumeration of run 0.
+
+        Run ``s``'s pair ``(i, j)`` has the key ``(s m + i) N + s m + j``
+        over ``N`` rows of ``m`` a run: run 0's key plus ``s m (N + 1)``,
+        so run 0's sorted keys tiled by those offsets are every run's,
+        still sorted run by run.  Returns False, holding nothing, when a
+        run differs from run 0 in any bit or run 0 is too crowded to hold
+        keys (:data:`CARRY_CELL_PAIRS_PER_ROW`).
+        """
+        total = len(rows)
+        m = total // self.runs
+        words = rows.view(np.uint64).reshape(self.runs, -1)
+        if not (words[1:] == words[0]).all():
+            return False
+        first = rows[:m]
+        grid = ShardedGridIndex(first, _cell_for(first, self.reach))
+        if grid.same_cell_pairs() > CARRY_CELL_PAIRS_PER_ROW * m:
+            return False
+        keys = _both_ends(*grid.warm_candidates(keep=self._keep()), total)
+        keys.sort()
+        offsets = np.arange(self.runs, dtype=np.int64) * (m * (total + 1))
+        self.keys = (offsets[:, None] + keys).ravel()
+        return True
 
     def seed(self, rows: np.ndarray, edge_reach: float) -> Tuple[np.ndarray, np.ndarray]:
         """Set the pairs up at ``rows``; returns the rows' edges within ``edge_reach``.

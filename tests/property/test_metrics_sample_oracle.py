@@ -19,7 +19,11 @@ vertices past it.  All are compared against
   against the grid search and the dense matrix;
 * the step sample's diameter (:func:`~repro.engine.metrics.rows_diameter`;
   in the plane the chain only past ``_DENSE_CANDIDATES`` prune survivors)
-  against the dense maximum and the full sample's diameter.
+  against the dense maximum and the full sample's diameter;
+* the point-set diameter's bound by the survivors' extreme rows, on
+  jittered, truncated and moved-corner lattices, collinear rows,
+  duplicates and disks at extents from 1e-9 to 1e6, and a ``grid``
+  run whose step samples never walk the hull chain.
 """
 
 from __future__ import annotations
@@ -264,3 +268,79 @@ def test_hull_matches_row_unique_oracle(rows, exponent, shift, collinear):
     dx = arr[:, 0, None] - arr[None, :, 0]
     dy = arr[:, 1, None] - arr[None, :, 1]
     assert point_set_diameter(arr) == float(np.sqrt((dx * dx + dy * dy).max()))
+
+
+SHAPES = ("jittered", "truncated", "moved corners", "collinear", "duplicates", "disk")
+
+
+def _shape(kind: str, n: int, seed: int, extent: float) -> np.ndarray:
+    """``n`` rows of one shape the diameter's extreme-row bound must not get wrong."""
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil(np.sqrt(n)))
+    # Row-major lattice points, the last row cut short unless n is a square.
+    lattice = np.stack(np.unravel_index(np.arange(n), (side, side)), axis=1).astype(float)
+    if kind == "jittered":
+        unit = lattice + rng.uniform(-0.3, 0.3, size=(n, 2))
+    elif kind == "truncated":
+        unit = lattice[: max(2, n - int(rng.integers(0, side)))]
+    elif kind == "moved corners":
+        unit = lattice.copy()
+        low, high = unit.min(axis=0), unit.max(axis=0)
+        corners = np.flatnonzero(
+            ((unit == low) | (unit == high)).all(axis=1)
+        )
+        # Inward, outward or along an edge: the extremes need not pair up.
+        unit[corners] += rng.uniform(-1.5, 1.5, size=(len(corners), 2))
+    elif kind == "collinear":
+        direction = rng.normal(size=2)
+        unit = np.outer(rng.integers(-side, side + 1, n).astype(float), direction)
+    elif kind == "duplicates":
+        unit = lattice[rng.integers(0, max(1, n // 7), n)]
+    else:
+        radius = np.sqrt(rng.uniform(0.0, 1.0, n)) * side
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        unit = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
+    return unit / side * extent + rng.uniform(-2.0, 2.0, size=2) * extent
+
+
+@given(
+    kind=st.sampled_from(SHAPES),
+    n=st.integers(_DENSE_CANDIDATES + 1, 2500),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-9, 6),
+)
+@example(kind="moved corners", n=1000, seed=0, exponent=0)
+@example(kind="collinear", n=400, seed=1, exponent=-9)
+@example(kind="duplicates", n=2049, seed=2, exponent=6)
+@example(kind="truncated", n=1000, seed=3, exponent=0)
+@settings(max_examples=120, deadline=None)
+def test_point_set_diameter_bound_matches_dense(kind, n, seed, exponent):
+    """The extreme-row bound keeps the dense maximum's float on every shape."""
+    arr = _shape(kind, n, seed, 10.0**exponent)
+    assert point_set_diameter(arr) == _dense_diameter(arr)
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_grid_step_samples_walk_no_chain(monkeypatch, n):
+    """A ``grid`` run's step samples never walk the hull chain; its full samples' hulls do."""
+    from repro.algorithms import KKNPSAlgorithm
+    from repro.engine import SimulationConfig, Simulator
+    from repro.geometry import hull as hull_module
+    from repro.schedulers import SSyncScheduler
+    from repro.sweeps.factories import make_workload
+
+    chains, hulls = [], []
+    chain_rows, hull_of = hull_module._chain_rows, ConvexHull.of_array
+    monkeypatch.setattr(
+        hull_module, "_chain_rows", lambda rows: chains.append(1) or chain_rows(rows)
+    )
+    monkeypatch.setattr(
+        ConvexHull, "of_array", staticmethod(lambda rows: hulls.append(1) or hull_of(rows))
+    )
+    configuration = make_workload("grid", n, 7)
+    result = Simulator(
+        configuration.positions, KKNPSAlgorithm(), SSyncScheduler(),
+        SimulationConfig(visibility_range=configuration.visibility_range, max_activations=n),
+    ).run()
+    assert len(result.metrics.samples) > 2
+    assert len(chains) == len(hulls) == 2  # the t=0 and final full samples

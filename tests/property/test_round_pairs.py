@@ -16,7 +16,10 @@ strictly ascending and byte-equal to the dense directed oracle
 (:func:`reference.pairs.dense_directed_keys`: both ends of every pair of
 :func:`reference.pairs.dense_visible_pairs`), a crowded one must hold
 no keys, and every robot's chunked rows, at any budget and for owners
-in any order, must be its visible ids in ascending order.
+in any order, must be its visible ids in ascending order.  A full
+refresh over bit-identical stacked runs bins run 0 alone and tiles its
+keys: they must equal the enumeration over the whole stack, and a run
+one bit apart (``0.0`` against ``-0.0``) must fall back to it.
 """
 
 from __future__ import annotations
@@ -202,3 +205,50 @@ def test_unchanged_rows_build_no_grid(monkeypatch):
 
     monkeypatch.setattr(pairs_module.ShardedGridIndex, "__init__", refuse)
     assert pairs.refresh(rows.copy()).keys is keys
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(refresh_sequences(), st.integers(min_value=2, max_value=4), st.booleans())
+def test_tiled_first_refresh_equals_the_enumerated_one(drawn, runs, crowded):
+    """A full refresh over bit-identical runs enumerates run 0 and tiles its keys.
+
+    The keys must be byte-equal to the enumeration's over the whole stack
+    and to the dense oracle, and only run 0's rows are binned.  A crowded
+    run 0 falls back to the enumeration, which bins the whole stack and
+    keeps its grid.  One run's ``0.0`` flipped to ``-0.0`` (equal values,
+    one bit apart) must fall back too: one grid over the whole stack.
+    """
+    dim, visibility_range, sequence = drawn
+    rows = sequence[0]
+    n = len(rows)
+    if n < 2:
+        return
+    stacked = np.concatenate([rows] * runs)
+    sizes = []
+    grid_init = pairs_module.ShardedGridIndex.__init__
+
+    def counting(self, positions, *args, **kwargs):
+        sizes.append(len(positions))
+        grid_init(self, positions, *args, **kwargs)
+
+    with _crowded(crowded), mock.patch.object(
+        pairs_module.ShardedGridIndex, "__init__", counting
+    ):
+        enumerated = _pair_set(dim, visibility_range, runs=runs)
+        with mock.patch.object(VisiblePairs, "_tile", lambda self, rows: False):
+            enumerated.refresh(stacked)
+        del sizes[:]
+        tiled = _pair_set(dim, visibility_range, runs=runs).refresh(stacked)
+        assert sizes == ([n, len(stacked)] if crowded else [n])
+        assert (tiled.grid is None) is (enumerated.grid is None) is (not crowded)
+        assert tiled.keys.tobytes() == enumerated.keys.tobytes()
+        _check(tiled, stacked, visibility_range, runs)
+
+        flipped = stacked.copy()
+        flipped.reshape(runs, n, dim)[:, 0, 0] = 0.0
+        flipped[(runs - 1) * n, 0] = -0.0
+        del sizes[:]
+        pairs = _pair_set(dim, visibility_range, runs=runs).refresh(flipped)
+        assert sizes == [len(flipped)]
+        _check(pairs, flipped, visibility_range, runs)
